@@ -395,12 +395,13 @@ func BenchmarkCampaignThroughputHeterogeneous(b *testing.B) {
 // re-derives its schedule privately, the pre-cache baseline the
 // speedup is quoted against.
 func BenchmarkCampaignThroughputHeterogeneousNoCache(b *testing.B) {
+	b.Setenv("COSCHED_MODEL_CACHE", "off")
 	sp := heterogeneousSweepSpec()
 	units := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := campaign.Run(sp, campaign.Options{NoModelCache: true})
+		res, err := campaign.Run(sp, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

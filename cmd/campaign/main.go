@@ -55,7 +55,6 @@ func realMain() error {
 		seed         = flag.Uint64("seed", 0, "override the spec's master seed (with -figure: default 1)")
 		shrink       = flag.Float64("shrink", 1, "with -figure: platform scale factor in (0,1]")
 		workers      = flag.Int("workers", 0, "parallel units (0 = all cores)")
-		parallel     = flag.Bool("parallel", false, "per-point parallel mode: shard each grid point's replicate range across the worker pool (adaptive campaigns speculate past batch boundaries); output is byte-identical for any worker count")
 		outPath      = flag.String("out", "", "write aggregate results as JSONL to this file")
 		csvPath      = flag.String("csv", "", "write the result table as CSV to this file")
 		quantPath    = flag.String("quantiles", "", "write per-cell p50/p95 makespan quantiles as CSV to this file")
@@ -137,7 +136,7 @@ func realMain() error {
 			sp.Name, len(points), sp.Replicates, units, len(sp.Policies))
 	}
 
-	opt := campaign.Options{Workers: *workers, Parallel: *parallel}
+	opt := campaign.Options{Workers: *workers}
 	var telemetry *obs.Campaign
 	if *metricsAddr != "" || *metricsDump != "" || *heartbeatPath != "" {
 		telemetry = obs.NewCampaign()

@@ -32,7 +32,6 @@ func main() {
 		shrink    = flag.Float64("shrink", 1, "platform scale factor in (0,1]; 1 = paper scale")
 		outDir    = flag.String("out", "results", "output directory for CSV/SVG files")
 		workers   = flag.Int("workers", 0, "parallel runs (0 = all cores)")
-		parallel  = flag.Bool("parallel", false, "per-point parallel mode: shard each grid point's replicate range across the worker pool; output is byte-identical for any worker count")
 		quiet     = flag.Bool("quiet", false, "suppress ASCII charts")
 		precision = flag.Float64("precision", 0, "adaptive replicates: target relative CI half-width per cell (0 = fixed -reps)")
 		maxReps   = flag.Int("max-reps", 200, "with -precision: replicate cap per grid point")
@@ -56,7 +55,7 @@ func main() {
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatalf("%v", err)
 	}
-	params := experiments.Params{Reps: *reps, Seed: *seed, Shrink: *shrink, Workers: *workers, Parallel: *parallel}
+	params := experiments.Params{Reps: *reps, Seed: *seed, Shrink: *shrink, Workers: *workers}
 	if *precision > 0 {
 		params.Precision = &scenario.PrecisionSpec{RelHalfWidth: *precision, MaxReplicates: *maxReps}
 	}

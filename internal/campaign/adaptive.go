@@ -1,12 +1,6 @@
 package campaign
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-
-	"cosched/internal/core"
-	"cosched/internal/model"
 	"cosched/internal/scenario"
 	"cosched/internal/stats"
 )
@@ -48,438 +42,154 @@ func (c *cellState) add(vals []float64) {
 	}
 }
 
-// pointState is the controller state of one grid point.
+// pointState is the adaptive state of one grid point.
 type pointState struct {
-	folded      int               // contiguous replicates folded into cells
-	outstanding int               // replicates queued or in flight
-	next        int               // first replicate never queued (lookahead mode)
-	pending     map[int][]float64 // completed or restored, not yet folded
-	stopped     bool
+	folded  int               // contiguous replicates folded into cells
+	next    int               // first replicate never released
+	pending map[int][]float64 // accepted, waiting for the prefix below them
+	stopped bool
 }
 
-// unitJob is one dispatched replicate. buf, when non-nil, is a recycled
-// metric-vector buffer from the coordinator's free list; the worker
-// copies the unit's results into it, and the coordinator reclaims it
-// after folding. Steady-state adaptive batches therefore stop
-// allocating per replicate.
-type unitJob struct {
-	point, rep int
-	buf        []float64
-}
-
-type unitResult struct {
-	point, rep int
-	vals       []float64 // metricsPerPolicy values per policy
-	err        error
-	// skip marks a unit that was dispatched but never ran because the
-	// campaign was canceled first: it only drains inflight accounting
-	// (vals, when non-nil, is the job's recycled buffer coming home).
-	skip bool
-}
-
-// adaptiveController sequences an adaptive campaign. All state is owned
-// by the coordinating goroutine; workers only see jobs and results.
+// adaptive is the Assembler's state for a spec carrying a precision
+// block; the methods below are the adaptive unit source and fold.
 //
 // Determinism contract: replicates fold strictly in replicate order per
-// point (out-of-order completions buffer in pending), and the stopping
-// rule is evaluated only when the folded count reaches a batch boundary
-// — so every decision is a pure function of the folded prefix, which is
-// itself a pure function of (spec, seed). Worker count and arrival order
-// cannot change the outcome, only the wall-clock.
-type adaptiveController struct {
-	sp      scenario.Spec
-	opt     Options
-	res     *Result
+// point (out-of-order results buffer in pending), and the stopping rule
+// is evaluated only when the folded count reaches a batch boundary — so
+// every decision is a pure function of the folded prefix, which is
+// itself a pure function of (spec, seed). Executor width, arrival order,
+// restores and speculation cannot change the outcome, only the
+// wall-clock.
+type adaptive struct {
 	batch   int
 	minReps int
 	maxReps int
 	conf    float64
 	relHW   float64
-	nm      int // metrics per policy (metricsPerPolicy)
-	// lookahead, when positive, is the per-point speculation window of
-	// Options.Parallel: advance keeps up to this many replicates queued
-	// or in flight past the folded prefix instead of one batch at a
-	// time. Speculated results arriving after the stopping rule fires
-	// are discarded unfolded, so the window never changes the output,
-	// only how fully a single point can occupy the worker pool.
-	lookahead int
-	points    []pointState
-	queue     []unitJob
-	inflight  int // queued + dispatched, not yet handled
-	done      int // folded replicates, including restored ones
-	estTotal  int // points×max, shrunk as points stop early
-	firstErr  error
-	// submit, when set (shared-pool mode), dispatches a job immediately
-	// instead of parking it on queue for the private-worker coordinator.
-	submit func(unitJob)
-	// free recycles per-replicate metric-vector buffers: folded vectors
-	// return here, queued jobs carry one back out to a worker. Owned by
-	// the coordinating goroutine; hand-off happens through the job and
-	// result structs, never by sharing.
+	// width is the executor's unit parallelism. When it exceeds what the
+	// live points' batches can fill (width > live × batch), each point
+	// releases a speculation window of 2×width replicates (rounded up to
+	// whole batches) past its folded prefix instead of one batch at a
+	// time. Speculated units of a point that stops first are refused
+	// unfolded, so the window never changes the output.
+	width  int
+	points []pointState
+	live   int // points whose stopping rule has not fired
+	// stops counts stopping-rule firings; reported is how many of them
+	// Assembler.Report has mirrored into telemetry.
+	stops, reported int
+	// free recycles pending value-vector buffers.
 	free [][]float64
-	// cache/cacheStart let syncMetrics mirror the compiled-model cache's
-	// per-run counter deltas into telemetry (cache may be nil).
-	cache      *model.Cache
-	cacheStart model.CacheStats
 }
 
-// runAdaptive executes a scenario carrying a precision block.
-func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, policies []scenario.PolicySpec, semantics core.Semantics) (*Result, error) {
-	prec := *sp.Precision
-	nm := metricsPerPolicy(sp)
-	res := &Result{Spec: sp, Points: points, Policies: policies, adaptive: true}
-	res.Reps = make([]int, len(points))
-	res.cells = make([][]cellState, len(points))
-	for pi := range res.cells {
-		cs := make([]cellState, len(policies))
-		for qi := range cs {
-			cs[qi].m = make([]metricCell, nm)
-			for k := range cs[qi].m {
-				cs[qi].m[k].bm = stats.NewBatchMeans(prec.BatchSize())
-				cs[qi].m[k].quants = stats.NewQuantileSet(CellQuantiles...)
-			}
-		}
-		res.cells[pi] = cs
-	}
-
-	c := &adaptiveController{
-		sp:      sp,
-		opt:     opt,
-		res:     res,
+// initAdaptive sets up the streaming cells and releases the first batch
+// of every point.
+func (a *Assembler) initAdaptive(prec scenario.PrecisionSpec, width int) {
+	ad := &adaptive{
 		batch:   prec.BatchSize(),
 		minReps: prec.MinReps(),
 		maxReps: prec.MaxReplicates,
 		conf:    prec.ConfidenceLevel(),
 		relHW:   prec.RelHalfWidth,
-		nm:      nm,
-		points:  make([]pointState, len(points)),
+		width:   width,
+		points:  make([]pointState, len(a.res.Points)),
+		live:    len(a.res.Points),
 	}
-	c.estTotal = len(points) * c.maxReps
-	for pi := range c.points {
-		c.points[pi].pending = make(map[int][]float64)
-	}
-
-	workers := opt.Workers
-	if opt.Pool != nil {
-		workers = opt.Pool.Workers()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Parallel {
-		// Per-point mode: double-buffer the pool (a full complement of
-		// replicates in flight plus the refill queued behind them),
-		// rounded up to whole batches so speculation windows line up
-		// with stopping-rule boundaries.
-		la := 2 * workers
-		if r := la % c.batch; r != 0 {
-			la += c.batch - r
-		}
-		c.lookahead = la
-	} else if opt.Pool == nil {
-		if maxPar := len(points) * c.batch; workers > maxPar {
-			// One in-flight batch per point bounds useful parallelism.
-			workers = maxPar
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// The campaign's model-sharing state (pack classes, pack memo,
-	// compiled-model cache; see models.go), plus the once-per-campaign
-	// arrival trace. Built before the first advance: in shared-pool mode
-	// enqueue submits jobs immediately, and those jobs capture it.
-	um := newUnitModels(points, modelCacheFor(opt))
-	c.cache = um.cache
-	if opt.Metrics != nil {
-		c.cacheStart = um.cache.Stats()
-	}
-	trace, err := loadArrivalTrace(sp)
-	if err != nil {
-		return nil, err
-	}
-
-	results := make(chan unitResult, workers)
-	// exec runs one dispatched replicate on an arena and reports back to
-	// the coordinator — the worker body of both execution modes. A job
-	// finding the campaign already canceled skips the work but still
-	// reports, so inflight accounting always drains.
-	exec := func(ws *workerState, w int, job unitJob) {
-		if canceled(opt.Cancel) {
-			results <- unitResult{point: job.point, rep: job.rep, skip: true, vals: job.buf}
-			return
-		}
-		ws.bind(opt.Metrics, w)
-		vals, err := ws.runUnit(sp, points[job.point], policies, semantics, job.rep, um, trace)
-		r := unitResult{point: job.point, rep: job.rep, err: err}
-		if err == nil {
-			// runUnit reuses its buffer; the result outlives it,
-			// so it is copied — into the job's recycled buffer
-			// when the coordinator attached one.
-			buf := job.buf
-			if cap(buf) < len(vals) {
-				buf = make([]float64, len(vals))
-			}
-			buf = buf[:len(vals)]
-			copy(buf, vals)
-			r.vals = buf
-		}
-		results <- r
-	}
-	if opt.Pool != nil {
-		c.submit = func(job unitJob) {
-			opt.Pool.submit(opt.Client, func(ws *workerState, w int) { exec(ws, w, job) })
-		}
-	}
-
-	if opt.Manifest != nil {
-		rcap := sp.ReplicateCap()
-		_, err := opt.Manifest.restore(sp, len(policies), func(unit int, vals []float64) {
-			c.points[unit/rcap].pending[unit%rcap] = vals
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Replay restored prefixes through the stopping rule — resumed
-	// campaigns honor prior batches — and schedule the first live batch
-	// of every point that is not already settled.
-	for pi := range c.points {
-		c.advance(pi)
-	}
-	if opt.Progress != nil && c.done > 0 {
-		opt.Progress(c.done, c.estTotal)
-	}
-	if m := opt.Metrics; m != nil {
-		m.PointsPlanned.Set(float64(len(points)))
-	}
-	c.syncMetrics()
-
-	if opt.Pool != nil {
-		// Shared-pool mode: jobs were submitted by enqueue as advance
-		// queued them; the coordinator only folds results (each of which
-		// may submit follow-up batches through advance → enqueue).
-		for c.inflight > 0 {
-			r := <-results
-			if c.firstErr == nil && canceled(opt.Cancel) {
-				// Journal this result but queue nothing beyond it.
-				c.firstErr = ErrCanceled
-			}
-			c.handle(r)
-			c.syncMetrics()
-		}
-		if c.firstErr != nil {
-			return nil, c.firstErr
-		}
-		if canceled(opt.Cancel) {
-			return nil, ErrCanceled
-		}
-		return res, nil
-	}
-
-	jobs := make(chan unitJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := getWorkerState()
-			defer putWorkerState(ws)
-			for job := range jobs {
-				exec(ws, w, job)
-			}
-		}(w)
-	}
-
-	// Coordinator: interleave dispatching queued jobs with folding
-	// results until every point has stopped and nothing is in flight.
-	cancelWatch := opt.Cancel
-	for c.inflight > 0 {
-		// Speculated jobs whose point has since stopped — or any queued
-		// job after an error or cancellation — are dropped here instead
-		// of dispatched: never-run replicates, not discarded results, so
-		// the output is unaffected either way.
-		for len(c.queue) > 0 && (c.points[c.queue[0].point].stopped || c.firstErr != nil) {
-			job := c.queue[0]
-			c.queue = c.queue[1:]
-			c.points[job.point].outstanding--
-			c.inflight--
-			if job.buf != nil {
-				c.free = append(c.free, job.buf)
+	res := a.res
+	res.adaptive = true
+	res.cells = make([][]cellState, len(res.Points))
+	for pi := range res.cells {
+		cs := make([]cellState, len(res.Policies))
+		for qi := range cs {
+			cs[qi].m = make([]metricCell, a.nm)
+			for k := range cs[qi].m {
+				cs[qi].m[k].bm = stats.NewBatchMeans(ad.batch)
+				cs[qi].m[k].quants = stats.NewQuantileSet(CellQuantiles...)
 			}
 		}
-		if c.inflight == 0 {
-			break
-		}
-		var dispatch chan unitJob
-		var next unitJob
-		if len(c.queue) > 0 {
-			dispatch, next = jobs, c.queue[0]
-		}
-		select {
-		case dispatch <- next:
-			c.queue = c.queue[1:]
-		case r := <-results:
-			c.handle(r)
-			c.syncMetrics()
-		case <-cancelWatch: // nil without Options.Cancel: never ready
-			// Stop queueing (advance checks firstErr) and let the next
-			// loop turn drop the queued remainder; in-flight units drain
-			// normally and are journaled.
-			if c.firstErr == nil {
-				c.firstErr = ErrCanceled
-			}
-			cancelWatch = nil
-		}
+		res.cells[pi] = cs
+		ad.points[pi].pending = make(map[int][]float64)
 	}
-	close(jobs)
-	wg.Wait()
-	if c.firstErr != nil {
-		return nil, c.firstErr
+	a.ad = ad
+	for pi := range ad.points {
+		a.advance(pi)
 	}
-	if canceled(opt.Cancel) {
-		return nil, ErrCanceled
-	}
-	return res, nil
 }
 
-// handle folds one completed unit and advances its point.
-func (c *adaptiveController) handle(r unitResult) {
-	ps := &c.points[r.point]
-	ps.outstanding--
-	c.inflight--
-	if r.skip {
-		if r.vals != nil {
-			c.free = append(c.free, r.vals)
-		}
-		return
+// foldAdaptive buffers one replicate of a live point and advances the
+// point.
+func (a *Assembler) foldAdaptive(pi, rep int, vals []float64) bool {
+	ad := a.ad
+	ps := &ad.points[pi]
+	if ps.stopped {
+		return false
 	}
-	if r.err != nil {
-		if c.firstErr == nil {
-			c.firstErr = fmt.Errorf("campaign: point %d (x=%v) rep %d: %w",
-				r.point, c.res.Points[r.point].X, r.rep, r.err)
-		}
-		return
+	var buf []float64
+	if n := len(ad.free); n > 0 {
+		buf, ad.free = ad.free[n-1], ad.free[:n-1]
 	}
-	ps.pending[r.rep] = r.vals
-	if c.opt.Manifest != nil {
-		unit := r.point*c.sp.ReplicateCap() + r.rep
-		if err := c.opt.Manifest.AppendUnit(unit, r.vals); err != nil && c.firstErr == nil {
-			c.firstErr = err
-		}
-	}
-	c.advance(r.point)
-	if c.opt.Progress != nil {
-		c.opt.Progress(c.done, c.estTotal)
-	}
+	ps.pending[rep] = append(buf[:0], vals...)
+	a.got[pi*a.rcap+rep] = true
+	a.advance(pi)
+	return true
 }
 
 // advance folds the point's contiguous pending replicates, evaluates the
-// stopping rule at batch boundaries, and — when the current batch is
-// fully folded and the point continues — queues the next one. After an
-// error no new work is queued; already-queued jobs drain harmlessly.
-func (c *adaptiveController) advance(pi int) {
-	ps := &c.points[pi]
+// stopping rule at batch boundaries and, while the point continues,
+// releases the replicates its window now covers: the rest of the batch
+// containing the folded prefix, or the speculation window.
+func (a *Assembler) advance(pi int) {
+	ad := a.ad
+	ps := &ad.points[pi]
 	for !ps.stopped {
 		vals, ok := ps.pending[ps.folded]
 		if !ok {
 			break
 		}
 		delete(ps.pending, ps.folded)
-		cells := c.res.cells[pi]
+		cells := a.res.cells[pi]
 		for qi := range cells {
-			cells[qi].add(vals[qi*c.nm : (qi+1)*c.nm])
+			cells[qi].add(vals[qi*a.nm : (qi+1)*a.nm])
 		}
-		c.free = append(c.free, vals)
+		ad.free = append(ad.free, vals)
 		ps.folded++
-		c.res.Reps[pi] = ps.folded
-		c.done++
-		if ps.folded == c.maxReps || ps.folded%c.batch == 0 {
-			// The stop accounting runs exactly once, at the transition:
-			// in lookahead mode speculated results keep arriving (and
-			// re-entering advance) after the point has stopped.
-			if ps.stopped = c.shouldStop(pi); ps.stopped {
-				c.estTotal -= c.maxReps - ps.folded
-				if m := c.opt.Metrics; m != nil {
-					m.PointsStopped.Inc()
-				}
+		a.res.Reps[pi] = ps.folded
+		a.done++
+		if (ps.folded == ad.maxReps || ps.folded%ad.batch == 0) && a.shouldStop(pi) {
+			ps.stopped = true
+			ad.live--
+			ad.stops++
+			a.planned -= ad.maxReps - ps.folded
+			for rep, v := range ps.pending {
+				delete(ps.pending, rep)
+				ad.free = append(ad.free, v)
 			}
 		}
 	}
 	if ps.stopped {
 		return
 	}
-	if c.firstErr != nil {
-		return
-	}
-	if c.lookahead > 0 {
-		// Per-point parallel mode: keep the speculation window topped
-		// up past the folded prefix. next only moves forward, so no
-		// replicate is ever queued twice; restored replicates already
-		// sitting in pending are skipped.
-		end := ps.folded + c.lookahead
-		if end > c.maxReps {
-			end = c.maxReps
+	end := (ps.folded/ad.batch + 1) * ad.batch
+	if ad.width > ad.live*ad.batch {
+		la := 2 * ad.width
+		if r := la % ad.batch; r != 0 {
+			la += ad.batch - r
 		}
-		if ps.next < ps.folded {
-			ps.next = ps.folded
+		end = ps.folded + la
+	}
+	if end > ad.maxReps {
+		end = ad.maxReps
+	}
+	if ps.next < ps.folded {
+		ps.next = ps.folded
+	}
+	// next only moves forward, so no replicate is released twice;
+	// restored ones already accepted are skipped.
+	for ; ps.next < end; ps.next++ {
+		if u := pi*a.rcap + ps.next; !a.got[u] {
+			a.released = append(a.released, u)
 		}
-		for ; ps.next < end; ps.next++ {
-			if _, ok := ps.pending[ps.next]; ok {
-				continue
-			}
-			c.enqueue(pi, ps.next)
-		}
-		return
 	}
-	if ps.outstanding > 0 {
-		return
-	}
-	// Queue the unfinished remainder of the batch containing folded.
-	// Restored replicates already sitting in pending are skipped, so a
-	// resume re-runs only what the interrupted campaign never journaled.
-	batchEnd := (ps.folded/c.batch + 1) * c.batch
-	if batchEnd > c.maxReps {
-		batchEnd = c.maxReps
-	}
-	for rep := ps.folded; rep < batchEnd; rep++ {
-		if _, ok := ps.pending[rep]; ok {
-			continue
-		}
-		c.enqueue(pi, rep)
-	}
-}
-
-// enqueue queues one replicate, handing it a recycled metric buffer when
-// one is free.
-func (c *adaptiveController) enqueue(pi, rep int) {
-	job := unitJob{point: pi, rep: rep}
-	if n := len(c.free); n > 0 {
-		job.buf, c.free = c.free[n-1], c.free[:n-1]
-	}
-	c.points[pi].outstanding++
-	c.inflight++
-	if c.submit != nil {
-		c.submit(job)
-		return
-	}
-	c.queue = append(c.queue, job)
-}
-
-// syncMetrics mirrors the controller's progress state into the attached
-// telemetry campaign. Only the coordinating goroutine calls it, so plain
-// gauge stores suffice.
-func (c *adaptiveController) syncMetrics() {
-	m := c.opt.Metrics
-	if m == nil {
-		return
-	}
-	m.UnitsDone.Set(float64(c.done))
-	m.UnitsPlanned.Set(float64(c.estTotal))
-	m.QueueDepth.Set(float64(c.inflight))
-	m.RepsSaved.Set(float64(len(c.points)*c.maxReps - c.estTotal))
-	m.SetModelCache(cacheObs(c.cache.Stats().Delta(c.cacheStart)))
 }
 
 // shouldStop evaluates the sequential stopping rule for one point: stop
@@ -489,20 +199,21 @@ func (c *adaptiveController) syncMetrics() {
 // stretch as well (response/wait/utilization are reported but do not
 // gate stopping: queue wait can be legitimately zero-mean, where a
 // relative CI target is undefined).
-func (c *adaptiveController) shouldStop(pi int) bool {
-	ps := &c.points[pi]
-	if ps.folded >= c.maxReps {
+func (a *Assembler) shouldStop(pi int) bool {
+	ad := a.ad
+	folded := ad.points[pi].folded
+	if folded >= ad.maxReps {
 		return true
 	}
-	if ps.folded < c.minReps {
+	if folded < ad.minReps {
 		return false
 	}
-	cells := c.res.cells[pi]
+	cells := a.res.cells[pi]
 	for qi := range cells {
-		if !cells[qi].m[MetricMakespan].bm.Converged(c.conf, c.relHW) {
+		if !cells[qi].m[MetricMakespan].bm.Converged(ad.conf, ad.relHW) {
 			return false
 		}
-		if c.nm > 1 && !cells[qi].m[MetricStretch].bm.Converged(c.conf, c.relHW) {
+		if a.nm > 1 && !cells[qi].m[MetricStretch].bm.Converged(ad.conf, ad.relHW) {
 			return false
 		}
 	}

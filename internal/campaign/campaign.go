@@ -22,6 +22,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cosched/internal/core"
@@ -84,8 +85,8 @@ func metricsPerPolicy(sp scenario.Spec) int {
 }
 
 // loadArrivalTrace parses a trace-process spec's arrival trace once per
-// campaign, so the per-unit hot path never touches the filesystem. It
-// is nil for offline specs and the generated processes.
+// campaign (see plan.trace). It is nil for offline specs and the
+// generated processes.
 func loadArrivalTrace(sp scenario.Spec) ([]workload.TraceArrival, error) {
 	if sp.Arrivals == nil || sp.Arrivals.Process != workload.ArrivalTrace {
 		return nil, nil
@@ -97,24 +98,10 @@ func loadArrivalTrace(sp scenario.Spec) ([]workload.TraceArrival, error) {
 type Options struct {
 	// Workers bounds unit parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Parallel enables the per-point parallel mode: a single grid
-	// point's replicate range is sharded across the whole worker pool
-	// even when the adaptive controller would otherwise keep only one
-	// batch in flight. Fixed-replicate campaigns already shard every
-	// point's replicate range (the unit queue is point-major over
-	// (point, replicate) units), so the flag only changes adaptive
-	// scheduling: the controller speculatively queues replicates past
-	// the current batch boundary, and results that arrive after the
-	// stopping rule fires are discarded unfolded. Replicate seeds derive
-	// from (point, replicate) alone — the CRN sub-seed discipline — and
-	// folding order and stopping decisions are pure functions of the
-	// folded prefix, so output is byte-identical to sequential for any
-	// worker count; the only cost is up to a lookahead window of wasted
-	// replicates per point.
-	Parallel bool
-	// Progress, when non-nil, is called after every completed unit with
-	// the number of finished units (including manifest-restored ones)
-	// and the campaign total. Calls are serialized.
+	// Progress, when non-nil, is called after every folded unit with
+	// the number of folded units (including manifest-restored ones) and
+	// the campaign size estimate (adaptive stopping shrinks it). Calls
+	// are serialized.
 	Progress func(done, total int)
 	// Manifest, when non-nil, makes the campaign resumable: previously
 	// recorded units are restored instead of re-run, and every newly
@@ -126,11 +113,11 @@ type Options struct {
 	// or without it — telemetry is a pure side channel.
 	Metrics *obs.Campaign
 	// Pool, when non-nil, executes the campaign's units on a shared
-	// worker pool instead of a private worker set, interleaved fairly
-	// with every other campaign targeting the same pool (Workers is
-	// ignored; the pool's width rules). Unit seeds derive from (spec,
-	// point, replicate) alone and results fold by unit index, so output
-	// is byte-identical to a private-pool run.
+	// worker pool instead of a private one, interleaved fairly with
+	// every other campaign targeting the same pool (Workers is ignored;
+	// the pool's width rules). Unit seeds derive from (spec, point,
+	// replicate) alone and results fold by unit index, so output is
+	// byte-identical to a private-pool run.
 	Pool *Pool
 	// Client tags the campaign's queue on a shared Pool for per-client
 	// fair scheduling. Ignored without Pool; "" is a valid shared key.
@@ -143,13 +130,9 @@ type Options struct {
 	// ModelCache, when non-nil, replaces the process-global compiled-
 	// model cache for this run (tests and benchmarks isolate cache state
 	// this way). Results are byte-identical with any cache, including
-	// none — the cache trades compile time, never values.
+	// none (COSCHED_MODEL_CACHE=off) — the cache trades compile time,
+	// never values.
 	ModelCache *model.Cache
-	// NoModelCache disables compiled-model caching for this run; every
-	// unit compiles privately, exactly the pre-cache behavior. The
-	// COSCHED_MODEL_CACHE=off environment gate does the same process-
-	// wide.
-	NoModelCache bool
 }
 
 // Result is a completed campaign: the expanded grid, the resolved
@@ -183,178 +166,168 @@ type Result struct {
 // MetricResponse.. shifted down by one; the makespan lives in Makespans).
 type onlineUnit [numOnlineMetrics - 1]float64
 
-// Run executes the scenario and blocks until every unit completed.
+// unitResult is one executed (or skipped) unit on its way back to the
+// coordinating goroutine.
+type unitResult struct {
+	unit int
+	vals []float64 // a recycled copy of the unit's value vector
+	err  error
+	// skip marks a queued unit that was no longer wanted when a worker
+	// reached it (campaign failed or canceled, or its point stopped):
+	// it never ran and only drains the in-flight count.
+	skip bool
+}
+
+// Run executes the scenario and blocks until the campaign completed.
+//
+// Run is the in-process executor over the Assembler: it submits every
+// unit the Assembler releases to a Pool — the shared Options.Pool, or a
+// private pool of Options.Workers closed on return — and one
+// coordinating goroutine folds each result, journals it, reports
+// progress, and submits whatever the fold released next. The first
+// error or a cancellation stops all scheduling: queued units no longer
+// wanted return without running.
 func Run(sp scenario.Spec, opt Options) (*Result, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	points, err := sp.Expand()
+	p, err := prepare(sp)
 	if err != nil {
 		return nil, err
 	}
-	policies, err := sp.PolicySpecs()
-	if err != nil {
-		return nil, err
+	pool := opt.Pool
+	if pool == nil {
+		width := opt.Workers
+		if width <= 0 {
+			width = runtime.GOMAXPROCS(0)
+		}
+		if total := p.totalUnits(); width > total {
+			width = total
+		}
+		pool = NewPool(width)
+		defer pool.Close()
 	}
-	semantics, err := sp.CoreSemantics()
-	if err != nil {
-		return nil, err
-	}
-	if sp.Precision != nil {
-		return runAdaptive(sp, opt, points, policies, semantics)
-	}
-
-	// The Assembler owns the result matrices and the exactly-once fold —
-	// the same machinery the distributed coordinator assembles through,
-	// so both paths produce identical bytes by construction.
-	asm := newAssembler(sp, points, policies)
-	res := asm.res
-
-	total := asm.TotalUnits()
-	done := 0
-	restored := make([]bool, total)
+	width := pool.Workers()
+	asm := newAssembler(p, width)
 	if opt.Manifest != nil {
-		_, err := opt.Manifest.restore(sp, len(policies), func(unit int, vals []float64) {
-			if asm.Fold(unit, vals) {
-				restored[unit] = true
-			}
-		})
-		if err != nil {
+		if _, err := opt.Manifest.Restore(sp, len(p.policies), func(unit int, vals []float64) { asm.Fold(unit, vals) }, nil); err != nil {
 			return nil, err
 		}
-		done = asm.Done()
-	}
-	if opt.Progress != nil && done > 0 {
-		opt.Progress(done, total)
-	}
-	if m := opt.Metrics; m != nil {
-		m.PointsPlanned.Set(float64(len(points)))
-		m.UnitsPlanned.Set(float64(total))
-		m.UnitsDone.Set(float64(done))
-		m.QueueDepth.Set(float64(total - done))
 	}
 
 	// The campaign's model-sharing state: pack classes, the pack memo
 	// and the compiled-model cache. Workers consult it instead of
 	// compiling per unit; see models.go.
-	um := newUnitModels(points, modelCacheFor(opt))
+	um := newUnitModels(p.points, modelCache(opt.ModelCache))
 	var cacheStart model.CacheStats
 	if opt.Metrics != nil {
 		cacheStart = um.cache.Stats()
 	}
-	trace, err := loadArrivalTrace(sp)
-	if err != nil {
-		return nil, err
-	}
 
-	var mu sync.Mutex // guards done, firstErr, manifest appends, Progress calls
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+	// Workers and the coordinator share only these: results flow back on
+	// one channel (a slot per pool worker, so a finishing worker rarely
+	// waits for the coordinator), value-vector buffers circulate through
+	// bufs, and the want flags let a queued unit see that nobody needs it
+	// anymore. At most 2×width+1 buffers are ever out (filling, queued in
+	// results, being folded), so one slab pre-fills the ring.
+	results := make(chan unitResult, width)
+	nbuf, vpu := 2*width+1, p.valsPerUnit()
+	bufs := make(chan []float64, nbuf)
+	slab := make([]float64, nbuf*vpu)
+	for i := 0; i < nbuf; i++ {
+		bufs <- slab[i*vpu : (i+1)*vpu]
 	}
-	// runOne executes one unit on the given arena and folds its values
-	// into the result under mu — the shared body of both execution modes.
-	runOne := func(ws *workerState, unit int) {
-		pi, rep := unit/sp.Replicates, unit%sp.Replicates
-		vals, err := ws.runUnit(sp, points[pi], policies, semantics, rep, um, trace)
-		if err != nil {
-			fail(fmt.Errorf("campaign: point %d (x=%v) rep %d: %w", pi, points[pi].X, rep, err))
+	var aborted atomic.Bool // first error or cancellation
+	stopped := make([]atomic.Bool, len(p.points))
+	rcap := sp.ReplicateCap()
+	exec := func(ws *workerState, w, unit int) {
+		if aborted.Load() || stopped[unit/rcap].Load() || canceled(opt.Cancel) {
+			results <- unitResult{unit: unit, skip: true}
 			return
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		asm.Fold(unit, vals)
-		if opt.Manifest != nil {
-			if err := opt.Manifest.AppendUnit(unit, vals); err != nil && firstErr == nil {
-				firstErr = err
+		ws.bind(opt.Metrics, w)
+		vals, err := p.runUnit(ws, um, unit)
+		r := unitResult{unit: unit, err: err}
+		if err == nil {
+			var buf []float64
+			select {
+			case buf = <-bufs:
+			default:
 			}
+			r.vals = append(buf[:0], vals...)
 		}
-		done++
+		results <- r
+	}
+
+	inflight := 0
+	submit := func() {
+		units := asm.Released()
+		inflight += len(units)
+		pool.submit(opt.Client, exec, units...)
+	}
+	var firstErr error
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+			aborted.Store(true)
+		}
+	}
+	report := func() {
 		if m := opt.Metrics; m != nil {
-			m.UnitsDone.Set(float64(done))
-			m.QueueDepth.Set(float64(total - done))
+			asm.Report(m)
+			m.QueueDepth.Set(float64(inflight))
 			m.SetModelCache(cacheObs(um.cache.Stats().Delta(cacheStart)))
-		}
-		if opt.Progress != nil {
-			opt.Progress(done, total)
 		}
 	}
 
-	if opt.Pool != nil {
-		// Shared-pool mode: every unit becomes one fair-scheduled job on
-		// the client's queue. The pool interleaves campaigns at unit
-		// granularity; folding is by unit index, so output is identical.
-		var wg sync.WaitGroup
-		for unit := 0; unit < total; unit++ {
-			if restored[unit] {
-				continue
-			}
-			if canceled(opt.Cancel) {
-				break
-			}
-			wg.Add(1)
-			opt.Pool.submit(opt.Client, func(ws *workerState, w int) {
-				defer wg.Done()
-				if canceled(opt.Cancel) {
-					return
+	if done, total := asm.Progress(); opt.Progress != nil && done > 0 {
+		opt.Progress(done, total)
+	}
+	submit()
+	report()
+	cancelWatch := opt.Cancel
+	for inflight > 0 {
+		select {
+		case r := <-results:
+			inflight--
+			switch {
+			case r.err != nil:
+				fail(r.err)
+			case r.skip || (firstErr != nil && firstErr != ErrCanceled):
+				// Never ran, or arrived after a failure: the failed run's
+				// output is discarded anyway, and a resume recomputes it.
+			case asm.Fold(r.unit, r.vals):
+				if opt.Manifest != nil {
+					if err := opt.Manifest.AppendUnit(r.unit, r.vals); err != nil {
+						fail(err)
+					}
 				}
-				ws.bind(opt.Metrics, w)
-				runOne(ws, unit)
-			})
-		}
-		wg.Wait()
-	} else {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > total {
-			workers = total
-		}
-		units := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// One simulation arena per worker: every unit resets it in
-				// place, so the hot loop stops allocating after the first
-				// few units warm the buffers up. Arenas are pooled across
-				// campaign executions, so back-to-back Runs reuse warm
-				// buffers too.
-				ws := getWorkerState()
-				defer putWorkerState(ws)
-				ws.bind(opt.Metrics, w)
-				for unit := range units {
-					runOne(ws, unit)
+				if pi := r.unit / rcap; asm.settled(pi) {
+					stopped[pi].Store(true)
 				}
-			}(w)
-		}
-	feed:
-		for unit := 0; unit < total; unit++ {
-			if restored[unit] {
-				continue
+				if opt.Progress != nil {
+					opt.Progress(asm.Progress())
+				}
+				if firstErr == nil {
+					submit()
+				}
 			}
-			select {
-			case units <- unit:
-			case <-opt.Cancel: // nil without Options.Cancel: never ready
-				break feed
+			if r.vals != nil {
+				select {
+				case bufs <- r.vals:
+				default:
+				}
 			}
+			report()
+		case <-cancelWatch: // nil without Options.Cancel: never ready
+			fail(ErrCanceled)
+			cancelWatch = nil
 		}
-		close(units)
-		wg.Wait()
+	}
+	if canceled(opt.Cancel) {
+		fail(ErrCanceled)
 	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if canceled(opt.Cancel) {
-		return nil, ErrCanceled
-	}
-	return res, nil
+	return asm.Result()
 }
 
 // workerState is the per-goroutine arena of the campaign: a reusable
@@ -436,7 +409,7 @@ func (ws *workerState) bind(m *obs.Campaign, w int) {
 	ws.attach(m.Shard(w))
 }
 
-// runUnit executes every policy of one (point, replicate) cell on the
+// runUnit executes every policy of one (point pi, replicate) cell on the
 // worker's persistent arena. The unit derives its streams purely from
 // (seed, pack class, replicate) for the task draw and (seed, point
 // index, replicate) for faults and arrivals, so any shard computes
@@ -448,10 +421,10 @@ func (ws *workerState) bind(m *obs.Campaign, w int) {
 // instead let the simulator own its tables, since the kernel appends
 // per-arrival rows during the run. The returned slice holds
 // metricsPerPolicy values per policy (metric-major within a policy) and
-// is reused by the next unit of this worker; Run copies what it keeps.
-// trace carries the campaign's pre-loaded arrival-trace entries (nil
-// unless the spec uses the trace process).
-func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies []scenario.PolicySpec, semantics core.Semantics, rep int, um *unitModels, trace []workload.TraceArrival) ([]float64, error) {
+// is reused by the next unit of this worker; callers copy what they
+// keep.
+func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64, error) {
+	sp, pt, policies := p.sp, p.points[pi], p.policies
 	var unitStart time.Time
 	if ws.shard != nil {
 		unitStart = time.Now()
@@ -481,7 +454,7 @@ func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies 
 		// spec does not disturb the task or fault draws.
 		ws.arrRNG.Reseed(rng.SubSeed(sp.Seed, streamArrivals, uint64(pt.Index), uint64(rep)))
 		var err error
-		arrivals, err = sp.Arrivals.GenerateFromTrace(pt.Spec, ws.arrRNG, trace)
+		arrivals, err = sp.Arrivals.GenerateFromTrace(pt.Spec, ws.arrRNG, p.trace)
 		if err != nil {
 			return nil, err
 		}
@@ -578,7 +551,7 @@ func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies 
 			in.Tasks = cm.Tasks()
 			in.Compiled = cm
 		}
-		if err := ws.simulator.Reset(in, pol.Policy, src, core.Options{Semantics: semantics, Observer: ws.observer}); err != nil {
+		if err := ws.simulator.Reset(in, pol.Policy, src, core.Options{Semantics: p.semantics, Observer: ws.observer}); err != nil {
 			return nil, err
 		}
 		r, err := ws.simulator.Run()

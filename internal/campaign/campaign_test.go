@@ -61,13 +61,14 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestParallelByteIdentical is the per-point parallel mode's golden
-// contract: with Options.Parallel set, both fixed and adaptive
-// campaigns produce JSONL byte-identical to the sequential run for any
-// worker count — the replicate seeds derive from (point, replicate)
-// alone and the fold order is pinned, so sharding one point's replicate
-// range across the pool (with adaptive speculation past batch
-// boundaries) must be invisible in the output.
+// TestParallelByteIdentical is the speculation golden contract: with
+// more executor slots than the live points' batches can fill, an
+// adaptive campaign releases replicates past the current batch
+// boundary, and a wide pool shards a fixed campaign's replicate ranges
+// — both must produce JSONL byte-identical to the sequential run for
+// any width, because replicate seeds derive from (point, replicate)
+// alone and the fold order is pinned. adaptiveSpec has 2 points ×
+// batch 4, so every width here speculates.
 func TestParallelByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -82,13 +83,13 @@ func TestParallelByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := jsonl(t, seq)
-			for _, workers := range []int{1, 2, 8} {
-				res, err := Run(tc.sp, Options{Workers: workers, Parallel: true})
+			for _, workers := range []int{9, 12, 16} {
+				res, err := Run(tc.sp, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := jsonl(t, res); got != want {
-					t.Fatalf("%d-worker -parallel output differs from sequential", workers)
+					t.Fatalf("%d-worker speculative output differs from sequential", workers)
 				}
 			}
 		})
@@ -284,8 +285,8 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 // contract: with the cache enabled (a fresh injected cache, so no state
 // leaks between subtests) the campaign's JSONL must be byte-identical to
 // the cache-disabled per-unit compile path — for homogeneous and
-// heterogeneous workloads, fixed and adaptive runners, the -parallel
-// adaptive mode, and several worker counts.
+// heterogeneous workloads, fixed and adaptive runners, speculative
+// adaptive scheduling, and several worker counts.
 func TestModelCacheEquivalence(t *testing.T) {
 	for _, homog := range []bool{false, true} {
 		sp := testSpec()
@@ -310,7 +311,9 @@ func TestModelCacheEquivalence(t *testing.T) {
 			return jsonl(t, res)
 		}
 		for _, adaptive := range []bool{false, true} {
-			want := run(Options{Workers: 1, NoModelCache: true}, adaptive)
+			t.Setenv("COSCHED_MODEL_CACHE", "off")
+			want := run(Options{Workers: 1}, adaptive)
+			t.Setenv("COSCHED_MODEL_CACHE", "")
 			for _, workers := range []int{1, 4} {
 				cache := model.NewCache(0)
 				if got := run(Options{Workers: workers, ModelCache: cache}, adaptive); got != want {
@@ -320,8 +323,9 @@ func TestModelCacheEquivalence(t *testing.T) {
 					t.Fatalf("homog=%v adaptive=%v workers=%d: cache never hit (stats %+v)", homog, adaptive, workers, s)
 				}
 				if adaptive {
-					if got := run(Options{Workers: workers, ModelCache: cache, Parallel: true}, true); got != want {
-						t.Fatalf("homog=%v workers=%d: -parallel with model cache changes results", homog, workers)
+					// 4 points × batch 2 = 8 < 8+workers slots: speculative.
+					if got := run(Options{Workers: 8 + workers, ModelCache: cache}, true); got != want {
+						t.Fatalf("homog=%v workers=%d: speculation with model cache changes results", homog, workers)
 					}
 				}
 			}
@@ -351,10 +355,12 @@ func TestModelCacheCrossPointSharing(t *testing.T) {
 		}
 	}
 	cache := model.NewCache(0)
-	want, err := Run(sp, Options{Workers: 1, NoModelCache: true})
+	t.Setenv("COSCHED_MODEL_CACHE", "off")
+	want, err := Run(sp, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Setenv("COSCHED_MODEL_CACHE", "")
 	got, err := Run(sp, Options{Workers: 4, ModelCache: cache})
 	if err != nil {
 		t.Fatal(err)

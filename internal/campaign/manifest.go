@@ -145,12 +145,6 @@ func (m *Manifest) Close() error {
 	return err
 }
 
-// restore is the single-process entry point: unit records replay through
-// fn, lease records are skipped.
-func (m *Manifest) restore(sp scenario.Spec, policies int, fn func(unit int, vals []float64)) (int, error) {
-	return m.Restore(sp, policies, fn, nil)
-}
-
 // Restore validates the journal against the spec, replays every recorded
 // unit through fn (vals is the unit's flat value vector — policies ×
 // metricsPerPolicy entries) and every lease record through leaseFn (when

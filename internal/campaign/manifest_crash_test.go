@@ -80,7 +80,7 @@ func TestManifestCrashRecoveryEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		count := 0
-		if _, err := man2.restore(sp, 3, func(int, []float64) { count++ }); err != nil {
+		if _, err := man2.Restore(sp, 3, func(int, []float64) { count++ }, nil); err != nil {
 			t.Fatalf("offset %d: repaired journal does not restore: %v", k, err)
 		}
 		man2.Close()

@@ -32,20 +32,17 @@ var defaultModelCache = model.NewCache(model.DefaultCacheBytes)
 // per-run numbers snapshot before and after and Delta the two.
 func ModelCacheStats() model.CacheStats { return defaultModelCache.Stats() }
 
-// modelCacheFor resolves the cache a run uses: the COSCHED_MODEL_CACHE
-// environment gate ("off"/"0"/"false" disables, checked per Run so
-// tests and CI smokes can toggle it), then Options.NoModelCache, then
-// an injected Options.ModelCache, then the process default.
-func modelCacheFor(opt Options) *model.Cache {
-	if opt.NoModelCache {
-		return nil
-	}
+// modelCache resolves the cache a run uses: the COSCHED_MODEL_CACHE
+// environment gate ("off"/"0"/"false" disables, checked per run so tests
+// and CI smokes can toggle it — it is the one switch that also reaches
+// worker processes), then an injected cache, then the process default.
+func modelCache(injected *model.Cache) *model.Cache {
 	switch os.Getenv("COSCHED_MODEL_CACHE") {
 	case "off", "0", "false":
 		return nil
 	}
-	if opt.ModelCache != nil {
-		return opt.ModelCache
+	if injected != nil {
+		return injected
 	}
 	return defaultModelCache
 }

@@ -12,13 +12,18 @@ import (
 // exactly where it stopped.
 var ErrCanceled = errors.New("campaign: canceled")
 
-// poolJob is one unit of work on a shared Pool: it receives the
-// worker's private simulation arena and the worker's index (for
-// telemetry shard claiming).
-type poolJob func(ws *workerState, w int)
+// poolJob is one unit of work on a Pool: run receives the worker's
+// private simulation arena, the worker's index (for telemetry shard
+// claiming) and the job's unit. A campaign submits one run function
+// for all its units, so queueing a unit allocates no closure.
+type poolJob struct {
+	run  func(ws *workerState, w, unit int)
+	unit int
+}
 
-// Pool is a shared, bounded worker pool that any number of concurrent
-// campaign Runs can target through Options.Pool. Each submitting client
+// Pool is the bounded worker pool every in-process campaign executes on:
+// a private Run builds one of its own, and any number of concurrent Runs
+// can share one through Options.Pool. Each submitting client
 // owns a FIFO queue; workers take the next job round-robin across the
 // clients that currently have queued work, so one huge campaign cannot
 // starve a small one — fair scheduling at unit granularity, in the
@@ -27,10 +32,9 @@ type poolJob func(ws *workerState, w int)
 // campaign determinism contract needs: results fold by unit index, not
 // by completion order, so interleaving never changes output.
 //
-// Each worker goroutine holds one persistent workerState arena (the
-// same pooling discipline as a private campaign worker set), so a
-// long-lived daemon keeps its warmed-up simulation buffers across
-// campaigns.
+// Each worker goroutine holds one persistent workerState arena, taken
+// from (and returned to) the process-wide arena pool, so a long-lived
+// daemon keeps its warmed-up simulation buffers across campaigns.
 type Pool struct {
 	workers int
 
@@ -60,21 +64,31 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool width.
 func (p *Pool) Workers() int { return p.workers }
 
-// submit queues one job on client's FIFO. It never blocks and never
-// runs the job inline; a closed pool panics (callers must sequence
-// Close after every Run targeting the pool has returned).
-func (p *Pool) submit(client string, job poolJob) {
+// submit queues one job per unit on client's FIFO, in order. It never
+// blocks and never runs a job inline; a closed pool panics (callers
+// must sequence Close after every Run targeting the pool has returned).
+func (p *Pool) submit(client string, run func(ws *workerState, w, unit int), units ...int) {
+	if len(units) == 0 {
+		return
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		panic("campaign: submit on a closed Pool")
 	}
-	if _, ok := p.queues[client]; !ok {
+	q, ok := p.queues[client]
+	if !ok {
 		p.ring = append(p.ring, client)
+		q = make([]poolJob, 0, len(units))
 	}
-	p.queues[client] = append(p.queues[client], job)
+	for _, u := range units {
+		q = append(q, poolJob{run: run, unit: u})
+	}
+	p.queues[client] = q
 	p.mu.Unlock()
-	p.cond.Signal()
+	for range units {
+		p.cond.Signal()
+	}
 }
 
 // Close drains every queued job and stops the workers. It blocks until
@@ -108,7 +122,7 @@ func (p *Pool) worker(w int) {
 		client := p.ring[p.rr]
 		q := p.queues[client]
 		job := q[0]
-		q[0] = nil // release the closure for GC
+		q[0] = poolJob{} // release the closure for GC
 		if q = q[1:]; len(q) == 0 {
 			delete(p.queues, client)
 			// Removing the client leaves rr pointing at its successor.
@@ -118,7 +132,7 @@ func (p *Pool) worker(w int) {
 			p.rr++
 		}
 		p.mu.Unlock()
-		job(ws, w)
+		job.run(ws, w, job.unit)
 	}
 }
 

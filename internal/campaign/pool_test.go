@@ -1,29 +1,32 @@
 package campaign
 
 import (
+	"errors"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cosched/internal/obs"
+	"cosched/internal/scenario"
 )
 
 // TestPoolByteIdentical is the shared-pool golden contract: a campaign
 // whose units run interleaved on a shared fair-scheduled Pool produces
 // JSONL byte-identical to a private sequential run — for fixed,
-// adaptive, and per-point-parallel adaptive campaigns, at any pool
-// width. Unit seeds derive from (spec, point, replicate) and results
+// adaptive, and speculative adaptive campaigns (a pool wider than
+// adaptiveSpec's 2 points × batch 4), at any pool width. Unit seeds derive from (spec, point, replicate) and results
 // fold by unit index, so the pool can only change wall-clock, never
 // output.
 func TestPoolByteIdentical(t *testing.T) {
 	cases := []struct {
 		name     string
-		parallel bool
+		widths   []int
 		adaptive bool
 	}{
-		{"fixed", false, false},
-		{"adaptive", false, true},
-		{"adaptive-parallel", true, true},
+		{"fixed", []int{1, 4}, false},
+		{"adaptive", []int{1, 4}, true},
+		{"adaptive-parallel", []int{9, 16}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,9 +39,9 @@ func TestPoolByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := jsonl(t, seq)
-			for _, width := range []int{1, 4} {
+			for _, width := range tc.widths {
 				pool := NewPool(width)
-				res, err := Run(sp, Options{Pool: pool, Client: "c", Parallel: tc.parallel})
+				res, err := Run(sp, Options{Pool: pool, Client: "c"})
 				pool.Close()
 				if err != nil {
 					t.Fatal(err)
@@ -122,11 +125,11 @@ func TestPoolRoundRobinFairness(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	order := make(chan string, 8)
-	pool.submit("z", func(*workerState, int) { close(started); <-gate })
+	pool.submit("z", func(*workerState, int, int) { close(started); <-gate }, 0)
 	<-started // the lone worker is now held; submissions below only queue
 
 	mark := func(client, tag string) {
-		pool.submit(client, func(*workerState, int) { order <- tag })
+		pool.submit(client, func(*workerState, int, int) { order <- tag }, 0)
 	}
 	mark("a", "a1")
 	mark("a", "a2")
@@ -220,6 +223,60 @@ func TestCancelThenResume(t *testing.T) {
 			executed := int(m.Snapshot().UnitsExecuted)
 			if executed >= res.Units() {
 				t.Fatalf("resume re-ran everything (%d executed of %d): nothing was journaled before cancel", executed, res.Units())
+			}
+		})
+	}
+}
+
+// TestErrorStopsScheduling pins the failure contract shared by every
+// execution mode: after the first error (here a journal that refuses
+// every unit append) Run returns that error and schedules nothing more.
+// Queued units return without running, so the appends attempted stay
+// within the executor width plus one adaptive batch instead of running
+// out the campaign's 160 units.
+func TestErrorStopsScheduling(t *testing.T) {
+	const width, batch = 2, 4
+	fixed := testSpec()
+	fixed.Replicates = 40
+	adaptive := testSpec()
+	adaptive.Replicates = 0
+	adaptive.Precision = &scenario.PrecisionSpec{RelHalfWidth: 1e-6, MinReplicates: 40, MaxReplicates: 40, Batch: batch}
+	errJournal := errors.New("journal refuses appends")
+	for _, tc := range []struct {
+		name   string
+		sp     scenario.Spec
+		pooled bool
+	}{
+		{"fixed-private", fixed, false},
+		{"fixed-pooled", fixed, true},
+		{"adaptive-private", adaptive, false},
+		{"adaptive-pooled", adaptive, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			man, err := OpenManifest(filepath.Join(t.TempDir(), "m.jsonl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer man.Close()
+			var attempts atomic.Int32
+			man.SetWriteErrHook(func(op string) error {
+				if op != "unit" {
+					return nil
+				}
+				attempts.Add(1)
+				return errJournal
+			})
+			opt := Options{Workers: width, Manifest: man}
+			if tc.pooled {
+				pool := NewPool(width)
+				defer pool.Close()
+				opt.Pool, opt.Client = pool, "c"
+			}
+			if _, err := Run(tc.sp, opt); !errors.Is(err, errJournal) {
+				t.Fatalf("Run returned %v, want the journal error", err)
+			}
+			if n := attempts.Load(); n > width+batch {
+				t.Fatalf("%d unit appends attempted after the journal failed, want at most %d", n, width+batch)
 			}
 		})
 	}

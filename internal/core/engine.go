@@ -22,7 +22,6 @@ type taskState struct {
 	tlastR  float64 // time the current segment starts computing
 	tU      float64 // expected finish time tU_i = tlastR + t^R_{i,σ}(α)
 	end     float64 // scheduled end-event time (tU or fault-free finish)
-	endVer  uint64  // end-event version for logical cancellation
 	done    bool
 	waiting bool    // submitted, not yet admitted (online mode)
 	arrive  float64 // submission time (0 for the base pack)
@@ -498,8 +497,7 @@ func (e *Simulator) scheduleEnd(i int) {
 	default:
 		s.end = s.tU
 	}
-	s.endVer++
-	e.q.UpdateTask(sim.Event{Time: s.end, Kind: sim.KindTaskEnd, Task: i, Version: s.endVer})
+	e.q.UpdateTask(sim.Event{Time: s.end, Kind: sim.KindTaskEnd, Task: i})
 }
 
 // finalize marks task i finished at time t and releases its processors.

@@ -56,19 +56,40 @@ func jsonl(t *testing.T, r *campaign.Result) string {
 	return buf.String()
 }
 
-// golden runs the campaign single-process and returns its JSONL bytes —
-// the value every distributed run must reproduce exactly.
+// adaptiveSpec is a two-point adaptive campaign over the unit space
+// 2 points x cap 16: the near-reliable point's stopping rule fires at
+// 8 replicates, the failure-hammered one runs to the cap.
+func adaptiveSpec() scenario.Spec {
+	sp := pinnedSpec()
+	sp.Name = "adaptive-chaos"
+	sp.XLabel = "mtbf"
+	sp.Policies = []string{"norc", "ig-el"}
+	sp.Base = ""
+	sp.Replicates = 0
+	sp.Axes = []scenario.Axis{{Param: scenario.ParamMTBF, Values: []float64{100, 0.05}}}
+	sp.Precision = &scenario.PrecisionSpec{RelHalfWidth: 0.2, MinReplicates: 4, MaxReplicates: 16, Batch: 2}
+	return sp
+}
+
+// golden runs the pinned campaign single-process and returns its JSONL
+// bytes — the value every distributed run must reproduce exactly.
 func golden(t *testing.T) string {
 	t.Helper()
-	res, err := campaign.Run(pinnedSpec(), campaign.Options{Workers: 4})
+	return jsonl(t, goldenRun(t, pinnedSpec()))
+}
+
+func goldenRun(t *testing.T, sp scenario.Spec) *campaign.Result {
+	t.Helper()
+	res, err := campaign.Run(sp, campaign.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return jsonl(t, res)
+	return res
 }
 
 // chaosOpts parameterizes one harness run.
 type chaosOpts struct {
+	sp          scenario.Spec // zero value: pinnedSpec
 	workers     int
 	sched       chaos.Schedule
 	manifest    string // coordination-log path; "" = no journal
@@ -78,7 +99,7 @@ type chaosOpts struct {
 	spawner     dist.Spawner // override (wrapping the chaos spawner)
 }
 
-// chaosRun executes the pinned campaign under the fault schedule on a
+// chaosRun executes the campaign (pinned by default) under the fault schedule on a
 // fake clock and waits out every worker goroutine before returning (a
 // leak fails the test by hanging it).
 func chaosRun(t *testing.T, o chaosOpts) (*campaign.Result, *obs.Campaign, *chaos.Spawner, error) {
@@ -121,7 +142,11 @@ func chaosRun(t *testing.T, o chaosOpts) (*campaign.Result, *obs.Campaign, *chao
 			}
 		}
 	}
-	res, err := dist.Run(pinnedSpec(), opt)
+	sp := o.sp
+	if sp.Name == "" {
+		sp = pinnedSpec()
+	}
+	res, err := dist.Run(sp, opt)
 	spn.Wait()
 	return res, metrics, spn, err
 }
@@ -158,15 +183,38 @@ func journalUnitCounts(t *testing.T, path string) map[int]int {
 
 func assertExactlyOnce(t *testing.T, path string, total int) {
 	t.Helper()
+	units := make([]int, total)
+	for u := range units {
+		units[u] = u
+	}
+	assertJournaledOnce(t, path, units)
+}
+
+// assertJournaledOnce checks that the journal holds exactly the given
+// units, each exactly once.
+func assertJournaledOnce(t *testing.T, path string, units []int) {
+	t.Helper()
 	counts := journalUnitCounts(t, path)
-	for u := 0; u < total; u++ {
+	for _, u := range units {
 		if counts[u] != 1 {
 			t.Errorf("unit %d journaled %d times, want exactly once", u, counts[u])
 		}
 	}
-	if len(counts) != total {
-		t.Errorf("journal holds %d distinct units, want %d", len(counts), total)
+	if len(counts) != len(units) {
+		t.Errorf("journal holds %d distinct units, want %d", len(counts), len(units))
 	}
+}
+
+// foldedUnits lists the unit indices an adaptive result folded: the
+// first Reps[p] replicates of every point p.
+func foldedUnits(res *campaign.Result) []int {
+	var units []int
+	for pi, n := range res.Reps {
+		for rep := 0; rep < n; rep++ {
+			units = append(units, pi*res.Spec.ReplicateCap()+rep)
+		}
+	}
+	return units
 }
 
 func TestPinnedFingerprint(t *testing.T) {
@@ -480,4 +528,80 @@ func TestAllSeatsLost(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "worker seats lost") {
 		t.Fatalf("got %v, want all-seats-lost error", err)
 	}
+}
+
+// TestAdaptiveByteIdentityKillEveryPhase runs an adaptive campaign on
+// the fleet under the kill-every-phase matrix. The coordinator leases
+// only what the Assembler releases — one batch per live point, the
+// next once it folded — so a worker death can delay a stopping
+// decision but never change it: output byte-identical to the
+// in-process run, every folded unit journaled exactly once, nothing
+// past a stopped point ever leased.
+func TestAdaptiveByteIdentityKillEveryPhase(t *testing.T) {
+	sp := adaptiveSpec()
+	ref := goldenRun(t, sp)
+	if fmt.Sprint(ref.Reps) != "[8 16]" {
+		t.Fatalf("premise: reps %v, want one early stop and one capped point [8 16]", ref.Reps)
+	}
+	want, units := jsonl(t, ref), foldedUnits(ref)
+	for _, ph := range []chaos.Phase{chaos.PhaseBeforeUnit, chaos.PhaseBeforeSend, chaos.PhaseAfterSend} {
+		for _, unit := range []int{0, 20, 31} { // first, middle, and last of the capped point
+			t.Run(fmt.Sprintf("%v-unit-%d", ph, unit), func(t *testing.T) {
+				manifest := filepath.Join(t.TempDir(), "units.jsonl")
+				res, m, spn, err := chaosRun(t, chaosOpts{
+					sp:       sp,
+					workers:  2,
+					manifest: manifest,
+					sched: chaos.Schedule{Kills: []chaos.Kill{
+						{Spawn: chaos.Any, Unit: unit, Phase: ph},
+					}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := jsonl(t, res); got != want {
+					t.Fatal("adaptive output diverged from the in-process run under worker kill")
+				}
+				if spn.KillsFired() != 1 {
+					t.Error("scripted kill never fired")
+				}
+				if ph != chaos.PhaseAfterSend && m.Dist.Reassignments.Value() < 1 {
+					t.Errorf("killed unit %d was never reassigned", unit)
+				}
+				if s := m.Snapshot(); s.PointsStopped != 2 || s.UnitsDone != int64(len(units)) {
+					t.Errorf("telemetry: %d points stopped, %d units done; want 2, %d", s.PointsStopped, s.UnitsDone, len(units))
+				}
+				assertJournaledOnce(t, manifest, units)
+			})
+		}
+	}
+}
+
+// TestAdaptiveResumeAfterCoordinatorKill stops an adaptive fleet run
+// halfway (the coordinator dies with leases outstanding) and resumes it
+// from the coordination log: the resumed coordinator replays the folded
+// prefix through the stopping rule, leases only what is still missing,
+// and reproduces the uninterrupted output with every unit journaled
+// exactly once across both lives.
+func TestAdaptiveResumeAfterCoordinatorKill(t *testing.T) {
+	sp := adaptiveSpec()
+	ref := goldenRun(t, sp)
+	units := foldedUnits(ref)
+	manifest := filepath.Join(t.TempDir(), "units.jsonl")
+
+	_, _, _, err := chaosRun(t, chaosOpts{sp: sp, workers: 2, manifest: manifest, cancelAfter: len(units) / 2})
+	if err != campaign.ErrCanceled {
+		t.Fatalf("first run: got %v, want ErrCanceled", err)
+	}
+	if n := len(journalUnitCounts(t, manifest)); n < len(units)/2 || n >= len(units) {
+		t.Fatalf("first run journaled %d of %d units, want about half", n, len(units))
+	}
+	res, _, _, err := chaosRun(t, chaosOpts{sp: sp, workers: 2, manifest: manifest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jsonl(t, res) != jsonl(t, ref) {
+		t.Fatal("resumed adaptive output diverged from the uninterrupted run")
+	}
+	assertJournaledOnce(t, manifest, units)
 }

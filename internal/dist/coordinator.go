@@ -148,19 +148,14 @@ type coordinator struct {
 }
 
 // Run executes the campaign across worker processes and blocks until
-// every unit has folded (or the run fails). The returned Result is
+// it is complete (or the run fails). The returned Result is
 // byte-identical to campaign.Run on the same spec: unit values are pure
-// functions of (spec, unit index) and folding is positional, so worker
-// topology and fault history cannot leak into the output.
+// functions of (spec, unit index), and the campaign Assembler both
+// decides which units to lease and folds them, so worker topology and
+// fault history cannot leak into the output.
 func Run(sp scenario.Spec, opt Options) (*campaign.Result, error) {
 	if err := opt.fillDefaults(); err != nil {
 		return nil, err
-	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if sp.Precision != nil {
-		return nil, fmt.Errorf("dist: adaptive campaigns cannot be distributed (the stopping rule is inherently sequential)")
 	}
 	asm, err := campaign.NewAssembler(sp)
 	if err != nil {
@@ -178,9 +173,7 @@ func Run(sp scenario.Spec, opt Options) (*campaign.Result, error) {
 	tr := NewTracker(asm.TotalUnits(), opt.MaxUnitRetries)
 	if opt.Manifest != nil {
 		_, err := opt.Manifest.Restore(sp, asm.Policies(), func(unit int, vals []float64) {
-			if asm.Fold(unit, vals) {
-				tr.RestoreFolded(unit)
-			}
+			asm.Fold(unit, vals)
 		}, func(rec campaign.LeaseRecord) {
 			// Claims, renews and releases of a previous coordinator died
 			// with it (its workers are gone); only quarantine marks carry
@@ -195,6 +188,7 @@ func Run(sp scenario.Spec, opt Options) (*campaign.Result, error) {
 			return nil, err
 		}
 	}
+	tr.Add(asm.Released()...)
 
 	c := &coordinator{
 		sp:       sp,
@@ -210,16 +204,20 @@ func Run(sp scenario.Spec, opt Options) (*campaign.Result, error) {
 	for slot := range c.workers {
 		c.workers[slot] = &workerConn{slot: slot, lease: -1}
 	}
-	if m := opt.Metrics; m != nil {
-		m.PointsPlanned.Set(float64(asm.TotalUnits() / maxInt(sp.Replicates, 1)))
-		m.UnitsPlanned.Set(float64(asm.TotalUnits()))
-		m.UnitsDone.Set(float64(asm.Done()))
-		m.QueueDepth.Set(float64(asm.TotalUnits() - asm.Done()))
-	}
-	if opt.Progress != nil && asm.Done() > 0 {
-		opt.Progress(asm.Done(), asm.TotalUnits())
+	c.report()
+	if done, total := asm.Progress(); opt.Progress != nil && done > 0 {
+		opt.Progress(done, total)
 	}
 	return c.run()
+}
+
+// report mirrors the Assembler's progress into telemetry.
+func (c *coordinator) report() {
+	if m := c.opt.Metrics; m != nil {
+		c.asm.Report(m)
+		done, planned := c.asm.Progress()
+		m.QueueDepth.Set(float64(planned - done))
+	}
 }
 
 func (c *coordinator) run() (*campaign.Result, error) {
@@ -253,7 +251,8 @@ func (c *coordinator) run() (*campaign.Result, error) {
 		default:
 		}
 		if c.liveCount == 0 && c.pendingRespawns == 0 {
-			return nil, fmt.Errorf("dist: all %d worker seats lost with %d units unfinished", c.opt.Workers, c.tr.Total()-c.tr.FoldedCount())
+			done, planned := c.asm.Progress()
+			return nil, fmt.Errorf("dist: all %d worker seats lost with %d units unfinished", c.opt.Workers, planned-done)
 		}
 		// Arm the failure-detection wakeup at the earliest lease expiry.
 		// A deadline already in the past expires inline — After(0) on a
@@ -283,7 +282,7 @@ func (c *coordinator) run() (*campaign.Result, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if !c.tr.Complete() {
+	if !c.asm.Done() {
 		return nil, fmt.Errorf("dist: campaign incomplete: units %v quarantined after killing %d workers each", c.tr.Quarantined(), c.opt.MaxUnitRetries)
 	}
 	return c.asm.Result()
@@ -434,23 +433,27 @@ func (c *coordinator) handleResult(w *workerConn, m workMsg) {
 		w.proc.Kill()
 		return
 	}
-	if !c.tr.Result(m.Lease, m.Unit) {
+	if !c.tr.Result(m.Lease, m.Unit) || !c.asm.Fold(m.Unit, m.Vals) {
 		return
 	}
-	c.asm.Fold(m.Unit, m.Vals)
 	if c.opt.Manifest != nil {
 		if err := c.opt.Manifest.AppendUnit(m.Unit, m.Vals); err != nil {
 			c.fail(err)
 			return
 		}
 	}
+	c.report()
 	if m := c.opt.Metrics; m != nil {
-		m.UnitsDone.Set(float64(c.asm.Done()))
-		m.QueueDepth.Set(float64(c.asm.TotalUnits() - c.asm.Done()))
 		m.Shard(w.slot).Units.Inc()
 	}
 	if c.opt.Progress != nil {
-		c.opt.Progress(c.asm.Done(), c.asm.TotalUnits())
+		c.opt.Progress(c.asm.Progress())
+	}
+	// The fold may have released more units (an adaptive point's next
+	// batch): lease them to idle workers.
+	if units := c.asm.Released(); len(units) > 0 {
+		c.tr.Add(units...)
+		c.dispatch()
 	}
 }
 
@@ -599,11 +602,4 @@ func (c *coordinator) teardown() {
 			return
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

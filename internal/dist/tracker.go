@@ -1,15 +1,18 @@
-// Package dist executes a fixed campaign across worker processes: a
-// coordinator decomposes the unit space into leases, hands them to
+// Package dist executes a campaign across worker processes: a
+// coordinator leases the units the campaign Assembler releases to
 // workers over a JSONL pipe protocol, folds streamed results through
-// the campaign Assembler, and journals both units and lease events to
-// the shared coordination log (the campaign manifest). Robustness is
-// the point: heartbeat-based failure detection, lease expiry and
-// reassignment on worker death, bounded per-unit retry with quarantine,
-// and graceful degradation to fewer workers when spawning fails. Unit
-// values are a pure function of (spec, unit index) — every worker runs
-// the same campaign.UnitRunner code path — so output is byte-identical
-// to a single-process run for any worker topology and any fault
-// schedule; leases exist for liveness, never for correctness.
+// that same Assembler, and journals both units and lease events to the
+// shared coordination log (the campaign manifest). Fixed and adaptive
+// campaigns alike: an adaptive campaign's Assembler releases one batch
+// per live point and the next only once that batch has folded, so the
+// coordinator needs no adaptive-specific code. Robustness is the point:
+// heartbeat-based failure detection, lease expiry and reassignment on
+// worker death, bounded per-unit retry with quarantine, and graceful
+// degradation to fewer workers when spawning fails. Unit values are a
+// pure function of (spec, unit index) — every worker runs the same
+// campaign.UnitRunner code path — so output is byte-identical to a
+// single-process run for any worker topology and any fault schedule;
+// leases exist for liveness, never for correctness.
 package dist
 
 import (
@@ -31,10 +34,12 @@ type Lease struct {
 // can drive claim/renew/expire/release interleavings directly. It
 // enforces the exactly-once contract: a unit folds at most once, only
 // from a live lease that owns it, and an expired lease's late messages
-// (renew, release, results) are refused — no resurrection.
+// (renew, release, results) are refused — no resurrection. Only units
+// released through Add are ever claimed.
 type Tracker struct {
 	maxRetries int
 
+	released    []bool
 	folded      []bool
 	quarantined []bool
 	// wasExpired marks units returned by an expired lease, so the next
@@ -45,6 +50,7 @@ type Tracker struct {
 	// retries counts lease losses blamed on the unit (see Expire).
 	retries []int
 
+	open    int // released units neither folded nor quarantined
 	foldedN int
 	quarN   int
 
@@ -52,14 +58,16 @@ type Tracker struct {
 	leases map[int]*Lease
 }
 
-// NewTracker builds a tracker over total units; a unit blamed for
-// maxRetries lease losses is quarantined (maxRetries <= 0 means 3).
+// NewTracker builds a tracker over a space of total units, none of them
+// released yet; a unit blamed for maxRetries lease losses is
+// quarantined (maxRetries <= 0 means 3).
 func NewTracker(total, maxRetries int) *Tracker {
 	if maxRetries <= 0 {
 		maxRetries = 3
 	}
 	t := &Tracker{
 		maxRetries:  maxRetries,
+		released:    make([]bool, total),
 		folded:      make([]bool, total),
 		quarantined: make([]bool, total),
 		wasExpired:  make([]bool, total),
@@ -73,11 +81,16 @@ func NewTracker(total, maxRetries int) *Tracker {
 	return t
 }
 
-// RestoreFolded marks one unit as already folded (journal replay).
-func (t *Tracker) RestoreFolded(unit int) {
-	if unit >= 0 && unit < len(t.folded) && !t.folded[unit] {
-		t.folded[unit] = true
-		t.foldedN++
+// Add releases units for claiming. Releasing a unit twice is a no-op.
+func (t *Tracker) Add(units ...int) {
+	for _, u := range units {
+		if u < 0 || u >= len(t.released) || t.released[u] {
+			continue
+		}
+		t.released[u] = true
+		if !t.folded[u] && !t.quarantined[u] {
+			t.open++
+		}
 	}
 }
 
@@ -87,12 +100,16 @@ func (t *Tracker) RestoreQuarantine(unit int) {
 	if unit >= 0 && unit < len(t.quarantined) && !t.quarantined[unit] && !t.folded[unit] {
 		t.quarantined[unit] = true
 		t.quarN++
+		if t.released[unit] {
+			t.open--
+		}
 	}
 }
 
-// Claim grants worker up to max pending units (lowest indices first,
-// so workers sweep the unit space in order and blame attribution — see
-// Expire — stays sharp). It returns nil when nothing is pending.
+// Claim grants worker up to max pending units — released, unfolded,
+// unleased — lowest indices first, so workers sweep the unit space in
+// order and blame attribution (see Expire) stays sharp. It returns nil
+// when nothing is pending.
 // reassigned counts granted units whose previous lease expired — the
 // cosched_dist_reassignments_total increment.
 func (t *Tracker) Claim(worker, max int, now time.Time, ttl time.Duration) (l *Lease, reassigned int) {
@@ -101,10 +118,9 @@ func (t *Tracker) Claim(worker, max int, now time.Time, ttl time.Duration) (l *L
 	}
 	var units []int
 	for u := 0; u < len(t.folded) && len(units) < max; u++ {
-		if t.folded[u] || t.quarantined[u] || t.leaseOf[u] >= 0 {
-			continue
+		if t.released[u] && !t.folded[u] && !t.quarantined[u] && t.leaseOf[u] < 0 {
+			units = append(units, u)
 		}
-		units = append(units, u)
 	}
 	if len(units) == 0 {
 		return nil, 0
@@ -146,6 +162,7 @@ func (t *Tracker) Result(id, unit int) bool {
 	}
 	t.folded[unit] = true
 	t.foldedN++
+	t.open--
 	t.leaseOf[unit] = -1
 	l.Units = removeUnit(l.Units, unit)
 	return true
@@ -188,6 +205,7 @@ func (t *Tracker) Expire(id int) (returned, quarantined []int, ok bool) {
 			if t.retries[u] >= t.maxRetries {
 				t.quarantined[u] = true
 				t.quarN++
+				t.open--
 				quarantined = append(quarantined, u)
 				continue
 			}
@@ -235,29 +253,20 @@ func (t *Tracker) NextExpiry() (time.Time, bool) {
 // HasPending reports whether any unit is still claimable.
 func (t *Tracker) HasPending() bool {
 	for u := range t.folded {
-		if !t.folded[u] && !t.quarantined[u] && t.leaseOf[u] < 0 {
+		if t.released[u] && !t.folded[u] && !t.quarantined[u] && t.leaseOf[u] < 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// Outstanding reports whether any live lease still owns units.
-func (t *Tracker) Outstanding() bool {
-	for _, l := range t.leases {
-		if len(l.Units) > 0 {
-			return true
-		}
-	}
-	return false
-}
+// Done reports whether every released unit is folded or quarantined —
+// the coordinator's termination condition once nothing more is
+// released.
+func (t *Tracker) Done() bool { return t.open == 0 }
 
-// Done reports whether every unit is folded or quarantined — the
-// coordinator's termination condition.
-func (t *Tracker) Done() bool { return t.foldedN+t.quarN == len(t.folded) }
-
-// Complete reports whether every unit folded (no quarantine losses).
-func (t *Tracker) Complete() bool { return t.foldedN == len(t.folded) }
+// Complete reports whether Done holds with no quarantine losses.
+func (t *Tracker) Complete() bool { return t.open == 0 && t.quarN == 0 }
 
 // FoldedCount returns the number of folded units.
 func (t *Tracker) FoldedCount() int { return t.foldedN }

@@ -10,6 +10,16 @@ var t0 = time.Unix(1_700_000_000, 0)
 
 const ttl = 10 * time.Second
 
+// releasedTracker is a tracker with every unit released — the fixed
+// campaign's case, and the state space of the interleaving tests.
+func releasedTracker(total, maxRetries int) *Tracker {
+	tr := NewTracker(total, maxRetries)
+	for u := 0; u < total; u++ {
+		tr.Add(u)
+	}
+	return tr
+}
+
 // op is one step of an interleaving: a claim, or a lease-addressed
 // renew/release/expire/result. Lease fields name the Nth claim's lease
 // (IDs are sequential), so sequences can address leases that do not
@@ -189,7 +199,7 @@ func TestTrackerInterleavingsExhaustive(t *testing.T) {
 	for {
 		// A huge retry cap keeps quarantine out of this state space; the
 		// blame path has its own targeted test below.
-		tr := NewTracker(total, 1<<30)
+		tr := releasedTracker(total, 1<<30)
 		m := newTrackerModel()
 		for i, j := range idx {
 			seq[i] = alphabet[j]
@@ -217,7 +227,7 @@ func TestTrackerInterleavingsExhaustive(t *testing.T) {
 // quarantined — excluded from every future claim, counted in Done but
 // never in Complete.
 func TestTrackerBlameAndQuarantine(t *testing.T) {
-	tr := NewTracker(4, 2)
+	tr := releasedTracker(4, 2)
 	l, _ := tr.Claim(0, 4, t0, ttl)
 	if fmt.Sprint(l.Units) != "[0 1 2 3]" {
 		t.Fatalf("first claim granted %v", l.Units)
@@ -258,7 +268,7 @@ func TestTrackerBlameAndQuarantine(t *testing.T) {
 // release, and results are refused, and its units fold only under the
 // new lease.
 func TestTrackerNoResurrection(t *testing.T) {
-	tr := NewTracker(2, 3)
+	tr := releasedTracker(2, 3)
 	l, _ := tr.Claim(0, 2, t0, ttl)
 	if _, _, ok := tr.Expire(l.ID); !ok {
 		t.Fatal("expire refused a live lease")
@@ -285,7 +295,7 @@ func TestTrackerNoResurrection(t *testing.T) {
 // expired leases in (expiry, id) order and NextExpiry tracks the
 // earliest deadline as leases are renewed.
 func TestTrackerDueOrder(t *testing.T) {
-	tr := NewTracker(6, 3)
+	tr := releasedTracker(6, 3)
 	a, _ := tr.Claim(0, 2, t0, 5*time.Second)
 	b, _ := tr.Claim(1, 2, t0, 2*time.Second)
 	c, _ := tr.Claim(2, 2, t0, 8*time.Second)
@@ -301,5 +311,39 @@ func TestTrackerDueOrder(t *testing.T) {
 	due := tr.Due(t0.Add(10 * time.Second))
 	if fmt.Sprint(due) != fmt.Sprint([]int{a.ID, c.ID}) {
 		t.Fatalf("Due = %v, want [%d %d] in expiry order", due, a.ID, c.ID)
+	}
+}
+
+// TestTrackerClaimsOnlyReleased pins the unit-source gate: only units
+// released through Add are claimable, Done tracks the released set (so
+// an adaptive campaign's next batch reopens it), and a quarantine mark
+// restored before its unit is released still blocks completion.
+func TestTrackerClaimsOnlyReleased(t *testing.T) {
+	tr := NewTracker(6, 3)
+	if !tr.Done() || tr.HasPending() {
+		t.Fatal("a tracker with nothing released has work")
+	}
+	tr.RestoreQuarantine(5)
+	tr.Add(3, 1, 3)
+	l, _ := tr.Claim(0, 6, t0, ttl)
+	if fmt.Sprint(l.Units) != "[1 3]" {
+		t.Fatalf("claim granted %v, want the released [1 3]", l.Units)
+	}
+	tr.Result(l.ID, 1)
+	tr.Result(l.ID, 3)
+	if !tr.Done() {
+		t.Fatal("not Done after folding every released unit")
+	}
+	tr.Add(4, 5)
+	if tr.Done() {
+		t.Fatal("a newly released unit did not reopen the tracker")
+	}
+	l2, _ := tr.Claim(0, 6, t0, ttl)
+	if fmt.Sprint(l2.Units) != "[4]" {
+		t.Fatalf("claim granted %v, want [4] (5 is quarantined)", l2.Units)
+	}
+	tr.Result(l2.ID, 4)
+	if !tr.Done() || tr.Complete() {
+		t.Fatalf("Done=%v Complete=%v, want done-but-incomplete", tr.Done(), tr.Complete())
 	}
 }

@@ -85,9 +85,6 @@ type Sweep struct {
 	Semantics core.Semantics
 	// Workers bounds run parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Parallel enables the campaign runner's per-point parallel mode
-	// (campaign.Options.Parallel).
-	Parallel bool
 	// Metrics, when non-nil, receives the campaign runner's live
 	// telemetry (see campaign.Options.Metrics). Results are unaffected.
 	Metrics *obs.Campaign
@@ -165,7 +162,7 @@ func (s Sweep) RunCampaign() (*campaign.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := campaign.Run(sp, campaign.Options{Workers: s.Workers, Parallel: s.Parallel, Metrics: s.Metrics})
+	res, err := campaign.Run(sp, campaign.Options{Workers: s.Workers, Metrics: s.Metrics})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sweep %s: %w", s.ID, err)
 	}

@@ -17,11 +17,6 @@ type Params struct {
 	Seed    uint64  // master seed (default 1)
 	Shrink  float64 // 0 or 1 = paper scale; 0.2 = fifth-scale platform
 	Workers int     // run parallelism (0 = GOMAXPROCS)
-	// Parallel enables the campaign runner's per-point parallel mode
-	// (see campaign.Options.Parallel): one grid point's replicate range
-	// is sharded across the whole worker pool, with byte-identical
-	// output for any worker count.
-	Parallel bool
 	// Precision, when set, runs the figure adaptively: each grid point
 	// burns replicates only until the target CI half-width is met
 	// (Reps is then ignored; the block's own min/max bounds apply).
@@ -267,7 +262,6 @@ func ByID(id string, pr Params) (Sweep, error) {
 	}
 	sw.Precision = pr.Precision
 	sw.Workers = pr.Workers
-	sw.Parallel = pr.Parallel
 	sw.Metrics = pr.Metrics
 	return sw, nil
 }

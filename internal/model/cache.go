@@ -60,6 +60,13 @@ type cacheShard struct {
 	base  map[uint64][]*CacheEntry
 	order []*CacheEntry // insertion order, the FIFO eviction scan
 	bytes int64
+	// building holds one channel per base key with a build in flight,
+	// closed on publish: a concurrent miss over the same pack waits for
+	// it, then finds either its own key (a hit, not a duplicate compile)
+	// or a delta base (a column rewrite, not a cold compile). Builds
+	// over one pack therefore serialize, and the hit/miss/delta counts
+	// are a function of the keys requested, not of thread timing.
+	building map[uint64]chan struct{}
 }
 
 // CacheEntry is one published compiled model plus its refcount. The
@@ -122,6 +129,7 @@ func NewCache(maxBytes int64) *Cache {
 	for i := range ch.shards {
 		ch.shards[i].full = make(map[uint64][]*CacheEntry)
 		ch.shards[i].base = make(map[uint64][]*CacheEntry)
+		ch.shards[i].building = make(map[uint64]chan struct{})
 	}
 	return ch
 }
@@ -161,12 +169,24 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	sh := &ch.shards[bk%cacheShardCount]
 
 	sh.mu.Lock()
-	if e := sh.lookupLocked(fk, tasks, res, rc, p); e != nil {
-		e.refs++
+	for {
+		if e := sh.lookupLocked(fk, tasks, res, rc, p); e != nil {
+			e.refs++
+			sh.mu.Unlock()
+			ch.hits.Add(1)
+			return e, nil
+		}
+		wait, busy := sh.building[bk]
+		if !busy {
+			break
+		}
 		sh.mu.Unlock()
-		ch.hits.Add(1)
-		return e, nil
+		<-wait
+		sh.mu.Lock()
 	}
+	built := make(chan struct{})
+	sh.building[bk] = built
+	defer close(built)
 	// Miss. Pin a delta base — any resident entry over the same pack,
 	// cost model and platform — before unlocking, so it cannot be
 	// evicted or recycled while we read its columns.
@@ -190,6 +210,9 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	baseE.Release()
 	if err != nil {
 		ch.putArena(build)
+		sh.mu.Lock()
+		delete(sh.building, bk)
+		sh.mu.Unlock()
 		return nil, err
 	}
 	if delta {
@@ -198,15 +221,10 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 		ch.fullBuilds.Add(1)
 	}
 
+	// No other build of this key can have published meanwhile: builds
+	// over one base key serialize through sh.building.
 	sh.mu.Lock()
-	if w := sh.lookupLocked(fk, tasks, res, rc, p); w != nil {
-		// Another worker published the same key while we compiled:
-		// first publish wins, our build goes back to the arena pool.
-		w.refs++
-		sh.mu.Unlock()
-		ch.putArena(build)
-		return w, nil
-	}
+	delete(sh.building, bk)
 	e := &CacheEntry{
 		cache:   ch,
 		shard:   sh,

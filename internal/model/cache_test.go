@@ -338,6 +338,39 @@ func TestCacheConcurrentSharing(t *testing.T) {
 	}
 }
 
+// TestCacheConcurrentMissesSerialize pins the single-flight contract:
+// many goroutines missing on tables over one pack at once pay exactly
+// one cold compile; every other distinct key is a delta build and every
+// repeat is a hit, whatever the thread timing.
+func TestCacheConcurrentMissesSerialize(t *testing.T) {
+	tc := compiledCases()[0]
+	keys := []Resilience{tc.res, {}, {Lambda: tc.res.Lambda, Downtime: 3 * tc.res.Downtime}}
+	ch := NewCache(0)
+	const perKey = 4
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < perKey*len(keys); g++ {
+		wg.Add(1)
+		go func(res Resilience) {
+			defer wg.Done()
+			<-start
+			e, err := ch.Acquire(tc.tasks, res, CostModel{}, 16)
+			if err != nil || e == nil {
+				t.Errorf("acquire: %v", err)
+				return
+			}
+			e.Release()
+		}(keys[g%len(keys)])
+	}
+	close(start)
+	wg.Wait()
+	s := ch.Stats()
+	want := CacheStats{Hits: uint64(len(keys) * (perKey - 1)), Misses: uint64(len(keys)), DeltaBuilds: uint64(len(keys) - 1), FullBuilds: 1}
+	if s.Hits != want.Hits || s.Misses != want.Misses || s.DeltaBuilds != want.DeltaBuilds || s.FullBuilds != want.FullBuilds {
+		t.Fatalf("stats %+v, want %+v", s, want)
+	}
+}
+
 // TestParallelCompileEquivalence pins the parallel row compile: forcing
 // the threshold to split even the smallest pack across workers must not
 // change a single bit relative to the sequential row loop.

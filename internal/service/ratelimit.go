@@ -3,21 +3,7 @@ package service
 import (
 	"sync"
 	"time"
-
-	"cosched/internal/clock"
-	"cosched/internal/retry"
 )
-
-// Backoff is the per-key exponential retry-delay manager, now shared
-// with the distributed coordinator via internal/retry (the alias keeps
-// the daemon's historical API).
-type Backoff = retry.Backoff
-
-// NewBackoff returns a per-key exponential backoff with the given base
-// delay and cap, timed by clk (nil means the wall clock).
-func NewBackoff(base, max time.Duration, clk clock.Clock) *Backoff {
-	return retry.NewBackoff(base, max, clk)
-}
 
 // rateLimiter is a token bucket: Allow spends one token if available,
 // refilled continuously at rate tokens/second up to burst. Single

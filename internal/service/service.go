@@ -1,7 +1,9 @@
 // Package service is the campaign daemon's engine: it accepts scenario
 // specs from many clients, admits them through per-client rate limits
 // and an execution-slot queue, runs every admitted campaign's units on
-// one shared fair-scheduled worker pool (internal/campaign.Pool), and
+// one shared fair-scheduled worker pool (internal/campaign.Pool) or, when
+// a worker executable is configured, on a worker-process fleet
+// (internal/dist), and
 // persists each campaign under a spool directory so a restarted daemon
 // resumes every in-flight campaign exactly where it stopped.
 //
@@ -32,6 +34,7 @@ import (
 	"cosched/internal/clock"
 	"cosched/internal/dist"
 	"cosched/internal/obs"
+	"cosched/internal/retry"
 	"cosched/internal/scenario"
 )
 
@@ -62,9 +65,7 @@ type Config struct {
 	// WorkersExec, when non-empty, switches campaign execution to the
 	// distributed backend: the daemon spawns DistWorkers worker processes
 	// running this binary (cmd/campaignw) per campaign and coordinates
-	// them through the spool manifest as the shared lease log. Campaigns
-	// the distributed runner cannot shard (adaptive precision mode) fall
-	// back to the in-process pool.
+	// them through the spool manifest as the shared lease log.
 	WorkersExec string
 	// DistWorkers is the worker-process count per distributed campaign
 	// (0 = 3).
@@ -221,7 +222,7 @@ func (r *run) requestCancel(user bool) {
 type Server struct {
 	cfg     Config
 	pool    *campaign.Pool
-	backoff *Backoff
+	backoff *retry.Backoff
 	slots   chan struct{} // execution-slot semaphore (MaxActive)
 	quit    chan struct{}
 
@@ -243,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		pool:     campaign.NewPool(cfg.Workers),
-		backoff:  NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Clock),
+		backoff:  retry.NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Clock),
 		slots:    make(chan struct{}, cfg.MaxActive),
 		quit:     make(chan struct{}),
 		runs:     map[string]*run{},
@@ -585,10 +586,10 @@ func (s *Server) execute(r *run) {
 }
 
 // runOnce executes the campaign once — on the distributed worker fleet
-// when one is configured and the spec is shardable, on the shared
-// in-process pool otherwise — resuming from (and fsync-appending to)
-// its spool manifest, and atomically writes results.jsonl on success.
-// Both backends run the same unit code and fold positionally, so which
+// when one is configured, on the shared in-process pool otherwise —
+// resuming from (and fsync-appending to) its spool manifest, and
+// atomically writes results.jsonl on success. Both backends run the
+// same unit code and fold through the same campaign Assembler, so which
 // one executed a campaign is invisible in its results.
 func (s *Server) runOnce(r *run) error {
 	man, err := campaign.OpenManifest(manifestPath(s.cfg.SpoolDir, r.id))
@@ -601,7 +602,7 @@ func (s *Server) runOnce(r *run) error {
 	defer man.Close()
 
 	var res *campaign.Result
-	if s.cfg.WorkersExec != "" && r.spec.Precision == nil {
+	if s.cfg.WorkersExec != "" {
 		res, err = dist.Run(r.spec, dist.Options{
 			Workers:    s.cfg.DistWorkers,
 			LeaseUnits: s.cfg.LeaseUnits,
@@ -616,9 +617,6 @@ func (s *Server) runOnce(r *run) error {
 			Progress:   r.notifyProgress,
 		})
 	} else {
-		// Adaptive (precision-mode) campaigns cannot be sharded across
-		// processes — their unit set is decided by a sequential stopping
-		// rule — so they gracefully fall back to the in-process pool.
 		res, err = campaign.Run(r.spec, campaign.Options{
 			Pool:     s.pool,
 			Client:   r.client,

@@ -169,13 +169,13 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 	stop := chaos.AutoAdvance(clk)
 	defer stop()
 
-	// The spec is 2 points x 2 replicates = 4 units on a 1-worker pool,
-	// and a failed append journals nothing, so attempt 1 attempts (and
-	// fails) 4 unit appends; attempt 2 fails on its first append and
-	// journals the other 3; attempt 3 replays those and finishes. Five
-	// hiccups thus buy exactly two failed attempts.
+	// The spec is 2 points x 2 replicates = 4 units on a 1-worker pool.
+	// A failed append fails the attempt on the spot — nothing further is
+	// scheduled or journaled — so each hiccup costs exactly one attempt:
+	// two hiccups buy exactly two failed attempts, and attempt 3
+	// finishes.
 	var hiccups atomic.Int32
-	hiccups.Store(5)
+	hiccups.Store(2)
 	s, ts := startDaemon(t, Config{
 		SpoolDir:    t.TempDir(),
 		Workers:     1,

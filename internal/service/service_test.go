@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,9 +14,26 @@ import (
 	"time"
 
 	"cosched/internal/campaign"
+	"cosched/internal/dist"
 	"cosched/internal/scenario"
 	"cosched/internal/workload"
 )
+
+// TestMain doubles the test binary as the campaign worker executable
+// (as internal/dist's tests do): with the marker variable set the
+// process serves the worker protocol instead of running tests, so a
+// daemon configured with WorkersExec = os.Executable() spawns real
+// worker processes.
+func TestMain(m *testing.M) {
+	if os.Getenv("COSCHED_DIST_WORKER") == "1" {
+		if err := dist.WorkerMain(os.Stdin, os.Stdout, dist.WorkerConfig{}); err != nil {
+			fmt.Fprintln(os.Stderr, "worker:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // smallSpec is a fast fixed campaign: 2 points × reps replicates ×
 // 3 policies.
@@ -500,5 +518,37 @@ func TestRescanSkipsGarbage(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || h.Status != "ok" || h.Campaigns != 0 {
 		t.Fatalf("healthz payload: %+v (%v)", h, err)
+	}
+}
+
+// TestAdaptiveOnWorkerFleet submits an adaptive campaign to a daemon
+// with a worker fleet configured: it runs on spawned worker processes —
+// no in-process fallback — survives a chaos kill of the worker holding
+// unit 1, and serves results byte-identical to a direct run.
+func TestAdaptiveOnWorkerFleet(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("COSCHED_DIST_WORKER", "1") // inherited by the spawned workers only
+	sp := smallSpec("adaptive-fleet", 29, 0)
+	sp.Precision = &scenario.PrecisionSpec{RelHalfWidth: 0.2, MinReplicates: 4, MaxReplicates: 16, Batch: 2}
+	want := directJSONL(t, sp)
+
+	s, ts := startDaemon(t, Config{SpoolDir: t.TempDir(), WorkersExec: exe, DistWorkers: 2, ChaosKillUnit: 1})
+	defer ts.Close()
+	defer s.Stop()
+	code, st := submit(t, ts, "alice", sp)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	waitState(t, ts, st.ID, StateDone)
+	if code, got := fetchResults(t, ts, st.ID); code != http.StatusOK || got != want {
+		t.Fatalf("fleet results (HTTP %d) differ from the direct run", code)
+	}
+	r, _ := s.Get(st.ID)
+	if r.metrics.Dist.LeasesGranted.Value() == 0 || r.metrics.Dist.WorkersLost.Value() != 1 {
+		t.Fatalf("leases granted %d, workers lost %d: want the fleet used and one chaos kill",
+			r.metrics.Dist.LeasesGranted.Value(), r.metrics.Dist.WorkersLost.Value())
 	}
 }

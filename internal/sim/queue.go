@@ -44,17 +44,15 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is a timestamped simulation event. Version supports O(log n)
-// logical cancellation: re-scheduling a task's end pushes a new event with
-// a larger version, and stale pops are discarded by the engine via a
-// version check (see Queue.PopValid).
+// Event is a timestamped simulation event. A task's end event is
+// re-scheduled in place (Queue.UpdateTask) and cancelled by removal
+// (Queue.RemoveTask), so the heap never holds a stale one.
 type Event struct {
-	Time    float64
-	Kind    Kind
-	Task    int    // task index (KindTaskEnd, KindFailure)
-	Proc    int    // processor hit (KindFailure only)
-	Version uint64 // logical version for cancellable events
-	seq     uint64 // insertion order, breaks time ties deterministically
+	Time float64
+	Kind Kind
+	Task int    // task index (KindTaskEnd, KindFailure)
+	Proc int    // processor hit (KindFailure only)
+	seq  uint64 // insertion order, breaks time ties deterministically
 }
 
 // Queue is a min-heap of events ordered by (Time, seq). The zero value is
@@ -214,20 +212,6 @@ func (q *Queue) RemoveTask(task int) {
 	q.h = q.h[:n]
 }
 
-// PopValid pops events until one passes the validity predicate, discarding
-// stale ones. It returns false when the queue drains first.
-func (q *Queue) PopValid(valid func(Event) bool) (Event, bool) {
-	for {
-		e, ok := q.Pop()
-		if !ok {
-			return Event{}, false
-		}
-		if valid(e) {
-			return e, true
-		}
-	}
-}
-
 // Peek returns the earliest event without removing it.
 func (q *Queue) Peek() (Event, bool) {
 	if len(q.h) == 0 {
@@ -236,7 +220,7 @@ func (q *Queue) Peek() (Event, bool) {
 	return q.h[0], true
 }
 
-// Len returns the number of pending events (including stale ones).
+// Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.h) }
 
 // Reset discards all pending events but keeps the backing array and the

@@ -64,31 +64,6 @@ func TestPeekDoesNotRemove(t *testing.T) {
 	}
 }
 
-func TestPopValidSkipsStale(t *testing.T) {
-	var q Queue
-	q.Push(Event{Time: 1, Kind: KindTaskEnd, Task: 0, Version: 1})
-	q.Push(Event{Time: 2, Kind: KindTaskEnd, Task: 0, Version: 2})
-	q.Push(Event{Time: 3, Kind: KindFailure, Proc: 5})
-	current := map[int]uint64{0: 2}
-	valid := func(e Event) bool {
-		if e.Kind != KindTaskEnd {
-			return true
-		}
-		return e.Version == current[e.Task]
-	}
-	e, ok := q.PopValid(valid)
-	if !ok || e.Version != 2 || e.Time != 2 {
-		t.Fatalf("PopValid returned %+v, want version-2 end event", e)
-	}
-	e, ok = q.PopValid(valid)
-	if !ok || e.Kind != KindFailure {
-		t.Fatalf("PopValid returned %+v, want failure", e)
-	}
-	if _, ok := q.PopValid(valid); ok {
-		t.Fatal("queue should be empty")
-	}
-}
-
 func TestPushPanicsOnNaN(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -182,12 +157,12 @@ func BenchmarkPushPop(b *testing.B) {
 func TestQueueEqualTimestampInterleave(t *testing.T) {
 	var q Queue
 	// Three events at t=10 in a deliberate kind mix, plus neighbors.
-	q.Push(Event{Time: 10, Kind: KindTaskEnd, Task: 0, Version: 1})
-	q.Push(Event{Time: 5, Kind: KindTaskEnd, Task: 1, Version: 1})
+	q.Push(Event{Time: 10, Kind: KindTaskEnd, Task: 0})
+	q.Push(Event{Time: 5, Kind: KindTaskEnd, Task: 1})
 	q.Push(Event{Time: 10, Kind: KindSubmit, Task: 2})
 	q.Push(Event{Time: 10, Kind: KindFailure, Task: 3, Proc: 7})
 	q.Push(Event{Time: 15, Kind: KindSubmit, Task: 4})
-	q.Push(Event{Time: 10, Kind: KindTaskEnd, Task: 5, Version: 3})
+	q.Push(Event{Time: 10, Kind: KindTaskEnd, Task: 5})
 
 	want := []struct {
 		time float64
