@@ -95,28 +95,27 @@ type Simulator struct {
 	// instance (tasks, resilience, platform size) and independent of the
 	// policy and fault source, so its result — σ0 and each task's
 	// expected finish under it — is cached keyed on the compiled model's
-	// (pointer, generation) identity: a campaign unit that runs several
-	// policies over one instance computes the schedule once and the
-	// later Resets replay the exact cached values (bit-identical by
-	// construction; pinned by the golden-equivalence tests). The memo
-	// holds several instances (FIFO-bounded), so a worker cycling
-	// through shared cache-resident tables — the compiled-model cache
-	// hands the same (pointer, Gen) to many units — re-derives each
-	// schedule once, not once per unit. Private per-unit arenas bump
-	// Gen on every rebuild, so for them the memo degenerates to the
-	// single live entry it always was.
+	// content ID: a campaign unit that runs several policies over one
+	// instance computes the schedule once and the later Resets replay
+	// the exact cached values (bit-identical by construction; pinned by
+	// the golden-equivalence tests). The memo holds several instances
+	// (FIFO-bounded), so a worker cycling through shared cache-resident
+	// tables — the compiled-model cache hands the same table to many
+	// units — re-derives each schedule once, not once per unit. Private
+	// per-unit arenas draw a new ID on every rebuild, so for them the
+	// memo degenerates to the single live entry it always was. The key
+	// holds no pointer, so the memo never keeps an evicted table alive.
 	memo     map[schedKey]*schedMemo
 	memoFIFO []schedKey
 	memoFree []*schedMemo
 }
 
-// schedKey is the initial-schedule memo key: the (pointer, Gen)
-// immutable-table identity plus the base task count (online runs reset
-// with appended rows truncated, so n is part of the instance).
+// schedKey is the initial-schedule memo key: the compiled model's
+// content ID plus the base task count (online runs reset with appended
+// rows truncated, so n is part of the instance).
 type schedKey struct {
-	cm  *model.Compiled
-	gen uint64
-	n   int
+	id uint64
+	n  int
 }
 
 // schedMemo is one memoized Algorithm 1 result.
@@ -248,7 +247,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	var memoKey schedKey
 	var memoEnt *schedMemo
 	if e.cm != nil {
-		memoKey = schedKey{cm: e.cm, gen: e.cm.Gen(), n: n}
+		memoKey = schedKey{id: e.cm.ID(), n: n}
 		memoEnt = e.memo[memoKey]
 	}
 	memoHit := memoEnt != nil
@@ -373,7 +372,7 @@ func (e *Simulator) initialSchedule() error {
 	e.heap.build(e.elig)
 	avail := e.in.P - 2*n
 	for avail >= 2 {
-		i, ok := e.heap.popMax()
+		i, ok := e.heap.top()
 		if !ok {
 			break
 		}
@@ -384,7 +383,7 @@ func (e *Simulator) initialSchedule() error {
 		if e.d.evals[i].At(e.sigma0[i]) > e.d.evals[i].At(pmax) {
 			e.sigma0[i] += 2
 			e.d.tUc[i] = e.d.evals[i].At(e.sigma0[i])
-			e.heap.add(i)
+			e.heap.fixTop()
 			avail -= 2
 		} else {
 			// The longest task cannot be improved: the overall expected

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"cosched/internal/failure"
 	"cosched/internal/model"
@@ -283,4 +285,44 @@ func TestResultShapes(t *testing.T) {
 			t.Fatalf("task %d finish %v outside (0, makespan]", i, f)
 		}
 	}
+}
+
+// TestScheduleMemoDoesNotPinTables: the initial-schedule memo is keyed on
+// the table's content ID, not on the *Compiled, so a shared table the
+// simulator no longer uses — a cache entry evicted after its unit folded
+// — becomes garbage even while its memo entry is still resident.
+func TestScheduleMemoDoesNotPinTables(t *testing.T) {
+	tasks := synthPack(6, rng.New(3))
+	sim := NewSimulator()
+	collected := make(chan struct{}, 1)
+	func() {
+		old, err := model.Compile(tasks, paperRes(5), model.CostModel{}, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(old, func(*model.Compiled) { collected <- struct{}{} })
+		in := Instance{Tasks: tasks, P: 40, Res: paperRes(5), Compiled: old}
+		if err := sim.Reset(in, NoRedistribution, nil, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	// Rebind the simulator to another table over the same pack, so the
+	// only possible reference left to the first one is the memo's.
+	next, err := model.Compile(tasks, paperRes(6), model.CostModel{}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Reset(Instance{Tasks: tasks, P: 40, Res: paperRes(6), Compiled: next}, NoRedistribution, nil, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(sim)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a table the simulator no longer uses stayed reachable")
 }

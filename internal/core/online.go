@@ -157,7 +157,7 @@ func (e *Simulator) admit(t float64) []int {
 	e.heap.build(admitted)
 	avail := e.plat.FreeProcs()
 	for avail >= 2 {
-		i, ok := e.heap.popMax()
+		i, ok := e.heap.top()
 		if !ok {
 			break
 		}
@@ -172,7 +172,7 @@ func (e *Simulator) admit(t float64) []int {
 			}
 			s.sigma += 2
 			e.d.tUc[i] = e.d.evals[i].At(s.sigma)
-			e.heap.add(i)
+			e.heap.fixTop()
 			avail -= 2
 		} else {
 			// The longest admitted job cannot be improved: keep the

@@ -255,7 +255,7 @@ func (endLocalRule) RedistributeEnd(d *Decision) {
 	h := &d.e.heap
 	h.build(d.elig)
 	for k >= 2 {
-		i, ok := h.popMax()
+		i, ok := h.top()
 		if !ok {
 			break
 		}
@@ -273,8 +273,10 @@ func (endLocalRule) RedistributeEnd(d *Decision) {
 		}
 		if improvable {
 			d.SetSigma(i, d.sigmaNew[i]+2)
-			h.add(i)
+			h.fixTop()
 			k -= 2
+		} else {
+			h.popMax()
 		}
 	}
 }
@@ -296,7 +298,7 @@ func iteratedGreedy(d *Decision) {
 	h := &d.e.heap
 	h.build(d.elig)
 	for d.avail >= 2 {
-		i, ok := h.popMax()
+		i, ok := h.top()
 		if !ok {
 			break
 		}
@@ -318,7 +320,7 @@ func iteratedGreedy(d *Decision) {
 			break
 		}
 		d.SetSigma(i, d.sigmaNew[i]+2)
-		h.add(i)
+		h.fixTop()
 	}
 }
 

@@ -23,23 +23,23 @@ const cacheShardCount = 16
 // buckets candidates, and every hit is confirmed by an exact content
 // compare — hash collisions cost a compare, never a wrong table.
 //
-// Entries are immutable after publish: Acquire hands out read-only
-// *Compiled handles and a refcount keeps the arena alive until the last
-// Release. A near-miss — same pack, platform and cost model, different
-// resilience parameters — is built by Compiled.RecompileDelta from a
-// resident base entry, rewriting only the parameter-dependent columns;
-// the result is bit-identical to a cold Compile (the cache's whole
-// contract; see DESIGN.md §15). Evicted or fully released arenas are
-// recycled through a sync.Pool, so a churning cache stops allocating
-// once warm. Packs containing profile types this package cannot compare
-// by content are refused (Acquire returns nil) and the caller compiles
-// privately.
+// Entries are frozen at publish: Acquire hands out read-only *Compiled
+// handles whose in-place rebuild methods panic. A near-miss — same pack,
+// platform and cost model, different resilience parameters — is built by
+// Compiled.RecompileDelta from the resident base entry that needs the
+// fewest rebuilt columns: the new table shares every column the
+// parameter change cannot reach and owns only the rebuilt ones, and is
+// bit-identical to a cold Compile (the cache's whole contract; see
+// DESIGN.md §15). Because columns are shared, tables are never recycled:
+// an evicted entry's arrays stay alive, through the garbage collector,
+// for as long as any live table aliases them. Packs containing profile
+// types this package cannot compare by content are refused (Acquire
+// returns nil) and the caller compiles privately.
 //
 // A nil *Cache is valid and never caches.
 type Cache struct {
 	shardBudget int64
 	shards      [cacheShardCount]cacheShard
-	pool        sync.Pool // recycled *Compiled arenas
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -70,9 +70,8 @@ type cacheShard struct {
 }
 
 // CacheEntry is one published compiled model plus its refcount. The
-// tables behind Compiled() are immutable until the entry's last Release;
-// callers must treat them as read-only and must not call Recompile,
-// AppendTask or TruncateExtra on them.
+// tables behind Compiled() are frozen: Recompile, RecompileFaultFree,
+// RecompileDelta, AppendTask and TruncateExtra on them panic.
 type CacheEntry struct {
 	cache   *Cache
 	shard   *cacheShard
@@ -82,8 +81,7 @@ type CacheEntry struct {
 	bytes   int64
 	// refs is guarded by shard.mu: 1 for cache residency plus 1 per
 	// outstanding Acquire. Eviction drops the residency ref only when no
-	// user holds the entry, so a handed-out table can never be recycled
-	// under a reader.
+	// user holds the entry.
 	refs int
 }
 
@@ -187,21 +185,16 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	built := make(chan struct{})
 	sh.building[bk] = built
 	defer close(built)
-	// Miss. Pin a delta base — any resident entry over the same pack,
-	// cost model and platform — before unlocking, so it cannot be
-	// evicted or recycled while we read its columns.
-	var baseE *CacheEntry
-	for _, e := range sh.base[bk] {
-		if e.c.rc == rc && e.c.p == p && samePack(tasks, e.c.tasks) {
-			baseE = e
-			e.refs++
-			break
-		}
+	// Miss. Pin the delta base while the build reads it: eviction skips
+	// pinned entries.
+	baseE := sh.deltaBaseLocked(bk, tasks, res, rc, p)
+	if baseE != nil {
+		baseE.refs++
 	}
 	sh.mu.Unlock()
 	ch.misses.Add(1)
 
-	build := ch.getArena()
+	build := &Compiled{}
 	var baseC *Compiled
 	if baseE != nil {
 		baseC = baseE.c
@@ -209,7 +202,6 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	delta, err := build.RecompileDelta(baseC, tasks, res, rc, p)
 	baseE.Release()
 	if err != nil {
-		ch.putArena(build)
 		sh.mu.Lock()
 		delete(sh.building, bk)
 		sh.mu.Unlock()
@@ -222,7 +214,9 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	}
 
 	// No other build of this key can have published meanwhile: builds
-	// over one base key serialize through sh.building.
+	// over one base key serialize through sh.building. The freeze happens
+	// before the entry is visible to any other goroutine.
+	build.frozen = true
 	sh.mu.Lock()
 	delete(sh.building, bk)
 	e := &CacheEntry{
@@ -270,6 +264,30 @@ func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc C
 	return nil
 }
 
+// deltaBaseLocked picks the resident entry over the same pack, cost
+// model and platform from which a build of res rebuilds the fewest
+// columns (same λ, rule and λ_s first: a downtime-only delta rewrites
+// one column); ties go to the oldest resident entry. nil means there is
+// none and the miss pays a cold compile.
+func (sh *cacheShard) deltaBaseLocked(bk uint64, tasks []Task, res Resilience, rc CostModel, p int) *CacheEntry {
+	var best *CacheEntry
+	bestCols := 0
+	for _, e := range sh.base[bk] {
+		c := e.c
+		if c.rc != rc || c.p != p {
+			continue
+		}
+		cols := planDelta(c.res, res).columns()
+		if best != nil && cols >= bestCols {
+			continue
+		}
+		if samePack(tasks, c.tasks) {
+			best, bestCols = e, cols
+		}
+	}
+	return best
+}
+
 // samePack is PacksEqual with the same-slice fast path.
 func samePack(a, b []Task) bool {
 	if len(a) != len(b) {
@@ -313,7 +331,6 @@ func (sh *cacheShard) evictLocked(ch *Cache) {
 		ch.entries.Add(-1)
 		ch.evictions.Add(1)
 		e.refs = 0
-		ch.putArena(e.c)
 		e.c = nil
 	}
 }
@@ -327,24 +344,12 @@ func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
 	return s
 }
 
-// getArena takes a recycled Compiled (warm column capacity, monotone
-// gen — the (pointer, Gen) identity contract survives recycling) or a
-// fresh one.
-func (ch *Cache) getArena() *Compiled {
-	if v := ch.pool.Get(); v != nil {
-		return v.(*Compiled)
-	}
-	return &Compiled{}
-}
-
-func (ch *Cache) putArena(c *Compiled) {
-	if c != nil {
-		ch.pool.Put(c)
-	}
-}
-
 // compiledBytes estimates an entry's resident footprint for the byte
-// budget: 11 float64 columns plus seg/data and the task headers.
+// budget: 11 float64 columns plus seg/data and the task headers. Every
+// column the entry references is charged to it, shared or not, so the
+// budget over-counts bytes shared between entries and never under-counts
+// them — and the hit/miss/delta/eviction counts stay a pure function of
+// the requested keys, whichever bases the delta builds happened to pick.
 func compiledBytes(c *Compiled) int64 {
 	cells := int64(len(c.tj))
 	n := int64(len(c.tasks))

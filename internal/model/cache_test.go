@@ -234,9 +234,10 @@ type opaqueProfile struct{}
 
 func (opaqueProfile) Time(j int) float64 { return 1e6 / float64(j) }
 
-// TestCacheEviction bounds residency: a cache with a tiny budget keeps
-// evicting released entries, never entries still held, and recycled
-// arenas keep the (pointer, Gen) identity monotone.
+// TestCacheEviction bounds residency under churn: a cache with a tiny
+// budget keeps evicting released entries, never entries still held, and
+// a held delta entry stays byte-equal to a cold Compile after the base
+// whose columns it shares has been evicted.
 func TestCacheEviction(t *testing.T) {
 	tc := compiledCases()[0]
 	one, err := Compile(tc.tasks, tc.res, CostModel{}, 16)
@@ -245,11 +246,25 @@ func TestCacheEviction(t *testing.T) {
 	}
 	budget := compiledBytes(one) * cacheShardCount * 2 // ~2 entries per shard
 	ch := NewCache(budget)
-	const year = 365.25 * 24 * 3600
-	held, heldGen := (*CacheEntry)(nil), uint64(0)
-	for i := 0; i < 64; i++ {
+	// The one cold build: every later build is a delta that shares its
+	// profile columns, directly or through an intermediate base.
+	first, err := ch.Acquire(tc.tasks, tc.res, CostModel{}, 16)
+	if err != nil || first == nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	firstTj := first.Compiled().tj
+	first.Release()
+	type heldEntry struct {
+		e   *CacheEntry
+		res Resilience
+	}
+	var held []heldEntry
+	for i := 1; i < 64; i++ {
 		res := tc.res
 		res.Downtime = float64(60 + i)
+		if i%3 == 0 {
+			res.Lambda = tc.res.Lambda * float64(1+i%5) // rebuild the λ columns too
+		}
 		e, err := ch.Acquire(tc.tasks, res, CostModel{}, 16)
 		if err != nil {
 			t.Fatal(err)
@@ -257,39 +272,242 @@ func TestCacheEviction(t *testing.T) {
 		if e == nil {
 			t.Fatal("cacheable pack refused")
 		}
-		if i == 0 {
-			held, heldGen = e, e.Compiled().Gen() // hold the first entry across all evictions
-			continue
-		}
 		want, err := Compile(tc.tasks, res, CostModel{}, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := columnsEqual(want, e.Compiled()); d != "" {
-			t.Fatalf("iteration %d: recycled arena served wrong bytes: %s", i, d)
+			t.Fatalf("iteration %d: delta build served wrong bytes: %s", i, d)
 		}
-		e.Release()
+		if i%8 == 1 {
+			held = append(held, heldEntry{e, res})
+		} else {
+			e.Release()
+		}
 	}
 	s := ch.Stats()
-	if s.Evictions == 0 {
-		t.Fatalf("64 distinct keys under a ~%d-entry budget never evicted: %+v", 2*cacheShardCount, s)
+	if s.Evictions == 0 || s.DeltaBuilds != 63 {
+		t.Fatalf("63 delta-built keys under a ~%d-entry budget: %+v", 2*cacheShardCount, s)
 	}
 	if s.ResidentBytes > budget+compiledBytes(one)*cacheShardCount {
 		t.Fatalf("resident bytes %d far above budget %d", s.ResidentBytes, budget)
 	}
-	// The held entry survived every eviction round untouched.
-	if held.Compiled() == nil || held.Compiled().Gen() != heldGen {
-		t.Fatal("held entry was evicted or its arena recycled")
+	if first.Compiled() != nil {
+		t.Fatal("the released cold entry was never evicted")
 	}
-	wantHeld, err := Compile(tc.tasks, Resilience{Lambda: tc.res.Lambda, Downtime: 60, Rule: tc.res.Rule, SilentLambda: tc.res.SilentLambda}, CostModel{}, 16)
+	for _, h := range held {
+		c := h.e.Compiled()
+		if c == nil {
+			t.Fatal("held entry was evicted")
+		}
+		if !sameArray(c.tj, firstTj) {
+			t.Fatal("held delta entry does not share the evicted cold entry's profile columns")
+		}
+		want, err := Compile(tc.tasks, h.res, CostModel{}, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := columnsEqual(want, c); d != "" {
+			t.Fatalf("held entry (D=%v) changed after its base was evicted: %s", h.res.Downtime, d)
+		}
+		h.e.Release()
+	}
+}
+
+// sameArray reports whether two non-empty columns start at the same
+// backing array element, i.e. one table shares the other's column.
+func sameArray(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// allColumns snapshots every column of c — the failure-only ones
+// included — so a later compare catches any write through an alias.
+func allColumns(c *Compiled) map[string][]float64 {
+	cols := map[string][]float64{}
+	for name, col := range map[string][]float64{
+		"tj": c.tj, "ck": c.ck, "rec": c.rec, "tau": c.tau, "work": c.work,
+		"lj": c.lj, "expFac": c.expFac, "prefac": c.prefac, "expPer": c.expPer,
+		"slj": c.slj, "v": c.v, "data": c.data,
+	} {
+		cols[name] = append([]float64(nil), col...)
+	}
+	seg := make([]float64, len(c.seg))
+	for i, k := range c.seg {
+		seg[i] = float64(k)
+	}
+	cols["seg"] = seg
+	return cols
+}
+
+// TestRecompileDeltaLeavesBaseUntouched: a delta build shares the base's
+// columns and writes only fresh ones, so every base column — failure-only
+// ones included — keeps its exact bytes, for every delta class of
+// TestRecompileDeltaByteEqualFull and for a fault-free base.
+func TestRecompileDeltaLeavesBaseUntouched(t *testing.T) {
+	const year = 365.25 * 24 * 3600
+	for _, tc := range compiledCases() {
+		if tc.res == (Resilience{}) {
+			continue
+		}
+		for _, p := range []int{8, 64} {
+			builds := []struct {
+				name         string
+				base, target Resilience
+			}{
+				{"downtime", tc.res, Resilience{Lambda: tc.res.Lambda, Downtime: tc.res.Downtime * 3, Rule: tc.res.Rule, SilentLambda: tc.res.SilentLambda}},
+				{"rule", tc.res, Resilience{Lambda: tc.res.Lambda, Downtime: tc.res.Downtime, Rule: 1 - tc.res.Rule, SilentLambda: tc.res.SilentLambda}},
+				{"lambda", tc.res, Resilience{Lambda: 1 / (3 * year), Downtime: tc.res.Downtime, Rule: tc.res.Rule, SilentLambda: tc.res.SilentLambda}},
+				{"silent", tc.res, Resilience{Lambda: tc.res.Lambda, Downtime: tc.res.Downtime, Rule: tc.res.Rule, SilentLambda: 1 / (2 * year)}},
+				{"fault-free", tc.res, Resilience{}},
+				{"everything", tc.res, Resilience{Lambda: 1 / (7 * year), Downtime: 17, Rule: 1 - tc.res.Rule, SilentLambda: 1 / (9 * year)}},
+				{"fault-free-base", Resilience{}, tc.res},
+			}
+			for _, b := range builds {
+				base, err := Compile(tc.tasks, b.base, CostModel{}, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := allColumns(base)
+				var got Compiled
+				if delta, err := got.RecompileDelta(base, tc.tasks, b.target, CostModel{}, p); err != nil || !delta {
+					t.Fatalf("%s p=%d %s: delta=%v err=%v", tc.name, p, b.name, delta, err)
+				}
+				after := allColumns(base)
+				for col, want := range before {
+					for k := range want {
+						if math.Float64bits(want[k]) != math.Float64bits(after[col][k]) {
+							t.Fatalf("%s p=%d %s: base column %s[%d] rewritten: %v -> %v",
+								tc.name, p, b.name, col, k, want[k], after[col][k])
+						}
+					}
+				}
+				if !base.frozen || !got.frozen {
+					t.Fatalf("%s p=%d %s: a delta build must freeze both tables", tc.name, p, b.name)
+				}
+			}
+		}
+	}
+}
+
+// TestFrozenRebuildPanics: every in-place rebuild method refuses a
+// frozen table, so nothing can write through a shared column.
+func TestFrozenRebuildPanics(t *testing.T) {
+	tc := compiledCases()[0]
+	ch := NewCache(0)
+	e, err := ch.Acquire(tc.tasks, tc.res, CostModel{}, 16)
+	if err != nil || e == nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	defer e.Release()
+	c := e.Compiled()
+	other, err := Compile(tc.tasks, Resilience{}, CostModel{}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := columnsEqual(wantHeld, held.Compiled()); d != "" {
-		t.Fatalf("held entry mutated under eviction pressure: %s", d)
+	before := allColumns(c)
+	for name, rebuild := range map[string]func(){
+		"Recompile":          func() { _ = c.Recompile(tc.tasks, tc.res, CostModel{}, 16) },
+		"RecompileFaultFree": func() { _ = c.RecompileFaultFree(other, tc.tasks, Resilience{}, CostModel{}, 16) },
+		"RecompileDelta":     func() { _, _ = c.RecompileDelta(other, tc.tasks, Resilience{Lambda: 1e-9}, CostModel{}, 16) },
+		"AppendTask":         func() { _, _ = c.AppendTask(tc.tasks[0]) },
+		"TruncateExtra":      func() { c.TruncateExtra() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen table did not panic", name)
+				}
+			}()
+			rebuild()
+		}()
 	}
-	held.Release()
-	_ = year
+	for col, want := range before {
+		got := allColumns(c)[col]
+		for k := range want {
+			if math.Float64bits(want[k]) != math.Float64bits(got[k]) {
+				t.Fatalf("column %s[%d] changed by a refused rebuild", col, k)
+			}
+		}
+	}
+}
+
+// TestCacheDeltaBaseChoice: a near-miss is built from the resident base
+// that needs the fewest rebuilt columns, not from the oldest one. With
+// (λ1, D1) and (λ2, D1) resident, (λ2, D2) rebuilds only the prefactor
+// and shares every other column with (λ2, D1).
+func TestCacheDeltaBaseChoice(t *testing.T) {
+	const year = 365.25 * 24 * 3600
+	tc := compiledCases()[0]
+	ch := NewCache(0)
+	acquire := func(res Resilience) *CacheEntry {
+		t.Helper()
+		e, err := ch.Acquire(tc.tasks, res, CostModel{}, 64)
+		if err != nil || e == nil {
+			t.Fatalf("acquire: %v", err)
+		}
+		return e
+	}
+	r1 := Resilience{Lambda: 1 / (20 * year), Downtime: 60}
+	r2 := Resilience{Lambda: 1 / (5 * year), Downtime: 60}
+	r3 := Resilience{Lambda: r2.Lambda, Downtime: 600}
+	e1, e2 := acquire(r1), acquire(r2)
+	defer e1.Release()
+	defer e2.Release()
+	e3 := acquire(r3)
+	defer e3.Release()
+	if s := ch.Stats(); s.FullBuilds != 1 || s.DeltaBuilds != 2 {
+		t.Fatalf("stats %+v: want one cold build and two delta builds", s)
+	}
+	c2, c3 := e2.Compiled(), e3.Compiled()
+	for _, col := range []struct {
+		name string
+		a, b []float64
+	}{
+		{"lj", c3.lj, c2.lj}, {"expFac", c3.expFac, c2.expFac}, {"tau", c3.tau, c2.tau},
+		{"work", c3.work, c2.work}, {"expPer", c3.expPer, c2.expPer}, {"slj", c3.slj, c2.slj},
+		{"tj", c3.tj, e1.Compiled().tj},
+	} {
+		if !sameArray(col.a, col.b) {
+			t.Errorf("column %s rebuilt, want it shared with the same-λ base", col.name)
+		}
+	}
+	if sameArray(c3.prefac, c2.prefac) || sameArray(c3.prefac, e1.Compiled().prefac) {
+		t.Error("prefactor shared, want it rebuilt for the new downtime")
+	}
+	want, err := Compile(tc.tasks, r3, CostModel{}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := columnsEqual(want, c3); d != "" {
+		t.Fatalf("delta from the chosen base differs from a cold Compile: %s", d)
+	}
+}
+
+// TestRecompileDeltaFaultFreeShares: a fault-free target allocates no
+// per-cell column: its periods alias the shared +Inf column, its silent
+// rates the shared zero column, and everything else its base.
+func TestRecompileDeltaFaultFreeShares(t *testing.T) {
+	tc := compiledCases()[0]
+	base, err := Compile(tc.tasks, tc.res, CostModel{}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Compiled
+	if delta, err := got.RecompileDelta(base, tc.tasks, Resilience{}, CostModel{}, 64); err != nil || !delta {
+		t.Fatalf("delta=%v err=%v", delta, err)
+	}
+	inf, zero := *infColumn.Load(), *zeroColumn.Load()
+	if !sameArray(got.tau, inf) || !sameArray(got.work, inf) || !sameArray(got.slj, zero) {
+		t.Fatal("fault-free periods and silent rates do not alias the shared constant columns")
+	}
+	if cap(got.tau) != len(got.tau) || cap(got.slj) != len(got.slj) {
+		t.Fatal("shared constant columns handed out with spare capacity")
+	}
+	for _, col := range [][2][]float64{{got.tj, base.tj}, {got.lj, base.lj}, {got.prefac, base.prefac}, {got.expPer, base.expPer}} {
+		if !sameArray(col[0], col[1]) {
+			t.Fatal("fault-free target copied a column it could share")
+		}
+	}
 }
 
 // TestCacheConcurrentSharing hammers one cache from many goroutines over
@@ -389,6 +607,21 @@ func TestParallelCompileEquivalence(t *testing.T) {
 		}
 		if d := columnsEqual(seq, par); d != "" {
 			t.Fatalf("%s: parallel row compile changes bytes: %s", tc.name, d)
+		}
+		if tc.res.FaultFree() {
+			continue
+		}
+		// A λ-delta rebuilds its rows through the same split.
+		base, err := Compile(tc.tasks, Resilience{Lambda: 3 * tc.res.Lambda}, CostModel{}, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delta Compiled
+		if ok, err := delta.RecompileDelta(base, tc.tasks, tc.res, CostModel{}, 64); err != nil || !ok {
+			t.Fatalf("%s: delta=%v err=%v", tc.name, ok, err)
+		}
+		if d := columnsEqual(seq, &delta); d != "" {
+			t.Fatalf("%s: parallel λ-delta changes bytes: %s", tc.name, d)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // segKind selects how a compiled task's silent-error segment inflation is
@@ -17,12 +18,30 @@ const (
 	segSilent                // silent errors: segment = e^{λ_s j w}·(w + V_{i,j})
 )
 
+// segOf returns task t's silent-segment mode under res.
+func segOf(res Resilience, t Task) segKind {
+	switch {
+	case res.SilentActive():
+		return segSilent
+	case t.Verify != 0:
+		return segVerify
+	default:
+		return segPlain
+	}
+}
+
 // Compiled is the compiled instance model: flat per-(task, allocation)
 // tables of every α-independent quantity the simulator queries in its
 // steady state. One Compiled serves one (Tasks, Resilience, CostModel, P)
 // instance; it is immutable after Compile/Recompile and therefore safe to
 // share read-only across goroutines (the campaign runner builds one per
 // grid point and hands it to every worker).
+//
+// A frozen Compiled — every table a Cache publishes, and both sides of a
+// RecompileDelta — may share column backing arrays with other tables, so
+// its in-place rebuild methods (Recompile, RecompileFaultFree,
+// RecompileDelta, AppendTask, TruncateExtra) panic instead of writing
+// through an alias. Freezing is permanent.
 //
 // Layout: struct-of-arrays. Each cached quantity is its own parallel
 // slice of length NumTasks·stride, indexed i·stride + j/2 − 1, so task
@@ -61,17 +80,28 @@ type Compiled struct {
 
 	seg  []segKind // per-task silent-segment mode
 	data []float64 // per-task data volume m_i (redistribution cost)
-	// gen counts table rebuilds and extensions. A (pointer, Gen) pair
-	// identifies immutable table contents: any Recompile/AppendTask/
-	// TruncateExtra bumps it, so caches keyed on the pair (the engine's
-	// initial-schedule memo) can never serve values computed from a
-	// previous instance that reused this Compiled's storage.
-	gen uint64
+	// id names the table contents process-wide: every (re)build and
+	// extension draws a fresh one from compiledIDs, so caches keyed on it
+	// (the engine's initial-schedule memo) can never serve values computed
+	// for a previous instance, and never keep the Compiled itself alive.
+	id     uint64
+	frozen bool // columns may be shared: in-place rebuilds panic
 	// extra holds tasks appended after the base compile (online mode:
 	// jobs arriving over time get their rows appended, not a rebuild).
 	// It is owned by the Compiled — AppendTask copies the task value —
 	// so the base identity contract of Matches is untouched.
 	extra []Task
+}
+
+// compiledIDs hands out table-content IDs, starting at 1.
+var compiledIDs atomic.Uint64
+
+// mustMutate panics when c is frozen: its columns may be aliased by other
+// tables, so rebuilding it in place would rewrite them too.
+func (c *Compiled) mustMutate() {
+	if c.frozen {
+		panic("model: in-place rebuild of a frozen Compiled (its columns may be shared)")
+	}
 }
 
 // Compile builds the tables for one instance. p is the platform size: the
@@ -117,8 +147,9 @@ func (c *Compiled) sizeColumns(n int) {
 // Recompile rebuilds the tables in place for a new instance, reusing the
 // backing arrays when capacities allow. A campaign worker that compiles
 // per unit therefore stops allocating once its arenas match the grid's
-// largest (n, p).
+// largest (n, p). It panics on a frozen Compiled.
 func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) error {
+	c.mustMutate()
 	if len(tasks) == 0 {
 		return fmt.Errorf("model: compiling an empty pack")
 	}
@@ -134,7 +165,7 @@ func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) 
 		}
 	}
 	n := len(tasks)
-	c.gen++
+	c.id = compiledIDs.Add(1)
 	c.tasks = tasks
 	c.res = res
 	c.rc = rc
@@ -144,8 +175,8 @@ func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) 
 	c.sizeColumns(n)
 
 	c.extra = c.extra[:0]
-	if n*c.stride >= parallelCompileCells && runtime.GOMAXPROCS(0) > 1 {
-		c.compileRowsParallel(tasks)
+	if c.parallelRows(n) {
+		rowsParallel(n, func(i int) { c.compileTask(i, tasks[i]) })
 	} else {
 		for i, t := range tasks {
 			c.compileTask(i, t)
@@ -155,20 +186,25 @@ func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) 
 }
 
 // parallelCompileCells is the table size (tasks × stride cells) above
-// which Recompile splits the per-task row loop across GOMAXPROCS
-// goroutines. Rows are disjoint — compileTask writes only row i's column
-// slices plus seg[i]/data[i] — and the per-row scalar order is untouched,
-// so a parallel compile is bit-identical to a sequential one. Small
-// tables stay sequential: spawning goroutines would cost more than the
-// compile and would charge allocations to otherwise alloc-free steady
-// states. Tests may override it.
+// which a compile splits its per-task row loop across GOMAXPROCS
+// goroutines. Rows are disjoint — compileTask and failureRow write only
+// row i's column slices plus seg[i]/data[i] — and the per-row scalar
+// order is untouched, so a parallel compile is bit-identical to a
+// sequential one. Small tables stay sequential: spawning goroutines
+// would cost more than the compile and would charge allocations to
+// otherwise alloc-free steady states. Tests may override it.
 var parallelCompileCells = 1 << 15
 
-// compileRowsParallel runs compileTask over contiguous row chunks on one
-// goroutine per processor.
-func (c *Compiled) compileRowsParallel(tasks []Task) {
+// parallelRows reports whether n rows of c's stride are worth splitting
+// across processors.
+func (c *Compiled) parallelRows(n int) bool {
+	return n*c.stride >= parallelCompileCells && runtime.GOMAXPROCS(0) > 1
+}
+
+// rowsParallel runs row(i) for every i < n over contiguous row chunks,
+// one goroutine per processor.
+func rowsParallel(n int, row func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
-	n := len(tasks)
 	if workers > n {
 		workers = n
 	}
@@ -183,7 +219,7 @@ func (c *Compiled) compileRowsParallel(tasks []Task) {
 		go func(lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				c.compileTask(i, tasks[i])
+				row(i)
 			}
 		}(lo, hi)
 	}
@@ -201,8 +237,10 @@ func (c *Compiled) compileRowsParallel(tasks []Task) {
 // the failure-only columns (λj, prefactor, period term) are left stale,
 // the same never-read-when-λ=0 contract Recompile relies on. When the
 // base does not match (different tasks, platform, or appended rows) or
-// res is not fault-free, it falls back to a full Recompile.
+// res is not fault-free, it falls back to a full Recompile. It panics on
+// a frozen Compiled.
 func (c *Compiled) RecompileFaultFree(base *Compiled, tasks []Task, res Resilience, rc CostModel, p int) error {
+	c.mustMutate()
 	if base == nil || base == c || !res.FaultFree() ||
 		len(base.extra) != 0 || base.p != p || len(base.tj) == 0 ||
 		len(tasks) != len(base.tasks) || len(tasks) == 0 || &tasks[0] != &base.tasks[0] {
@@ -212,7 +250,7 @@ func (c *Compiled) RecompileFaultFree(base *Compiled, tasks []Task, res Resilien
 		return err
 	}
 	n := len(tasks)
-	c.gen++
+	c.id = compiledIDs.Add(1)
 	c.tasks = tasks
 	c.res = res
 	c.rc = rc
@@ -232,11 +270,7 @@ func (c *Compiled) RecompileFaultFree(base *Compiled, tasks []Task, res Resilien
 		c.slj[k] = 0 // λ_s must be 0 here (Validate: silent needs λ > 0)
 	}
 	for i, t := range tasks {
-		if t.Verify != 0 {
-			c.seg[i] = segVerify
-		} else {
-			c.seg[i] = segPlain
-		}
+		c.seg[i] = segOf(res, t)
 	}
 	c.extra = c.extra[:0]
 	return nil
@@ -287,29 +321,14 @@ func fillTimes(t Task, dst []float64) {
 func (c *Compiled) compileTask(i int, t Task) {
 	res := c.res
 	c.data[i] = t.Data
-	switch {
-	case res.SilentActive():
-		c.seg[i] = segSilent
-	case t.Verify != 0:
-		c.seg[i] = segVerify
-	default:
-		c.seg[i] = segPlain
-	}
-	sk := c.seg[i]
+	c.seg[i] = segOf(res, t)
 	lo, hi := i*c.stride, (i+1)*c.stride
 	tjs := c.tj[lo:hi]
 	fillTimes(t, tjs)
 	cks := c.ck[lo:hi]
 	recs := c.rec[lo:hi]
-	taus := c.tau[lo:hi]
-	works := c.work[lo:hi]
 	vs := c.v[lo:hi]
 	sljs := c.slj[lo:hi]
-	ljs := c.lj[lo:hi]
-	expFacs := c.expFac[lo:hi]
-	prefacs := c.prefac[lo:hi]
-	expPers := c.expPer[lo:hi]
-	inf := math.Inf(1)
 	for k := range cks {
 		jf := float64(2 * (k + 1))
 		ck := t.Ckpt / jf
@@ -317,63 +336,101 @@ func (c *Compiled) compileTask(i int, t Task) {
 		recs[k] = ck // Recovery = CkptCost (paper: R = C)
 		vs[k] = t.Verify / jf
 		sljs[k] = res.SilentLambda * jf
-		if res.Lambda == 0 {
-			// Fault-free limit: only tj matters (tau/work are +Inf,
-			// RawAt never reads the failure terms, which stay stale).
-			taus[k] = inf
-			works[k] = inf
-			continue
-		}
-		lj := res.Lambda * jf // Resilience.Rate
+	}
+	if res.Lambda != 0 {
+		c.failureRow(i)
+		return
+	}
+	// Fault-free limit: only tj matters (tau/work are +Inf, RawAt never
+	// reads the failure terms, which stay stale).
+	inf := math.Inf(1)
+	taus, works := c.tau[lo:hi], c.work[lo:hi]
+	for k := range taus {
+		taus[k] = inf
+		works[k] = inf
+	}
+}
+
+// failureRow fills row i of every λ-dependent column — λj, τ, τ−C,
+// e^{λjR}, the prefactor and the period term — from the row's profile
+// columns, seg kind and λ_s·j. It is the failure half of compileTask,
+// and RecompileDelta's whole rebuild when λ changes.
+func (c *Compiled) failureRow(i int) {
+	res := c.res
+	sk := c.seg[i]
+	lo, hi := i*c.stride, (i+1)*c.stride
+	cks := c.ck[lo:hi]
+	recs := c.rec[lo:hi]
+	vs := c.v[lo:hi]
+	sljs := c.slj[lo:hi]
+	taus := c.tau[lo:hi]
+	works := c.work[lo:hi]
+	ljs := c.lj[lo:hi]
+	expFacs := c.expFac[lo:hi]
+	prefacs := c.prefac[lo:hi]
+	expPers := c.expPer[lo:hi]
+	for k := range cks {
+		lj := res.Lambda * float64(2*(k+1)) // Resilience.Rate
 		ljs[k] = lj
-		// Resilience.Period inlined: µ = MTBF(j) = 1/λj, then Young's
-		// τ = sqrt(2µC) + C (Eq. 1) or Daly's higher-order estimate.
-		mu := 1 / lj
-		var tau float64
-		if res.Rule == PeriodDaly {
-			if ck >= 2*mu {
-				tau = mu + ck
-			} else {
-				x := ck / (2 * mu)
-				tau = math.Sqrt(2*mu*ck) * (1 + math.Sqrt(x)/3 + x/9)
-			}
-		} else {
-			tau = math.Sqrt(2*mu*ck) + ck
-		}
+		ck := cks[k]
+		tau := cellPeriod(res.Rule, lj, ck)
 		taus[k] = tau
 		work := tau - ck
 		works[k] = work
 		// Same combination order as ExpectedTimeRaw: the prefactor is
 		// Exp(λjR)·(1/λj + D), and the period term is Expm1 of λj
-		// times the (possibly silent-inflated) period; silentSegment's
-		// branch structure is reproduced over the precomputed V and λ_s·j.
+		// times the (possibly silent-inflated) period.
 		// The Exp(λjR) factor is stored on its own so a downtime-only
 		// delta recompile (RecompileDelta) can rebuild the prefactor
 		// without re-evaluating the exponential: the product of the same
 		// two float64 values is the same bits either way.
 		expFacs[k] = math.Exp(lj * recs[k])
 		prefacs[k] = expFacs[k] * (1/lj + res.Downtime)
-		var segw float64
-		switch {
-		case work <= 0:
-			segw = 0
-		case sk == segPlain:
-			segw = work
-		case sk == segVerify:
-			segw = work + vs[k]
-		default:
-			segw = math.Exp(sljs[k]*work) * (work + vs[k])
-		}
-		expPers[k] = math.Expm1(lj * (segw + ck))
+		expPers[k] = cellPeriodTerm(sk, lj, work, ck, vs[k], sljs[k])
 	}
+}
+
+// cellPeriod is Resilience.Period over a precomputed rate λj and
+// checkpoint cost C: µ = MTBF(j) = 1/λj, then Young's τ = sqrt(2µC) + C
+// (Eq. 1) or Daly's higher-order estimate — the same operations in the
+// same order, so the result is bit-identical.
+func cellPeriod(rule PeriodRule, lj, ck float64) float64 {
+	mu := 1 / lj
+	if rule == PeriodDaly {
+		if ck >= 2*mu {
+			return mu + ck
+		}
+		x := ck / (2 * mu)
+		return math.Sqrt(2*mu*ck) * (1 + math.Sqrt(x)/3 + x/9)
+	}
+	return math.Sqrt(2*mu*ck) + ck
+}
+
+// cellPeriodTerm is the Eq. (4) period term Expm1(λj·(s + C)), where s is
+// silentSegment(τ−C) reproduced over the precomputed V_{i,j} and λ_s·j
+// with silent.go's branch structure.
+func cellPeriodTerm(sk segKind, lj, work, ck, v, slj float64) float64 {
+	var segw float64
+	switch {
+	case work <= 0:
+		segw = 0
+	case sk == segPlain:
+		segw = work
+	case sk == segVerify:
+		segw = work + v
+	default:
+		segw = math.Exp(slj*work) * (work + v)
+	}
+	return math.Expm1(lj * (segw + ck))
 }
 
 // AppendTask extends the tables with one more task — the online kernel's
 // per-arrival path: O(stride) work instead of a full rebuild. The task
 // value is copied into Compiled-owned storage, so the base Tasks slice
 // (and the Matches identity contract over it) is untouched. It returns
-// the appended task's index.
+// the appended task's index. It panics on a frozen Compiled.
 func (c *Compiled) AppendTask(t Task) (int, error) {
+	c.mustMutate()
 	if len(c.tj) == 0 {
 		return 0, fmt.Errorf("model: AppendTask on an empty Compiled (compile a base instance first)")
 	}
@@ -381,7 +438,7 @@ func (c *Compiled) AppendTask(t Task) (int, error) {
 		return 0, fmt.Errorf("model: appended task has no speedup profile")
 	}
 	i := c.NumTasks()
-	c.gen++
+	c.id = compiledIDs.Add(1)
 	c.extra = append(c.extra, t)
 	// Grow each column without a temporary: compileTask overwrites every
 	// field it reads (stale failure terms in reused capacity are never
@@ -416,12 +473,14 @@ func growRow(s []float64, stride int) []float64 {
 // base instance they were compiled for (the rows of appended tasks sit
 // strictly after the base rows, so this is a length change, not a
 // rebuild). An online simulator calls it between runs so the base tables
-// survive the replicate loop without recompiling.
+// survive the replicate loop without recompiling. It panics on a frozen
+// Compiled.
 func (c *Compiled) TruncateExtra() {
+	c.mustMutate()
 	if len(c.extra) == 0 {
 		return
 	}
-	c.gen++
+	c.id = compiledIDs.Add(1)
 	n := len(c.tasks)
 	cells := n * c.stride
 	c.tj = c.tj[:cells]
@@ -477,10 +536,11 @@ func (c *Compiled) P() int { return c.p }
 // MaxJ returns the largest even allocation covered by the tables.
 func (c *Compiled) MaxJ() int { return c.maxJ }
 
-// Gen returns the table-content generation: it changes on every
-// Recompile, RecompileFaultFree, AppendTask and TruncateExtra, so a
-// (pointer, Gen) pair identifies one immutable set of tables.
-func (c *Compiled) Gen() uint64 { return c.gen }
+// ID returns the table-content identity: a process-unique value drawn
+// afresh by every Recompile, RecompileFaultFree, RecompileDelta,
+// AppendTask and TruncateExtra, so equal IDs mean the same immutable set
+// of tables, whichever Compiled holds them.
+func (c *Compiled) ID() uint64 { return c.id }
 
 // cell returns the column index of (task i, even allocation j); callers
 // guarantee 2 ≤ j ≤ maxJ and j even (the simulator's buddy invariant).

@@ -1,8 +1,8 @@
 package model
 
 import (
-	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // ProfilesEqual reports whether two speedup profiles are the same known
@@ -93,173 +93,199 @@ func deltaCompatible(base *Compiled, tasks []Task, rc CostModel, p int) bool {
 	return ok && eq
 }
 
-// RecompileDelta rebuilds c for (tasks, res, rc, p) reusing base's
-// columns wherever the parameter change cannot reach them, and reports
-// whether the delta path was taken (false means it fell back to a full
-// Recompile). base must not be c itself; it is read-only throughout.
+// deltaPlan lists the failure columns a delta build must rebuild for a
+// target whose parameters differ from the base's; every other column is
+// shared with the base. The flags nest: a λ change reaches everything but
+// the silent rate, a rule change reaches τ, τ−C and the period term.
+type deltaPlan struct {
+	lambda bool // λj, e^{λjR}
+	rule   bool // τ, τ−C
+	silent bool // λ_s·j
+	pre    bool // the prefactor
+	per    bool // the period term
+}
+
+// planDelta returns the rebuild plan from a base built for baseRes to a
+// target res. A fault-free target rebuilds nothing (RecompileDelta
+// points it at shared constant columns); a fault-free base carries no
+// valid failure columns, so a fault-enabled target rebuilds every one.
+func planDelta(baseRes, res Resilience) deltaPlan {
+	if res.FaultFree() {
+		return deltaPlan{}
+	}
+	baseFF := baseRes.FaultFree()
+	var d deltaPlan
+	d.lambda = baseFF || res.Lambda != baseRes.Lambda
+	d.rule = d.lambda || res.Rule != baseRes.Rule
+	d.silent = baseFF || res.SilentLambda != baseRes.SilentLambda
+	d.pre = d.lambda || res.Downtime != baseRes.Downtime
+	d.per = d.rule || d.silent
+	return d
+}
+
+// columns counts the float64 columns the plan rebuilds.
+func (d deltaPlan) columns() int {
+	n := 0
+	if d.lambda {
+		n += 2
+	}
+	if d.rule {
+		n += 2
+	}
+	for _, on := range [...]bool{d.silent, d.pre, d.per} {
+		if on {
+			n++
+		}
+	}
+	return n
+}
+
+// The shared constant columns of fault-free tables: τ = τ−C = +Inf and
+// λ_s·j = 0 for every cell. Each is replaced by a longer one when a
+// larger table needs it and never written after it is published, so
+// every table may alias a prefix of whichever one it saw.
+var infColumn, zeroColumn atomic.Pointer[[]float64]
+
+// constColumn returns n cells of the constant column held in col,
+// growing it by replacement when it is shorter than n. The result's
+// capacity is clipped to n, so an append can never reach shared cells.
+func constColumn(col *atomic.Pointer[[]float64], n int, v float64) []float64 {
+	for {
+		old := col.Load()
+		if old != nil && len(*old) >= n {
+			return (*old)[:n:n]
+		}
+		s := make([]float64, n)
+		for k := range s {
+			s[k] = v
+		}
+		if col.CompareAndSwap(old, &s) {
+			return s
+		}
+	}
+}
+
+// RecompileDelta rebuilds c for (tasks, res, rc, p) from base, sharing
+// base's columns wherever the parameter change cannot reach them, and
+// reports whether the delta path was taken (false means it fell back to
+// a full Recompile, which writes c in place). base must not be c itself.
+// base's columns are never written; because the two tables now share
+// backing arrays, a delta build freezes both c and base.
 //
 // The column dependence inventory (DESIGN.md §15.3): t_{i,j}, C_{i,j},
 // R_{i,j}, V_{i,j} and m_i derive from the pack alone and are always
-// copied. λ_s·j depends only on the silent rate; λj and e^{λjR} only on
+// shared. λ_s·j depends only on the silent rate; λj and e^{λjR} only on
 // λ; τ and τ−C on (λ, rule); the prefactor on (λ, D); the period term on
-// (λ, rule, λ_s, V); seg on (λ_s, V). Each retained column is copied
-// verbatim and each rebuilt column recomputes exactly compileTask's
-// scalar expression over the (copied) columns it reads, so the result is
-// bit-identical to a full Recompile for the new parameters — pinned by
-// TestRecompileDeltaMatchesFull.
+// (λ, rule, λ_s, V); seg on (λ_s, V). Each shared column is base's own
+// slice; each rebuilt column gets a fresh backing array filled with
+// compileTask's exact scalar expression over the columns it reads, so the
+// result is bit-identical to a full Recompile for the new parameters —
+// pinned by TestRecompileDeltaByteEqualFull.
 //
-// A fault-free target reproduces RecompileFaultFree's fill (+Inf
-// periods, zero silent rates, stale failure columns); a fault-free base
-// can still seed a failure-enabled target — its profile columns are
-// valid either way, and every failure column is rebuilt.
+// A fault-free target allocates nothing per cell: τ and τ−C alias the
+// shared +Inf column and λ_s·j the shared zero column, while the
+// failure-only columns stay base's (never read when λ = 0, the same
+// contract Recompile relies on). A fault-free base can still seed a
+// failure-enabled target — its profile columns are valid either way, and
+// every failure column is rebuilt.
 func (c *Compiled) RecompileDelta(base *Compiled, tasks []Task, res Resilience, rc CostModel, p int) (bool, error) {
+	c.mustMutate()
 	if base == c || !deltaCompatible(base, tasks, rc, p) {
 		return false, c.Recompile(tasks, res, rc, p)
 	}
 	if err := res.Validate(); err != nil {
 		return false, err
 	}
-	if p < 2 {
-		return false, fmt.Errorf("model: compiling for platform size %d (want ≥ 2)", p)
+	if !base.frozen { // a published base is frozen already: no write, no race with its readers
+		base.frozen = true
 	}
-	n := len(tasks)
-	c.gen++
-	c.tasks = tasks
-	c.res = res
-	c.rc = rc
-	c.p = p
-	c.maxJ = base.maxJ
-	c.stride = base.stride
-	c.sizeColumns(n)
-	c.extra = c.extra[:0]
-
-	// Profile-derived columns: always valid, always copied.
-	copy(c.tj, base.tj)
-	copy(c.ck, base.ck)
-	copy(c.rec, base.rec)
-	copy(c.v, base.v)
-	copy(c.data, base.data)
-
-	if res.FaultFree() {
-		// Fault-free limit: identical to RecompileFaultFree's fill. The
-		// failure columns stay stale (never read when λ = 0).
-		inf := math.Inf(1)
-		for k := range c.tau {
-			c.tau[k] = inf
-			c.work[k] = inf
-			c.slj[k] = 0 // λ_s must be 0 here (Validate: silent needs λ > 0)
-		}
+	*c = Compiled{
+		tasks: tasks, res: res, rc: rc, p: p,
+		maxJ: base.maxJ, stride: base.stride,
+		tj: base.tj, ck: base.ck, rec: base.rec, v: base.v, data: base.data,
+		tau: base.tau, work: base.work, lj: base.lj, expFac: base.expFac,
+		prefac: base.prefac, expPer: base.expPer, slj: base.slj, seg: base.seg,
+		id:     compiledIDs.Add(1),
+		frozen: true,
+	}
+	if res.SilentActive() != base.res.SilentActive() {
+		// seg depends on (λ_s, V) and the pack is the base's.
+		c.seg = make([]segKind, len(tasks))
 		for i, t := range tasks {
-			if t.Verify != 0 {
-				c.seg[i] = segVerify
-			} else {
-				c.seg[i] = segPlain
+			c.seg[i] = segOf(res, t)
+		}
+	}
+	cells := len(base.tj)
+	if res.FaultFree() {
+		c.tau = constColumn(&infColumn, cells, math.Inf(1))
+		c.work = c.tau
+		c.slj = constColumn(&zeroColumn, cells, 0) // λ_s must be 0 here (Validate: silent needs λ > 0)
+		return true, nil
+	}
+
+	d := planDelta(base.res, res)
+	if d.lambda {
+		c.lj = make([]float64, cells)
+		c.expFac = make([]float64, cells)
+	}
+	if d.rule {
+		c.tau = make([]float64, cells)
+		c.work = make([]float64, cells)
+	}
+	if d.silent {
+		c.slj = make([]float64, cells)
+	}
+	if d.pre {
+		c.prefac = make([]float64, cells)
+	}
+	if d.per {
+		c.expPer = make([]float64, cells)
+	}
+	// Rebuild column by column, in dependence order. Each pass applies
+	// compileTask's scalar expression per cell, reading only columns that
+	// are final by then.
+	if d.silent {
+		for lo := 0; lo < cells; lo += c.stride {
+			row := c.slj[lo : lo+c.stride]
+			for k := range row {
+				row[k] = res.SilentLambda * float64(2*(k+1))
+			}
+		}
+	}
+	if d.lambda {
+		// λ reaches every failure column but λ_s·j: rebuild them row by
+		// row through compileTask's own failure half.
+		if n := len(tasks); c.parallelRows(n) {
+			rowsParallel(n, c.failureRow)
+		} else {
+			for i := range tasks {
+				c.failureRow(i)
 			}
 		}
 		return true, nil
 	}
-
-	baseRes := base.res
-	baseFF := baseRes.FaultFree()
-	// Which failure columns survive the parameter delta. A fault-free
-	// base carries no valid failure columns at all.
-	dl := baseFF || res.Lambda != baseRes.Lambda
-	dr := dl || res.Rule != baseRes.Rule
-	ds := baseFF || res.SilentLambda != baseRes.SilentLambda
-	dPre := dl || res.Downtime != baseRes.Downtime
-	dPer := dr || ds
-
-	if !dl {
-		copy(c.lj, base.lj)
-		copy(c.expFac, base.expFac)
-	}
-	if !dr {
-		copy(c.tau, base.tau)
-		copy(c.work, base.work)
-	}
-	if !ds {
-		copy(c.slj, base.slj)
-	}
-	if !dPre {
-		copy(c.prefac, base.prefac)
-	}
-	if !dPer {
-		copy(c.expPer, base.expPer)
-	}
-
-	for i, t := range tasks {
-		// seg depends on (λ_s, V) only; recompute it unconditionally —
-		// it is n bytes against n·stride column cells.
-		switch {
-		case res.SilentActive():
-			c.seg[i] = segSilent
-		case t.Verify != 0:
-			c.seg[i] = segVerify
-		default:
-			c.seg[i] = segPlain
+	if d.rule {
+		ck, tau, work := c.ck[:cells], c.tau[:cells], c.work[:cells]
+		for k, lj := range c.lj {
+			t := cellPeriod(res.Rule, lj, ck[k])
+			tau[k] = t
+			work[k] = t - ck[k]
 		}
-		if !dl && !dr && !ds && !dPre && !dPer {
-			continue
+	}
+	if d.pre {
+		expFac, prefac := c.expFac[:cells], c.prefac[:cells]
+		for k, lj := range c.lj {
+			prefac[k] = expFac[k] * (1/lj + res.Downtime)
 		}
-		sk := c.seg[i]
-		lo, hi := i*c.stride, (i+1)*c.stride
-		cks := c.ck[lo:hi]
-		recs := c.rec[lo:hi]
-		taus := c.tau[lo:hi]
-		works := c.work[lo:hi]
-		vs := c.v[lo:hi]
-		sljs := c.slj[lo:hi]
-		ljs := c.lj[lo:hi]
-		expFacs := c.expFac[lo:hi]
-		prefacs := c.prefac[lo:hi]
-		expPers := c.expPer[lo:hi]
-		for k := range cks {
-			jf := float64(2 * (k + 1))
-			if ds {
-				sljs[k] = res.SilentLambda * jf
-			}
-			if dl {
-				// compileTask's expressions over the new λ.
-				ljs[k] = res.Lambda * jf
-			}
-			lj := ljs[k]
-			if dr {
-				ck := cks[k]
-				mu := 1 / lj
-				var tau float64
-				if res.Rule == PeriodDaly {
-					if ck >= 2*mu {
-						tau = mu + ck
-					} else {
-						x := ck / (2 * mu)
-						tau = math.Sqrt(2*mu*ck) * (1 + math.Sqrt(x)/3 + x/9)
-					}
-				} else {
-					tau = math.Sqrt(2*mu*ck) + ck
-				}
-				taus[k] = tau
-				works[k] = tau - ck
-			}
-			if dl {
-				expFacs[k] = math.Exp(lj * recs[k])
-			}
-			if dPre {
-				prefacs[k] = expFacs[k] * (1/lj + res.Downtime)
-			}
-			if dPer {
-				work := works[k]
-				var segw float64
-				switch {
-				case work <= 0:
-					segw = 0
-				case sk == segPlain:
-					segw = work
-				case sk == segVerify:
-					segw = work + vs[k]
-				default:
-					segw = math.Exp(sljs[k]*work) * (work + vs[k])
-				}
-				expPers[k] = math.Expm1(lj * (segw + cks[k]))
+	}
+	if d.per {
+		for i := range tasks {
+			sk := c.seg[i]
+			lo, hi := i*c.stride, (i+1)*c.stride
+			lj, work, ck, v, slj := c.lj[lo:hi], c.work[lo:hi], c.ck[lo:hi], c.v[lo:hi], c.slj[lo:hi]
+			expPer := c.expPer[lo:hi]
+			for k := range expPer {
+				expPer[k] = cellPeriodTerm(sk, lj[k], work[k], ck[k], v[k], slj[k])
 			}
 		}
 	}
