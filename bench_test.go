@@ -2,8 +2,10 @@
 // (§6) at bench scale, plus ablation benches for the design choices
 // documented in DESIGN.md. Each BenchmarkFigureNN runs the corresponding
 // sweep at a reduced platform scale (Shrink) and replicate count so a
-// full `go test -bench=.` pass stays in the minutes range; the
-// cmd/experiments binary runs the same code at paper scale.
+// full `go test -bench=.` pass stays in the minutes range. The sweep
+// benches run each figure's spec (experiments.FigureScenario) through
+// campaign.Run, the same path cmd/experiments and `campaign -figure`
+// take at paper scale.
 //
 // Reported custom metrics (all "normalized" = divided by the
 // no-redistribution fault baseline, exactly as the paper's y axes):
@@ -49,12 +51,15 @@ func benchSweep(b *testing.B, id string, faultSeries bool) {
 	b.Helper()
 	var last *stats.Table
 	for i := 0; i < b.N; i++ {
-		sw, err := experiments.ByID(id, benchParams())
+		sp, err := experiments.FigureScenario(id, benchParams())
 		if err != nil {
 			b.Fatal(err)
 		}
-		last, err = sw.Run()
+		res, err := campaign.Run(sp, campaign.Options{})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if last, err = res.Table(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,8 +112,8 @@ func BenchmarkFigure09(b *testing.B) {
 	// Final predicted makespans: IG should not exceed NoRC at the end.
 	mk := res.Makespan
 	n := len(mk.X) - 1
-	noRC := mk.SeriesByName("No redistribution").Y[n]
-	ig := mk.SeriesByName("Iterated greedy").Y[n]
+	noRC := mk.SeriesByName(experiments.SeriesFig9NoRC).Y[n]
+	ig := mk.SeriesByName(experiments.SeriesFig9IG).Y[n]
 	b.ReportMetric(ig/noRC, "ig_vs_norc")
 	b.ReportMetric(float64(len(mk.X)), "faults_handled")
 }

@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"cosched/internal/campaign"
@@ -50,7 +51,7 @@ func main() {
 func realMain() error {
 	var (
 		specPath     = flag.String("spec", "", "JSON scenario spec file")
-		figure       = flag.String("figure", "", "run a paper figure (5a 5b 6a 6b 7 8 10 11 12 13a 13b 13c 14) or the online demo study (online) as a campaign instead of -spec")
+		figure       = flag.String("figure", "", "run a paper figure ("+strings.Join(experiments.SweepIDs(), " ")+") or the online demo study (online) as a campaign instead of -spec")
 		reps         = flag.Int("reps", 0, "override the spec's replicate count (with -figure: default 10)")
 		seed         = flag.Uint64("seed", 0, "override the spec's master seed (with -figure: default 1)")
 		shrink       = flag.Float64("shrink", 1, "with -figure: platform scale factor in (0,1]")

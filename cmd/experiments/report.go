@@ -1,56 +1,37 @@
-// Command report turns regenerated figure CSVs (cmd/experiments output)
-// into EXPERIMENTS.md: for every figure it embeds the measured table,
-// restates the paper's qualitative claim, and runs the programmatic
-// shape checks of internal/shape, recording pass/fail per claim.
-//
-// Usage:
-//
-//	experiments -figure all -reps 50 -out results
-//	report -in results -o EXPERIMENTS.md -reps 50
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
+	"cosched/internal/experiments"
 	"cosched/internal/shape"
 	"cosched/internal/stats"
 )
 
-func main() {
-	var (
-		in   = flag.String("in", "results", "directory with figNN.csv files")
-		out  = flag.String("o", "EXPERIMENTS.md", "output markdown file")
-		reps = flag.Int("reps", 50, "replicate count used when generating (recorded in the header)")
-	)
-	flag.Parse()
+// reportIDs are the CSV names of every regenerated figure panel, in
+// paper order: one section each in EXPERIMENTS.md.
+var reportIDs = []string{"5a", "5b", "6a", "6b", "7", "8", "9a", "9b", "10", "11", "12", "13a", "13b", "13c", "14"}
 
+// report renders EXPERIMENTS.md: for every figure it embeds the measured
+// table, restates the paper's qualitative claim, and records the
+// pass/fail result of each shape check. Figures this run did not
+// regenerate get a stub naming the command that would.
+func report(r run, tables map[string]*stats.Table) (md string, passed, total int) {
 	var b strings.Builder
-	writeHeader(&b, *reps)
-
-	ids := []string{"5a", "5b", "6a", "6b", "7", "8", "9a", "9b", "10", "11", "12", "13a", "13b", "13c", "14"}
-	totalPass, totalChecks := 0, 0
-	for _, id := range ids {
-		path := filepath.Join(*in, "fig"+id+".csv")
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(&b, "## Figure %s\n\n*(missing: %v — run `cmd/experiments -figure %s` first)*\n\n",
-				id, err, strings.TrimRight(id, "ab"))
+	writeHeader(&b, r)
+	for _, id := range reportIDs {
+		fmt.Fprintf(&b, "## Figure %s\n\n", id)
+		figID := id // the -figure id that regenerates this panel
+		if id == "9a" || id == "9b" {
+			figID = "9"
+		}
+		table := tables[id]
+		if table == nil {
+			fmt.Fprintf(&b, "*(not run — regenerate with `experiments -figure %s`)*\n\n", figID)
 			continue
 		}
-		table, err := stats.ParseCSV(string(raw))
-		if err != nil {
-			fatalf("parsing %s: %v", path, err)
-		}
-		claimID := id
-		if id == "9a" || id == "9b" {
-			claimID = "9"
-		}
-		fmt.Fprintf(&b, "## Figure %s\n\n", id)
-		if claim := shape.ClaimText(claimID); claim != "" {
+		if claim := shape.ClaimText(figID); claim != "" {
 			fmt.Fprintf(&b, "**Paper's claim.** %s\n\n", claim)
 		}
 		writeTable(&b, id, table)
@@ -65,18 +46,14 @@ func main() {
 				fmt.Fprintf(&b, "- %s %s — %s\n", mark, c.Name, c.Detail)
 			}
 			p, n := shape.Summary(checks)
-			totalPass += p
-			totalChecks += n
+			passed += p
+			total += n
 			fmt.Fprintf(&b, "\n")
 		}
 	}
-	fmt.Fprintf(&b, "---\n\n**Overall: %d/%d shape checks pass.**\n\n", totalPass, totalChecks)
+	fmt.Fprintf(&b, "---\n\n**Overall: %d/%d shape checks pass.**\n\n", passed, total)
 	b.WriteString(divergences)
-
-	if err := os.WriteFile(*out, []byte(b.String()), 0o644); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("report: wrote %s (%d/%d checks pass)\n", *out, totalPass, totalChecks)
+	return b.String(), passed, total
 }
 
 // divergences documents where the reproduction's numbers knowingly
@@ -109,7 +86,17 @@ grows with n and shrinks with p, and aggressive rebalancing is
 counterproductive under very frequent failures.
 `
 
-func writeHeader(b *strings.Builder, reps int) {
+// writeHeader states the run's real parameters and the command that
+// reproduces it.
+func writeHeader(b *strings.Builder, r run) {
+	pr := r.params
+	replicates := fmt.Sprintf("%d replicates per point", pr.Reps)
+	flags := fmt.Sprintf("-reps %d", pr.Reps)
+	if r.precision > 0 {
+		replicates = fmt.Sprintf("adaptive replicates (target ±%g%% relative CI half-width, at most %d per point)",
+			100*r.precision, r.maxReps)
+		flags = fmt.Sprintf("-precision %g -max-reps %d", r.precision, r.maxReps)
+	}
 	fmt.Fprintf(b, `# EXPERIMENTS — paper vs. measured
 
 Reproduction record for every figure of the evaluation section (§6) of
@@ -118,8 +105,8 @@ Reproduction record for every figure of the evaluation section (§6) of
 the notation table; the reproducible artifacts are Figures 5–14, all
 regenerated by this repository.
 
-- Generated from the CSVs under the input directory (cmd/experiments,
-  %d replicates per point, paper-scale platforms, seed 1).
+- Generated by cmd/experiments with %s, seed %d, shrink %g
+  (platform scale; 1 = the paper's platforms).
 - Values are makespans normalized by the fault-context no-redistribution
   baseline, exactly as the paper plots them; lower is better.
 - Absolute values cannot match the authors' (their testbed and fault
@@ -127,16 +114,15 @@ regenerated by this repository.
   paper's qualitative claims — trends, orderings, crossovers and rough
   factors (DESIGN.md §6).
 - Regenerate with:
-  `+"`go run ./cmd/experiments -figure all -reps %d -out results`"+` then
-  `+"`go run ./cmd/report -in results -o EXPERIMENTS.md`"+`.
+  `+"`go run ./cmd/experiments -figure %s %s -seed %d -shrink %g -out %s`"+`.
 
-`, reps, reps)
+`, replicates, pr.Seed, pr.Shrink, r.figure, flags, pr.Seed, pr.Shrink, r.outDir)
 }
 
 func writeTable(b *strings.Builder, id string, t *stats.Table) {
 	fmt.Fprintf(b, "| x |")
 	for _, s := range t.Series {
-		fmt.Fprintf(b, " %s |", shortName(s.Name))
+		fmt.Fprintf(b, " %s |", shortNames.Replace(s.Name))
 	}
 	fmt.Fprintf(b, "\n|---|")
 	for range t.Series {
@@ -161,24 +147,17 @@ func writeTable(b *strings.Builder, id string, t *stats.Table) {
 	fmt.Fprintf(b, "\n")
 }
 
-// shortName compresses the paper's long legend names for markdown tables.
-func shortName(s string) string {
-	r := strings.NewReplacer(
-		"Fault context without RC", "NoRC",
-		"Fault-free context with RC (local)", "FaultFree",
-		"IteratedGreedy-", "IG-",
-		"ShortestTasksFirst-", "STF-",
-		"With RC (local decisions)", "RC-local",
-		"With RC (greedy)", "RC-greedy",
-		"Without RC", "NoRC",
-		"No redistribution", "NoRC",
-		"Iterated greedy", "IG",
-		"Shortest tasks first", "STF",
-	)
-	return r.Replace(s)
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "report: "+format+"\n", args...)
-	os.Exit(1)
-}
+// shortNames compresses the paper's long legend names for markdown
+// tables.
+var shortNames = strings.NewReplacer(
+	experiments.SeriesNoRC, "NoRC",
+	experiments.SeriesFaultFree, "FaultFree",
+	"IteratedGreedy-", "IG-",
+	"ShortestTasksFirst-", "STF-",
+	experiments.SeriesFFLocal, "RC-local",
+	experiments.SeriesFFGreedy, "RC-greedy",
+	experiments.SeriesFFNoRC, "NoRC",
+	experiments.SeriesFig9NoRC, "NoRC",
+	experiments.SeriesFig9IG, "IG",
+	experiments.SeriesFig9STF, "STF",
+)

@@ -31,11 +31,12 @@
 //   - internal/experiments — reproduction of Figures 5–14, expressed as
 //     scenario specs executed by the campaign runner
 //   - cmd/...              — coschedsim, campaign, experiments,
-//     faultgen, npcheck, report, bench (perf ledger)
+//     campaignd, campaignw, faultgen, npcheck, bench (perf ledger)
 //   - examples/...         — runnable walkthroughs
 //
 // See README.md for a tour, DESIGN.md for the architecture and the
-// paper-faithfulness decisions, and EXPERIMENTS.md for measured results
-// versus the paper's figures. The benchmarks in bench_test.go regenerate
+// paper-faithfulness decisions, and the EXPERIMENTS.md that
+// cmd/experiments writes for measured results versus the paper's
+// figures. The benchmarks in bench_test.go regenerate
 // every figure of the evaluation at a reduced scale.
 package cosched

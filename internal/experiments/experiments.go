@@ -1,23 +1,21 @@
 // Package experiments reproduces the evaluation section of the paper
-// (§6, Figures 5–14). Each figure is a Sweep: a swept parameter, a spec
-// generator, and the series (policies) the paper plots. Sweeps are thin
-// clients of the campaign subsystem: Run converts the sweep into a
-// declarative scenario.Spec (explicit grid points, one policy per
-// series) and executes it on the sharded campaign runner, inheriting its
-// common-random-numbers discipline — every policy of a replicate sees
-// the identical task draw and fault sequence — and its determinism
-// across worker counts. Results are normalized by the no-redistribution
-// fault baseline exactly as in the paper.
+// (§6, Figures 5–14). Every sweep-style figure is a declarative
+// scenario.Spec (FigureScenario): one explicit grid point per swept
+// value, carrying the full parameter set, and one labelled policy per
+// curve the paper plots. Running it through campaign.Run inherits the
+// runner's common-random-numbers discipline — every policy of a
+// replicate sees the identical task draw and fault sequence — and its
+// determinism across worker counts; the result table is normalized by
+// the figure's no-redistribution baseline exactly as in the paper.
+// Figure 9, a single-execution study rather than a sweep, has its own
+// entry point (Figure9).
 package experiments
 
 import (
 	"fmt"
+	"strings"
 
-	"cosched/internal/campaign"
-	"cosched/internal/core"
-	"cosched/internal/obs"
 	"cosched/internal/scenario"
-	"cosched/internal/stats"
 	"cosched/internal/workload"
 )
 
@@ -33,99 +31,129 @@ const (
 	SeriesFFNoRC   = "Without RC"
 	SeriesFFGreedy = "With RC (greedy)"
 	SeriesFFLocal  = "With RC (local decisions)"
+
+	// Figure 9's three single-execution curves.
+	SeriesFig9NoRC = "No redistribution"
+	SeriesFig9IG   = "Iterated greedy"
+	SeriesFig9STF  = "Shortest tasks first"
 )
 
-// SeriesSpec is one curve of a figure.
-type SeriesSpec struct {
-	Name      string
-	Policy    core.Policy
-	FaultFree bool // run with λ = 0 and no fault source
+// curve is one plotted series of a sweep figure: its legend label and
+// the scenario policy name that produces it.
+type curve struct{ label, policy string }
+
+// faultCurves are the six curves of the failure-context figures (7, 8,
+// 10–14); faultFreeCurves the three of the fault-free figures (5, 6).
+// The first curve of each is the normalization base.
+var (
+	faultCurves = []curve{
+		{SeriesNoRC, "norc"},
+		{SeriesIGEG, "ig-eg"},
+		{SeriesIGEL, "ig-el"},
+		{SeriesSTFEG, "stf-eg"},
+		{SeriesSTFEL, "stf-el"},
+		{SeriesFaultFree, "ff-el"},
+	}
+	faultFreeCurves = []curve{
+		{SeriesFFNoRC, "ff-norc"},
+		{SeriesFFGreedy, "ff-eg"},
+		{SeriesFFLocal, "ff-el"},
+	}
+)
+
+// Params tunes a figure reproduction. The zero value selects the paper's
+// dimensions with a reduced replicate count (the paper uses 50; see
+// EXPERIMENTS.md for the accuracy/runtime trade-off). Execution knobs —
+// workers, adaptive precision, telemetry — belong to the spec or to
+// campaign.Options, not here.
+type Params struct {
+	Reps   int     // replicates per point (default 10; paper: 50)
+	Seed   uint64  // master seed (default 1)
+	Shrink float64 // 0 or 1 = paper scale; 0.2 = fifth-scale platform
 }
 
-// FaultSeries returns the six curves of the failure-context figures
-// (7, 8, 10–14). The first entry is the normalization base.
-func FaultSeries() []SeriesSpec {
-	return []SeriesSpec{
-		{Name: SeriesNoRC, Policy: core.NoRedistribution},
-		{Name: SeriesIGEG, Policy: core.IGEndGreedy},
-		{Name: SeriesIGEL, Policy: core.IGEndLocal},
-		{Name: SeriesSTFEG, Policy: core.STFEndGreedy},
-		{Name: SeriesSTFEL, Policy: core.STFEndLocal},
-		{Name: SeriesFaultFree, Policy: core.Policy{OnEnd: core.EndLocal}, FaultFree: true},
+func (p Params) norm() Params {
+	if p.Reps <= 0 {
+		p.Reps = 10
 	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	if p.Shrink <= 0 || p.Shrink > 1 {
+		p.Shrink = 1
+	}
+	return p
 }
 
-// FaultFreeSeries returns the three curves of the fault-free figures
-// (5, 6). The first entry is the normalization base.
-func FaultFreeSeries() []SeriesSpec {
-	return []SeriesSpec{
-		{Name: SeriesFFNoRC, Policy: core.NoRedistribution, FaultFree: true},
-		{Name: SeriesFFGreedy, Policy: core.Policy{OnEnd: core.EndGreedy}, FaultFree: true},
-		{Name: SeriesFFLocal, Policy: core.Policy{OnEnd: core.EndLocal}, FaultFree: true},
+// shrinkSpec scales a paper-sized configuration down for quick runs,
+// keeping p ≥ 2n and scaling the MTBF with the platform so failure
+// counts per run stay comparable.
+func shrinkSpec(s workload.Spec, f float64) workload.Spec {
+	if f >= 1 {
+		return s
 	}
+	n := int(float64(s.N) * f)
+	if n < 2 {
+		n = 2
+	}
+	p := int(float64(s.P) * f)
+	if p%2 != 0 {
+		p++
+	}
+	if p < 2*n {
+		p = 2 * n
+	}
+	s.N, s.P = n, p
+	if s.MTBFYears > 0 {
+		s.MTBFYears *= f
+	}
+	return s
 }
 
-// Sweep is one panel of a paper figure.
-type Sweep struct {
-	ID     string
-	Title  string
-	XLabel string
-	X      []float64
-	// SpecAt maps a swept value to a full workload configuration.
-	SpecAt func(x float64) workload.Spec
-	Series []SeriesSpec
-	// Base is the series used for normalization ("" keeps raw seconds).
-	Base string
-	Reps int
-	Seed uint64
-	// Precision, when set, runs the sweep adaptively through the
-	// campaign runner's precision controller instead of a fixed Reps.
-	Precision *scenario.PrecisionSpec
-	// Semantics for all runs (paper-faithful expected times by default).
-	Semantics core.Semantics
-	// Workers bounds run parallelism; 0 means GOMAXPROCS.
-	Workers int
-	// Metrics, when non-nil, receives the campaign runner's live
-	// telemetry (see campaign.Options.Metrics). Results are unaffected.
-	Metrics *obs.Campaign
+// SweepIDs lists every sweep-style figure identifier in paper order.
+func SweepIDs() []string {
+	ids := make([]string, len(figures))
+	for i, f := range figures {
+		ids[i] = f.id
+	}
+	return ids
 }
 
-// Scenario converts the sweep into its declarative campaign form: every
-// swept x becomes an explicit grid point carrying the full parameter set
-// produced by SpecAt, and every series becomes a labelled policy. The
-// result round-trips through JSON, so paper figures can be exported,
-// edited, and replayed by cmd/campaign like any other scenario.
-func (s Sweep) Scenario() (scenario.Spec, error) {
-	if len(s.X) == 0 || len(s.Series) == 0 || s.SpecAt == nil {
-		return scenario.Spec{}, fmt.Errorf("experiments: sweep %s has no points or series", s.ID)
+// FigureScenario returns the declarative campaign spec of a sweep-style
+// figure: every swept x becomes an explicit grid point carrying the full
+// parameter set, every curve a labelled policy. The spec round-trips
+// through JSON, so paper figures can be exported (`campaign -figure 8
+// -print-spec`), edited, and replayed like any other scenario. The extra
+// id "online" maps to the online-regime demonstration study.
+func FigureScenario(id string, pr Params) (scenario.Spec, error) {
+	pr = pr.norm()
+	if id == "online" {
+		return onlineScenario(pr), nil
 	}
-	reps := s.Reps
-	if reps <= 0 {
-		reps = 1
+	f, err := figureByID(id)
+	if err != nil {
+		return scenario.Spec{}, err
 	}
+	curves := faultCurves
+	if f.faultFree {
+		curves = faultFreeCurves
+	}
+	at := func(x float64) workload.Spec { return shrinkSpec(f.at(x), pr.Shrink) }
 	sp := scenario.Spec{
-		Name:       s.ID,
-		Title:      s.Title,
-		XLabel:     s.XLabel,
-		Workload:   s.SpecAt(s.X[0]),
-		Base:       s.Base,
-		Replicates: reps,
-		Seed:       s.Seed,
-		Precision:  s.Precision,
+		Name:       "fig" + id,
+		Title:      f.title,
+		XLabel:     f.xLabel,
+		Workload:   at(f.x[0]),
+		Base:       curves[0].label,
+		Replicates: pr.Reps,
+		Seed:       pr.Seed,
 	}
-	if s.Semantics == core.SemanticsDeterministic {
-		sp.Semantics = "deterministic"
+	for _, c := range curves {
+		sp.Policies = append(sp.Policies, c.policy)
+		sp.Labels = append(sp.Labels, c.label)
 	}
-	for _, series := range s.Series {
-		name, err := scenario.PolicyName(series.Policy, series.FaultFree)
-		if err != nil {
-			return scenario.Spec{}, fmt.Errorf("experiments: sweep %s series %q: %w", s.ID, series.Name, err)
-		}
-		sp.Policies = append(sp.Policies, name)
-		sp.Labels = append(sp.Labels, series.Name)
-	}
-	for _, x := range s.X {
-		w := s.SpecAt(x)
+	for _, x := range f.x {
+		w := at(x)
 		sp.Points = append(sp.Points, scenario.Point{X: x, Set: map[string]float64{
 			scenario.ParamN:          float64(w.N),
 			scenario.ParamP:          float64(w.P),
@@ -142,29 +170,14 @@ func (s Sweep) Scenario() (scenario.Spec, error) {
 	return sp, nil
 }
 
-// Run executes the sweep through the campaign runner and returns the
-// aggregated (and, when Base is set, normalized) table of mean
-// makespans.
-func (s Sweep) Run() (*stats.Table, error) {
-	res, err := s.RunCampaign()
-	if err != nil {
-		return nil, err
+func figureByID(id string) (*figure, error) {
+	for i := range figures {
+		if figures[i].id == id {
+			return &figures[i], nil
+		}
 	}
-	return res.Table()
-}
-
-// RunCampaign executes the sweep and returns the full campaign result —
-// per-point replicate counts, quantiles, precision diagnostics — for
-// callers that need more than Run's distilled table (e.g. reporting
-// what an adaptive sweep saved).
-func (s Sweep) RunCampaign() (*campaign.Result, error) {
-	sp, err := s.Scenario()
-	if err != nil {
-		return nil, err
+	if id == "9" || id == "9a" || id == "9b" {
+		return nil, fmt.Errorf("experiments: figure 9 is a single-execution study, not a sweep; run it with `experiments -figure 9`")
 	}
-	res, err := campaign.Run(sp, campaign.Options{Workers: s.Workers, Metrics: s.Metrics})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: sweep %s: %w", s.ID, err)
-	}
-	return res, nil
+	return nil, fmt.Errorf("experiments: unknown figure id %q (want %s or online)", id, strings.Join(SweepIDs(), " "))
 }

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cosched/internal/core"
 	"cosched/internal/failure"
@@ -59,8 +59,8 @@ func Figure9(pr Params) (Figure9Result, error) {
 	if len(union) == 0 {
 		return Figure9Result{}, fmt.Errorf("experiments: figure 9 run saw no failures; raise the failure rate")
 	}
-	sort.Float64s(union)
-	union = dedup(union)
+	slices.Sort(union)
+	union = slices.Compact(union)
 
 	mk := &stats.Table{
 		Title:  "Makespan at each failure handled (paper Figure 9a)",
@@ -83,6 +83,16 @@ func Figure9(pr Params) (Figure9Result, error) {
 	return Figure9Result{Makespan: mk, StdDev: sd}, nil
 }
 
+// figure9Policies are Figure 9's three policies with their display names.
+var figure9Policies = []struct {
+	Name   string
+	Policy core.Policy
+}{
+	{SeriesFig9NoRC, core.NoRedistribution},
+	{SeriesFig9IG, core.IGEndLocal},
+	{SeriesFig9STF, core.STFEndLocal},
+}
+
 // resample evaluates a policy's history as a right-continuous step
 // function on the grid: before the first snapshot the first value is
 // carried backward, after the last the last value holds.
@@ -103,15 +113,4 @@ func resample(hist []core.Snapshot, grid []float64, f func(core.Snapshot) float6
 		}
 	}
 	return out
-}
-
-func dedup(xs []float64) []float64 {
-	w := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[w-1] {
-			xs[w] = xs[i]
-			w++
-		}
-	}
-	return xs[:w]
 }

@@ -5,15 +5,15 @@ import (
 	"cosched/internal/workload"
 )
 
-// OnlineScenario is the online-regime demonstration study (not a paper
+// onlineScenario is the online-regime demonstration study (not a paper
 // figure — the paper's setting is offline): the default pack starts at
 // t = 0 and a Poisson stream of extra jobs arrives on top of it, sized
 // to add roughly 50% offered load over the base pack's fair-share
 // horizon. MTBF is swept so the interplay between failures and arrivals
 // is visible; policies carry the ArrivalSteal rule (the arrival-time
-// variant of Algorithm 4). Exported for cmd/campaign as -figure online.
-func OnlineScenario(pr Params) (scenario.Spec, error) {
-	pr = pr.norm()
+// variant of Algorithm 4). FigureScenario serves it as figure "online";
+// pr is already normalized.
+func onlineScenario(pr Params) scenario.Spec {
 	w := shrinkSpec(workload.Default(), pr.Shrink)
 	w.MTBFYears = 0 // each grid point pins its own MTBF below
 
@@ -43,7 +43,6 @@ func OnlineScenario(pr Params) (scenario.Spec, error) {
 		Base:       "norc",
 		Replicates: pr.Reps,
 		Seed:       pr.Seed,
-		Precision:  pr.Precision,
 		Axes: []scenario.Axis{
 			{Param: scenario.ParamMTBF, Values: mtbf},
 		},
@@ -53,5 +52,5 @@ func OnlineScenario(pr Params) (scenario.Spec, error) {
 			Rate:    rate,
 			Rule:    "steal",
 		},
-	}, nil
+	}
 }

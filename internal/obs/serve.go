@@ -16,9 +16,9 @@ import (
 // The expvar registry is process-global and panics on duplicate names,
 // so campaigns are published through one registered var holding a
 // namespaced map: every live campaign appears under its own name in
-// `cosched_campaigns` instead of the last Publish winning. Tests,
-// cmd/experiments, and the daemon all run several campaigns per process;
-// each gets its own entry and removes it when done.
+// `cosched_campaigns` instead of the last Publish winning. Tests and the
+// daemon run several campaigns per process; each gets its own entry and
+// removes it when done.
 var (
 	expvarOnce sync.Once
 	regMu      sync.Mutex

@@ -464,31 +464,33 @@ func (s *Server) allowSubmit(client string) (bool, time.Duration) {
 // keep reporting campaigns healthy — so when meta.json cannot be
 // written the run is forced to StateFailed in memory with the spool
 // error recorded (clients see it immediately even though the disk copy
-// is stale).
+// is stale). The new state is published only after the write settles,
+// so a client never observes a terminal state that then changes.
 func (s *Server) setState(r *run, state string, runErr error) {
 	r.mu.Lock()
-	r.meta.State = state
-	r.meta.Error = ""
+	meta := r.meta
+	r.mu.Unlock()
+	meta.State = state
+	meta.Error = ""
 	if runErr != nil {
-		r.meta.Error = runErr.Error()
+		meta.Error = runErr.Error()
 	}
 	if terminalState(state) {
 		t := time.Now().UTC()
-		r.meta.FinishedAt = &t
+		meta.FinishedAt = &t
 	}
-	meta := r.meta
-	r.mu.Unlock()
 	if err := s.saveMeta(meta); err != nil {
 		s.cfg.Logf("service: persisting state of %s: %v", r.id, err)
-		r.mu.Lock()
-		r.meta.State = StateFailed
-		r.meta.Error = fmt.Sprintf("persisting campaign state: %v", err)
-		if r.meta.FinishedAt == nil {
+		meta.State = StateFailed
+		meta.Error = fmt.Sprintf("persisting campaign state: %v", err)
+		if meta.FinishedAt == nil {
 			t := time.Now().UTC()
-			r.meta.FinishedAt = &t
+			meta.FinishedAt = &t
 		}
-		r.mu.Unlock()
 	}
+	r.mu.Lock()
+	r.meta.State, r.meta.Error, r.meta.FinishedAt = meta.State, meta.Error, meta.FinishedAt
+	r.mu.Unlock()
 }
 
 // spoolWriteErr reports whether err is a storage failure no retry can

@@ -8,12 +8,6 @@ import (
 	"cosched/internal/stats"
 )
 
-// Claim couples a paper statement with the checks that verify it.
-type Claim struct {
-	Figure string // paper figure id: "5a", "7", ...
-	Text   string // the paper's qualitative statement (§6.2)
-}
-
 // ClaimText returns the paper's statement attached to a figure id.
 func ClaimText(id string) string {
 	switch id {
@@ -88,9 +82,9 @@ func CheckFigure(id string, t *stats.Table) []Check {
 // policies predict a smaller makespan than no-redistribution.
 func checkFigure9a(t *stats.Table) []Check {
 	out := []Check{}
-	for _, pol := range []string{"Iterated greedy", "Shortest tasks first"} {
+	for _, pol := range []string{experiments.SeriesFig9IG, experiments.SeriesFig9STF} {
 		name := fmt.Sprintf("final predicted makespan of %q below no-redistribution", pol)
-		ig, norc := Last(t, pol), Last(t, "No redistribution")
+		ig, norc := Last(t, pol), Last(t, experiments.SeriesFig9NoRC)
 		if math.IsNaN(ig) || math.IsNaN(norc) {
 			out = append(out, fail(name, "series missing"))
 		} else if ig < norc {
@@ -105,24 +99,11 @@ func checkFigure9a(t *stats.Table) []Check {
 // checkFigure9b: redistribution spreads the allocation — the policies'
 // peak stddev exceeds the static no-redistribution allocation's.
 func checkFigure9b(t *stats.Table) []Check {
-	maxOf := func(name string) float64 {
-		s := t.SeriesByName(name)
-		if s == nil {
-			return math.NaN()
-		}
-		worst := math.Inf(-1)
-		for _, v := range s.Y {
-			if v > worst {
-				worst = v
-			}
-		}
-		return worst
-	}
-	base := maxOf("No redistribution")
+	base := maxY(t, experiments.SeriesFig9NoRC)
 	out := []Check{}
-	for _, pol := range []string{"Iterated greedy", "Shortest tasks first"} {
+	for _, pol := range []string{experiments.SeriesFig9IG, experiments.SeriesFig9STF} {
 		name := fmt.Sprintf("%q spreads allocations beyond the static schedule", pol)
-		v := maxOf(pol)
+		v := maxY(t, pol)
 		if math.IsNaN(v) || math.IsNaN(base) {
 			out = append(out, fail(name, "series missing"))
 		} else if v > base {

@@ -1,8 +1,8 @@
 // Package shape provides the qualitative-shape analysis used to compare
 // reproduced figures against the paper's claims: trends, gains, series
-// orderings and crossovers. cmd/report runs these checks over the
-// regenerated CSVs and writes EXPERIMENTS.md; the same primitives back
-// assertions in the test suite.
+// orderings and crossovers. cmd/experiments runs these checks over the
+// figures it regenerates and records them in EXPERIMENTS.md; the same
+// primitives back assertions in the test suite.
 //
 // Reproduction philosophy (DESIGN.md §6): absolute numbers depend on the
 // substrate, but the *shape* — who wins, by roughly what factor, where
@@ -98,21 +98,6 @@ func Last(t *stats.Table, name string) float64 {
 	return s.Y[len(s.Y)-1]
 }
 
-// MaxGap returns the largest pointwise difference a(x) − b(x).
-func MaxGap(t *stats.Table, a, b string) float64 {
-	sa, sb := t.SeriesByName(a), t.SeriesByName(b)
-	if sa == nil || sb == nil {
-		return math.NaN()
-	}
-	worst := math.Inf(-1)
-	for i := range sa.Y {
-		if d := sa.Y[i] - sb.Y[i]; d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // CheckGainAtLeast verifies 1 − series(x≈target) ≥ minGain.
 func CheckGainAtLeast(t *stats.Table, series string, x, minGain float64) Check {
 	name := fmt.Sprintf("gain of %q at x≈%g ≥ %.0f%%", series, x, 100*minGain)
@@ -176,18 +161,27 @@ func CheckOrder(t *stats.Table, a, b string, slack float64) Check {
 	return fail(name, "%.3f vs %.3f", ma, mb)
 }
 
-// CheckAllBelow verifies every point of the series stays below bound.
-func CheckAllBelow(t *stats.Table, series string, bound float64) Check {
-	name := fmt.Sprintf("%q stays below %.3g everywhere", series, bound)
-	s := t.SeriesByName(series)
+// maxY returns the largest value of a named series (NaN if missing).
+func maxY(t *stats.Table, name string) float64 {
+	s := t.SeriesByName(name)
 	if s == nil {
-		return fail(name, "series missing")
+		return math.NaN()
 	}
 	worst := math.Inf(-1)
 	for _, v := range s.Y {
 		if v > worst {
 			worst = v
 		}
+	}
+	return worst
+}
+
+// CheckAllBelow verifies every point of the series stays below bound.
+func CheckAllBelow(t *stats.Table, series string, bound float64) Check {
+	name := fmt.Sprintf("%q stays below %.3g everywhere", series, bound)
+	worst := maxY(t, series)
+	if math.IsNaN(worst) {
+		return fail(name, "series missing")
 	}
 	if worst < bound {
 		return pass(name, "max %.3f", worst)

@@ -61,16 +61,6 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestMaxGap(t *testing.T) {
-	tab := tableWith([]float64{1, 2}, map[string][]float64{"a": {1, 3}, "b": {0.5, 1}})
-	if MaxGap(tab, "a", "b") != 2 {
-		t.Fatalf("MaxGap = %v, want 2", MaxGap(tab, "a", "b"))
-	}
-	if !math.IsNaN(MaxGap(tab, "a", "zz")) {
-		t.Fatal("missing series should yield NaN")
-	}
-}
-
 func TestCheckPrimitives(t *testing.T) {
 	tab := tableWith([]float64{100, 1000}, map[string][]float64{"a": {0.7, 0.98}})
 	if c := CheckGainAtLeast(tab, "a", 100, 0.25); !c.Pass {

@@ -24,17 +24,6 @@ func (l *Log) Hook() func(core.TraceEvent) {
 	return func(ev core.TraceEvent) { l.Events = append(l.Events, ev) }
 }
 
-// CountKind returns how many events of the given kind were recorded.
-func (l *Log) CountKind(kind string) int {
-	n := 0
-	for _, ev := range l.Events {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // Write serializes the log as JSON Lines.
 func (l *Log) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
