@@ -70,6 +70,37 @@ func TestRealMainWritesFiguresAndReport(t *testing.T) {
 	if !strings.Contains(md, "regenerate with `experiments -figure 13a`") {
 		t.Error("EXPERIMENTS.md has no stub for a figure the run skipped")
 	}
+	if !strings.Contains(md, "**Overall: 9/9 shape checks pass.**") || !strings.Contains(md, "The shapes above all hold") {
+		t.Error("an all-pass report must say the shapes hold")
+	}
+}
+
+// TestReportCountsFailingChecks runs a figure whose shape checks do not
+// all pass at this size: the divergence section must count the failures
+// instead of claiming that every shape holds.
+func TestReportCountsFailingChecks(t *testing.T) {
+	out := t.TempDir()
+	args := []string{"-figure", "5a", "-reps", "1", "-shrink", "0.05", "-quiet", "-out", out}
+	if err := realMain(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(out, "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := string(raw)
+	if !strings.Contains(md, "**Overall: 3/5 shape checks pass.**") {
+		t.Fatalf("expected 3 of 5 checks to pass at this size:\n%s", md)
+	}
+	if strings.Contains(md, "all hold") {
+		t.Error("report claims every shape holds while checks fail")
+	}
+	if !strings.Contains(md, "2 of 5 shape checks fail (marked ❌ above)") || strings.Count(md, "- ❌") != 2 {
+		t.Error("divergence section does not count the failing checks")
+	}
+	if !strings.Contains(md, "three magnitudes differ") {
+		t.Error("the known magnitude divergences are missing")
+	}
 }
 
 func TestRealMainRejectsDefaultedParams(t *testing.T) {

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -22,62 +24,73 @@ import (
 )
 
 func main() {
-	var (
-		p           = flag.Int("p", 1000, "number of processors")
-		mtbf        = flag.Float64("mtbf", 100, "per-processor MTBF in years")
-		law         = flag.String("law", "exp", "inter-arrival law: exp | weibull")
-		shape       = flag.Float64("shape", 0.7, "Weibull shape parameter")
-		count       = flag.Int("count", 1000000, "maximum number of faults")
-		horizonDays = flag.Float64("horizon-days", 365, "stop generating past this horizon")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		out         = flag.String("o", "", "output file (default stdout)")
-		inspect     = flag.String("inspect", "", "inspect an existing trace instead of generating")
-	)
-	flag.Parse()
-
-	if *inspect != "" {
-		if err := inspectTrace(*inspect); err != nil {
-			fatalf("%v", err)
+	if err := realMain(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
 		}
-		return
+		fmt.Fprintf(os.Stderr, "faultgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func realMain(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("faultgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		p           = fs.Int("p", 1000, "number of processors")
+		mtbf        = fs.Float64("mtbf", 100, "per-processor MTBF in years")
+		law         = fs.String("law", "exp", "inter-arrival law: exp | weibull")
+		shape       = fs.Float64("shape", 0.7, "Weibull shape parameter")
+		count       = fs.Int("count", 1000000, "maximum number of faults")
+		horizonDays = fs.Float64("horizon-days", 365, "stop generating past this horizon")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		out         = fs.String("o", "", "output file (default stdout)")
+		inspect     = fs.String("inspect", "", "inspect an existing trace instead of generating")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *inspect != "" {
+		return inspectTrace(*inspect, stdout)
 	}
 
 	lambda := 1 / (*mtbf * workload.YearSeconds)
-	var lawImpl failure.Law
-	switch *law {
-	case "exp":
-		lawImpl = failure.Exponential{Lambda: lambda}
-	case "weibull":
-		// Match the long-run rate of the exponential law: scale so that
-		// mean gap = MTBF.
-		mean := *mtbf * workload.YearSeconds
-		lawImpl = failure.Weibull{Shape: *shape, Scale: mean / gamma1p(1 / *shape)}
-	default:
-		fatalf("unknown law %q", *law)
+	if !(lambda > 0) || math.IsInf(lambda, 1) {
+		return fmt.Errorf("-mtbf must be a positive, finite number of years, got %v", *mtbf)
+	}
+	lawName := *law
+	if lawName == "exp" {
+		lawName = "exponential"
+	}
+	// Weibull scale is chosen so that the mean gap equals the MTBF.
+	lawImpl, err := failure.LawForRate(lawName, lambda, *shape)
+	if err != nil {
+		return err
 	}
 	src, err := failure.NewRenewal(*p, lawImpl, rng.New(*seed))
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	faults := failure.Collect(src, *count, *horizonDays*86400)
 
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		defer f.Close()
 		w = f
 	}
 	if err := failure.WriteTrace(w, faults); err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "faultgen: %d faults over %.1f days on %d processors (law %s)\n",
+	fmt.Fprintf(stderr, "faultgen: %d faults over %.1f days on %d processors (law %s)\n",
 		len(faults), *horizonDays, *p, *law)
+	return nil
 }
 
-func inspectTrace(path string) error {
+func inspectTrace(path string, stdout io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -88,7 +101,7 @@ func inspectTrace(path string) error {
 		return err
 	}
 	if len(faults) == 0 {
-		fmt.Println("empty trace")
+		fmt.Fprintln(stdout, "empty trace")
 		return nil
 	}
 	var gaps stats.Accumulator
@@ -99,20 +112,10 @@ func inspectTrace(path string) error {
 		prev = fl.Time
 		procs[fl.Proc]++
 	}
-	fmt.Printf("faults          %d\n", len(faults))
-	fmt.Printf("span            %.1f days\n", faults[len(faults)-1].Time/86400)
-	fmt.Printf("processors hit  %d distinct\n", len(procs))
-	fmt.Printf("platform MTBF   %.2f hours (mean gap)\n", gaps.Mean()/3600)
-	fmt.Printf("gap stddev      %.2f hours\n", gaps.StdDev()/3600)
+	fmt.Fprintf(stdout, "faults          %d\n", len(faults))
+	fmt.Fprintf(stdout, "span            %.1f days\n", faults[len(faults)-1].Time/86400)
+	fmt.Fprintf(stdout, "processors hit  %d distinct\n", len(procs))
+	fmt.Fprintf(stdout, "platform MTBF   %.2f hours (mean gap)\n", gaps.Mean()/3600)
+	fmt.Fprintf(stdout, "gap stddev      %.2f hours\n", gaps.StdDev()/3600)
 	return nil
-}
-
-// gamma1p computes Γ(1+x) via the standard library.
-func gamma1p(x float64) float64 {
-	return math.Gamma(1 + x)
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "faultgen: "+format+"\n", args...)
-	os.Exit(1)
 }

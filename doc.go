@@ -18,9 +18,7 @@
 //     (Eq. 1–10)
 //   - internal/failure     — fault simulator (exponential/Weibull
 //     renewal processes, trace record/replay)
-//   - internal/checkpoint  — double-checkpointing substrate
 //   - internal/platform    — processor-pair allocator
-//   - internal/redistrib   — bipartite transfer-round scheduler (König)
 //   - internal/npc         — Theorem 2 reduction from 3-Partition
 //   - internal/scenario    — declarative, JSON-encodable experiment
 //     specs: workload, failure law, policy list, parameter grids,

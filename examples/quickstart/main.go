@@ -43,8 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := failure.NewRecorder(gen)
-	faults := failure.Collect(rec, 100000, 0)
+	faults := failure.Collect(gen, 100000, 0)
 	replay, err := failure.NewTrace(faults)
 	if err != nil {
 		log.Fatal(err)

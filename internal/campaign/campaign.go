@@ -67,9 +67,6 @@ const (
 	numOnlineMetrics
 )
 
-// OnlineMetricNames lists the online metric names in metric-index order.
-var OnlineMetricNames = []string{"makespan", "response", "stretch", "wait", "utilization"}
-
 // stretchBound is the bounded-slowdown floor on the reference time:
 // jobs faster than this are treated as 1-second jobs so the stretch of
 // near-zero-work jobs stays finite (Feitelson's bounded slowdown).

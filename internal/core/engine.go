@@ -260,7 +260,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 		e.acct = newAccounting(n, e.sigma0)
 	}
 	for i := range e.st {
-		if err := e.plat.AllocN(i, e.sigma0[i]); err != nil {
+		if err := e.plat.Alloc(i, e.sigma0[i]); err != nil {
 			return fmt.Errorf("core: initial allocation: %w", err)
 		}
 		s := &e.st[i]
@@ -524,7 +524,7 @@ func (e *Simulator) finalize(i int, t float64) {
 	s.alpha = 0
 	s.lastSig = s.sigma
 	e.accrueBusy(t)
-	e.plat.ReleaseAllN(i)
+	e.plat.ReleaseAll(i)
 	s.sigma = 0
 	e.live--
 }
@@ -545,6 +545,16 @@ func (e *Simulator) eligible(t float64) []int {
 	return out
 }
 
+// checkpointsIn is Eq. (8): the number N = ⌊elapsed/τ⌋ of checkpoints
+// completed in elapsed seconds of a segment with period τ. A period of
+// +Inf (fault-free, no checkpointing) completes none.
+func checkpointsIn(elapsed, tau float64) float64 {
+	if math.IsInf(tau, 1) {
+		return 0
+	}
+	return math.Floor(elapsed / tau)
+}
+
 // alphaT returns the remaining work fraction of a (non-faulty) task i
 // frozen at time t: α_i minus the fraction executed since tlastR_i,
 // where checkpointing overhead is discounted (§3.3.2):
@@ -561,11 +571,7 @@ func (e *Simulator) alphaT(i int, t float64) float64 {
 	if elapsed <= 0 {
 		return s.alpha
 	}
-	tau := e.cm.Period(i, j)
-	var nCkpt float64
-	if !math.IsInf(tau, 1) {
-		nCkpt = math.Floor(elapsed / tau)
-	}
+	nCkpt := checkpointsIn(elapsed, e.cm.Period(i, j))
 	executed := (elapsed - nCkpt*e.cm.CkptCost(i, j)) / e.cm.Time(i, j)
 	a := s.alpha - executed
 	if a < 0 {
@@ -636,20 +642,22 @@ func (e *Simulator) processFault(f failure.Fault) {
 	// Roll back to the last checkpoint: only whole periods survive.
 	tau := e.cm.Period(owner, j)
 	ck := e.cm.CkptCost(owner, j)
-	var n float64
-	if !math.IsInf(tau, 1) {
-		n = math.Floor((t - s.tlastR) / tau)
+	// With no checkpoint completed (τ = +Inf included) nothing survives;
+	// the guard keeps 0·Inf out of the arithmetic.
+	n := checkpointsIn(t-s.tlastR, tau)
+	var committed, sealed float64
+	if n > 0 {
+		committed, sealed = n*(tau-ck), n*tau
 	}
 	if e.acct != nil {
-		committed := n * (tau - ck)
-		if cap := s.alpha * e.cm.Time(owner, j); committed > cap {
-			committed = cap
+		kept := committed
+		if cap := s.alpha * e.cm.Time(owner, j); kept > cap {
+			kept = cap
 		}
-		lost := (t - s.tlastR) - n*tau
-		e.acct.segmentClose(t-s.tlastR, int(n), ck, committed)
-		e.acct.failure(lost, e.in.Res.Downtime+e.cm.Recovery(owner, j))
+		e.acct.segmentClose(t-s.tlastR, int(n), ck, kept)
+		e.acct.failure((t-s.tlastR)-sealed, e.in.Res.Downtime+e.cm.Recovery(owner, j))
 	}
-	s.alpha -= n * (tau - ck) / e.cm.Time(owner, j)
+	s.alpha -= committed / e.cm.Time(owner, j)
 	if s.alpha < 0 {
 		s.alpha = 0
 	}
@@ -766,10 +774,10 @@ func (e *Simulator) commitRedist(i int, t float64, newSigma int, alphaT float64,
 		return nil
 	}
 	e.accrueBusy(t)
-	if err := e.plat.ResizeN(i, newSigma); err != nil {
+	if err := e.plat.Resize(i, newSigma); err != nil {
 		return fmt.Errorf("core: redistributing task %d: %w", i, err)
 	}
-	rc := e.cm.RedistCost(i, oldSigma, newSigma)
+	rc := e.cm.RedistRowFrom(i, oldSigma).Cost(newSigma)
 	extra := 0.0
 	if faulty {
 		extra = e.in.Res.Downtime + e.cm.Recovery(i, oldSigma)
@@ -779,10 +787,9 @@ func (e *Simulator) commitRedist(i int, t float64, newSigma int, alphaT float64,
 			// Close the frozen segment of a non-faulty redistributed
 			// task; the faulty task's segment was closed by processFault.
 			elapsed := t - s.tlastR
-			tau := e.cm.Period(i, oldSigma)
 			var n float64
-			if !math.IsInf(tau, 1) && elapsed > 0 {
-				n = math.Floor(elapsed / tau)
+			if elapsed > 0 {
+				n = checkpointsIn(elapsed, e.cm.Period(i, oldSigma))
 			}
 			work := elapsed - n*e.cm.CkptCost(i, oldSigma)
 			if work < 0 {

@@ -19,9 +19,8 @@ func runAllPolicies(t *testing.T, in Instance, seed uint64) map[string]float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := failure.NewRecorder(g)
 		// Record one long prefix, then replay for all policies.
-		probe := failure.Collect(rec, 100000, 0)
+		probe := failure.Collect(g, 100000, 0)
 		trace, err := failure.NewTrace(probe)
 		if err != nil {
 			t.Fatal(err)

@@ -86,7 +86,7 @@ func TestCostModelUnits(t *testing.T) {
 	if c.Cost(48, 4, 4) != 0 {
 		t.Fatal("no-op redistribution must be free")
 	}
-	if (model.CostModel{}).Cost(48, 4, 6) != model.RedistCost(48, 4, 6) {
+	if (model.CostModel{}).Cost(48, 4, 6) != float64(model.RedistRounds(4, 6))*48/(4*6) {
 		t.Fatal("zero-value cost model must equal Eq. (9)")
 	}
 }

@@ -131,7 +131,7 @@ func (e *Simulator) admit(t float64) []int {
 	for e.waiting() > 0 && e.plat.FreeProcs() >= 2 {
 		i := e.pendQ[e.pendHead]
 		e.pendHead++
-		if err := e.plat.AllocN(i, 2); err != nil {
+		if err := e.plat.Alloc(i, 2); err != nil {
 			// A free pair was checked above; failure here is a bug.
 			panic(fmt.Sprintf("core: admitting task %d: %v", i, err))
 		}
@@ -167,7 +167,7 @@ func (e *Simulator) admit(t float64) []int {
 		// non-increasing after Eq. (6), so a strict decrease at pmax means
 		// some extension helps.
 		if e.d.evals[i].At(s.sigma) > e.d.evals[i].At(pmax) {
-			if err := e.plat.AllocN(i, 2); err != nil {
+			if err := e.plat.Alloc(i, 2); err != nil {
 				panic(fmt.Sprintf("core: growing admitted task %d: %v", i, err))
 			}
 			s.sigma += 2

@@ -123,10 +123,6 @@ func (d *Decision) bind(i int) {
 // Now returns the decision time t.
 func (d *Decision) Now() float64 { return d.t }
 
-// Faulty returns the index of the faulty task, or -1 for an end-of-task
-// decision.
-func (d *Decision) Faulty() int { return d.faulty }
-
 // Eligible returns the tasks available for redistribution, in ascending
 // index order. The slice is shared: do not mutate or retain it.
 func (d *Decision) Eligible() []int { return d.elig }

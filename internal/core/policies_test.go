@@ -224,7 +224,7 @@ func TestFaultyCommitIncludesDowntimeRecovery(t *testing.T) {
 	long := in.Tasks[0]
 	sigma, _ := InitialSchedule(in)
 	minFinish := 1e5 + in.Res.Downtime + in.Res.Recovery(long, sigma[0]) +
-		long.RedistCost(sigma[0], r.Sigma[0])
+		model.CostModel{}.Cost(long.Data, sigma[0], r.Sigma[0])
 	if r.Finish[0] <= minFinish {
 		t.Fatalf("faulty task finish %v ignores serial recovery phases (min %v)", r.Finish[0], minFinish)
 	}

@@ -296,25 +296,3 @@ func (t *Trace) Next() (Fault, bool) {
 // Rewind restarts the trace from the beginning, so one recorded sequence
 // can be replayed against several policies (common random numbers).
 func (t *Trace) Rewind() { t.pos = 0 }
-
-// Recorder wraps a Source and remembers every fault it hands out.
-type Recorder struct {
-	inner Source
-	log   []Fault
-}
-
-// NewRecorder wraps src.
-func NewRecorder(src Source) *Recorder { return &Recorder{inner: src} }
-
-// Next implements Source.
-func (r *Recorder) Next() (Fault, bool) {
-	f, ok := r.inner.Next()
-	if ok {
-		r.log = append(r.log, f)
-	}
-	return f, ok
-}
-
-// Recorded returns the faults consumed so far (shared slice; callers must
-// not mutate it).
-func (r *Recorder) Recorded() []Fault { return r.log }

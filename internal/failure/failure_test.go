@@ -241,36 +241,6 @@ func TestTraceRejectsUnordered(t *testing.T) {
 	}
 }
 
-func TestRecorder(t *testing.T) {
-	src, _ := NewPoisson(4, 0.5, rng.New(21))
-	rec := NewRecorder(src)
-	var got []Fault
-	for i := 0; i < 10; i++ {
-		f, _ := rec.Next()
-		got = append(got, f)
-	}
-	logged := rec.Recorded()
-	if len(logged) != 10 {
-		t.Fatalf("recorded %d faults, want 10", len(logged))
-	}
-	for i := range got {
-		if logged[i] != got[i] {
-			t.Fatal("recorded faults differ from handed-out faults")
-		}
-	}
-	// A trace built from the recording replays identically.
-	tr, err := NewTrace(logged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range got {
-		f, ok := tr.Next()
-		if !ok || f != want {
-			t.Fatal("trace replay differs from recording")
-		}
-	}
-}
-
 func TestTraceFileRoundTrip(t *testing.T) {
 	src, _ := NewPoisson(8, 0.25, rng.New(31))
 	faults := Collect(src, 100, 0)

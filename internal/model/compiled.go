@@ -533,9 +533,6 @@ func (c *Compiled) Res() Resilience { return c.res }
 // P returns the platform size the tables cover.
 func (c *Compiled) P() int { return c.p }
 
-// MaxJ returns the largest even allocation covered by the tables.
-func (c *Compiled) MaxJ() int { return c.maxJ }
-
 // ID returns the table-content identity: a process-unique value drawn
 // afresh by every Recompile, RecompileFaultFree, RecompileDelta,
 // AppendTask and TruncateExtra, so equal IDs mean the same immutable set
@@ -798,15 +795,6 @@ func (c *Compiled) FFTime(i, j int, alpha float64) float64 {
 	return alpha*c.tj[k] + float64(n)*c.ck[k]
 }
 
-// RedistCost returns RC_i^{j→k} under the instance's cost model, with
-// the per-task data volume read from the tables. It delegates to
-// CostModel.Cost — the cost is a handful of flops with no transcendental
-// functions, so there is nothing worth caching beyond m_i, and a single
-// implementation keeps the compiled and direct paths from diverging.
-func (c *Compiled) RedistCost(i, j, k int) float64 {
-	return c.rc.Cost(c.data[i], j, k)
-}
-
 // RedistRow evaluates RC_i^{j→k} for one task out of a frozen source
 // allocation j, with the m_i/j factor hoisted at construction. A
 // decision round freezes the source allocation of every task it
@@ -839,20 +827,9 @@ func (r RedistRow) Cost(k int) float64 {
 	if k == r.j {
 		return 0
 	}
-	diff := k - r.j
-	if diff < 0 {
-		diff = -diff
-	}
-	rounds := r.j
-	if k < rounds {
-		rounds = k
-	}
-	if diff > rounds {
-		rounds = diff
-	}
 	ib := r.rc.InvBandwidth
 	if ib == 0 {
 		ib = 1
 	}
-	return float64(rounds) * (r.rc.Latency + r.mj/float64(k)*ib)
+	return float64(RedistRounds(r.j, k)) * (r.rc.Latency + r.mj/float64(k)*ib)
 }

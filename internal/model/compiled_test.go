@@ -94,10 +94,10 @@ func TestCompiledMatchesDirect(t *testing.T) {
 						}
 					}
 					for k := 2; k <= p; k += 2 {
-						got := c.RedistCost(i, j, k)
+						got := c.RedistRowFrom(i, j).Cost(k)
 						want := CostModel{}.Cost(task.Data, j, k)
 						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("task %d %d→%d: RedistCost %v != %v", i, j, k, got, want)
+							t.Fatalf("task %d %d→%d: RedistRow cost %v != %v", i, j, k, got, want)
 						}
 					}
 				}
@@ -117,7 +117,7 @@ func TestCompiledRedistCostNetworkModel(t *testing.T) {
 	}
 	for j := 2; j <= 32; j += 2 {
 		for k := 2; k <= 32; k += 2 {
-			got, want := c.RedistCost(0, j, k), rc.Cost(tasks[0].Data, j, k)
+			got, want := c.RedistRowFrom(0, j).Cost(k), rc.Cost(tasks[0].Data, j, k)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%d→%d: %v != %v", j, k, got, want)
 			}
@@ -387,7 +387,7 @@ func TestAppendTaskEquivalence(t *testing.T) {
 						grown.Period(i, j) != full.Period(i, j) ||
 						grown.CkptCost(i, j) != full.CkptCost(i, j) ||
 						grown.Recovery(i, j) != full.Recovery(i, j) ||
-						grown.RedistCost(i, 2, j) != full.RedistCost(i, 2, j) ||
+						grown.RedistRowFrom(i, 2).Cost(j) != full.RedistRowFrom(i, 2).Cost(j) ||
 						grown.FFTime(i, j, 0.5) != full.FFTime(i, j, 0.5) {
 						t.Fatalf("task %d j=%d: appended tables diverge from recompiled", i, j)
 					}

@@ -94,7 +94,7 @@ func TestTablePanics(t *testing.T) {
 func TestRedistCostGrow(t *testing.T) {
 	// Paper's Figure 3 example: j=4 → k=6, rounds = max(4, 2) = 4.
 	m := 24.0
-	got := RedistCost(m, 4, 6)
+	got := CostModel{}.Cost(m, 4, 6)
 	want := 4.0 / 6.0 * m / 4.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("RC(4→6) = %v, want %v", got, want)
@@ -104,7 +104,7 @@ func TestRedistCostGrow(t *testing.T) {
 func TestRedistCostShrink(t *testing.T) {
 	// Eq. (9): j=6 → k=2, rounds = max(min(6,2), 4) = 4.
 	m := 12.0
-	got := RedistCost(m, 6, 2)
+	got := CostModel{}.Cost(m, 6, 2)
 	want := 4.0 / 2.0 * m / 6.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("RC(6→2) = %v, want %v", got, want)
@@ -116,7 +116,7 @@ func TestRedistCostEq7MatchesEq9OnGrow(t *testing.T) {
 	for j := 2; j <= 12; j += 2 {
 		for k := j + 2; k <= 20; k += 2 {
 			eq7 := float64(max(j, k-j)) / float64(k) * 100.0 / float64(j)
-			eq9 := RedistCost(100.0, j, k)
+			eq9 := CostModel{}.Cost(100.0, j, k)
 			if math.Abs(eq7-eq9) > 1e-12 {
 				t.Fatalf("Eq7 != Eq9 for %d→%d: %v vs %v", j, k, eq7, eq9)
 			}
@@ -125,7 +125,7 @@ func TestRedistCostEq7MatchesEq9OnGrow(t *testing.T) {
 }
 
 func TestRedistCostNoop(t *testing.T) {
-	if RedistCost(100, 4, 4) != 0 {
+	if (CostModel{}).Cost(100, 4, 4) != 0 {
 		t.Fatal("same-size redistribution must be free")
 	}
 }
@@ -135,9 +135,9 @@ func TestRedistCostPositive(t *testing.T) {
 		j := int(jRaw%50)*2 + 2
 		k := int(kRaw%50)*2 + 2
 		if j == k {
-			return RedistCost(1e6, j, k) == 0
+			return CostModel{}.Cost(1e6, j, k) == 0
 		}
-		return RedistCost(1e6, j, k) > 0
+		return CostModel{}.Cost(1e6, j, k) > 0
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -85,20 +85,18 @@ type Task struct {
 // processors.
 func (t Task) Time(j int) float64 { return t.Profile.Time(j) }
 
-// RedistCost returns the redistribution cost RC_i^{j→k} of Eq. (9):
-//
-//	RC = max(min(j,k), |k−j|) · (1/k) · (m_i/j)
-//
-// i.e. the number of communication rounds (König's theorem on the
-// complete bipartite transfer graph) times the per-round transfer time.
-// Moving to the same processor count is a no-op and costs zero.
-func (t Task) RedistCost(j, k int) float64 {
-	return RedistCost(t.Data, j, k)
-}
-
-// RedistCost is Eq. (9) for a data volume m. See Task.RedistCost.
-func RedistCost(m float64, j, k int) float64 {
-	return CostModel{}.Cost(m, j, k)
+// RedistRounds is the round count of Eq. (9): moving a task from j to k
+// processors sends m/(j·k) data units along every edge of the complete
+// bipartite sender × receiver graph, one transfer per processor per
+// round, and König's theorem makes the optimal number of rounds the
+// maximum degree max(min(j,k), |k−j|). Moving to the same count needs
+// no rounds.
+func RedistRounds(j, k int) int {
+	if j == k {
+		return 0
+	}
+	lo, hi := min(j, k), max(j, k)
+	return max(lo, hi-lo)
 }
 
 // CostModel generalizes the redistribution cost of Eq. (9) with network
@@ -129,15 +127,10 @@ func (c CostModel) Cost(m float64, j, k int) float64 {
 	if j == k {
 		return 0
 	}
-	diff := k - j
-	if diff < 0 {
-		diff = -diff
-	}
-	rounds := max(min(j, k), diff)
 	ib := c.InvBandwidth
 	if ib == 0 {
 		ib = 1
 	}
 	perRound := m / float64(j) / float64(k) * ib
-	return float64(rounds) * (c.Latency + perRound)
+	return float64(RedistRounds(j, k)) * (c.Latency + perRound)
 }

@@ -61,7 +61,7 @@ func TestRowKernelsMatchScalar(t *testing.T) {
 }
 
 // TestRedistRowMatchesScalar pins the frozen-source redistribution cost
-// row against per-pair RedistCost calls, for both the default and the
+// row against per-pair CostModel.Cost calls, for both the default and the
 // latency+bandwidth network model. The hoisted m_i/j division is the
 // same first division of the scalar cost chain, so the row must be
 // bit-identical, not approximately equal.
@@ -76,7 +76,7 @@ func TestRedistRowMatchesScalar(t *testing.T) {
 			for j := 2; j <= 32; j += 2 {
 				row := c.RedistRowFrom(i, j)
 				for k := 2; k <= 40; k += 2 {
-					got, want := row.Cost(k), c.RedistCost(i, j, k)
+					got, want := row.Cost(k), rc.Cost(tc.tasks[i].Data, j, k)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("rc %+v task %d %d→%d: row %v != scalar %v", rc, i, j, k, got, want)
 					}

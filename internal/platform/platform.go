@@ -14,10 +14,7 @@
 // in steady state.
 package platform
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Free marks an unowned processor in ownership queries.
 const Free = -1
@@ -31,9 +28,6 @@ type Platform struct {
 	owner  []int   // processor -> task ID, or Free
 	free   []int   // stack of free pair indices
 	byTask [][]int // task ID -> owned pair indices, allocation order
-	// scratch backs the processor-ID slices returned by Alloc, Release,
-	// ReleaseAll and Resize; each call overwrites the previous result.
-	scratch []int
 }
 
 // New creates a platform with p processors. p must be positive and even.
@@ -106,90 +100,10 @@ func (pl *Platform) Owner(q int) int {
 	return pl.owner[q]
 }
 
-// Buddy returns the buddy processor of q (double-checkpointing partner).
-func Buddy(q int) int { return q ^ 1 }
-
-// Alloc grants count processors (count even, > 0) to the task and returns
-// the granted processor IDs in ascending order. The returned slice is
-// backed by an internal scratch buffer and is only valid until the next
-// allocator call.
-func (pl *Platform) Alloc(task, count int) ([]int, error) {
-	if task < 0 {
-		return nil, fmt.Errorf("platform: invalid task ID %d", task)
-	}
-	if count <= 0 || count%2 != 0 {
-		return nil, fmt.Errorf("platform: allocation of %d processors must be positive and even", count)
-	}
-	pairs := count / 2
-	if pairs > len(pl.free) {
-		return nil, fmt.Errorf("platform: requested %d processors, only %d free", count, pl.FreeProcs())
-	}
-	pl.grow(task)
-	granted := pl.scratch[:0]
-	for i := 0; i < pairs; i++ {
-		k := pl.free[len(pl.free)-1]
-		pl.free = pl.free[:len(pl.free)-1]
-		pl.byTask[task] = append(pl.byTask[task], k)
-		pl.owner[2*k] = task
-		pl.owner[2*k+1] = task
-		granted = append(granted, 2*k, 2*k+1)
-	}
-	sort.Ints(granted)
-	pl.scratch = granted
-	return granted, nil
-}
-
-// Release takes count processors (count even, > 0) away from the task
-// (most recently allocated pairs first) and returns the released IDs in
-// ascending order. The returned slice is backed by an internal scratch
-// buffer and is only valid until the next allocator call.
-func (pl *Platform) Release(task, count int) ([]int, error) {
-	if count <= 0 || count%2 != 0 {
-		return nil, fmt.Errorf("platform: release of %d processors must be positive and even", count)
-	}
-	pairs := count / 2
-	owned := pl.pairs(task)
-	if pairs > len(owned) {
-		return nil, fmt.Errorf("platform: task %d owns %d processors, cannot release %d", task, 2*len(owned), count)
-	}
-	released := pl.scratch[:0]
-	for i := 0; i < pairs; i++ {
-		k := owned[len(owned)-1]
-		owned = owned[:len(owned)-1]
-		pl.free = append(pl.free, k)
-		pl.owner[2*k] = Free
-		pl.owner[2*k+1] = Free
-		released = append(released, 2*k, 2*k+1)
-	}
-	pl.byTask[task] = owned
-	sort.Ints(released)
-	pl.scratch = released
-	return released, nil
-}
-
-// ReleaseAll frees every processor owned by the task and returns the
-// released IDs in ascending order (nil if the task owned none). The
-// returned slice is backed by an internal scratch buffer and is only
-// valid until the next allocator call.
-func (pl *Platform) ReleaseAll(task int) []int {
-	n := pl.Count(task)
-	if n == 0 {
-		return nil
-	}
-	released, err := pl.Release(task, n)
-	if err != nil {
-		// Unreachable: Count(task) processors are owned by construction.
-		panic(err)
-	}
-	return released
-}
-
-// AllocN is Alloc without materializing the granted-ID list: the free
-// pairs move to the task and the ownership map updates, but no scratch
-// slice is built or sorted. The simulation engine uses it on the paths
-// that ignore the granted IDs (fault attribution goes through Owner),
-// so the per-event cost is the pair-stack operations alone.
-func (pl *Platform) AllocN(task, count int) error {
+// Alloc grants count processors (count even, > 0) to the task: free
+// pairs move to the task and the ownership map updates. Fault
+// attribution goes through Owner, so no processor-ID list is built.
+func (pl *Platform) Alloc(task, count int) error {
 	if task < 0 {
 		return fmt.Errorf("platform: invalid task ID %d", task)
 	}
@@ -211,10 +125,9 @@ func (pl *Platform) AllocN(task, count int) error {
 	return nil
 }
 
-// ReleaseN is Release without materializing the released-ID list; see
-// AllocN. The pair-release order (most recently allocated first) is
-// identical to Release's.
-func (pl *Platform) ReleaseN(task, count int) error {
+// Release takes count processors (count even, > 0) away from the task,
+// most recently allocated pairs first.
+func (pl *Platform) Release(task, count int) error {
 	if count <= 0 || count%2 != 0 {
 		return fmt.Errorf("platform: release of %d processors must be positive and even", count)
 	}
@@ -234,74 +147,32 @@ func (pl *Platform) ReleaseN(task, count int) error {
 	return nil
 }
 
-// ReleaseAllN is ReleaseAll without materializing the released-ID list;
-// see AllocN.
-func (pl *Platform) ReleaseAllN(task int) {
+// ReleaseAll frees every processor owned by the task.
+func (pl *Platform) ReleaseAll(task int) {
 	n := pl.Count(task)
 	if n == 0 {
 		return
 	}
-	if err := pl.ReleaseN(task, n); err != nil {
+	if err := pl.Release(task, n); err != nil {
 		// Unreachable: Count(task) processors are owned by construction.
 		panic(err)
 	}
 }
 
-// ResizeN is Resize without materializing the added/removed ID lists;
-// see AllocN.
-func (pl *Platform) ResizeN(task, count int) error {
+// Resize changes the task's allocation to exactly count processors,
+// allocating or releasing as needed.
+func (pl *Platform) Resize(task, count int) error {
 	if count < 0 || count%2 != 0 {
 		return fmt.Errorf("platform: target allocation %d must be non-negative and even", count)
 	}
 	cur := pl.Count(task)
 	switch {
 	case count > cur:
-		return pl.AllocN(task, count-cur)
+		return pl.Alloc(task, count-cur)
 	case count < cur:
-		return pl.ReleaseN(task, cur-count)
+		return pl.Release(task, cur-count)
 	}
 	return nil
-}
-
-// Resize changes the task's allocation to exactly count processors,
-// allocating or releasing as needed. It returns the processors added and
-// removed (one of the two is always empty; both share the scratch buffer
-// of Alloc/Release).
-func (pl *Platform) Resize(task, count int) (added, removed []int, err error) {
-	if count < 0 || count%2 != 0 {
-		return nil, nil, fmt.Errorf("platform: target allocation %d must be non-negative and even", count)
-	}
-	cur := pl.Count(task)
-	switch {
-	case count > cur:
-		added, err = pl.Alloc(task, count-cur)
-	case count < cur:
-		removed, err = pl.Release(task, cur-count)
-	}
-	return added, removed, err
-}
-
-// Procs returns the processors owned by the task in ascending order. The
-// slice is freshly allocated and safe to retain.
-func (pl *Platform) Procs(task int) []int {
-	pairs := pl.pairs(task)
-	procs := make([]int, 0, 2*len(pairs))
-	for _, k := range pairs {
-		procs = append(procs, 2*k, 2*k+1)
-	}
-	sort.Ints(procs)
-	return procs
-}
-
-// Tasks returns the IDs of tasks holding at least one processor, sorted.
-func (pl *Platform) Tasks() []int {
-	ids := make([]int, 0, len(pl.byTask))
-	for id, pairs := range pl.byTask {
-		if len(pairs) > 0 {
-			ids = append(ids, id)
-		}
-	}
-	return ids
 }
 
 // Validate checks the internal invariants: pair-aligned ownership, buddy

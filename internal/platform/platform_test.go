@@ -16,6 +16,17 @@ func mustNew(t *testing.T, p int) *Platform {
 	return pl
 }
 
+// procsOf lists the processors the task owns, ascending, via Owner.
+func procsOf(pl *Platform, task int) []int {
+	var procs []int
+	for q := 0; q < pl.P(); q++ {
+		if pl.Owner(q) == task {
+			procs = append(procs, q)
+		}
+	}
+	return procs
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, p := range []int{0, -2, 3, 7} {
 		if _, err := New(p); err == nil {
@@ -30,10 +41,10 @@ func TestNewValidation(t *testing.T) {
 
 func TestAllocBasics(t *testing.T) {
 	pl := mustNew(t, 8)
-	got, err := pl.Alloc(1, 4)
-	if err != nil {
+	if err := pl.Alloc(1, 4); err != nil {
 		t.Fatal(err)
 	}
+	got := procsOf(pl, 1)
 	if len(got) != 4 {
 		t.Fatalf("granted %d processors, want 4", len(got))
 	}
@@ -41,10 +52,7 @@ func TestAllocBasics(t *testing.T) {
 		t.Fatalf("counts wrong: task=%d free=%d", pl.Count(1), pl.FreeProcs())
 	}
 	for _, q := range got {
-		if pl.Owner(q) != 1 {
-			t.Fatalf("processor %d not owned by task 1", q)
-		}
-		if pl.Owner(Buddy(q)) != 1 {
+		if pl.Owner(q^1) != 1 {
 			t.Fatalf("buddy of %d not co-allocated", q)
 		}
 	}
@@ -55,16 +63,16 @@ func TestAllocBasics(t *testing.T) {
 
 func TestAllocErrors(t *testing.T) {
 	pl := mustNew(t, 4)
-	if _, err := pl.Alloc(0, 3); err == nil {
+	if err := pl.Alloc(0, 3); err == nil {
 		t.Fatal("odd allocation accepted")
 	}
-	if _, err := pl.Alloc(0, 0); err == nil {
+	if err := pl.Alloc(0, 0); err == nil {
 		t.Fatal("zero allocation accepted")
 	}
-	if _, err := pl.Alloc(-1, 2); err == nil {
+	if err := pl.Alloc(-1, 2); err == nil {
 		t.Fatal("negative task ID accepted")
 	}
-	if _, err := pl.Alloc(0, 6); err == nil {
+	if err := pl.Alloc(0, 6); err == nil {
 		t.Fatal("over-allocation accepted")
 	}
 	// Failed allocation must not leak pairs.
@@ -75,21 +83,14 @@ func TestAllocErrors(t *testing.T) {
 
 func TestReleaseLIFO(t *testing.T) {
 	pl := mustNew(t, 8)
-	// Results share the allocator's scratch buffer, so anything kept
-	// across calls must be copied.
-	got, _ := pl.Alloc(2, 2)
-	first := append([]int(nil), got...)
-	got, _ = pl.Alloc(2, 2)
-	second := append([]int(nil), got...)
-	released, err := pl.Release(2, 2)
-	if err != nil {
+	pl.Alloc(2, 2)
+	first := procsOf(pl, 2)
+	pl.Alloc(2, 2)
+	if err := pl.Release(2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if released[0] != second[0] || released[1] != second[1] {
-		t.Fatalf("release not LIFO: got %v, want %v", released, second)
-	}
-	if pl.Owner(first[0]) != 2 {
-		t.Fatal("first pair should remain owned")
+	if got := procsOf(pl, 2); len(got) != 2 || got[0] != first[0] || got[1] != first[1] {
+		t.Fatalf("release not LIFO: task keeps %v, want %v", got, first)
 	}
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
@@ -99,13 +100,13 @@ func TestReleaseLIFO(t *testing.T) {
 func TestReleaseErrors(t *testing.T) {
 	pl := mustNew(t, 4)
 	pl.Alloc(1, 2)
-	if _, err := pl.Release(1, 4); err == nil {
+	if err := pl.Release(1, 4); err == nil {
 		t.Fatal("over-release accepted")
 	}
-	if _, err := pl.Release(1, 1); err == nil {
+	if err := pl.Release(1, 1); err == nil {
 		t.Fatal("odd release accepted")
 	}
-	if _, err := pl.Release(9, 2); err == nil {
+	if err := pl.Release(9, 2); err == nil {
 		t.Fatal("release from unknown task accepted")
 	}
 }
@@ -113,73 +114,34 @@ func TestReleaseErrors(t *testing.T) {
 func TestReleaseAll(t *testing.T) {
 	pl := mustNew(t, 12)
 	pl.Alloc(3, 6)
-	released := pl.ReleaseAll(3)
-	if len(released) != 6 {
-		t.Fatalf("ReleaseAll returned %d processors, want 6", len(released))
-	}
-	if pl.Count(3) != 0 || pl.FreeProcs() != 12 {
+	pl.ReleaseAll(3)
+	if pl.Count(3) != 0 || pl.FreeProcs() != 12 || len(procsOf(pl, 3)) != 0 {
 		t.Fatal("ReleaseAll did not free everything")
 	}
-	if pl.ReleaseAll(3) != nil {
-		t.Fatal("ReleaseAll on empty task should return nil")
-	}
-}
-
-func TestResize(t *testing.T) {
-	pl := mustNew(t, 16)
-	added, removed, err := pl.Resize(5, 6)
-	if err != nil || len(added) != 6 || len(removed) != 0 {
-		t.Fatalf("grow resize wrong: %v %v %v", added, removed, err)
-	}
-	added, removed, err = pl.Resize(5, 2)
-	if err != nil || len(added) != 0 || len(removed) != 4 {
-		t.Fatalf("shrink resize wrong: %v %v %v", added, removed, err)
-	}
-	added, removed, err = pl.Resize(5, 2)
-	if err != nil || len(added) != 0 || len(removed) != 0 {
-		t.Fatalf("no-op resize wrong: %v %v %v", added, removed, err)
-	}
-	if _, _, err := pl.Resize(5, 3); err == nil {
-		t.Fatal("odd resize accepted")
-	}
+	pl.ReleaseAll(3) // no-op on a task that owns nothing
 	if err := pl.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestProcsSortedAndConsistent(t *testing.T) {
-	pl := mustNew(t, 10)
-	pl.Alloc(7, 6)
-	procs := pl.Procs(7)
-	if len(procs) != 6 {
-		t.Fatalf("Procs returned %d, want 6", len(procs))
-	}
-	for i := 1; i < len(procs); i++ {
-		if procs[i] <= procs[i-1] {
-			t.Fatal("Procs not sorted ascending")
+func TestResize(t *testing.T) {
+	pl := mustNew(t, 16)
+	for _, c := range []struct {
+		name   string
+		target int
+	}{{"grow", 6}, {"shrink", 2}, {"no-op", 2}} {
+		if err := pl.Resize(5, c.target); err != nil {
+			t.Fatalf("%s resize: %v", c.name, err)
+		}
+		if got := procsOf(pl, 5); len(got) != c.target || pl.Count(5) != c.target {
+			t.Fatalf("%s resize: task owns %v, want %d processors", c.name, got, c.target)
 		}
 	}
-	for _, q := range procs {
-		if pl.Owner(q) != 7 {
-			t.Fatal("Procs/Owner mismatch")
-		}
+	if err := pl.Resize(5, 3); err == nil {
+		t.Fatal("odd resize accepted")
 	}
-}
-
-func TestTasks(t *testing.T) {
-	pl := mustNew(t, 12)
-	pl.Alloc(4, 2)
-	pl.Alloc(1, 2)
-	pl.Alloc(9, 2)
-	got := pl.Tasks()
-	want := []int{1, 4, 9}
-	if len(got) != len(want) {
-		t.Fatalf("Tasks = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Tasks = %v, want %v", got, want)
-		}
+	if err := pl.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -193,22 +155,9 @@ func TestOwnerPanicsOutOfRange(t *testing.T) {
 	pl.Owner(4)
 }
 
-func TestBuddyInvolution(t *testing.T) {
-	for q := 0; q < 100; q++ {
-		if Buddy(Buddy(q)) != q {
-			t.Fatalf("buddy not an involution at %d", q)
-		}
-		if Buddy(q) == q {
-			t.Fatalf("processor %d is its own buddy", q)
-		}
-		if Buddy(q)/2 != q/2 {
-			t.Fatalf("buddy of %d outside its pair", q)
-		}
-	}
-}
-
 // TestRandomWorkloadInvariants drives random alloc/release/resize traffic
-// and checks conservation after every step.
+// and checks conservation and ownership after every step: each task's
+// Count matches the processors Owner attributes to it.
 func TestRandomWorkloadInvariants(t *testing.T) {
 	src := rng.New(123)
 	err := quick.Check(func(seed uint64) bool {
@@ -225,25 +174,30 @@ func TestRandomWorkloadInvariants(t *testing.T) {
 			case 0:
 				want := (src.Intn(4) + 1) * 2
 				if want <= pl.FreeProcs() {
-					if _, err := pl.Alloc(task, want); err != nil {
+					if err := pl.Alloc(task, want); err != nil {
 						return false
 					}
 				}
 			case 1:
 				if c := pl.Count(task); c > 0 {
 					drop := (src.Intn(c/2) + 1) * 2
-					if _, err := pl.Release(task, drop); err != nil {
+					if err := pl.Release(task, drop); err != nil {
 						return false
 					}
 				}
 			case 2:
 				target := src.Intn(pl.FreeProcs()/2+pl.Count(task)/2+1) * 2
-				if _, _, err := pl.Resize(task, target); err != nil {
+				if err := pl.Resize(task, target); err != nil || pl.Count(task) != target {
 					return false
 				}
 			}
 			if err := pl.Validate(); err != nil {
 				return false
+			}
+			for id := 0; id < nTasks; id++ {
+				if len(procsOf(pl, id)) != pl.Count(id) {
+					return false
+				}
 			}
 		}
 		return true
@@ -266,10 +220,10 @@ func BenchmarkAllocRelease(b *testing.B) {
 // ownership forgotten.
 func TestReset(t *testing.T) {
 	pl := mustNew(t, 16)
-	if _, err := pl.Alloc(0, 4); err != nil {
+	if err := pl.Alloc(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Alloc(3, 6); err != nil {
+	if err := pl.Alloc(3, 6); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{8, 32, 16} {
@@ -282,18 +236,17 @@ func TestReset(t *testing.T) {
 		if pl.Count(0) != 0 || pl.Count(3) != 0 {
 			t.Fatalf("Reset(%d) kept stale ownership", p)
 		}
-		if got := pl.Tasks(); len(got) != 0 {
-			t.Fatalf("Reset(%d) still lists tasks %v", p, got)
+		if got := procsOf(pl, 3); len(got) != 0 {
+			t.Fatalf("Reset(%d) still attributes processors %v to task 3", p, got)
 		}
 		if err := pl.Validate(); err != nil {
 			t.Fatalf("Reset(%d): %v", p, err)
 		}
 		// The platform must be fully usable after the reset.
-		got, err := pl.Alloc(1, 4)
-		if err != nil {
+		if err := pl.Alloc(1, 4); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 4 || got[0] != 0 {
+		if got := procsOf(pl, 1); len(got) != 4 || got[0] != 0 {
 			t.Fatalf("post-Reset alloc %v, want the low pairs", got)
 		}
 		if err := pl.Validate(); err != nil {

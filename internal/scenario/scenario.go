@@ -327,13 +327,6 @@ func resolvesInRegistry(name string, p core.Policy) bool {
 	return ok && resolved == p
 }
 
-// PolicyNames lists the short aliases this package accepts, in canonical
-// order. The full registry compositions accepted alongside them come
-// from core.RegisteredPolicies.
-func PolicyNames() []string {
-	return append([]string(nil), shortNames...)
-}
-
 // FprintPolicies writes every accepted policy name — the short aliases
 // with their resolved combinations, the canonical registry
 // compositions, and the registered rule names. It backs the
@@ -431,16 +424,6 @@ type RunPoint struct {
 	X     float64
 	Set   map[string]float64
 	Spec  workload.Spec
-}
-
-// SortedSet returns the point's overrides as a deterministic key order.
-func (p RunPoint) SortedSet() []string {
-	keys := make([]string, 0, len(p.Set))
-	for k := range p.Set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Expand resolves the grid into run points. Explicit Points expand one

@@ -59,12 +59,9 @@ func (b *BatchMeans) N() int { return b.n }
 // Batches returns the number of completed batches.
 func (b *BatchMeans) Batches() int { return b.means.N() }
 
-// BatchLen returns the configured batch length.
-func (b *BatchMeans) BatchLen() int { return b.batchLen }
-
 // Mean returns the grand mean over completed batches (0 before the
 // first batch completes). Equal-length batches make this the plain mean
-// of the first Batches()·BatchLen() observations.
+// of the first Batches()·batchLen observations.
 func (b *BatchMeans) Mean() float64 { return b.means.Mean() }
 
 // Valid reports whether every folded observation was finite.
