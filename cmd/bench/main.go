@@ -42,12 +42,14 @@ import (
 // CompiledAt; CompileCold/CompileWarm for the table build on fresh vs
 // reused arenas; RecompileDelta for the incremental rebuild), and the
 // row kernels (CandidateRowSweep for the batched min-reduction,
-// DecisionRound for a full heuristic round over it).
+// DecisionRound for a full heuristic round over it, and
+// DecisionRoundPaperScale for a paper-scale round dominated by scans the
+// pruned-scan bound skips).
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +
 	"|BenchmarkExpectedTimeRaw$|BenchmarkCompiledAt$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
-	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$"
+	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$"
 
 // ledger is the JSON document layout. The environment block (Go version,
 // GOMAXPROCS, CPU, commit) makes a ledger self-describing: a reader of a

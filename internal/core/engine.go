@@ -60,6 +60,9 @@ type Simulator struct {
 	now    float64
 	acct   *accounting
 	primed bool
+	// pruneErr is the first pruned scan Options.Paranoia found hiding
+	// an improving candidate (Decision.skipDead); check returns it.
+	pruneErr error
 
 	// Online state (see online.go). The task arena e.st grows past the
 	// base pack as jobs arrive; pendQ/pendHead form the FIFO admission
@@ -238,6 +241,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	}
 	e.q.Reset()
 	e.ctr = Counters{}
+	e.pruneErr = nil
 	e.hist = e.hist[:0]
 	e.now = 0
 	e.live = n
@@ -816,6 +820,9 @@ func (e *Simulator) commitRedist(i int, t float64, newSigma int, alphaT float64,
 
 // check validates cross-structure invariants (Options.Paranoia).
 func (e *Simulator) check() error {
+	if e.pruneErr != nil {
+		return e.pruneErr
+	}
 	if err := e.plat.Validate(); err != nil {
 		return err
 	}

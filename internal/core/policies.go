@@ -167,26 +167,85 @@ func (d *Decision) extra(i int) float64 {
 // the candidate is the task's unperturbed trajectory (its current tU).
 func (d *Decision) Candidate(i, cand int) float64 {
 	d.e.ctr.CandidateEvals++
+	return d.candidate(i, cand)
+}
+
+// candidate is Candidate without the CandidateEvals count.
+func (d *Decision) candidate(i, cand int) float64 {
 	if cand == d.sigmaInit[i] {
 		return d.oldTU[i]
 	}
 	d.bind(i)
 	// The sum below associates exactly as the pre-cached form
-	// t + extra + RC + C + t^R: base is the frozen (t + extra), and the
-	// checkpoint surcharge comes from the task's contiguous row (zero
-	// when fault-free, PostRedistCkpt for targets past the stride).
-	var ck float64
-	if row := d.ckRow[i]; row != nil {
-		if k := cand/2 - 1; k < len(row) {
-			ck = row[k]
-		} else {
-			ck = d.e.cm.PostRedistCkpt(i, cand)
-		}
-	}
+	// t + extra + RC + C + t^R: base is the frozen (t + extra).
 	return d.base[i] +
 		d.rcRow[i].Cost(cand) +
-		ck +
+		d.ckpt(i, cand) +
 		d.evals[i].At(cand)
+}
+
+// ckpt returns task i's post-redistribution checkpoint surcharge at
+// target cand from its contiguous row: zero when fault-free, and
+// PostRedistCkpt for targets past the stride. C_{i,cand} = C_i/cand, so
+// it is non-increasing in cand. i must be bound.
+func (d *Decision) ckpt(i, cand int) float64 {
+	row := d.ckRow[i]
+	if row == nil {
+		return 0
+	}
+	if k := cand/2 - 1; k < len(row) {
+		return row[k]
+	}
+	return d.e.cm.PostRedistCkpt(i, cand)
+}
+
+// pruneMargin is the relative slack provablyDead leaves between its
+// bound and tUc: the bound is exact-arithmetic, and the float64 rounding
+// of Candidate's few positive terms moves it by ulps, far below 1e-9.
+const pruneMargin = 1e-9
+
+// provablyDead reports, in O(1) and with no Eq. (4) evaluation, that no
+// candidate of task i in the even range [lo, hi] finishes before tUc[i].
+// Every term of Candidate(i, c) for c ≠ σ_init is bounded below over the
+// range (DESIGN.md §12, "Pruned scans"):
+//
+//	base + RC(σ_init→c) + C_{i,c} + t^R_{i,c}(α)
+//	  ≥ base + MinCost(lo, hi) + C_{i,hi} + RawFloor(hi).
+//
+// The candidate c = σ_init is the unperturbed trajectory oldTU, compared
+// exactly. A false result proves nothing.
+func (d *Decision) provablyDead(i, lo, hi int) bool {
+	if s := d.sigmaInit[i]; lo <= s && s <= hi && d.oldTU[i] < d.tUc[i] {
+		return false
+	}
+	d.bind(i)
+	lb := d.base[i] +
+		d.rcRow[i].MinCost(lo, hi) +
+		d.ckpt(i, hi) +
+		d.e.cm.RawFloor(i, hi, d.alphaT[i])
+	return lb*(1-pruneMargin) >= d.tUc[i]
+}
+
+// skipDead reports whether a heuristic may skip scanning task i's even
+// candidates in [lo, hi] because provablyDead proves none improves, and
+// counts the skip in PrunedScans. Under Options.Paranoia it re-runs the
+// skipped scan in full through the uncounted candidate, and records the
+// first improving candidate as the error check (and so Run) returns.
+func (d *Decision) skipDead(i, lo, hi int) bool {
+	if !d.provablyDead(i, lo, hi) {
+		return false
+	}
+	d.e.ctr.PrunedScans++
+	if !d.e.opt.Paranoia {
+		return true
+	}
+	for c := lo; c <= hi && d.e.pruneErr == nil; c += 2 {
+		if tE := d.candidate(i, c); tE < d.tUc[i] {
+			d.e.pruneErr = fmt.Errorf("core: pruned scan of task %d over [%d, %d] at t=%v hides candidate %d: %v < %v",
+				i, lo, hi, d.t, c, tE, d.tUc[i])
+		}
+	}
+	return true
 }
 
 // SetSigma sets the candidate allocation of task i to cand processors and
@@ -257,14 +316,15 @@ func (endLocalRule) RedistributeEnd(d *Decision) {
 		}
 		// Scan even extensions; the first improving one proves the task
 		// is improvable (lines 10–15), after which it grows by one pair.
-		// The scan usually breaks at its first candidate, so it is NOT
-		// eagerly primed: cache extensions stay demand-driven (each one
-		// is still a batched rawRange pass over the missing range).
+		// The bound runs first, so a provably dead task never extends
+		// its prefix-min cache.
 		improvable := false
-		for q := 2; q <= k; q += 2 {
-			if d.Candidate(i, d.sigmaNew[i]+q) < d.tUc[i] {
-				improvable = true
-				break
+		if !d.skipDead(i, d.sigmaNew[i]+2, d.sigmaNew[i]+k) {
+			for q := 2; q <= k; q += 2 {
+				if d.Candidate(i, d.sigmaNew[i]+q) < d.tUc[i] {
+					improvable = true
+					break
+				}
 			}
 		}
 		if improvable {
@@ -299,15 +359,17 @@ func iteratedGreedy(d *Decision) {
 			break
 		}
 		pmax := d.sigmaNew[i] + d.avail
-		// Not eagerly primed: after the reset to one pair the first
-		// candidate almost always improves, so a full-row pass through
-		// pmax would evaluate far more cells than the scan reads.
-		// Demand-driven extensions are still batched (rawRange).
-		improvable := false
-		for cand := d.sigmaNew[i] + 2; cand <= pmax; cand += 2 {
-			if d.Candidate(i, cand) < d.tUc[i] {
-				improvable = true
-				break
+		// After the reset to one pair the first candidate almost always
+		// improves, so the bound only runs once it has failed, over the
+		// rest of the range.
+		first := d.sigmaNew[i] + 2
+		improvable := d.Candidate(i, first) < d.tUc[i]
+		if !improvable && first < pmax && !d.skipDead(i, first+2, pmax) {
+			for cand := first + 2; cand <= pmax; cand += 2 {
+				if d.Candidate(i, cand) < d.tUc[i] {
+					improvable = true
+					break
+				}
 			}
 		}
 		if !improvable {

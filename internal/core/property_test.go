@@ -152,3 +152,116 @@ func TestInitialScheduleInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// prunedCorpusInstance draws one instance of the pruned-scan corpus:
+// Synthetic, monotone-Table and non-monotone-Table profiles; verification
+// and silent-error segments; Young or Daly periods; the fault-free limit;
+// and the paper's, a latency-bound or a bandwidth-bound cost model.
+func prunedCorpusInstance(src *rng.Source) Instance {
+	n := 2 + src.Intn(8)
+	p := 2*n + 2*src.Intn(3*n)
+	tasks := make([]model.Task, n)
+	for i := range tasks {
+		m := src.Uniform(1e4, 2.5e6)
+		tk := model.Task{ID: i, Data: m, Ckpt: m * src.Uniform(0.001, 1)}
+		switch src.Intn(3) {
+		case 0:
+			tk.Profile = model.Synthetic{M: m, SeqFraction: src.Uniform(0, 0.4)}
+		case 1: // monotone table
+			times := make([]float64, 1+src.Intn(p))
+			v := 2 * m * math.Log2(m)
+			for j := range times {
+				times[j] = v
+				v *= src.Uniform(0.6, 1)
+			}
+			tk.Profile = model.Table{Times: times}
+		default: // non-monotone table: speedup with noise
+			times := make([]float64, p)
+			for j := range times {
+				times[j] = 2 * m * math.Log2(m) / float64(j+1) * src.Uniform(0.7, 1.3)
+			}
+			tk.Profile = model.Table{Times: times}
+		}
+		tasks[i] = tk
+	}
+	res := model.Resilience{Rule: model.PeriodRule(src.Intn(2)), Downtime: src.Uniform(0, 600)}
+	switch src.Intn(4) {
+	case 0: // fault-free
+	case 1:
+		res.Lambda = 1 / (src.Uniform(0.5, 40) * yearSeconds)
+	case 2: // verification only
+		res.Lambda = 1 / (src.Uniform(0.5, 40) * yearSeconds)
+		for i := range tasks {
+			tasks[i].Verify = tasks[i].Data * src.Uniform(0, 0.05)
+		}
+	default: // silent errors
+		res.Lambda = 1 / (src.Uniform(0.5, 40) * yearSeconds)
+		res.SilentLambda = 1 / (src.Uniform(0.5, 40) * yearSeconds)
+		for i := range tasks {
+			tasks[i].Verify = tasks[i].Data * src.Uniform(0, 0.05)
+		}
+	}
+	var rc model.CostModel
+	switch src.Intn(3) {
+	case 1:
+		rc.Latency = src.Uniform(1, 600)
+	case 2:
+		rc.InvBandwidth = src.Uniform(0.01, 4)
+	}
+	return Instance{Tasks: tasks, P: p, Res: res, RC: rc}
+}
+
+// TestPrunedScansParanoiaProperty runs every redistributing policy over
+// the pruned-scan corpus with Paranoia on, so every scan a heuristic
+// skips is re-run in full and must hold no improving candidate. The same
+// runs without Paranoia must make identical decisions and counts, and
+// the corpus must actually prune.
+func TestPrunedScansParanoiaProperty(t *testing.T) {
+	src := rng.New(1214)
+	pruned, onlinePruned := 0, 0
+	for trial := 0; trial < 150; trial++ {
+		in := prunedCorpusInstance(src)
+		seed := src.Uint64()
+		for _, pol := range []Policy{IGEndGreedy, IGEndLocal, STFEndGreedy, STFEndLocal} {
+			run := func(paranoia bool) Result {
+				var fsrc failure.Source
+				if in.Res.Lambda > 0 {
+					var err error
+					fsrc, err = failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(seed))
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := Run(in, pol, fsrc, Options{Paranoia: paranoia})
+				if err != nil {
+					t.Fatalf("trial %d %v (res %+v, rc %+v): %v", trial, pol, in.Res, in.RC, err)
+				}
+				return res
+			}
+			checked, plain := run(true), run(false)
+			if checked.Counters != plain.Counters || math.Float64bits(checked.Makespan) != math.Float64bits(plain.Makespan) {
+				t.Fatalf("trial %d %v: Paranoia changed the run: %+v vs %+v", trial, pol, checked.Counters, plain.Counters)
+			}
+			pruned += checked.Counters.PrunedScans
+		}
+	}
+	// Online arrivals exercise appended table rows.
+	for _, rule := range []ArrivalRule{ArrivalGreedy, ArrivalSteal} {
+		in, spec := onlineInstance(t, 4, 40, 5, []float64{1000, 5000, 5000, 40000, 250000})
+		pol := IGEndLocal
+		pol.OnArrival = rule
+		fsrc, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: spec.Lambda()}, rng.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(in, pol, fsrc, Options{Paranoia: true})
+		if err != nil {
+			t.Fatalf("online %v: %v", rule, err)
+		}
+		onlinePruned += res.Counters.PrunedScans
+	}
+	if pruned == 0 || onlinePruned == 0 {
+		t.Fatalf("offline corpus pruned %d scans, online %d: the property is vacuous", pruned, onlinePruned)
+	}
+	t.Logf("%d offline and %d online pruned scans re-verified", pruned, onlinePruned)
+}

@@ -195,8 +195,10 @@ type Options struct {
 	// MaxEvents aborts pathological runs; 0 means the default of
 	// 5,000,000 events (defaultMaxEvents in engine.go).
 	MaxEvents int
-	// Paranoia re-validates platform invariants after every event
-	// (slow; used by tests).
+	// Paranoia re-validates platform invariants after every event and
+	// re-runs every candidate scan a heuristic skipped as provably dead,
+	// failing the run if one hid an improving candidate (slow; used by
+	// tests). It changes no decision and no counter.
 	Paranoia bool
 	// OnTrace, when non-nil, receives every observable event.
 	OnTrace func(TraceEvent)
@@ -232,6 +234,7 @@ type Counters struct {
 	Submits         int     // submit events processed (online mode)
 	Decisions       int     // heuristic invocations (end/fail/arrival rounds)
 	CandidateEvals  int     // candidate expected-finish evaluations inside heuristics
+	PrunedScans     int     // candidate scans skipped because a lower bound proved them dead
 }
 
 // Snapshot is one Figure-9 history point, taken after handling a failure.

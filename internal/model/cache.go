@@ -345,15 +345,16 @@ func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
 }
 
 // compiledBytes estimates an entry's resident footprint for the byte
-// budget: 11 float64 columns plus seg/data and the task headers. Every
-// column the entry references is charged to it, shared or not, so the
-// budget over-counts bytes shared between entries and never under-counts
-// them — and the hit/miss/delta/eviction counts stay a pure function of
-// the requested keys, whichever bases the delta builds happened to pick.
+// budget: 11 float64 columns plus seg/data/trow and the task headers.
+// Every column the entry references is charged to it, shared or not, so
+// the budget over-counts bytes shared between entries and never
+// under-counts them — and the hit/miss/delta/eviction counts stay a pure
+// function of the requested keys, whichever bases the delta builds
+// happened to pick.
 func compiledBytes(c *Compiled) int64 {
 	cells := int64(len(c.tj))
 	n := int64(len(c.tasks))
-	return cells*11*8 + n*(8+1+64)
+	return cells*11*8 + n*(8+1+16+64)
 }
 
 // packBaseKey hashes the resilience-independent half of the cache key:

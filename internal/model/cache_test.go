@@ -57,6 +57,14 @@ func columnsEqual(a, b *Compiled) string {
 			return fmt.Sprintf("seg[%d]: %d vs %d", i, a.seg[i], b.seg[i])
 		}
 	}
+	if len(a.trow) != len(b.trow) {
+		return fmt.Sprintf("trow: len %d vs %d", len(a.trow), len(b.trow))
+	}
+	for i := range a.trow {
+		if a.trow[i] != b.trow[i] {
+			return fmt.Sprintf("trow[%d]: %+v vs %+v", i, a.trow[i], b.trow[i])
+		}
+	}
 	return ""
 }
 
@@ -336,6 +344,15 @@ func allColumns(c *Compiled) map[string][]float64 {
 		seg[i] = float64(k)
 	}
 	cols["seg"] = seg
+	trow := make([]float64, 0, 2*len(c.trow))
+	for _, m := range c.trow {
+		nonInc := 0.0
+		if m.nonInc {
+			nonInc = 1
+		}
+		trow = append(trow, nonInc, m.min)
+	}
+	cols["trow"] = trow
 	return cols
 }
 

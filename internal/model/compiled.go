@@ -78,8 +78,9 @@ type Compiled struct {
 	slj    []float64 // λ_s·j, silent-error rate
 	v      []float64 // V_{i,j} = V_i/j, verification cost
 
-	seg  []segKind // per-task silent-segment mode
-	data []float64 // per-task data volume m_i (redistribution cost)
+	seg  []segKind  // per-task silent-segment mode
+	data []float64  // per-task data volume m_i (redistribution cost)
+	trow []timeMeta // per-task shape of the t_{i,j} row (RawFloor)
 	// id names the table contents process-wide: every (re)build and
 	// extension draws a fresh one from compiledIDs, so caches keyed on it
 	// (the engine's initial-schedule memo) can never serve values computed
@@ -142,6 +143,10 @@ func (c *Compiled) sizeColumns(n int) {
 	}
 	c.seg = c.seg[:n]
 	c.data = sizeF(c.data, n)
+	if cap(c.trow) < n {
+		c.trow = make([]timeMeta, n)
+	}
+	c.trow = c.trow[:n]
 }
 
 // Recompile rebuilds the tables in place for a new instance, reusing the
@@ -263,6 +268,7 @@ func (c *Compiled) RecompileFaultFree(base *Compiled, tasks []Task, res Resilien
 	copy(c.rec, base.rec)
 	copy(c.v, base.v)
 	copy(c.data, base.data)
+	copy(c.trow, base.trow)
 	inf := math.Inf(1)
 	for k := range c.tau {
 		c.tau[k] = inf
@@ -307,7 +313,38 @@ func fillTimes(t Task, dst []float64) {
 	}
 }
 
-// compileTask fills task slot i's seg/data metadata and table row from t.
+// timeMeta is the per-task shape of a compiled t_{i,j} row that RawFloor
+// bounds Eq. (6) values with. It derives from the profile alone, like
+// the tj column it summarizes.
+type timeMeta struct {
+	nonInc bool    // t_{i,j} is non-negative and non-increasing over the row
+	min    float64 // the row minimum; −Inf when the row admits no bound
+}
+
+// timeMetaOf summarizes task t's compiled time row. A row holding a
+// negative or NaN time admits no bound, and neither does a task with a
+// negative checkpoint or verification cost, which would make the Eq. (4)
+// prefactor or a segment at risk smaller than RawFloor assumes. Synthetic
+// rows with 0 ≤ f ≤ 1 are non-increasing.
+func timeMetaOf(t Task, tjs []float64) timeMeta {
+	none := timeMeta{min: math.Inf(-1)}
+	if t.Ckpt < 0 || t.Verify < 0 {
+		return none
+	}
+	m := timeMeta{nonInc: true, min: math.Inf(1)}
+	for k, v := range tjs {
+		if !(v >= 0) {
+			return none
+		}
+		if k > 0 && v > tjs[k-1] {
+			m.nonInc = false
+		}
+		m.min = min(m.min, v)
+	}
+	return m
+}
+
+// compileTask fills task slot i's seg/data/trow metadata and table row from t.
 // It is the single per-task compile path, shared by Recompile and
 // AppendTask, so appended rows combine exactly the same float64 values in
 // exactly the same order as a full rebuild (bit-identical tables).
@@ -325,6 +362,7 @@ func (c *Compiled) compileTask(i int, t Task) {
 	lo, hi := i*c.stride, (i+1)*c.stride
 	tjs := c.tj[lo:hi]
 	fillTimes(t, tjs)
+	c.trow[i] = timeMetaOf(t, tjs)
 	cks := c.ck[lo:hi]
 	recs := c.rec[lo:hi]
 	vs := c.v[lo:hi]
@@ -456,6 +494,7 @@ func (c *Compiled) AppendTask(t Task) (int, error) {
 	c.v = growRow(c.v, c.stride)
 	c.seg = append(c.seg, 0)
 	c.data = append(c.data, 0)
+	c.trow = append(c.trow, timeMeta{})
 	c.compileTask(i, t)
 	return i, nil
 }
@@ -496,6 +535,7 @@ func (c *Compiled) TruncateExtra() {
 	c.v = c.v[:cells]
 	c.seg = c.seg[:n]
 	c.data = c.data[:n]
+	c.trow = c.trow[:n]
 	c.extra = c.extra[:0]
 }
 
@@ -708,6 +748,36 @@ func (c *Compiled) MinOverRow(i int, alpha float64, dst []float64) (float64, int
 	return best, 2 * (arg + 1)
 }
 
+// RawFloor returns a lower bound on the Eq. (6) value MinEval.At(j) of
+// task i at work fraction α, valid for every even j in [2, hi], without
+// evaluating Eq. (4). It returns −Inf when it has no bound: hi beyond
+// the tables, or a row timeMetaOf rejects.
+//
+// A raw Eq. (4) cell is prefac·(N·Expm1(λj·(s(τ−C) + C)) +
+// Expm1(λj·s(τ_last))), where s is the silent segment. Expm1(x) ≥ x,
+// s(w) ≥ w and C ≥ 0, so the cell is at least
+// prefac·λj·(N·(τ−C) + τ_last) = prefac·λj·α·t_{i,j}. The factor
+// prefac·λj = e^{λjR}·(1 + λjD) is at least 1, so the cell is at least
+// α·t_{i,j}, which is its exact fault-free value. Every prefix minimum
+// through j ≤ hi is therefore at least α·min_{j' ≤ hi} t_{i,j'}: that is
+// t_{i,hi} on a non-increasing row, and the row minimum bounds it on any
+// other. The argument is exact arithmetic; rounding can leave a computed
+// cell a few ulps below the bound, which callers absorb with a relative
+// margin.
+func (c *Compiled) RawFloor(i, hi int, alpha float64) float64 {
+	if !c.covered(hi) {
+		return math.Inf(-1)
+	}
+	if alpha <= 0 {
+		return 0
+	}
+	alpha = min(alpha, 1)
+	if m := c.trow[i]; !m.nonInc {
+		return alpha * m.min
+	}
+	return alpha * c.tj[c.cell(i, hi)]
+}
+
 // Time returns t_{i,j} (Task.Time of task i).
 func (c *Compiled) Time(i, j int) float64 {
 	if !c.covered(j) {
@@ -832,4 +902,39 @@ func (r RedistRow) Cost(k int) float64 {
 		ib = 1
 	}
 	return float64(RedistRounds(r.j, k)) * (r.rc.Latency + r.mj/float64(k)*ib)
+}
+
+// minCostSlack is the relative amount MinCost shaves off its minimum so
+// the bound also holds against Cost's own float64 rounding (a few ulps).
+const minCostSlack = 1e-12
+
+// MinCost returns a lower bound on Cost(k) over every integer k in
+// [lo, hi] other than the source j, in O(1): +Inf for an empty range,
+// −Inf for a cost model with a negative parameter, which no bound fits.
+//
+// Cost(k) = rounds·(L + m/(j·k)·ib) with rounds = max(min(j,k), |k−j|).
+// For grows (k > j) it has j rounds of a shrinking volume up to k = 2j,
+// then k−j rounds costing (k−j)·L + (m/j)·ib·(1 − j/k), which only grows:
+// its minimum over the grow range is at 2j clamped into it. For shrinks
+// (k < j) it has j−k rounds of a growing volume up to k = j/2, then
+// k·L + (m/j)·ib: its minimum is at an integer next to j/2 clamped into
+// the shrink range.
+func (r RedistRow) MinCost(lo, hi int) float64 {
+	ib := r.rc.InvBandwidth
+	if ib == 0 {
+		ib = 1
+	}
+	if !(r.rc.Latency >= 0 && ib >= 0 && r.mj >= 0) {
+		return math.Inf(-1)
+	}
+	lo = max(lo, 1)
+	best := math.Inf(1)
+	if g := max(lo, r.j+1); g <= hi {
+		best = r.Cost(min(max(2*r.j, g), hi))
+	}
+	if s := min(hi, r.j-1); lo <= s {
+		a, b := r.j/2, (r.j+1)/2 // the integers around j/2
+		best = min(best, r.Cost(min(max(a, lo), s)), r.Cost(min(max(b, lo), s)))
+	}
+	return best * (1 - minCostSlack)
 }

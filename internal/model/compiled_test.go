@@ -382,6 +382,9 @@ func TestAppendTaskEquivalence(t *testing.T) {
 						if math.Float64bits(g) != math.Float64bits(w) {
 							t.Fatalf("RawAt(%d, %d, %v): appended %v vs recompiled %v", i, j, a, g, w)
 						}
+						if g, w := grown.RawFloor(i, j, a), full.RawFloor(i, j, a); g != w {
+							t.Fatalf("RawFloor(%d, %d, %v): appended %v vs recompiled %v", i, j, a, g, w)
+						}
 					}
 					if grown.Time(i, j) != full.Time(i, j) ||
 						grown.Period(i, j) != full.Period(i, j) ||

@@ -173,10 +173,10 @@ func constColumn(col *atomic.Pointer[[]float64], n int, v float64) []float64 {
 // backing arrays, a delta build freezes both c and base.
 //
 // The column dependence inventory (DESIGN.md §15.3): t_{i,j}, C_{i,j},
-// R_{i,j}, V_{i,j} and m_i derive from the pack alone and are always
-// shared. λ_s·j depends only on the silent rate; λj and e^{λjR} only on
-// λ; τ and τ−C on (λ, rule); the prefactor on (λ, D); the period term on
-// (λ, rule, λ_s, V); seg on (λ_s, V). Each shared column is base's own
+// R_{i,j}, V_{i,j}, m_i and the t-row metadata derive from the pack
+// alone and are always shared. λ_s·j depends only on the silent rate;
+// λj and e^{λjR} only on λ; τ and τ−C on (λ, rule); the prefactor on
+// (λ, D); the period term on (λ, rule, λ_s, V); seg on (λ_s, V). Each shared column is base's own
 // slice; each rebuilt column gets a fresh backing array filled with
 // compileTask's exact scalar expression over the columns it reads, so the
 // result is bit-identical to a full Recompile for the new parameters —
@@ -202,7 +202,7 @@ func (c *Compiled) RecompileDelta(base *Compiled, tasks []Task, res Resilience, 
 	*c = Compiled{
 		tasks: tasks, res: res, rc: rc, p: p,
 		maxJ: base.maxJ, stride: base.stride,
-		tj: base.tj, ck: base.ck, rec: base.rec, v: base.v, data: base.data,
+		tj: base.tj, ck: base.ck, rec: base.rec, v: base.v, data: base.data, trow: base.trow,
 		tau: base.tau, work: base.work, lj: base.lj, expFac: base.expFac,
 		prefac: base.prefac, expPer: base.expPer, slj: base.slj, seg: base.seg,
 		id:     compiledIDs.Add(1),

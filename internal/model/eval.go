@@ -74,20 +74,6 @@ func (e *MinEval) At(j int) float64 {
 	return e.mins[k]
 }
 
-// Prime extends the prefix-min cache through candidate maxJ in one
-// batched row-kernel pass, so a subsequent ascending candidate scan hits
-// only cached values. Scans that would touch most of the range anyway
-// (the greedy insertion and improvability tests of Algorithms 1/4/5 scan
-// to the platform size unless they break early) trade their per-step
-// incremental extensions for one contiguous sweep. A maxJ below 2 or
-// already covered is a no-op.
-func (e *MinEval) Prime(maxJ int) {
-	k := maxJ/2 - 1
-	if k >= 0 && len(e.mins) <= k {
-		e.extend(k)
-	}
-}
-
 // extend grows the prefix-min cache through row index k. Compiled-backed
 // evaluators fill the whole missing range with one rawRange pass over
 // the task's contiguous table row, then fold the Eq. (6) prefix minimum

@@ -180,6 +180,9 @@ func compareCompiled(t *testing.T, name string, want, got *Compiled, n, p int) {
 				if math.Float64bits(wf) != math.Float64bits(gf) {
 					t.Fatalf("%s task %d j %d α %v: FFTime %v != %v", name, i, j, alpha, gf, wf)
 				}
+				if w, g := want.RawFloor(i, j, alpha), got.RawFloor(i, j, alpha); w != g {
+					t.Fatalf("%s task %d j %d α %v: RawFloor %v != %v", name, i, j, alpha, g, w)
+				}
 			}
 		}
 	}

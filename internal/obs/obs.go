@@ -147,6 +147,7 @@ type SimMetrics struct {
 	EarlyFinalized   Counter
 	Decisions        Counter
 	CandidateEvals   Counter
+	PrunedScans      Counter
 	Redistributions  Counter
 	RedistSeconds    FloatCounter
 	RunEvents        *Histogram // events handled per run
@@ -164,6 +165,7 @@ func (m *SimMetrics) ObserveRun(c core.Counters) {
 	m.EarlyFinalized.Add(uint64(c.EarlyFinalized))
 	m.Decisions.Add(uint64(c.Decisions))
 	m.CandidateEvals.Add(uint64(c.CandidateEvals))
+	m.PrunedScans.Add(uint64(c.PrunedScans))
 	m.Redistributions.Add(uint64(c.Redistributions))
 	m.RedistSeconds.Add(c.RedistTime)
 	if m.RunEvents != nil {
@@ -286,6 +288,7 @@ type SimTotals struct {
 	EarlyFinalized   uint64  `json:"early_finalized"`
 	Decisions        uint64  `json:"decisions"`
 	CandidateEvals   uint64  `json:"candidate_evals"`
+	PrunedScans      uint64  `json:"pruned_scans"`
 	Redistributions  uint64  `json:"redistributions"`
 	RedistSeconds    float64 `json:"redist_seconds"`
 }
@@ -392,6 +395,7 @@ func (c *Campaign) Snapshot() Snapshot {
 		s.Sim.EarlyFinalized += sh.Sim.EarlyFinalized.Value()
 		s.Sim.Decisions += sh.Sim.Decisions.Value()
 		s.Sim.CandidateEvals += sh.Sim.CandidateEvals.Value()
+		s.Sim.PrunedScans += sh.Sim.PrunedScans.Value()
 		s.Sim.Redistributions += sh.Sim.Redistributions.Value()
 		s.Sim.RedistSeconds += sh.Sim.RedistSeconds.Value()
 	}

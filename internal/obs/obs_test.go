@@ -68,7 +68,7 @@ func TestSnapshotMergesShardsInOrder(t *testing.T) {
 			sh.Units.Inc()
 			sh.BusySeconds.Add(0.5)
 			sh.UnitSeconds.Observe(0.5)
-			sh.Sim.ObserveRun(core.Counters{Events: 10, TaskEnds: 2, Decisions: 3, RedistTime: 1.5})
+			sh.Sim.ObserveRun(core.Counters{Events: 10, TaskEnds: 2, Decisions: 3, PrunedScans: 4, RedistTime: 1.5})
 		}
 	}
 	c.UnitsDone.Set(6)
@@ -86,7 +86,7 @@ func TestSnapshotMergesShardsInOrder(t *testing.T) {
 	if s.UnitsExecuted != 6 || s.Sim.Runs != 6 {
 		t.Fatalf("totals: executed %d runs %d, want 6 and 6", s.UnitsExecuted, s.Sim.Runs)
 	}
-	if s.Sim.Events != 60 || s.Sim.TaskEnds != 12 || s.Sim.Decisions != 18 {
+	if s.Sim.Events != 60 || s.Sim.TaskEnds != 12 || s.Sim.Decisions != 18 || s.Sim.PrunedScans != 24 {
 		t.Fatalf("sim totals wrong: %+v", s.Sim)
 	}
 	if s.Sim.RedistSeconds != 9 {
@@ -105,7 +105,7 @@ func TestWritePrometheus(t *testing.T) {
 	sh := c.Shard(0)
 	sh.Units.Inc()
 	sh.UnitSeconds.Observe(0.01)
-	sh.Sim.ObserveRun(core.Counters{Events: 5, Failures: 1})
+	sh.Sim.ObserveRun(core.Counters{Events: 5, Failures: 1, PrunedScans: 3})
 	c.UnitsDone.Set(1)
 	c.UnitsPlanned.Set(2)
 
@@ -122,6 +122,7 @@ func TestWritePrometheus(t *testing.T) {
 		"cosched_sim_runs_total 1",
 		"cosched_sim_events_total 5",
 		"cosched_sim_failures_total 1",
+		"cosched_sim_pruned_scans_total 3",
 		"# TYPE cosched_sim_run_events histogram",
 		`cosched_sim_run_events_bucket{le="+Inf"} 1`,
 		"cosched_sim_run_events_sum 5",

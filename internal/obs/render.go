@@ -59,6 +59,7 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 	counter("cosched_sim_early_finalized_total", "Tasks finalized by Algorithm 2 line 28.", float64(s.Sim.EarlyFinalized))
 	counter("cosched_sim_decisions_total", "Redistribution-heuristic invocations.", float64(s.Sim.Decisions))
 	counter("cosched_sim_candidate_evals_total", "Candidate expected-finish evaluations inside heuristics.", float64(s.Sim.CandidateEvals))
+	counter("cosched_sim_pruned_scans_total", "Candidate scans skipped because a lower bound proved them dead.", float64(s.Sim.PrunedScans))
 	counter("cosched_sim_redistributions_total", "Tasks whose allocation actually changed.", float64(s.Sim.Redistributions))
 	counter("cosched_sim_redist_seconds_total", "Total simulated redistribution cost paid.", s.Sim.RedistSeconds)
 

@@ -200,4 +200,5 @@ func addCounters(dst *core.Counters, src core.Counters) {
 	dst.Submits += src.Submits
 	dst.Decisions += src.Decisions
 	dst.CandidateEvals += src.CandidateEvals
+	dst.PrunedScans += src.PrunedScans
 }

@@ -2,6 +2,7 @@ package packs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cosched/internal/core"
@@ -231,6 +232,41 @@ func BenchmarkSortedDP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := SortedDP(in); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAddCountersSumsEveryField: the pack merge adds every core.Counters
+// field, so a counter added to the engine cannot be dropped from
+// multi-pack totals.
+func TestAddCountersSumsEveryField(t *testing.T) {
+	var src core.Counters
+	v := reflect.ValueOf(&src).Elem()
+	for f := 0; f < v.NumField(); f++ {
+		switch fv := v.Field(f); fv.Kind() {
+		case reflect.Int:
+			fv.SetInt(int64(f + 1))
+		case reflect.Float64:
+			fv.SetFloat(float64(f) + 0.5)
+		default:
+			t.Fatalf("Counters.%s has unhandled kind %v", v.Type().Field(f).Name, fv.Kind())
+		}
+	}
+	var dst core.Counters
+	addCounters(&dst, src)
+	addCounters(&dst, src)
+	d := reflect.ValueOf(dst)
+	for f := 0; f < v.NumField(); f++ {
+		name := v.Type().Field(f).Name
+		switch d.Field(f).Kind() {
+		case reflect.Int:
+			if got, want := d.Field(f).Int(), 2*v.Field(f).Int(); got != want {
+				t.Fatalf("Counters.%s: merged %d, want %d", name, got, want)
+			}
+		case reflect.Float64:
+			if got, want := d.Field(f).Float(), 2*v.Field(f).Float(); got != want {
+				t.Fatalf("Counters.%s: merged %v, want %v", name, got, want)
+			}
 		}
 	}
 }
