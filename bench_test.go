@@ -606,16 +606,15 @@ func BenchmarkRunOnline(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryDispatch measures the policy registry's name
-// resolution (PolicyByName over the full cross product, the -list-
-// policies / scenario-spec path). Heuristic dispatch itself is resolved
-// once per Reset into a plain interface call, so this lookup is the
-// only registry cost a campaign ever pays per simulator reset.
-func BenchmarkRegistryDispatch(b *testing.B) {
+// BenchmarkPolicyByName measures canonical policy-name resolution
+// (PolicyByName over the policy tables, the scenario-spec path). Rule
+// dispatch itself is resolved once per Reset into plain function calls,
+// so a campaign pays this lookup only when it parses a spec.
+func BenchmarkPolicyByName(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, ok := core.PolicyByName("IteratedGreedy-EndLocal"); !ok {
-			b.Fatal("IteratedGreedy-EndLocal not registered")
+			b.Fatal("IteratedGreedy-EndLocal does not resolve")
 		}
 	}
 }

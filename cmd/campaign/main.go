@@ -75,7 +75,7 @@ func realMain() error {
 		arrivals    = flag.String("arrivals", "", "online mode: arrival process (poisson | batch | trace:FILE); creates or overrides the spec's arrivals block")
 		load        = flag.Float64("load", 0, "online mode: Poisson arrival rate in jobs per day (with -arrivals poisson)")
 		jobs        = flag.Int("jobs", 0, "online mode: number of arriving jobs (default 16 for a new block)")
-		arrivalRule = flag.String("arrival-rule", "", "online mode: arrival redistribution rule (none | greedy | steal | registered name)")
+		arrivalRule = flag.String("arrival-rule", "", "online mode: arrival redistribution rule (none | greedy | steal | rule name)")
 
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
 		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on successful exit")
@@ -90,7 +90,7 @@ func realMain() error {
 	)
 	flag.Parse()
 
-	stopProfiles, err := profiling.StartConfig("campaign", profiling.Config{
+	stopProfiles, err := profiling.Start("campaign", profiling.Config{
 		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile,
 	})
 	if err != nil {

@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -26,39 +28,53 @@ import (
 )
 
 func main() {
-	var (
-		n         = flag.Int("n", 100, "number of tasks in the pack")
-		p         = flag.Int("p", 1000, "number of processors (even, ≥ 2n)")
-		mInf      = flag.Float64("minf", 1.5e6, "minimum problem size m_inf")
-		mSup      = flag.Float64("msup", 2.5e6, "maximum problem size m_sup")
-		seqFrac   = flag.Float64("f", 0.08, "sequential fraction of Eq. (10)")
-		ckptUnit  = flag.Float64("c", 1, "checkpoint cost per data unit (C_i = c·m_i)")
-		mtbf      = flag.Float64("mtbf", 100, "per-processor MTBF in years (0 = fault-free)")
-		downtime  = flag.Float64("downtime", 60, "downtime D in seconds")
-		policy    = flag.String("policy", "ig-el", "policy name or registry composition (see -list-policies)")
-		seed      = flag.Uint64("seed", 1, "master random seed")
-		faultFile = flag.String("faults", "", "replay a JSONL fault trace instead of generating faults")
-		semantics = flag.String("semantics", "expected", "end-event semantics: expected | deterministic")
-		verbose   = flag.Bool("verbose", false, "print the full event timeline")
-		traceOut  = flag.String("trace", "", "write the JSONL event trace to this file")
-		breakdown = flag.Bool("breakdown", false, "print the waste-breakdown decomposition")
-		listPol   = flag.Bool("list-policies", false, "list accepted policy names and exit")
+	if err := realMain(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		fmt.Fprintf(os.Stderr, "coschedsim: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-		arrivals    = flag.String("arrivals", "", "online mode: arrival process (poisson | batch | trace:FILE)")
-		load        = flag.Float64("load", 8, "online mode: Poisson arrival rate in jobs per day")
-		jobs        = flag.Int("jobs", 10, "online mode: number of arriving jobs")
-		arrivalRule = flag.String("arrival-rule", "steal", "online mode: arrival redistribution rule (none | greedy | steal | registered name)")
+func realMain(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("coschedsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		n         = fs.Int("n", 100, "number of tasks in the pack")
+		p         = fs.Int("p", 1000, "number of processors (even, ≥ 2n)")
+		mInf      = fs.Float64("minf", 1.5e6, "minimum problem size m_inf")
+		mSup      = fs.Float64("msup", 2.5e6, "maximum problem size m_sup")
+		seqFrac   = fs.Float64("f", 0.08, "sequential fraction of Eq. (10)")
+		ckptUnit  = fs.Float64("c", 1, "checkpoint cost per data unit (C_i = c·m_i)")
+		mtbf      = fs.Float64("mtbf", 100, "per-processor MTBF in years (0 = fault-free)")
+		downtime  = fs.Float64("downtime", 60, "downtime D in seconds")
+		policy    = fs.String("policy", "ig-el", "policy alias or <fail>-<end>[+<arrival>] composition (see -list-policies)")
+		seed      = fs.Uint64("seed", 1, "master random seed")
+		faultFile = fs.String("faults", "", "replay a JSONL fault trace instead of generating faults")
+		semantics = fs.String("semantics", "expected", "end-event semantics: expected | deterministic")
+		verbose   = fs.Bool("verbose", false, "print the full event timeline")
+		traceOut  = fs.String("trace", "", "write the JSONL event trace to this file")
+		breakdown = fs.Bool("breakdown", false, "print the waste-breakdown decomposition")
+		listPol   = fs.Bool("list-policies", false, "list accepted policy names and exit")
+
+		arrivals    = fs.String("arrivals", "", "online mode: arrival process (poisson | batch | trace:FILE)")
+		load        = fs.Float64("load", 8, "online mode: Poisson arrival rate in jobs per day")
+		jobs        = fs.Int("jobs", 10, "online mode: number of arriving jobs")
+		arrivalRule = fs.String("arrival-rule", "steal", "online mode: arrival redistribution rule (none | greedy | steal | rule name)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *listPol {
-		scenario.FprintPolicies(os.Stdout)
-		return
+		scenario.FprintPolicies(stdout)
+		return nil
 	}
 
 	ps, err := scenario.ParsePolicy(*policy)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	pol := ps.Policy
 	if ps.FaultFree {
@@ -66,29 +82,35 @@ func main() {
 		// redistribution rules, λ forced to 0. Replaying a fault trace
 		// into a fault-free model would mix the two regimes.
 		if *faultFile != "" {
-			fatalf("-policy %s is fault-free; it cannot be combined with -faults", *policy)
+			return fmt.Errorf("-policy %s is fault-free; it cannot be combined with -faults", *policy)
 		}
 		*mtbf = 0
+	}
+	if *arrivals == "" && pol.OnArrival != core.ArrivalNone {
+		// Offline runs have no admissions, so the rule could never fire
+		// (scenario specs refuse the same policy without an arrivals
+		// block).
+		return fmt.Errorf("-policy %s names arrival rule %v, which needs -arrivals", *policy, pol.OnArrival)
 	}
 	// Check flag constraints up front with flag-level messages, before
 	// the spec reaches the engine.
 	switch {
 	case *n <= 0:
-		fatalf("-n must be positive, got %d", *n)
+		return fmt.Errorf("-n must be positive, got %d", *n)
 	case *p <= 0 || *p%2 != 0:
-		fatalf("-p must be a positive even number (processors pair up for buddy checkpointing), got %d", *p)
+		return fmt.Errorf("-p must be a positive even number (processors pair up for buddy checkpointing), got %d", *p)
 	case *p < 2**n:
-		fatalf("-p %d is too small: every task needs a processor pair, so p ≥ 2n = %d", *p, 2**n)
+		return fmt.Errorf("-p %d is too small: every task needs a processor pair, so p ≥ 2n = %d", *p, 2**n)
 	case *mtbf < 0:
-		fatalf("-mtbf must be zero (fault-free) or positive years, got %v", *mtbf)
+		return fmt.Errorf("-mtbf must be zero (fault-free) or positive years, got %v", *mtbf)
 	case *downtime < 0:
-		fatalf("-downtime must be non-negative seconds, got %v", *downtime)
+		return fmt.Errorf("-downtime must be non-negative seconds, got %v", *downtime)
 	case *mInf <= 1 || *mSup < *mInf:
-		fatalf("problem-size range -minf %v, -msup %v is invalid (need 1 < minf ≤ msup)", *mInf, *mSup)
+		return fmt.Errorf("problem-size range -minf %v, -msup %v is invalid (need 1 < minf ≤ msup)", *mInf, *mSup)
 	case *seqFrac < 0 || *seqFrac > 1:
-		fatalf("-f must be a fraction in [0,1], got %v", *seqFrac)
+		return fmt.Errorf("-f must be a fraction in [0,1], got %v", *seqFrac)
 	case *ckptUnit < 0:
-		fatalf("-c must be a non-negative checkpoint cost, got %v", *ckptUnit)
+		return fmt.Errorf("-c must be a non-negative checkpoint cost, got %v", *ckptUnit)
 	}
 	spec := workload.Spec{
 		N: *n, P: *p,
@@ -97,29 +119,29 @@ func main() {
 		MTBFYears: *mtbf, Downtime: *downtime,
 	}
 	if err := spec.Validate(); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	src := rng.New(*seed)
 	tasks, err := spec.Generate(src)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	in := core.Instance{Tasks: tasks, P: spec.P, Res: spec.Resilience()}
 
 	if *arrivals != "" {
 		if *breakdown {
-			fatalf("-breakdown is not supported with -arrivals (the accounting decomposition is offline-only)")
+			return fmt.Errorf("-breakdown is not supported with -arrivals (the accounting decomposition is offline-only)")
 		}
 		as := workload.ArrivalSpec{Count: *jobs, Rate: *load / 86400, Rule: *arrivalRule}
 		proc, trace, err := workload.ParseProcessArg(*arrivals)
 		if err != nil {
-			fatalf("-arrivals: %v", err)
+			return fmt.Errorf("-arrivals: %w", err)
 		}
 		as.Process, as.Trace = proc, trace
 		as.ApplyFlagDefaults()
 		rule, err := scenario.ParseArrivalRule(*arrivalRule)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		// An arrival rule named explicitly in -policy ("…+ArrivalGreedy")
 		// wins over the -arrival-rule flag's default, mirroring how
@@ -129,7 +151,7 @@ func main() {
 		}
 		in.Arrivals, err = as.Generate(spec, src.Split())
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
 
@@ -138,21 +160,21 @@ func main() {
 	case *faultFile != "":
 		f, err := os.Open(*faultFile)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		recorded, err := failure.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		faults, err = failure.NewTrace(recorded)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	case spec.Lambda() > 0:
 		faults, err = failure.NewRenewal(spec.P, failure.Exponential{Lambda: spec.Lambda()}, src.Split())
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
 
@@ -162,7 +184,7 @@ func main() {
 	case "deterministic":
 		opt.Semantics = core.SemanticsDeterministic
 	default:
-		fatalf("unknown semantics %q", *semantics)
+		return fmt.Errorf("unknown semantics %q", *semantics)
 	}
 	var log trace.Log
 	if *verbose || *traceOut != "" {
@@ -172,18 +194,18 @@ func main() {
 
 	res, err := core.Run(in, pol, faults, opt)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
-	fmt.Printf("policy             %s\n", pol)
-	fmt.Printf("pack               n=%d tasks on p=%d processors\n", spec.N, spec.P)
-	fmt.Printf("MTBF/processor     %.3g years\n", spec.MTBFYears)
-	fmt.Printf("makespan           %.2f s (%.2f days)\n", res.Makespan, res.Makespan/86400)
+	fmt.Fprintf(stdout, "policy             %s\n", pol)
+	fmt.Fprintf(stdout, "pack               n=%d tasks on p=%d processors\n", spec.N, spec.P)
+	fmt.Fprintf(stdout, "MTBF/processor     %.3g years\n", spec.MTBFYears)
+	fmt.Fprintf(stdout, "makespan           %.2f s (%.2f days)\n", res.Makespan, res.Makespan/86400)
 	c := res.Counters
-	fmt.Printf("failures           %d handled, %d suppressed, %d on idle processors\n",
+	fmt.Fprintf(stdout, "failures           %d handled, %d suppressed, %d on idle processors\n",
 		c.Failures, c.SuppressedFault, c.IdleFault)
-	fmt.Printf("redistributions    %d (total cost %.2f s)\n", c.Redistributions, c.RedistTime)
-	fmt.Printf("events             %d (%d task ends, %d finalized early)\n",
+	fmt.Fprintf(stdout, "redistributions    %d (total cost %.2f s)\n", c.Redistributions, c.RedistTime)
+	fmt.Fprintf(stdout, "events             %d (%d task ends, %d finalized early)\n",
 		c.Events, c.TaskEnds, c.EarlyFinalized)
 
 	if len(in.Arrivals) > 0 {
@@ -199,9 +221,9 @@ func main() {
 			}
 		}
 		nj := float64(len(res.Finish) - nBase)
-		fmt.Printf("arrivals           %d submitted, mean response %.2f s, mean wait %.2f s (max %.2f s)\n",
+		fmt.Fprintf(stdout, "arrivals           %d submitted, mean response %.2f s, mean wait %.2f s (max %.2f s)\n",
 			c.Submits, respSum/nj, waitSum/nj, worstWait)
-		fmt.Printf("utilization        %.1f%% (%.3g of %.3g proc-seconds)\n",
+		fmt.Fprintf(stdout, "utilization        %.1f%% (%.3g of %.3g proc-seconds)\n",
 			100*res.ProcSeconds/(float64(in.P)*res.Makespan),
 			res.ProcSeconds, float64(in.P)*res.Makespan)
 	}
@@ -209,9 +231,9 @@ func main() {
 	if *breakdown && res.Breakdown != nil {
 		b := res.Breakdown
 		total := b.TotalTaskSeconds()
-		fmt.Println("\nwaste breakdown (task-seconds):")
+		fmt.Fprintln(stdout, "\nwaste breakdown (task-seconds):")
 		row := func(label string, v float64) {
-			fmt.Printf("  %-22s %14.0f  (%5.2f%%)\n", label, v, 100*v/total)
+			fmt.Fprintf(stdout, "  %-22s %14.0f  (%5.2f%%)\n", label, v, 100*v/total)
 		}
 		row("useful work", b.Work)
 		row("checkpoints", b.Checkpoint)
@@ -219,32 +241,29 @@ func main() {
 		row("downtime+recovery", b.DownRec)
 		row("redistribution", b.Redist)
 		row("expectation inflation", b.Inflation)
-		fmt.Printf("  %-22s %14.0f\n", "total", total)
-		fmt.Printf("platform occupancy: %.1f%% busy (%.3g of %.3g proc-seconds)\n",
+		fmt.Fprintf(stdout, "  %-22s %14.0f\n", "total", total)
+		fmt.Fprintf(stdout, "platform occupancy: %.1f%% busy (%.3g of %.3g proc-seconds)\n",
 			100*b.BusyProcSeconds/(b.BusyProcSeconds+b.IdleProcSeconds),
 			b.BusyProcSeconds, b.BusyProcSeconds+b.IdleProcSeconds)
 	}
 
 	if *verbose {
-		fmt.Println("\ntimeline:")
-		fmt.Print(log.Timeline())
+		fmt.Fprintln(stdout, "\ntimeline:")
+		fmt.Fprint(stdout, log.Timeline())
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		if err := log.Write(f); err != nil {
-			fatalf("%v", err)
+			f.Close()
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		fmt.Printf("\ntrace written to %s (%d events)\n", *traceOut, len(log.Events))
+		fmt.Fprintf(stdout, "\ntrace written to %s (%d events)\n", *traceOut, len(log.Events))
 	}
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "coschedsim: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

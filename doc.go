@@ -11,8 +11,8 @@
 // Layout:
 //
 //   - internal/core        — the paper's Algorithms 1–5, the reusable
-//     zero-allocation simulation engine (Simulator), the pluggable
-//     policy registry, and the online kernel (dynamic job arrivals
+//     zero-allocation simulation engine (Simulator), the closed
+//     policy tables, and the online kernel (dynamic job arrivals
 //     with arrival-aware redistribution, DESIGN.md §10)
 //   - internal/model       — execution-time and resilience formulas
 //     (Eq. 1–10)

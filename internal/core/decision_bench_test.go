@@ -83,7 +83,7 @@ func benchEndLocalRound(b *testing.B, e *Simulator, t float64, elig []int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.beginDecision(t, elig, -1)
-		e.endH.RedistributeEnd(&e.d)
+		e.end(&e.d)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.ctr.CandidateEvals)/float64(b.N), "evals/op")

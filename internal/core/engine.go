@@ -44,9 +44,9 @@ type taskState struct {
 type Simulator struct {
 	in     Instance
 	pol    Policy
-	endH   EndHeuristic
-	failH  FailHeuristic
-	arrH   ArrivalHeuristic
+	end    func(*Decision) // the policy's rules, resolved by Reset (nil: none)
+	fail   func(*Decision)
+	arrive func(*Decision)
 	opt    Options
 	plat   *platform.Platform
 	st     []taskState
@@ -181,7 +181,7 @@ func Run(in Instance, pol Policy, src failure.Source, opt Options) (Result, erro
 }
 
 // Reset primes the simulator for one run: it validates the instance,
-// resolves the policy's heuristics against the registry, computes the
+// resolves the policy's rules in the policy table, computes the
 // initial schedule (Algorithm 1), re-arms the platform, the event queue
 // and the per-task state, and preallocates (or reuses) every arena. The
 // fault source is consumed by the subsequent Run.
@@ -189,7 +189,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	// A failed Reset must not leave the simulator runnable with the
 	// previous configuration.
 	e.primed = false
-	endH, failH, arrH, err := resolveHeuristics(pol)
+	end, fail, arrive, err := pol.rules()
 	if err != nil {
 		return err
 	}
@@ -211,7 +211,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	n := len(in.Tasks)
 	e.in = in
 	e.pol = pol
-	e.endH, e.failH, e.arrH = endH, failH, arrH
+	e.end, e.fail, e.arrive = end, fail, arrive
 	e.opt = opt
 	if e.opt.MaxEvents <= 0 {
 		e.opt.MaxEvents = defaultMaxEvents
@@ -610,9 +610,9 @@ func (e *Simulator) processEnd(i int, t float64) {
 		e.arrivalDecision(t, admitted)
 		return
 	}
-	if e.endH != nil {
+	if e.end != nil {
 		e.beginDecision(t, e.eligible(t), -1)
-		e.endH.RedistributeEnd(&e.d)
+		e.end(&e.d)
 		e.d.commit()
 	}
 }
@@ -698,9 +698,9 @@ func (e *Simulator) processFault(f failure.Fault) {
 	redistributed := false
 	if e.live > 0 && s.tU >= e.maxLiveTU() {
 		before := e.ctr.Redistributions
-		if e.failH != nil {
+		if e.fail != nil {
 			e.beginDecision(t, elig, owner)
-			e.failH.RedistributeFail(&e.d, owner)
+			e.fail(&e.d)
 			e.d.commit()
 		}
 		redistributed = e.ctr.Redistributions > before

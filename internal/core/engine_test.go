@@ -192,7 +192,7 @@ func TestDeterministicRuns(t *testing.T) {
 	for _, pol := range []Policy{NoRedistribution, IGEndLocal, IGEndGreedy, STFEndLocal, STFEndGreedy} {
 		mk := make([]float64, 2)
 		for rep := 0; rep < 2; rep++ {
-			src, err := failure.NewPoisson(in.P, in.Res.Lambda, rng.New(555))
+			src, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(555))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestSemanticsAgreeFaultFree(t *testing.T) {
 
 func TestDeterministicSemanticsWithFaults(t *testing.T) {
 	in := Instance{Tasks: synthPack(6, rng.New(21)), P: 36, Res: paperRes(2)}
-	src, _ := failure.NewPoisson(in.P, in.Res.Lambda, rng.New(99))
+	src, _ := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(99))
 	det := mustRun(t, in, IGEndLocal, src, Options{Semantics: SemanticsDeterministic})
 	if det.Makespan <= 0 {
 		t.Fatal("deterministic run produced empty makespan")
@@ -240,7 +240,7 @@ func TestDeterministicSemanticsWithFaults(t *testing.T) {
 
 func TestMaxEventsGuard(t *testing.T) {
 	in := Instance{Tasks: synthPack(4, rng.New(3)), P: 16, Res: paperRes(1)}
-	src, _ := failure.NewPoisson(in.P, in.Res.Lambda, rng.New(1))
+	src, _ := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(1))
 	if _, err := Run(in, NoRedistribution, src, Options{MaxEvents: 1}); err == nil {
 		t.Fatal("MaxEvents guard did not trip")
 	}
@@ -248,7 +248,7 @@ func TestMaxEventsGuard(t *testing.T) {
 
 func TestHistoryRecording(t *testing.T) {
 	in := Instance{Tasks: synthPack(8, rng.New(17)), P: 32, Res: paperRes(1)}
-	src, _ := failure.NewPoisson(in.P, in.Res.Lambda, rng.New(7))
+	src, _ := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(7))
 	r := mustRun(t, in, IGEndLocal, src, Options{RecordHistory: true})
 	if r.Counters.Failures == 0 {
 		t.Fatal("test needs at least one failure; lower the MTBF")
@@ -267,7 +267,7 @@ func TestHistoryRecording(t *testing.T) {
 		}
 	}
 	// Without the flag no history is kept.
-	src2, _ := failure.NewPoisson(in.P, in.Res.Lambda, rng.New(7))
+	src2, _ := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(7))
 	r2 := mustRun(t, in, IGEndLocal, src2, Options{})
 	if r2.History != nil {
 		t.Fatal("history recorded without the flag")

@@ -8,8 +8,8 @@ import (
 // top of the paper's offline Algorithm 2. Jobs are submitted through
 // KindSubmit events, wait in a FIFO queue until a processor pair is
 // free, and are then admitted by greedy insertion (Algorithm 1 restricted
-// to the newcomers). A registered ArrivalHeuristic may afterwards
-// rebalance the running tasks around them. With no Arrivals in the
+// to the newcomers). The policy's arrival rule may afterwards rebalance
+// the running tasks around them. With no Arrivals in the
 // Instance none of these paths execute, so offline runs stay bit-
 // identical to the pre-online engine (pinned by the golden tests).
 //
@@ -18,43 +18,21 @@ import (
 
 // --- Arrival heuristics ----------------------------------------------
 
-// arrivalGreedyRule recomputes a complete schedule whenever jobs are
-// admitted: Algorithm 5 (iterated greedy) applied at arrival events, the
-// online analogue of EndGreedy.
-type arrivalGreedyRule struct{}
-
-func (arrivalGreedyRule) Name() string { return "ArrivalGreedy" }
-
-func (arrivalGreedyRule) RedistributeArrival(d *Decision, arrived []int) { iteratedGreedy(d) }
-
-// arrivalStealRule is the arrival-aware analogue of Algorithm 4: each
-// admitted job — which enters with whatever greedy insertion could take
-// from the free pool, and is therefore typically the new critical task —
-// absorbs remaining free processors and then steals pairs from the
-// shortest running tasks, as long as it improves and no donor becomes
-// the new bottleneck. Built purely on the exported Decision API.
-type arrivalStealRule struct{}
-
-func (arrivalStealRule) Name() string { return "ArrivalSteal" }
-
-func (arrivalStealRule) RedistributeArrival(d *Decision, arrived []int) {
-	for _, a := range arrived {
+// arrivalSteal is the ArrivalSteal rule, the arrival-aware analogue of
+// Algorithm 4: each admitted job — which enters with whatever greedy
+// insertion could take from the free pool, and is therefore typically
+// the new critical task — absorbs remaining free processors and then
+// steals pairs from the shortest running tasks, as long as it improves
+// and no donor becomes the new bottleneck. ArrivalGreedy is
+// iteratedGreedy (Algorithm 5) run at admissions.
+func arrivalSteal(d *Decision) {
+	for _, a := range d.arrived {
 		if !d.IsEligible(a) {
 			continue
 		}
 		absorbAndSteal(d, a)
 	}
 }
-
-// Registered arrival rules. ArrivalSteal is the default for online
-// scenario specs (workload.ArrivalSpec).
-var (
-	// ArrivalGreedy recomputes the whole schedule at every admission.
-	ArrivalGreedy = RegisterArrivalHeuristic(arrivalGreedyRule{})
-	// ArrivalSteal grows each admitted job by stealing from the shortest
-	// running tasks (the arrival-time variant of Algorithm 4).
-	ArrivalSteal = RegisterArrivalHeuristic(arrivalStealRule{})
-)
 
 // --- Online kernel machinery -----------------------------------------
 
@@ -120,7 +98,7 @@ func (e *Simulator) addTask(a Arrival, t float64) (int, error) {
 // insertion: free processors go two at a time to the admitted job with
 // the largest expected finish, as long as it can still strictly improve
 // (Algorithm 1 restricted to the newcomers; running tasks are never
-// touched here — that is the ArrivalHeuristic's job). It returns the
+// touched here — that is the arrival rule's job). It returns the
 // admitted task indices (shared scratch, valid until the next admit).
 func (e *Simulator) admit(t float64) []int {
 	if !e.online || e.waiting() == 0 || e.plat.FreeProcs() < 2 {
@@ -190,15 +168,16 @@ func (e *Simulator) admit(t float64) []int {
 	return admitted
 }
 
-// arrivalDecision runs the policy's arrival heuristic over the eligible
+// arrivalDecision runs the policy's arrival rule over the eligible
 // tasks after an admission round.
 func (e *Simulator) arrivalDecision(t float64, admitted []int) {
-	if e.arrH == nil || e.live <= len(admitted) {
+	if e.arrive == nil || e.live <= len(admitted) {
 		// Nothing to rebalance: the admitted jobs are the only live
 		// tasks and greedy insertion already grew them.
 		return
 	}
 	e.beginDecision(t, e.eligible(t), -1)
-	e.arrH.RedistributeArrival(&e.d, admitted)
+	e.d.arrived = admitted
+	e.arrive(&e.d)
 	e.d.commit()
 }

@@ -17,14 +17,14 @@ import (
 // performs no allocation and no hashing. Eligibility is tracked with a
 // round-stamp (mark[i] == round) so clearing between rounds is O(1).
 //
-// External heuristics registered through RegisterEndHeuristic /
-// RegisterFailHeuristic interact with the Decision only through its
-// exported methods; the invariants (even allocations ≥ 2, processor
-// conservation) are enforced there.
+// Rules mutate candidate allocations only through SetSigma, which
+// enforces the invariants (even allocations ≥ 2, processor
+// conservation).
 type Decision struct {
-	e      *Simulator
-	t      float64
-	faulty int // task index, or -1
+	e       *Simulator
+	t       float64
+	faulty  int   // task index, or -1
+	arrived []int // just-admitted tasks; set for arrival rounds only
 
 	mark      []uint64 // eligibility stamp per task
 	bound     []uint64 // evaluator-binding stamp per task (lazy, see bind)
@@ -292,17 +292,13 @@ func (d *Decision) commit() {
 	}
 }
 
-// --- The paper's heuristics, as registered types ---------------------
+// --- The paper's heuristics ------------------------------------------
 
-// endLocalRule is Algorithm 3 (Redistrib-Available-Procs): hand the free
+// endLocal is Algorithm 3 (Redistrib-Available-Procs): hand the free
 // processors to the longest tasks, two at a time, as long as their
 // expected finish improves; a task that cannot be improved is dropped
 // from consideration for this invocation.
-type endLocalRule struct{}
-
-func (endLocalRule) Name() string { return "EndLocal" }
-
-func (endLocalRule) RedistributeEnd(d *Decision) {
+func endLocal(d *Decision) {
 	k := d.avail
 	if k < 2 || len(d.elig) == 0 {
 		return
@@ -338,12 +334,12 @@ func (endLocalRule) RedistributeEnd(d *Decision) {
 }
 
 // iteratedGreedy is Algorithm 5, shared by the end-of-task (EndGreedy,
-// faulty < 0) and failure (IteratedGreedy) variants: virtually reset
-// every eligible task to one pair, then regrow the longest task two
-// processors at a time while its expected finish (including
-// redistribution costs) improves. Reaching the initial allocation again
-// means "no redistribution" and restores the task's unperturbed
-// trajectory.
+// faulty < 0), failure (IteratedGreedy) and arrival (ArrivalGreedy)
+// variants: virtually reset every eligible task to one pair, then regrow
+// the longest task two processors at a time while its expected finish
+// (including redistribution costs) improves. Reaching the initial
+// allocation again means "no redistribution" and restores the task's
+// unperturbed trajectory.
 func iteratedGreedy(d *Decision) {
 	if len(d.elig) == 0 {
 		return
@@ -382,35 +378,15 @@ func iteratedGreedy(d *Decision) {
 	}
 }
 
-// endGreedyRule recomputes a complete schedule at task terminations (the
-// end-of-task variant of Algorithm 5).
-type endGreedyRule struct{}
-
-func (endGreedyRule) Name() string { return "EndGreedy" }
-
-func (endGreedyRule) RedistributeEnd(d *Decision) { iteratedGreedy(d) }
-
-// iteratedGreedyRule recomputes a complete schedule at each failure
-// (Algorithm 5).
-type iteratedGreedyRule struct{}
-
-func (iteratedGreedyRule) Name() string { return "IteratedGreedy" }
-
-func (iteratedGreedyRule) RedistributeFail(d *Decision, faulty int) { iteratedGreedy(d) }
-
-// shortestTasksFirstRule is Algorithm 4: give the free processors to the
+// shortestTasksFirst is Algorithm 4: give the free processors to the
 // faulty task while that improves it, then transfer pairs from the
 // shortest tasks as long as both the faulty task improves and the donor
 // does not become the new longest task.
-type shortestTasksFirstRule struct{}
-
-func (shortestTasksFirstRule) Name() string { return "ShortestTasksFirst" }
-
-func (shortestTasksFirstRule) RedistributeFail(d *Decision, faulty int) {
-	if !d.IsEligible(faulty) {
+func shortestTasksFirst(d *Decision) {
+	if !d.IsEligible(d.faulty) {
 		return
 	}
-	absorbAndSteal(d, faulty)
+	absorbAndSteal(d, d.faulty)
 }
 
 // absorbAndSteal is the body of Algorithm 4, shared by the failure-time

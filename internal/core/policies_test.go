@@ -179,7 +179,7 @@ func TestFailurePolicySkippedWhenNotLongest(t *testing.T) {
 func TestIGCanShrinkTasks(t *testing.T) {
 	src := rng.New(40)
 	in := Instance{Tasks: synthPack(12, src), P: 48, Res: paperRes(0.5)}
-	fsrc, _ := failure.NewPoisson(in.P, in.Res.Lambda, rng.New(3))
+	fsrc, _ := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(3))
 	r := mustRun(t, in, IGEndLocal, fsrc, Options{})
 	if r.Counters.Failures == 0 || r.Counters.Redistributions == 0 {
 		t.Skipf("scenario produced no redistribution (failures=%d)", r.Counters.Failures)

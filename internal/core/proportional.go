@@ -1,11 +1,11 @@
 package core
 
-// EndProportional is the registry's proof-of-extension heuristic: a
-// proportional-share end-of-task rule that is NOT part of the paper.
-// When a task terminates, the freed processors are apportioned among the
-// eligible tasks proportionally to their remaining expected work
-// (tU − t), largest-remaining-first, instead of all-to-the-longest
-// (EndLocal) or by full recomputation (EndGreedy).
+// endProportional is the EndProportional rule: a proportional-share
+// end-of-task rule that is NOT part of the paper. When a task
+// terminates, the freed processors are apportioned among the eligible
+// tasks proportionally to their remaining expected work (tU − t),
+// largest-remaining-first, instead of all-to-the-longest (EndLocal) or
+// by full recomputation (EndGreedy).
 //
 // Pairs are dealt one at a time by a Sainte-Laguë-style highest-quotient
 // draw — weight_i / (2·granted_i + 1) — and a task only receives a pair
@@ -14,17 +14,9 @@ package core
 // smaller task index; the rule is deterministic and terminates because
 // every accepted round consumes one pair.
 //
-// The implementation deliberately uses only the exported Decision API
-// (Eligible, TU, Now, Sigma, Candidate, SetSigma, Avail): it is the
-// template for out-of-core heuristics registered via
-// RegisterEndHeuristic.
-var EndProportional = RegisterEndHeuristic(endProportionalRule{})
-
-type endProportionalRule struct{}
-
-func (endProportionalRule) Name() string { return "EndProportional" }
-
-func (endProportionalRule) RedistributeEnd(d *Decision) {
+// It uses only the exported Decision API (Eligible, TU, Now, Sigma,
+// InitialSigma, Candidate, SetSigma, Avail).
+func endProportional(d *Decision) {
 	elig := d.Eligible()
 	if d.Avail() < 2 || len(elig) == 0 {
 		return

@@ -1,8 +1,8 @@
 package core_test
 
-// Tests of the policy registry: name stability for the paper's
-// combinations, round-tripping through PolicyByName, the extension
-// point, and the Decision API safeguards external heuristics run under.
+// Tests of the policy tables: name stability for the paper's
+// combinations, round-tripping through PolicyByName, the name grammar,
+// and the Decision API safeguards every rule runs under.
 
 import (
 	"strings"
@@ -39,17 +39,17 @@ func TestPaperPolicyNamesStable(t *testing.T) {
 	}
 }
 
-// TestRegisteredPoliciesRoundTrip requires every listed policy name to
-// resolve back to a policy rendering the same name.
-func TestRegisteredPoliciesRoundTrip(t *testing.T) {
-	names := core.RegisteredPolicies()
+// TestPolicyNamesRoundTrip requires every listed policy name to resolve
+// back to a policy rendering the same name.
+func TestPolicyNamesRoundTrip(t *testing.T) {
+	names := core.PolicyNames()
 	if len(names) == 0 {
-		t.Fatal("no registered policies")
+		t.Fatal("no policies listed")
 	}
 	seen := map[string]bool{}
 	for _, name := range names {
 		if seen[name] {
-			t.Errorf("duplicate registered policy name %q", name)
+			t.Errorf("duplicate policy name %q", name)
 		}
 		seen[name] = true
 		pol, ok := core.PolicyByName(name)
@@ -63,7 +63,7 @@ func TestRegisteredPoliciesRoundTrip(t *testing.T) {
 	}
 	for _, must := range []string{"NoRedistribution", "IteratedGreedy-EndProportional"} {
 		if !seen[must] {
-			t.Errorf("RegisteredPolicies misses %q", must)
+			t.Errorf("PolicyNames misses %q", must)
 		}
 	}
 }
@@ -91,21 +91,29 @@ func TestRuleLists(t *testing.T) {
 	}
 }
 
-// TestRegisterDuplicatePanics: names key fingerprints, so re-registering
-// one must panic rather than silently shadow.
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+// TestRuleNamesWellFormed: names key specs, JSONL records and
+// fingerprints, and PolicyByName splits "<fail>-<end>+<arrival>" on the
+// separators, so every rule name must be non-empty, free of '-' and
+// '+', distinct from the "NoRedistribution" pseudo-name and unique
+// within its table.
+func TestRuleNamesWellFormed(t *testing.T) {
+	for kind, names := range map[string][]string{
+		"end":     core.EndRules(),
+		"fail":    core.FailRules(),
+		"arrival": core.ArrivalRules(),
+	} {
+		seen := map[string]bool{}
+		for _, name := range names {
+			if name == "" || strings.ContainsAny(name, "-+") || name == "NoRedistribution" {
+				t.Errorf("%s rule name %q breaks the composition grammar", kind, name)
+			}
+			if seen[name] {
+				t.Errorf("%s rule name %q is not unique", kind, name)
+			}
+			seen[name] = true
 		}
-	}()
-	core.RegisterEndHeuristic(dupRule{})
+	}
 }
-
-type dupRule struct{}
-
-func (dupRule) Name() string                     { return "EndLocal" } // collides
-func (dupRule) RedistributeEnd(d *core.Decision) {}
 
 // proportionalInstance is a failure-heavy setup where EndProportional
 // has free processors to apportion.
@@ -144,15 +152,10 @@ func TestEndProportionalRuns(t *testing.T) {
 	}
 }
 
-// greedyExternal is a deliberately naive external heuristic built purely
-// on the exported Decision API: it hands every free pair to the single
-// longest task unconditionally. It exists to prove third-party rules can
-// be registered and run under the engine's safeguards.
-type greedyExternal struct{}
-
-func (greedyExternal) Name() string { return "EndAllToLongest" }
-
-func (greedyExternal) RedistributeEnd(d *core.Decision) {
+// endAllToLongest is a deliberately naive end rule built purely on the
+// exported Decision API: it hands every free pair to the single longest
+// task unconditionally, with no candidate check.
+func endAllToLongest(d *core.Decision) {
 	elig := d.Eligible()
 	if len(elig) == 0 {
 		return
@@ -168,25 +171,16 @@ func (greedyExternal) RedistributeEnd(d *core.Decision) {
 	}
 }
 
-var endAllToLongest = core.RegisterEndHeuristic(greedyExternal{})
-
-// TestExternalHeuristic runs the externally registered rule through a
-// paranoid simulation: the engine must keep processor conservation even
-// though the heuristic grows without candidate checks.
+// TestExternalHeuristic runs the naive rule through a paranoid
+// simulation: the engine must keep processor conservation even though
+// the rule grows without candidate checks.
 func TestExternalHeuristic(t *testing.T) {
 	in, spec := proportionalInstance(t)
 	src, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: spec.Lambda()}, rng.New(78))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := core.Policy{OnEnd: endAllToLongest}
-	if name := pol.String(); name != "FailNone-EndAllToLongest" {
-		t.Fatalf("external rule renders as %q", name)
-	}
-	if _, ok := core.PolicyByName("FailNone-EndAllToLongest"); !ok {
-		t.Fatal("external rule not resolvable by name")
-	}
-	res, err := core.Run(in, pol, src, core.Options{Paranoia: true})
+	res, err := core.RunWithEndRule(in, endAllToLongest, src, core.Options{Paranoia: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,21 +189,15 @@ func TestExternalHeuristic(t *testing.T) {
 	}
 }
 
-// oversubscriber tries to claim more processors than exist; SetSigma
+// endOversubscribe tries to claim more processors than exist; SetSigma
 // must panic rather than let the engine commit an impossible schedule.
-type oversubscriber struct{}
-
-func (oversubscriber) Name() string { return "EndOversubscribe" }
-
-func (oversubscriber) RedistributeEnd(d *core.Decision) {
+func endOversubscribe(d *core.Decision) {
 	elig := d.Eligible()
 	if len(elig) == 0 {
 		return
 	}
 	d.SetSigma(elig[0], 1<<20)
 }
-
-var endOversubscribe = core.RegisterEndHeuristic(oversubscriber{})
 
 // TestDecisionOversubscribePanics verifies the conservation safeguard of
 // the exported Decision API.
@@ -224,6 +212,6 @@ func TestDecisionOversubscribePanics(t *testing.T) {
 			t.Fatal("oversubscribing SetSigma did not panic")
 		}
 	}()
-	_, _ = core.Run(in, core.Policy{OnEnd: endOversubscribe}, src, core.Options{})
-	t.Fatal("run with an oversubscribing heuristic completed")
+	_, _ = core.RunWithEndRule(in, endOversubscribe, src, core.Options{})
+	t.Fatal("run with an oversubscribing rule completed")
 }

@@ -12,10 +12,9 @@
 //   - EndGreedy — full schedule recomputation at task terminations;
 //   - Algorithm 4 — ShortestTasksFirst, failure-time stealing;
 //   - Algorithm 5 — IteratedGreedy, full recomputation at failures;
-//   - a policy registry (EndHeuristic/FailHeuristic/ArrivalHeuristic)
-//     dispatching the rules above and extensions such as EndProportional,
-//     ArrivalGreedy and ArrivalSteal, keyed by the stable
-//     Policy.String() names;
+//   - one closed policy table per rule kind (rules.go) naming the rules
+//     above and the extensions EndProportional, ArrivalGreedy and
+//     ArrivalSteal once each, keyed by the stable Policy.String() names;
 //   - the online kernel (online.go): dynamic job arrivals via Submit
 //     events, FIFO admission with greedy insertion, and arrival-aware
 //     redistribution — the offline paper setting is the zero-Arrivals
@@ -23,7 +22,7 @@
 //
 // See DESIGN.md §5 for the documented resolutions of the pseudocode's
 // ambiguities (D+R accounting, busy-task exclusion, loop termination),
-// DESIGN.md §7 for the registry and the simulator-reuse contract, and
+// DESIGN.md §7 for the policy table and the simulator-reuse contract, and
 // DESIGN.md §10 for the online kernel's contracts.
 package core
 
@@ -35,8 +34,8 @@ import (
 )
 
 // EndRule selects what happens when a task terminates and releases its
-// processors (§5.2 of the paper). Beyond the built-in constants, new
-// rules come from RegisterEndHeuristic.
+// processors (§5.2 of the paper). Each id is one row of the end-rule
+// policy table (rules.go).
 type EndRule int
 
 const (
@@ -48,23 +47,19 @@ const (
 	// EndGreedy recomputes a complete schedule, accounting for
 	// redistribution costs (the end-of-task variant of Algorithm 5).
 	EndGreedy
-
-	// endRuleBuiltins is where RegisterEndHeuristic ids start.
-	endRuleBuiltins
+	// EndProportional apportions released processors among the eligible
+	// tasks in proportion to their remaining expected work (not part of
+	// the paper; see proportional.go).
+	EndProportional
 )
 
-// String implements fmt.Stringer, consulting the registry for names (the
-// built-ins keep their historical spellings).
-func (e EndRule) String() string {
-	if name := endRuleName(e); name != "" {
-		return name
-	}
-	return fmt.Sprintf("EndRule(%d)", int(e))
-}
+// String implements fmt.Stringer with the rule's table name, or
+// "EndRule(n)" for an id outside the table.
+func (e EndRule) String() string { return ruleName(endRules[:], int(e), "EndRule") }
 
 // FailRule selects what happens when a failure strikes the longest task
-// (§5.3 of the paper). Beyond the built-in constants, new rules come
-// from RegisterFailHeuristic.
+// (§5.3 of the paper). Each id is one row of the failure-rule policy
+// table (rules.go).
 type FailRule int
 
 const (
@@ -76,41 +71,35 @@ const (
 	// FailIteratedGreedy recomputes a complete schedule at each failure
 	// (Algorithm 5).
 	FailIteratedGreedy
-
-	// failRuleBuiltins is where RegisterFailHeuristic ids start.
-	failRuleBuiltins
 )
 
-// String implements fmt.Stringer, consulting the registry for names (the
-// built-ins keep their historical spellings).
-func (f FailRule) String() string {
-	if name := failRuleName(f); name != "" {
-		return name
-	}
-	return fmt.Sprintf("FailRule(%d)", int(f))
-}
+// String implements fmt.Stringer with the rule's table name, or
+// "FailRule(n)" for an id outside the table.
+func (f FailRule) String() string { return ruleName(failRules[:], int(f), "FailRule") }
 
 // ArrivalRule selects what happens when newly arrived jobs are admitted
 // in online mode (dynamic job arrivals; not part of the paper, which is
-// offline). Rules come from RegisterArrivalHeuristic.
+// offline). Each id is one row of the arrival-rule policy table
+// (rules.go).
 type ArrivalRule int
 
-// ArrivalNone performs no redistribution at job arrivals: admitted jobs
-// receive free processors only (greedy insertion) and running tasks are
-// never touched. It is the zero value, so every pre-online Policy
-// literal keeps its exact behavior.
-const ArrivalNone ArrivalRule = 0
+const (
+	// ArrivalNone performs no redistribution at job arrivals: admitted
+	// jobs receive free processors only (greedy insertion) and running
+	// tasks are never touched. It is the zero value, so every offline
+	// Policy literal keeps its exact behavior.
+	ArrivalNone ArrivalRule = iota
+	// ArrivalGreedy recomputes the whole schedule at every admission.
+	ArrivalGreedy
+	// ArrivalSteal grows each admitted job by stealing from the shortest
+	// running tasks (the arrival-time variant of Algorithm 4). It is the
+	// default for online scenario specs (workload.ArrivalSpec).
+	ArrivalSteal
+)
 
-// arrivalRuleBuiltins is where RegisterArrivalHeuristic ids start.
-const arrivalRuleBuiltins ArrivalRule = 1
-
-// String implements fmt.Stringer, consulting the registry for names.
-func (a ArrivalRule) String() string {
-	if name := arrivalRuleName(a); name != "" {
-		return name
-	}
-	return fmt.Sprintf("ArrivalRule(%d)", int(a))
-}
+// String implements fmt.Stringer with the rule's table name, or
+// "ArrivalRule(n)" for an id outside the table.
+func (a ArrivalRule) String() string { return ruleName(arrivalRules[:], int(a), "ArrivalRule") }
 
 // Policy pairs an end-of-task rule with a failure rule — the paper's four
 // heuristic combinations are IteratedGreedy/ShortestTasksFirst crossed

@@ -236,37 +236,6 @@ func (r *Replay) Next() (Fault, bool) {
 	return f, ok
 }
 
-// Poisson is the superposition fast path valid for the exponential law
-// only: platform-level failures arrive with rate p·λ and each strikes a
-// uniformly random processor. It is statistically identical to
-// Renewal{Exponential} and cheaper for large p.
-type Poisson struct {
-	lambda float64
-	p      int
-	rng    *rng.Source
-	now    float64
-}
-
-// NewPoisson creates the superposed exponential source.
-func NewPoisson(p int, lambda float64, src *rng.Source) (*Poisson, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("failure: processor count %d must be positive", p)
-	}
-	if lambda <= 0 {
-		return nil, fmt.Errorf("failure: rate %v must be positive (use Null for fault-free)", lambda)
-	}
-	if src == nil {
-		return nil, fmt.Errorf("failure: rng source is required")
-	}
-	return &Poisson{lambda: lambda, p: p, rng: src}, nil
-}
-
-// Next implements Source; the stream is endless.
-func (s *Poisson) Next() (Fault, bool) {
-	s.now += s.rng.Exponential(s.lambda * float64(s.p))
-	return Fault{Time: s.now, Proc: s.rng.Intn(s.p)}, true
-}
-
 // Trace replays a recorded fault sequence.
 type Trace struct {
 	faults []Fault

@@ -58,48 +58,6 @@ func TestRenewalExponentialRate(t *testing.T) {
 	}
 }
 
-func TestPoissonMatchesRenewalStatistically(t *testing.T) {
-	const lambda, p, horizon = 1.0 / (100 * yearSeconds), 1000, 100 * yearSeconds / 10
-	ren, _ := NewRenewal(p, Exponential{Lambda: lambda}, rng.New(11))
-	poi, _ := NewPoisson(p, lambda, rng.New(13))
-	countR, countP := 0, 0
-	for {
-		f, _ := ren.Next()
-		if f.Time > horizon {
-			break
-		}
-		countR++
-	}
-	for {
-		f, _ := poi.Next()
-		if f.Time > horizon {
-			break
-		}
-		countP++
-	}
-	want := lambda * float64(p) * horizon // ~ 1000 * λ * horizon = 100
-	if math.Abs(float64(countR)-want) > 0.35*want {
-		t.Fatalf("renewal count %d far from %v", countR, want)
-	}
-	if math.Abs(float64(countP)-want) > 0.35*want {
-		t.Fatalf("poisson count %d far from %v", countP, want)
-	}
-}
-
-func TestPoissonUniformProcs(t *testing.T) {
-	src, _ := NewPoisson(10, 1, rng.New(3))
-	counts := make([]int, 10)
-	for i := 0; i < 50000; i++ {
-		f, _ := src.Next()
-		counts[f.Proc]++
-	}
-	for q, c := range counts {
-		if c < 4300 || c > 5700 {
-			t.Fatalf("processor %d struck %d times, want ~5000", q, c)
-		}
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	if _, err := NewRenewal(0, Exponential{Lambda: 1}, rng.New(1)); err == nil {
 		t.Fatal("p=0 accepted")
@@ -108,15 +66,6 @@ func TestConstructorValidation(t *testing.T) {
 		t.Fatal("nil law accepted")
 	}
 	if _, err := NewRenewal(4, Exponential{Lambda: 1}, nil); err == nil {
-		t.Fatal("nil rng accepted")
-	}
-	if _, err := NewPoisson(4, 0, rng.New(1)); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := NewPoisson(-1, 1, rng.New(1)); err == nil {
-		t.Fatal("negative p accepted")
-	}
-	if _, err := NewPoisson(4, 1, nil); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
@@ -242,7 +191,7 @@ func TestTraceRejectsUnordered(t *testing.T) {
 }
 
 func TestTraceFileRoundTrip(t *testing.T) {
-	src, _ := NewPoisson(8, 0.25, rng.New(31))
+	src, _ := NewRenewal(8, Exponential{Lambda: 0.25}, rng.New(31))
 	faults := Collect(src, 100, 0)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, faults); err != nil {
@@ -273,12 +222,12 @@ func TestReadTraceRejectsGarbageAndDisorder(t *testing.T) {
 }
 
 func TestCollectHorizonAndLimit(t *testing.T) {
-	src, _ := NewPoisson(4, 1, rng.New(41))
+	src, _ := NewRenewal(4, Exponential{Lambda: 1}, rng.New(41))
 	byLimit := Collect(src, 5, 0)
 	if len(byLimit) != 5 {
 		t.Fatalf("limit collect returned %d", len(byLimit))
 	}
-	src2, _ := NewPoisson(4, 1, rng.New(41))
+	src2, _ := NewRenewal(4, Exponential{Lambda: 1}, rng.New(41))
 	byHorizon := Collect(src2, 1000000, 1.0)
 	for _, f := range byHorizon {
 		if f.Time >= 1.0 {
@@ -301,13 +250,6 @@ func TestDeterministicStreams(t *testing.T) {
 
 func BenchmarkRenewalNext(b *testing.B) {
 	src, _ := NewRenewal(5000, Exponential{Lambda: 1e-9}, rng.New(1))
-	for i := 0; i < b.N; i++ {
-		src.Next()
-	}
-}
-
-func BenchmarkPoissonNext(b *testing.B) {
-	src, _ := NewPoisson(5000, 1e-9, rng.New(1))
 	for i := 0; i < b.N; i++ {
 		src.Next()
 	}

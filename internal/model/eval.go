@@ -58,9 +58,6 @@ func (e *MinEval) ResetCompiled(c *Compiled, ti int, alpha float64) {
 	e.mins = e.mins[:0]
 }
 
-// Alpha returns the work fraction the evaluator is bound to.
-func (e *MinEval) Alpha() float64 { return e.alpha }
-
 // At returns the monotonized expected time on j processors. j must be a
 // positive even count (the double-checkpointing buddy constraint).
 func (e *MinEval) At(j int) float64 {

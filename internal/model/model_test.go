@@ -519,9 +519,6 @@ func TestMinEvalReset(t *testing.T) {
 	}{{a, 0.5}, {b, 1}, {b, 0.25}, {a, 1}} {
 		reused.Reset(r, tc.task, tc.alpha)
 		fresh := NewMinEval(r, tc.task, tc.alpha)
-		if got, want := reused.Alpha(), fresh.Alpha(); got != want {
-			t.Fatalf("alpha after Reset: %v, want %v", got, want)
-		}
 		for j := 2; j <= 40; j += 2 {
 			if got, want := reused.At(j), fresh.At(j); got != want {
 				t.Errorf("Reset(%v) At(%d) = %v, fresh %v", tc.alpha, j, got, want)

@@ -29,19 +29,14 @@ func (c Config) enabled() bool {
 	return c.CPU != "" || c.Mem != "" || c.Block != "" || c.Mutex != ""
 }
 
-// Start arms the optional pprof outputs: the CPU profile (and the block
+// Start arms the selected pprof outputs: the CPU profile (and the block
 // and mutex contention profilers, when requested) run until the returned
 // stop function is called, which also writes the heap profile (after a
 // GC, so it reflects live steady-state memory). prefix labels the
 // messages with the calling command's name. Error exits that bypass the
 // deferred stop simply lose the profiles — they are a success-path
 // diagnostic.
-func Start(prefix, cpuPath, memPath string) (stop func(), err error) {
-	return StartConfig(prefix, Config{CPU: cpuPath, Mem: memPath})
-}
-
-// StartConfig is Start with the full profile selection.
-func StartConfig(prefix string, cfg Config) (stop func(), err error) {
+func Start(prefix string, cfg Config) (stop func(), err error) {
 	if !cfg.enabled() {
 		return func() {}, nil
 	}

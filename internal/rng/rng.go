@@ -63,11 +63,6 @@ func SubSeed(master uint64, path ...uint64) uint64 {
 	return h
 }
 
-// NewStream returns a Source seeded with SubSeed(master, path...).
-func NewStream(master uint64, path ...uint64) *Source {
-	return New(SubSeed(master, path...))
-}
-
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Uint64 returns the next 64 uniformly random bits.
@@ -165,17 +160,6 @@ func (r *Source) Normal() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle randomizes the order of the first n elements using swap,

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -199,29 +198,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.03 {
 		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(43)
-	err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		r.Reseed(seed)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

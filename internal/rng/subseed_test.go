@@ -27,13 +27,3 @@ func TestSubSeedOrderSensitive(t *testing.T) {
 		t.Fatal("SubSeed ignores path extension")
 	}
 }
-
-func TestNewStreamMatchesSubSeed(t *testing.T) {
-	a := NewStream(9, 1, 2)
-	b := New(SubSeed(9, 1, 2))
-	for i := 0; i < 8; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("NewStream and New(SubSeed(...)) diverge")
-		}
-	}
-}

@@ -241,112 +241,72 @@ type PolicySpec struct {
 	FaultFree bool
 }
 
-// policyTable maps short aliases to policy combinations. The "ff-"
-// prefix turns any of them into its fault-free variant. Anything not in
-// this table is resolved against the core policy registry by its
-// canonical Policy.String() name, so heuristics added through
-// core.RegisterEndHeuristic / core.RegisterFailHeuristic are reachable
-// from scenario specs without touching this package.
-var policyTable = map[string]core.Policy{
-	"norc":   core.NoRedistribution,
-	"ig-eg":  core.IGEndGreedy,
-	"ig-el":  core.IGEndLocal,
-	"stf-eg": core.STFEndGreedy,
-	"stf-el": core.STFEndLocal,
-	"ig-ep":  {OnEnd: core.EndProportional, OnFailure: core.FailIteratedGreedy},
-	"stf-ep": {OnEnd: core.EndProportional, OnFailure: core.FailShortestTasksFirst},
-	"eg":     {OnEnd: core.EndGreedy},
-	"el":     {OnEnd: core.EndLocal},
-	"ep":     {OnEnd: core.EndProportional},
+// aliases are the short policy names, in resolution and listing order:
+// the paper's §6.2 combinations, then the proportional-share
+// extension, then the end-rule-only forms. The "ff-" prefix turns any of
+// them into its fault-free variant; every other name resolves through
+// core.PolicyByName.
+var aliases = []struct {
+	name string
+	pol  core.Policy
+}{
+	{"norc", core.NoRedistribution},
+	{"ig-eg", core.IGEndGreedy},
+	{"ig-el", core.IGEndLocal},
+	{"stf-eg", core.STFEndGreedy},
+	{"stf-el", core.STFEndLocal},
+	{"ig-ep", core.Policy{OnEnd: core.EndProportional, OnFailure: core.FailIteratedGreedy}},
+	{"stf-ep", core.Policy{OnEnd: core.EndProportional, OnFailure: core.FailShortestTasksFirst}},
+	{"eg", core.Policy{OnEnd: core.EndGreedy}},
+	{"el", core.Policy{OnEnd: core.EndLocal}},
+	{"ep", core.Policy{OnEnd: core.EndProportional}},
 }
 
-// shortNames is the alias resolution order: fully-qualified combinations
-// ahead of the end-rule-only aliases, paper policies ahead of
-// extensions.
-var shortNames = []string{"norc", "ig-eg", "ig-el", "stf-eg", "stf-el", "ig-ep", "stf-ep", "eg", "el", "ep"}
-
-// ParsePolicy resolves a policy name: "norc", "ig-eg", "ig-el",
-// "stf-eg", "stf-el" (the paper's §6.2 combinations), "ig-ep"/"stf-ep"
-// (the proportional-share extension), "eg"/"el"/"ep" (end-rule only), or
-// any canonical name from the core policy registry (e.g.
-// "IteratedGreedy-EndLocal" — see core.RegisteredPolicies). Each form
-// may be prefixed with "ff-" for the fault-free-context variant (λ
-// forced to 0).
+// ParsePolicy resolves a policy name: a short alias (case-insensitive;
+// see aliases) or a canonical Policy.String() composition such as
+// "IteratedGreedy-EndLocal" or "ShortestTasksFirst-EndGreedy+ArrivalSteal"
+// (case-sensitive; see core.PolicyNames). Each form may be prefixed with
+// "ff-" for the fault-free-context variant (λ forced to 0).
 func ParsePolicy(name string) (PolicySpec, error) {
-	base := strings.ToLower(name)
-	raw := name
-	ff := strings.HasPrefix(base, "ff-")
-	if ff {
-		base = strings.TrimPrefix(base, "ff-")
-		raw = raw[len("ff-"):]
+	base, raw, prefix := strings.ToLower(name), name, ""
+	if strings.HasPrefix(base, "ff-") {
+		base, raw, prefix = base[len("ff-"):], raw[len("ff-"):], "ff-"
 	}
-	if pol, ok := policyTable[base]; ok {
-		return PolicySpec{Name: strings.ToLower(name), Label: strings.ToLower(name), Policy: pol, FaultFree: ff}, nil
+	ff := prefix != ""
+	for _, a := range aliases {
+		if a.name == base {
+			return PolicySpec{Name: prefix + base, Label: prefix + base, Policy: a.pol, FaultFree: ff}, nil
+		}
 	}
-	// Registry fallback: canonical Policy.String() names are
-	// case-sensitive compositions of registered heuristic names, so the
-	// resolved spec keeps the original spelling (it must round-trip
-	// through manifests and JSONL records).
+	// Canonical compositions keep their original spelling in Name: it
+	// must round-trip through manifests and JSONL records.
 	if pol, ok := core.PolicyByName(raw); ok {
-		canonical := raw
-		if ff {
-			canonical = "ff-" + raw
-		}
-		return PolicySpec{Name: canonical, Label: canonical, Policy: pol, FaultFree: ff}, nil
+		return PolicySpec{Name: prefix + raw, Label: prefix + raw, Policy: pol, FaultFree: ff}, nil
 	}
-	return PolicySpec{}, fmt.Errorf("scenario: unknown policy %q (want %s, a registered policy name, optionally ff- prefixed)",
-		name, strings.Join(shortNames, ", "))
-}
-
-// PolicyName returns the canonical short name of a policy combination,
-// with the "ff-" prefix when faultFree is set. It is the inverse of
-// ParsePolicy for every combination the alias table knows; other
-// registered policies fall back to their registry name.
-func PolicyName(p core.Policy, faultFree bool) (string, error) {
-	prefix := ""
-	if faultFree {
-		prefix = "ff-"
+	aliasNames := make([]string, len(aliases))
+	for i, a := range aliases {
+		aliasNames[i] = a.name
 	}
-	for _, name := range shortNames {
-		if policyTable[name] == p {
-			return prefix + name, nil
-		}
-	}
-	// A registry composition round-trips through ParsePolicy's fallback
-	// iff the registry itself resolves it (a policy holding an
-	// unregistered rule id renders as "EndRule(n)" and must error, not
-	// produce an un-parseable name).
-	if s := p.String(); resolvesInRegistry(s, p) {
-		return prefix + s, nil
-	}
-	return "", fmt.Errorf("scenario: policy %v has no canonical name", p)
-}
-
-func resolvesInRegistry(name string, p core.Policy) bool {
-	resolved, ok := core.PolicyByName(name)
-	return ok && resolved == p
+	return PolicySpec{}, fmt.Errorf("scenario: unknown policy %q (want %s or a <fail>-<end> composition, optionally ff- prefixed; see -list-policies)",
+		name, strings.Join(aliasNames, ", "))
 }
 
 // FprintPolicies writes every accepted policy name — the short aliases
-// with their resolved combinations, the canonical registry
-// compositions, and the registered rule names. It backs the
-// -list-policies flags of cmd/coschedsim and cmd/campaign.
+// with their resolved combinations, the canonical compositions and the
+// rule names. It backs the -list-policies flags of cmd/coschedsim and
+// cmd/campaign.
 func FprintPolicies(w io.Writer) {
 	fmt.Fprintln(w, "short aliases (each also accepts an ff- prefix for the fault-free variant):")
-	for _, name := range shortNames {
-		ps, err := ParsePolicy(name)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(w, "  %-8s %s\n", name, ps.Policy)
+	for _, a := range aliases {
+		fmt.Fprintf(w, "  %-8s %s\n", a.name, a.pol)
 	}
-	fmt.Fprintln(w, "registry compositions:")
-	for _, name := range core.RegisteredPolicies() {
+	fmt.Fprintln(w, "compositions:")
+	for _, name := range core.PolicyNames() {
 		fmt.Fprintf(w, "  %s\n", name)
 	}
-	fmt.Fprintf(w, "registered end rules:  %s\n", strings.Join(core.EndRules(), ", "))
-	fmt.Fprintf(w, "registered fail rules: %s\n", strings.Join(core.FailRules(), ", "))
-	fmt.Fprintf(w, "registered arrival rules (append \"+<rule>\" to a composition, online mode): %s\n",
+	fmt.Fprintf(w, "end rules:  %s\n", strings.Join(core.EndRules(), ", "))
+	fmt.Fprintf(w, "fail rules: %s\n", strings.Join(core.FailRules(), ", "))
+	fmt.Fprintf(w, "arrival rules (append \"+<rule>\" to a composition, online mode): %s\n",
 		strings.Join(core.ArrivalRules(), ", "))
 }
 
@@ -356,7 +316,7 @@ func (s Spec) Online() bool { return s.Arrivals != nil }
 
 // ParseArrivalRule resolves an arrival-rule name from a spec or CLI
 // flag: the short aliases "steal" (the default for ""), "greedy" and
-// "none", or any registered heuristic name (core.ArrivalRuleByName).
+// "none", or any arrival rule name (core.ArrivalRuleByName).
 func ParseArrivalRule(name string) (core.ArrivalRule, error) {
 	switch strings.ToLower(name) {
 	case "", "steal":
@@ -369,15 +329,16 @@ func ParseArrivalRule(name string) (core.ArrivalRule, error) {
 	if r, ok := core.ArrivalRuleByName(name); ok {
 		return r, nil
 	}
-	return 0, fmt.Errorf("scenario: unknown arrival rule %q (want none, greedy, steal or a registered name)", name)
+	return 0, fmt.Errorf("scenario: unknown arrival rule %q (want none, greedy, steal or an arrival rule name)", name)
 }
 
 // PolicySpecs resolves the spec's policy list, applying Labels. For
 // online specs (an arrivals block is present) the block's arrival rule
 // is attached to every policy that does not already carry one, so
 // "ig-el" in an online spec means IteratedGreedy-EndLocal plus the
-// scenario's arrival heuristic; names, labels and fingerprints are
-// untouched.
+// scenario's arrival rule; names, labels and fingerprints are
+// untouched. An offline spec refuses a policy that names an arrival
+// rule ("…+ArrivalGreedy"): with no arrivals the rule could never fire.
 func (s Spec) PolicySpecs() ([]PolicySpec, error) {
 	if len(s.Policies) == 0 {
 		return nil, fmt.Errorf("scenario: %s lists no policies", s.ident())
@@ -401,7 +362,11 @@ func (s Spec) PolicySpecs() ([]PolicySpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		if s.Arrivals != nil && ps.Policy.OnArrival == core.ArrivalNone {
+		switch {
+		case s.Arrivals == nil && ps.Policy.OnArrival != core.ArrivalNone:
+			return nil, fmt.Errorf("scenario: %s: policy %q names arrival rule %v but the spec has no arrivals block",
+				s.ident(), name, ps.Policy.OnArrival)
+		case s.Arrivals != nil && ps.Policy.OnArrival == core.ArrivalNone:
 			ps.Policy.OnArrival = arrivalRule
 		}
 		if len(s.Labels) != 0 {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -147,33 +148,20 @@ func TestParsePolicy(t *testing.T) {
 		if ps.Policy != want.pol || ps.FaultFree != want.ff {
 			t.Fatalf("%s parsed to %+v", name, ps)
 		}
+		if ps.Name != strings.ToLower(name) {
+			t.Fatalf("%s: canonical name %q, want the lower-case alias", name, ps.Name)
+		}
 	}
 	if _, err := ParsePolicy("yolo"); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
 }
 
-func TestPolicyNameInverse(t *testing.T) {
-	for _, name := range []string{"norc", "ig-eg", "ig-el", "stf-eg", "stf-el", "ig-ep", "stf-ep", "eg", "el", "ep", "ff-el", "ff-norc", "ff-ep"} {
-		ps, err := ParsePolicy(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := PolicyName(ps.Policy, ps.FaultFree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != name {
-			t.Fatalf("PolicyName(ParsePolicy(%s)) = %s", name, got)
-		}
-	}
-}
-
-// TestParsePolicyRegistryNames covers the registry fallback: canonical
-// Policy.String() compositions resolve, round-trip through PolicyName,
-// and keep their case-sensitive spelling in Name (they must re-parse
-// from manifests and JSONL records).
-func TestParsePolicyRegistryNames(t *testing.T) {
+// TestParsePolicyCanonicalNames covers names outside the alias table:
+// canonical Policy.String() compositions resolve and keep their
+// case-sensitive spelling in Name (they must re-parse from manifests and
+// JSONL records).
+func TestParsePolicyCanonicalNames(t *testing.T) {
 	for name, want := range map[string]struct {
 		pol core.Policy
 		ff  bool
@@ -188,7 +176,7 @@ func TestParsePolicyRegistryNames(t *testing.T) {
 		ps, err := ParsePolicy(name)
 		if strings.HasSuffix(name, "-no") {
 			if err == nil {
-				t.Fatalf("%s: bogus registry name accepted", name)
+				t.Fatalf("%s: bogus composition accepted", name)
 			}
 			continue
 		}
@@ -201,15 +189,6 @@ func TestParsePolicyRegistryNames(t *testing.T) {
 		if _, err := ParsePolicy(ps.Name); err != nil {
 			t.Fatalf("%s: resolved Name %q does not re-parse: %v", name, ps.Name, err)
 		}
-	}
-}
-
-// TestPolicyNameUnregistered: a policy carrying an unregistered rule id
-// must error rather than fabricate an un-parseable name.
-func TestPolicyNameUnregistered(t *testing.T) {
-	bogus := core.Policy{OnEnd: core.EndRule(1 << 19), OnFailure: core.FailRule(1 << 19)}
-	if name, err := PolicyName(bogus, false); err == nil {
-		t.Fatalf("PolicyName fabricated %q for an unregistered policy", name)
 	}
 }
 
@@ -368,7 +347,7 @@ func TestArrivalsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArrivalCompositionPolicy pins that explicit "+<arrival>" registry
+// TestArrivalCompositionPolicy pins that explicit "+<arrival>"
 // compositions parse from specs and survive the scenario block's default
 // (an explicit rule wins over the block's).
 func TestArrivalCompositionPolicy(t *testing.T) {
@@ -399,5 +378,33 @@ func TestArrivalCompositionPolicy(t *testing.T) {
 	}
 	if pols[1].Policy.OnArrival != core.ArrivalSteal {
 		t.Fatalf("alias policy missing the block rule: %+v", pols[1].Policy)
+	}
+}
+
+// TestOfflineSpecRejectsArrivalRule: an explicit "+<arrival>" policy in
+// a spec with no arrivals block names a rule that can never fire (the
+// run would duplicate the base policy under another name), so
+// PolicySpecs, Validate and Decode all refuse it and name the policy.
+func TestOfflineSpecRejectsArrivalRule(t *testing.T) {
+	const bad = "IteratedGreedy-EndLocal+ArrivalGreedy"
+	sp := testSpec()
+	sp.Policies = []string{"norc", bad}
+	if _, err := sp.PolicySpecs(); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("PolicySpecs: %v, want an error naming %s", err, bad)
+	}
+	if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("Validate: %v, want an error naming %s", err, bad)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(sp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("Decode: %v, want an error naming %s", err, bad)
+	}
+
+	sp.Policies = []string{"norc", "IteratedGreedy-EndLocal"}
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("offline spec without arrival rules rejected: %v", err)
 	}
 }

@@ -90,13 +90,14 @@ func TestPSquareMatchesExactQuantiles(t *testing.T) {
 // TestPSquareMonotoneAcrossQuantiles: estimates for increasing p over
 // the same stream must be non-decreasing.
 func TestPSquareMonotoneAcrossQuantiles(t *testing.T) {
-	qs := NewQuantileSet(0.1, 0.5, 0.9)
+	ps := []float64{0.1, 0.5, 0.9}
+	qs := NewQuantileSet(ps...)
 	src := rng.New(7)
 	for i := 0; i < 5000; i++ {
 		qs.Add(src.Exponential(1))
 	}
 	var prev float64
-	for i, p := range qs.Ps() {
+	for i, p := range ps {
 		v, ok := qs.Quantile(p)
 		if !ok {
 			t.Fatalf("tracked quantile %v missing", p)

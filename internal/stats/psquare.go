@@ -177,15 +177,6 @@ func (qs *QuantileSet) Quantile(p float64) (float64, bool) {
 	return 0, false
 }
 
-// Ps lists the tracked quantiles in construction order.
-func (qs *QuantileSet) Ps() []float64 {
-	out := make([]float64, len(qs.sketches))
-	for i := range qs.sketches {
-		out[i] = qs.sketches[i].p
-	}
-	return out
-}
-
 // ExactQuantiles returns the order-statistic quantiles of xs for each of
 // ps, sorting once. It panics on an empty slice, mirroring Quantile.
 func ExactQuantiles(xs []float64, ps ...float64) []float64 {

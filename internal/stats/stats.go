@@ -107,10 +107,6 @@ func (a *Accumulator) StdErr() float64 {
 	return a.StdDev() / math.Sqrt(float64(a.n))
 }
 
-// CI95 returns the half-width of a ~95% normal-approximation confidence
-// interval for the mean.
-func (a *Accumulator) CI95() float64 { return 1.96 * a.StdErr() }
-
 // Summary is the JSON-encodable snapshot of an Accumulator, used by the
 // campaign runner's result sinks.
 type Summary struct {
@@ -136,13 +132,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// PopStdDev returns the population standard deviation of xs.
-func PopStdDev(xs []float64) float64 {
-	var a Accumulator
-	a.AddAll(xs)
-	return a.PopStdDev()
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
@@ -187,9 +176,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Series is a named sequence of y-values aligned with a table's x-axis.
 type Series struct {

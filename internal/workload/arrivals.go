@@ -52,7 +52,8 @@ type ArrivalSpec struct {
 	Trace string `json:"trace,omitempty"`
 	// Rule names the arrival redistribution rule applied to every
 	// policy of the scenario: "none", "greedy" (ArrivalGreedy), "steal"
-	// (ArrivalSteal, the default), or any registered heuristic name.
+	// (ArrivalSteal, the default), or any arrival rule name of the core
+	// policy table.
 	// It is resolved by scenario.ParseArrivalRule — this package stays
 	// below the engine and treats the name as opaque.
 	Rule string `json:"rule,omitempty"`
