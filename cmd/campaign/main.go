@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -37,7 +39,10 @@ import (
 )
 
 func main() {
-	if err := realMain(); err != nil {
+	if err := realMain(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 		os.Exit(1)
 	}
@@ -47,48 +52,52 @@ func main() {
 // including failures after campaign.Run — flows through the same
 // cleanup path: deferred profile flushes, the final heartbeat line and
 // its file close, the manifest close, and the metrics server shutdown.
-// (A bare os.Exit used to skip all of those on error.)
-func realMain() error {
+// Results and the summary go to stdout, progress and notices to stderr.
+func realMain(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		specPath     = flag.String("spec", "", "JSON scenario spec file")
-		figure       = flag.String("figure", "", "run a paper figure ("+strings.Join(experiments.SweepIDs(), " ")+") or the online demo study (online) as a campaign instead of -spec")
-		reps         = flag.Int("reps", 0, "override the spec's replicate count (with -figure: default 10)")
-		seed         = flag.Uint64("seed", 0, "override the spec's master seed (with -figure: default 1)")
-		shrink       = flag.Float64("shrink", 1, "with -figure: platform scale factor in (0,1]")
-		workers      = flag.Int("workers", 0, "parallel units (0 = all cores)")
-		outPath      = flag.String("out", "", "write aggregate results as JSONL to this file")
-		csvPath      = flag.String("csv", "", "write the result table as CSV to this file")
-		quantPath    = flag.String("quantiles", "", "write per-cell p50/p95 makespan quantiles as CSV to this file")
-		manifest     = flag.String("manifest", "", "resumable journal of completed units (reused on restart)")
-		manifestSync = flag.Bool("manifest-sync", false, "fsync the manifest after every completed unit (journal survives machine crashes, at one fsync per unit)")
-		printSpec    = flag.Bool("print-spec", false, "print the resolved spec as JSON and exit without running")
-		example      = flag.Bool("example", false, "print an example scenario spec and exit")
-		quiet        = flag.Bool("quiet", false, "suppress the ASCII chart and progress")
-		listPol      = flag.Bool("list-policies", false, "list accepted policy names and exit")
+		specPath     = fs.String("spec", "", "JSON scenario spec file")
+		figure       = fs.String("figure", "", "run a paper figure ("+strings.Join(experiments.SweepIDs(), " ")+") or the online demo study (online) as a campaign instead of -spec")
+		reps         = fs.Int("reps", 0, "override the spec's replicate count (with -figure: default 10)")
+		seed         = fs.Uint64("seed", 0, "override the spec's master seed (with -figure: default 1)")
+		shrink       = fs.Float64("shrink", 1, "with -figure: platform scale factor in (0,1]")
+		workers      = fs.Int("workers", 0, "parallel units (0 = all cores)")
+		outPath      = fs.String("out", "", "write aggregate results as JSONL to this file")
+		csvPath      = fs.String("csv", "", "write the result table as CSV to this file")
+		quantPath    = fs.String("quantiles", "", "write per-cell p50/p95 makespan quantiles (exact, over the stored replicates) as CSV to this file")
+		manifest     = fs.String("manifest", "", "resumable journal of completed units (reused on restart)")
+		manifestSync = fs.Bool("manifest-sync", false, "fsync the manifest after every completed unit (journal survives machine crashes, at one fsync per unit)")
+		printSpec    = fs.Bool("print-spec", false, "print the resolved spec as JSON and exit without running")
+		example      = fs.Bool("example", false, "print an example scenario spec and exit")
+		quiet        = fs.Bool("quiet", false, "suppress the ASCII chart and progress")
+		listPol      = fs.Bool("list-policies", false, "list accepted policy names and exit")
 
-		precision  = flag.Float64("precision", 0, "adaptive mode: target relative CI half-width per (point, policy) cell (0 = use the spec's precision block, if any)")
-		confidence = flag.Float64("confidence", 0, "adaptive mode: confidence level (default 0.95)")
-		minReps    = flag.Int("min-reps", 0, "adaptive mode: replicate floor per point (default two batches)")
-		maxReps    = flag.Int("max-reps", 0, "adaptive mode: replicate cap per point (default 1000 when -precision sets up a new block)")
-		batch      = flag.Int("batch", 0, "adaptive mode: scheduling batch size (default 8)")
+		precision  = fs.Float64("precision", 0, "adaptive mode: target relative CI half-width per (point, policy) cell (0 = use the spec's precision block, if any)")
+		confidence = fs.Float64("confidence", 0, "adaptive mode: confidence level (default 0.95)")
+		minReps    = fs.Int("min-reps", 0, "adaptive mode: replicate floor per point (default two batches)")
+		maxReps    = fs.Int("max-reps", 0, "adaptive mode: replicate cap per point (default 1000 when -precision sets up a new block)")
+		batch      = fs.Int("batch", 0, "adaptive mode: scheduling batch size (default 8)")
 
-		arrivals    = flag.String("arrivals", "", "online mode: arrival process (poisson | batch | trace:FILE); creates or overrides the spec's arrivals block")
-		load        = flag.Float64("load", 0, "online mode: Poisson arrival rate in jobs per day (with -arrivals poisson)")
-		jobs        = flag.Int("jobs", 0, "online mode: number of arriving jobs (default 16 for a new block)")
-		arrivalRule = flag.String("arrival-rule", "", "online mode: arrival redistribution rule (none | greedy | steal | rule name)")
+		arrivals    = fs.String("arrivals", "", "online mode: arrival process (poisson | batch | trace:FILE); creates or overrides the spec's arrivals block")
+		load        = fs.Float64("load", 0, "online mode: Poisson arrival rate in jobs per day (with -arrivals poisson)")
+		jobs        = fs.Int("jobs", 0, "online mode: number of arriving jobs (default 16 for a new block)")
+		arrivalRule = fs.String("arrival-rule", "", "online mode: arrival redistribution rule (none | greedy | steal | rule name)")
 
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on successful exit")
-		blockprofile = flag.String("blockprofile", "", "write a goroutine blocking profile to this file on successful exit")
-		mutexprofile = flag.String("mutexprofile", "", "write a mutex contention profile to this file on successful exit")
+		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile of the campaign to this file (go tool pprof)")
+		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on successful exit")
+		blockprofile = fs.String("blockprofile", "", "write a goroutine blocking profile to this file on successful exit")
+		mutexprofile = fs.String("mutexprofile", "", "write a mutex contention profile to this file on successful exit")
 
-		metricsAddr    = flag.String("metrics-addr", "", "serve live telemetry on this address: Prometheus /metrics, JSON /progress and /snapshot, /debug/vars, /debug/pprof")
-		metricsDump    = flag.String("metrics-dump", "", "write a final Prometheus-text snapshot to this file after the campaign")
-		metricsLinger  = flag.Duration("metrics-linger", 0, "keep the -metrics-addr endpoint serving this long after the campaign finishes")
-		heartbeatPath  = flag.String("heartbeat", "", "append JSONL progress heartbeats to this file ('-' = stderr)")
-		heartbeatEvery = flag.Duration("heartbeat-every", time.Second, "heartbeat period for -heartbeat")
+		metricsAddr    = fs.String("metrics-addr", "", "serve live telemetry on this address: Prometheus /metrics, JSON /progress and /snapshot, /debug/vars, /debug/pprof")
+		metricsDump    = fs.String("metrics-dump", "", "write a final Prometheus-text snapshot to this file after the campaign")
+		metricsLinger  = fs.Duration("metrics-linger", 0, "keep the -metrics-addr endpoint serving this long after the campaign finishes")
+		heartbeatPath  = fs.String("heartbeat", "", "append JSONL progress heartbeats to this file ('-' = stderr)")
+		heartbeatEvery = fs.Duration("heartbeat-every", time.Second, "heartbeat period for -heartbeat")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stopProfiles, err := profiling.Start("campaign", profiling.Config{
 		CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile,
@@ -99,24 +108,26 @@ func realMain() error {
 	defer stopProfiles()
 
 	if *listPol {
-		scenario.FprintPolicies(os.Stdout)
+		scenario.FprintPolicies(stdout)
 		return nil
 	}
 
 	if *example {
-		return exampleSpec().Encode(os.Stdout)
+		return exampleSpec().Encode(stdout)
 	}
 
 	sp, err := loadSpec(*specPath, *figure, *reps, *seed, *shrink)
 	if err != nil {
 		return err
 	}
-	applyPrecision(&sp, *precision, *confidence, *minReps, *maxReps, *batch)
+	if err := applyPrecision(&sp, *precision, *confidence, *minReps, *maxReps, *batch); err != nil {
+		return err
+	}
 	if err := applyArrivals(&sp, *arrivals, *load, *jobs, *arrivalRule); err != nil {
 		return err
 	}
 	if *printSpec {
-		return sp.Encode(os.Stdout)
+		return sp.Encode(stdout)
 	}
 
 	points, err := sp.Expand()
@@ -124,16 +135,16 @@ func realMain() error {
 		return err
 	}
 	if sp.Arrivals != nil {
-		fmt.Printf("campaign %q: online regime — %s arrivals (%d jobs), arrival rule %q\n",
+		fmt.Fprintf(stdout, "campaign %q: online regime — %s arrivals (%d jobs), arrival rule %q\n",
 			sp.Name, sp.Arrivals.Process, sp.Arrivals.Count, sp.Arrivals.Rule)
 	}
 	if sp.Precision != nil {
-		fmt.Printf("campaign %q: %d grid points × adaptive replicates (target ±%g%% rel. CI, %d–%d per point, batches of %d), %d policies\n",
+		fmt.Fprintf(stdout, "campaign %q: %d grid points × adaptive replicates (target ±%g%% rel. CI, %d–%d per point, batches of %d), %d policies\n",
 			sp.Name, len(points), sp.Precision.RelHalfWidth*100, sp.Precision.MinReps(),
 			sp.Precision.MaxReplicates, sp.Precision.BatchSize(), len(sp.Policies))
 	} else {
 		units := len(points) * sp.Replicates
-		fmt.Printf("campaign %q: %d grid points × %d replicates = %d units, %d policies\n",
+		fmt.Fprintf(stdout, "campaign %q: %d grid points × %d replicates = %d units, %d policies\n",
 			sp.Name, len(points), sp.Replicates, units, len(sp.Policies))
 	}
 
@@ -152,7 +163,7 @@ func realMain() error {
 		// Close runs on every exit; the success path below may linger
 		// first. (Shutdown is idempotent, so the double close is free.)
 		defer server.Close()
-		fmt.Fprintf(os.Stderr, "campaign: serving telemetry at http://%s/metrics\n", server.Addr())
+		fmt.Fprintf(stderr, "campaign: serving telemetry at http://%s/metrics\n", server.Addr())
 	}
 	var stopHeartbeat func()
 	var heartbeatFile *os.File
@@ -170,7 +181,7 @@ func realMain() error {
 	}
 	defer finishHeartbeat()
 	if *heartbeatPath != "" {
-		w := os.Stderr
+		w := stderr
 		if *heartbeatPath != "-" {
 			heartbeatFile, err = os.Create(*heartbeatPath)
 			if err != nil {
@@ -194,9 +205,9 @@ func realMain() error {
 		opt.Progress = func(done, total int) {
 			pct := done * 100 / total
 			if pct/5 != lastPct/5 || done == total {
-				fmt.Fprintf(os.Stderr, "\r%3d%% (%d/%d units)", pct, done, total)
+				fmt.Fprintf(stderr, "\r%3d%% (%d/%d units)", pct, done, total)
 				if done == total {
-					fmt.Fprintln(os.Stderr)
+					fmt.Fprintln(stderr)
 				}
 				lastPct = pct
 			}
@@ -225,7 +236,7 @@ func realMain() error {
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("-metrics-dump: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "campaign: wrote metrics snapshot %s\n", *metricsDump)
+		fmt.Fprintf(stderr, "campaign: wrote metrics snapshot %s\n", *metricsDump)
 	}
 
 	table, err := res.Table()
@@ -244,13 +255,13 @@ func realMain() error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d records)\n", *outPath, len(res.Points)*len(res.Policies))
+		fmt.Fprintf(stdout, "wrote %s (%d records)\n", *outPath, len(res.Points)*len(res.Policies))
 	}
 	if *csvPath != "" {
 		if err := os.WriteFile(*csvPath, []byte(table.CSV()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *csvPath)
 	}
 	if *quantPath != "" {
 		qt, err := res.QuantileTable(0.5, 0.95)
@@ -260,18 +271,18 @@ func realMain() error {
 		if err := os.WriteFile(*quantPath, []byte(qt.CSV()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *quantPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *quantPath)
 	}
 	if !*quiet {
-		fmt.Println(plot.ASCII(table, 72, 18))
+		fmt.Fprintln(stdout, plot.ASCII(table, 72, 18))
 	}
-	fmt.Printf("campaign %q done: %d units in %v (%.1f units/s)\n",
+	fmt.Fprintf(stdout, "campaign %q done: %d units in %v (%.1f units/s)\n",
 		sp.Name, res.Units(), elapsed.Round(time.Millisecond), float64(res.Units())/elapsed.Seconds())
 	// One-line compiled-model cache summary. Silent when the cache saw no
 	// traffic (COSCHED_MODEL_CACHE=off, or a spec whose tables never reach
 	// the shared cache), so pre-cache output is byte-identical.
 	if cacheDelta.Hits+cacheDelta.Misses > 0 {
-		fmt.Printf("model cache: %d hits / %d misses (%d delta, %d full builds), %d evictions, %s resident in %d entries\n",
+		fmt.Fprintf(stdout, "model cache: %d hits / %d misses (%d delta, %d full builds), %d evictions, %s resident in %d entries\n",
 			cacheDelta.Hits, cacheDelta.Misses, cacheDelta.DeltaBuilds, cacheDelta.FullBuilds,
 			cacheDelta.Evictions, fmtBytes(cacheDelta.ResidentBytes), cacheDelta.Entries)
 	}
@@ -299,20 +310,20 @@ func realMain() error {
 				unconverged++
 			}
 		}
-		fmt.Printf("adaptive: spent %d of %d budgeted replicates (%.1f%% saved)",
+		fmt.Fprintf(stdout, "adaptive: spent %d of %d budgeted replicates (%.1f%% saved)",
 			res.Units(), budget, saved)
 		if anyCI {
-			fmt.Printf(", worst rel. CI half-width %.3g", worst)
+			fmt.Fprintf(stdout, ", worst rel. CI half-width %.3g", worst)
 		} else {
-			fmt.Printf(", no cell completed two batches (no CI estimate)")
+			fmt.Fprintf(stdout, ", no cell completed two batches (no CI estimate)")
 		}
 		if unconverged > 0 {
-			fmt.Printf(", %d point(s) stopped without meeting the target", unconverged)
+			fmt.Fprintf(stdout, ", %d point(s) stopped without meeting the target", unconverged)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if res.Online() {
-		fmt.Println("online metrics (means over grid points × replicates):")
+		fmt.Fprintln(stdout, "online metrics (means over grid points × replicates):")
 		for qi, pol := range res.Policies {
 			var resp, str, wait, util float64
 			for pi := range res.Points {
@@ -326,13 +337,13 @@ func realMain() error {
 				util += u.Mean
 			}
 			np := float64(len(res.Points))
-			fmt.Printf("  %-24s response %12.0f s   stretch %6.2f   wait %10.0f s   utilization %5.1f%%\n",
+			fmt.Fprintf(stdout, "  %-24s response %12.0f s   stretch %6.2f   wait %10.0f s   utilization %5.1f%%\n",
 				pol.Label, resp/np, str/np, wait/np, 100*util/np)
 		}
 	}
 	if server != nil {
 		if *metricsLinger > 0 {
-			fmt.Fprintf(os.Stderr, "campaign: metrics endpoint lingering %v at http://%s/\n",
+			fmt.Fprintf(stderr, "campaign: metrics endpoint lingering %v at http://%s/\n",
 				*metricsLinger, server.Addr())
 			time.Sleep(*metricsLinger)
 		}
@@ -382,9 +393,12 @@ func applyArrivals(sp *scenario.Spec, process string, load float64, jobs int, ru
 // applyPrecision folds the adaptive-mode flags into the spec: -precision
 // creates or retargets the precision block, and the companion flags
 // override individual fields of an existing one.
-func applyPrecision(sp *scenario.Spec, relHW, confidence float64, minReps, maxReps, batch int) {
+func applyPrecision(sp *scenario.Spec, relHW, confidence float64, minReps, maxReps, batch int) error {
 	if relHW <= 0 && sp.Precision == nil {
-		return // flags only tune an adaptive campaign
+		if confidence != 0 || minReps != 0 || maxReps != 0 || batch != 0 {
+			return fmt.Errorf("-confidence/-min-reps/-max-reps/-batch need -precision or a spec with a precision block")
+		}
+		return nil
 	}
 	if sp.Precision == nil {
 		sp.Precision = &scenario.PrecisionSpec{MaxReplicates: 1000}
@@ -404,6 +418,7 @@ func applyPrecision(sp *scenario.Spec, relHW, confidence float64, minReps, maxRe
 	if batch > 0 {
 		sp.Precision.Batch = batch
 	}
+	return nil
 }
 
 // loadSpec resolves the scenario from -spec or -figure and applies the

@@ -5,56 +5,21 @@ import (
 	"cosched/internal/stats"
 )
 
-// CellQuantiles are the quantiles an adaptive campaign tracks per cell
-// through streaming P² sketches (fixed campaigns compute any quantile
-// exactly from their raw samples).
-var CellQuantiles = []float64{0.5, 0.95}
-
-// metricCell is the streaming aggregate of one metric of one (point,
-// policy) cell: Summary-compatible moments, a batch-means CI, and P²
-// quantile sketches.
-type metricCell struct {
-	acc    stats.Accumulator
-	bm     stats.BatchMeans
-	quants *stats.QuantileSet
-}
-
-func (c *metricCell) add(x float64) {
-	c.acc.Add(x)
-	c.bm.Add(x)
-	c.quants.Add(x)
-}
-
-// cellState is the streaming aggregate of one (point, policy) cell of an
-// adaptive campaign: one metricCell per metric (just the makespan
-// offline; the per-job online metrics behind it for online campaigns, so
-// adaptive precision drives stretch exactly like makespan). Replicates
-// fold in replicate order, so every field is a deterministic function of
-// the folded prefix.
-type cellState struct {
-	m []metricCell
-}
-
-// add folds one replicate's metric vector (width len(c.m)).
-func (c *cellState) add(vals []float64) {
-	for k := range c.m {
-		c.m[k].add(vals[k])
-	}
-}
-
 // pointState is the adaptive state of one grid point.
 type pointState struct {
-	folded  int               // contiguous replicates folded into cells
-	next    int               // first replicate never released
-	pending map[int][]float64 // accepted, waiting for the prefix below them
+	folded  int // contiguous replicates fed to the stopping rule
+	next    int // first replicate never released
 	stopped bool
 }
 
 // adaptive is the Assembler's state for a spec carrying a precision
-// block; the methods below are the adaptive unit source and fold.
+// block; the methods below are the adaptive unit source and stopping
+// rule. Replicate values themselves live in the Result's columns, like
+// a fixed campaign's.
 //
-// Determinism contract: replicates fold strictly in replicate order per
-// point (out-of-order results buffer in pending), and the stopping rule
+// Determinism contract: the stopping rule consumes each point's
+// replicates strictly in replicate order (a replicate that arrives early
+// waits in its column slot until the prefix below it is complete), and
 // is evaluated only when the folded count reaches a batch boundary — so
 // every decision is a pure function of the folded prefix, which is
 // itself a pure function of (spec, seed). Executor width, arrival order,
@@ -74,16 +39,22 @@ type adaptive struct {
 	// unfolded, so the window never changes the output.
 	width  int
 	points []pointState
-	live   int // points whose stopping rule has not fired
+	// gated lists the metrics the stopping rule checks; bm[pi] holds one
+	// batch-means estimator per (policy, gated metric) of point pi, fed
+	// as the point's folded prefix grows.
+	gated []int
+	bm    [][]stats.BatchMeans
+	live  int // points whose stopping rule has not fired
 	// stops counts stopping-rule firings; reported is how many of them
 	// Assembler.Report has mirrored into telemetry.
 	stops, reported int
-	// free recycles pending value-vector buffers.
-	free [][]float64
 }
 
-// initAdaptive sets up the streaming cells and releases the first batch
-// of every point.
+// initAdaptive sets up the stopping-rule estimators and releases the
+// first batch of every point. The makespan always gates stopping; online
+// campaigns gate on the mean stretch as well (response, wait and
+// utilization are reported but do not gate: queue wait can be
+// legitimately zero-mean, where a relative CI target is undefined).
 func (a *Assembler) initAdaptive(prec scenario.PrecisionSpec, width int) {
 	ad := &adaptive{
 		batch:   prec.BatchSize(),
@@ -93,22 +64,18 @@ func (a *Assembler) initAdaptive(prec scenario.PrecisionSpec, width int) {
 		relHW:   prec.RelHalfWidth,
 		width:   width,
 		points:  make([]pointState, len(a.res.Points)),
+		gated:   []int{MetricMakespan},
+		bm:      make([][]stats.BatchMeans, len(a.res.Points)),
 		live:    len(a.res.Points),
 	}
-	res := a.res
-	res.adaptive = true
-	res.cells = make([][]cellState, len(res.Points))
-	for pi := range res.cells {
-		cs := make([]cellState, len(res.Policies))
-		for qi := range cs {
-			cs[qi].m = make([]metricCell, a.nm)
-			for k := range cs[qi].m {
-				cs[qi].m[k].bm = stats.NewBatchMeans(ad.batch)
-				cs[qi].m[k].quants = stats.NewQuantileSet(CellQuantiles...)
-			}
+	if a.nm > 1 {
+		ad.gated = append(ad.gated, MetricStretch)
+	}
+	for pi := range ad.bm {
+		ad.bm[pi] = make([]stats.BatchMeans, len(a.res.Policies)*len(ad.gated))
+		for i := range ad.bm[pi] {
+			ad.bm[pi][i].Reset(ad.batch)
 		}
-		res.cells[pi] = cs
-		ad.points[pi].pending = make(map[int][]float64)
 	}
 	a.ad = ad
 	for pi := range ad.points {
@@ -116,42 +83,21 @@ func (a *Assembler) initAdaptive(prec scenario.PrecisionSpec, width int) {
 	}
 }
 
-// foldAdaptive buffers one replicate of a live point and advances the
-// point.
-func (a *Assembler) foldAdaptive(pi, rep int, vals []float64) bool {
-	ad := a.ad
-	ps := &ad.points[pi]
-	if ps.stopped {
-		return false
-	}
-	var buf []float64
-	if n := len(ad.free); n > 0 {
-		buf, ad.free = ad.free[n-1], ad.free[:n-1]
-	}
-	ps.pending[rep] = append(buf[:0], vals...)
-	a.got[pi*a.rcap+rep] = true
-	a.advance(pi)
-	return true
-}
-
-// advance folds the point's contiguous pending replicates, evaluates the
-// stopping rule at batch boundaries and, while the point continues,
+// advance feeds the point's newly contiguous replicates to the stopping
+// rule, evaluates it at batch boundaries and, while the point continues,
 // releases the replicates its window now covers: the rest of the batch
-// containing the folded prefix, or the speculation window.
+// containing the folded prefix, or the speculation window. A point that
+// stops keeps exactly its folded prefix.
 func (a *Assembler) advance(pi int) {
 	ad := a.ad
 	ps := &ad.points[pi]
-	for !ps.stopped {
-		vals, ok := ps.pending[ps.folded]
-		if !ok {
-			break
+	for !ps.stopped && a.got[pi*a.rcap+ps.folded] {
+		bm := ad.bm[pi]
+		for qi := range a.res.Policies {
+			for g, metric := range ad.gated {
+				bm[qi*len(ad.gated)+g].Add((*a.res.column(pi, qi, metric))[ps.folded])
+			}
 		}
-		delete(ps.pending, ps.folded)
-		cells := a.res.cells[pi]
-		for qi := range cells {
-			cells[qi].add(vals[qi*a.nm : (qi+1)*a.nm])
-		}
-		ad.free = append(ad.free, vals)
 		ps.folded++
 		a.res.Reps[pi] = ps.folded
 		a.done++
@@ -160,10 +106,7 @@ func (a *Assembler) advance(pi int) {
 			ad.live--
 			ad.stops++
 			a.planned -= ad.maxReps - ps.folded
-			for rep, v := range ps.pending {
-				delete(ps.pending, rep)
-				ad.free = append(ad.free, v)
-			}
+			a.res.truncate(pi, ps.folded)
 		}
 	}
 	if ps.stopped {
@@ -194,11 +137,8 @@ func (a *Assembler) advance(pi int) {
 
 // shouldStop evaluates the sequential stopping rule for one point: stop
 // at the replicate cap, never before the floor, and otherwise only once
-// every policy's batch-means CI half-width is within the target relative
-// to its mean — for the makespan and, in online campaigns, the mean
-// stretch as well (response/wait/utilization are reported but do not
-// gate stopping: queue wait can be legitimately zero-mean, where a
-// relative CI target is undefined).
+// every (policy, gated metric) batch-means CI half-width is within the
+// target relative to its mean.
 func (a *Assembler) shouldStop(pi int) bool {
 	ad := a.ad
 	folded := ad.points[pi].folded
@@ -208,12 +148,8 @@ func (a *Assembler) shouldStop(pi int) bool {
 	if folded < ad.minReps {
 		return false
 	}
-	cells := a.res.cells[pi]
-	for qi := range cells {
-		if !cells[qi].m[MetricMakespan].bm.Converged(ad.conf, ad.relHW) {
-			return false
-		}
-		if a.nm > 1 && !cells[qi].m[MetricStretch].bm.Converged(ad.conf, ad.relHW) {
+	for i := range ad.bm[pi] {
+		if !ad.bm[pi][i].Converged(ad.conf, ad.relHW) {
 			return false
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cosched/internal/scenario"
+	"cosched/internal/stats"
 	"cosched/internal/workload"
 )
 
@@ -143,6 +144,9 @@ func TestAdaptiveConvergence(t *testing.T) {
 			if cell := first.Cell(pi, qi); cell.N != first.Reps[pi] {
 				t.Fatalf("cell (%d, %d) folded %d replicates, point ran %d", pi, qi, cell.N, first.Reps[pi])
 			}
+			if n := len(first.Makespans[pi][qi]); n != first.Reps[pi] {
+				t.Fatalf("cell (%d, %d) stores %d replicates, point ran %d", pi, qi, n, first.Reps[pi])
+			}
 		}
 	}
 	if first.Units() >= first.ReplicateBudget() {
@@ -156,59 +160,124 @@ func TestAdaptiveConvergence(t *testing.T) {
 	if first.Reps[0] == first.Reps[1] {
 		t.Fatalf("both points got %d replicates: allocation not adaptive", first.Reps[0])
 	}
-	if first.Makespans != nil {
-		t.Fatal("adaptive campaign stored raw samples")
-	}
 	if !first.Adaptive() {
 		t.Fatal("Adaptive() false on an adaptive result")
 	}
 }
 
-// TestAdaptiveQuantiles: the streaming quantile surface is wired through
-// Result for both modes, and the sketches stay ordered and inside the
-// observed range.
+// TestAdaptiveQuantiles: quantiles are exact order statistics over the
+// stored replicates in both modes, for any q, and QuantileTable serves
+// the same numbers.
 func TestAdaptiveQuantiles(t *testing.T) {
-	res, err := Run(adaptiveSpec(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi := range res.Points {
-		for qi := range res.Policies {
-			cell := res.Cell(pi, qi)
-			p50, ok50 := res.Quantile(pi, qi, 0.5)
-			p95, ok95 := res.Quantile(pi, qi, 0.95)
-			if !ok50 || !ok95 {
-				t.Fatalf("tracked quantiles unavailable for cell (%d, %d)", pi, qi)
-			}
-			if p50 < cell.Min || p95 > cell.Max || p50 > p95 {
-				t.Fatalf("cell (%d, %d) quantiles out of order: min=%v p50=%v p95=%v max=%v",
-					pi, qi, cell.Min, p50, p95, cell.Max)
+	qs := []float64{0.25, 0.5, 0.95}
+	for name, sp := range map[string]scenario.Spec{"adaptive": adaptiveSpec(), "fixed": testSpec()} {
+		res, err := Run(sp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		table, err := res.QuantileTable(qs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(table.Series) != len(res.Policies)*len(qs) || len(table.X) != len(res.Points) {
+			t.Fatalf("%s: quantile table shape %d×%d", name, len(table.Series), len(table.X))
+		}
+		for pi := range res.Points {
+			for qi := range res.Policies {
+				mk := res.Makespans[pi][qi]
+				for i, q := range qs {
+					got, ok := res.Quantile(pi, qi, q)
+					if want := stats.Quantile(mk, q); !ok || got != want {
+						t.Fatalf("%s: cell (%d, %d) q%v = %v (ok %v), exact %v", name, pi, qi, q, got, ok, want)
+					}
+					if v := table.Series[qi*len(qs)+i].Y[pi]; v != got {
+						t.Fatalf("%s: table cell (%d, %d) q%v = %v, Quantile %v", name, pi, qi, q, v, got)
+					}
+				}
 			}
 		}
-		if _, ok := res.Quantile(pi, 0, 0.25); ok {
-			t.Fatal("untracked quantile served on an adaptive result")
-		}
 	}
-	table, err := res.QuantileTable(0.5, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Series) != len(res.Policies)*2 || len(table.X) != len(res.Points) {
-		t.Fatalf("quantile table shape %d×%d", len(table.Series), len(table.X))
-	}
-	if _, err := res.QuantileTable(0.25); err == nil {
-		t.Fatal("untracked quantile accepted by QuantileTable")
-	}
+}
 
-	// Fixed campaigns serve any quantile exactly.
-	fixedRes, err := Run(testSpec(), Options{})
+// TestAdaptiveStoresFixedReplicates: an adaptive campaign stores, for
+// every point, policy and online metric, exactly the first Reps[pi]
+// replicates the same spec produces when run fixed at the replicate
+// cap — bit for bit — so every per-replicate analysis (paired ratios,
+// quantiles) works under a precision block too. Besides Run, an
+// Assembler with a wide speculation window folds every released window
+// in reverse, so replicates beyond the point where a point stops are
+// stored before its prefix completes and must be cut off.
+func TestAdaptiveStoresFixedReplicates(t *testing.T) {
+	online := onlineSpec()
+	online.Precision = &scenario.PrecisionSpec{RelHalfWidth: 0.1, MinReplicates: 4, MaxReplicates: 32, Batch: 4}
+	for name, sp := range map[string]scenario.Spec{"offline": adaptiveSpec(), "online": online} {
+		fixedSpec := sp
+		fixedSpec.Replicates = sp.Precision.MaxReplicates
+		fixedSpec.Precision = nil
+		fixed, err := Run(fixedSpec, Options{Workers: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := Run(sp, Options{Workers: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Units() == run.ReplicateBudget() {
+			t.Fatalf("%s: every point ran to the cap; the stopped-prefix case is untested", name)
+		}
+		for mode, ad := range map[string]*Result{"run": run, "reversed": foldReversed(t, sp, 16)} {
+			for pi := range ad.Points {
+				n := ad.Reps[pi]
+				for qi := range ad.Policies {
+					for k := 0; k < metricsPerPolicy(sp); k++ {
+						got, want := *ad.column(pi, qi, k), *fixed.column(pi, qi, k)
+						if len(got) != n {
+							t.Fatalf("%s/%s: cell (%d, %d) metric %d stores %d replicates, point ran %d", name, mode, pi, qi, k, len(got), n)
+						}
+						for rep := range got {
+							if math.Float64bits(got[rep]) != math.Float64bits(want[rep]) {
+								t.Fatalf("%s/%s: cell (%d, %d) metric %d rep %d: adaptive %v, fixed %v", name, mode, pi, qi, k, rep, got[rep], want[rep])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// foldReversed assembles sp with executor width `width`, running every
+// released window and folding it last unit first.
+func foldReversed(t *testing.T, sp scenario.Spec, width int) *Result {
+	t.Helper()
+	p, err := prepare(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := fixedRes.Quantile(0, 0, 0.25)
-	if !ok || math.IsNaN(v) {
-		t.Fatal("fixed campaign quantile unavailable")
+	asm := newAssembler(p, width)
+	runner, err := NewUnitRunner(sp)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer runner.Close()
+	for !asm.Done() {
+		units := append([]int(nil), asm.Released()...)
+		if len(units) == 0 {
+			t.Fatal("assembler stalled")
+		}
+		for i := len(units) - 1; i >= 0; i-- {
+			vals, err := runner.RunUnit(units[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			asm.Fold(units[i], vals)
+		}
+	}
+	res, err := asm.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestAdaptiveManifestResume: an interrupted adaptive campaign resumes

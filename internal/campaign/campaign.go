@@ -7,8 +7,9 @@
 // order, and all policies of a unit share one task draw and one fault
 // sequence (common random numbers, exactly as the paper's evaluation).
 //
-// Results land in per-cell replicate slots, are folded through
-// internal/stats accumulators in deterministic order, and stream out as
+// Results land in per-cell replicate columns, one value per replicate in
+// replicate order for fixed and adaptive campaigns alike, are folded
+// through internal/stats accumulators at query time, and stream out as
 // JSONL records or a stats.Table / CSV. A campaign can record a resume
 // manifest: an append-only journal of completed units keyed by the
 // spec's fingerprint, so an interrupted campaign restarts where it
@@ -45,8 +46,8 @@ const (
 
 // Metric indices within a unit's per-policy value vector. Offline
 // campaigns carry only the makespan; online campaigns (spec with an
-// arrivals block) append the per-job aggregates, each folded through the
-// same streaming cells as the makespan so adaptive precision works on
+// arrivals block) append the per-job aggregates, each stored in its own
+// replicate column like the makespan so adaptive precision works on
 // stretch exactly as on makespan. The per-job means cover every job of
 // the unit — the base pack counts as jobs arriving at t = 0 with zero
 // queue wait (cmd/coschedsim's "arrivals" line, by contrast, reports
@@ -133,35 +134,86 @@ type Options struct {
 }
 
 // Result is a completed campaign: the expanded grid, the resolved
-// policies, and the per-cell replicate aggregates. Fixed-replicate
-// campaigns keep every raw makespan in Makespans; adaptive campaigns
-// (spec with a precision block) never store raw samples and hold
-// streaming accumulators instead — Cell, Quantile and Table work
-// identically for both.
+// policies, and every cell's per-replicate values in replicate order.
+// Fixed and adaptive campaigns (spec with a precision block) store the
+// same layout — an adaptive point keeps exactly the replicates its
+// stopping rule folded — and every aggregate (Cell, OnlineCell,
+// Quantile, Table) is computed from it, so replicate r of an adaptive
+// run is bit-identical to replicate r of the same spec run fixed.
 type Result struct {
 	Spec     scenario.Spec
 	Points   []scenario.RunPoint
 	Policies []scenario.PolicySpec
-	// Makespans is indexed [point][policy][replicate]. It is nil for
-	// adaptive campaigns, which only retain streaming aggregates.
+	// Makespans is indexed [point][policy][replicate]; once the run
+	// completes, len(Makespans[pi][qi]) == Reps[pi].
 	Makespans [][][]float64
 	// Reps is the number of replicates actually executed at each grid
 	// point (the fixed count, or whatever the adaptive stopping rule
 	// decided).
 	Reps []int
-	// online holds the per-replicate online metrics of a fixed online
-	// campaign, indexed like Makespans; nil for offline and adaptive
-	// campaigns.
-	online [][][]onlineUnit
-	// cells holds the streaming per-(point, policy) aggregates of an
-	// adaptive campaign, folded in replicate order.
-	cells    [][]cellState
-	adaptive bool
+	// online holds the per-replicate online metrics, one column per
+	// metric: [point][policy][metric-1][replicate], the makespan living
+	// in Makespans. Nil for offline campaigns.
+	online [][][][]float64
 }
 
-// onlineUnit is one replicate's online metric vector (metric indices
-// MetricResponse.. shifted down by one; the makespan lives in Makespans).
-type onlineUnit [numOnlineMetrics - 1]float64
+// newResult builds a campaign's empty result. Fixed columns are sized
+// to the replicate count; adaptive ones start empty and grow as Fold
+// stores replicates.
+func newResult(p *plan) *Result {
+	sp := p.sp
+	res := &Result{Spec: sp, Points: p.points, Policies: p.policies, Reps: make([]int, len(p.points))}
+	reps, nm := sp.Replicates, metricsPerPolicy(sp)
+	if sp.Precision != nil {
+		reps = 0
+	}
+	res.Makespans = make([][][]float64, len(p.points))
+	if nm > 1 {
+		res.online = make([][][][]float64, len(p.points))
+	}
+	for pi := range p.points {
+		res.Reps[pi] = reps
+		res.Makespans[pi] = make([][]float64, len(p.policies))
+		if nm > 1 {
+			res.online[pi] = make([][][]float64, len(p.policies))
+		}
+		for qi := range p.policies {
+			if nm > 1 {
+				res.online[pi][qi] = make([][]float64, nm-1)
+			}
+			for k := 0; k < nm; k++ {
+				*res.column(pi, qi, k) = make([]float64, reps)
+			}
+		}
+	}
+	return res
+}
+
+// column returns the replicate column of one metric of one cell.
+func (r *Result) column(point, policy, metric int) *[]float64 {
+	if metric == MetricMakespan {
+		return &r.Makespans[point][policy]
+	}
+	return &r.online[point][policy][metric-1]
+}
+
+// truncate cuts every column of a point to its first n replicates.
+func (r *Result) truncate(point, n int) {
+	for qi := range r.Policies {
+		for k := 0; k < metricsPerPolicy(r.Spec); k++ {
+			col := r.column(point, qi, k)
+			*col = (*col)[:n]
+		}
+	}
+}
+
+// summarize folds a replicate column through an Accumulator in
+// replicate order.
+func summarize(col []float64) stats.Summary {
+	var a stats.Accumulator
+	a.AddAll(col)
+	return a.Summary()
+}
 
 // unitResult is one executed (or skipped) unit on its way back to the
 // coordinating goroutine.
@@ -616,16 +668,11 @@ func faultFreeOnly(policies []scenario.PolicySpec) bool {
 }
 
 // Cell aggregates one (point, policy) cell of the campaign. Fixed and
-// adaptive campaigns fold replicates through the same accumulator in the
-// same (replicate) order, so for equal replicate counts the summaries
-// are bit-identical.
+// adaptive campaigns fold the same stored replicates through the same
+// accumulator in replicate order, so for equal replicate counts the
+// summaries are bit-identical.
 func (r *Result) Cell(point, policy int) stats.Summary {
-	if r.adaptive {
-		return r.cells[point][policy].m[MetricMakespan].acc.Summary()
-	}
-	var a stats.Accumulator
-	a.AddAll(r.Makespans[point][policy])
-	return a.Summary()
+	return summarize(r.Makespans[point][policy])
 }
 
 // Online reports whether the campaign ran with dynamic job arrivals.
@@ -639,28 +686,12 @@ func (r *Result) OnlineCell(point, policy, metric int) (stats.Summary, bool) {
 	if !r.Online() || metric < MetricMakespan || metric >= numOnlineMetrics {
 		return stats.Summary{}, false
 	}
-	if metric == MetricMakespan {
-		return r.Cell(point, policy), true
-	}
-	if r.adaptive {
-		return r.cells[point][policy].m[metric].acc.Summary(), true
-	}
-	var a stats.Accumulator
-	for _, u := range r.online[point][policy] {
-		a.Add(u[metric-1])
-	}
-	return a.Summary(), true
+	return summarize(*r.column(point, policy, metric)), true
 }
 
-// Quantile returns the q-quantile of a cell's makespan distribution:
-// exact order statistics for fixed campaigns (raw samples exist), the
-// streaming P² estimate for adaptive campaigns. ok is false when the
-// cell is empty or, for adaptive campaigns, when q is not one of the
-// tracked quantiles (see CellQuantiles).
+// Quantile returns the exact q-quantile of a cell's stored makespans.
+// ok is false when the cell is empty.
 func (r *Result) Quantile(point, policy int, q float64) (float64, bool) {
-	if r.adaptive {
-		return r.cells[point][policy].m[MetricMakespan].quants.Quantile(q)
-	}
 	mk := r.Makespans[point][policy]
 	if len(mk) == 0 {
 		return 0, false
@@ -669,30 +700,31 @@ func (r *Result) Quantile(point, policy int, q float64) (float64, bool) {
 }
 
 // CellRelHalfWidth reports the achieved relative confidence-interval
-// half-width of one cell at the campaign's confidence level (the
-// precision block's, or 95% for fixed campaigns): batch-means Student-t
-// for adaptive campaigns, the classic t interval over raw replicates
-// otherwise. ok is false while no variance estimate exists.
+// half-width of one cell's makespan at the campaign's confidence level
+// (the precision block's, or 95% for fixed campaigns): the batch-means
+// Student-t interval the stopping rule uses, over the stored replicates,
+// for adaptive campaigns; the classic t interval otherwise. ok is false
+// while no variance estimate exists.
 func (r *Result) CellRelHalfWidth(point, policy int) (float64, bool) {
-	conf := 0.95
-	if r.Spec.Precision != nil {
-		conf = r.Spec.Precision.ConfidenceLevel()
-	}
+	mk := r.Makespans[point][policy]
 	var hw, mean float64
-	if r.adaptive {
-		c := &r.cells[point][policy].m[MetricMakespan]
-		w, ok := c.bm.HalfWidth(conf)
+	if prec := r.Spec.Precision; prec != nil {
+		bm := stats.NewBatchMeans(prec.BatchSize())
+		for _, x := range mk {
+			bm.Add(x)
+		}
+		w, ok := bm.HalfWidth(prec.ConfidenceLevel())
 		if !ok {
 			return 0, false
 		}
-		hw, mean = w, math.Abs(c.bm.Mean())
+		hw, mean = w, math.Abs(bm.Mean())
 	} else {
 		var a stats.Accumulator
-		a.AddAll(r.Makespans[point][policy])
+		a.AddAll(mk)
 		if a.N() < 2 {
 			return 0, false
 		}
-		hw, mean = stats.TCrit(a.N()-1, conf)*a.StdErr(), math.Abs(a.Mean())
+		hw, mean = stats.TCrit(a.N()-1, 0.95)*a.StdErr(), math.Abs(a.Mean())
 	}
 	if mean == 0 {
 		if hw == 0 {
@@ -704,7 +736,7 @@ func (r *Result) CellRelHalfWidth(point, policy int) (float64, bool) {
 }
 
 // Adaptive reports whether the campaign ran under a precision block.
-func (r *Result) Adaptive() bool { return r.adaptive }
+func (r *Result) Adaptive() bool { return r.Spec.Precision != nil }
 
 // ReplicateBudget returns the worst-case unit count: grid points times
 // the replicate cap. Compare with Units() to see what adaptive stopping
@@ -714,9 +746,8 @@ func (r *Result) ReplicateBudget() int {
 }
 
 // QuantileTable renders per-cell quantiles as a stats.Table: one series
-// per (policy, quantile) pair, named "<label> p50" etc. Adaptive
-// campaigns serve the tracked quantiles (CellQuantiles) from their P²
-// sketches; fixed campaigns compute any quantile exactly.
+// per (policy, quantile) pair, named "<label> p50" etc. Every quantile
+// is an exact order statistic over the cell's stored replicates.
 func (r *Result) QuantileTable(qs ...float64) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  r.Spec.Name + " quantiles",
@@ -735,16 +766,6 @@ func (r *Result) QuantileTable(qs ...float64) (*stats.Table, error) {
 			ys[i] = make([]float64, len(r.Points))
 		}
 		for pi := range r.Points {
-			if r.adaptive {
-				for i, q := range qs {
-					v, ok := r.Quantile(pi, qi, q)
-					if !ok {
-						return nil, fmt.Errorf("campaign: quantile %v unavailable for cell (%d, %s)", q, pi, pol.Name)
-					}
-					ys[i][pi] = v
-				}
-				continue
-			}
 			mk := r.Makespans[pi][qi]
 			if len(mk) == 0 {
 				return nil, fmt.Errorf("campaign: cell (%d, %s) is empty", pi, pol.Name)

@@ -102,8 +102,10 @@ func TestOnlineCommonRandomNumbers(t *testing.T) {
 			if ra.Makespans[pi][0][rep] != rb.Makespans[pi][0][rep] {
 				t.Fatal("online unit streams depend on the policy list")
 			}
-			if ra.online[pi][0][rep] != rb.online[pi][0][rep] {
-				t.Fatal("online metrics depend on the policy list")
+			for k := range ra.online[pi][0] {
+				if ra.online[pi][0][k][rep] != rb.online[pi][0][k][rep] {
+					t.Fatal("online metrics depend on the policy list")
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 
 	"cosched/internal/core"
 	"cosched/internal/obs"
@@ -133,23 +134,24 @@ func (u *UnitRunner) Close() {
 // vector exactly once, so every executor produces identical bytes by
 // construction.
 //
-// A fixed campaign releases all its units up front and folds
-// positionally (each unit owns fixed replicate slots). An adaptive
-// campaign releases one batch per live point; out-of-order results
-// buffer until their replicate prefix is complete, replicates fold in
-// replicate order into streaming cells, and the stopping rule runs at
-// batch boundaries (see adaptive.go). Either way the Result is a pure
-// function of (spec, seed), no matter how many times workers die and
-// units are re-executed, or in which order results arrive. Not safe for
-// concurrent use; callers serialize.
+// Fold writes every accepted unit by position into the Result's
+// replicate columns, the same way in both modes. A fixed campaign
+// releases all its units up front. An adaptive campaign releases one
+// batch per live point, feeds each point's contiguous replicate prefix
+// to its stopping rule, evaluated at batch boundaries, and truncates the
+// point's columns to that prefix when it stops (see adaptive.go). Either
+// way the Result is a pure function of (spec, seed), no matter how many
+// times workers die and units are re-executed, or in which order results
+// arrive. Not safe for concurrent use; callers serialize.
 type Assembler struct {
 	res  *Result
 	nm   int // metrics per policy
 	rcap int // replicates per point in the unit index space
-	// got marks units already accepted by Fold (folded, or buffered
-	// for in-order folding): the exactly-once gate.
+	// got marks units already accepted by Fold (stored in the columns,
+	// whether or not the stopping rule has reached them yet): the
+	// exactly-once gate.
 	got     []bool
-	done    int // units folded into the result
+	done    int // units folded into the result (adaptive: the contiguous prefixes)
 	planned int // campaign size estimate: adaptive stopping shrinks it
 	// released holds units released since the last Released call.
 	released []int
@@ -167,11 +169,13 @@ func NewAssembler(sp scenario.Spec) (*Assembler, error) {
 
 // newAssembler builds the empty result over a prepared campaign. width
 // is the executor's unit parallelism, which decides adaptive
-// speculation (0: none).
+// speculation (0: none). A fixed campaign's columns are sized to its
+// replicate count up front; an adaptive campaign's start empty and grow
+// to the highest replicate accepted.
 func newAssembler(p *plan, width int) *Assembler {
 	sp := p.sp
 	a := &Assembler{
-		res:  &Result{Spec: sp, Points: p.points, Policies: p.policies, Reps: make([]int, len(p.points))},
+		res:  newResult(p),
 		nm:   metricsPerPolicy(sp),
 		rcap: sp.ReplicateCap(),
 		got:  make([]bool, p.totalUnits()),
@@ -180,24 +184,6 @@ func newAssembler(p *plan, width int) *Assembler {
 	if sp.Precision != nil {
 		a.initAdaptive(*sp.Precision, width)
 		return a
-	}
-	res := a.res
-	res.Makespans = make([][][]float64, len(p.points))
-	if a.nm > 1 {
-		res.online = make([][][]onlineUnit, len(p.points))
-	}
-	for pi := range p.points {
-		res.Reps[pi] = sp.Replicates
-		res.Makespans[pi] = make([][]float64, len(p.policies))
-		if a.nm > 1 {
-			res.online[pi] = make([][]onlineUnit, len(p.policies))
-		}
-		for qi := range p.policies {
-			res.Makespans[pi][qi] = make([]float64, sp.Replicates)
-			if a.nm > 1 {
-				res.online[pi][qi] = make([]onlineUnit, sp.Replicates)
-			}
-		}
 	}
 	a.released = make([]int, len(a.got))
 	for u := range a.released {
@@ -255,17 +241,24 @@ func (a *Assembler) Fold(unit int, vals []float64) bool {
 		return false
 	}
 	pi, rep := unit/a.rcap, unit%a.rcap
-	if a.ad != nil {
-		return a.foldAdaptive(pi, rep, vals)
+	if a.settled(pi) {
+		return false
 	}
 	for qi := range a.res.Policies {
-		a.res.Makespans[pi][qi][rep] = vals[qi*a.nm+MetricMakespan]
-		if a.nm > 1 {
-			copy(a.res.online[pi][qi][rep][:], vals[qi*a.nm+1:(qi+1)*a.nm])
+		for k := 0; k < a.nm; k++ {
+			col := a.res.column(pi, qi, k)
+			if rep >= len(*col) {
+				*col = slices.Grow(*col, rep+1-len(*col))[:rep+1]
+			}
+			(*col)[rep] = vals[qi*a.nm+k]
 		}
 	}
 	a.got[unit] = true
-	a.done++
+	if a.ad != nil {
+		a.advance(pi)
+	} else {
+		a.done++
+	}
 	return true
 }
 

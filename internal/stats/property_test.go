@@ -44,74 +44,6 @@ func TestTCritTableValues(t *testing.T) {
 	}
 }
 
-// distStreams returns named generators over a shared deterministic
-// source: uniform, exponential, and a heavy-tailed Pareto(α=1.5).
-func distStreams() map[string]func(src *rng.Source) float64 {
-	return map[string]func(src *rng.Source) float64{
-		"uniform":     func(src *rng.Source) float64 { return src.Uniform(10, 20) },
-		"exponential": func(src *rng.Source) float64 { return src.Exponential(0.25) },
-		"pareto":      func(src *rng.Source) float64 { return math.Pow(src.Float64Open(), -1/1.5) },
-	}
-}
-
-// TestPSquareMatchesExactQuantiles is the property test of the P²
-// sketch: on random streams from several distributions, the streaming
-// estimate must land within a small tolerance of the exact order
-// statistic of the same samples.
-func TestPSquareMatchesExactQuantiles(t *testing.T) {
-	const n = 20000
-	for name, draw := range distStreams() {
-		for _, p := range []float64{0.1, 0.5, 0.9, 0.95} {
-			src := rng.New(1234)
-			sketch := NewPSquare(p)
-			xs := make([]float64, 0, n)
-			for i := 0; i < n; i++ {
-				x := draw(src)
-				xs = append(xs, x)
-				sketch.Add(x)
-			}
-			exact := Quantile(xs, p)
-			got := sketch.Quantile()
-			// Tolerance: relative to the local quantile scale, measured as
-			// the spread of the surrounding decile so heavy tails don't
-			// demand absolute precision.
-			lo, hi := math.Max(0, p-0.05), math.Min(1, p+0.05)
-			scale := math.Max(Quantile(xs, hi)-Quantile(xs, lo), 1e-9)
-			if math.Abs(got-exact) > 2*scale {
-				t.Errorf("%s p=%v: sketch %v vs exact %v (scale %v)", name, p, got, exact, scale)
-			}
-			if sketch.N() != n || !sketch.Valid() {
-				t.Fatalf("%s p=%v: sketch state N=%d valid=%v", name, p, sketch.N(), sketch.Valid())
-			}
-		}
-	}
-}
-
-// TestPSquareMonotoneAcrossQuantiles: estimates for increasing p over
-// the same stream must be non-decreasing.
-func TestPSquareMonotoneAcrossQuantiles(t *testing.T) {
-	ps := []float64{0.1, 0.5, 0.9}
-	qs := NewQuantileSet(ps...)
-	src := rng.New(7)
-	for i := 0; i < 5000; i++ {
-		qs.Add(src.Exponential(1))
-	}
-	var prev float64
-	for i, p := range ps {
-		v, ok := qs.Quantile(p)
-		if !ok {
-			t.Fatalf("tracked quantile %v missing", p)
-		}
-		if i > 0 && v < prev {
-			t.Fatalf("quantile estimates not monotone: q%v=%v < %v", p, v, prev)
-		}
-		prev = v
-	}
-	if _, ok := qs.Quantile(0.42); ok {
-		t.Fatal("untracked quantile reported ok")
-	}
-}
-
 // TestBatchMeansCoverage is the property test of the batch-means CI:
 // over many independent streams with a known mean, the nominal-level
 // interval must cover the truth at roughly the nominal rate.
@@ -263,49 +195,6 @@ func TestBatchMeansEdgeCases(t *testing.T) {
 	NewBatchMeans(0)
 }
 
-func TestPSquareEdgeCases(t *testing.T) {
-	s := NewPSquare(0.5)
-	if !math.IsNaN(s.Quantile()) {
-		t.Fatal("empty sketch should report NaN")
-	}
-	s.Add(7)
-	if s.Quantile() != 7 {
-		t.Fatalf("single sample median = %v, want 7", s.Quantile())
-	}
-	s.Add(1)
-	if got := s.Quantile(); got != 4 {
-		t.Fatalf("two-sample interpolated median = %v, want 4", got)
-	}
-
-	// Constant stream: every marker pins to the constant.
-	c := NewPSquare(0.9)
-	for i := 0; i < 100; i++ {
-		c.Add(3.25)
-	}
-	if c.Quantile() != 3.25 {
-		t.Fatalf("constant stream quantile = %v", c.Quantile())
-	}
-
-	// Non-finite input taints the sketch.
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		n := NewPSquare(0.5)
-		for i := 0; i < 10; i++ {
-			n.Add(float64(i))
-		}
-		n.Add(bad)
-		if n.Valid() || !math.IsNaN(n.Quantile()) {
-			t.Fatalf("sketch accepted %v", bad)
-		}
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPSquare(1) did not panic")
-		}
-	}()
-	NewPSquare(1)
-}
-
 func TestAccumulatorNonFiniteGuards(t *testing.T) {
 	var a Accumulator
 	a.Add(1)
@@ -351,15 +240,6 @@ func TestQuantileNaNGuard(t *testing.T) {
 	got := ExactQuantiles([]float64{4, 1, 3, 2}, 0, 0.5, 1)
 	if got[0] != 1 || got[1] != 2.5 || got[2] != 4 {
 		t.Fatalf("ExactQuantiles = %v", got)
-	}
-}
-
-func BenchmarkPSquareAdd(b *testing.B) {
-	s := NewPSquare(0.95)
-	src := rng.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Add(src.Float64())
 	}
 }
 

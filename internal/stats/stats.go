@@ -158,6 +158,21 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
+// ExactQuantiles returns the order-statistic quantiles of xs for each of
+// ps, sorting once. It panics on an empty slice, mirroring Quantile.
+func ExactQuantiles(xs []float64, ps ...float64) []float64 {
+	if len(xs) == 0 {
+		panic("stats: ExactQuantiles of empty slice")
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = quantileSorted(sorted, p)
+	}
+	return out
+}
+
 // quantileSorted interpolates the q-quantile of an already-sorted,
 // non-empty slice.
 func quantileSorted(sorted []float64, q float64) float64 {
