@@ -415,6 +415,29 @@ func BenchmarkCampaignThroughputHeterogeneousNoCache(b *testing.B) {
 	b.ReportMetric(float64(units)/b.Elapsed().Seconds(), "units/s")
 }
 
+// BenchmarkCampaignPlatformAxis measures a platform sweep on a cold
+// cache: Figure 8 at bench scale (P over eleven sizes, one pack class),
+// each iteration on a fresh model.Cache. Every replicate compiles its
+// tables once at the largest P and runs the smaller sizes on views of
+// them, so B/op tracks the compiled-table bytes a platform axis costs.
+func BenchmarkCampaignPlatformAxis(b *testing.B) {
+	sp, err := experiments.FigureScenario("8", benchParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	units := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := campaign.Run(sp, campaign.Options{ModelCache: model.NewCache(0)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units += res.Units()
+	}
+	b.ReportMetric(float64(units)/b.Elapsed().Seconds(), "units/s")
+}
+
 // BenchmarkCampaignThroughputAdaptive runs the same grid under the
 // adaptive precision controller: every point burns replicates only until
 // its 95% batch-means CI is within ±5% of the mean (capped at 64). The

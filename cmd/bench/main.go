@@ -38,16 +38,18 @@ import (
 // (EngineSingleRun), the campaign runner end to end
 // (CampaignThroughput[Adaptive], plus the heterogeneous-sweep pair that
 // quotes the compiled-model cache's payoff against its own no-cache
-// baseline), the compiled-model micro set (ExpectedTimeRaw vs
-// CompiledAt; CompileCold/CompileWarm for the table build on fresh vs
-// reused arenas; RecompileDelta for the incremental rebuild), and the
-// row kernels (CandidateRowSweep for the batched min-reduction,
-// DecisionRound for a full heuristic round over it, and
+// baseline, and CampaignPlatformAxis for a platform sweep served by
+// views of one table per pack), the compiled-model micro set
+// (ExpectedTimeRaw vs CompiledAt; CompileCold/CompileWarm for the table
+// build on fresh vs reused arenas; RecompileDelta for the incremental
+// rebuild), and the row kernels (CandidateRowSweep for the batched
+// min-reduction, DecisionRound for a full heuristic round over it, and
 // DecisionRoundPaperScale for a paper-scale round dominated by scans the
 // pruned-scan bound skips).
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +
+	"|BenchmarkCampaignPlatformAxis$" +
 	"|BenchmarkExpectedTimeRaw$|BenchmarkCompiledAt$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
 	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$"
 

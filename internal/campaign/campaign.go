@@ -465,10 +465,11 @@ func (ws *workerState) bind(m *obs.Campaign, w int) {
 // identical numbers, and all policies share the task draw, the
 // fault-stream seed and — online — the arrival schedule (common random
 // numbers). The compiled instance model is resolved once per unit —
-// from the campaign's compiled-model cache when enabled, else built on
-// the worker's private arena — and reused by every policy; online units
-// instead let the simulator own its tables, since the kernel appends
-// per-arrival rows during the run. The returned slice holds
+// from the campaign's compiled-model cache when enabled, as a view at
+// the unit's P of the table compiled at its pack class's cover, else
+// built at P on the worker's private arena — and reused by every
+// policy; online units instead let the simulator own its tables, since
+// the kernel appends per-arrival rows during the run. The returned slice holds
 // metricsPerPolicy values per policy (metric-major within a policy) and
 // is reused by the next unit of this worker; callers copy what they
 // keep.
@@ -560,10 +561,10 @@ func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64,
 			// a shared handle is rejected by Reset.
 		case pol.FaultFree:
 			if cmFF == nil {
-				if e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, in.P); err != nil {
+				if e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, um.covers[pt.Index]); err != nil {
 					return nil, err
 				} else if e != nil {
-					entryFF, cmFF = e, e.Compiled()
+					entryFF, cmFF = e, e.View(in.P)
 				} else {
 					// No cache (disabled, or incomparable profiles): build
 					// on the private arena. When the unit's fault-enabled
@@ -586,10 +587,10 @@ func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64,
 			in.Compiled = cmFF
 		default:
 			if cm == nil {
-				if e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, in.P); err != nil {
+				if e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, um.covers[pt.Index]); err != nil {
 					return nil, err
 				} else if e != nil {
-					entry, cm = e, e.Compiled()
+					entry, cm = e, e.View(in.P)
 				} else {
 					if err := ws.comp.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
 						return nil, err

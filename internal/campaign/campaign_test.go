@@ -385,3 +385,46 @@ func TestModelCacheCrossPointSharing(t *testing.T) {
 		t.Fatalf("hits = %d, want %d (fault-free table shared across the axis): %+v", s.Hits, wantHits, s)
 	}
 }
+
+// TestModelCachePlatformAxis pins the platform-axis collapse: a sweep
+// over P keeps one pack class, whose cover is its largest size, so each
+// replicate compiles its fault table once at the cover (a full build)
+// and its fault-free table once (a delta), and every smaller size reads
+// views of those two tables. The JSONL stays byte-identical to the
+// per-unit compile path at every worker count.
+func TestModelCachePlatformAxis(t *testing.T) {
+	sp := testSpec()
+	sizes := []float64{6, 10, 16, 24}
+	sp.Axes = []scenario.Axis{{Param: scenario.ParamP, Values: sizes}}
+	points, err := sp.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := packClasses(points)
+	for i, cover := range classCovers(points, classes) {
+		if classes[i] != 0 || cover != 24 {
+			t.Fatalf("point %d: class %d cover %d, want class 0 cover 24", i, classes[i], cover)
+		}
+	}
+	t.Setenv("COSCHED_MODEL_CACHE", "off")
+	want, err := Run(sp, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("COSCHED_MODEL_CACHE", "")
+	k, r := uint64(len(sizes)), uint64(sp.Replicates)
+	for _, workers := range []int{1, 4} {
+		cache := model.NewCache(1 << 30)
+		got, err := Run(sp, Options{Workers: workers, ModelCache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jsonl(t, got) != jsonl(t, want) {
+			t.Fatalf("workers=%d: platform-axis views diverge from the per-unit compile path", workers)
+		}
+		s := cache.Stats()
+		if s.FullBuilds != r || s.DeltaBuilds != r || s.Misses != 2*r || s.Hits != 2*r*(k-1) {
+			t.Fatalf("workers=%d: stats %+v, want %d full builds, %d deltas, %d hits", workers, s, r, r, 2*r*(k-1))
+		}
+	}
+}

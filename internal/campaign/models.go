@@ -23,8 +23,10 @@ import (
 // workerStatePool it deliberately outlives individual Runs: drivers that
 // execute many campaigns over the same workloads (adaptive batches,
 // cmd/bench, parameter sweeps, policy-search rollouts) hit warm tables
-// across Run boundaries. It is bounded by DefaultCacheBytes and evicts
-// FIFO, so a long-lived daemon cannot grow without bound.
+// across Run boundaries. Each insert evicts FIFO down to
+// DefaultCacheBytes among tables no unit holds, so a long-lived daemon
+// keeps at most its budget plus the tables held at each shard's last
+// insert.
 var defaultModelCache = model.NewCache(model.DefaultCacheBytes)
 
 // ModelCacheStats returns the process-global cache's counters — the
@@ -104,16 +106,36 @@ func packClasses(points []scenario.RunPoint) []int {
 	return classes
 }
 
+// classCovers maps every grid point to its pack class's cover: the
+// largest platform size among the class's points. A compiled cell
+// depends on the task and the resilience parameters, never on P, so a
+// table compiled at the cover serves every smaller size of the class as
+// a view (model.CacheEntry.View): a platform axis compiles each pack
+// once, and a grid with one platform size has cover == P.
+func classCovers(points []scenario.RunPoint, classes []int) []int {
+	byClass := make(map[int]int, len(points))
+	for i, pt := range points {
+		byClass[classes[i]] = max(byClass[classes[i]], pt.Spec.P)
+	}
+	covers := make([]int, len(points))
+	for i := range points {
+		covers[i] = byClass[classes[i]]
+	}
+	return covers
+}
+
 // unitModels is the campaign-scoped model-sharing state handed to every
-// worker: the pack-class table, a memo of generated packs keyed by
-// (class, replicate), an intern table canonicalizing content-equal
-// packs to one slice, and the compiled-model cache (nil when disabled).
-// Interning is what makes the cache's pointer fast path fire: every
-// unit over the same pack content holds the same []model.Task header,
-// so a cache probe compares one pointer instead of the pack.
+// worker: the pack-class and cover tables, a memo of generated packs
+// keyed by (class, replicate), an intern table canonicalizing
+// content-equal packs to one slice, and the compiled-model cache (nil
+// when disabled). Interning is what makes the cache's pointer fast path
+// fire: every unit over the same pack content holds the same
+// []model.Task header, so a cache probe compares one pointer instead of
+// the pack.
 type unitModels struct {
 	cache   *model.Cache
 	classes []int
+	covers  []int
 
 	mu       sync.Mutex
 	packs    map[packKey][]model.Task
@@ -123,9 +145,11 @@ type unitModels struct {
 type packKey struct{ class, rep int }
 
 func newUnitModels(points []scenario.RunPoint, cache *model.Cache) *unitModels {
+	classes := packClasses(points)
 	return &unitModels{
 		cache:    cache,
-		classes:  packClasses(points),
+		classes:  classes,
+		covers:   classCovers(points, classes),
 		packs:    make(map[packKey][]model.Task),
 		interned: make(map[uint64][][]model.Task),
 	}

@@ -1,14 +1,17 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
 )
 
-// DefaultCacheBytes is the default resident-byte budget of a Cache:
-// enough for hundreds of paper-scale tables (n = 100, p = 1000 is
-// ~450 KB) without threatening a laptop.
+// DefaultCacheBytes is the default byte budget of a Cache. compiledBytes
+// charges a paper-scale table (n = 100, p = 1000) about 4.4 MB, so the
+// budget holds about 60 of them, and each 16 MiB shard three. The budget
+// is checked at insert only (see evictLocked): it bounds what a shard
+// keeps after an insert, not what stays resident between inserts.
 const DefaultCacheBytes = 1 << 28 // 256 MiB
 
 // cacheShardCount spreads the cache over independently locked shards.
@@ -83,10 +86,41 @@ type CacheEntry struct {
 	// outstanding Acquire. Eviction drops the residency ref only when no
 	// user holds the entry.
 	refs int
+
+	viewMu sync.Mutex
+	views  map[int]*Compiled // View memo by platform size
 }
 
 // Compiled returns the entry's immutable compiled model.
 func (e *CacheEntry) Compiled() *Compiled { return e.c }
+
+// View returns the entry's table narrowed to platform size p: a frozen
+// Compiled over the same column arrays that covers even allocations in
+// [2, p] and answers every query bit-identically to a Compile at p. p
+// equal to the entry's P returns Compiled() itself; p above it, or below
+// 2, panics. Views are memoized per entry, so every caller at one size
+// shares one table ID (the engine's schedule memo key). A view is not
+// charged to the byte budget: it owns only its per-task row metadata.
+func (e *CacheEntry) View(p int) *Compiled {
+	c := e.c
+	if p == c.p {
+		return c
+	}
+	if p < 2 || p > c.p {
+		panic(fmt.Sprintf("model: view at platform size %d of a table compiled for %d", p, c.p))
+	}
+	e.viewMu.Lock()
+	defer e.viewMu.Unlock()
+	v, ok := e.views[p]
+	if !ok {
+		if e.views == nil {
+			e.views = make(map[int]*Compiled)
+		}
+		v = c.view(p)
+		e.views[p] = v
+	}
+	return v
+}
 
 // CacheStats is a point-in-time counter snapshot. The counters are
 // cumulative over the cache's lifetime; ResidentBytes and Entries are
@@ -116,9 +150,10 @@ func (s CacheStats) Delta(prev CacheStats) CacheStats {
 	}
 }
 
-// NewCache returns a cache bounded by maxBytes resident table bytes
-// (DefaultCacheBytes when maxBytes ≤ 0). The bound is enforced per
-// shard, FIFO among entries no caller currently holds.
+// NewCache returns a cache with a budget of maxBytes table bytes
+// (DefaultCacheBytes when maxBytes ≤ 0), split evenly over its shards
+// and enforced at insert, FIFO among entries no caller currently holds
+// (see evictLocked).
 func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
@@ -300,10 +335,13 @@ func samePack(a, b []Task) bool {
 	return ok && eq
 }
 
-// evictLocked enforces the shard's byte budget: oldest-first among
-// entries no caller holds (refs == 1). In-use entries are skipped and
-// reconsidered on the next insert; a shard wholly pinned by active
-// users may transiently exceed its budget rather than stall compiles.
+// evictLocked evicts oldest-first among entries no caller holds
+// (refs == 1) until the shard is within its byte budget. It runs only
+// at insert, when the new entry is still held by its caller, so it
+// never evicts that entry: each shard keeps its newest entry whatever
+// its size, plus every entry held at the last insert, until its next
+// insert. The budget therefore does not bound residency; a shard can
+// sit above it for as long as no further miss lands in it.
 func (sh *cacheShard) evictLocked(ch *Cache) {
 	for sh.bytes > ch.shardBudget {
 		victim := -1

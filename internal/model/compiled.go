@@ -43,6 +43,10 @@ func segOf(res Resilience, t Task) segKind {
 // RecompileDelta, AppendTask, TruncateExtra) panic instead of writing
 // through an alias. Freezing is permanent.
 //
+// A view (CacheEntry.View) is a frozen Compiled for a smaller platform
+// that reads a larger table's columns: its rows keep the larger stride,
+// and maxJ ≤ 2·stride bounds what it covers.
+//
 // Layout: struct-of-arrays. Each cached quantity is its own parallel
 // slice of length NumTasks·stride, indexed i·stride + j/2 − 1, so task
 // i's candidate row for one quantity is contiguous — the row kernel
@@ -59,7 +63,7 @@ type Compiled struct {
 	rc     CostModel
 	p      int
 	maxJ   int // largest even allocation covered by the tables
-	stride int // maxJ/2 entries per task
+	stride int // entries per task row: maxJ/2, or more in a view (CacheEntry.View)
 
 	// Per-(task, allocation) columns, each len NumTasks·stride. All are
 	// derived from the same Resilience primitives the direct path calls,
@@ -539,6 +543,28 @@ func (c *Compiled) TruncateExtra() {
 	c.extra = c.extra[:0]
 }
 
+// view returns a frozen table over platform size p ≤ c.p that reads c's
+// columns: same arrays and stride, a narrower covered range. Every
+// (task i, allocation j) cell depends on the task and the resilience
+// parameters, never on the platform, so a cold compile at p fills
+// exactly the first maxJ/2 cells of each of c's rows. Only the t-row
+// metadata summarizes a whole row; the view recomputes it over its own
+// prefix so RawFloor bounds match the cold compile's. c must carry no
+// appended tasks.
+func (c *Compiled) view(p int) *Compiled {
+	v := *c
+	v.p = p
+	v.maxJ = p - p%2
+	v.id = compiledIDs.Add(1)
+	v.frozen = true
+	v.trow = make([]timeMeta, len(c.tasks))
+	for i, t := range c.tasks {
+		lo := i * c.stride
+		v.trow[i] = timeMetaOf(t, c.tj[lo:lo+v.maxJ/2])
+	}
+	return &v
+}
+
 // NumTasks returns the number of tasks covered by the tables, including
 // appended ones.
 func (c *Compiled) NumTasks() int { return len(c.tasks) + len(c.extra) }
@@ -634,15 +660,13 @@ func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
 // branch on τ_last, prefac·(n·expPer + Expm1(λj·τ_last)) — keeps the
 // scalar combination order of RawAt exactly, so each dst element is
 // bit-identical to the corresponding scalar call (pinned by
-// TestRawRowMatchesScalar). Row indices at or beyond the table stride
-// (allocations past the platform) fall back per element to the direct
-// path, exactly as scalar RawAt does for uncovered j.
+// TestRawRowMatchesScalar). Row indices at or beyond maxJ/2 (allocations
+// past the platform, even when a view's stride reaches further) fall back
+// per element to the direct path, exactly as scalar RawAt does for
+// uncovered j.
 func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 	d := dst[:hi-lo]
-	kernHi := hi
-	if kernHi > c.stride {
-		kernHi = c.stride
-	}
+	kernHi := min(hi, c.maxJ/2)
 	for k := kernHi; k < hi; k++ {
 		if k < lo {
 			continue
@@ -823,14 +847,15 @@ func (c *Compiled) PostRedistCkpt(i, j int) float64 {
 // surcharges as a contiguous row indexed j/2 − 1, valid for even j in
 // [2, 2·len(row)], or nil when the surcharge is identically zero
 // (fault-free instances). Targets beyond the row (per-arrival extras
-// past the compiled stride) must go through PostRedistCkpt. The row
+// past the covered range) must go through PostRedistCkpt. The row
 // aliases the compiled tables: it is invalidated by the next
 // Recompile/AppendTask/TruncateExtra.
 func (c *Compiled) PostRedistCkptRow(i int) []float64 {
 	if c.res.Lambda == 0 {
 		return nil
 	}
-	return c.ck[i*c.stride : (i+1)*c.stride]
+	lo, hi := i*c.stride, i*c.stride+c.maxJ/2
+	return c.ck[lo:hi:hi]
 }
 
 // FFCheckpoints returns N^ff_{i,j}(α) (Resilience.FFCheckpoints).

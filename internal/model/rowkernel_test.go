@@ -139,7 +139,7 @@ func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
 		if err := got.RecompileFaultFree(base, tc.tasks, ffRes, CostModel{}, p); err != nil {
 			t.Fatal(err)
 		}
-		compareCompiled(t, tc.name+"/fast", want, &got, len(tc.tasks), p)
+		sameAnswers(t, tc.name+"/fast", want, &got, p)
 
 		// A base with an appended row must take the full-recompile
 		// fallback and still match.
@@ -150,40 +150,6 @@ func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
 		if err := fb.RecompileFaultFree(base, tc.tasks, ffRes, CostModel{}, p); err != nil {
 			t.Fatal(err)
 		}
-		compareCompiled(t, tc.name+"/fallback", want, &fb, len(tc.tasks), p)
-	}
-}
-
-// compareCompiled asserts bit-identical accessor values between two
-// compiled models over every (task, allocation, α).
-func compareCompiled(t *testing.T, name string, want, got *Compiled, n, p int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		for j := 2; j <= p; j += 2 {
-			pairs := [][2]float64{
-				{want.Time(i, j), got.Time(i, j)},
-				{want.CkptCost(i, j), got.CkptCost(i, j)},
-				{want.Recovery(i, j), got.Recovery(i, j)},
-				{want.Period(i, j), got.Period(i, j)},
-			}
-			for pi, pr := range pairs {
-				if math.Float64bits(pr[0]) != math.Float64bits(pr[1]) {
-					t.Fatalf("%s task %d j %d accessor %d: %v != %v", name, i, j, pi, pr[1], pr[0])
-				}
-			}
-			for _, alpha := range compiledAlphas {
-				w, g := want.RawAt(i, j, alpha), got.RawAt(i, j, alpha)
-				if math.Float64bits(w) != math.Float64bits(g) {
-					t.Fatalf("%s task %d j %d α %v: RawAt %v != %v", name, i, j, alpha, g, w)
-				}
-				wf, gf := want.FFTime(i, j, alpha), got.FFTime(i, j, alpha)
-				if math.Float64bits(wf) != math.Float64bits(gf) {
-					t.Fatalf("%s task %d j %d α %v: FFTime %v != %v", name, i, j, alpha, gf, wf)
-				}
-				if w, g := want.RawFloor(i, j, alpha), got.RawFloor(i, j, alpha); w != g {
-					t.Fatalf("%s task %d j %d α %v: RawFloor %v != %v", name, i, j, alpha, g, w)
-				}
-			}
-		}
+		sameAnswers(t, tc.name+"/fallback", want, &fb, p)
 	}
 }
