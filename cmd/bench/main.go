@@ -42,16 +42,18 @@ import (
 // views of one table per pack), the compiled-model micro set
 // (ExpectedTimeRaw vs CompiledAt; CompileCold/CompileWarm for the table
 // build on fresh vs reused arenas; RecompileDelta for the incremental
-// rebuild), and the row kernels (CandidateRowSweep for the batched
+// rebuild), the row kernels (CandidateRowSweep for the batched
 // min-reduction, DecisionRound for a full heuristic round over it, and
 // DecisionRoundPaperScale for a paper-scale round dominated by scans the
-// pruned-scan bound skips).
+// pruned-scan bound skips), and Algorithm 1 alone (InitialSchedule on the
+// direct path, InitialScheduleCompiled cold on compiled tables).
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +
 	"|BenchmarkCampaignPlatformAxis$" +
 	"|BenchmarkExpectedTimeRaw$|BenchmarkCompiledAt$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
-	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$"
+	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$" +
+	"|BenchmarkInitialSchedule$|BenchmarkInitialScheduleCompiled$"
 
 // ledger is the JSON document layout. The environment block (Go version,
 // GOMAXPROCS, CPU, commit) makes a ledger self-describing: a reader of a

@@ -60,9 +60,11 @@ type Simulator struct {
 	now    float64
 	acct   *accounting
 	primed bool
-	// pruneErr is the first pruned scan Options.Paranoia found hiding
-	// an improving candidate (Decision.skipDead); check returns it.
-	pruneErr error
+	// paranoidErr is the first shortcut Options.Paranoia caught
+	// disagreeing with its full evaluation — a pruned scan hiding an
+	// improving candidate (Decision.skipDead) or a line-9 early exit
+	// (canGrow); check returns it.
+	paranoidErr error
 
 	// Online state (see online.go). The task arena e.st grows past the
 	// base pack as jobs arrive; pendQ/pendHead form the FIFO admission
@@ -241,7 +243,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	}
 	e.q.Reset()
 	e.ctr = Counters{}
-	e.pruneErr = nil
+	e.paranoidErr = nil
 	e.hist = e.hist[:0]
 	e.now = 0
 	e.live = n
@@ -354,12 +356,14 @@ func (e *Simulator) resize(n int) {
 
 // initialSchedule is Algorithm 1 evaluated into the simulator's arenas
 // (same algorithm as the exported InitialSchedule, without its per-call
-// allocations). The result lands in e.sigma0. With no compiled model
-// bound (e.cm nil — the one-shot InitialSchedule wrapper) the
-// evaluators take the direct path: Algorithm 1 alone queries only
-// ~n + P/2 entries via the ascending prefix-min scans, so building the
-// full n·P/2 table would cost more than it saves (the packs DP calls
-// the wrapper once per candidate subset).
+// allocations). The result lands in e.sigma0. Line 9 stops at the first
+// improving cell (canGrow), so on NaN-free rows Algorithm 1 evaluates
+// at most Σσ₀/2 + n + P/2 Eq. (4) cells in all: each task's row up to
+// its final allocation plus one probe, and one row out to pmax for the
+// task that ends the loop. With no compiled model bound (e.cm nil — the
+// one-shot InitialSchedule wrapper) the evaluators take the direct path:
+// building the full n·P/2 table would cost far more than those cells
+// (the packs DP calls the wrapper once per candidate subset).
 func (e *Simulator) initialSchedule() error {
 	n := len(e.in.Tasks)
 	e.elig = e.elig[:0]
@@ -380,11 +384,9 @@ func (e *Simulator) initialSchedule() error {
 		if !ok {
 			break
 		}
-		pmax := e.sigma0[i] + avail
 		// Line 9: is there any hope of improving the longest task with
-		// everything we have? ExpectedTime is non-increasing in j after
-		// Eq. (6), so a strict decrease at pmax means some extension helps.
-		if e.d.evals[i].At(e.sigma0[i]) > e.d.evals[i].At(pmax) {
+		// everything we have?
+		if e.canGrow(i, e.sigma0[i], e.sigma0[i]+avail) {
 			e.sigma0[i] += 2
 			e.d.tUc[i] = e.d.evals[i].At(e.sigma0[i])
 			e.heap.fixTop()
@@ -396,6 +398,25 @@ func (e *Simulator) initialSchedule() error {
 		}
 	}
 	return nil
+}
+
+// canGrow is line 9 of Algorithm 1, shared with online admission: can
+// task i's expected time at α = 1 still strictly drop from sigma
+// processors with up to pmax? ExpectedTime is non-increasing in j after
+// Eq. (6), so that is t^R(sigma) > t^R(pmax); MinEval.DropsBelow answers
+// it exactly, usually without evaluating the row out to pmax. Under
+// Options.Paranoia the full-row comparison runs too, and a disagreement
+// is recorded as the error check (and so Run) returns.
+func (e *Simulator) canGrow(i, sigma, pmax int) bool {
+	ev := &e.d.evals[i]
+	ok := ev.DropsBelow(sigma, pmax)
+	if e.opt.Paranoia && e.paranoidErr == nil {
+		if full := ev.At(sigma) > ev.At(pmax); full != ok {
+			e.paranoidErr = fmt.Errorf("core: line 9 for task %d at σ=%d, pmax=%d: early exit says %v, full row says %v",
+				i, sigma, pmax, ok, full)
+		}
+	}
+	return ok
 }
 
 // Run executes the primed simulation to completion. The returned
@@ -820,8 +841,8 @@ func (e *Simulator) commitRedist(i int, t float64, newSigma int, alphaT float64,
 
 // check validates cross-structure invariants (Options.Paranoia).
 func (e *Simulator) check() error {
-	if e.pruneErr != nil {
-		return e.pruneErr
+	if e.paranoidErr != nil {
+		return e.paranoidErr
 	}
 	if err := e.plat.Validate(); err != nil {
 		return err

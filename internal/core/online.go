@@ -140,11 +140,8 @@ func (e *Simulator) admit(t float64) []int {
 			break
 		}
 		s := &e.st[i]
-		pmax := s.sigma + avail
-		// Same improvability test as Algorithm 1 line 9: expected time is
-		// non-increasing after Eq. (6), so a strict decrease at pmax means
-		// some extension helps.
-		if e.d.evals[i].At(s.sigma) > e.d.evals[i].At(pmax) {
+		// Same improvability test as Algorithm 1 line 9.
+		if e.canGrow(i, s.sigma, s.sigma+avail) {
 			if err := e.plat.Alloc(i, 2); err != nil {
 				panic(fmt.Sprintf("core: growing admitted task %d: %v", i, err))
 			}

@@ -239,9 +239,9 @@ func (d *Decision) skipDead(i, lo, hi int) bool {
 	if !d.e.opt.Paranoia {
 		return true
 	}
-	for c := lo; c <= hi && d.e.pruneErr == nil; c += 2 {
+	for c := lo; c <= hi && d.e.paranoidErr == nil; c += 2 {
 		if tE := d.candidate(i, c); tE < d.tUc[i] {
-			d.e.pruneErr = fmt.Errorf("core: pruned scan of task %d over [%d, %d] at t=%v hides candidate %d: %v < %v",
+			d.e.paranoidErr = fmt.Errorf("core: pruned scan of task %d over [%d, %d] at t=%v hides candidate %d: %v < %v",
 				i, lo, hi, d.t, c, tE, d.tUc[i])
 		}
 	}

@@ -9,8 +9,9 @@ package core
 // unusable processors free for later redistributions).
 //
 // The returned slice σ satisfies Σσ(i) ≤ p with every σ(i) even and ≥ 2.
-// Complexity: O(p·log n) heap operations plus O(p) model evaluations per
-// task thanks to the incremental prefix-min evaluator.
+// Complexity: O(p·log n) heap operations plus O(p) model evaluations in
+// total: line 9 stops at the first improving cell (MinEval.DropsBelow),
+// so each granted pair reads about one new cell.
 //
 // The single implementation of the algorithm lives in
 // (*Simulator).initialSchedule — this wrapper exists for callers that

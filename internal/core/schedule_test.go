@@ -171,11 +171,36 @@ func TestAlgorithm1FaultFree(t *testing.T) {
 	}
 }
 
+// BenchmarkInitialSchedule is Algorithm 1 on the direct path, through the
+// one-shot wrapper the packs DP calls per candidate subset.
 func BenchmarkInitialSchedule(b *testing.B) {
 	in := Instance{Tasks: synthPack(100, rng.New(5)), P: 1000, Res: paperRes(100)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := InitialSchedule(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInitialScheduleCompiled is Algorithm 1 on compiled tables for
+// the hetero-sweep pack shape (n = 50, P = 600): every iteration runs the
+// schedule cold, as Reset does on a table its memo has not seen — the
+// per-unit cost of a sweep whose units each bring a fresh table.
+func BenchmarkInitialScheduleCompiled(b *testing.B) {
+	in := Instance{Tasks: synthPack(50, rng.New(6)), P: 600, Res: paperRes(10)}
+	c, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewSimulator()
+	e.in = in
+	e.cm = c
+	e.resize(len(in.Tasks))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.initialSchedule(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -105,9 +105,11 @@ func (o *Options) fillDefaults() error {
 
 // event is one item on the coordinator's merged input stream: a decoded
 // worker message, or (err != nil) the worker's death — its stdout hit
-// EOF or tore mid-record.
+// EOF or tore mid-record. gen names the process behind the seat, so a
+// respawned seat never hears its predecessor's leftovers.
 type event struct {
 	slot int
+	gen  int
 	msg  workMsg
 	err  error
 }
@@ -121,6 +123,7 @@ type workerConn struct {
 	ready   bool
 	retired bool
 	lease   int // live lease ID, or -1
+	gen     int // spawns so far; events of earlier processes are dropped
 	// fails counts consecutive attempts that never produced a ready
 	// worker; reset by ready, it bounds the respawn loop for seats that
 	// cannot start (bad binary, exec failure).
@@ -311,6 +314,7 @@ func (c *coordinator) spawn(slot int) {
 		return
 	}
 	w.proc = proc
+	w.gen++
 	w.out = newMsgWriter(proc.In)
 	w.alive, w.ready, w.lease = true, false, -1
 	c.liveCount++
@@ -329,7 +333,7 @@ func (c *coordinator) spawn(slot int) {
 		c.opt.Logf("dist: worker %d init write: %v", slot, err)
 	}
 	c.readers.Add(1)
-	go func(slot int, out io.ReadCloser, wait func() error) {
+	go func(slot, gen int, out io.ReadCloser, wait func() error) {
 		defer c.readers.Done()
 		dec := json.NewDecoder(out)
 		for {
@@ -338,12 +342,12 @@ func (c *coordinator) spawn(slot int) {
 				if wait != nil {
 					wait() // reap; out is at EOF (or torn), so Wait cannot block on the pipe
 				}
-				c.events <- event{slot: slot, err: err}
+				c.events <- event{slot: slot, gen: gen, err: err}
 				return
 			}
-			c.events <- event{slot: slot, msg: m}
+			c.events <- event{slot: slot, gen: gen, msg: m}
 		}
-	}(slot, proc.Out, proc.Wait)
+	}(slot, w.gen, proc.Out, proc.Wait)
 }
 
 // seatFailed books one failed attempt to fill a seat and schedules the
@@ -365,6 +369,9 @@ func (c *coordinator) seatFailed(w *workerConn) {
 
 func (c *coordinator) handleEvent(ev event) {
 	w := c.workers[ev.slot]
+	if ev.gen != w.gen {
+		return // a process this seat already buried (chaos kill)
+	}
 	if ev.err != nil {
 		c.handleDeath(w)
 		return
@@ -418,11 +425,16 @@ func (c *coordinator) handleEvent(ev event) {
 // are deterministic.
 func (c *coordinator) handleResult(w *workerConn, m workMsg) {
 	if c.opt.KillAtUnit > 0 && m.Unit == c.opt.KillAtUnit && !c.chaosFired {
-		// Chaos hook: the worker dies as if the kill landed mid-send;
-		// the discarded result is recomputed under a new lease.
+		// Chaos hook: the worker dies as if the kill landed mid-send —
+		// nothing it sent after this result arrives. It is buried now,
+		// not at its stdout EOF: a release it had already queued would
+		// otherwise return the discarded unit as a clean release, and
+		// the run could finish before the death was ever booked. The
+		// discarded result is recomputed under a new lease.
 		c.chaosFired = true
 		c.opt.Logf("dist: chaos: killing worker %d at unit %d", w.slot, m.Unit)
-		w.proc.Kill()
+		c.handleDeath(w)
+		w.gen++ // drop its queued messages and its EOF
 		return
 	}
 	if w.lease < 0 || m.Lease != w.lease {

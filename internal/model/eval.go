@@ -23,11 +23,15 @@ type MinEval struct {
 	c     *Compiled // when non-nil, raw queries read the compiled tables
 	ti    int       // task index within c
 	mins  []float64 // mins[k] = prefix-min of raw t^R at j = 2(k+1)
+	// numTo is the largest allocation through which every raw cell is
+	// proven a number (numeric.go), so At is non-increasing up to it; −1
+	// until DropsBelow first needs the proof.
+	numTo int
 }
 
 // NewMinEval returns an evaluator for t^R_{i,·}(α) with Eq. (6) applied.
 func NewMinEval(r Resilience, t Task, alpha float64) *MinEval {
-	return &MinEval{r: r, t: t, alpha: alpha}
+	return &MinEval{r: r, t: t, alpha: alpha, numTo: -1}
 }
 
 // Reset rebinds the evaluator to a new (task, α) pair in place,
@@ -42,6 +46,7 @@ func (e *MinEval) Reset(r Resilience, t Task, alpha float64) {
 	e.alpha = alpha
 	e.c = nil
 	e.mins = e.mins[:0]
+	e.numTo = -1
 }
 
 // ResetCompiled rebinds the evaluator to task ti of a compiled instance
@@ -56,6 +61,7 @@ func (e *MinEval) ResetCompiled(c *Compiled, ti int, alpha float64) {
 	e.c = c
 	e.ti = ti
 	e.mins = e.mins[:0]
+	e.numTo = -1
 }
 
 // At returns the monotonized expected time on j processors. j must be a
@@ -70,6 +76,54 @@ func (e *MinEval) At(j int) float64 {
 	}
 	return e.mins[k]
 }
+
+// DropsBelow reports whether At(pmax) < At(sigma), for even
+// 2 ≤ sigma ≤ pmax: line 9 of Algorithm 1, "can the task's expected time
+// still strictly drop with up to pmax processors?". On a row proven free
+// of NaN, At is a non-increasing prefix minimum, so the first cell past
+// sigma that drops below At(sigma) decides the answer and the scan stops
+// there: a greedy that grants one pair per true answer reads about one
+// new cell per grant instead of filling the row out to pmax. A row that
+// may hold a NaN — which restarts the Eq. (6) fold, so At can rise past
+// it — takes the full comparison. Either way the result is exactly
+// At(sigma) > At(pmax).
+func (e *MinEval) DropsBelow(sigma, pmax int) bool {
+	cur := e.At(sigma)
+	if !e.numericThrough(pmax) {
+		return cur > e.At(pmax)
+	}
+	for k := sigma / 2; k < pmax/2; k++ { // j = 2(k+1) = sigma+2, …, pmax
+		if len(e.mins) <= k {
+			e.extend(k)
+		}
+		if e.mins[k] < cur {
+			return true
+		}
+	}
+	return false
+}
+
+// numericThrough reports whether every raw cell through allocation j is
+// proven a number at the evaluator's α. The proof (Resilience.rowNumeric)
+// runs once per binding, for the j of the first call; Algorithm 1's later
+// queries on the task never reach further. Compiled cells are
+// bit-identical to direct ones, so one proof serves both.
+func (e *MinEval) numericThrough(j int) bool {
+	if e.alpha != e.alpha { // NaN α: every cell is NaN
+		return false
+	}
+	if e.numTo < 0 {
+		e.numTo = 0
+		if e.r.rowNumeric(e.t, j) {
+			e.numTo = j
+		}
+	}
+	return j <= e.numTo
+}
+
+// Cached returns how many allocations (2, 4, …) the evaluator has
+// evaluated so far: the raw Eq. (4) cells its queries have paid for.
+func (e *MinEval) Cached() int { return len(e.mins) }
 
 // extend grows the prefix-min cache through row index k. Compiled-backed
 // evaluators fill the whole missing range with one rawRange pass over
