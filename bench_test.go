@@ -347,8 +347,8 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // replicate draws a fresh pack, so the old homogeneous-point sharing
 // never applied), a large instance (n=40, P=400 — table compiles
 // dominate the short, mild-failure simulations), and a downtime axis,
-// which leaves the pack and failure rate untouched across the grid so
-// every point past the first rebuilds only the prefactor column.
+// which leaves the pack untouched across the grid so every point past
+// the first is a delta build over the first point's profile columns.
 func heterogeneousSweepSpec() scenario.Spec {
 	w := workload.Default() // MInf ≠ MSup: heterogeneous
 	w.N = 50
@@ -407,6 +407,42 @@ func BenchmarkCampaignThroughputHeterogeneousNoCache(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := campaign.Run(sp, campaign.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units += res.Units()
+	}
+	b.ReportMetric(float64(units)/b.Elapsed().Seconds(), "units/s")
+}
+
+// BenchmarkCampaignResilienceSweepCold measures a resilience sweep on a
+// cold cache: a heterogeneous pack class (n = 50, P = 600) over a 3×3
+// MTBF × downtime grid with norc and ff-norc, each iteration on a fresh
+// model.Cache. Every replicate draws a fresh pack, so each grid point's
+// tables are a cold compile or a delta build whose failure rows fill
+// only as far as the units read them: this is the table-build cost a
+// parameter sweep pays, the hetero-sweep workload's shape at bench
+// scale.
+func BenchmarkCampaignResilienceSweepCold(b *testing.B) {
+	w := workload.Heterogeneous()
+	w.N, w.P, w.MTBFYears = 50, 600, 100
+	sp := scenario.Spec{
+		Name:       "bench-resilience-cold",
+		Workload:   w,
+		Policies:   []string{"norc", "ff-norc"},
+		Base:       "norc",
+		Replicates: 4,
+		Seed:       1,
+		Axes: []scenario.Axis{
+			{Param: scenario.ParamMTBF, Values: []float64{50, 100, 200}},
+			{Param: scenario.ParamDowntime, Values: []float64{30, 60, 120}},
+		},
+	}
+	units := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := campaign.Run(sp, campaign.Options{ModelCache: model.NewCache(0)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -38,11 +38,13 @@ import (
 // (EngineSingleRun), the campaign runner end to end
 // (CampaignThroughput[Adaptive], plus the heterogeneous-sweep pair that
 // quotes the compiled-model cache's payoff against its own no-cache
-// baseline, and CampaignPlatformAxis for a platform sweep served by
-// views of one table per pack), the compiled-model micro set
+// baseline, CampaignPlatformAxis for a platform sweep served by views of
+// one table per pack, and CampaignResilienceSweepCold for an MTBF ×
+// downtime sweep whose cold and delta tables fill their failure rows on
+// demand), the compiled-model micro set
 // (ExpectedTimeRaw vs CompiledAt; CompileCold/CompileWarm for the table
-// build on fresh vs reused arenas; RecompileDelta for the incremental
-// rebuild), the row kernels (CandidateRowSweep for the batched
+// build on fresh vs reused arenas; RecompileDelta for the near-miss
+// build), the row kernels (CandidateRowSweep for the batched
 // min-reduction, DecisionRound for a full heuristic round over it, and
 // DecisionRoundPaperScale for a paper-scale round dominated by scans the
 // pruned-scan bound skips), and Algorithm 1 alone (InitialSchedule on the
@@ -50,7 +52,7 @@ import (
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +
-	"|BenchmarkCampaignPlatformAxis$" +
+	"|BenchmarkCampaignPlatformAxis$|BenchmarkCampaignResilienceSweepCold$" +
 	"|BenchmarkExpectedTimeRaw$|BenchmarkCompiledAt$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
 	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$" +
 	"|BenchmarkInitialSchedule$|BenchmarkInitialScheduleCompiled$"

@@ -567,14 +567,9 @@ func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64,
 					entryFF, cmFF = e, e.View(in.P)
 				} else {
 					// No cache (disabled, or incomparable profiles): build
-					// on the private arena. When the unit's fault-enabled
-					// tables were already built over the same pack, the
-					// fault-free compile copies their failure-independent
-					// columns instead of recomputing them (bit-identical;
-					// see Compiled.RecompileFaultFree). With cm == nil — a
-					// fault-free policy ordered first — it falls back to a
-					// full Recompile.
-					if err := ws.compFF.RecompileFaultFree(cm, in.Tasks, in.Res, in.RC, in.P); err != nil {
+					// on the private arena. A fault-free table is its
+					// profile columns alone.
+					if err := ws.compFF.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
 						return nil, err
 					}
 					cmFF = &ws.compFF

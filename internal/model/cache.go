@@ -8,10 +8,12 @@ import (
 )
 
 // DefaultCacheBytes is the default byte budget of a Cache. compiledBytes
-// charges a paper-scale table (n = 100, p = 1000) about 4.4 MB, so the
-// budget holds about 60 of them, and each 16 MiB shard three. The budget
-// is checked at insert only (see evictLocked): it bounds what a shard
-// keeps after an insert, not what stays resident between inserts.
+// charges a paper-scale table (n = 100, p = 1000) about 4.4 MB, its
+// fully-filled size, so the budget holds about 60 of them, and each
+// 16 MiB shard three. Failure rows fill on demand, so a table is usually
+// far smaller than its charge and the budget over-counts residency. The
+// budget is checked at insert only (see evictLocked): it bounds what a
+// shard keeps after an insert, not what stays resident between inserts.
 const DefaultCacheBytes = 1 << 28 // 256 MiB
 
 // cacheShardCount spreads the cache over independently locked shards.
@@ -26,18 +28,19 @@ const cacheShardCount = 16
 // buckets candidates, and every hit is confirmed by an exact content
 // compare — hash collisions cost a compare, never a wrong table.
 //
-// Entries are frozen at publish: Acquire hands out read-only *Compiled
-// handles whose in-place rebuild methods panic. A near-miss — same pack,
-// platform and cost model, different resilience parameters — is built by
-// Compiled.RecompileDelta from the resident base entry that needs the
-// fewest rebuilt columns: the new table shares every column the
-// parameter change cannot reach and owns only the rebuilt ones, and is
-// bit-identical to a cold Compile (the cache's whole contract; see
-// DESIGN.md §15). Because columns are shared, tables are never recycled:
-// an evicted entry's arrays stay alive, through the garbage collector,
-// for as long as any live table aliases them. Packs containing profile
-// types this package cannot compare by content are refused (Acquire
-// returns nil) and the caller compiles privately.
+// Entries are frozen at publish: Acquire hands out *Compiled handles
+// whose in-place rebuild methods panic; queries may still fill their
+// failure rows, which is safe from any goroutine. A near-miss — same
+// pack, platform and cost model, different resilience parameters — is
+// built by Compiled.RecompileDelta from the oldest resident entry over
+// the pack: the new table shares its profile columns and starts with
+// empty failure rows of its own, and answers bit-identically to a cold
+// Compile (the cache's whole contract; see DESIGN.md §15). Because
+// columns are shared, tables are never recycled: an evicted entry's
+// arrays stay alive, through the garbage collector, for as long as any
+// live table aliases them. Packs containing profile types this package
+// cannot compare by content are refused (Acquire returns nil) and the
+// caller compiles privately.
 //
 // A nil *Cache is valid and never caches.
 type Cache struct {
@@ -66,15 +69,15 @@ type cacheShard struct {
 	// building holds one channel per base key with a build in flight,
 	// closed on publish: a concurrent miss over the same pack waits for
 	// it, then finds either its own key (a hit, not a duplicate compile)
-	// or a delta base (a column rewrite, not a cold compile). Builds
+	// or a delta base (shared profile columns, not a cold compile). Builds
 	// over one pack therefore serialize, and the hit/miss/delta counts
 	// are a function of the keys requested, not of thread timing.
 	building map[uint64]chan struct{}
 }
 
 // CacheEntry is one published compiled model plus its refcount. The
-// tables behind Compiled() are frozen: Recompile, RecompileFaultFree,
-// RecompileDelta, AppendTask and TruncateExtra on them panic.
+// tables behind Compiled() are frozen: Recompile, RecompileDelta,
+// AppendTask and TruncateExtra on them panic.
 type CacheEntry struct {
 	cache   *Cache
 	shard   *cacheShard
@@ -91,16 +94,17 @@ type CacheEntry struct {
 	views  map[int]*Compiled // View memo by platform size
 }
 
-// Compiled returns the entry's immutable compiled model.
+// Compiled returns the entry's frozen compiled model.
 func (e *CacheEntry) Compiled() *Compiled { return e.c }
 
 // View returns the entry's table narrowed to platform size p: a frozen
-// Compiled over the same column arrays that covers even allocations in
-// [2, p] and answers every query bit-identically to a Compile at p. p
-// equal to the entry's P returns Compiled() itself; p above it, or below
-// 2, panics. Views are memoized per entry, so every caller at one size
-// shares one table ID (the engine's schedule memo key). A view is not
-// charged to the byte budget: it owns only its per-task row metadata.
+// Compiled over the same column arrays and failure rows that covers even
+// allocations in [2, p] and answers every query bit-identically to a
+// Compile at p. p equal to the entry's P returns Compiled() itself; p
+// above it, or below 2, panics. Views are memoized per entry, so every
+// caller at one size shares one table ID (the engine's schedule memo
+// key). A view is not charged to the byte budget: it owns only its
+// per-task row metadata.
 func (e *CacheEntry) View(p int) *Compiled {
 	c := e.c
 	if p == c.p {
@@ -128,7 +132,7 @@ func (e *CacheEntry) View(p int) *Compiled {
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
-	DeltaBuilds   uint64 // misses served by RecompileDelta's column reuse
+	DeltaBuilds   uint64 // misses served by RecompileDelta's profile-column reuse
 	FullBuilds    uint64 // misses that paid a cold compile
 	Evictions     uint64
 	ResidentBytes int64
@@ -222,7 +226,7 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	defer close(built)
 	// Miss. Pin the delta base while the build reads it: eviction skips
 	// pinned entries.
-	baseE := sh.deltaBaseLocked(bk, tasks, res, rc, p)
+	baseE := sh.deltaBaseLocked(bk, tasks, rc, p)
 	if baseE != nil {
 		baseE.refs++
 	}
@@ -299,28 +303,17 @@ func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc C
 	return nil
 }
 
-// deltaBaseLocked picks the resident entry over the same pack, cost
-// model and platform from which a build of res rebuilds the fewest
-// columns (same λ, rule and λ_s first: a downtime-only delta rewrites
-// one column); ties go to the oldest resident entry. nil means there is
-// none and the miss pays a cold compile.
-func (sh *cacheShard) deltaBaseLocked(bk uint64, tasks []Task, res Resilience, rc CostModel, p int) *CacheEntry {
-	var best *CacheEntry
-	bestCols := 0
+// deltaBaseLocked picks the oldest resident entry over the same pack,
+// cost model and platform: a delta build shares only its profile
+// columns, which every such entry holds. nil means there is none and the
+// miss pays a cold compile.
+func (sh *cacheShard) deltaBaseLocked(bk uint64, tasks []Task, rc CostModel, p int) *CacheEntry {
 	for _, e := range sh.base[bk] {
-		c := e.c
-		if c.rc != rc || c.p != p {
-			continue
-		}
-		cols := planDelta(c.res, res).columns()
-		if best != nil && cols >= bestCols {
-			continue
-		}
-		if samePack(tasks, c.tasks) {
-			best, bestCols = e, cols
+		if c := e.c; c.rc == rc && c.p == p && samePack(tasks, c.tasks) {
+			return e
 		}
 	}
-	return best
+	return nil
 }
 
 // samePack is PacksEqual with the same-slice fast path.
@@ -382,13 +375,16 @@ func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
 	return s
 }
 
-// compiledBytes estimates an entry's resident footprint for the byte
-// budget: 11 float64 columns plus seg/data/trow and the task headers.
-// Every column the entry references is charged to it, shared or not, so
-// the budget over-counts bytes shared between entries and never
-// under-counts them — and the hit/miss/delta/eviction counts stay a pure
-// function of the requested keys, whichever bases the delta builds
-// happened to pick.
+// compiledBytes is an entry's charge against the byte budget: a fixed
+// fully-filled size of 11 float64 per cell plus seg/data/trow and the
+// task headers, the charge of the eleven-column layout that computed
+// every cell at build time. A table now holds three profile floats per
+// cell plus the five-float failure cells its queries filled, which
+// usually covers a few percent of its rows. Every column the entry
+// references is charged to it, shared or not, and the charge does not
+// depend on how far rows were filled, so the hit/miss/delta/eviction
+// counts stay a pure function of the requested keys, whatever the
+// queries and whichever bases the delta builds happened to pick.
 func compiledBytes(c *Compiled) int64 {
 	cells := int64(len(c.tj))
 	n := int64(len(c.tasks))

@@ -7,12 +7,10 @@ import (
 	"testing"
 )
 
-// columnsEqual compares every defined compiled table of a and b
-// bit-for-bit and returns a description of the first difference, or ""
-// when the tables are byte-identical. Fault-free tables exclude the
-// failure-only columns (λj, e^{λjR}, prefactor, period term): Recompile
-// leaves them stale when λ = 0 — they are never read — so their bytes
-// depend on the arena's history, not the instance.
+// columnsEqual fills every failure row of a and b, then compares every
+// profile column and every failure cell bit-for-bit and returns a
+// description of the first difference, or "" when the tables are
+// byte-identical. Fault-free tables hold no failure rows.
 func columnsEqual(a, b *Compiled) string {
 	if a.p != b.p || a.maxJ != b.maxJ || a.stride != b.stride {
 		return fmt.Sprintf("shape: (p=%d maxJ=%d stride=%d) vs (p=%d maxJ=%d stride=%d)",
@@ -21,51 +19,62 @@ func columnsEqual(a, b *Compiled) string {
 	if a.res != b.res || a.rc != b.rc {
 		return fmt.Sprintf("params: (%+v %+v) vs (%+v %+v)", a.res, a.rc, b.res, b.rc)
 	}
-	cols := []struct {
-		name string
-		a, b []float64
-	}{
-		{"tj", a.tj, b.tj}, {"ck", a.ck, b.ck}, {"rec", a.rec, b.rec},
-		{"tau", a.tau, b.tau}, {"work", a.work, b.work},
-		{"slj", a.slj, b.slj}, {"v", a.v, b.v}, {"data", a.data, b.data},
-	}
-	if !a.res.FaultFree() {
-		cols = append(cols, []struct {
-			name string
-			a, b []float64
-		}{
-			{"lj", a.lj, b.lj}, {"expFac", a.expFac, b.expFac},
-			{"prefac", a.prefac, b.prefac}, {"expPer", a.expPer, b.expPer},
-		}...)
-	}
-	for _, col := range cols {
-		if len(col.a) != len(col.b) {
-			return fmt.Sprintf("%s: len %d vs %d", col.name, len(col.a), len(col.b))
+	ca, cb := allColumns(a), allColumns(b)
+	for _, name := range columnNames {
+		x, y := ca[name], cb[name]
+		if len(x) != len(y) {
+			return fmt.Sprintf("%s: len %d vs %d", name, len(x), len(y))
 		}
-		for i := range col.a {
-			if math.Float64bits(col.a[i]) != math.Float64bits(col.b[i]) {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
 				return fmt.Sprintf("%s[%d]: %x vs %x (%v vs %v)",
-					col.name, i, math.Float64bits(col.a[i]), math.Float64bits(col.b[i]), col.a[i], col.b[i])
+					name, i, math.Float64bits(x[i]), math.Float64bits(y[i]), x[i], y[i])
 			}
 		}
 	}
-	if len(a.seg) != len(b.seg) {
-		return fmt.Sprintf("seg: len %d vs %d", len(a.seg), len(b.seg))
-	}
-	for i := range a.seg {
-		if a.seg[i] != b.seg[i] {
-			return fmt.Sprintf("seg[%d]: %d vs %d", i, a.seg[i], b.seg[i])
-		}
-	}
-	if len(a.trow) != len(b.trow) {
-		return fmt.Sprintf("trow: len %d vs %d", len(a.trow), len(b.trow))
-	}
-	for i := range a.trow {
-		if a.trow[i] != b.trow[i] {
-			return fmt.Sprintf("trow[%d]: %+v vs %+v", i, a.trow[i], b.trow[i])
-		}
-	}
 	return ""
+}
+
+// columnNames lists allColumns' keys in comparison order.
+var columnNames = []string{"tj", "ck", "v", "data", "seg", "trow", "tau", "work", "lj", "prefac", "expPer"}
+
+// allColumns fills every failure row of c and snapshots every column —
+// the profile columns, the per-task metadata and each failure term over
+// all rows, each row through its covered range — so a later compare
+// catches any write through an alias.
+func allColumns(c *Compiled) map[string][]float64 {
+	fillAll(c)
+	cols := map[string][]float64{}
+	for name, col := range map[string][]float64{"tj": c.tj, "ck": c.ck, "v": c.v, "data": c.data} {
+		cols[name] = append([]float64(nil), col...)
+	}
+	seg := make([]float64, len(c.seg))
+	for i, k := range c.seg {
+		seg[i] = float64(k)
+	}
+	cols["seg"] = seg
+	trow := make([]float64, 0, 2*len(c.trow))
+	for _, m := range c.trow {
+		nonInc := 0.0
+		if m.nonInc {
+			nonInc = 1
+		}
+		trow = append(trow, nonInc, m.min)
+	}
+	cols["trow"] = trow
+	if c.res.FaultFree() {
+		return cols
+	}
+	for i := 0; i < c.NumTasks(); i++ {
+		for _, f := range c.failRow(i, c.maxJ/2)[:c.maxJ/2] {
+			cols["tau"] = append(cols["tau"], f.tau)
+			cols["work"] = append(cols["work"], f.work)
+			cols["lj"] = append(cols["lj"], f.lj)
+			cols["prefac"] = append(cols["prefac"], f.prefac)
+			cols["expPer"] = append(cols["expPer"], f.expPer)
+		}
+	}
+	return cols
 }
 
 // TestCacheHitByteEqualCompile is the cache's core contract: for every
@@ -328,37 +337,9 @@ func sameArray(a, b []float64) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
-// allColumns snapshots every column of c — the failure-only ones
-// included — so a later compare catches any write through an alias.
-func allColumns(c *Compiled) map[string][]float64 {
-	cols := map[string][]float64{}
-	for name, col := range map[string][]float64{
-		"tj": c.tj, "ck": c.ck, "rec": c.rec, "tau": c.tau, "work": c.work,
-		"lj": c.lj, "expFac": c.expFac, "prefac": c.prefac, "expPer": c.expPer,
-		"slj": c.slj, "v": c.v, "data": c.data,
-	} {
-		cols[name] = append([]float64(nil), col...)
-	}
-	seg := make([]float64, len(c.seg))
-	for i, k := range c.seg {
-		seg[i] = float64(k)
-	}
-	cols["seg"] = seg
-	trow := make([]float64, 0, 2*len(c.trow))
-	for _, m := range c.trow {
-		nonInc := 0.0
-		if m.nonInc {
-			nonInc = 1
-		}
-		trow = append(trow, nonInc, m.min)
-	}
-	cols["trow"] = trow
-	return cols
-}
-
 // TestRecompileDeltaLeavesBaseUntouched: a delta build shares the base's
-// columns and writes only fresh ones, so every base column — failure-only
-// ones included — keeps its exact bytes, for every delta class of
+// profile columns and fills only its own failure rows, so every base
+// column and failure cell keeps its exact bytes, for every delta class of
 // TestRecompileDeltaByteEqualFull and for a fault-free base.
 func TestRecompileDeltaLeavesBaseUntouched(t *testing.T) {
 	const year = 365.25 * 24 * 3600
@@ -423,11 +404,10 @@ func TestFrozenRebuildPanics(t *testing.T) {
 	}
 	before := allColumns(c)
 	for name, rebuild := range map[string]func(){
-		"Recompile":          func() { _ = c.Recompile(tc.tasks, tc.res, CostModel{}, 16) },
-		"RecompileFaultFree": func() { _ = c.RecompileFaultFree(other, tc.tasks, Resilience{}, CostModel{}, 16) },
-		"RecompileDelta":     func() { _, _ = c.RecompileDelta(other, tc.tasks, Resilience{Lambda: 1e-9}, CostModel{}, 16) },
-		"AppendTask":         func() { _, _ = c.AppendTask(tc.tasks[0]) },
-		"TruncateExtra":      func() { c.TruncateExtra() },
+		"Recompile":      func() { _ = c.Recompile(tc.tasks, tc.res, CostModel{}, 16) },
+		"RecompileDelta": func() { _, _ = c.RecompileDelta(other, tc.tasks, Resilience{Lambda: 1e-9}, CostModel{}, 16) },
+		"AppendTask":     func() { _, _ = c.AppendTask(tc.tasks[0]) },
+		"TruncateExtra":  func() { c.TruncateExtra() },
 	} {
 		func() {
 			defer func() {
@@ -448,10 +428,10 @@ func TestFrozenRebuildPanics(t *testing.T) {
 	}
 }
 
-// TestCacheDeltaBaseChoice: a near-miss is built from the resident base
-// that needs the fewest rebuilt columns, not from the oldest one. With
-// (λ1, D1) and (λ2, D1) resident, (λ2, D2) rebuilds only the prefactor
-// and shares every other column with (λ2, D1).
+// TestCacheDeltaBaseChoice: a near-miss is built from the oldest
+// resident entry over the same pack. With (λ1, D1) and (λ2, D1)
+// resident, (λ2, D2) shares the profile columns of (λ1, D1), owns its
+// failure rows, and still answers like a cold Compile.
 func TestCacheDeltaBaseChoice(t *testing.T) {
 	const year = 365.25 * 24 * 3600
 	tc := compiledCases()[0]
@@ -475,21 +455,14 @@ func TestCacheDeltaBaseChoice(t *testing.T) {
 	if s := ch.Stats(); s.FullBuilds != 1 || s.DeltaBuilds != 2 {
 		t.Fatalf("stats %+v: want one cold build and two delta builds", s)
 	}
-	c2, c3 := e2.Compiled(), e3.Compiled()
-	for _, col := range []struct {
-		name string
-		a, b []float64
-	}{
-		{"lj", c3.lj, c2.lj}, {"expFac", c3.expFac, c2.expFac}, {"tau", c3.tau, c2.tau},
-		{"work", c3.work, c2.work}, {"expPer", c3.expPer, c2.expPer}, {"slj", c3.slj, c2.slj},
-		{"tj", c3.tj, e1.Compiled().tj},
-	} {
-		if !sameArray(col.a, col.b) {
-			t.Errorf("column %s rebuilt, want it shared with the same-λ base", col.name)
+	c1, c2, c3 := e1.Compiled(), e2.Compiled(), e3.Compiled()
+	for _, col := range [][2][]float64{{c3.tj, c1.tj}, {c3.ck, c1.ck}, {c3.v, c1.v}, {c3.data, c1.data}, {c2.tj, c1.tj}} {
+		if !sameArray(col[0], col[1]) {
+			t.Error("a delta build copied a profile column it could share with the oldest base")
 		}
 	}
-	if sameArray(c3.prefac, c2.prefac) || sameArray(c3.prefac, e1.Compiled().prefac) {
-		t.Error("prefactor shared, want it rebuilt for the new downtime")
+	if c3.fail == c1.fail || c3.fail == c2.fail || c2.fail == c1.fail {
+		t.Error("delta builds share failure rows across resilience settings")
 	}
 	want, err := Compile(tc.tasks, r3, CostModel{}, 64)
 	if err != nil {
@@ -500,9 +473,8 @@ func TestCacheDeltaBaseChoice(t *testing.T) {
 	}
 }
 
-// TestRecompileDeltaFaultFreeShares: a fault-free target allocates no
-// per-cell column: its periods alias the shared +Inf column, its silent
-// rates the shared zero column, and everything else its base.
+// TestRecompileDeltaFaultFreeShares: a fault-free target shares every
+// profile column with its base and holds no failure rows at all.
 func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	tc := compiledCases()[0]
 	base, err := Compile(tc.tasks, tc.res, CostModel{}, 64)
@@ -513,18 +485,19 @@ func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	if delta, err := got.RecompileDelta(base, tc.tasks, Resilience{}, CostModel{}, 64); err != nil || !delta {
 		t.Fatalf("delta=%v err=%v", delta, err)
 	}
-	inf, zero := *infColumn.Load(), *zeroColumn.Load()
-	if !sameArray(got.tau, inf) || !sameArray(got.work, inf) || !sameArray(got.slj, zero) {
-		t.Fatal("fault-free periods and silent rates do not alias the shared constant columns")
-	}
-	if cap(got.tau) != len(got.tau) || cap(got.slj) != len(got.slj) {
-		t.Fatal("shared constant columns handed out with spare capacity")
-	}
-	for _, col := range [][2][]float64{{got.tj, base.tj}, {got.lj, base.lj}, {got.prefac, base.prefac}, {got.expPer, base.expPer}} {
+	for _, col := range [][2][]float64{{got.tj, base.tj}, {got.ck, base.ck}, {got.v, base.v}, {got.data, base.data}} {
 		if !sameArray(col[0], col[1]) {
 			t.Fatal("fault-free target copied a column it could share")
 		}
 	}
+	if got.fail != nil {
+		t.Fatal("fault-free target allocated failure rows")
+	}
+	want, err := Compile(tc.tasks, Resilience{}, CostModel{}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, "fault-free delta", want, &got, 64)
 }
 
 // TestCacheConcurrentSharing hammers one cache from many goroutines over
@@ -628,7 +601,7 @@ func TestParallelCompileEquivalence(t *testing.T) {
 		if tc.res.FaultFree() {
 			continue
 		}
-		// A λ-delta rebuilds its rows through the same split.
+		// A λ-delta shares the parallel-compiled profile columns.
 		base, err := Compile(tc.tasks, Resilience{Lambda: 3 * tc.res.Lambda}, CostModel{}, 64)
 		if err != nil {
 			t.Fatal(err)

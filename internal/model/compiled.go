@@ -30,33 +30,40 @@ func segOf(res Resilience, t Task) segKind {
 	}
 }
 
-// Compiled is the compiled instance model: flat per-(task, allocation)
-// tables of every α-independent quantity the simulator queries in its
-// steady state. One Compiled serves one (Tasks, Resilience, CostModel, P)
-// instance; it is immutable after Compile/Recompile and therefore safe to
-// share read-only across goroutines (the campaign runner builds one per
-// grid point and hands it to every worker).
+// Compiled is the compiled instance model: per-(task, allocation) tables
+// of every α-independent quantity the simulator queries in its steady
+// state. One Compiled serves one (Tasks, Resilience, CostModel, P)
+// instance and is safe to query from many goroutines at once (the
+// campaign runner builds one per grid point and hands it to every
+// worker).
+//
+// A table has two halves. The profile columns — t_{i,j}, C_{i,j},
+// V_{i,j}, m_i, the t-row metadata and the seg kinds — are built eagerly
+// by Compile/Recompile/AppendTask. The failure terms of Eq. (1)–(4) — τ,
+// τ−C, the prefactor and the period term — are filled per task row on
+// demand, only as far as a query reads (failrow.go); a fault-free table
+// has none. Filling is the one thing a query writes, and it publishes
+// immutable row snapshots, so reads never see a cell change.
 //
 // A frozen Compiled — every table a Cache publishes, and both sides of a
-// RecompileDelta — may share column backing arrays with other tables, so
-// its in-place rebuild methods (Recompile, RecompileFaultFree,
-// RecompileDelta, AppendTask, TruncateExtra) panic instead of writing
-// through an alias. Freezing is permanent.
+// RecompileDelta — may share its profile columns with other tables, so
+// its in-place rebuild methods (Recompile, RecompileDelta, AppendTask,
+// TruncateExtra) panic instead of writing through an alias. Freezing is
+// permanent.
 //
 // A view (CacheEntry.View) is a frozen Compiled for a smaller platform
-// that reads a larger table's columns: its rows keep the larger stride,
-// and maxJ ≤ 2·stride bounds what it covers.
+// that reads a larger table's columns and failure rows: its rows keep
+// the larger stride, and maxJ ≤ 2·stride bounds what it covers.
 //
-// Layout: struct-of-arrays. Each cached quantity is its own parallel
-// slice of length NumTasks·stride, indexed i·stride + j/2 − 1, so task
-// i's candidate row for one quantity is contiguous — the row kernel
-// (rawRange, surfaced as RawRow/MinOverRow) streams a whole row per
-// cache line instead of striding over 80-byte entries.
+// Layout: struct-of-arrays. Each profile column is its own slice of
+// length NumTasks·stride, indexed i·stride + j/2 − 1, and each failure
+// row is contiguous, so the row kernel (rawRange) streams a task's
+// candidate row per cache line.
 //
-// RawAt(i, j, α) collapses Resilience.ExpectedTimeRaw to table lookups
-// plus the single α-dependent Expm1(λj·τ_last) term — same combination
-// order, bit-identical results (pinned by TestCompiledMatchesDirect and
-// the core golden-equivalence tests).
+// Every query combines exactly the float64 values Resilience's direct
+// primitives compute, in the same order, so results are bit-identical
+// (pinned by TestCompiledMatchesDirect and the core golden-equivalence
+// tests).
 type Compiled struct {
 	tasks  []Task
 	res    Resilience
@@ -65,26 +72,19 @@ type Compiled struct {
 	maxJ   int // largest even allocation covered by the tables
 	stride int // entries per task row: maxJ/2, or more in a view (CacheEntry.View)
 
-	// Per-(task, allocation) columns, each len NumTasks·stride. All are
-	// derived from the same Resilience primitives the direct path calls,
-	// so a compiled query combines exactly the same float64 values in
-	// exactly the same order as Resilience.ExpectedTimeRaw — the results
-	// are bit-identical, not merely close (see DESIGN.md §9, §12).
-	tj     []float64 // t_{i,j}, fault-free execution time
-	ck     []float64 // C_{i,j}, checkpoint cost
-	rec    []float64 // R_{i,j}, recovery cost (the paper: R = C)
-	tau    []float64 // τ_{i,j}, checkpointing period (+Inf fault-free)
-	work   []float64 // τ_{i,j} − C_{i,j}, work per period (+Inf fault-free)
-	lj     []float64 // λ·j, task failure rate
-	expFac []float64 // e^{λj·R}, the recovery exponential of the prefactor
-	prefac []float64 // e^{λj·R}·(1/λj + D), the Eq. (4) prefactor
-	expPer []float64 // Expm1(λj·(silentSegment(τ−C) + C)), the period term
-	slj    []float64 // λ_s·j, silent-error rate
-	v      []float64 // V_{i,j} = V_i/j, verification cost
+	// Profile columns, each len NumTasks·stride (see DESIGN.md §9, §12).
+	// R_{i,j} = C_{i,j} (the paper), so recovery reads ck; λ·j and λ_s·j
+	// are one multiply each and are recomputed where they are used.
+	tj []float64 // t_{i,j}, fault-free execution time
+	ck []float64 // C_{i,j}, checkpoint cost
+	v  []float64 // V_{i,j} = V_i/j, verification cost
 
 	seg  []segKind  // per-task silent-segment mode
 	data []float64  // per-task data volume m_i (redistribution cost)
 	trow []timeMeta // per-task shape of the t_{i,j} row (RawFloor)
+	// fail holds the on-demand failure rows, shared with every view of
+	// the table; nil until the first fault-enabled build.
+	fail *failTable
 	// id names the table contents process-wide: every (re)build and
 	// extension draws a fresh one from compiledIDs, so caches keyed on it
 	// (the engine's initial-schedule memo) can never serve values computed
@@ -127,20 +127,13 @@ func sizeF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// sizeColumns resizes every per-(task, allocation) column and the
-// per-task metadata to n tasks of the current stride, reusing capacity.
+// sizeColumns resizes every profile column and the per-task metadata to
+// n tasks of the current stride, reusing capacity, and empties the
+// failure rows.
 func (c *Compiled) sizeColumns(n int) {
 	cells := n * c.stride
 	c.tj = sizeF(c.tj, cells)
 	c.ck = sizeF(c.ck, cells)
-	c.rec = sizeF(c.rec, cells)
-	c.tau = sizeF(c.tau, cells)
-	c.work = sizeF(c.work, cells)
-	c.lj = sizeF(c.lj, cells)
-	c.expFac = sizeF(c.expFac, cells)
-	c.prefac = sizeF(c.prefac, cells)
-	c.expPer = sizeF(c.expPer, cells)
-	c.slj = sizeF(c.slj, cells)
 	c.v = sizeF(c.v, cells)
 	if cap(c.seg) < n {
 		c.seg = make([]segKind, n)
@@ -151,12 +144,18 @@ func (c *Compiled) sizeColumns(n int) {
 		c.trow = make([]timeMeta, n)
 	}
 	c.trow = c.trow[:n]
+	if c.fail == nil {
+		c.fail = new(failTable)
+	}
+	c.fail.reset(n)
 }
 
 // Recompile rebuilds the tables in place for a new instance, reusing the
-// backing arrays when capacities allow. A campaign worker that compiles
-// per unit therefore stops allocating once its arenas match the grid's
-// largest (n, p). It panics on a frozen Compiled.
+// backing arrays and the failure-row arenas when capacities allow. A
+// campaign worker that compiles per unit therefore stops allocating once
+// its arenas match the grid's largest (n, p). It builds the profile
+// columns only: failure rows fill as queries read them. It panics on a
+// frozen Compiled.
 func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) error {
 	c.mustMutate()
 	if len(tasks) == 0 {
@@ -196,12 +195,12 @@ func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) 
 
 // parallelCompileCells is the table size (tasks × stride cells) above
 // which a compile splits its per-task row loop across GOMAXPROCS
-// goroutines. Rows are disjoint — compileTask and failureRow write only
-// row i's column slices plus seg[i]/data[i] — and the per-row scalar
-// order is untouched, so a parallel compile is bit-identical to a
-// sequential one. Small tables stay sequential: spawning goroutines
-// would cost more than the compile and would charge allocations to
-// otherwise alloc-free steady states. Tests may override it.
+// goroutines. Rows are disjoint — compileTask writes only row i's column
+// slices plus seg[i]/data[i]/trow[i] — and the per-row scalar order is
+// untouched, so a parallel compile is bit-identical to a sequential one.
+// Small tables stay sequential: spawning goroutines would cost more than
+// the compile and would charge allocations to otherwise alloc-free
+// steady states. Tests may override it.
 var parallelCompileCells = 1 << 15
 
 // parallelRows reports whether n rows of c's stride are worth splitting
@@ -233,57 +232,6 @@ func rowsParallel(n int, row func(i int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// RecompileFaultFree rebuilds the tables for the fault-free limit of an
-// already-compiled base instance: same tasks and platform, a Resilience
-// with failures disabled. The profile-derived columns (t_{i,j}, C_{i,j},
-// R_{i,j}, V_{i,j}, m_i) do not depend on the resilience parameters, so
-// they are copied from base instead of recomputed — this skips the
-// Time/division work that dominates compile cost, and a copied column is
-// trivially bit-identical to a recomputed one. τ and τ−C become +Inf and
-// λ_s·j becomes 0, exactly the values compileTask produces when λ = 0;
-// the failure-only columns (λj, prefactor, period term) are left stale,
-// the same never-read-when-λ=0 contract Recompile relies on. When the
-// base does not match (different tasks, platform, or appended rows) or
-// res is not fault-free, it falls back to a full Recompile. It panics on
-// a frozen Compiled.
-func (c *Compiled) RecompileFaultFree(base *Compiled, tasks []Task, res Resilience, rc CostModel, p int) error {
-	c.mustMutate()
-	if base == nil || base == c || !res.FaultFree() ||
-		len(base.extra) != 0 || base.p != p || len(base.tj) == 0 ||
-		len(tasks) != len(base.tasks) || len(tasks) == 0 || &tasks[0] != &base.tasks[0] {
-		return c.Recompile(tasks, res, rc, p)
-	}
-	if err := res.Validate(); err != nil {
-		return err
-	}
-	n := len(tasks)
-	c.id = compiledIDs.Add(1)
-	c.tasks = tasks
-	c.res = res
-	c.rc = rc
-	c.p = p
-	c.maxJ = base.maxJ
-	c.stride = base.stride
-	c.sizeColumns(n)
-	copy(c.tj, base.tj)
-	copy(c.ck, base.ck)
-	copy(c.rec, base.rec)
-	copy(c.v, base.v)
-	copy(c.data, base.data)
-	copy(c.trow, base.trow)
-	inf := math.Inf(1)
-	for k := range c.tau {
-		c.tau[k] = inf
-		c.work[k] = inf
-		c.slj[k] = 0 // λ_s must be 0 here (Validate: silent needs λ > 0)
-	}
-	for i, t := range tasks {
-		c.seg[i] = segOf(res, t)
-	}
-	c.extra = c.extra[:0]
-	return nil
 }
 
 // fillTimes computes t_{i,j} for every covered allocation into dst
@@ -348,122 +296,29 @@ func timeMetaOf(t Task, tjs []float64) timeMeta {
 	return m
 }
 
-// compileTask fills task slot i's seg/data/trow metadata and table row from t.
-// It is the single per-task compile path, shared by Recompile and
+// compileTask fills task slot i's seg/data/trow metadata and profile row
+// from t. It is the single per-task compile path, shared by Recompile and
 // AppendTask, so appended rows combine exactly the same float64 values in
 // exactly the same order as a full rebuild (bit-identical tables).
 //
 // The Resilience primitives are inlined over the row (Time via
-// fillTimes; C_{i,j} = C_i/j, R = C, V_{i,j} = V_i/j, Young/Daly period
-// over µ = 1/λj, silentSegment by seg kind) — each inline performs the
+// fillTimes; C_{i,j} = C_i/j, V_{i,j} = V_i/j) — each inline performs the
 // same float64 operations in the same order as the method it replaces,
 // so the tables stay bit-identical to per-j primitive calls (pinned by
 // TestCompiledMatchesDirect).
 func (c *Compiled) compileTask(i int, t Task) {
-	res := c.res
 	c.data[i] = t.Data
-	c.seg[i] = segOf(res, t)
+	c.seg[i] = segOf(c.res, t)
 	lo, hi := i*c.stride, (i+1)*c.stride
 	tjs := c.tj[lo:hi]
 	fillTimes(t, tjs)
 	c.trow[i] = timeMetaOf(t, tjs)
-	cks := c.ck[lo:hi]
-	recs := c.rec[lo:hi]
-	vs := c.v[lo:hi]
-	sljs := c.slj[lo:hi]
+	cks, vs := c.ck[lo:hi], c.v[lo:hi]
 	for k := range cks {
 		jf := float64(2 * (k + 1))
-		ck := t.Ckpt / jf
-		cks[k] = ck
-		recs[k] = ck // Recovery = CkptCost (paper: R = C)
+		cks[k] = t.Ckpt / jf
 		vs[k] = t.Verify / jf
-		sljs[k] = res.SilentLambda * jf
 	}
-	if res.Lambda != 0 {
-		c.failureRow(i)
-		return
-	}
-	// Fault-free limit: only tj matters (tau/work are +Inf, RawAt never
-	// reads the failure terms, which stay stale).
-	inf := math.Inf(1)
-	taus, works := c.tau[lo:hi], c.work[lo:hi]
-	for k := range taus {
-		taus[k] = inf
-		works[k] = inf
-	}
-}
-
-// failureRow fills row i of every λ-dependent column — λj, τ, τ−C,
-// e^{λjR}, the prefactor and the period term — from the row's profile
-// columns, seg kind and λ_s·j. It is the failure half of compileTask,
-// and RecompileDelta's whole rebuild when λ changes.
-func (c *Compiled) failureRow(i int) {
-	res := c.res
-	sk := c.seg[i]
-	lo, hi := i*c.stride, (i+1)*c.stride
-	cks := c.ck[lo:hi]
-	recs := c.rec[lo:hi]
-	vs := c.v[lo:hi]
-	sljs := c.slj[lo:hi]
-	taus := c.tau[lo:hi]
-	works := c.work[lo:hi]
-	ljs := c.lj[lo:hi]
-	expFacs := c.expFac[lo:hi]
-	prefacs := c.prefac[lo:hi]
-	expPers := c.expPer[lo:hi]
-	for k := range cks {
-		lj := res.Lambda * float64(2*(k+1)) // Resilience.Rate
-		ljs[k] = lj
-		ck := cks[k]
-		tau := cellPeriod(res.Rule, lj, ck)
-		taus[k] = tau
-		work := tau - ck
-		works[k] = work
-		// Same combination order as ExpectedTimeRaw: the prefactor is
-		// Exp(λjR)·(1/λj + D), and the period term is Expm1 of λj
-		// times the (possibly silent-inflated) period.
-		// The Exp(λjR) factor is stored on its own so a downtime-only
-		// delta recompile (RecompileDelta) can rebuild the prefactor
-		// without re-evaluating the exponential: the product of the same
-		// two float64 values is the same bits either way.
-		expFacs[k] = math.Exp(lj * recs[k])
-		prefacs[k] = expFacs[k] * (1/lj + res.Downtime)
-		expPers[k] = cellPeriodTerm(sk, lj, work, ck, vs[k], sljs[k])
-	}
-}
-
-// cellPeriod is Resilience.Period over a precomputed rate λj and
-// checkpoint cost C: µ = MTBF(j) = 1/λj, then Young's τ = sqrt(2µC) + C
-// (Eq. 1) or Daly's higher-order estimate — the same operations in the
-// same order, so the result is bit-identical.
-func cellPeriod(rule PeriodRule, lj, ck float64) float64 {
-	mu := 1 / lj
-	if rule == PeriodDaly {
-		if ck >= 2*mu {
-			return mu + ck
-		}
-		x := ck / (2 * mu)
-		return math.Sqrt(2*mu*ck) * (1 + math.Sqrt(x)/3 + x/9)
-	}
-	return math.Sqrt(2*mu*ck) + ck
-}
-
-// cellPeriodTerm is the Eq. (4) period term Expm1(λj·(s + C)), where s is
-// silentSegment(τ−C) reproduced over the precomputed V_{i,j} and λ_s·j
-// with silent.go's branch structure.
-func cellPeriodTerm(sk segKind, lj, work, ck, v, slj float64) float64 {
-	var segw float64
-	switch {
-	case work <= 0:
-		segw = 0
-	case sk == segPlain:
-		segw = work
-	case sk == segVerify:
-		segw = work + v
-	default:
-		segw = math.Exp(slj*work) * (work + v)
-	}
-	return math.Expm1(lj * (segw + ck))
 }
 
 // AppendTask extends the tables with one more task — the online kernel's
@@ -483,22 +338,14 @@ func (c *Compiled) AppendTask(t Task) (int, error) {
 	c.id = compiledIDs.Add(1)
 	c.extra = append(c.extra, t)
 	// Grow each column without a temporary: compileTask overwrites every
-	// field it reads (stale failure terms in reused capacity are never
-	// read when λ = 0, the same contract Recompile relies on).
+	// cell of the new row.
 	c.tj = growRow(c.tj, c.stride)
 	c.ck = growRow(c.ck, c.stride)
-	c.rec = growRow(c.rec, c.stride)
-	c.tau = growRow(c.tau, c.stride)
-	c.work = growRow(c.work, c.stride)
-	c.lj = growRow(c.lj, c.stride)
-	c.expFac = growRow(c.expFac, c.stride)
-	c.prefac = growRow(c.prefac, c.stride)
-	c.expPer = growRow(c.expPer, c.stride)
-	c.slj = growRow(c.slj, c.stride)
 	c.v = growRow(c.v, c.stride)
 	c.seg = append(c.seg, 0)
 	c.data = append(c.data, 0)
 	c.trow = append(c.trow, timeMeta{})
+	c.fail.addRow()
 	c.compileTask(i, t)
 	return i, nil
 }
@@ -514,10 +361,11 @@ func growRow(s []float64, stride int) []float64 {
 
 // TruncateExtra drops every appended task, restoring the tables to the
 // base instance they were compiled for (the rows of appended tasks sit
-// strictly after the base rows, so this is a length change, not a
-// rebuild). An online simulator calls it between runs so the base tables
-// survive the replicate loop without recompiling. It panics on a frozen
-// Compiled.
+// strictly after the base rows, so the profile columns only change
+// length). The failure rows start empty again, which lets the next run
+// refill them from the same arena storage. An online simulator calls it
+// between runs so the base tables survive the replicate loop without
+// recompiling. It panics on a frozen Compiled.
 func (c *Compiled) TruncateExtra() {
 	c.mustMutate()
 	if len(c.extra) == 0 {
@@ -528,28 +376,21 @@ func (c *Compiled) TruncateExtra() {
 	cells := n * c.stride
 	c.tj = c.tj[:cells]
 	c.ck = c.ck[:cells]
-	c.rec = c.rec[:cells]
-	c.tau = c.tau[:cells]
-	c.work = c.work[:cells]
-	c.lj = c.lj[:cells]
-	c.expFac = c.expFac[:cells]
-	c.prefac = c.prefac[:cells]
-	c.expPer = c.expPer[:cells]
-	c.slj = c.slj[:cells]
 	c.v = c.v[:cells]
 	c.seg = c.seg[:n]
 	c.data = c.data[:n]
 	c.trow = c.trow[:n]
+	c.fail.reset(n)
 	c.extra = c.extra[:0]
 }
 
 // view returns a frozen table over platform size p ≤ c.p that reads c's
-// columns: same arrays and stride, a narrower covered range. Every
-// (task i, allocation j) cell depends on the task and the resilience
-// parameters, never on the platform, so a cold compile at p fills
-// exactly the first maxJ/2 cells of each of c's rows. Only the t-row
-// metadata summarizes a whole row; the view recomputes it over its own
-// prefix so RawFloor bounds match the cold compile's. c must carry no
+// columns and failure rows: same arrays and stride, a narrower covered
+// range. Every (task i, allocation j) cell depends on the task and the
+// resilience parameters, never on the platform, so a cold compile at p
+// holds exactly the first maxJ/2 cells of each of c's rows. Only the
+// t-row metadata summarizes a whole row; the view recomputes it over its
+// own prefix so RawFloor bounds match the cold compile's. c must carry no
 // appended tasks.
 func (c *Compiled) view(p int) *Compiled {
 	v := *c
@@ -600,9 +441,9 @@ func (c *Compiled) Res() Resilience { return c.res }
 func (c *Compiled) P() int { return c.p }
 
 // ID returns the table-content identity: a process-unique value drawn
-// afresh by every Recompile, RecompileFaultFree, RecompileDelta,
-// AppendTask and TruncateExtra, so equal IDs mean the same immutable set
-// of tables, whichever Compiled holds them.
+// afresh by every Recompile, RecompileDelta, AppendTask and
+// TruncateExtra, so equal IDs mean the same table contents, whichever
+// Compiled holds them.
 func (c *Compiled) ID() uint64 { return c.id }
 
 // cell returns the column index of (task i, even allocation j); callers
@@ -618,59 +459,22 @@ func (c *Compiled) covered(j int) bool {
 	return j >= 2 && j <= c.maxJ && j%2 == 0
 }
 
-// RawAt returns t^R_{i,j}(α) of Eq. (4) — exactly
-// Resilience.ExpectedTimeRaw(task i, j, α), from the tables.
-func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
-	if !c.covered(j) {
-		return c.res.ExpectedTimeRaw(c.task(i), j, alpha)
-	}
-	if alpha <= 0 {
-		return 0
-	}
-	if alpha > 1 {
-		alpha = 1
-	}
-	k := c.cell(i, j)
-	if c.res.Lambda == 0 {
-		return alpha * c.tj[k]
-	}
-	n := float64(ffCount(alpha, c.tj[k], c.work[k]))
-	tauLast := alpha*c.tj[k] - n*c.work[k]
-	// Inline of silentSegment(τ_last) over the precomputed V and λ_s·j;
-	// the branch structure matches silent.go exactly.
-	var last float64
-	switch {
-	case tauLast <= 0:
-		last = 0
-	case c.seg[i] == segPlain:
-		last = tauLast
-	case c.seg[i] == segVerify:
-		last = tauLast + c.v[k]
-	default:
-		last = math.Exp(c.slj[k]*tauLast) * (tauLast + c.v[k])
-	}
-	return c.prefac[k] * (n*c.expPer[k] + math.Expm1(c.lj[k]*last))
-}
-
-// rawRange fills dst[k−lo] = RawAt(i, 2(k+1), α) for row indices
-// k ∈ [lo, hi) in one pass over task i's contiguous columns. The α
+// rawRange fills dst[k−lo] = t^R_{i,2(k+1)}(α) of Eq. (4) — exactly
+// Resilience.ExpectedTimeRaw — for row indices k ∈ [lo, hi) in one pass
+// over task i's contiguous profile columns and failure row. The α
 // clamps, the λ = 0 test and the task's segment kind are hoisted out of
 // the loop (they are element-independent); every per-element operation
 // — ffCount's float→int floor, α·t_{i,j} − n·(τ−C), the silentSegment
-// branch on τ_last, prefac·(n·expPer + Expm1(λj·τ_last)) — keeps the
-// scalar combination order of RawAt exactly, so each dst element is
-// bit-identical to the corresponding scalar call (pinned by
-// TestRawRowMatchesScalar). Row indices at or beyond maxJ/2 (allocations
-// past the platform, even when a view's stride reaches further) fall back
-// per element to the direct path, exactly as scalar RawAt does for
-// uncovered j.
+// branch on τ_last, prefac·(n·expPer + Expm1(λj·τ_last)) — keeps
+// ExpectedTimeRaw's scalar combination order exactly, so each dst
+// element is bit-identical to the direct call (pinned by
+// TestRowKernelsMatchScalar and TestCompiledMatchesDirect). Row indices
+// at or beyond maxJ/2 (allocations past the platform, even when a view's
+// stride reaches further) fall back per element to the direct path.
 func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 	d := dst[:hi-lo]
 	kernHi := min(hi, c.maxJ/2)
-	for k := kernHi; k < hi; k++ {
-		if k < lo {
-			continue
-		}
+	for k := max(lo, kernHi); k < hi; k++ {
 		d[k-lo] = c.res.ExpectedTimeRaw(c.task(i), 2*(k+1), alpha)
 	}
 	if lo >= kernHi {
@@ -694,82 +498,58 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 		}
 		return
 	}
-	work := c.work[base+lo : base+kernHi]
-	lj := c.lj[base+lo : base+kernHi]
-	prefac := c.prefac[base+lo : base+kernHi]
-	expPer := c.expPer[base+lo : base+kernHi]
+	// failRow's fast path, peeked inline: the kernel runs once per
+	// candidate scan step, and failRow itself is too large to inline.
+	fr := c.fail.rows[i].Load().cells
+	if len(fr) < kernHi {
+		fr = c.failRow(i, kernHi)
+	}
+	fr = fr[lo:kernHi]
 	switch c.seg[i] {
 	case segPlain:
 		for k := range d {
-			n := float64(ffCount(alpha, tj[k], work[k]))
-			tauLast := alpha*tj[k] - n*work[k]
+			f := &fr[k]
+			n := float64(ffCount(alpha, tj[k], f.work))
+			tauLast := alpha*tj[k] - n*f.work
 			var last float64
 			if tauLast <= 0 {
 				last = 0
 			} else {
 				last = tauLast
 			}
-			d[k] = prefac[k] * (n*expPer[k] + math.Expm1(lj[k]*last))
+			d[k] = f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
 		}
 	case segVerify:
 		v := c.v[base+lo : base+kernHi]
 		for k := range d {
-			n := float64(ffCount(alpha, tj[k], work[k]))
-			tauLast := alpha*tj[k] - n*work[k]
+			f := &fr[k]
+			n := float64(ffCount(alpha, tj[k], f.work))
+			tauLast := alpha*tj[k] - n*f.work
 			var last float64
 			if tauLast <= 0 {
 				last = 0
 			} else {
 				last = tauLast + v[k]
 			}
-			d[k] = prefac[k] * (n*expPer[k] + math.Expm1(lj[k]*last))
+			d[k] = f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
 		}
 	default: // segSilent
 		v := c.v[base+lo : base+kernHi]
-		slj := c.slj[base+lo : base+kernHi]
+		slam := c.res.SilentLambda
 		for k := range d {
-			n := float64(ffCount(alpha, tj[k], work[k]))
-			tauLast := alpha*tj[k] - n*work[k]
+			f := &fr[k]
+			n := float64(ffCount(alpha, tj[k], f.work))
+			tauLast := alpha*tj[k] - n*f.work
+			jf := float64(2 * (lo + k + 1))
 			var last float64
 			if tauLast <= 0 {
 				last = 0
 			} else {
-				last = math.Exp(slj[k]*tauLast) * (tauLast + v[k])
+				last = math.Exp(slam*jf*tauLast) * (tauLast + v[k])
 			}
-			d[k] = prefac[k] * (n*expPer[k] + math.Expm1(lj[k]*last))
+			d[k] = f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
 		}
 	}
-}
-
-// RawRow evaluates every candidate allocation of task i in one pass over
-// the task's contiguous table row: dst[k] = RawAt(i, 2(k+1), α) for
-// k < len(dst). Values are bit-identical to per-candidate RawAt calls —
-// the batched loop keeps the scalar combination order per element (see
-// rawRange). len(dst) may exceed the table stride; the excess falls back
-// to the direct path like any uncovered allocation. It returns dst.
-func (c *Compiled) RawRow(i int, alpha float64, dst []float64) []float64 {
-	c.rawRange(i, alpha, 0, len(dst), dst)
-	return dst
-}
-
-// MinOverRow fills dst like RawRow and reduces it to the minimum raw
-// value and the smallest candidate allocation attaining it (strict <
-// keeps the smallest j on ties, matching MinEval.Threshold's scan
-// order). The reduction runs over the filled row with no memory traffic
-// beyond the row itself, so the compiler keeps the running min in
-// registers. An empty dst returns (+Inf, 0).
-func (c *Compiled) MinOverRow(i int, alpha float64, dst []float64) (float64, int) {
-	if len(dst) == 0 {
-		return math.Inf(1), 0
-	}
-	c.rawRange(i, alpha, 0, len(dst), dst)
-	best, arg := dst[0], 0
-	for k := 1; k < len(dst); k++ {
-		if dst[k] < best {
-			best, arg = dst[k], k
-		}
-	}
-	return best, 2 * (arg + 1)
 }
 
 // RawFloor returns a lower bound on the Eq. (6) value MinEval.At(j) of
@@ -810,12 +590,19 @@ func (c *Compiled) Time(i, j int) float64 {
 	return c.tj[c.cell(i, j)]
 }
 
-// Period returns τ_{i,j} (Resilience.Period).
+// failAt returns the failure cell of (task i, covered even allocation
+// j); λ must be non-zero.
+func (c *Compiled) failAt(i, j int) *failCell {
+	return &c.failRow(i, j/2)[j/2-1]
+}
+
+// Period returns τ_{i,j} (Resilience.Period): +Inf in the fault-free
+// limit.
 func (c *Compiled) Period(i, j int) float64 {
-	if !c.covered(j) {
+	if !c.covered(j) || c.res.Lambda == 0 {
 		return c.res.Period(c.task(i), j)
 	}
-	return c.tau[c.cell(i, j)]
+	return c.failAt(i, j).tau
 }
 
 // CkptCost returns C_{i,j} (Resilience.CkptCost).
@@ -826,13 +613,8 @@ func (c *Compiled) CkptCost(i, j int) float64 {
 	return c.ck[c.cell(i, j)]
 }
 
-// Recovery returns R_{i,j} (Resilience.Recovery).
-func (c *Compiled) Recovery(i, j int) float64 {
-	if !c.covered(j) {
-		return c.res.Recovery(c.task(i), j)
-	}
-	return c.rec[c.cell(i, j)]
-}
+// Recovery returns R_{i,j} (Resilience.Recovery): the paper's R = C.
+func (c *Compiled) Recovery(i, j int) float64 { return c.CkptCost(i, j) }
 
 // PostRedistCkpt returns the §3.3.2 post-redistribution checkpoint
 // surcharge (Resilience.PostRedistCkpt).
@@ -866,8 +648,7 @@ func (c *Compiled) FFCheckpoints(i, j int, alpha float64) int {
 	if alpha <= 0 || c.res.Lambda == 0 {
 		return 0
 	}
-	k := c.cell(i, j)
-	return ffCount(alpha, c.tj[k], c.work[k])
+	return ffCount(alpha, c.tj[c.cell(i, j)], c.failAt(i, j).work)
 }
 
 // FFTime returns the deterministic fault-free completion time including
@@ -886,7 +667,7 @@ func (c *Compiled) FFTime(i, j int, alpha float64) float64 {
 	if c.res.Lambda == 0 {
 		return alpha * c.tj[k]
 	}
-	n := ffCount(alpha, c.tj[k], c.work[k])
+	n := ffCount(alpha, c.tj[k], c.failAt(i, j).work)
 	return alpha*c.tj[k] + float64(n)*c.ck[k]
 }
 

@@ -5,6 +5,91 @@ import (
 	"testing"
 )
 
+// RawAt returns t^R_{i,j}(α) of Eq. (4) from the tables through the
+// scalar cell path — the reference the row kernel is checked against.
+// Uncovered allocations fall back to the direct path.
+func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
+	if !c.covered(j) {
+		return c.res.ExpectedTimeRaw(c.task(i), j, alpha)
+	}
+	if alpha <= 0 {
+		return 0
+	}
+	if alpha > 1 {
+		alpha = 1
+	}
+	k := c.cell(i, j)
+	if c.res.Lambda == 0 {
+		return alpha * c.tj[k]
+	}
+	f := c.failAt(i, j)
+	n := float64(ffCount(alpha, c.tj[k], f.work))
+	tauLast := alpha*c.tj[k] - n*f.work
+	var last float64
+	switch {
+	case tauLast <= 0:
+		last = 0
+	case c.seg[i] == segPlain:
+		last = tauLast
+	case c.seg[i] == segVerify:
+		last = tauLast + c.v[k]
+	default:
+		last = math.Exp(c.res.SilentLambda*float64(j)*tauLast) * (tauLast + c.v[k])
+	}
+	return f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
+}
+
+// RawRow evaluates every candidate allocation of task i in one row-kernel
+// pass: dst[k] = RawAt(i, 2(k+1), α) for k < len(dst). len(dst) may
+// exceed the table stride; the excess falls back to the direct path. It
+// returns dst.
+func (c *Compiled) RawRow(i int, alpha float64, dst []float64) []float64 {
+	c.rawRange(i, alpha, 0, len(dst), dst)
+	return dst
+}
+
+// MinOverRow fills dst like RawRow and reduces it to the minimum raw
+// value and the smallest candidate allocation attaining it (strict <
+// keeps the smallest j on ties). An empty dst returns (+Inf, 0).
+func (c *Compiled) MinOverRow(i int, alpha float64, dst []float64) (float64, int) {
+	if len(dst) == 0 {
+		return math.Inf(1), 0
+	}
+	c.rawRange(i, alpha, 0, len(dst), dst)
+	best, arg := dst[0], 0
+	for k := 1; k < len(dst); k++ {
+		if dst[k] < best {
+			best, arg = dst[k], k
+		}
+	}
+	return best, 2 * (arg + 1)
+}
+
+// fillAll fills every failure row of c through its covered range, so a
+// test can compare every cell.
+func fillAll(c *Compiled) {
+	if c.res.FaultFree() {
+		return
+	}
+	for i := 0; i < c.NumTasks(); i++ {
+		c.failRow(i, c.maxJ/2)
+	}
+}
+
+// filledCells returns how many failure cells c's rows hold.
+func filledCells(c *Compiled) int {
+	if c.fail == nil {
+		return 0
+	}
+	n := 0
+	for i := range c.fail.rows {
+		if s := c.fail.rows[i].Load(); s != nil {
+			n += len(s.cells)
+		}
+	}
+	return n
+}
+
 // compiledCases spans the model configurations the compiled tables must
 // reproduce bit-for-bit: both profile families, both period rules, the
 // silent-error extension on and off (with and without verification), and
@@ -204,20 +289,29 @@ func TestCompiledMatches(t *testing.T) {
 }
 
 // TestRecompileReusesArenas pins the in-place rebuild: recompiling for a
-// same-shape instance must not grow the tables, and the rebuilt model
-// must serve the new instance's values.
+// same-shape instance must not grow the profile columns or the failure
+// row arenas, and the rebuilt model must serve the new instance's values.
 func TestRecompileReusesArenas(t *testing.T) {
 	cases := compiledCases()
 	var c Compiled
 	if err := c.Recompile(cases[0].tasks, cases[0].res, CostModel{}, 32); err != nil {
 		t.Fatal(err)
 	}
-	before := cap(c.tj)
+	fillAll(&c)
+	before, chunks, hdrs := cap(c.tj), len(c.fail.cells.chunks), len(c.fail.hdrs.chunks)
 	if err := c.Recompile(cases[2].tasks, cases[2].res, CostModel{}, 32); err != nil {
 		t.Fatal(err)
 	}
+	if filledCells(&c) != 0 {
+		t.Fatal("recompile kept the previous instance's failure cells")
+	}
+	fillAll(&c)
 	if cap(c.tj) != before {
 		t.Fatalf("recompile grew the table arena: %d → %d", before, cap(c.tj))
+	}
+	if len(c.fail.cells.chunks) != chunks || len(c.fail.hdrs.chunks) != hdrs {
+		t.Fatalf("refilling the rows grew the failure arenas: %d/%d chunks → %d/%d",
+			chunks, hdrs, len(c.fail.cells.chunks), len(c.fail.hdrs.chunks))
 	}
 	task := cases[2].tasks[1]
 	want := cases[2].res.ExpectedTimeRaw(task, 8, 0.5)
@@ -279,8 +373,8 @@ func benchPack() ([]Task, Resilience) {
 }
 
 // BenchmarkCompileCold measures the one-time table build on a fresh
-// arena every iteration — the price of a true cache miss, columns
-// allocated and filled.
+// arena every iteration — the price of a true cache miss: the profile
+// columns allocated and filled, the failure rows left to the queries.
 func BenchmarkCompileCold(b *testing.B) {
 	tasks, res := benchPack()
 	b.ReportAllocs()
@@ -292,8 +386,7 @@ func BenchmarkCompileCold(b *testing.B) {
 }
 
 // BenchmarkCompileWarm measures Recompile over a reused arena — the
-// steady state of a campaign worker's private tables, zero allocations
-// after the first build.
+// steady state of a campaign worker's private tables.
 func BenchmarkCompileWarm(b *testing.B) {
 	tasks, res := benchPack()
 	var c Compiled
@@ -309,14 +402,14 @@ func BenchmarkCompileWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkRecompileDelta measures the incremental rebuild for the delta
-// classes a resilience sweep produces: downtime-only (share everything,
-// rebuild the prefactor), λ (share the profile columns, rebuild the
-// failure columns) and the fault-free limit (share everything, allocate
-// nothing per cell). A delta build freezes its result, so every
-// iteration builds into a fresh Compiled, as the cache does. The speedup
-// over BenchmarkCompileWarm is the cache's near-miss payoff; B/op is the
-// memory a near-miss adds to the cache.
+// BenchmarkRecompileDelta measures the near-miss build for the delta
+// classes a resilience sweep produces: downtime-only, λ and the
+// fault-free limit. Each shares the base's profile columns and starts
+// with empty failure rows (none at all when fault-free), so the three
+// cost the same few small allocations. A delta build freezes its result,
+// so every iteration builds into a fresh Compiled, as the cache does. The
+// speedup over BenchmarkCompileWarm is the cache's near-miss payoff; B/op
+// is the memory a near-miss adds to the cache before any query.
 func BenchmarkRecompileDelta(b *testing.B) {
 	tasks, res := benchPack()
 	base, err := Compile(tasks, res, CostModel{}, 1000)

@@ -51,7 +51,7 @@ func (e *MinEval) Reset(r Resilience, t Task, alpha float64) {
 
 // ResetCompiled rebinds the evaluator to task ti of a compiled instance
 // model: raw Eq. (4) queries become table lookups plus one Expm1 instead
-// of full recomputations, with bit-identical results (RawAt's contract).
+// of full recomputations, with bit-identical results (see rawRange).
 // Everything else — the prefix-min cache, the amortized-O(1) ascending
 // scan — behaves exactly as after Reset.
 func (e *MinEval) ResetCompiled(c *Compiled, ti int, alpha float64) {
@@ -153,24 +153,4 @@ func (e *MinEval) extend(k int) {
 			e.mins[kk] = e.mins[kk-1]
 		}
 	}
-}
-
-// Threshold returns the smallest even processor count in [2, maxJ] that
-// attains the minimum expected time, i.e. the point beyond which extra
-// processors stop helping. It is used by diagnostics and tests.
-func (e *MinEval) Threshold(maxJ int) int {
-	if maxJ < 2 {
-		maxJ = 2
-	}
-	if maxJ%2 != 0 {
-		maxJ--
-	}
-	best := 2
-	bestV := e.At(2)
-	for j := 4; j <= maxJ; j += 2 {
-		if v := e.At(j); v < bestV {
-			best, bestV = j, v
-		}
-	}
-	return best
 }

@@ -526,3 +526,38 @@ func TestMinEvalReset(t *testing.T) {
 		}
 	}
 }
+
+// Threshold returns the smallest even processor count in [2, maxJ] that
+// attains the minimum expected time, i.e. the point beyond which extra
+// processors stop helping. It is a test helper.
+func (e *MinEval) Threshold(maxJ int) int {
+	if maxJ < 2 {
+		maxJ = 2
+	}
+	if maxJ%2 != 0 {
+		maxJ--
+	}
+	best := 2
+	bestV := e.At(2)
+	for j := 4; j <= maxJ; j += 2 {
+		if v := e.At(j); v < bestV {
+			best, bestV = j, v
+		}
+	}
+	return best
+}
+
+// TauLast returns the final, possibly partial work segment τ_last (Eq. 3):
+// the reference the Eq. (4) hand computations check against.
+func (r Resilience) TauLast(t Task, j int, alpha float64) float64 {
+	if alpha <= 0 {
+		return 0
+	}
+	tj := t.Time(j)
+	if r.Lambda == 0 {
+		return alpha * tj
+	}
+	work := r.Period(t, j) - r.CkptCost(t, j)
+	n := float64(ffCount(alpha, tj, work))
+	return alpha*tj - n*work
+}

@@ -132,7 +132,7 @@ func (r Resilience) PostRedistCkpt(t Task, j int) float64 {
 
 // ffCount is the checkpoint count of Eq. (2) for a fault-free time t_{i,j}
 // and a work segment τ_{i,j} − C_{i,j}. It is the shared kernel of
-// FFCheckpoints, TauLast, ExpectedTimeRaw and the compiled tables, so the
+// FFCheckpoints, ExpectedTimeRaw and the compiled tables, so the
 // derived quantities agree bit-for-bit no matter which entry point
 // computed them.
 func ffCount(alpha, tj, work float64) int {
@@ -151,20 +151,6 @@ func (r Resilience) FFCheckpoints(t Task, j int, alpha float64) int {
 	return ffCount(alpha, t.Time(j), r.Period(t, j)-r.CkptCost(t, j))
 }
 
-// TauLast returns the final, possibly partial work segment τ_last (Eq. 3).
-func (r Resilience) TauLast(t Task, j int, alpha float64) float64 {
-	if alpha <= 0 {
-		return 0
-	}
-	tj := t.Time(j)
-	if r.Lambda == 0 {
-		return alpha * tj
-	}
-	work := r.Period(t, j) - r.CkptCost(t, j)
-	n := float64(ffCount(alpha, tj, work))
-	return alpha*tj - n*work
-}
-
 // ExpectedTimeRaw returns t^R_{i,j}(α) of Eq. (4): the expected time to
 // complete a fraction α of the task on j processors under failures,
 // *without* the Eq. (6) monotonization. In the fault-free limit this is
@@ -172,7 +158,7 @@ func (r Resilience) TauLast(t Task, j int, alpha float64) float64 {
 //
 // The α-independent sub-expressions (t_{i,j}, τ−C, C, λj, the e^{λjR}
 // prefactor, the period term) are each computed exactly once and combined
-// in a fixed order; Compiled.RawAt caches them per (task, j) and must
+// in a fixed order; the compiled tables cache them per (task, j) and must
 // reproduce this combination order bit-for-bit (see compiled.go).
 func (r Resilience) ExpectedTimeRaw(t Task, j int, alpha float64) float64 {
 	if alpha <= 0 {

@@ -113,11 +113,12 @@ func TestPostRedistCkptRowMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestRecompileFaultFreeMatchesCompile pins the column-copying fast
-// path: rebuilding the fault-free variant of a compiled base must serve
-// exactly the values of a from-scratch Compile over the same instance,
-// and a base that does not match (appended rows) must fall back to the
-// full rebuild with the same result.
+// TestRecompileFaultFreeMatchesCompile pins the fault-free rebuild on a
+// reused arena: recompiling the fault-free variant over tables that held
+// a fault-enabled instance — failure rows filled, and once with an
+// appended row — must serve exactly the values of a from-scratch
+// Compile, and recompiling the fault-enabled instance again must refill
+// its rows from scratch.
 func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
 	const p = 32
 	for _, tc := range compiledCases() {
@@ -127,29 +128,36 @@ func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
 		ffRes := tc.res
 		ffRes.Lambda = 0
 		ffRes.SilentLambda = 0
-		base, err := Compile(tc.tasks, tc.res, CostModel{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, err := Compile(tc.tasks, ffRes, CostModel{}, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got Compiled
-		if err := got.RecompileFaultFree(base, tc.tasks, ffRes, CostModel{}, p); err != nil {
+		wantFault, err := Compile(tc.tasks, tc.res, CostModel{}, p)
+		if err != nil {
 			t.Fatal(err)
 		}
-		sameAnswers(t, tc.name+"/fast", want, &got, p)
-
-		// A base with an appended row must take the full-recompile
-		// fallback and still match.
-		if _, err := base.AppendTask(tc.tasks[0]); err != nil {
-			t.Fatal(err)
+		for _, appended := range []bool{false, true} {
+			arena, err := Compile(tc.tasks, tc.res, CostModel{}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if appended {
+				if _, err := arena.AppendTask(tc.tasks[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fillAll(arena)
+			if err := arena.Recompile(tc.tasks, ffRes, CostModel{}, p); err != nil {
+				t.Fatal(err)
+			}
+			if filledCells(arena) != 0 {
+				t.Fatalf("%s: fault-free rebuild kept failure cells", tc.name)
+			}
+			sameAnswers(t, tc.name+"/fault-free", want, arena, p)
+			if err := arena.Recompile(tc.tasks, tc.res, CostModel{}, p); err != nil {
+				t.Fatal(err)
+			}
+			sameAnswers(t, tc.name+"/refault", wantFault, arena, p)
 		}
-		var fb Compiled
-		if err := fb.RecompileFaultFree(base, tc.tasks, ffRes, CostModel{}, p); err != nil {
-			t.Fatal(err)
-		}
-		sameAnswers(t, tc.name+"/fallback", want, &fb, p)
 	}
 }

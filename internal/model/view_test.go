@@ -51,17 +51,28 @@ func randViewCase(src *rng.Source, bigP int) ([]Task, Resilience) {
 	return tasks, res
 }
 
-// poisonTails overwrites every column cell past allocation p of every
-// row with NaN, so a view at p that reads outside its covered range
-// answers differently from a cold compile at p.
+// poisonTails fills every failure row of c, then overwrites every
+// profile column cell and failure cell past allocation p of every row
+// with NaN, so a view at p that reads outside its covered range answers
+// differently from a cold compile at p.
 func poisonTails(c *Compiled, p int) {
+	fillAll(c)
 	w := (p - p%2) / 2
-	for _, col := range [][]float64{c.tj, c.ck, c.rec, c.tau, c.work, c.lj,
-		c.expFac, c.prefac, c.expPer, c.slj, c.v} {
+	for _, col := range [][]float64{c.tj, c.ck, c.v} {
 		for lo := 0; lo < len(col); lo += c.stride {
 			for k := lo + w; k < lo+c.stride; k++ {
 				col[k] = math.NaN()
 			}
+		}
+	}
+	if c.res.FaultFree() {
+		return
+	}
+	nan := math.NaN()
+	for i := 0; i < c.NumTasks(); i++ {
+		row := c.failRow(i, c.maxJ/2)
+		for k := w; k < len(row); k++ {
+			row[k] = failCell{tau: nan, work: nan, lj: nan, prefac: nan, expPer: nan}
 		}
 	}
 }
