@@ -175,6 +175,53 @@ func TestOnlineSimulatorReuse(t *testing.T) {
 	}
 }
 
+// TestOnlineNewArrivalsSameBase pins that the simulator's own tables
+// follow the arrival stream, not just the base pack: a Reset that keeps
+// the base Tasks slice but brings a new Arrivals slice, of the same
+// length with other jobs, must match a fresh simulator on the new
+// instance.
+func TestOnlineNewArrivalsSameBase(t *testing.T) {
+	in, spec := onlineInstance(t, 3, 12, 8, []float64{2000, 40000, 90000})
+	swapped := in
+	swapped.Arrivals = make([]Arrival, len(in.Arrivals))
+	for k, a := range in.Arrivals {
+		m := spec.MInf + float64(k+1)*(spec.MSup-spec.MInf)/8
+		a.Time *= 1.5
+		a.Task.Data, a.Task.Ckpt = m, spec.CkptUnit*m
+		a.Task.Profile = model.Synthetic{M: m, SeqFraction: spec.SeqFraction}
+		swapped.Arrivals[k] = a
+	}
+	pol := IGEndLocal
+	pol.OnArrival = ArrivalGreedy
+	run := func(sim *Simulator, in Instance) Result {
+		src, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: spec.Lambda()}, rng.New(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Reset(in, pol, src, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(NewSimulator(), swapped)
+	sim := NewSimulator()
+	run(sim, in)
+	got := run(sim, swapped)
+	if got.Makespan != want.Makespan || got.Counters != want.Counters {
+		t.Fatalf("reused simulator: makespan %v, counters %+v; fresh: %v, %+v",
+			got.Makespan, got.Counters, want.Makespan, want.Counters)
+	}
+	for i := range want.Finish {
+		if got.Finish[i] != want.Finish[i] {
+			t.Fatalf("task %d finish diverges: %v vs %v", i, got.Finish[i], want.Finish[i])
+		}
+	}
+}
+
 // TestOnlineEqualTimestamps pins the deterministic tie-break order of
 // the kernel at shared timestamps (the sim.Queue FIFO contract): an end
 // event scheduled at Reset pops before a submit event at the same
