@@ -624,10 +624,10 @@ func BenchmarkRunSingleObserved(b *testing.B) {
 // workload plus a Poisson stream of arriving jobs, driven through one
 // persistent Simulator. The arrival schedule is generated once; each
 // iteration replays it, so the loop measures the online kernel itself —
-// submit events, FIFO admission, compiled-table appends (and their
-// truncation at Reset) and the ArrivalSteal rebalance. Allocations are
-// reported: after warm-up the arenas (task slots, pending queue,
-// appended table rows) are all reused.
+// submit events, FIFO admission and the ArrivalSteal rebalance over the
+// table Reset compiled once for the base pack and the arrivals.
+// Allocations are reported: after warm-up the arenas (task slots,
+// pending queue, the table and its filled rows) are all reused.
 func BenchmarkRunOnline(b *testing.B) {
 	spec := workload.Default()
 	spec.N = 10

@@ -42,9 +42,9 @@ import (
 // one table per pack, and CampaignResilienceSweepCold for an MTBF ×
 // downtime sweep whose cold and delta tables fill their failure rows on
 // demand), the compiled-model micro set
-// (ExpectedTimeRaw vs CompiledAt; CompileCold/CompileWarm for the table
-// build on fresh vs reused arenas; RecompileDelta for the near-miss
-// build), the row kernels (CandidateRowSweep for the batched
+// (ExpectedTimeRaw for the direct Eq. (4) cell; CompileCold/CompileWarm
+// for the table build on fresh vs reused arenas; RecompileDelta for the
+// near-miss build), the row kernels (CandidateRowSweep for the batched
 // min-reduction, DecisionRound for a full heuristic round over it, and
 // DecisionRoundPaperScale for a paper-scale round dominated by scans the
 // pruned-scan bound skips), and Algorithm 1 alone (InitialSchedule on the
@@ -53,7 +53,7 @@ const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleR
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +
 	"|BenchmarkCampaignPlatformAxis$|BenchmarkCampaignResilienceSweepCold$" +
-	"|BenchmarkExpectedTimeRaw$|BenchmarkCompiledAt$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
+	"|BenchmarkExpectedTimeRaw$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
 	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$" +
 	"|BenchmarkInitialSchedule$|BenchmarkInitialScheduleCompiled$"
 

@@ -397,11 +397,12 @@ type workerState struct {
 	arrRNG   *rng.Source
 	out      []float64
 	// comp/compFF are the per-unit compiled instance models (failure
-	// parameters on / off), rebuilt in place once per unit and shared by
-	// every policy of the unit. When the grid point carries a shared
-	// pointModel these arenas stay untouched. Online units leave both
-	// untouched too: the simulator owns its tables there, because it
-	// appends per-arrival rows during the run.
+	// parameters on / off) for when the compiled-model cache cannot serve
+	// the unit, rebuilt in place once per unit and shared by every policy
+	// of the unit. Units served by the cache leave them untouched, and so
+	// do online units: the simulator compiles its own table over the base
+	// pack and the unit's arrivals there, once per unit, and every policy
+	// of the unit reuses it.
 	comp   model.Compiled
 	compFF model.Compiled
 	// shard, when non-nil, is this worker's telemetry shard; observer is
@@ -468,11 +469,11 @@ func (ws *workerState) bind(m *obs.Campaign, w int) {
 // from the campaign's compiled-model cache when enabled, as a view at
 // the unit's P of the table compiled at its pack class's cover, else
 // built at P on the worker's private arena — and reused by every
-// policy; online units instead let the simulator own its tables, since
-// the kernel appends per-arrival rows during the run. The returned slice holds
-// metricsPerPolicy values per policy (metric-major within a policy) and
-// is reused by the next unit of this worker; callers copy what they
-// keep.
+// policy; online units instead let the simulator compile its own table
+// over the pack and the unit's arrivals, which every policy of the unit
+// reuses. The returned slice holds metricsPerPolicy values per policy
+// (metric-major within a policy) and is reused by the next unit of this
+// worker; callers copy what they keep.
 func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64, error) {
 	sp, pt, policies := p.sp, p.points[pi], p.policies
 	var unitStart time.Time
@@ -557,8 +558,8 @@ func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64,
 		in := core.Instance{Tasks: tasks, P: runSpec.P, Res: runSpec.Resilience(), Arrivals: arrivals}
 		switch {
 		case online:
-			// The simulator appends per-arrival tables to its own arena;
-			// a shared handle is rejected by Reset.
+			// The simulator compiles the pack and the arrivals into its
+			// own table; a shared handle is rejected by Reset.
 		case pol.FaultFree:
 			if cmFF == nil {
 				if e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, um.covers[pt.Index]); err != nil {

@@ -1,11 +1,9 @@
 // Compiled-model sharing across campaign units: pack classes, pack
 // interning, and the process-global content-addressed cache of compiled
-// instance models (model.Cache). This generalizes the earlier per-point
-// sharedPointModels: instead of sharing only within one homogeneous grid
-// point, packs are canonicalized by content and compiled tables are
-// shared across every point, replicate and campaign that provably needs
-// the same tables — with bit-identical results by construction (see
-// DESIGN.md §15).
+// instance models (model.Cache). Packs are canonicalized by content and
+// compiled tables are shared across every point, replicate and campaign
+// that provably needs the same tables — with bit-identical results by
+// construction (see DESIGN.md §15).
 package campaign
 
 import (

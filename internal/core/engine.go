@@ -90,11 +90,14 @@ type Simulator struct {
 
 	// Compiled instance model: every steady-state model query goes
 	// through cm. It points either at the caller's shared tables
-	// (Instance.Compiled) or at the simulator's own arena ownComp, which
-	// is recompiled only when the instance actually changed (bindCompiled).
-	cm      *model.Compiled
-	ownComp model.Compiled
-	ownOK   bool // ownComp holds tables for the instance it claims
+	// (Instance.Compiled) or at the simulator's own arena ownComp, built
+	// over ownTasks — the base pack followed by every arrival's task, so
+	// arrival k is row len(Tasks)+k — and rebuilt only when the instance
+	// differs from ownKey (bindCompiled).
+	cm       *model.Compiled
+	ownComp  model.Compiled
+	ownTasks []model.Task
+	ownKey   instanceKey // the instance ownComp holds; zero: none
 
 	// Initial-schedule memo. Algorithm 1 is a pure function of the
 	// instance (tasks, resilience, platform size) and independent of the
@@ -103,24 +106,43 @@ type Simulator struct {
 	// content ID: a campaign unit that runs several policies over one
 	// instance computes the schedule once and the later Resets replay
 	// the exact cached values (bit-identical by construction; pinned by
-	// the golden-equivalence tests). The memo holds several instances
-	// (FIFO-bounded), so a worker cycling through shared cache-resident
-	// tables — the compiled-model cache hands the same table to many
-	// units — re-derives each schedule once, not once per unit. Private
-	// per-unit arenas draw a new ID on every rebuild, so for them the
-	// memo degenerates to the single live entry it always was. The key
-	// holds no pointer, so the memo never keeps an evicted table alive.
-	memo     map[schedKey]*schedMemo
-	memoFIFO []schedKey
+	// the golden-equivalence tests). A table is built for exactly one
+	// instance, so its ID alone fixes the base pack the schedule covers.
+	// The memo holds several instances (FIFO-bounded), so a worker
+	// cycling through shared cache-resident tables — the compiled-model
+	// cache hands the same table to many units — re-derives each schedule
+	// once, not once per unit. Private per-unit arenas draw a new ID on
+	// every rebuild, so for them the memo degenerates to the single live
+	// entry it always was. The key holds no pointer, so the memo never
+	// keeps an evicted table alive.
+	memo     map[uint64]*schedMemo
+	memoFIFO []uint64
 	memoFree []*schedMemo
 }
 
-// schedKey is the initial-schedule memo key: the compiled model's
-// content ID plus the base task count (online runs reset with appended
-// rows truncated, so n is part of the instance).
-type schedKey struct {
-	id uint64
-	n  int
+// instanceKey identifies the instance the simulator's own tables were
+// built for: the Tasks and Arrivals slice headers plus Res, RC and P by
+// value. It holds the slices themselves, not their addresses, so their
+// backing arrays stay alive and no later instance can reuse them while
+// the key does.
+type instanceKey struct {
+	tasks    []model.Task
+	arrivals []Arrival
+	res      model.Resilience
+	rc       model.CostModel
+	p        int
+}
+
+// same reports whether k and o name the same instance.
+func (k instanceKey) same(o instanceKey) bool {
+	return sameSlice(k.tasks, o.tasks) && sameSlice(k.arrivals, o.arrivals) &&
+		k.res == o.res && k.rc == o.rc && k.p == o.p
+}
+
+// sameSlice reports whether a and b have the same length and backing
+// array.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // schedMemo is one memoized Algorithm 1 result.
@@ -136,12 +158,12 @@ const schedMemoMax = 64
 
 // bindCompiled points e.cm at valid tables for in: the caller's shared
 // model when Instance.Compiled is set (after verifying it was built for
-// exactly this instance), the simulator's own tables when they still
-// match — the replicate-loop fast path: Reset with an unchanged instance
-// never recompiles — or a fresh in-place compile otherwise. Instance
-// identity is the Tasks slice header plus Res/RC/P by value; callers
-// that mutate task contents in place must pass a different slice (the
-// same aliasing contract as Result, DESIGN.md §9).
+// exactly this instance), the simulator's own tables when they were
+// built for the same instanceKey — the replicate-loop fast path: Reset
+// with an unchanged instance never recompiles — or a fresh in-place
+// compile of the base pack and every arrival otherwise. Callers that
+// mutate task or arrival contents in place must pass a different slice
+// (the same aliasing contract as Result, DESIGN.md §9).
 func (e *Simulator) bindCompiled(in Instance) error {
 	if in.Compiled != nil {
 		if !in.Compiled.Matches(in.Tasks, in.Res, in.RC, in.P) {
@@ -150,15 +172,18 @@ func (e *Simulator) bindCompiled(in Instance) error {
 		e.cm = in.Compiled
 		return nil
 	}
-	if e.ownOK && e.ownComp.Matches(in.Tasks, in.Res, in.RC, in.P) {
-		e.cm = &e.ownComp
-		return nil
+	key := instanceKey{tasks: in.Tasks, arrivals: in.Arrivals, res: in.Res, rc: in.RC, p: in.P}
+	if !e.ownKey.same(key) {
+		e.ownKey = instanceKey{}
+		e.ownTasks = append(e.ownTasks[:0], in.Tasks...)
+		for _, a := range in.Arrivals {
+			e.ownTasks = append(e.ownTasks, a.Task)
+		}
+		if err := e.ownComp.Recompile(e.ownTasks, in.Res, in.RC, in.P); err != nil {
+			return err
+		}
+		e.ownKey = key
 	}
-	e.ownOK = false
-	if err := e.ownComp.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
-		return err
-	}
-	e.ownOK = true
 	e.cm = &e.ownComp
 	return nil
 }
@@ -201,7 +226,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	online := len(in.Arrivals) > 0
 	if online {
 		if in.Compiled != nil {
-			return fmt.Errorf("core: Instance.Compiled cannot be shared with Arrivals (the online kernel appends per-arrival tables)")
+			return fmt.Errorf("core: Instance.Compiled cannot be shared with Arrivals (the online kernel compiles its own table over the base pack and every arrival)")
 		}
 		if opt.Accounting {
 			return fmt.Errorf("core: Options.Accounting is not supported with Arrivals")
@@ -225,11 +250,6 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	e.pendHead = 0
 	e.busyInt, e.busyAt = 0, 0
 	e.resize(n)
-	// Drop any per-arrival rows a previous online run appended, so the
-	// base tables keep matching across the replicate loop (the PR 4
-	// identity-check contract; appended rows sit strictly after the base
-	// rows, so this is a length change, not a rebuild).
-	e.ownComp.TruncateExtra()
 	if err := e.bindCompiled(in); err != nil {
 		return err
 	}
@@ -250,12 +270,8 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	e.have = false
 	e.acct = nil
 
-	var memoKey schedKey
-	var memoEnt *schedMemo
-	if e.cm != nil {
-		memoKey = schedKey{id: e.cm.ID(), n: n}
-		memoEnt = e.memo[memoKey]
-	}
+	memoKey := e.cm.ID()
+	memoEnt := e.memo[memoKey]
 	memoHit := memoEnt != nil
 	if memoHit {
 		copy(e.sigma0[:n], memoEnt.sig[:n])
@@ -284,9 +300,9 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 		}
 		e.scheduleEnd(i)
 	}
-	if !memoHit && e.cm != nil {
+	if !memoHit {
 		if e.memo == nil {
-			e.memo = make(map[schedKey]*schedMemo)
+			e.memo = make(map[uint64]*schedMemo)
 		}
 		for len(e.memoFIFO) >= schedMemoMax {
 			old := e.memoFIFO[0]
@@ -443,9 +459,7 @@ func (e *Simulator) Run() (Result, error) {
 		} else {
 			e.q.Pop()
 			if ev.Kind == sim.KindSubmit {
-				if err := e.processSubmit(ev.Task, ev.Time); err != nil {
-					return Result{}, err
-				}
+				e.processSubmit(ev.Time)
 			} else {
 				e.processEnd(ev.Task, ev.Time)
 			}

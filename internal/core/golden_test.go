@@ -163,8 +163,9 @@ func goldenOnlineRun(t testing.TB, gi goldenOnline, pol core.Policy, sem core.Se
 
 // TestGoldenOnlineEquivalence is TestGoldenEquivalence for the online
 // kernel: arrival streams on top of a base pack, under both arrival
-// rules. Its rows were recorded before the online kernel compiled its
-// arrivals' rows up front instead of appending one per submission.
+// rules. Its rows were recorded from an engine that appended each
+// arrival's table row at submission, a separate route to the same
+// table values.
 func TestGoldenOnlineEquivalence(t *testing.T) {
 	if os.Getenv("COSCHED_UPDATE_GOLDEN") != "" {
 		for _, gi := range goldenOnlineInstances {

@@ -195,7 +195,7 @@ func TestLineNineMatchesFullRowOracle(t *testing.T) {
 // TestAdmissionMatchesFullRowOracle checks online admission against the
 // full-row oracle: a base task that never grows leaves P−2 processors
 // free, every corpus task arrives at once, and the admitted set must grow
-// to the oracle's σ with the same expected finish bits, on the appended
+// to the oracle's σ with the same expected finish bits, on the arrivals'
 // table rows, with Paranoia's cross-check silent.
 func TestAdmissionMatchesFullRowOracle(t *testing.T) {
 	src := rng.New(2113)
@@ -216,12 +216,8 @@ func TestAdmissionMatchesFullRowOracle(t *testing.T) {
 		if e.sigma0[0] != 2 {
 			t.Fatalf("trial %d: the flat base task grew to %d", trial, e.sigma0[0])
 		}
-		for k := range arrivals {
-			i, err := e.addTask(arrivals[k], at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.pendQ = append(e.pendQ, i)
+		for range arrivals {
+			e.pendQ = append(e.pendQ, e.addTask(at))
 		}
 		// FIFO admission takes the first free/2 arrivals.
 		free := e.plat.FreeProcs()

@@ -1,8 +1,6 @@
 package core
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // This file is the online half of the kernel: dynamic job arrivals on
 // top of the paper's offline Algorithm 2. Jobs are submitted through
@@ -14,7 +12,7 @@ import (
 // identical to the pre-online engine (pinned by the golden tests).
 //
 // See DESIGN.md §10 for the event taxonomy, the admission/heuristic
-// ordering at shared timestamps, and the compiled-table append rule.
+// ordering at shared timestamps, and the compiled-table row rule.
 
 // --- Arrival heuristics ----------------------------------------------
 
@@ -49,32 +47,27 @@ func (e *Simulator) accrueBusy(t float64) {
 	}
 }
 
-// processSubmit handles the arrival of job k (an index into the
-// instance's Arrivals) at time t: create its task slot, append its
-// compiled tables, queue it, and try to admit.
-func (e *Simulator) processSubmit(k int, t float64) error {
+// processSubmit handles the arrival of the next job at time t: create
+// its task slot, queue it, and try to admit.
+func (e *Simulator) processSubmit(t float64) {
 	e.ctr.Events++
 	e.ctr.Submits++
 	e.submitsLeft--
 	e.now = t
-	i, err := e.addTask(e.in.Arrivals[k], t)
-	if err != nil {
-		return err
-	}
+	i := e.addTask(t)
 	e.pendQ = append(e.pendQ, i)
 	e.emit(TraceEvent{Time: t, Kind: "submit", Task: i})
 	if admitted := e.admit(t); len(admitted) > 0 {
 		e.arrivalDecision(t, admitted)
 	}
-	return nil
 }
 
-// addTask grows every task-indexed arena by one slot for an arriving job
-// and appends its row to the compiled instance model (the per-arrival
-// append rule: O(P/2) table work instead of a rebuild). The new task
-// starts in the waiting state: no processors, no end event, excluded
-// from eligibility until admitted.
-func (e *Simulator) addTask(a Arrival, t float64) (int, error) {
+// addTask grows every task-indexed arena by one slot for an arriving job.
+// Arrivals are sorted by time and submit events pop in push order at
+// equal times, so arrival k lands in slot len(Tasks)+k, the row Reset
+// compiled for it. The new task starts in the waiting state: no
+// processors, no end event, excluded from eligibility until admitted.
+func (e *Simulator) addTask(t float64) int {
 	i := len(e.st)
 	e.st = append(e.st, taskState{alpha: 1, arrive: t, waiting: true})
 	n := len(e.st)
@@ -83,14 +76,7 @@ func (e *Simulator) addTask(a Arrival, t float64) (int, error) {
 	}
 	e.d.resize(e, n)
 	e.heap.rebind(e.d.tUc)
-	idx, err := e.cm.AppendTask(a.Task)
-	if err != nil {
-		return 0, fmt.Errorf("core: appending arrival tables: %w", err)
-	}
-	if idx != i {
-		return 0, fmt.Errorf("core: compiled table row %d for task %d (tables out of sync)", idx, i)
-	}
-	return i, nil
+	return i
 }
 
 // admit moves waiting jobs onto the platform while a processor pair is

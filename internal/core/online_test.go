@@ -222,6 +222,45 @@ func TestOnlineNewArrivalsSameBase(t *testing.T) {
 	}
 }
 
+// TestOwnTableKeptAcrossResets pins the replicate-loop fast path: a
+// Reset with an unchanged instance, offline or online, keeps the
+// simulator's own table (same content ID, no rebuild), while a new
+// Arrivals slice, even with equal contents, rebuilds it.
+func TestOwnTableKeptAcrossResets(t *testing.T) {
+	in, _ := onlineInstance(t, 3, 12, 8, []float64{2000, 40000})
+	off := in
+	off.Arrivals = nil
+	pol := STFEndLocal
+	pol.OnArrival = ArrivalSteal
+	sim := NewSimulator()
+	reset := func(in Instance) uint64 {
+		t.Helper()
+		if err := sim.Reset(in, pol, nil, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if sim.cm != &sim.ownComp {
+			t.Fatal("simulator is not on its own table")
+		}
+		if _, err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return sim.cm.ID()
+	}
+	for _, inst := range []Instance{off, in} {
+		id := reset(inst)
+		if again := reset(inst); again != id {
+			t.Fatalf("%d arrivals: Reset with an unchanged instance rebuilt the table (ID %d → %d)",
+				len(inst.Arrivals), id, again)
+		}
+	}
+	id := reset(in)
+	copied := in
+	copied.Arrivals = append([]Arrival(nil), in.Arrivals...)
+	if reset(copied) == id {
+		t.Fatal("a new Arrivals slice kept the previous table")
+	}
+}
+
 // TestOnlineEqualTimestamps pins the deterministic tie-break order of
 // the kernel at shared timestamps (the sim.Queue FIFO contract): an end
 // event scheduled at Reset pops before a submit event at the same

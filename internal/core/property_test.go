@@ -245,7 +245,7 @@ func TestPrunedScansParanoiaProperty(t *testing.T) {
 			pruned += checked.Counters.PrunedScans
 		}
 	}
-	// Online arrivals exercise appended table rows.
+	// Online arrivals exercise the arrivals' table rows.
 	for _, rule := range []ArrivalRule{ArrivalGreedy, ArrivalSteal} {
 		in, spec := onlineInstance(t, 4, 40, 5, []float64{1000, 5000, 5000, 40000, 250000})
 		pol := IGEndLocal

@@ -277,9 +277,11 @@ type Instance struct {
 	// same Tasks slice, Res, RC and P). When nil the Simulator compiles —
 	// and, across Resets with an unchanged instance, reuses — its own
 	// tables; a non-nil handle lets many simulators share one read-only
-	// model (the campaign runner's per-grid-point sharing, DESIGN.md §9).
-	// A shared handle cannot be combined with Arrivals: the online kernel
-	// appends per-arrival rows to its tables, which must stay private.
+	// model (the campaign runner's compiled-model cache, DESIGN.md §15).
+	// A shared handle cannot be combined with Arrivals: an online run
+	// reads one table over the base pack followed by every arrival's
+	// task, which the Simulator compiles at Reset (and reuses while
+	// Tasks, Arrivals, Res, RC and P are unchanged).
 	Compiled *model.Compiled
 	// Arrivals, when non-empty, switches the run to online mode: the
 	// simulation starts from the base pack and jobs arrive over time

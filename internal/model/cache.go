@@ -76,8 +76,8 @@ type cacheShard struct {
 }
 
 // CacheEntry is one published compiled model plus its refcount. The
-// tables behind Compiled() are frozen: Recompile, RecompileDelta,
-// AppendTask and TruncateExtra on them panic.
+// tables behind Compiled() are frozen: Recompile and RecompileDelta on
+// them panic.
 type CacheEntry struct {
 	cache   *Cache
 	shard   *cacheShard
@@ -378,7 +378,7 @@ func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
 // compiledBytes is an entry's charge against the byte budget: a fixed
 // fully-filled size of 11 float64 per cell plus seg/data/trow and the
 // task headers, the charge of the eleven-column layout that computed
-// every cell at build time. A table now holds three profile floats per
+// every cell at build time. A table now holds two profile floats per
 // cell plus the five-float failure cells its queries filled, which
 // usually covers a few percent of its rows. Every column the entry
 // references is charged to it, shared or not, and the charge does not

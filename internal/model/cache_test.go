@@ -36,7 +36,7 @@ func columnsEqual(a, b *Compiled) string {
 }
 
 // columnNames lists allColumns' keys in comparison order.
-var columnNames = []string{"tj", "ck", "v", "data", "seg", "trow", "tau", "work", "lj", "prefac", "expPer"}
+var columnNames = []string{"tj", "ck", "data", "seg", "trow", "tau", "work", "lj", "prefac", "expPer"}
 
 // allColumns fills every failure row of c and snapshots every column —
 // the profile columns, the per-task metadata and each failure term over
@@ -45,7 +45,7 @@ var columnNames = []string{"tj", "ck", "v", "data", "seg", "trow", "tau", "work"
 func allColumns(c *Compiled) map[string][]float64 {
 	fillAll(c)
 	cols := map[string][]float64{}
-	for name, col := range map[string][]float64{"tj": c.tj, "ck": c.ck, "v": c.v, "data": c.data} {
+	for name, col := range map[string][]float64{"tj": c.tj, "ck": c.ck, "data": c.data} {
 		cols[name] = append([]float64(nil), col...)
 	}
 	seg := make([]float64, len(c.seg))
@@ -406,8 +406,6 @@ func TestFrozenRebuildPanics(t *testing.T) {
 	for name, rebuild := range map[string]func(){
 		"Recompile":      func() { _ = c.Recompile(tc.tasks, tc.res, CostModel{}, 16) },
 		"RecompileDelta": func() { _, _ = c.RecompileDelta(other, tc.tasks, Resilience{Lambda: 1e-9}, CostModel{}, 16) },
-		"AppendTask":     func() { _, _ = c.AppendTask(tc.tasks[0]) },
-		"TruncateExtra":  func() { c.TruncateExtra() },
 	} {
 		func() {
 			defer func() {
@@ -456,7 +454,7 @@ func TestCacheDeltaBaseChoice(t *testing.T) {
 		t.Fatalf("stats %+v: want one cold build and two delta builds", s)
 	}
 	c1, c2, c3 := e1.Compiled(), e2.Compiled(), e3.Compiled()
-	for _, col := range [][2][]float64{{c3.tj, c1.tj}, {c3.ck, c1.ck}, {c3.v, c1.v}, {c3.data, c1.data}, {c2.tj, c1.tj}} {
+	for _, col := range [][2][]float64{{c3.tj, c1.tj}, {c3.ck, c1.ck}, {c3.data, c1.data}, {c2.tj, c1.tj}} {
 		if !sameArray(col[0], col[1]) {
 			t.Error("a delta build copied a profile column it could share with the oldest base")
 		}
@@ -485,7 +483,7 @@ func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	if delta, err := got.RecompileDelta(base, tc.tasks, Resilience{}, CostModel{}, 64); err != nil || !delta {
 		t.Fatalf("delta=%v err=%v", delta, err)
 	}
-	for _, col := range [][2][]float64{{got.tj, base.tj}, {got.ck, base.ck}, {got.v, base.v}, {got.data, base.data}} {
+	for _, col := range [][2][]float64{{got.tj, base.tj}, {got.ck, base.ck}, {got.data, base.data}} {
 		if !sameArray(col[0], col[1]) {
 			t.Fatal("fault-free target copied a column it could share")
 		}
@@ -576,42 +574,5 @@ func TestCacheConcurrentMissesSerialize(t *testing.T) {
 	want := CacheStats{Hits: uint64(len(keys) * (perKey - 1)), Misses: uint64(len(keys)), DeltaBuilds: uint64(len(keys) - 1), FullBuilds: 1}
 	if s.Hits != want.Hits || s.Misses != want.Misses || s.DeltaBuilds != want.DeltaBuilds || s.FullBuilds != want.FullBuilds {
 		t.Fatalf("stats %+v, want %+v", s, want)
-	}
-}
-
-// TestParallelCompileEquivalence pins the parallel row compile: forcing
-// the threshold to split even the smallest pack across workers must not
-// change a single bit relative to the sequential row loop.
-func TestParallelCompileEquivalence(t *testing.T) {
-	defer func(old int) { parallelCompileCells = old }(parallelCompileCells)
-	for _, tc := range compiledCases() {
-		parallelCompileCells = 1 << 62 // sequential
-		seq, err := Compile(tc.tasks, tc.res, CostModel{}, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallelCompileCells = 0 // always parallel
-		par, err := Compile(tc.tasks, tc.res, CostModel{}, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := columnsEqual(seq, par); d != "" {
-			t.Fatalf("%s: parallel row compile changes bytes: %s", tc.name, d)
-		}
-		if tc.res.FaultFree() {
-			continue
-		}
-		// A λ-delta shares the parallel-compiled profile columns.
-		base, err := Compile(tc.tasks, Resilience{Lambda: 3 * tc.res.Lambda}, CostModel{}, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var delta Compiled
-		if ok, err := delta.RecompileDelta(base, tc.tasks, tc.res, CostModel{}, 64); err != nil || !ok {
-			t.Fatalf("%s: delta=%v err=%v", tc.name, ok, err)
-		}
-		if d := columnsEqual(seq, &delta); d != "" {
-			t.Fatalf("%s: parallel λ-delta changes bytes: %s", tc.name, d)
-		}
 	}
 }

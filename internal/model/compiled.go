@@ -3,8 +3,6 @@ package model
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -37,19 +35,20 @@ func segOf(res Resilience, t Task) segKind {
 // campaign runner builds one per grid point and hands it to every
 // worker).
 //
-// A table has two halves. The profile columns — t_{i,j}, C_{i,j},
-// V_{i,j}, m_i, the t-row metadata and the seg kinds — are built eagerly
-// by Compile/Recompile/AppendTask. The failure terms of Eq. (1)–(4) — τ,
-// τ−C, the prefactor and the period term — are filled per task row on
-// demand, only as far as a query reads (failrow.go); a fault-free table
-// has none. Filling is the one thing a query writes, and it publishes
-// immutable row snapshots, so reads never see a cell change.
+// A table has two halves. The profile columns — t_{i,j}, C_{i,j}, m_i,
+// the t-row metadata and the seg kinds — are built eagerly, in one pass
+// over the instance, by Compile/Recompile. The failure terms of
+// Eq. (1)–(4) — τ, τ−C, the prefactor and the period term — are filled
+// per task row on demand, only as far as a query reads (failrow.go); a
+// fault-free table has none. Filling is the one thing a query writes,
+// and it publishes immutable row snapshots, so reads never see a cell
+// change. V_{i,j} = V_i/j is one division and is recomputed where it is
+// used.
 //
 // A frozen Compiled — every table a Cache publishes, and both sides of a
 // RecompileDelta — may share its profile columns with other tables, so
-// its in-place rebuild methods (Recompile, RecompileDelta, AppendTask,
-// TruncateExtra) panic instead of writing through an alias. Freezing is
-// permanent.
+// its in-place rebuild methods (Recompile, RecompileDelta) panic instead
+// of writing through an alias. Freezing is permanent.
 //
 // A view (CacheEntry.View) is a frozen Compiled for a smaller platform
 // that reads a larger table's columns and failure rows: its rows keep
@@ -73,11 +72,11 @@ type Compiled struct {
 	stride int // entries per task row: maxJ/2, or more in a view (CacheEntry.View)
 
 	// Profile columns, each len NumTasks·stride (see DESIGN.md §9, §12).
-	// R_{i,j} = C_{i,j} (the paper), so recovery reads ck; λ·j and λ_s·j
-	// are one multiply each and are recomputed where they are used.
+	// R_{i,j} = C_{i,j} (the paper), so recovery reads ck; λ·j, λ_s·j and
+	// V_{i,j} = V_i/j are one operation each and are recomputed where they
+	// are used.
 	tj []float64 // t_{i,j}, fault-free execution time
 	ck []float64 // C_{i,j}, checkpoint cost
-	v  []float64 // V_{i,j} = V_i/j, verification cost
 
 	seg  []segKind  // per-task silent-segment mode
 	data []float64  // per-task data volume m_i (redistribution cost)
@@ -85,17 +84,12 @@ type Compiled struct {
 	// fail holds the on-demand failure rows, shared with every view of
 	// the table; nil until the first fault-enabled build.
 	fail *failTable
-	// id names the table contents process-wide: every (re)build and
-	// extension draws a fresh one from compiledIDs, so caches keyed on it
-	// (the engine's initial-schedule memo) can never serve values computed
-	// for a previous instance, and never keep the Compiled itself alive.
+	// id names the table contents process-wide: every (re)build draws a
+	// fresh one from compiledIDs, so caches keyed on it (the engine's
+	// initial-schedule memo) can never serve values computed for a
+	// previous instance, and never keep the Compiled itself alive.
 	id     uint64
 	frozen bool // columns may be shared: in-place rebuilds panic
-	// extra holds tasks appended after the base compile (online mode:
-	// jobs arriving over time get their rows appended, not a rebuild).
-	// It is owned by the Compiled — AppendTask copies the task value —
-	// so the base identity contract of Matches is untouched.
-	extra []Task
 }
 
 // compiledIDs hands out table-content IDs, starting at 1.
@@ -134,7 +128,6 @@ func (c *Compiled) sizeColumns(n int) {
 	cells := n * c.stride
 	c.tj = sizeF(c.tj, cells)
 	c.ck = sizeF(c.ck, cells)
-	c.v = sizeF(c.v, cells)
 	if cap(c.seg) < n {
 		c.seg = make([]segKind, n)
 	}
@@ -181,57 +174,10 @@ func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) 
 	c.maxJ = p - p%2
 	c.stride = c.maxJ / 2
 	c.sizeColumns(n)
-
-	c.extra = c.extra[:0]
-	if c.parallelRows(n) {
-		rowsParallel(n, func(i int) { c.compileTask(i, tasks[i]) })
-	} else {
-		for i, t := range tasks {
-			c.compileTask(i, t)
-		}
+	for i, t := range tasks {
+		c.compileTask(i, t)
 	}
 	return nil
-}
-
-// parallelCompileCells is the table size (tasks × stride cells) above
-// which a compile splits its per-task row loop across GOMAXPROCS
-// goroutines. Rows are disjoint — compileTask writes only row i's column
-// slices plus seg[i]/data[i]/trow[i] — and the per-row scalar order is
-// untouched, so a parallel compile is bit-identical to a sequential one.
-// Small tables stay sequential: spawning goroutines would cost more than
-// the compile and would charge allocations to otherwise alloc-free
-// steady states. Tests may override it.
-var parallelCompileCells = 1 << 15
-
-// parallelRows reports whether n rows of c's stride are worth splitting
-// across processors.
-func (c *Compiled) parallelRows(n int) bool {
-	return n*c.stride >= parallelCompileCells && runtime.GOMAXPROCS(0) > 1
-}
-
-// rowsParallel runs row(i) for every i < n over contiguous row chunks,
-// one goroutine per processor.
-func rowsParallel(n int, row func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				row(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // fillTimes computes t_{i,j} for every covered allocation into dst
@@ -297,14 +243,12 @@ func timeMetaOf(t Task, tjs []float64) timeMeta {
 }
 
 // compileTask fills task slot i's seg/data/trow metadata and profile row
-// from t. It is the single per-task compile path, shared by Recompile and
-// AppendTask, so appended rows combine exactly the same float64 values in
-// exactly the same order as a full rebuild (bit-identical tables).
+// from t.
 //
 // The Resilience primitives are inlined over the row (Time via
-// fillTimes; C_{i,j} = C_i/j, V_{i,j} = V_i/j) — each inline performs the
-// same float64 operations in the same order as the method it replaces,
-// so the tables stay bit-identical to per-j primitive calls (pinned by
+// fillTimes; C_{i,j} = C_i/j) — each inline performs the same float64
+// operations in the same order as the method it replaces, so the tables
+// stay bit-identical to per-j primitive calls (pinned by
 // TestCompiledMatchesDirect).
 func (c *Compiled) compileTask(i int, t Task) {
 	c.data[i] = t.Data
@@ -313,75 +257,10 @@ func (c *Compiled) compileTask(i int, t Task) {
 	tjs := c.tj[lo:hi]
 	fillTimes(t, tjs)
 	c.trow[i] = timeMetaOf(t, tjs)
-	cks, vs := c.ck[lo:hi], c.v[lo:hi]
+	cks := c.ck[lo:hi]
 	for k := range cks {
-		jf := float64(2 * (k + 1))
-		cks[k] = t.Ckpt / jf
-		vs[k] = t.Verify / jf
+		cks[k] = t.Ckpt / float64(2*(k+1))
 	}
-}
-
-// AppendTask extends the tables with one more task — the online kernel's
-// per-arrival path: O(stride) work instead of a full rebuild. The task
-// value is copied into Compiled-owned storage, so the base Tasks slice
-// (and the Matches identity contract over it) is untouched. It returns
-// the appended task's index. It panics on a frozen Compiled.
-func (c *Compiled) AppendTask(t Task) (int, error) {
-	c.mustMutate()
-	if len(c.tj) == 0 {
-		return 0, fmt.Errorf("model: AppendTask on an empty Compiled (compile a base instance first)")
-	}
-	if t.Profile == nil {
-		return 0, fmt.Errorf("model: appended task has no speedup profile")
-	}
-	i := c.NumTasks()
-	c.id = compiledIDs.Add(1)
-	c.extra = append(c.extra, t)
-	// Grow each column without a temporary: compileTask overwrites every
-	// cell of the new row.
-	c.tj = growRow(c.tj, c.stride)
-	c.ck = growRow(c.ck, c.stride)
-	c.v = growRow(c.v, c.stride)
-	c.seg = append(c.seg, 0)
-	c.data = append(c.data, 0)
-	c.trow = append(c.trow, timeMeta{})
-	c.fail.addRow()
-	c.compileTask(i, t)
-	return i, nil
-}
-
-// growRow extends a column by one stride's worth of cells, reusing spare
-// capacity without zeroing it (compileTask overwrites what it reads).
-func growRow(s []float64, stride int) []float64 {
-	if need := len(s) + stride; cap(s) >= need {
-		return s[:need]
-	}
-	return append(s, make([]float64, stride)...)
-}
-
-// TruncateExtra drops every appended task, restoring the tables to the
-// base instance they were compiled for (the rows of appended tasks sit
-// strictly after the base rows, so the profile columns only change
-// length). The failure rows start empty again, which lets the next run
-// refill them from the same arena storage. An online simulator calls it
-// between runs so the base tables survive the replicate loop without
-// recompiling. It panics on a frozen Compiled.
-func (c *Compiled) TruncateExtra() {
-	c.mustMutate()
-	if len(c.extra) == 0 {
-		return
-	}
-	c.id = compiledIDs.Add(1)
-	n := len(c.tasks)
-	cells := n * c.stride
-	c.tj = c.tj[:cells]
-	c.ck = c.ck[:cells]
-	c.v = c.v[:cells]
-	c.seg = c.seg[:n]
-	c.data = c.data[:n]
-	c.trow = c.trow[:n]
-	c.fail.reset(n)
-	c.extra = c.extra[:0]
 }
 
 // view returns a frozen table over platform size p ≤ c.p that reads c's
@@ -390,8 +269,7 @@ func (c *Compiled) TruncateExtra() {
 // resilience parameters, never on the platform, so a cold compile at p
 // holds exactly the first maxJ/2 cells of each of c's rows. Only the
 // t-row metadata summarizes a whole row; the view recomputes it over its
-// own prefix so RawFloor bounds match the cold compile's. c must carry no
-// appended tasks.
+// own prefix so RawFloor bounds match the cold compile's.
 func (c *Compiled) view(p int) *Compiled {
 	v := *c
 	v.p = p
@@ -406,26 +284,15 @@ func (c *Compiled) view(p int) *Compiled {
 	return &v
 }
 
-// NumTasks returns the number of tasks covered by the tables, including
-// appended ones.
-func (c *Compiled) NumTasks() int { return len(c.tasks) + len(c.extra) }
-
-// task returns task i, reading appended tasks from the extension arena.
-func (c *Compiled) task(i int) Task {
-	if i < len(c.tasks) {
-		return c.tasks[i]
-	}
-	return c.extra[i-len(c.tasks)]
-}
+// NumTasks returns the number of tasks covered by the tables.
+func (c *Compiled) NumTasks() int { return len(c.tasks) }
 
 // Matches reports whether the compiled tables were built for exactly this
 // instance. Task identity is the slice header (same backing array), not
 // deep content: callers that mutate task contents in place must recompile
-// explicitly. Parameters compare by value. Tables carrying appended tasks
-// (AppendTask without a TruncateExtra) never match: they describe a grown
-// instance, not the base one.
+// explicitly. Parameters compare by value.
 func (c *Compiled) Matches(tasks []Task, res Resilience, rc CostModel, p int) bool {
-	return len(c.tj) > 0 && len(c.extra) == 0 &&
+	return len(c.tj) > 0 &&
 		len(tasks) == len(c.tasks) &&
 		len(tasks) > 0 && &tasks[0] == &c.tasks[0] &&
 		res == c.res && rc == c.rc && p == c.p
@@ -441,9 +308,8 @@ func (c *Compiled) Res() Resilience { return c.res }
 func (c *Compiled) P() int { return c.p }
 
 // ID returns the table-content identity: a process-unique value drawn
-// afresh by every Recompile, RecompileDelta, AppendTask and
-// TruncateExtra, so equal IDs mean the same table contents, whichever
-// Compiled holds them.
+// afresh by every Recompile and RecompileDelta (and by every view), so
+// equal IDs mean the same table contents, whichever Compiled holds them.
 func (c *Compiled) ID() uint64 { return c.id }
 
 // cell returns the column index of (task i, even allocation j); callers
@@ -475,7 +341,7 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 	d := dst[:hi-lo]
 	kernHi := min(hi, c.maxJ/2)
 	for k := max(lo, kernHi); k < hi; k++ {
-		d[k-lo] = c.res.ExpectedTimeRaw(c.task(i), 2*(k+1), alpha)
+		d[k-lo] = c.res.ExpectedTimeRaw(c.tasks[i], 2*(k+1), alpha)
 	}
 	if lo >= kernHi {
 		return
@@ -520,7 +386,7 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 			d[k] = f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
 		}
 	case segVerify:
-		v := c.v[base+lo : base+kernHi]
+		verify := c.tasks[i].Verify
 		for k := range d {
 			f := &fr[k]
 			n := float64(ffCount(alpha, tj[k], f.work))
@@ -529,12 +395,12 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 			if tauLast <= 0 {
 				last = 0
 			} else {
-				last = tauLast + v[k]
+				last = tauLast + verify/float64(2*(lo+k+1))
 			}
 			d[k] = f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
 		}
 	default: // segSilent
-		v := c.v[base+lo : base+kernHi]
+		verify := c.tasks[i].Verify
 		slam := c.res.SilentLambda
 		for k := range d {
 			f := &fr[k]
@@ -545,7 +411,7 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 			if tauLast <= 0 {
 				last = 0
 			} else {
-				last = math.Exp(slam*jf*tauLast) * (tauLast + v[k])
+				last = math.Exp(slam*jf*tauLast) * (tauLast + verify/jf)
 			}
 			d[k] = f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
 		}
@@ -585,7 +451,7 @@ func (c *Compiled) RawFloor(i, hi int, alpha float64) float64 {
 // Time returns t_{i,j} (Task.Time of task i).
 func (c *Compiled) Time(i, j int) float64 {
 	if !c.covered(j) {
-		return c.task(i).Time(j)
+		return c.tasks[i].Time(j)
 	}
 	return c.tj[c.cell(i, j)]
 }
@@ -600,7 +466,7 @@ func (c *Compiled) failAt(i, j int) *failCell {
 // limit.
 func (c *Compiled) Period(i, j int) float64 {
 	if !c.covered(j) || c.res.Lambda == 0 {
-		return c.res.Period(c.task(i), j)
+		return c.res.Period(c.tasks[i], j)
 	}
 	return c.failAt(i, j).tau
 }
@@ -608,7 +474,7 @@ func (c *Compiled) Period(i, j int) float64 {
 // CkptCost returns C_{i,j} (Resilience.CkptCost).
 func (c *Compiled) CkptCost(i, j int) float64 {
 	if !c.covered(j) {
-		return c.res.CkptCost(c.task(i), j)
+		return c.res.CkptCost(c.tasks[i], j)
 	}
 	return c.ck[c.cell(i, j)]
 }
@@ -628,10 +494,9 @@ func (c *Compiled) PostRedistCkpt(i, j int) float64 {
 // PostRedistCkptRow returns task i's post-redistribution checkpoint
 // surcharges as a contiguous row indexed j/2 − 1, valid for even j in
 // [2, 2·len(row)], or nil when the surcharge is identically zero
-// (fault-free instances). Targets beyond the row (per-arrival extras
-// past the covered range) must go through PostRedistCkpt. The row
-// aliases the compiled tables: it is invalidated by the next
-// Recompile/AppendTask/TruncateExtra.
+// (fault-free instances). Targets beyond the row must go through
+// PostRedistCkpt. The row aliases the compiled tables: it is invalidated
+// by the next Recompile.
 func (c *Compiled) PostRedistCkptRow(i int) []float64 {
 	if c.res.Lambda == 0 {
 		return nil
@@ -643,7 +508,7 @@ func (c *Compiled) PostRedistCkptRow(i int) []float64 {
 // FFCheckpoints returns N^ff_{i,j}(α) (Resilience.FFCheckpoints).
 func (c *Compiled) FFCheckpoints(i, j int, alpha float64) int {
 	if !c.covered(j) {
-		return c.res.FFCheckpoints(c.task(i), j, alpha)
+		return c.res.FFCheckpoints(c.tasks[i], j, alpha)
 	}
 	if alpha <= 0 || c.res.Lambda == 0 {
 		return 0
@@ -655,7 +520,7 @@ func (c *Compiled) FFCheckpoints(i, j int, alpha float64) int {
 // checkpoints (Resilience.FFTime).
 func (c *Compiled) FFTime(i, j int, alpha float64) float64 {
 	if !c.covered(j) {
-		return c.res.FFTime(c.task(i), j, alpha)
+		return c.res.FFTime(c.tasks[i], j, alpha)
 	}
 	if alpha <= 0 {
 		return 0

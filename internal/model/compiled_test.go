@@ -10,7 +10,7 @@ import (
 // Uncovered allocations fall back to the direct path.
 func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
 	if !c.covered(j) {
-		return c.res.ExpectedTimeRaw(c.task(i), j, alpha)
+		return c.res.ExpectedTimeRaw(c.tasks[i], j, alpha)
 	}
 	if alpha <= 0 {
 		return 0
@@ -32,9 +32,9 @@ func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
 	case c.seg[i] == segPlain:
 		last = tauLast
 	case c.seg[i] == segVerify:
-		last = tauLast + c.v[k]
+		last = tauLast + c.tasks[i].Verify/float64(j)
 	default:
-		last = math.Exp(c.res.SilentLambda*float64(j)*tauLast) * (tauLast + c.v[k])
+		last = math.Exp(c.res.SilentLambda*float64(j)*tauLast) * (tauLast + c.tasks[i].Verify/float64(j))
 	}
 	return f.prefac * (n*f.expPer + math.Expm1(f.lj*last))
 }
@@ -322,29 +322,14 @@ func TestRecompileReusesArenas(t *testing.T) {
 
 // --- Benchmarks: the compiled query vs the direct recomputation -------
 
-// BenchmarkCompiledAt measures the exact query of
-// BenchmarkExpectedTimeRaw (model_test.go) through the compiled tables
-// instead: the steady-state cost of Decision.Candidate's model term.
-func BenchmarkCompiledAt(b *testing.B) {
-	task, res := synthTask(2e6), defaultRes()
-	c, err := Compile([]Task{task}, res, CostModel{}, 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = c.RawAt(0, 2+(i%128)*2, 0.8)
-	}
-}
-
 // rowSweepSink keeps the compiler from eliding the benchmark reduction.
 var rowSweepSink float64
 
 // BenchmarkCandidateRowSweep measures the batched row kernel: one
 // MinOverRow pass over all 128 candidate allocations of a task
 // (p = 256), the per-(task, round) unit of work behind Decision's
-// heuristics — the batched counterpart of 128 BenchmarkCompiledAt
-// queries. α varies per iteration so the α-dependent tail term is
+// heuristics, against 128 scalar BenchmarkExpectedTimeRaw calls
+// (model_test.go). α varies per iteration so the α-dependent tail term is
 // recomputed every sweep, as it is in a live decision round.
 func BenchmarkCandidateRowSweep(b *testing.B) {
 	task, res := synthTask(2e6), defaultRes()
@@ -433,101 +418,5 @@ func BenchmarkRecompileDelta(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestAppendTaskEquivalence pins the online append rule: extending a
-// compiled instance one task at a time must produce tables bit-identical
-// to recompiling the grown pack from scratch, and TruncateExtra must
-// restore the base instance (Matches accepts it again).
-func TestAppendTaskEquivalence(t *testing.T) {
-	for _, tc := range compiledCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			const p = 20
-			base := tc.tasks[:1]
-			appended := tc.tasks[1:]
-
-			grown, err := Compile(base, tc.res, CostModel{}, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, task := range appended {
-				idx, err := grown.AppendTask(task)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if idx != len(base)+k {
-					t.Fatalf("appended task %d landed at index %d", k, idx)
-				}
-			}
-			if grown.NumTasks() != len(tc.tasks) {
-				t.Fatalf("NumTasks = %d, want %d", grown.NumTasks(), len(tc.tasks))
-			}
-			full, err := Compile(tc.tasks, tc.res, CostModel{}, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			alphas := []float64{1, 0.75, 0.3, 0.01}
-			for i := range tc.tasks {
-				for j := 2; j <= p; j += 2 {
-					for _, a := range alphas {
-						g, w := grown.RawAt(i, j, a), full.RawAt(i, j, a)
-						if math.Float64bits(g) != math.Float64bits(w) {
-							t.Fatalf("RawAt(%d, %d, %v): appended %v vs recompiled %v", i, j, a, g, w)
-						}
-						if g, w := grown.RawFloor(i, j, a), full.RawFloor(i, j, a); g != w {
-							t.Fatalf("RawFloor(%d, %d, %v): appended %v vs recompiled %v", i, j, a, g, w)
-						}
-					}
-					if grown.Time(i, j) != full.Time(i, j) ||
-						grown.Period(i, j) != full.Period(i, j) ||
-						grown.CkptCost(i, j) != full.CkptCost(i, j) ||
-						grown.Recovery(i, j) != full.Recovery(i, j) ||
-						grown.RedistRowFrom(i, 2).Cost(j) != full.RedistRowFrom(i, 2).Cost(j) ||
-						grown.FFTime(i, j, 0.5) != full.FFTime(i, j, 0.5) {
-						t.Fatalf("task %d j=%d: appended tables diverge from recompiled", i, j)
-					}
-				}
-			}
-
-			// Extended tables must not match the base instance...
-			if grown.Matches(base, tc.res, CostModel{}, p) {
-				t.Fatal("Matches accepted tables carrying appended tasks")
-			}
-			// ...until TruncateExtra restores it.
-			grown.TruncateExtra()
-			if !grown.Matches(base, tc.res, CostModel{}, p) {
-				t.Fatal("Matches rejected truncated tables for the base instance")
-			}
-			if grown.NumTasks() != len(base) {
-				t.Fatalf("NumTasks after truncate = %d, want %d", grown.NumTasks(), len(base))
-			}
-			baseOnly, err := Compile(base, tc.res, CostModel{}, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := 2; j <= p; j += 2 {
-				g, w := grown.RawAt(0, j, 0.5), baseOnly.RawAt(0, j, 0.5)
-				if math.Float64bits(g) != math.Float64bits(w) {
-					t.Fatalf("truncated RawAt(0, %d): %v vs %v", j, g, w)
-				}
-			}
-		})
-	}
-}
-
-// TestAppendTaskErrors pins the append guard rails.
-func TestAppendTaskErrors(t *testing.T) {
-	var empty Compiled
-	if _, err := empty.AppendTask(Task{Profile: Synthetic{M: 1e6, SeqFraction: 0.1}}); err == nil {
-		t.Fatal("AppendTask on an uncompiled instance must fail")
-	}
-	tc := compiledCases()[0]
-	c, err := Compile(tc.tasks, tc.res, CostModel{}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.AppendTask(Task{}); err == nil {
-		t.Fatal("AppendTask without a profile must fail")
 	}
 }

@@ -77,10 +77,10 @@ func PacksEqual(a, b []Task) (equal, ok bool) {
 }
 
 // deltaCompatible reports whether base's profile columns can seed
-// a compile of (tasks, rc, p): same platform and cost model, no appended
-// rows, and a content-identical pack.
+// a compile of (tasks, rc, p): same platform and cost model and a
+// content-identical pack.
 func deltaCompatible(base *Compiled, tasks []Task, rc CostModel, p int) bool {
-	if base == nil || len(base.tj) == 0 || len(base.extra) != 0 ||
+	if base == nil || len(base.tj) == 0 ||
 		base.p != p || base.rc != rc || len(tasks) == 0 {
 		return false
 	}
@@ -90,7 +90,7 @@ func deltaCompatible(base *Compiled, tasks []Task, rc CostModel, p int) bool {
 
 // RecompileDelta rebuilds c for (tasks, res, rc, p) from base, a table
 // over the same pack, platform and cost model: c shares base's profile
-// columns — t_{i,j}, C_{i,j}, V_{i,j}, m_i and the t-row metadata, which
+// columns — t_{i,j}, C_{i,j}, m_i and the t-row metadata, which
 // derive from the pack alone — and starts with empty failure rows of its
 // own, filled on demand like any cold table's. It reports whether the
 // delta path was taken (false means it fell back to a full Recompile,
@@ -114,7 +114,7 @@ func (c *Compiled) RecompileDelta(base *Compiled, tasks []Task, res Resilience, 
 	*c = Compiled{
 		tasks: tasks, res: res, rc: rc, p: p,
 		maxJ: base.maxJ, stride: base.stride,
-		tj: base.tj, ck: base.ck, v: base.v, data: base.data, trow: base.trow, seg: base.seg,
+		tj: base.tj, ck: base.ck, data: base.data, trow: base.trow, seg: base.seg,
 		id:     compiledIDs.Add(1),
 		frozen: true,
 	}

@@ -56,7 +56,7 @@ func (e *MinEval) Reset(r Resilience, t Task, alpha float64) {
 // scan — behaves exactly as after Reset.
 func (e *MinEval) ResetCompiled(c *Compiled, ti int, alpha float64) {
 	e.r = c.res
-	e.t = c.task(ti)
+	e.t = c.tasks[ti]
 	e.alpha = alpha
 	e.c = c
 	e.ti = ti

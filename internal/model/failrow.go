@@ -68,20 +68,6 @@ func (ft *failTable) reset(n int) {
 	ft.hdrs.rewind()
 }
 
-// addRow appends one empty row (AppendTask), reusing capacity.
-func (ft *failTable) addRow() {
-	n := len(ft.rows)
-	if cap(ft.rows) == n {
-		grown := make([]atomic.Pointer[failRow], n, 2*n+1)
-		for i := range ft.rows {
-			grown[i].Store(ft.rows[i].Load())
-		}
-		ft.rows = grown
-	}
-	ft.rows = ft.rows[:n+1]
-	ft.rows[n].Store(&emptyRow)
-}
-
 // failRow returns task i's failure cells, filled through at least need
 // cells (need ≤ maxJ/2). The returned slice is an immutable snapshot.
 func (c *Compiled) failRow(i, need int) []failCell {
@@ -113,15 +99,17 @@ func (c *Compiled) fillRow(i, need int) []failCell {
 
 // fillCells computes row i's failure cells k0, k0+1, … into dst from the
 // profile columns, the seg kind and the resilience parameters. The
-// Resilience primitives are inlined per cell (λj = Rate, R = C, Young or
-// Daly period over µ = 1/λj, silentSegment by seg kind) with the same
-// float64 operations in the same order, so every cell is bit-identical
-// to the direct path (pinned by TestCompiledMatchesDirect).
+// Resilience primitives are inlined per cell (λj = Rate, R = C,
+// V_{i,j} = V_i/j, Young or Daly period over µ = 1/λj, silentSegment by
+// seg kind) with the same float64 operations in the same order, so every
+// cell is bit-identical to the direct path (pinned by
+// TestCompiledMatchesDirect).
 func (c *Compiled) fillCells(i, k0 int, dst []failCell) {
 	res := c.res
 	sk := c.seg[i]
+	verify := c.tasks[i].Verify
 	base := i*c.stride + k0
-	ck, v := c.ck[base:base+len(dst)], c.v[base:base+len(dst)]
+	ck := c.ck[base : base+len(dst)]
 	for d := range dst {
 		jf := float64(2 * (k0 + d + 1))
 		lj := res.Lambda * jf // Resilience.Rate
@@ -135,7 +123,7 @@ func (c *Compiled) fillCells(i, k0 int, dst []failCell) {
 			// Exp(λjR)·(1/λj + D), and the period term is Expm1 of λj
 			// times the (possibly silent-inflated) period.
 			prefac: math.Exp(lj*ck[d]) * (1/lj + res.Downtime),
-			expPer: cellPeriodTerm(sk, lj, work, ck[d], v[d], res.SilentLambda*jf),
+			expPer: cellPeriodTerm(sk, lj, work, ck[d], verify/jf, res.SilentLambda*jf),
 		}
 	}
 }

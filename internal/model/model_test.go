@@ -482,7 +482,8 @@ func TestPeriodRuleString(t *testing.T) {
 
 // BenchmarkExpectedTimeRaw measures the direct Eq. (4) evaluation the
 // pre-compiled simulator performed on every candidate query; compare
-// with BenchmarkCompiledAt (compiled_test.go) for the table-lookup cost.
+// 128 of these with one BenchmarkCandidateRowSweep (compiled_test.go)
+// for the table cost.
 func BenchmarkExpectedTimeRaw(b *testing.B) {
 	r := defaultRes()
 	task := synthTask(2e6)

@@ -70,7 +70,7 @@ func numericCase(src *rng.Source, p int) ([]Task, Resilience) {
 func rowHasNaN(res Resilience, c *Compiled, i int, p int) bool {
 	for _, a := range compiledAlphas {
 		for j := 2; j <= p; j += 2 {
-			if math.IsNaN(res.ExpectedTimeRaw(c.task(i), j, a)) || math.IsNaN(c.RawAt(i, j, a)) {
+			if math.IsNaN(res.ExpectedTimeRaw(c.tasks[i], j, a)) || math.IsNaN(c.RawAt(i, j, a)) {
 				return true
 			}
 		}

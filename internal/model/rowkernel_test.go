@@ -8,9 +8,9 @@ import (
 // TestRowKernelsMatchScalar is the batched-evaluation property: RawRow
 // and MinOverRow must be bit-identical to per-candidate RawAt calls
 // across both profile families, both period rules, the silent-error
-// extension on and off, the fault-free limit, and appended (online)
-// task rows — including destinations longer than the compiled stride,
-// which exercise the uncovered-allocation fallback.
+// extension on and off, and the fault-free limit — including
+// destinations longer than the compiled stride, which exercise the
+// uncovered-allocation fallback.
 func TestRowKernelsMatchScalar(t *testing.T) {
 	const p = 48
 	for _, tc := range compiledCases() {
@@ -19,16 +19,8 @@ func TestRowKernelsMatchScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// An appended arrival re-checks the kernels over a row that
-			// lives in the extra arena, not the base tables.
-			extra := Task{Data: 4e5, Ckpt: 3e5, Profile: Synthetic{M: 9e5, SeqFraction: 0.08}}
-			ai, err := c.AppendTask(extra)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := c.NumTasks()
 			row := make([]float64, p/2+4) // past the stride: fallback cells
-			for i := 0; i < n; i++ {
+			for i := range tc.tasks {
 				for _, alpha := range compiledAlphas {
 					c.RawRow(i, alpha, row)
 					for k := range row {
@@ -52,9 +44,6 @@ func TestRowKernelsMatchScalar(t *testing.T) {
 							i, alpha, gotMin, gotArg, wantMin, wantArg)
 					}
 				}
-			}
-			if ai != n-1 {
-				t.Fatalf("appended task index %d, want %d", ai, n-1)
 			}
 		})
 	}
@@ -115,8 +104,8 @@ func TestPostRedistCkptRowMatchesScalar(t *testing.T) {
 
 // TestRecompileFaultFreeMatchesCompile pins the fault-free rebuild on a
 // reused arena: recompiling the fault-free variant over tables that held
-// a fault-enabled instance — failure rows filled, and once with an
-// appended row — must serve exactly the values of a from-scratch
+// a fault-enabled instance — failure rows filled, and once over a pack
+// one task longer — must serve exactly the values of a from-scratch
 // Compile, and recompiling the fault-enabled instance again must refill
 // its rows from scratch.
 func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
@@ -136,15 +125,11 @@ func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, appended := range []bool{false, true} {
-			arena, err := Compile(tc.tasks, tc.res, CostModel{}, p)
+		longer := append(tc.tasks[:len(tc.tasks):len(tc.tasks)], tc.tasks[0])
+		for _, pack := range [][]Task{tc.tasks, longer} {
+			arena, err := Compile(pack, tc.res, CostModel{}, p)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if appended {
-				if _, err := arena.AppendTask(tc.tasks[0]); err != nil {
-					t.Fatal(err)
-				}
 			}
 			fillAll(arena)
 			if err := arena.Recompile(tc.tasks, ffRes, CostModel{}, p); err != nil {

@@ -58,7 +58,7 @@ func randViewCase(src *rng.Source, bigP int) ([]Task, Resilience) {
 func poisonTails(c *Compiled, p int) {
 	fillAll(c)
 	w := (p - p%2) / 2
-	for _, col := range [][]float64{c.tj, c.ck, c.v} {
+	for _, col := range [][]float64{c.tj, c.ck} {
 		for lo := 0; lo < len(col); lo += c.stride {
 			for k := lo + w; k < lo+c.stride; k++ {
 				col[k] = math.NaN()
@@ -212,10 +212,10 @@ func TestCacheEntryView(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("AppendTask on View(%d) did not panic", p)
+					t.Errorf("Recompile on View(%d) did not panic", p)
 				}
 			}()
-			_, _ = v.AppendTask(tasks[0])
+			_ = v.Recompile(tasks, res, CostModel{}, p)
 		}()
 	}
 	if st := ch.Stats(); st.Hits != 0 || st.Misses != 1 || st.Entries != 1 {
