@@ -45,9 +45,10 @@ import (
 // (ExpectedTimeRaw for the direct Eq. (4) cell; CompileCold/CompileWarm
 // for the table build on fresh vs reused arenas; RecompileDelta for the
 // near-miss build), the row kernels (CandidateRowSweep for the batched
-// min-reduction, DecisionRound for a full heuristic round over it, and
+// min-reduction, DecisionRound for a full heuristic round over it,
 // DecisionRoundPaperScale for a paper-scale round dominated by scans the
-// pruned-scan bound skips), and Algorithm 1 alone (InitialSchedule on the
+// pruned-scan bound skips, and IteratedGreedyRoundPaperScale for
+// Algorithm 5's regrowth at the same state), and Algorithm 1 alone (InitialSchedule on the
 // direct path, InitialScheduleCompiled cold on compiled tables).
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
@@ -55,6 +56,7 @@ const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleR
 	"|BenchmarkCampaignPlatformAxis$|BenchmarkCampaignResilienceSweepCold$" +
 	"|BenchmarkExpectedTimeRaw$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
 	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$" +
+	"|BenchmarkIteratedGreedyRoundPaperScale$" +
 	"|BenchmarkInitialSchedule$|BenchmarkInitialScheduleCompiled$"
 
 // ledger is the JSON document layout. The environment block (Go version,

@@ -27,7 +27,7 @@ func BenchmarkDecisionRound(b *testing.B) {
 	// commit keeps the platform and task states frozen, so iterations
 	// stay identical.
 	e.finalize(0, 0)
-	benchEndLocalRound(b, e, 0, e.eligible(0))
+	benchRound(b, e, 0, e.eligible(0), endLocal)
 }
 
 // BenchmarkDecisionRoundPaperScale is one EndLocal round at the paper's
@@ -38,7 +38,18 @@ func BenchmarkDecisionRound(b *testing.B) {
 // alongside its time.
 func BenchmarkDecisionRoundPaperScale(b *testing.B) {
 	e, t, elig := paperScaleRound(b)
-	benchEndLocalRound(b, e, t, elig)
+	benchRound(b, e, t, elig, endLocal)
+}
+
+// BenchmarkIteratedGreedyRoundPaperScale is the EndGreedy round
+// (Algorithm 5) at the same paper-scale state: every eligible task is
+// virtually reset to one pair and regrown pair by pair, so the round
+// reads each task's candidate row from 2 up to about its old allocation.
+// It is Algorithm 5's own ledger entry: per-step candidate evaluation,
+// heap sifts and commits of candidate allocations.
+func BenchmarkIteratedGreedyRoundPaperScale(b *testing.B) {
+	e, t, elig := paperScaleRound(b)
+	benchRound(b, e, t, elig, iteratedGreedy)
 }
 
 // paperScaleInstance is one Figure-8-like instance: the default
@@ -75,15 +86,16 @@ func paperScaleRound(tb testing.TB) (*Simulator, float64, []int) {
 	return e, t, e.eligible(t)
 }
 
-// benchEndLocalRound times the EndLocal round of e at time t over elig
-// without committing it, so every iteration evaluates the same round.
-func benchEndLocalRound(b *testing.B, e *Simulator, t float64, elig []int) {
+// benchRound times one end-of-task round of rule on e at time t over
+// elig without committing it, so every iteration evaluates the same
+// round.
+func benchRound(b *testing.B, e *Simulator, t float64, elig []int, rule func(*Decision)) {
 	e.ctr = Counters{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.beginDecision(t, elig, -1)
-		e.end(&e.d)
+		rule(&e.d)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.ctr.CandidateEvals)/float64(b.N), "evals/op")
