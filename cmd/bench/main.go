@@ -11,6 +11,10 @@
 // working directory, which is how the CI bench-smoke job guards the
 // perf trajectory.
 //
+// Each benchmark runs three times (go test -count 3) and the ledger
+// records the per-metric median, so one slow or fast phase of a shared
+// host moves neither a ledger entry nor the gate.
+//
 // Examples:
 //
 //	go run ./cmd/bench                          # 1s per bench → BENCH.json
@@ -80,7 +84,7 @@ func main() {
 		benchtime = flag.String("benchtime", "1s", "per-benchmark budget passed to go test (e.g. 1s, 100x)")
 		benchRE   = flag.String("bench", headline, "benchmark selection regex passed to go test")
 		out       = flag.String("out", "BENCH.json", "output JSON file")
-		count     = flag.Int("count", 1, "runs per benchmark (go test -count); metrics keep the last run")
+		count     = flag.Int("count", 3, "runs per benchmark (go test -count); metrics keep the per-metric median")
 		baseline  = flag.String("baseline", "", "previous ledger to diff against (\"auto\" = highest BENCH_<n>.json here); exits non-zero on throughput regression")
 		maxReg    = flag.Float64("max-regress", 0.25, "with -baseline: tolerated fractional units/s regression before failing")
 	)
@@ -273,9 +277,11 @@ func diff(w *os.File, prev, cur ledger, path string, maxReg float64) bool {
 // parse extracts benchmark metric lines from go test -bench output.
 // A result line reads "BenchmarkName-8  206  5741459 ns/op  4180 units/s
 // 36880 B/op  406 allocs/op": the name (GOMAXPROCS suffix stripped), the
-// iteration count, then (value, unit) metric pairs.
+// iteration count, then (value, unit) metric pairs. A benchmark run
+// several times (-count) is recorded as the median of each metric.
 func parse(outp string) ledger {
 	led := ledger{Benchmarks: map[string]map[string]float64{}}
+	samples := map[string]map[string][]float64{}
 	for _, line := range strings.Split(outp, "\n") {
 		f := strings.Fields(line)
 		if len(f) == 0 {
@@ -303,19 +309,36 @@ func parse(outp string) ledger {
 				name = name[:i]
 			}
 		}
-		metrics := map[string]float64{}
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				continue
 			}
-			metrics[f[i+1]] = v
-		}
-		if len(metrics) > 0 {
-			led.Benchmarks[name] = metrics
+			if samples[name] == nil {
+				samples[name] = map[string][]float64{}
+			}
+			samples[name][f[i+1]] = append(samples[name][f[i+1]], v)
 		}
 	}
+	for name, units := range samples {
+		metrics := map[string]float64{}
+		for unit, vs := range units {
+			metrics[unit] = median(vs)
+		}
+		led.Benchmarks[name] = metrics
+	}
 	return led
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count). It reorders vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 func fatalf(format string, args ...interface{}) {
