@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"cosched/internal/model"
 )
@@ -17,9 +18,10 @@ import (
 // performs no allocation and no hashing. Eligibility is tracked with a
 // round-stamp (mark[i] == round) so clearing between rounds is O(1).
 //
-// Rules mutate candidate allocations only through SetSigma, which
-// enforces the invariants (even allocations ≥ 2, processor
-// conservation).
+// Rules mutate candidate allocations only through setEvaluated, which
+// commits a candidate the rule has already evaluated, or its exported
+// wrapper SetSigma, which evaluates it first; both enforce the
+// invariants (even allocations ≥ 2, processor conservation).
 type Decision struct {
 	e       *Simulator
 	t       float64
@@ -252,20 +254,46 @@ func (d *Decision) skipDead(i, lo, hi int) bool {
 // refreshes its candidate finish time. It panics when i is not eligible,
 // cand is not a positive even count, or the candidate assignment would
 // oversubscribe the platform — external heuristics cannot break
-// processor conservation.
+// processor conservation. The checks run before the candidate is
+// evaluated, so a malformed call reads no row.
 func (d *Decision) SetSigma(i, cand int) {
+	d.checkSet(i, cand)
+	d.setEvaluated(i, cand, d.Candidate(i, cand))
+}
+
+// setEvaluated is the one commit path of a candidate allocation: it sets
+// task i to cand processors with candidate finish time tE, which the
+// caller has just computed as Candidate(i, cand), so a grow step never
+// evaluates the candidate it chose twice. It enforces SetSigma's
+// invariants. Under Options.Paranoia it recomputes the candidate through
+// the uncounted path and records a bit mismatch as the error check (and
+// so Run) returns.
+func (d *Decision) setEvaluated(i, cand int, tE float64) {
+	d.checkSet(i, cand)
+	if d.e.opt.Paranoia && d.e.paranoidErr == nil {
+		if want := d.candidate(i, cand); math.Float64bits(want) != math.Float64bits(tE) {
+			d.e.paranoidErr = fmt.Errorf("core: task %d set to %d at t=%v with candidate time %v, want %v",
+				i, cand, d.t, tE, want)
+		}
+	}
+	d.avail += d.sigmaNew[i] - cand
+	d.sigmaNew[i] = cand
+	d.tUc[i] = tE
+}
+
+// checkSet panics unless task i is eligible, cand is a positive even
+// count and moving i to cand keeps the candidate assignment within the
+// platform.
+func (d *Decision) checkSet(i, cand int) {
 	if !d.IsEligible(i) {
 		panic(fmt.Sprintf("core: SetSigma on non-eligible task %d", i))
 	}
 	if cand < 2 || cand%2 != 0 {
 		panic(fmt.Sprintf("core: SetSigma task %d to invalid allocation %d (want positive even)", i, cand))
 	}
-	d.avail += d.sigmaNew[i] - cand
-	if d.avail < 0 {
-		panic(fmt.Sprintf("core: SetSigma task %d to %d oversubscribes the platform by %d processors", i, cand, -d.avail))
+	if over := cand - d.sigmaNew[i] - d.avail; over > 0 {
+		panic(fmt.Sprintf("core: SetSigma task %d to %d oversubscribes the platform by %d processors", i, cand, over))
 	}
-	d.sigmaNew[i] = cand
-	d.tUc[i] = d.Candidate(i, cand)
 }
 
 // commit applies every allocation change to the engine. Shrinks are
@@ -311,20 +339,26 @@ func endLocal(d *Decision) {
 			break
 		}
 		// Scan even extensions; the first improving one proves the task
-		// is improvable (lines 10–15), after which it grows by one pair.
-		// The bound runs first, so a provably dead task never extends
-		// its prefix-min cache.
+		// is improvable (lines 10–15), after which it grows by one pair,
+		// committing the q = 2 value the scan computed first. The bound
+		// runs first, so a provably dead task never extends its
+		// prefix-min cache.
 		improvable := false
+		var tE2 float64
 		if !d.skipDead(i, d.sigmaNew[i]+2, d.sigmaNew[i]+k) {
 			for q := 2; q <= k; q += 2 {
-				if d.Candidate(i, d.sigmaNew[i]+q) < d.tUc[i] {
+				tE := d.Candidate(i, d.sigmaNew[i]+q)
+				if q == 2 {
+					tE2 = tE
+				}
+				if tE < d.tUc[i] {
 					improvable = true
 					break
 				}
 			}
 		}
 		if improvable {
-			d.SetSigma(i, d.sigmaNew[i]+2)
+			d.setEvaluated(i, d.sigmaNew[i]+2, tE2)
 			h.fixTop()
 			k -= 2
 		} else {
@@ -344,7 +378,17 @@ func iteratedGreedy(d *Decision) {
 	if len(d.elig) == 0 {
 		return
 	}
+	// Regrowth reads each row from 2 up to about the task's old
+	// allocation, one cell per step. Reading that prefix now fills it in
+	// one rawRange pass; the prefix-min fold runs in ascending order
+	// whatever the batch, so every value is the one the steps would read.
+	// A task already at one pair has no prefix to read, and stays unbound
+	// until the regrowth first asks for one of its candidates.
 	for _, i := range d.elig {
+		if d.sigmaInit[i] > 2 {
+			d.bind(i)
+			d.evals[i].At(d.sigmaInit[i])
+		}
 		d.SetSigma(i, 2)
 	}
 	h := &d.e.heap
@@ -359,7 +403,8 @@ func iteratedGreedy(d *Decision) {
 		// improves, so the bound only runs once it has failed, over the
 		// rest of the range.
 		first := d.sigmaNew[i] + 2
-		improvable := d.Candidate(i, first) < d.tUc[i]
+		tFirst := d.Candidate(i, first)
+		improvable := tFirst < d.tUc[i]
 		if !improvable && first < pmax && !d.skipDead(i, first+2, pmax) {
 			for cand := first + 2; cand <= pmax; cand += 2 {
 				if d.Candidate(i, cand) < d.tUc[i] {
@@ -373,7 +418,7 @@ func iteratedGreedy(d *Decision) {
 			// improved the expected makespan is settled; stop growing.
 			break
 		}
-		d.SetSigma(i, d.sigmaNew[i]+2)
+		d.setEvaluated(i, first, tFirst)
 		h.fixTop()
 	}
 }
@@ -403,7 +448,7 @@ func absorbAndSteal(d *Decision, f int) {
 		for q := 2; q <= k; q += 2 {
 			if tE := d.Candidate(f, d.sigmaNew[f]+q); tE < d.tUc[f] {
 				granted = q
-				d.SetSigma(f, d.sigmaNew[f]+q)
+				d.setEvaluated(f, d.sigmaNew[f]+q, tE)
 				break
 			}
 		}
@@ -421,10 +466,16 @@ func absorbAndSteal(d *Decision, f int) {
 		if s < 0 {
 			break
 		}
+		// The transfer moves one pair and commits the q = 2 values the
+		// scan computed first (σ_s ≥ 4, so q = 2 is always scanned).
 		improvable := false
+		var tEf2, tEs2 float64
 		for q := 2; q <= d.sigmaNew[s]-2; q += 2 {
 			tEf := d.Candidate(f, d.sigmaNew[f]+q)
 			tEs := d.Candidate(s, d.sigmaNew[s]-q)
+			if q == 2 {
+				tEf2, tEs2 = tEf, tEs
+			}
 			if tEf < d.tUc[f] && tEs < d.tUc[f] {
 				improvable = true
 				break
@@ -435,8 +486,8 @@ func absorbAndSteal(d *Decision, f int) {
 		}
 		// Shrink the donor before growing the faulty task so the pair
 		// transfer never transits through an oversubscribed state.
-		d.SetSigma(s, d.sigmaNew[s]-2)
-		d.SetSigma(f, d.sigmaNew[f]+2)
+		d.setEvaluated(s, d.sigmaNew[s]-2, tEs2)
+		d.setEvaluated(f, d.sigmaNew[f]+2, tEf2)
 		if d.tUc[s] > d.tUc[f] {
 			// Line 39: the donor became the bottleneck; stop stealing.
 			break

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cosched/internal/failure"
@@ -227,5 +228,48 @@ func TestFaultyCommitIncludesDowntimeRecovery(t *testing.T) {
 		model.CostModel{}.Cost(long.Data, sigma[0], r.Sigma[0])
 	if r.Finish[0] <= minFinish {
 		t.Fatalf("faulty task finish %v ignores serial recovery phases (min %v)", r.Finish[0], minFinish)
+	}
+}
+
+// TestParanoiaCatchesStaleCommit commits a shrink through setEvaluated
+// with a candidate time one ulp above the true Candidate value, as a
+// loop that kept the value of the wrong candidate would. With Paranoia
+// the recheck reports it and Run fails; without, nothing notices. The
+// recheck counts no candidate evaluation.
+func TestParanoiaCatchesStaleCommit(t *testing.T) {
+	for _, paranoia := range []bool{false, true} {
+		in := Instance{Tasks: synthPack(10, rng.New(5)), P: 100, Res: paperRes(5)}
+		e := NewSimulator()
+		if err := e.Reset(in, IGEndLocal, nil, Options{Paranoia: paranoia}); err != nil {
+			t.Fatal(err)
+		}
+		elig := e.eligible(0)
+		e.beginDecision(0, elig, -1)
+		d := &e.d
+		i := -1
+		for _, k := range elig {
+			if d.Sigma(k) >= 4 {
+				i = k
+			}
+		}
+		if i < 0 {
+			t.Fatal("no task holds two pairs: no shrink to commit")
+		}
+		tE := d.Candidate(i, d.Sigma(i)-2)
+		evals := e.ctr.CandidateEvals
+		d.setEvaluated(i, d.Sigma(i)-2, math.Nextafter(tE, math.Inf(1)))
+		if e.ctr.CandidateEvals != evals {
+			t.Fatalf("Paranoia %v: the recheck counted %d evaluations", paranoia, e.ctr.CandidateEvals-evals)
+		}
+		_, err := e.Run()
+		if !paranoia {
+			if err != nil {
+				t.Fatalf("without Paranoia: %v", err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "candidate time") {
+			t.Fatalf("Run after a stale commit: err = %v, want the commit report", err)
+		}
 	}
 }

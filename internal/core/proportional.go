@@ -14,8 +14,10 @@ package core
 // smaller task index; the rule is deterministic and terminates because
 // every accepted round consumes one pair.
 //
-// It uses only the exported Decision API (Eligible, TU, Now, Sigma,
-// InitialSigma, Candidate, SetSigma, Avail).
+// It reads the Decision through its exported API (Eligible, TU, Now,
+// Sigma, InitialSigma, Candidate, Avail) and commits the winning pair
+// through setEvaluated with the candidate time the draw computed, so the
+// grant does not evaluate it again.
 func endProportional(d *Decision) {
 	elig := d.Eligible()
 	if d.Avail() < 2 || len(elig) == 0 {
@@ -23,7 +25,7 @@ func endProportional(d *Decision) {
 	}
 	for d.Avail() >= 2 {
 		best := -1
-		var bestQ float64
+		var bestQ, bestTE float64
 		for _, i := range elig {
 			// Remaining expected work under the frozen schedule; tasks
 			// at (or past) their expected finish carry no weight but may
@@ -34,16 +36,17 @@ func endProportional(d *Decision) {
 			}
 			granted := d.Sigma(i) - d.InitialSigma(i)
 			q := w / float64(granted+1)
-			if d.Candidate(i, d.Sigma(i)+2) >= d.TU(i) {
+			tE := d.Candidate(i, d.Sigma(i)+2)
+			if tE >= d.TU(i) {
 				continue // one more pair would not strictly help task i
 			}
 			if best < 0 || q > bestQ {
-				best, bestQ = i, q
+				best, bestQ, bestTE = i, q, tE
 			}
 		}
 		if best < 0 {
 			return // nobody can use another pair
 		}
-		d.SetSigma(best, d.Sigma(best)+2)
+		d.setEvaluated(best, d.Sigma(best)+2, bestTE)
 	}
 }

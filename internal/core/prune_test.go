@@ -12,15 +12,17 @@ import (
 // Figure-8-like paper-scale instance (n = 100, P = 5000, the default
 // workload), so the pruned-scan bound cannot silently switch off or
 // lose strength: a weaker bound raises CandidateEvals and lowers
-// PrunedScans. The counts are identical with Paranoia on.
+// PrunedScans. The counts are identical with Paranoia on. CandidateEvals
+// counts evaluations, not commits: a grow that commits the candidate its
+// scan just computed counts it once.
 func TestPrunedScanCountsPinned(t *testing.T) {
 	in := paperScaleInstance(t)
 	for _, tc := range []struct {
 		pol                      Policy
 		decisions, evals, pruned int
 	}{
-		{IGEndLocal, 113, 79323, 3895},
-		{IGEndGreedy, 113, 540025, 9},
+		{IGEndLocal, 113, 46176, 3895},
+		{IGEndGreedy, 113, 277366, 9},
 	} {
 		var got [2]Counters
 		for k, paranoia := range []bool{false, true} {

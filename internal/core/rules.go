@@ -10,10 +10,11 @@ import (
 // Policy.String() compositions, scenario specs, JSONL records and
 // campaign fingerprints, and the function run on a primed Decision (nil
 // for the None rows, which leave the schedule alone). Rules change
-// allocations only through Decision.SetSigma, which enforces even
-// allocations and processor conservation; a failure rule reads the
-// faulty task from d.faulty and an arrival rule the admitted jobs from
-// d.arrived.
+// allocations only through Decision.setEvaluated, which commits a
+// candidate the rule's scan has already evaluated, or its exported
+// wrapper SetSigma; both enforce even allocations and processor
+// conservation. A failure rule reads the faulty task from d.faulty and
+// an arrival rule the admitted jobs from d.arrived.
 type rule struct {
 	name string
 	run  func(*Decision)
