@@ -371,9 +371,9 @@ func heterogeneousSweepSpec() scenario.Spec {
 // of the compiled-model cache: re-executing a heterogeneous resilience
 // sweep against the warm process-global cache — the campaignd /
 // repeated-refinement steady state. Every unit's tables come back as
-// hits of the exact (pack, resilience, cost model, P) key, and the
-// engine's (pointer, Gen)-keyed schedule memo then replays Algorithm 1
-// instead of re-deriving it, so a unit pays only its event loop. The
+// hits of the exact (pack, resilience, cost model, P) key, and each
+// Reset copies the initial schedule stored on the table instead of
+// re-running Algorithm 1, so a unit pays only its event loop. The
 // cache is warmed by one untimed run; the cold fill is the Misses ×
 // BenchmarkCompileCold story, amortized away in this steady state.
 func BenchmarkCampaignThroughputHeterogeneous(b *testing.B) {

@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -30,65 +32,68 @@ import (
 )
 
 func main() {
-	if err := realMain(); err != nil {
+	if err := realMain(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
 		fmt.Fprintf(os.Stderr, "campaignd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func realMain() error {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-		spool       = flag.String("spool", "spool", "campaign spool directory (specs, manifests, results)")
-		workers     = flag.Int("workers", 0, "shared pool width (0 = all cores)")
-		maxActive   = flag.Int("max-active", 0, "concurrently executing campaigns (0 = 2x workers)")
-		maxAttempts = flag.Int("max-attempts", 3, "retries before a failing campaign is marked failed")
-		rate        = flag.Float64("submit-rate", 5, "per-client campaign submissions per second")
-		burst       = flag.Float64("submit-burst", 10, "per-client submission burst")
-		heartbeat   = flag.Duration("heartbeat-every", time.Second, "SSE progress heartbeat period")
-		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight HTTP requests")
-		workersExec = flag.String("workers-exec", "", "worker binary (campaignw); when set, campaigns execute on spawned worker processes with lease-based fault tolerance")
-		distWorkers = flag.Int("dist-workers", 3, "worker processes per distributed campaign")
-		leaseUnits  = flag.Int("lease-units", 0, "units per distributed lease (0 = default)")
-		leaseTTL    = flag.Duration("lease-ttl", 0, "distributed lease time-to-live (0 = default)")
-		chaosKill   = flag.Int("chaos-kill-unit", 0, "testing hook: SIGKILL the worker holding this unit index once (0 = off)")
-	)
-	flag.Parse()
+// parseFlags maps campaignd's command line onto the listen address, the
+// drain deadline and the service configuration (without its logger).
+// Usage and flag errors go to stderr.
+func parseFlags(args []string, stderr io.Writer) (addr string, drain time.Duration, cfg service.Config, err error) {
+	fs := flag.NewFlagSet("campaignd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&addr, "addr", "127.0.0.1:8080", "HTTP listen address")
+	fs.DurationVar(&drain, "drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight HTTP requests")
+	fs.StringVar(&cfg.SpoolDir, "spool", "spool", "campaign spool directory (specs, manifests, results)")
+	fs.IntVar(&cfg.Workers, "workers", 0, "shared pool width (0 = all cores)")
+	fs.IntVar(&cfg.MaxActive, "max-active", 0, "concurrently executing campaigns (0 = 2x workers)")
+	fs.IntVar(&cfg.MaxAttempts, "max-attempts", 3, "retries before a failing campaign is marked failed")
+	fs.Float64Var(&cfg.SubmitRate, "submit-rate", 5, "per-client campaign submissions per second")
+	fs.Float64Var(&cfg.SubmitBurst, "submit-burst", 10, "per-client submission burst")
+	fs.DurationVar(&cfg.HeartbeatEvery, "heartbeat-every", time.Second, "SSE progress heartbeat period")
+	fs.StringVar(&cfg.WorkersExec, "workers-exec", "", "worker binary (campaignw); when set, campaigns execute on spawned worker processes with lease-based fault tolerance")
+	fs.IntVar(&cfg.DistWorkers, "dist-workers", 3, "worker processes per distributed campaign")
+	fs.IntVar(&cfg.LeaseUnits, "lease-units", 0, "units per distributed lease (0 = default)")
+	fs.DurationVar(&cfg.LeaseTTL, "lease-ttl", 0, "distributed lease time-to-live (0 = default)")
+	fs.IntVar(&cfg.ChaosKillUnit, "chaos-kill-unit", 0, "testing hook: SIGKILL the worker holding this unit index once (0 = off)")
+	err = fs.Parse(args)
+	return addr, drain, cfg, err
+}
 
-	srv, err := service.New(service.Config{
-		SpoolDir:       *spool,
-		Workers:        *workers,
-		MaxActive:      *maxActive,
-		MaxAttempts:    *maxAttempts,
-		SubmitRate:     *rate,
-		SubmitBurst:    *burst,
-		HeartbeatEvery: *heartbeat,
-		WorkersExec:    *workersExec,
-		DistWorkers:    *distWorkers,
-		LeaseUnits:     *leaseUnits,
-		LeaseTTL:       *leaseTTL,
-		ChaosKillUnit:  *chaosKill,
-		Logf:           log.Printf,
-	})
+// realMain runs the daemon until SIGINT or SIGTERM. It writes nothing to
+// stdout: its log goes to stderr.
+func realMain(args []string, _, stderr io.Writer) error {
+	addr, drain, cfg, err := parseFlags(args, stderr)
+	if err != nil {
+		return err
+	}
+	logger := log.New(stderr, "", log.LstdFlags)
+	cfg.Logf = logger.Printf
+	srv, err := service.New(cfg)
 	if err != nil {
 		return err
 	}
 
 	httpSrv := &http.Server{
-		Addr:    *addr,
+		Addr:    addr,
 		Handler: srv.Handler(),
 		// A daemon must not let a slow-loris client pin an accept slot.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("campaignd: serving on %s (spool %s)", *addr, *spool)
+	logger.Printf("campaignd: serving on %s (spool %s)", addr, cfg.SpoolDir)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
-		log.Printf("campaignd: %v — draining", sig)
+		logger.Printf("campaignd: %v — draining", sig)
 	case err := <-errc:
 		srv.Stop()
 		return fmt.Errorf("http server: %w", err)
@@ -97,7 +102,7 @@ func realMain() error {
 	// Graceful stop: first the HTTP front (no new submissions, streams
 	// get their final events as campaigns cancel), then the engine
 	// (in-flight units drain and are journaled; campaigns stay resumable).
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	shutdownErr := make(chan error, 1)
 	go func() { shutdownErr <- httpSrv.Shutdown(ctx) }()
@@ -105,6 +110,6 @@ func realMain() error {
 	if err := <-shutdownErr; err != nil {
 		return fmt.Errorf("draining http server: %w", err)
 	}
-	log.Printf("campaignd: stopped; campaigns resumable from %s", *spool)
+	logger.Printf("campaignd: stopped; campaigns resumable from %s", cfg.SpoolDir)
 	return nil
 }

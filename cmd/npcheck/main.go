@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cosched/internal/npc"
@@ -20,12 +22,29 @@ import (
 )
 
 func main() {
+	if err := realMain(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		fmt.Fprintf(os.Stderr, "npcheck: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func realMain(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("npcheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		m    = flag.Int("m", 2, "number of triples of the 3-Partition instance")
-		seed = flag.Uint64("seed", 1, "random seed")
-		no   = flag.Bool("no", false, "use the canonical no-instance instead of a random yes-instance")
+		m    = fs.Int("m", 2, "number of triples of the 3-Partition instance")
+		seed = fs.Uint64("seed", 1, "random seed")
+		no   = fs.Bool("no", false, "use the canonical no-instance instead of a random yes-instance")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *m < 1 && !*no {
+		return fmt.Errorf("-m must be at least 1, got %d", *m)
+	}
 
 	var tp npc.ThreePartition
 	if *no {
@@ -33,48 +52,44 @@ func main() {
 	} else {
 		tp = npc.RandomYes(*m, rng.New(*seed))
 	}
-	fmt.Printf("3-Partition instance: B = %d, items = %v\n", tp.B, tp.Sorted())
+	fmt.Fprintf(stdout, "3-Partition instance: B = %d, items = %v\n", tp.B, tp.Sorted())
 
 	red, err := npc.Reduce(tp)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Printf("Theorem-2 reduction:  n = %d tasks, p = %d processors, deadline D = %g\n",
+	fmt.Fprintf(stdout, "Theorem-2 reduction:  n = %d tasks, p = %d processors, deadline D = %g\n",
 		red.N, red.P, red.Deadline)
 	if err := red.CheckMonotone(); err != nil {
-		fatalf("reduced instance violates the model assumptions: %v", err)
+		return fmt.Errorf("reduced instance violates the model assumptions: %v", err)
 	}
-	fmt.Println("model assumptions:    t_{i,j} non-increasing, work j·t_{i,j} non-decreasing ✓")
+	fmt.Fprintln(stdout, "model assumptions:    t_{i,j} non-increasing, work j·t_{i,j} non-decreasing ✓")
 
 	triples, ok := tp.Solve()
 	if !ok {
-		fmt.Println("exhaustive solver:    NO partition exists")
-		fmt.Println("conclusion:           no schedule of the Theorem-2 family meets the deadline;")
-		fmt.Println("                      the scheduling instance is a no-instance as the proof requires")
-		return
+		fmt.Fprintln(stdout, "exhaustive solver:    NO partition exists")
+		fmt.Fprintln(stdout, "conclusion:           no schedule of the Theorem-2 family meets the deadline;")
+		fmt.Fprintln(stdout, "                      the scheduling instance is a no-instance as the proof requires")
+		return nil
 	}
-	fmt.Printf("exhaustive solver:    partition found: %v\n", triples)
+	fmt.Fprintf(stdout, "exhaustive solver:    partition found: %v\n", triples)
 
 	sched, err := npc.FromPartition(red, triples)
 	if err != nil {
-		fatalf("constructing the proof schedule: %v", err)
+		return fmt.Errorf("constructing the proof schedule: %v", err)
 	}
 	if err := sched.Verify(red); err != nil {
-		fatalf("schedule verification: %v", err)
+		return fmt.Errorf("schedule verification: %v", err)
 	}
-	fmt.Printf("proof schedule:       verified; makespan = %g = D (deadline met exactly)\n", sched.Makespan())
-	fmt.Println()
-	fmt.Println("large-task ramp-up (procs over time):")
+	fmt.Fprintf(stdout, "proof schedule:       verified; makespan = %g = D (deadline met exactly)\n", sched.Makespan())
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "large-task ramp-up (procs over time):")
 	for k := 3 * tp.M(); k < red.N; k++ {
-		fmt.Printf("  task %d:", k)
+		fmt.Fprintf(stdout, "  task %d:", k)
 		for _, ph := range sched.Phases[k] {
-			fmt.Printf("  [%g,%g)×%d", ph.Start, ph.End, ph.Procs)
+			fmt.Fprintf(stdout, "  [%g,%g)×%d", ph.Start, ph.End, ph.Procs)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-}
-
-func fatalf(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "npcheck: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -65,6 +65,7 @@ type Simulator struct {
 	// improving candidate (Decision.skipDead) or a line-9 early exit
 	// (canGrow); check returns it.
 	paranoidErr error
+	checkedAt   float64 // event time of the last check (Options.Paranoia)
 
 	// Online state (see online.go). The task arena e.st grows past the
 	// base pack as jobs arrive; pendQ/pendHead form the FIFO admission
@@ -78,7 +79,7 @@ type Simulator struct {
 	busyAt      float64
 
 	// Arenas reused across runs.
-	sigma0    []int         // initial schedule (Algorithm 1)
+	sigma0    []int         // Algorithm 1's σ₀ (initialSchedule)
 	elig      []int         // eligibility buffer
 	finish    []float64     // Result.Finish backing
 	sigmaRes  []int         // Result.Sigma backing
@@ -98,26 +99,6 @@ type Simulator struct {
 	ownComp  model.Compiled
 	ownTasks []model.Task
 	ownKey   instanceKey // the instance ownComp holds; zero: none
-
-	// Initial-schedule memo. Algorithm 1 is a pure function of the
-	// instance (tasks, resilience, platform size) and independent of the
-	// policy and fault source, so its result — σ0 and each task's
-	// expected finish under it — is cached keyed on the compiled model's
-	// content ID: a campaign unit that runs several policies over one
-	// instance computes the schedule once and the later Resets replay
-	// the exact cached values (bit-identical by construction; pinned by
-	// the golden-equivalence tests). A table is built for exactly one
-	// instance, so its ID alone fixes the base pack the schedule covers.
-	// The memo holds several instances (FIFO-bounded), so a worker
-	// cycling through shared cache-resident tables — the compiled-model
-	// cache hands the same table to many units — re-derives each schedule
-	// once, not once per unit. Private per-unit arenas draw a new ID on
-	// every rebuild, so for them the memo degenerates to the single live
-	// entry it always was. The key holds no pointer, so the memo never
-	// keeps an evicted table alive.
-	memo     map[uint64]*schedMemo
-	memoFIFO []uint64
-	memoFree []*schedMemo
 }
 
 // instanceKey identifies the instance the simulator's own tables were
@@ -144,17 +125,6 @@ func (k instanceKey) same(o instanceKey) bool {
 func sameSlice[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
-
-// schedMemo is one memoized Algorithm 1 result.
-type schedMemo struct {
-	sig []int
-	tU  []float64
-}
-
-// schedMemoMax bounds the per-simulator memo. Entries are ~2n words;
-// eviction recycles them through a free list, so a steady state that
-// misses every time (private arenas) stays allocation-free.
-const schedMemoMax = 64
 
 // bindCompiled points e.cm at valid tables for in: the caller's shared
 // model when Instance.Compiled is set (after verifying it was built for
@@ -264,68 +234,33 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	e.q.Reset()
 	e.ctr = Counters{}
 	e.paranoidErr = nil
+	e.checkedAt = 0
 	e.hist = e.hist[:0]
 	e.now = 0
 	e.live = n
 	e.have = false
 	e.acct = nil
 
-	memoKey := e.cm.ID()
-	memoEnt := e.memo[memoKey]
-	memoHit := memoEnt != nil
-	if memoHit {
-		copy(e.sigma0[:n], memoEnt.sig[:n])
-	} else if err := e.initialSchedule(); err != nil {
-		return err
+	// Algorithm 1 depends on the instance alone, so its result is stored
+	// on the table it was computed from: the first Reset on a table runs
+	// it, and every later one, in any worker, copies it.
+	sched := e.cm.Schedule()
+	if sched == nil {
+		e.initialSchedule()
+		e.cm.StoreSchedule(e.sigma0[:n], e.d.tUc[:n])
+		sched = e.cm.Schedule()
+	} else if opt.Paranoia {
+		e.checkSchedule(sched)
 	}
 	if opt.Accounting {
-		e.acct = newAccounting(n, e.sigma0)
+		e.acct = newAccounting(n, sched.Sigma)
 	}
 	for i := range e.st {
-		if err := e.plat.Alloc(i, e.sigma0[i]); err != nil {
+		if err := e.plat.Alloc(i, sched.Sigma[i]); err != nil {
 			return fmt.Errorf("core: initial allocation: %w", err)
 		}
-		s := &e.st[i]
-		*s = taskState{
-			sigma:  e.sigma0[i],
-			alpha:  1,
-			tlastR: 0,
-		}
-		if memoHit {
-			s.tU = memoEnt.tU[i]
-		} else {
-			// d.evals[i] is still bound to (task i, α = 1) by the initial
-			// schedule, so this is ExpectedTime without the allocation.
-			s.tU = e.d.evals[i].At(s.sigma)
-		}
+		e.st[i] = taskState{sigma: sched.Sigma[i], alpha: 1, tU: sched.TU[i]}
 		e.scheduleEnd(i)
-	}
-	if !memoHit {
-		if e.memo == nil {
-			e.memo = make(map[uint64]*schedMemo)
-		}
-		for len(e.memoFIFO) >= schedMemoMax {
-			old := e.memoFIFO[0]
-			e.memoFIFO = append(e.memoFIFO[:0], e.memoFIFO[1:]...)
-			if ent := e.memo[old]; ent != nil {
-				e.memoFree = append(e.memoFree, ent)
-			}
-			delete(e.memo, old)
-		}
-		var ent *schedMemo
-		if k := len(e.memoFree); k > 0 {
-			ent, e.memoFree = e.memoFree[k-1], e.memoFree[:k-1]
-		} else {
-			ent = &schedMemo{}
-		}
-		growInts(&ent.sig, n)
-		copy(ent.sig, e.sigma0[:n])
-		growFloats(&ent.tU, n)
-		for i := range e.st {
-			ent.tU[i] = e.st[i].tU
-		}
-		e.memo[memoKey] = ent
-		e.memoFIFO = append(e.memoFIFO, memoKey)
 	}
 	// Submit events are enqueued after the base end events, so at equal
 	// timestamps an initial end sorts before a submission (FIFO seq
@@ -372,7 +307,8 @@ func (e *Simulator) resize(n int) {
 
 // initialSchedule is Algorithm 1 evaluated into the simulator's arenas
 // (same algorithm as the exported InitialSchedule, without its per-call
-// allocations). The result lands in e.sigma0. Line 9 stops at the first
+// allocations). The result lands in e.sigma0, and each task's expected
+// time t^R_{i,σ₀(i)}(1) under it in e.d.tUc (the heap key). Line 9 stops at the first
 // improving cell (canGrow), so on NaN-free rows Algorithm 1 evaluates
 // at most Σσ₀/2 + n + P/2 Eq. (4) cells in all: each task's row up to
 // its final allocation plus one probe, and one row out to pmax for the
@@ -380,7 +316,7 @@ func (e *Simulator) resize(n int) {
 // one-shot InitialSchedule wrapper) the evaluators take the direct path:
 // building the full n·P/2 table would cost far more than those cells
 // (the packs DP calls the wrapper once per candidate subset).
-func (e *Simulator) initialSchedule() error {
+func (e *Simulator) initialSchedule() {
 	n := len(e.in.Tasks)
 	e.elig = e.elig[:0]
 	for i := range e.in.Tasks {
@@ -413,7 +349,24 @@ func (e *Simulator) initialSchedule() error {
 			break
 		}
 	}
-	return nil
+}
+
+// checkSchedule is Options.Paranoia's check of a schedule read from the
+// table: it re-runs Algorithm 1 and records the first bit mismatch in
+// σ₀ or tU as the error check (and so Run) returns.
+func (e *Simulator) checkSchedule(sched *model.Schedule) {
+	if e.paranoidErr != nil {
+		return
+	}
+	e.initialSchedule()
+	for i, sig := range e.sigma0[:len(e.in.Tasks)] {
+		tU := e.d.evals[i].At(sig)
+		if sig != sched.Sigma[i] || math.Float64bits(tU) != math.Float64bits(sched.TU[i]) {
+			e.paranoidErr = fmt.Errorf("core: stored schedule gives task %d σ₀=%d, tU=%v; Algorithm 1 gives σ₀=%d, tU=%v",
+				i, sched.Sigma[i], sched.TU[i], sig, tU)
+			return
+		}
+	}
 }
 
 // canGrow is line 9 of Algorithm 1, shared with online admission: can
@@ -448,7 +401,11 @@ func (e *Simulator) Run() (Result, error) {
 		if e.ctr.Events >= e.opt.MaxEvents {
 			return Result{}, fmt.Errorf("core: aborted after %d events (divergent configuration?)", e.ctr.Events)
 		}
-		ev, ok := e.peekValid()
+		// Every queued end event is current: scheduleEnd replaces a
+		// task's event in place and finalize removes it, so the queue
+		// holds one end event per running task (check verifies it) and
+		// nothing stale to discard.
+		ev, ok := e.q.Peek()
 		if !ok {
 			return Result{}, fmt.Errorf("core: no pending event with %d live and %d waiting tasks", e.live, e.waiting())
 		}
@@ -513,16 +470,6 @@ func (e *Simulator) Run() (Result, error) {
 // pullFault advances the fault stream.
 func (e *Simulator) pullFault() {
 	e.next, e.have = e.src.Next()
-}
-
-// peekValid returns the earliest queued event. Every queued task-end
-// event is current: scheduleEnd replaces a task's event in place
-// (Queue.UpdateTask) and finalize removes it (Queue.RemoveTask), so the
-// queue holds at most one live end event per task and there is nothing
-// stale to discard. Submit events are always valid; their Task field is
-// an arrival index, not a task index.
-func (e *Simulator) peekValid() (sim.Event, bool) {
-	return e.q.Peek()
 }
 
 // scheduleEnd recomputes task i's end-event time from its current state
@@ -853,17 +800,25 @@ func (e *Simulator) commitRedist(i int, t float64, newSigma int, alphaT float64,
 	return nil
 }
 
-// check validates cross-structure invariants (Options.Paranoia).
+// check validates cross-structure invariants (Options.Paranoia): event
+// time never decreases, the platform agrees with the task states, and
+// the queue holds exactly one end event per running task, at its end
+// time, besides the submit events still to come.
 func (e *Simulator) check() error {
 	if e.paranoidErr != nil {
 		return e.paranoidErr
 	}
+	if e.now < e.checkedAt {
+		return fmt.Errorf("core: event time went back from %v to %v", e.checkedAt, e.now)
+	}
+	e.checkedAt = e.now
 	if err := e.plat.Validate(); err != nil {
 		return err
 	}
-	total := 0
+	total, running := 0, 0
 	for i := range e.st {
 		s := &e.st[i]
+		ev, queued := e.q.TaskEnd(i)
 		if s.done || s.waiting {
 			state := "finished"
 			if s.waiting {
@@ -872,8 +827,18 @@ func (e *Simulator) check() error {
 			if e.plat.Count(i) != 0 {
 				return fmt.Errorf("core: %s task %d still owns processors", state, i)
 			}
+			if queued {
+				return fmt.Errorf("core: %s task %d has an end event queued at %v", state, i, ev.Time)
+			}
 			continue
 		}
+		if !queued {
+			return fmt.Errorf("core: running task %d has no end event queued", i)
+		}
+		if ev.Time != s.end {
+			return fmt.Errorf("core: task %d's end event is queued at %v, want %v", i, ev.Time, s.end)
+		}
+		running++
 		if s.sigma%2 != 0 || s.sigma < 2 {
 			return fmt.Errorf("core: task %d has invalid allocation %d", i, s.sigma)
 		}
@@ -887,6 +852,9 @@ func (e *Simulator) check() error {
 	}
 	if total+e.plat.FreeProcs() != e.in.P {
 		return fmt.Errorf("core: processor conservation broken")
+	}
+	if want := running + e.submitsLeft; e.q.Len() != want {
+		return fmt.Errorf("core: %d events queued, want %d end events and %d submits", e.q.Len(), running, e.submitsLeft)
 	}
 	return nil
 }

@@ -2,13 +2,13 @@ package core
 
 import (
 	"math"
-	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"cosched/internal/failure"
 	"cosched/internal/model"
 	"cosched/internal/rng"
+	"cosched/internal/sim"
 )
 
 func mustRun(t *testing.T, in Instance, pol Policy, src failure.Source, opt Options) Result {
@@ -287,42 +287,38 @@ func TestResultShapes(t *testing.T) {
 	}
 }
 
-// TestScheduleMemoDoesNotPinTables: the initial-schedule memo is keyed on
-// the table's content ID, not on the *Compiled, so a shared table the
-// simulator no longer uses — a cache entry evicted after its unit folded
-// — becomes garbage even while its memo entry is still resident.
-func TestScheduleMemoDoesNotPinTables(t *testing.T) {
-	tasks := synthPack(6, rng.New(3))
-	sim := NewSimulator()
-	collected := make(chan struct{}, 1)
-	func() {
-		old, err := model.Compile(tasks, paperRes(5), model.CostModel{}, 40)
-		if err != nil {
+// TestCheckCatchesQueueCorruption corrupts a freshly reset simulator's
+// event queue, or its clock, in one way at a time: the Paranoia check
+// passes before each corruption and reports it after.
+func TestCheckCatchesQueueCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(e *Simulator)
+	}{
+		{"moved end event", "end event is queued at", func(e *Simulator) {
+			e.q.UpdateTask(sim.Event{Time: e.st[1].end + 1, Kind: sim.KindTaskEnd, Task: 1})
+		}},
+		{"lost end event", "no end event queued", func(e *Simulator) { e.q.RemoveTask(2) }},
+		{"extra event", "events queued", func(e *Simulator) {
+			e.q.Push(sim.Event{Time: e.st[0].end, Kind: sim.KindSubmit})
+		}},
+		{"finished task's end event", "finished task 0 has an end event", func(e *Simulator) {
+			e.plat.ReleaseAll(0)
+			e.st[0].done = true
+		}},
+		{"time went back", "event time went back", func(e *Simulator) { e.now = -1 }},
+	} {
+		in := Instance{Tasks: synthPack(4, rng.New(9)), P: 24, Res: paperRes(5)}
+		e := NewSimulator()
+		if err := e.Reset(in, IGEndLocal, nil, Options{Paranoia: true}); err != nil {
 			t.Fatal(err)
 		}
-		runtime.SetFinalizer(old, func(*model.Compiled) { collected <- struct{}{} })
-		in := Instance{Tasks: tasks, P: 40, Res: paperRes(5), Compiled: old}
-		if err := sim.Reset(in, NoRedistribution, nil, Options{}); err != nil {
-			t.Fatal(err)
+		if err := e.check(); err != nil {
+			t.Fatalf("%s: check fails before the corruption: %v", tc.name, err)
 		}
-	}()
-	// Rebind the simulator to another table over the same pack, so the
-	// only possible reference left to the first one is the memo's.
-	next, err := model.Compile(tasks, paperRes(6), model.CostModel{}, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Reset(Instance{Tasks: tasks, P: 40, Res: paperRes(6), Compiled: next}, NoRedistribution, nil, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		runtime.GC()
-		select {
-		case <-collected:
-			runtime.KeepAlive(sim)
-			return
-		case <-time.After(10 * time.Millisecond):
+		tc.corrupt(e)
+		if err := e.check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: check = %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
-	t.Fatal("a table the simulator no longer uses stayed reachable")
 }

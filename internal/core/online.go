@@ -25,7 +25,7 @@ import "fmt"
 // iteratedGreedy (Algorithm 5) run at admissions.
 func arrivalSteal(d *Decision) {
 	for _, a := range d.arrived {
-		if !d.IsEligible(a) {
+		if !d.isEligible(a) {
 			continue
 		}
 		absorbAndSteal(d, a)

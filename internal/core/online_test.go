@@ -224,8 +224,9 @@ func TestOnlineNewArrivalsSameBase(t *testing.T) {
 
 // TestOwnTableKeptAcrossResets pins the replicate-loop fast path: a
 // Reset with an unchanged instance, offline or online, keeps the
-// simulator's own table (same content ID, no rebuild), while a new
-// Arrivals slice, even with equal contents, rebuilds it.
+// simulator's own table with the schedule the first Reset stored on it,
+// while a new Arrivals slice, even with equal contents, rebuilds it,
+// which empties the stored schedule.
 func TestOwnTableKeptAcrossResets(t *testing.T) {
 	in, _ := onlineInstance(t, 3, 12, 8, []float64{2000, 40000})
 	off := in
@@ -233,7 +234,7 @@ func TestOwnTableKeptAcrossResets(t *testing.T) {
 	pol := STFEndLocal
 	pol.OnArrival = ArrivalSteal
 	sim := NewSimulator()
-	reset := func(in Instance) uint64 {
+	reset := func(in Instance) *model.Schedule {
 		t.Helper()
 		if err := sim.Reset(in, pol, nil, Options{}); err != nil {
 			t.Fatal(err)
@@ -244,19 +245,25 @@ func TestOwnTableKeptAcrossResets(t *testing.T) {
 		if _, err := sim.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return sim.cm.ID()
+		sched := sim.cm.Schedule()
+		if sched == nil {
+			t.Fatal("Reset stored no schedule on the table")
+		}
+		return sched
 	}
 	for _, inst := range []Instance{off, in} {
-		id := reset(inst)
-		if again := reset(inst); again != id {
-			t.Fatalf("%d arrivals: Reset with an unchanged instance rebuilt the table (ID %d → %d)",
-				len(inst.Arrivals), id, again)
+		first := reset(inst)
+		if again := reset(inst); again != first {
+			t.Fatalf("%d arrivals: Reset with an unchanged instance rebuilt the table", len(inst.Arrivals))
 		}
 	}
-	id := reset(in)
+	reset(in)
 	copied := in
 	copied.Arrivals = append([]Arrival(nil), in.Arrivals...)
-	if reset(copied) == id {
+	if err := sim.bindCompiled(copied); err != nil {
+		t.Fatal(err)
+	}
+	if sim.cm.Schedule() != nil {
 		t.Fatal("a new Arrivals slice kept the previous table")
 	}
 }

@@ -18,10 +18,11 @@ import (
 // performs no allocation and no hashing. Eligibility is tracked with a
 // round-stamp (mark[i] == round) so clearing between rounds is O(1).
 //
-// Rules mutate candidate allocations only through setEvaluated, which
-// commits a candidate the rule has already evaluated, or its exported
-// wrapper SetSigma, which evaluates it first; both enforce the
-// invariants (even allocations ≥ 2, processor conservation).
+// Rules read the scratch fields directly and mutate candidate
+// allocations only through setEvaluated, which commits a candidate the
+// rule has already evaluated, or its wrapper setSigma, which evaluates
+// it first; both enforce the invariants (even allocations ≥ 2,
+// processor conservation).
 type Decision struct {
 	e       *Simulator
 	t       float64
@@ -82,7 +83,7 @@ func (d *Decision) resize(e *Simulator, n int) {
 // eligible tasks. For the faulty task the skeleton already rolled α back
 // to the last checkpoint; everyone else is frozen at alphaT(t). The
 // per-task evaluator binding (work fraction, prefix-min evaluator, cost
-// row) is deferred to the first Candidate query of the round — many
+// row) is deferred to the first candidate query of the round — many
 // rounds touch only a few of the eligible tasks (Algorithm 3 stops when
 // the free pool runs dry, Algorithm 4 only looks at the faulty task and
 // its donors), and the engine state is frozen during the round, so a
@@ -122,32 +123,10 @@ func (d *Decision) bind(i int) {
 	d.ckRow[i] = d.e.cm.PostRedistCkptRow(i)
 }
 
-// Now returns the decision time t.
-func (d *Decision) Now() float64 { return d.t }
-
-// Eligible returns the tasks available for redistribution, in ascending
-// index order. The slice is shared: do not mutate or retain it.
-func (d *Decision) Eligible() []int { return d.elig }
-
-// IsEligible reports whether task i participates in this decision.
-func (d *Decision) IsEligible(i int) bool {
+// isEligible reports whether task i participates in this decision.
+func (d *Decision) isEligible(i int) bool {
 	return i >= 0 && i < len(d.mark) && d.mark[i] == d.round
 }
-
-// Avail returns the number of free processors not claimed by the current
-// candidate assignment.
-func (d *Decision) Avail() int { return d.avail }
-
-// Sigma returns the candidate allocation of task i.
-func (d *Decision) Sigma(i int) int { return d.sigmaNew[i] }
-
-// InitialSigma returns the allocation task i held when the decision
-// started.
-func (d *Decision) InitialSigma(i int) int { return d.sigmaInit[i] }
-
-// TU returns the candidate expected finish time of task i under its
-// current candidate allocation.
-func (d *Decision) TU(i int) float64 { return d.tUc[i] }
 
 // extra returns the downtime + recovery surcharge paid by the faulty task
 // before any redistribution can start. The pseudocode of Algorithms 4/5
@@ -160,20 +139,20 @@ func (d *Decision) extra(i int) float64 {
 	return d.e.in.Res.Downtime + d.e.cm.Recovery(i, d.sigmaInit[i])
 }
 
-// Candidate returns the expected finish time of task i if it were
+// candidate returns the expected finish time of task i if it were
 // redistributed from its initial allocation to cand processors at time t:
 //
 //	tE = t [+ D + R] + RC^{init→cand} + C_{i,cand} + t^R_{i,cand}(αt).
 //
 // Reverting to the initial allocation means no redistribution at all, so
 // the candidate is the task's unperturbed trajectory (its current tU).
-func (d *Decision) Candidate(i, cand int) float64 {
+func (d *Decision) candidate(i, cand int) float64 {
 	d.e.ctr.CandidateEvals++
-	return d.candidate(i, cand)
+	return d.uncountedCandidate(i, cand)
 }
 
-// candidate is Candidate without the CandidateEvals count.
-func (d *Decision) candidate(i, cand int) float64 {
+// uncountedCandidate is candidate without the CandidateEvals count.
+func (d *Decision) uncountedCandidate(i, cand int) float64 {
 	if cand == d.sigmaInit[i] {
 		return d.oldTU[i]
 	}
@@ -203,12 +182,12 @@ func (d *Decision) ckpt(i, cand int) float64 {
 
 // pruneMargin is the relative slack provablyDead leaves between its
 // bound and tUc: the bound is exact-arithmetic, and the float64 rounding
-// of Candidate's few positive terms moves it by ulps, far below 1e-9.
+// of candidate's few positive terms moves it by ulps, far below 1e-9.
 const pruneMargin = 1e-9
 
 // provablyDead reports, in O(1) and with no Eq. (4) evaluation, that no
 // candidate of task i in the even range [lo, hi] finishes before tUc[i].
-// Every term of Candidate(i, c) for c ≠ σ_init is bounded below over the
+// Every term of candidate(i, c) for c ≠ σ_init is bounded below over the
 // range (DESIGN.md §12, "Pruned scans"):
 //
 //	base + RC(σ_init→c) + C_{i,c} + t^R_{i,c}(α)
@@ -242,7 +221,7 @@ func (d *Decision) skipDead(i, lo, hi int) bool {
 		return true
 	}
 	for c := lo; c <= hi && d.e.paranoidErr == nil; c += 2 {
-		if tE := d.candidate(i, c); tE < d.tUc[i] {
+		if tE := d.uncountedCandidate(i, c); tE < d.tUc[i] {
 			d.e.paranoidErr = fmt.Errorf("core: pruned scan of task %d over [%d, %d] at t=%v hides candidate %d: %v < %v",
 				i, lo, hi, d.t, c, tE, d.tUc[i])
 		}
@@ -250,28 +229,28 @@ func (d *Decision) skipDead(i, lo, hi int) bool {
 	return true
 }
 
-// SetSigma sets the candidate allocation of task i to cand processors and
+// setSigma sets the candidate allocation of task i to cand processors and
 // refreshes its candidate finish time. It panics when i is not eligible,
 // cand is not a positive even count, or the candidate assignment would
-// oversubscribe the platform — external heuristics cannot break
-// processor conservation. The checks run before the candidate is
-// evaluated, so a malformed call reads no row.
-func (d *Decision) SetSigma(i, cand int) {
+// oversubscribe the platform — no rule can break processor
+// conservation. The checks run before the candidate is evaluated, so a
+// malformed call reads no row.
+func (d *Decision) setSigma(i, cand int) {
 	d.checkSet(i, cand)
-	d.setEvaluated(i, cand, d.Candidate(i, cand))
+	d.setEvaluated(i, cand, d.candidate(i, cand))
 }
 
 // setEvaluated is the one commit path of a candidate allocation: it sets
 // task i to cand processors with candidate finish time tE, which the
-// caller has just computed as Candidate(i, cand), so a grow step never
-// evaluates the candidate it chose twice. It enforces SetSigma's
+// caller has just computed as candidate(i, cand), so a grow step never
+// evaluates the candidate it chose twice. It enforces setSigma's
 // invariants. Under Options.Paranoia it recomputes the candidate through
 // the uncounted path and records a bit mismatch as the error check (and
 // so Run) returns.
 func (d *Decision) setEvaluated(i, cand int, tE float64) {
 	d.checkSet(i, cand)
 	if d.e.opt.Paranoia && d.e.paranoidErr == nil {
-		if want := d.candidate(i, cand); math.Float64bits(want) != math.Float64bits(tE) {
+		if want := d.uncountedCandidate(i, cand); math.Float64bits(want) != math.Float64bits(tE) {
 			d.e.paranoidErr = fmt.Errorf("core: task %d set to %d at t=%v with candidate time %v, want %v",
 				i, cand, d.t, tE, want)
 		}
@@ -285,7 +264,7 @@ func (d *Decision) setEvaluated(i, cand int, tE float64) {
 // count and moving i to cand keeps the candidate assignment within the
 // platform.
 func (d *Decision) checkSet(i, cand int) {
-	if !d.IsEligible(i) {
+	if !d.isEligible(i) {
 		panic(fmt.Sprintf("core: SetSigma on non-eligible task %d", i))
 	}
 	if cand < 2 || cand%2 != 0 {
@@ -347,7 +326,7 @@ func endLocal(d *Decision) {
 		var tE2 float64
 		if !d.skipDead(i, d.sigmaNew[i]+2, d.sigmaNew[i]+k) {
 			for q := 2; q <= k; q += 2 {
-				tE := d.Candidate(i, d.sigmaNew[i]+q)
+				tE := d.candidate(i, d.sigmaNew[i]+q)
 				if q == 2 {
 					tE2 = tE
 				}
@@ -389,7 +368,7 @@ func iteratedGreedy(d *Decision) {
 			d.bind(i)
 			d.evals[i].At(d.sigmaInit[i])
 		}
-		d.SetSigma(i, 2)
+		d.setSigma(i, 2)
 	}
 	h := &d.e.heap
 	h.build(d.elig)
@@ -403,11 +382,11 @@ func iteratedGreedy(d *Decision) {
 		// improves, so the bound only runs once it has failed, over the
 		// rest of the range.
 		first := d.sigmaNew[i] + 2
-		tFirst := d.Candidate(i, first)
+		tFirst := d.candidate(i, first)
 		improvable := tFirst < d.tUc[i]
 		if !improvable && first < pmax && !d.skipDead(i, first+2, pmax) {
 			for cand := first + 2; cand <= pmax; cand += 2 {
-				if d.Candidate(i, cand) < d.tUc[i] {
+				if d.candidate(i, cand) < d.tUc[i] {
 					improvable = true
 					break
 				}
@@ -428,7 +407,7 @@ func iteratedGreedy(d *Decision) {
 // shortest tasks as long as both the faulty task improves and the donor
 // does not become the new longest task.
 func shortestTasksFirst(d *Decision) {
-	if !d.IsEligible(d.faulty) {
+	if !d.isEligible(d.faulty) {
 		return
 	}
 	absorbAndSteal(d, d.faulty)
@@ -446,7 +425,7 @@ func absorbAndSteal(d *Decision, f int) {
 	for k >= 2 {
 		granted := 0
 		for q := 2; q <= k; q += 2 {
-			if tE := d.Candidate(f, d.sigmaNew[f]+q); tE < d.tUc[f] {
+			if tE := d.candidate(f, d.sigmaNew[f]+q); tE < d.tUc[f] {
 				granted = q
 				d.setEvaluated(f, d.sigmaNew[f]+q, tE)
 				break
@@ -471,8 +450,8 @@ func absorbAndSteal(d *Decision, f int) {
 		improvable := false
 		var tEf2, tEs2 float64
 		for q := 2; q <= d.sigmaNew[s]-2; q += 2 {
-			tEf := d.Candidate(f, d.sigmaNew[f]+q)
-			tEs := d.Candidate(s, d.sigmaNew[s]-q)
+			tEf := d.candidate(f, d.sigmaNew[f]+q)
+			tEs := d.candidate(s, d.sigmaNew[s]-q)
 			if q == 2 {
 				tEf2, tEs2 = tEf, tEs
 			}

@@ -248,16 +248,16 @@ func TestParanoiaCatchesStaleCommit(t *testing.T) {
 		d := &e.d
 		i := -1
 		for _, k := range elig {
-			if d.Sigma(k) >= 4 {
+			if d.sigmaNew[k] >= 4 {
 				i = k
 			}
 		}
 		if i < 0 {
 			t.Fatal("no task holds two pairs: no shrink to commit")
 		}
-		tE := d.Candidate(i, d.Sigma(i)-2)
+		tE := d.candidate(i, d.sigmaNew[i]-2)
 		evals := e.ctr.CandidateEvals
-		d.setEvaluated(i, d.Sigma(i)-2, math.Nextafter(tE, math.Inf(1)))
+		d.setEvaluated(i, d.sigmaNew[i]-2, math.Nextafter(tE, math.Inf(1)))
 		if e.ctr.CandidateEvals != evals {
 			t.Fatalf("Paranoia %v: the recheck counted %d evaluations", paranoia, e.ctr.CandidateEvals-evals)
 		}

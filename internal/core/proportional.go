@@ -14,30 +14,27 @@ package core
 // smaller task index; the rule is deterministic and terminates because
 // every accepted round consumes one pair.
 //
-// It reads the Decision through its exported API (Eligible, TU, Now,
-// Sigma, InitialSigma, Candidate, Avail) and commits the winning pair
-// through setEvaluated with the candidate time the draw computed, so the
-// grant does not evaluate it again.
+// It commits the winning pair through setEvaluated with the candidate
+// time the draw computed, so the grant does not evaluate it again.
 func endProportional(d *Decision) {
-	elig := d.Eligible()
-	if d.Avail() < 2 || len(elig) == 0 {
+	if d.avail < 2 || len(d.elig) == 0 {
 		return
 	}
-	for d.Avail() >= 2 {
+	for d.avail >= 2 {
 		best := -1
 		var bestQ, bestTE float64
-		for _, i := range elig {
+		for _, i := range d.elig {
 			// Remaining expected work under the frozen schedule; tasks
 			// at (or past) their expected finish carry no weight but may
 			// still improve, so keep them drawable with a zero quotient.
-			w := d.TU(i) - d.Now()
+			w := d.tUc[i] - d.t
 			if w < 0 {
 				w = 0
 			}
-			granted := d.Sigma(i) - d.InitialSigma(i)
+			granted := d.sigmaNew[i] - d.sigmaInit[i]
 			q := w / float64(granted+1)
-			tE := d.Candidate(i, d.Sigma(i)+2)
-			if tE >= d.TU(i) {
+			tE := d.candidate(i, d.sigmaNew[i]+2)
+			if tE >= d.tUc[i] {
 				continue // one more pair would not strictly help task i
 			}
 			if best < 0 || q > bestQ {
@@ -47,6 +44,6 @@ func endProportional(d *Decision) {
 		if best < 0 {
 			return // nobody can use another pair
 		}
-		d.setEvaluated(best, d.Sigma(best)+2, bestTE)
+		d.setEvaluated(best, d.sigmaNew[best]+2, bestTE)
 	}
 }

@@ -68,12 +68,12 @@ func TestParanoiaCatchesUnsoundPrune(t *testing.T) {
 		d := &e.d
 		longest := elig[0]
 		for _, i := range elig {
-			if d.TU(i) > d.TU(longest) {
+			if d.tUc[i] > d.tUc[longest] {
 				longest = i
 			}
 		}
-		lo, hi := d.Sigma(longest)+2, d.Sigma(longest)+4
-		if d.candidate(longest, lo) >= d.TU(longest) {
+		lo, hi := d.sigmaNew[longest]+2, d.sigmaNew[longest]+4
+		if d.uncountedCandidate(longest, lo) >= d.tUc[longest] {
 			t.Fatalf("task %d does not improve with one more pair: no counterexample", longest)
 		}
 		d.bind(longest)

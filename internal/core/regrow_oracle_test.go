@@ -33,14 +33,14 @@ func oracleEndLocal(d *Decision) {
 		improvable := false
 		if !d.skipDead(i, d.sigmaNew[i]+2, d.sigmaNew[i]+k) {
 			for q := 2; q <= k; q += 2 {
-				if d.Candidate(i, d.sigmaNew[i]+q) < d.tUc[i] {
+				if d.candidate(i, d.sigmaNew[i]+q) < d.tUc[i] {
 					improvable = true
 					break
 				}
 			}
 		}
 		if improvable {
-			d.SetSigma(i, d.sigmaNew[i]+2)
+			d.setSigma(i, d.sigmaNew[i]+2)
 			h.fixTop()
 			k -= 2
 		} else {
@@ -55,7 +55,7 @@ func oracleIteratedGreedy(d *Decision) {
 		return
 	}
 	for _, i := range d.elig {
-		d.SetSigma(i, 2)
+		d.setSigma(i, 2)
 	}
 	h := &d.e.heap
 	h.build(d.elig)
@@ -66,10 +66,10 @@ func oracleIteratedGreedy(d *Decision) {
 		}
 		pmax := d.sigmaNew[i] + d.avail
 		first := d.sigmaNew[i] + 2
-		improvable := d.Candidate(i, first) < d.tUc[i]
+		improvable := d.candidate(i, first) < d.tUc[i]
 		if !improvable && first < pmax && !d.skipDead(i, first+2, pmax) {
 			for cand := first + 2; cand <= pmax; cand += 2 {
-				if d.Candidate(i, cand) < d.tUc[i] {
+				if d.candidate(i, cand) < d.tUc[i] {
 					improvable = true
 					break
 				}
@@ -78,14 +78,14 @@ func oracleIteratedGreedy(d *Decision) {
 		if !improvable {
 			break
 		}
-		d.SetSigma(i, d.sigmaNew[i]+2)
+		d.setSigma(i, d.sigmaNew[i]+2)
 		h.fixTop()
 	}
 }
 
 // oracleShortestTasksFirst is Algorithm 4 (shortestTasksFirst).
 func oracleShortestTasksFirst(d *Decision) {
-	if !d.IsEligible(d.faulty) {
+	if !d.isEligible(d.faulty) {
 		return
 	}
 	oracleAbsorbAndSteal(d, d.faulty)
@@ -94,7 +94,7 @@ func oracleShortestTasksFirst(d *Decision) {
 // oracleArrivalSteal is the ArrivalSteal rule (arrivalSteal).
 func oracleArrivalSteal(d *Decision) {
 	for _, a := range d.arrived {
-		if !d.IsEligible(a) {
+		if !d.isEligible(a) {
 			continue
 		}
 		oracleAbsorbAndSteal(d, a)
@@ -107,9 +107,9 @@ func oracleAbsorbAndSteal(d *Decision, f int) {
 	for k >= 2 {
 		granted := 0
 		for q := 2; q <= k; q += 2 {
-			if tE := d.Candidate(f, d.sigmaNew[f]+q); tE < d.tUc[f] {
+			if tE := d.candidate(f, d.sigmaNew[f]+q); tE < d.tUc[f] {
 				granted = q
-				d.SetSigma(f, d.sigmaNew[f]+q)
+				d.setSigma(f, d.sigmaNew[f]+q)
 				break
 			}
 		}
@@ -125,8 +125,8 @@ func oracleAbsorbAndSteal(d *Decision, f int) {
 		}
 		improvable := false
 		for q := 2; q <= d.sigmaNew[s]-2; q += 2 {
-			tEf := d.Candidate(f, d.sigmaNew[f]+q)
-			tEs := d.Candidate(s, d.sigmaNew[s]-q)
+			tEf := d.candidate(f, d.sigmaNew[f]+q)
+			tEs := d.candidate(s, d.sigmaNew[s]-q)
 			if tEf < d.tUc[f] && tEs < d.tUc[f] {
 				improvable = true
 				break
@@ -135,8 +135,8 @@ func oracleAbsorbAndSteal(d *Decision, f int) {
 		if !improvable {
 			break
 		}
-		d.SetSigma(s, d.sigmaNew[s]-2)
-		d.SetSigma(f, d.sigmaNew[f]+2)
+		d.setSigma(s, d.sigmaNew[s]-2)
+		d.setSigma(f, d.sigmaNew[f]+2)
 		if d.tUc[s] > d.tUc[f] {
 			break
 		}
@@ -145,21 +145,21 @@ func oracleAbsorbAndSteal(d *Decision, f int) {
 
 // oracleEndProportional is the EndProportional rule (endProportional).
 func oracleEndProportional(d *Decision) {
-	elig := d.Eligible()
-	if d.Avail() < 2 || len(elig) == 0 {
+	elig := d.elig
+	if d.avail < 2 || len(elig) == 0 {
 		return
 	}
-	for d.Avail() >= 2 {
+	for d.avail >= 2 {
 		best := -1
 		var bestQ float64
 		for _, i := range elig {
-			w := d.TU(i) - d.Now()
+			w := d.tUc[i] - d.t
 			if w < 0 {
 				w = 0
 			}
-			granted := d.Sigma(i) - d.InitialSigma(i)
+			granted := d.sigmaNew[i] - d.sigmaInit[i]
 			q := w / float64(granted+1)
-			if d.Candidate(i, d.Sigma(i)+2) >= d.TU(i) {
+			if d.candidate(i, d.sigmaNew[i]+2) >= d.tUc[i] {
 				continue
 			}
 			if best < 0 || q > bestQ {
@@ -169,7 +169,7 @@ func oracleEndProportional(d *Decision) {
 		if best < 0 {
 			return
 		}
-		d.SetSigma(best, d.Sigma(best)+2)
+		d.setSigma(best, d.sigmaNew[best]+2)
 	}
 }
 

@@ -1,17 +1,15 @@
 package core_test
 
 // Tests of the policy tables: name stability for the paper's
-// combinations, round-tripping through PolicyByName, the name grammar,
-// and the Decision API safeguards every rule runs under.
+// combinations, round-tripping through PolicyByName and the name
+// grammar. The Decision safeguards every rule runs under are tested in
+// decision_test.go.
 
 import (
 	"strings"
 	"testing"
 
 	"cosched/internal/core"
-	"cosched/internal/failure"
-	"cosched/internal/rng"
-	"cosched/internal/workload"
 )
 
 // TestPaperPolicyNamesStable pins the Policy.String() spellings that
@@ -113,105 +111,4 @@ func TestRuleNamesWellFormed(t *testing.T) {
 			seen[name] = true
 		}
 	}
-}
-
-// proportionalInstance is a failure-heavy setup where EndProportional
-// has free processors to apportion.
-func proportionalInstance(t *testing.T) (core.Instance, workload.Spec) {
-	t.Helper()
-	spec := workload.Default()
-	spec.N = 10
-	spec.P = 60
-	spec.MTBFYears = 3
-	tasks, err := spec.Generate(rng.New(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.Instance{Tasks: tasks, P: spec.P, Res: spec.Resilience()}, spec
-}
-
-// TestEndProportionalRuns exercises the non-paper heuristic end to end
-// with Paranoia on: platform invariants hold after every event, the pack
-// completes, and the policy actually redistributes.
-func TestEndProportionalRuns(t *testing.T) {
-	in, spec := proportionalInstance(t)
-	src, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: spec.Lambda()}, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := core.Policy{OnEnd: core.EndProportional, OnFailure: core.FailIteratedGreedy}
-	res, err := core.Run(in, pol, src, core.Options{Paranoia: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan <= 0 {
-		t.Fatalf("suspicious makespan %v", res.Makespan)
-	}
-	if res.Counters.Redistributions == 0 {
-		t.Fatal("EndProportional never redistributed in a failure-heavy run")
-	}
-}
-
-// endAllToLongest is a deliberately naive end rule built purely on the
-// exported Decision API: it hands every free pair to the single longest
-// task unconditionally, with no candidate check.
-func endAllToLongest(d *core.Decision) {
-	elig := d.Eligible()
-	if len(elig) == 0 {
-		return
-	}
-	longest := elig[0]
-	for _, i := range elig {
-		if d.TU(i) > d.TU(longest) {
-			longest = i
-		}
-	}
-	for d.Avail() >= 2 {
-		d.SetSigma(longest, d.Sigma(longest)+2)
-	}
-}
-
-// TestExternalHeuristic runs the naive rule through a paranoid
-// simulation: the engine must keep processor conservation even though
-// the rule grows without candidate checks.
-func TestExternalHeuristic(t *testing.T) {
-	in, spec := proportionalInstance(t)
-	src, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: spec.Lambda()}, rng.New(78))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.RunWithEndRule(in, endAllToLongest, src, core.Options{Paranoia: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan <= 0 {
-		t.Fatalf("suspicious makespan %v", res.Makespan)
-	}
-}
-
-// endOversubscribe tries to claim more processors than exist; SetSigma
-// must panic rather than let the engine commit an impossible schedule.
-func endOversubscribe(d *core.Decision) {
-	elig := d.Eligible()
-	if len(elig) == 0 {
-		return
-	}
-	d.SetSigma(elig[0], 1<<20)
-}
-
-// TestDecisionOversubscribePanics verifies the conservation safeguard of
-// the exported Decision API.
-func TestDecisionOversubscribePanics(t *testing.T) {
-	in, spec := proportionalInstance(t)
-	src, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: spec.Lambda()}, rng.New(79))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversubscribing SetSigma did not panic")
-		}
-	}()
-	_, _ = core.RunWithEndRule(in, endOversubscribe, src, core.Options{})
-	t.Fatal("run with an oversubscribing rule completed")
 }

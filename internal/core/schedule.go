@@ -28,9 +28,7 @@ func InitialSchedule(in Instance) ([]int, error) {
 	s := NewSimulator()
 	s.in = in
 	s.resize(len(in.Tasks))
-	if err := s.initialSchedule(); err != nil {
-		return nil, err
-	}
+	s.initialSchedule()
 	return append([]int(nil), s.sigma0...), nil
 }
 

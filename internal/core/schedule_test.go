@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cosched/internal/model"
@@ -185,8 +186,8 @@ func BenchmarkInitialSchedule(b *testing.B) {
 
 // BenchmarkInitialScheduleCompiled is Algorithm 1 on compiled tables for
 // the hetero-sweep pack shape (n = 50, P = 600): every iteration runs the
-// schedule cold, as Reset does on a table its memo has not seen — the
-// per-unit cost of a sweep whose units each bring a fresh table.
+// schedule cold, as the first Reset on a table does, before it stores
+// the result — the per-unit cost of a sweep whose units each bring a fresh table.
 func BenchmarkInitialScheduleCompiled(b *testing.B) {
 	in := Instance{Tasks: synthPack(50, rng.New(6)), P: 600, Res: paperRes(10)}
 	c, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
@@ -200,8 +201,107 @@ func BenchmarkInitialScheduleCompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.initialSchedule(); err != nil {
-			b.Fatal(err)
+		e.initialSchedule()
+	}
+}
+
+// TestStoredScheduleFollowsRebuilds rebuilds one table in place for a
+// sequence of different packs: every Reset on it must run on the new
+// pack's Algorithm 1 result (ColdInitialSchedule over the rebuilt
+// table), never on the schedule stored for the previous pack, and the
+// Paranoia re-run of Algorithm 1 on the replicate Resets stays silent.
+func TestStoredScheduleFollowsRebuilds(t *testing.T) {
+	src := rng.New(41)
+	var c model.Compiled
+	sim := NewSimulator()
+	var prev []float64
+	changed := 0
+	for trial := 0; trial < 12; trial++ {
+		in := Instance{Tasks: synthPack(4+(trial/3)%2, src), P: 20 + 4*(trial%3), Res: paperRes(src.Uniform(1, 20))}
+		if err := c.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
+			t.Fatal(err)
+		}
+		in.Compiled = &c
+		wantSig, wantTU, _, err := ColdInitialSchedule(in, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 2; rep++ {
+			if err := sim.Reset(in, IGEndLocal, nil, Options{Paranoia: true}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range in.Tasks {
+				if s := sim.st[i]; s.sigma != wantSig[i] || math.Float64bits(s.tU) != math.Float64bits(wantTU[i]) {
+					t.Fatalf("trial %d rep %d: task %d starts at σ=%d, tU=%v; want σ₀=%d, tU=%v",
+						trial, rep, i, s.sigma, s.tU, wantSig[i], wantTU[i])
+				}
+			}
+			if _, err := sim.Run(); err != nil {
+				t.Fatalf("trial %d rep %d: %v", trial, rep, err)
+			}
+		}
+		if prev != nil && len(prev) == len(wantTU) && math.Float64bits(prev[0]) != math.Float64bits(wantTU[0]) {
+			changed++
+		}
+		prev = wantTU
+	}
+	if changed == 0 {
+		t.Fatal("no rebuild of equal size changed the schedule: the test cannot tell schedules apart")
+	}
+}
+
+// TestParanoiaCatchesStaleSchedule stores forged schedules on a fresh
+// table before the first Reset reads it: one tU one ulp off, and one σ₀
+// with a pair moved between two tasks. With Paranoia the re-run of
+// Algorithm 1 reports each and Run fails; without, nothing notices.
+func TestParanoiaCatchesStaleSchedule(t *testing.T) {
+	in := Instance{Tasks: synthPack(6, rng.New(3)), P: 40, Res: paperRes(5)}
+	probe, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma, tU, _, err := ColdInitialSchedule(in, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := -1
+	for i, s := range sigma {
+		if s >= 4 {
+			from = i
+		}
+	}
+	if from < 0 {
+		t.Fatal("no task holds two pairs: no σ₀ forgery")
+	}
+	forgeries := map[string]func(sig []int, tU []float64){
+		"tU": func(_ []int, tU []float64) { tU[0] = math.Nextafter(tU[0], math.Inf(1)) },
+		"σ₀": func(sig []int, _ []float64) { sig[from] -= 2; sig[(from+1)%len(sig)] += 2 },
+	}
+	for name, forge := range forgeries {
+		for _, paranoia := range []bool{false, true} {
+			c, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sig, u := append([]int(nil), sigma...), append([]float64(nil), tU...)
+			forge(sig, u)
+			c.StoreSchedule(sig, u)
+			shared := in
+			shared.Compiled = c
+			sim := NewSimulator()
+			if err := sim.Reset(shared, NoRedistribution, nil, Options{Paranoia: paranoia}); err != nil {
+				t.Fatal(err)
+			}
+			_, err = sim.Run()
+			if !paranoia {
+				if err != nil {
+					t.Fatalf("%s forgery without Paranoia: %v", name, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "stored schedule") {
+				t.Fatalf("%s forgery: err = %v, want the stored-schedule report", name, err)
+			}
 		}
 	}
 }

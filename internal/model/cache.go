@@ -102,9 +102,9 @@ func (e *CacheEntry) Compiled() *Compiled { return e.c }
 // allocations in [2, p] and answers every query bit-identically to a
 // Compile at p. p equal to the entry's P returns Compiled() itself; p
 // above it, or below 2, panics. Views are memoized per entry, so every
-// caller at one size shares one table ID (the engine's schedule memo
-// key). A view is not charged to the byte budget: it owns only its
-// per-task row metadata.
+// caller at one size shares one view and the initial schedule stored on
+// it. A view is not charged to the byte budget: it owns only its
+// per-task row metadata and its schedule slot.
 func (e *CacheEntry) View(p int) *Compiled {
 	c := e.c
 	if p == c.p {

@@ -65,7 +65,7 @@ func allColumns(c *Compiled) map[string][]float64 {
 	if c.res.FaultFree() {
 		return cols
 	}
-	for i := 0; i < c.NumTasks(); i++ {
+	for i := 0; i < len(c.tasks); i++ {
 		for _, f := range c.failRow(i, c.maxJ/2)[:c.maxJ/2] {
 			cols["tau"] = append(cols["tau"], f.tau)
 			cols["work"] = append(cols["work"], f.work)

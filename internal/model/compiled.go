@@ -43,7 +43,8 @@ func segOf(res Resilience, t Task) segKind {
 // fault-free table has none. Filling is the one thing a query writes,
 // and it publishes immutable row snapshots, so reads never see a cell
 // change. V_{i,j} = V_i/j is one division and is recomputed where it is
-// used.
+// used. Besides its two halves a table keeps the initial schedule of its
+// instance once one is stored (Schedule), until the next rebuild.
 //
 // A frozen Compiled — every table a Cache publishes, and both sides of a
 // RecompileDelta — may share its profile columns with other tables, so
@@ -84,16 +85,51 @@ type Compiled struct {
 	// fail holds the on-demand failure rows, shared with every view of
 	// the table; nil until the first fault-enabled build.
 	fail *failTable
-	// id names the table contents process-wide: every (re)build draws a
-	// fresh one from compiledIDs, so caches keyed on it (the engine's
-	// initial-schedule memo) can never serve values computed for a
-	// previous instance, and never keep the Compiled itself alive.
-	id     uint64
+	// sched holds the table's initial schedule once one is stored. Each
+	// table has its own, views included: it is emptied by every rebuild.
+	sched  *schedSlot
 	frozen bool // columns may be shared: in-place rebuilds panic
 }
 
-// compiledIDs hands out table-content IDs, starting at 1.
-var compiledIDs atomic.Uint64
+// Schedule is the initial schedule of a table's instance (Algorithm 1,
+// computed by internal/core): σ₀ and each task's expected finish time
+// t^R_{i,σ₀(i)}(1) under it. A stored Schedule is read-only.
+type Schedule struct {
+	Sigma []int
+	TU    []float64
+}
+
+// schedSlot publishes a table's Schedule once, through an atomic
+// pointer, as failure rows are (failrow.go). spare holds the schedule an
+// in-place rebuild emptied the slot of, whose arrays the next store
+// reuses.
+type schedSlot struct{ cur, spare atomic.Pointer[Schedule] }
+
+// clearSchedule empties c's schedule slot, creating it on first use.
+// Only a rebuild may call it: no reader can hold the schedule across it.
+func (c *Compiled) clearSchedule() {
+	if c.sched == nil {
+		c.sched = new(schedSlot)
+	} else if s := c.sched.cur.Swap(nil); s != nil {
+		c.sched.spare.Store(s)
+	}
+}
+
+// Schedule returns the initial schedule stored on the table, or nil.
+func (c *Compiled) Schedule() *Schedule { return c.sched.cur.Load() }
+
+// StoreSchedule stores a copy of σ₀ and tU as the table's initial
+// schedule unless one is stored already. It is safe from any goroutine:
+// every store on one table computes the same values, and the first wins.
+func (c *Compiled) StoreSchedule(sigma []int, tU []float64) {
+	s := c.sched.spare.Swap(nil)
+	if s == nil {
+		s = new(Schedule)
+	}
+	s.Sigma = append(s.Sigma[:0], sigma...)
+	s.TU = append(s.TU[:0], tU...)
+	c.sched.cur.CompareAndSwap(nil, s)
+}
 
 // mustMutate panics when c is frozen: its columns may be aliased by other
 // tables, so rebuilding it in place would rewrite them too.
@@ -166,7 +202,7 @@ func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) 
 		}
 	}
 	n := len(tasks)
-	c.id = compiledIDs.Add(1)
+	c.clearSchedule()
 	c.tasks = tasks
 	c.res = res
 	c.rc = rc
@@ -274,7 +310,7 @@ func (c *Compiled) view(p int) *Compiled {
 	v := *c
 	v.p = p
 	v.maxJ = p - p%2
-	v.id = compiledIDs.Add(1)
+	v.sched = new(schedSlot)
 	v.frozen = true
 	v.trow = make([]timeMeta, len(c.tasks))
 	for i, t := range c.tasks {
@@ -283,9 +319,6 @@ func (c *Compiled) view(p int) *Compiled {
 	}
 	return &v
 }
-
-// NumTasks returns the number of tasks covered by the tables.
-func (c *Compiled) NumTasks() int { return len(c.tasks) }
 
 // Matches reports whether the compiled tables were built for exactly this
 // instance. Task identity is the slice header (same backing array), not
@@ -300,17 +333,6 @@ func (c *Compiled) Matches(tasks []Task, res Resilience, rc CostModel, p int) bo
 
 // Tasks returns the task slice the tables were built for (read-only).
 func (c *Compiled) Tasks() []Task { return c.tasks }
-
-// Res returns the resilience parameters the tables were built for.
-func (c *Compiled) Res() Resilience { return c.res }
-
-// P returns the platform size the tables cover.
-func (c *Compiled) P() int { return c.p }
-
-// ID returns the table-content identity: a process-unique value drawn
-// afresh by every Recompile and RecompileDelta (and by every view), so
-// equal IDs mean the same table contents, whichever Compiled holds them.
-func (c *Compiled) ID() uint64 { return c.id }
 
 // cell returns the column index of (task i, even allocation j); callers
 // guarantee 2 ≤ j ≤ maxJ and j even (the simulator's buddy invariant).

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -71,7 +72,7 @@ func fillAll(c *Compiled) {
 	if c.res.FaultFree() {
 		return
 	}
-	for i := 0; i < c.NumTasks(); i++ {
+	for i := 0; i < len(c.tasks); i++ {
 		c.failRow(i, c.maxJ/2)
 	}
 }
@@ -317,6 +318,88 @@ func TestRecompileReusesArenas(t *testing.T) {
 	want := cases[2].res.ExpectedTimeRaw(task, 8, 0.5)
 	if got := c.RawAt(1, 8, 0.5); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("recompiled tables serve stale values: %v != %v", got, want)
+	}
+}
+
+// TestScheduleSlotEmptiedByRebuilds pins the stored-schedule slot: a
+// build starts with none, the first store wins, an in-place Recompile
+// empties the slot and the next store reuses its arrays, and a delta
+// build starts empty while its base keeps its own schedule.
+func TestScheduleSlotEmptiedByRebuilds(t *testing.T) {
+	cases := compiledCases()
+	var c Compiled
+	if err := c.Recompile(cases[0].tasks, cases[0].res, CostModel{}, 32); err != nil {
+		t.Fatal(err)
+	}
+	if c.Schedule() != nil {
+		t.Fatal("a fresh build holds a schedule")
+	}
+	c.StoreSchedule([]int{2, 4}, []float64{1, 2})
+	c.StoreSchedule([]int{6, 8}, []float64{3, 4})
+	first := c.Schedule()
+	if first == nil || first.Sigma[0] != 2 || first.TU[1] != 2 {
+		t.Fatalf("stored schedule %+v, want the first store's", first)
+	}
+	if err := c.Recompile(cases[2].tasks, cases[2].res, CostModel{}, 32); err != nil {
+		t.Fatal(err)
+	}
+	if c.Schedule() != nil {
+		t.Fatal("Recompile kept the previous instance's schedule")
+	}
+	sigma, tU := &first.Sigma[0], &first.TU[0]
+	c.StoreSchedule([]int{10, 12}, []float64{5, 6})
+	if s := c.Schedule(); &s.Sigma[0] != sigma || &s.TU[0] != tU || s.Sigma[1] != 12 {
+		t.Fatalf("the store after a rebuild did not reuse the slot's arrays: %+v", s)
+	}
+
+	base, err := Compile(cases[1].tasks, cases[1].res, CostModel{}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.StoreSchedule([]int{2}, []float64{1})
+	var d Compiled
+	if err := d.Recompile(cases[1].tasks, cases[1].res, CostModel{}, 32); err != nil {
+		t.Fatal(err)
+	}
+	d.StoreSchedule([]int{4}, []float64{2})
+	target := Resilience{Lambda: cases[1].res.Lambda, Downtime: cases[1].res.Downtime * 2}
+	if delta, err := d.RecompileDelta(base, cases[1].tasks, target, CostModel{}, 32); err != nil || !delta {
+		t.Fatalf("delta=%v err=%v", delta, err)
+	}
+	if d.Schedule() != nil {
+		t.Fatal("RecompileDelta kept the previous instance's schedule")
+	}
+	if s := base.Schedule(); s == nil || s.Sigma[0] != 2 {
+		t.Fatalf("the delta base lost its schedule: %+v", s)
+	}
+}
+
+// TestScheduleStoreConcurrent stores and reads one table's schedule
+// from several goroutines at once, as workers sharing a cached table do:
+// every reader sees the one schedule the first store published.
+func TestScheduleStoreConcurrent(t *testing.T) {
+	tc := compiledCases()[0]
+	c, err := Compile(tc.tasks, tc.res, CostModel{}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*Schedule, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c.Schedule() == nil {
+				c.StoreSchedule([]int{2, 2 * g}, []float64{1, float64(g)})
+			}
+			got[g] = c.Schedule()
+		}()
+	}
+	wg.Wait()
+	for g, s := range got {
+		if s == nil || s != got[0] || s.TU[1] != float64(s.Sigma[1]/2) {
+			t.Fatalf("goroutine %d read %+v, want the one published schedule %+v", g, s, got[0])
+		}
 	}
 }
 

@@ -115,9 +115,10 @@ func (c *Compiled) RecompileDelta(base *Compiled, tasks []Task, res Resilience, 
 		tasks: tasks, res: res, rc: rc, p: p,
 		maxJ: base.maxJ, stride: base.stride,
 		tj: base.tj, ck: base.ck, data: base.data, trow: base.trow, seg: base.seg,
-		id:     compiledIDs.Add(1),
+		sched:  c.sched,
 		frozen: true,
 	}
+	c.clearSchedule()
 	if res.SilentActive() != base.res.SilentActive() {
 		// seg depends on (λ_s, V) and the pack is the base's.
 		c.seg = make([]segKind, len(tasks))

@@ -35,7 +35,7 @@ func TestCacheConcurrentLazyFill(t *testing.T) {
 					var one [1]float64
 					for it := 0; it < 1500; it++ {
 						c := tables[src.Intn(len(tables))]
-						i := src.Intn(c.NumTasks())
+						i := src.Intn(len(c.tasks))
 						j := 2 * (1 + src.Intn(c.maxJ/2))
 						alpha := compiledAlphas[src.Intn(len(compiledAlphas))]
 						task := tc.tasks[i]

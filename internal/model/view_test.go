@@ -69,7 +69,7 @@ func poisonTails(c *Compiled, p int) {
 		return
 	}
 	nan := math.NaN()
-	for i := 0; i < c.NumTasks(); i++ {
+	for i := 0; i < len(c.tasks); i++ {
 		row := c.failRow(i, c.maxJ/2)
 		for k := w; k < len(row); k++ {
 			row[k] = failCell{tau: nan, work: nan, lj: nan, prefac: nan, expPer: nan}
@@ -88,7 +88,7 @@ func sameAnswers(t *testing.T, name string, want, got *Compiled, p int) {
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	width := p/2 + 3
 	wRow, gRow := make([]float64, width), make([]float64, width)
-	for i := 0; i < want.NumTasks(); i++ {
+	for i := 0; i < len(want.tasks); i++ {
 		for j := 1; j <= p+4; j++ {
 			for q, pr := range [][2]float64{
 				{want.Time(i, j), got.Time(i, j)},
@@ -169,7 +169,7 @@ func TestViewMatchesCompile(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := big.view(p)
-			if !v.Matches(tasks, res, rc, p) || v.P() != p {
+			if !v.Matches(tasks, res, rc, p) || v.p != p {
 				t.Fatalf("trial %d: view at %d of P=%d does not match its instance", trial, p, bigP)
 			}
 			sameAnswers(t, "trial", want, v, p)
@@ -179,7 +179,8 @@ func TestViewMatchesCompile(t *testing.T) {
 
 // TestCacheEntryView pins View's memo and identity rules: the entry's
 // own size returns its table, each smaller size one memoized frozen
-// view with its own table ID, and a larger size panics.
+// view, a table of its own with its own schedule slot, and a larger size
+// panics.
 func TestCacheEntryView(t *testing.T) {
 	src := rng.New(7)
 	const bigP = 40
@@ -194,16 +195,20 @@ func TestCacheEntryView(t *testing.T) {
 	if e.View(bigP) != e.Compiled() {
 		t.Fatal("View at the entry's own P is not the entry's table")
 	}
-	ids := map[uint64]int{e.Compiled().ID(): bigP}
+	sizes := map[*Compiled]int{e.Compiled(): bigP}
 	for _, p := range []int{2, 7, 18, 39} {
 		v := e.View(p)
 		if e.View(p) != v {
 			t.Fatalf("View(%d) is not memoized", p)
 		}
-		if q, dup := ids[v.ID()]; dup {
-			t.Fatalf("View(%d) shares table ID %d with size %d", p, v.ID(), q)
+		if q, dup := sizes[v]; dup {
+			t.Fatalf("View(%d) is the table of size %d", p, q)
 		}
-		ids[v.ID()] = p
+		sizes[v] = p
+		if v.Schedule() != nil {
+			t.Fatalf("View(%d) starts with a stored schedule", p)
+		}
+		v.StoreSchedule([]int{p}, []float64{float64(p)})
 		want, err := Compile(tasks, res, CostModel{}, p)
 		if err != nil {
 			t.Fatal(err)
@@ -217,6 +222,14 @@ func TestCacheEntryView(t *testing.T) {
 			}()
 			_ = v.Recompile(tasks, res, CostModel{}, p)
 		}()
+	}
+	if e.Compiled().Schedule() != nil {
+		t.Fatal("a schedule stored on a view reached the entry's table")
+	}
+	for v, p := range sizes {
+		if s := v.Schedule(); v != e.Compiled() && (s == nil || s.Sigma[0] != p) {
+			t.Fatalf("View(%d) holds schedule %+v, want its own", p, s)
+		}
 	}
 	if st := ch.Stats(); st.Hits != 0 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("views touched the cache: %+v", st)

@@ -220,6 +220,15 @@ func (q *Queue) Peek() (Event, bool) {
 	return q.h[0], true
 }
 
+// TaskEnd returns the tracked end event of a task — the one UpdateTask
+// scheduled and neither a pop nor RemoveTask has taken out — if any.
+func (q *Queue) TaskEnd(task int) (Event, bool) {
+	if task >= len(q.pos) || q.pos[task] < 0 {
+		return Event{}, false
+	}
+	return q.h[q.pos[task]], true
+}
+
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.h) }
 

@@ -208,3 +208,34 @@ func TestQueueEqualTimestampInterleave(t *testing.T) {
 		t.Fatalf("KindSubmit renders as %q", k)
 	}
 }
+
+// TestTaskEndTracksUpdates: TaskEnd reports the end event UpdateTask
+// last scheduled for a task, wherever sifting moved it, and nothing once
+// a pop, RemoveTask or Reset has taken it out.
+func TestTaskEndTracksUpdates(t *testing.T) {
+	var q Queue
+	for i, tm := range []float64{5, 3, 9, 1} {
+		q.UpdateTask(Event{Time: tm, Kind: KindTaskEnd, Task: i})
+	}
+	q.Push(Event{Time: 2, Kind: KindSubmit, Task: 0})
+	q.UpdateTask(Event{Time: 0.5, Kind: KindTaskEnd, Task: 2})
+	for i, want := range []float64{5, 3, 0.5, 1} {
+		if ev, ok := q.TaskEnd(i); !ok || ev.Time != want || ev.Task != i {
+			t.Fatalf("task %d: TaskEnd = %+v, %v; want its event at %v", i, ev, ok, want)
+		}
+	}
+	q.Pop() // task 2's event
+	q.RemoveTask(1)
+	for _, i := range []int{1, 2, 7} {
+		if ev, ok := q.TaskEnd(i); ok {
+			t.Fatalf("task %d: TaskEnd = %+v after its event left the queue", i, ev)
+		}
+	}
+	if ev, ok := q.TaskEnd(0); !ok || ev.Time != 5 {
+		t.Fatalf("task 0: TaskEnd = %+v, %v; want its event at 5", ev, ok)
+	}
+	q.Reset()
+	if _, ok := q.TaskEnd(0); ok {
+		t.Fatal("TaskEnd reports an event after Reset")
+	}
+}

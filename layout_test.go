@@ -1,6 +1,7 @@
 package cosched
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -110,6 +111,141 @@ func TestDocTablesNameExistingPackages(t *testing.T) {
 			if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
 				t.Errorf("%s names %s, which does not exist", c.file, m[1])
 			}
+		}
+	}
+}
+
+// removedIdentifiers are names DESIGN.md or README.md cite as removed:
+// they stay in the record without occurring in the code.
+var removedIdentifiers = map[string]bool{
+	"Options.Parallel":    true,
+	"BenchmarkCompile":    true,
+	"BenchmarkCompiledAt": true,
+}
+
+// docIdentifier matches a backticked camelCase Go identifier or a
+// backticked Type.Member reference, with an optional call suffix. A
+// Type has a lower-case letter, so file names such as `PAPER.md` are no
+// references.
+var docIdentifier = regexp.MustCompile("`((?:[A-Za-z_][A-Za-z0-9_]*[a-z0-9][A-Z][A-Za-z0-9_]*)|(?:[A-Z][A-Z0-9_]*[a-z][A-Za-z0-9_]*\\.[A-Za-z_][A-Za-z0-9_]*))(?:\\(\\))?`")
+
+// goIdentifiers returns every identifier and string literal of every Go
+// file in the repository (a policy rule's name is a string), and the
+// Type.Member pairs the files declare: methods by receiver type, and
+// struct fields and interface methods by type.
+func goIdentifiers(t *testing.T) (idents, members map[string]bool) {
+	t.Helper()
+	idents, members = map[string]bool{}, map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				idents[n.Name] = true
+			case *ast.BasicLit:
+				if v, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil {
+					idents[v] = true
+				}
+			case *ast.FuncDecl:
+				if n.Recv != nil && len(n.Recv.List) == 1 {
+					if recv := receiverType(n.Recv.List[0].Type); recv != "" {
+						members[recv+"."+n.Name.Name] = true
+					}
+				}
+			case *ast.TypeSpec:
+				var fields *ast.FieldList
+				switch x := n.Type.(type) {
+				case *ast.StructType:
+					fields = x.Fields
+				case *ast.InterfaceType:
+					fields = x.Methods
+				default:
+					return true
+				}
+				for _, fld := range fields.List {
+					for _, name := range fld.Names {
+						members[n.Name.Name+"."+name.Name] = true
+					}
+					if len(fld.Names) == 0 { // embedded: the type's own name
+						members[n.Name.Name+"."+receiverType(fld.Type)] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idents, members
+}
+
+// receiverType returns the type name of a receiver or embedded field
+// expression: T, *T, T[P], pkg.T.
+func receiverType(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.StarExpr:
+		return receiverType(x.X)
+	case *ast.IndexExpr:
+		return receiverType(x.X)
+	case *ast.IndexListExpr:
+		return receiverType(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
+}
+
+// TestDocIdentifiersExist fails when DESIGN.md or README.md cites, in
+// backticks, a camelCase identifier that no Go file contains, or a
+// Type.Member that no Go file declares: the docs must describe the code
+// as it is. Names the docs record as removed are listed in
+// removedIdentifiers, and each must still be cited.
+func TestDocIdentifiersExist(t *testing.T) {
+	idents, members := goIdentifiers(t)
+	cited := map[string]bool{}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docIdentifier.FindAllStringSubmatch(string(raw), -1) {
+			name := m[1]
+			if removedIdentifiers[name] {
+				cited[name] = true
+				continue
+			}
+			if strings.Contains(name, ".") {
+				if !members[name] {
+					t.Errorf("%s cites `%s`, which no Go file declares", doc, name)
+				}
+			} else if !idents[name] {
+				t.Errorf("%s cites `%s`, which occurs in no Go file", doc, name)
+			}
+		}
+	}
+	for name := range removedIdentifiers {
+		if !cited[name] {
+			t.Errorf("removedIdentifiers lists `%s`, which no doc cites", name)
 		}
 	}
 }
