@@ -355,9 +355,6 @@ func (e *Simulator) initialSchedule() {
 // table: it re-runs Algorithm 1 and records the first bit mismatch in
 // σ₀ or tU as the error check (and so Run) returns.
 func (e *Simulator) checkSchedule(sched *model.Schedule) {
-	if e.paranoidErr != nil {
-		return
-	}
 	e.initialSchedule()
 	for i, sig := range e.sigma0[:len(e.in.Tasks)] {
 		tU := e.d.evals[i].At(sig)
