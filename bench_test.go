@@ -396,9 +396,9 @@ func BenchmarkCampaignThroughputHeterogeneous(b *testing.B) {
 }
 
 // BenchmarkCampaignThroughputHeterogeneousNoCache is the same sweep
-// with the cache disabled — every unit recompiles its tables and
-// re-derives its schedule privately, the pre-cache baseline the
-// speedup is quoted against.
+// with the cache disabled — every unit runs on the simulator's own
+// table, recompiled and re-scheduled whenever the unit's instance
+// changes, the uncached baseline the speedup is quoted against.
 func BenchmarkCampaignThroughputHeterogeneousNoCache(b *testing.B) {
 	b.Setenv("COSCHED_MODEL_CACHE", "off")
 	sp := heterogeneousSweepSpec()

@@ -280,7 +280,8 @@ func realMain(args []string, stdout, stderr io.Writer) error {
 		sp.Name, res.Units(), elapsed.Round(time.Millisecond), float64(res.Units())/elapsed.Seconds())
 	// One-line compiled-model cache summary. Silent when the cache saw no
 	// traffic (COSCHED_MODEL_CACHE=off, or a spec whose tables never reach
-	// the shared cache), so pre-cache output is byte-identical.
+	// the shared cache: online units and incomparable profiles run on the
+	// simulator's own table), so uncached output carries no such line.
 	if cacheDelta.Hits+cacheDelta.Misses > 0 {
 		fmt.Fprintf(stdout, "model cache: %d hits / %d misses (%d delta, %d full builds), %d evictions, %s resident in %d entries\n",
 			cacheDelta.Hits, cacheDelta.Misses, cacheDelta.DeltaBuilds, cacheDelta.FullBuilds,

@@ -10,17 +10,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"cosched/internal/dist"
 )
 
 func main() {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "campaignw: "+format+"\n", args...)
-	}
-	if err := dist.WorkerMain(os.Stdin, os.Stdout, dist.WorkerConfig{Logf: logf}); err != nil {
-		logf("%v", err)
+	if err := realMain(os.Stdin, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "campaignw: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// realMain serves one coordinator connection on stdin/stdout until
+// shutdown or EOF, logging worker diagnostics to stderr.
+func realMain(stdin io.Reader, stdout, stderr io.Writer) error {
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, "campaignw: "+format+"\n", args...)
+	}
+	return dist.WorkerMain(stdin, stdout, dist.WorkerConfig{Logf: logf})
 }

@@ -380,8 +380,9 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 }
 
 // workerState is the per-goroutine arena of the campaign: a reusable
-// simulator, a reusable renewal fault generator, reseedable RNG streams,
-// compiled-model arenas, and the per-unit makespan buffer. Nothing here
+// simulator (which owns the compiled table of every unit the model
+// cache does not serve), a reusable renewal fault generator, reseedable
+// RNG streams, and the per-unit makespan buffer. Nothing here
 // is shared between workers, and everything is reset in place between
 // units.
 type workerState struct {
@@ -396,15 +397,6 @@ type workerState struct {
 	faultRNG *rng.Source
 	arrRNG   *rng.Source
 	out      []float64
-	// comp/compFF are the per-unit compiled instance models (failure
-	// parameters on / off) for when the compiled-model cache cannot serve
-	// the unit, rebuilt in place once per unit and shared by every policy
-	// of the unit. Units served by the cache leave them untouched, and so
-	// do online units: the simulator compiles its own table over the base
-	// pack and the unit's arrivals there, once per unit, and every policy
-	// of the unit reuses it.
-	comp   model.Compiled
-	compFF model.Compiled
 	// shard, when non-nil, is this worker's telemetry shard; observer is
 	// the same shard's SimMetrics behind the core.RunObserver interface,
 	// kept separately so a metrics-off worker passes a genuinely nil
@@ -424,9 +416,9 @@ func newWorkerState() *workerState {
 
 // workerStatePool recycles worker arenas across campaign executions.
 // Every arena is reset in place per unit anyway (reseeded RNGs,
-// recompiled tables, simulator Reset), so a recycled state is
-// indistinguishable from a fresh one — but its warmed-up buffers
-// (simulator slabs, compiled-table columns, the renewal heap) survive,
+// simulator Reset), so a recycled state is indistinguishable from a
+// fresh one — but its warmed-up buffers (simulator slabs and its own
+// table's columns, the renewal heap) survive,
 // which matters for drivers that run many short campaigns back to back
 // (adaptive batches, cmd/bench, parameter sweeps).
 var workerStatePool = sync.Pool{New: func() any { return newWorkerState() }}
@@ -459,19 +451,28 @@ func (ws *workerState) bind(m *obs.Campaign, w int) {
 	ws.attach(m.Shard(w))
 }
 
+// unitTable is one compiled table of a unit as the model cache served
+// it: the entry backing it, the view at the unit's P (nil when the cache
+// refused), and whether the unit already asked.
+type unitTable struct {
+	entry *model.CacheEntry
+	cm    *model.Compiled
+	tried bool
+}
+
 // runUnit executes every policy of one (point pi, replicate) cell on the
 // worker's persistent arena. The unit derives its streams purely from
 // (seed, pack class, replicate) for the task draw and (seed, point
 // index, replicate) for faults and arrivals, so any shard computes
 // identical numbers, and all policies share the task draw, the
 // fault-stream seed and — online — the arrival schedule (common random
-// numbers). The compiled instance model is resolved once per unit —
-// from the campaign's compiled-model cache when enabled, as a view at
-// the unit's P of the table compiled at its pack class's cover, else
-// built at P on the worker's private arena — and reused by every
-// policy; online units instead let the simulator compile its own table
-// over the pack and the unit's arrivals, which every policy of the unit
-// reuses. The returned slice holds metricsPerPolicy values per policy
+// numbers). Each of the unit's two compiled tables (fault-enabled and
+// fault-free) is acquired from the campaign's compiled-model cache at
+// most once per unit, as a view at the unit's P of the table compiled
+// at its pack class's cover, and reused by every policy that needs it.
+// Units the cache cannot serve, and online units, pass no table: the
+// simulator compiles its own at P and keeps it while the instance is
+// unchanged. The returned slice holds metricsPerPolicy values per policy
 // (metric-major within a policy) and is reused by the next unit of this
 // worker; callers copy what they keep.
 func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64, error) {
@@ -515,11 +516,13 @@ func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64,
 		ws.out = make([]float64, len(policies)*nm)
 	}
 	out := ws.out[:len(policies)*nm]
-	var cm, cmFF *model.Compiled         // the unit's compiled models, resolved lazily
-	var entry, entryFF *model.CacheEntry // cache references backing cm/cmFF, if any
+	// The unit's cache-served tables, fault-enabled and fault-free,
+	// indexed by PolicySpec.FaultFree and resolved by the first policy
+	// that needs each.
+	var tabs [2]unitTable
 	defer func() {
-		entry.Release()
-		entryFF.Release()
+		tabs[0].entry.Release()
+		tabs[1].entry.Release()
 	}()
 	var unitLaw failure.Law // set by the unit's first fault-enabled policy
 	for qi, pol := range policies {
@@ -556,46 +559,31 @@ func (ws *workerState) runUnit(p *plan, pi, rep int, um *unitModels) ([]float64,
 			src = &ws.replay
 		}
 		in := core.Instance{Tasks: tasks, P: runSpec.P, Res: runSpec.Resilience(), Arrivals: arrivals}
-		switch {
-		case online:
-			// The simulator compiles the pack and the arrivals into its
-			// own table; a shared handle is rejected by Reset.
-		case pol.FaultFree:
-			if cmFF == nil {
-				if e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, um.covers[pt.Index]); err != nil {
+		// Online units always run on the simulator's own table (a shared
+		// handle is rejected by Reset), as does a unit the cache cannot
+		// serve (cache off, incomparable profiles): the simulator compiles
+		// the instance at P and keeps it while the instance is unchanged.
+		if !online {
+			t := &tabs[0]
+			if pol.FaultFree {
+				t = &tabs[1]
+			}
+			if !t.tried {
+				t.tried = true
+				e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, um.covers[pt.Index])
+				if err != nil {
 					return nil, err
-				} else if e != nil {
-					entryFF, cmFF = e, e.View(in.P)
-				} else {
-					// No cache (disabled, or incomparable profiles): build
-					// on the private arena. A fault-free table is its
-					// profile columns alone.
-					if err := ws.compFF.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
-						return nil, err
-					}
-					cmFF = &ws.compFF
+				}
+				if e != nil {
+					t.entry, t.cm = e, e.View(in.P)
 				}
 			}
-			// A cache hit may carry a content-equal pack from an earlier
-			// campaign; adopting its canonical task slice keeps the
-			// engine's slice-identity check (Compiled.Matches) exact.
-			in.Tasks = cmFF.Tasks()
-			in.Compiled = cmFF
-		default:
-			if cm == nil {
-				if e, err := um.cache.Acquire(in.Tasks, in.Res, in.RC, um.covers[pt.Index]); err != nil {
-					return nil, err
-				} else if e != nil {
-					entry, cm = e, e.View(in.P)
-				} else {
-					if err := ws.comp.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
-						return nil, err
-					}
-					cm = &ws.comp
-				}
+			if t.cm != nil {
+				// A cache hit may carry a content-equal pack from an
+				// earlier campaign; adopting its task slice keeps the
+				// engine's slice-identity check (Compiled.Matches) exact.
+				in.Tasks, in.Compiled = t.cm.Tasks(), t.cm
 			}
-			in.Tasks = cm.Tasks()
-			in.Compiled = cm
 		}
 		if err := ws.simulator.Reset(in, pol.Policy, src, core.Options{Semantics: p.semantics, Observer: ws.observer}); err != nil {
 			return nil, err

@@ -284,14 +284,20 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 // TestModelCacheEquivalence pins the compiled-model cache's whole
 // contract: with the cache enabled (a fresh injected cache, so no state
 // leaks between subtests) the campaign's JSONL must be byte-identical to
-// the cache-disabled per-unit compile path — for homogeneous and
-// heterogeneous workloads, fixed and adaptive runners, speculative
-// adaptive scheduling, and several worker counts.
+// the cache-disabled path, where every unit runs on the simulator's own
+// table — for homogeneous and heterogeneous workloads, fixed and
+// adaptive runners, speculative adaptive scheduling, and several worker
+// counts. The interleaved variant alternates fault-free and
+// fault-enabled policies within each unit, so the uncached run must
+// rebuild and re-schedule the simulator's own table at every policy.
 func TestModelCacheEquivalence(t *testing.T) {
-	for _, homog := range []bool{false, true} {
+	for _, variant := range []string{"hetero", "homog", "interleaved"} {
 		sp := testSpec()
-		if homog {
+		switch variant {
+		case "homog":
 			sp.Workload.MInf = sp.Workload.MSup
+		case "interleaved":
+			sp.Policies = []string{"ff-el", "norc", "ff-norc", "ig-el"}
 		}
 		run := func(opt Options, adaptive bool) string {
 			s := sp
@@ -317,15 +323,15 @@ func TestModelCacheEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				cache := model.NewCache(0)
 				if got := run(Options{Workers: workers, ModelCache: cache}, adaptive); got != want {
-					t.Fatalf("homog=%v adaptive=%v workers=%d: model cache changes results", homog, adaptive, workers)
+					t.Fatalf("%s adaptive=%v workers=%d: model cache changes results", variant, adaptive, workers)
 				}
 				if s := cache.Stats(); s.Hits == 0 {
-					t.Fatalf("homog=%v adaptive=%v workers=%d: cache never hit (stats %+v)", homog, adaptive, workers, s)
+					t.Fatalf("%s adaptive=%v workers=%d: cache never hit (stats %+v)", variant, adaptive, workers, s)
 				}
 				if adaptive {
 					// 4 points × batch 2 = 8 < 8+workers slots: speculative.
 					if got := run(Options{Workers: 8 + workers, ModelCache: cache}, true); got != want {
-						t.Fatalf("homog=%v workers=%d: speculation with model cache changes results", homog, workers)
+						t.Fatalf("%s workers=%d: speculation with model cache changes results", variant, workers)
 					}
 				}
 			}

@@ -1,9 +1,9 @@
-// Compiled-model sharing across campaign units: pack classes, pack
-// interning, and the process-global content-addressed cache of compiled
-// instance models (model.Cache). Packs are canonicalized by content and
-// compiled tables are shared across every point, replicate and campaign
-// that provably needs the same tables — with bit-identical results by
-// construction (see DESIGN.md §15).
+// Compiled-model sharing across campaign units: pack classes, the
+// per-campaign pack memo, and the process-global content-addressed
+// cache of compiled instance models (model.Cache). Compiled tables are
+// shared across every point, replicate and campaign that provably needs
+// the same tables — with bit-identical results by construction (see
+// DESIGN.md §15).
 package campaign
 
 import (
@@ -124,20 +124,17 @@ func classCovers(points []scenario.RunPoint, classes []int) []int {
 
 // unitModels is the campaign-scoped model-sharing state handed to every
 // worker: the pack-class and cover tables, a memo of generated packs
-// keyed by (class, replicate), an intern table canonicalizing
-// content-equal packs to one slice, and the compiled-model cache (nil
-// when disabled). Interning is what makes the cache's pointer fast path
-// fire: every unit over the same pack content holds the same
-// []model.Task header, so a cache probe compares one pointer instead of
-// the pack.
+// keyed by (class, replicate), and the compiled-model cache (nil when
+// disabled). Every unit of a (class, replicate) holds the memo's one
+// []model.Task, so its cache probes take the same-slice fast path and
+// the simulator's own table survives from unit to unit.
 type unitModels struct {
 	cache   *model.Cache
 	classes []int
 	covers  []int
 
-	mu       sync.Mutex
-	packs    map[packKey][]model.Task
-	interned map[uint64][][]model.Task
+	mu    sync.Mutex
+	packs map[packKey][]model.Task
 }
 
 type packKey struct{ class, rep int }
@@ -145,15 +142,14 @@ type packKey struct{ class, rep int }
 func newUnitModels(points []scenario.RunPoint, cache *model.Cache) *unitModels {
 	classes := packClasses(points)
 	return &unitModels{
-		cache:    cache,
-		classes:  classes,
-		covers:   classCovers(points, classes),
-		packs:    make(map[packKey][]model.Task),
-		interned: make(map[uint64][][]model.Task),
+		cache:   cache,
+		classes: classes,
+		covers:  classCovers(points, classes),
+		packs:   make(map[packKey][]model.Task),
 	}
 }
 
-// packFor returns the canonical task pack of (point pi, replicate rep),
+// packFor returns the memoised task pack of (point pi, replicate rep),
 // generating it on first use from the point's class stream. genSpec is
 // the caller's already-validated generation spec (the point's workload
 // with the fault fields zeroed for fault-free-only scenarios); points
@@ -183,24 +179,6 @@ func (um *unitModels) packFor(ws *workerState, seed uint64, genSpec workload.Spe
 	if cached, ok := um.packs[key]; ok {
 		return cached, nil
 	}
-	tasks = um.internLocked(tasks)
 	um.packs[key] = tasks
 	return tasks, nil
-}
-
-// internLocked canonicalizes a pack by content: content-equal packs
-// (homogeneous replicates, coinciding draws) collapse to the first
-// slice seen. Packs with incomparable profiles pass through unchanged.
-func (um *unitModels) internLocked(tasks []model.Task) []model.Task {
-	fp, ok := model.PackFingerprint(tasks)
-	if !ok {
-		return tasks
-	}
-	for _, cand := range um.interned[fp] {
-		if eq, ok := model.PacksEqual(cand, tasks); ok && eq {
-			return cand
-		}
-	}
-	um.interned[fp] = append(um.interned[fp], tasks)
-	return tasks
 }

@@ -485,7 +485,7 @@ func (f *flakySpawner) Spawn(slot int) (*dist.WorkerProc, error) {
 }
 
 // TestGracefulDegradation wires a seat that can never spawn: the
-// coordinator must retire it after MaxSpawnAttempts backed-off tries
+// coordinator must retire it after three backed-off tries
 // and finish the campaign on the remaining workers, golden bytes
 // intact.
 func TestGracefulDegradation(t *testing.T) {

@@ -15,6 +15,11 @@ import (
 	"cosched/internal/scenario"
 )
 
+// maxSpawnAttempts retires a worker seat after this many consecutive
+// failures to produce a ready worker: the campaign degrades to fewer
+// workers instead of respawning forever.
+const maxSpawnAttempts = 3
+
 // Options tunes a distributed campaign run.
 type Options struct {
 	// Workers is the worker-process seat count (0 = 3).
@@ -24,21 +29,14 @@ type Options struct {
 	// overhead.
 	LeaseUnits int
 	// LeaseTTL is how long a lease lives without renewal before the
-	// coordinator declares its worker dead (0 = 10s). Heartbeats renew
-	// the holder's lease, so the TTL only fires for hung or dead
-	// workers.
+	// coordinator declares its worker dead (0 = 10s). Workers are told
+	// to heartbeat every LeaseTTL/3, and heartbeats renew the holder's
+	// lease, so the TTL only fires for hung or dead workers.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the cadence workers are told to beat at
-	// (0 = LeaseTTL/3).
-	HeartbeatEvery time.Duration
 	// MaxUnitRetries quarantines a unit blamed for this many lease
 	// losses (0 = 3): it is reported in the final error, never allowed
 	// to kill another worker.
 	MaxUnitRetries int
-	// MaxSpawnAttempts retires a worker seat after this many consecutive
-	// failures to produce a ready worker (0 = 3) — the campaign degrades
-	// to fewer workers instead of respawning forever.
-	MaxSpawnAttempts int
 	// Clock is the time source (nil = wall clock; the chaos harness
 	// shares one fake across coordinator and workers).
 	Clock clock.Clock
@@ -82,14 +80,8 @@ func (o *Options) fillDefaults() error {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
 	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = o.LeaseTTL / 3
-	}
 	if o.MaxUnitRetries <= 0 {
 		o.MaxUnitRetries = 3
-	}
-	if o.MaxSpawnAttempts <= 0 {
-		o.MaxSpawnAttempts = 3
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
@@ -301,7 +293,7 @@ func (c *coordinator) fail(err error) {
 
 // spawn fills one worker seat, pacing repeated failures through the
 // per-seat backoff and retiring the seat — graceful degradation — once
-// MaxSpawnAttempts consecutive attempts produced no ready worker.
+// maxSpawnAttempts consecutive attempts produced no ready worker.
 func (c *coordinator) spawn(slot int) {
 	w := c.workers[slot]
 	if w.retired || w.alive || c.err != nil || c.tr.Done() {
@@ -327,7 +319,7 @@ func (c *coordinator) spawn(slot int) {
 		Type:        "init",
 		Spec:        c.specJSON,
 		Fingerprint: c.fp,
-		HeartbeatMS: c.opt.HeartbeatEvery.Milliseconds(),
+		HeartbeatMS: (c.opt.LeaseTTL / 3).Milliseconds(),
 	}); err != nil {
 		// The pipe is already broken; the reader's EOF event follows.
 		c.opt.Logf("dist: worker %d init write: %v", slot, err)
@@ -354,7 +346,7 @@ func (c *coordinator) spawn(slot int) {
 // backed-off retry (or retires the seat).
 func (c *coordinator) seatFailed(w *workerConn) {
 	w.fails++
-	if w.fails >= c.opt.MaxSpawnAttempts {
+	if w.fails >= maxSpawnAttempts {
 		w.retired = true
 		c.opt.Logf("dist: worker seat %d retired after %d failed attempts; continuing with fewer workers", w.slot, w.fails)
 		return

@@ -39,8 +39,9 @@ const cacheShardCount = 16
 // columns are shared, tables are never recycled: an evicted entry's
 // arrays stay alive, through the garbage collector, for as long as any
 // live table aliases them. Packs containing profile types this package
-// cannot compare by content are refused (Acquire returns nil) and the
-// caller compiles privately.
+// cannot compare by content are refused (Acquire returns nil); the
+// caller then runs without a shared table, and core.Simulator compiles
+// its own.
 //
 // A nil *Cache is valid and never caches.
 type Cache struct {
@@ -191,8 +192,8 @@ func (ch *Cache) Stats() CacheStats {
 // Acquire returns a published entry for (tasks, res, rc, p), compiling
 // and publishing one on a miss. The caller must Release the entry when
 // its unit of work completes. A nil entry with a nil error means the
-// pack is uncacheable (unknown profile type) and the caller should
-// compile privately. On a hit the returned tables are byte-identical to
+// cache is nil or the pack is uncacheable (unknown profile type), and
+// the caller goes without a shared table. On a hit the returned tables are byte-identical to
 // a fresh Compile of the same arguments.
 func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*CacheEntry, error) {
 	if ch == nil {
@@ -291,8 +292,8 @@ func (e *CacheEntry) Release() {
 
 // lookupLocked finds a published entry with exactly this content.
 // Candidates from the hash bucket are verified field-by-field — the
-// pack compare takes the pointer fast path when the caller interned its
-// packs (same slice), and falls back to a full content compare.
+// pack compare takes the pointer fast path when the caller passes the
+// entry's own slice, and falls back to a full content compare.
 func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc CostModel, p int) *CacheEntry {
 	for _, e := range sh.full[fk] {
 		c := e.c
@@ -426,13 +427,6 @@ func packBaseKey(tasks []Task, rc CostModel, p int) (key uint64, ok bool) {
 	h = mix64(h, math.Float64bits(rc.InvBandwidth))
 	h = mix64(h, uint64(int64(p)))
 	return h, true
-}
-
-// PackFingerprint returns a content hash of a task pack alone — the
-// intern key campaign-level pack canonicalization uses. ok is false for
-// packs with profile types the model package cannot compare.
-func PackFingerprint(tasks []Task) (uint64, bool) {
-	return packBaseKey(tasks, CostModel{}, 0)
 }
 
 // resFullKey extends a base key with the resilience parameters.

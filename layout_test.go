@@ -129,6 +129,62 @@ var removedIdentifiers = map[string]bool{
 // references.
 var docIdentifier = regexp.MustCompile("`((?:[A-Za-z_][A-Za-z0-9_]*[a-z0-9][A-Z][A-Za-z0-9_]*)|(?:[A-Z][A-Z0-9_]*[a-z][A-Za-z0-9_]*\\.[A-Za-z_][A-Za-z0-9_]*))(?:\\(\\))?`")
 
+// docPackageRef matches the start of a backticked qualified identifier,
+// `pkg.Name`, capturing pkg and Name. Only exported names can be
+// qualified, so file names (`service.go`) and metric names
+// (`model.hits`) are no references; whatever follows Name (a member, a
+// call) is not checked here.
+var docPackageRef = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)")
+
+// packageDecls returns the top-level identifiers (functions, types,
+// variables and constants) of every package under internal/, test files
+// of the package included, keyed by package name.
+func packageDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		if strings.HasSuffix(pkg, "_test") {
+			return nil
+		}
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					decls[pkg][decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						decls[pkg][spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							decls[pkg][name.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
+}
+
 // goIdentifiers returns every identifier and string literal of every Go
 // file in the repository (a policy rule's name is a string), and the
 // Type.Member pairs the files declare: methods by receiver type, and
@@ -216,17 +272,31 @@ func receiverType(x ast.Expr) string {
 }
 
 // TestDocIdentifiersExist fails when DESIGN.md or README.md cites, in
-// backticks, a camelCase identifier that no Go file contains, or a
-// Type.Member that no Go file declares: the docs must describe the code
-// as it is. Names the docs record as removed are listed in
-// removedIdentifiers, and each must still be cited.
+// backticks, a camelCase identifier that no Go file contains, a
+// Type.Member that no Go file declares, or a pkg.Name, pkg a package
+// under internal/, that is no top-level identifier of that package: the
+// docs must describe the code as it is. Names the docs record as
+// removed are listed in removedIdentifiers, and each must still be
+// cited.
 func TestDocIdentifiersExist(t *testing.T) {
 	idents, members := goIdentifiers(t)
+	decls := packageDecls(t)
 	cited := map[string]bool{}
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range docPackageRef.FindAllStringSubmatch(string(raw), -1) {
+			pkg, name := m[1], m[2]
+			if decls[pkg] == nil {
+				continue
+			}
+			if removedIdentifiers[pkg+"."+name] {
+				cited[pkg+"."+name] = true
+			} else if !decls[pkg][name] {
+				t.Errorf("%s cites `%s.%s`, which is no top-level identifier of package %s", doc, pkg, name, pkg)
+			}
 		}
 		for _, m := range docIdentifier.FindAllStringSubmatch(string(raw), -1) {
 			name := m[1]
