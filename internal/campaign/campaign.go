@@ -382,9 +382,8 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 // workerState is the per-goroutine arena of the campaign: a reusable
 // simulator (which owns the compiled table of every unit the model
 // cache does not serve), a reusable renewal fault generator, reseedable
-// RNG streams, and the per-unit makespan buffer. Nothing here
-// is shared between workers, and everything is reset in place between
-// units.
+// RNG streams, and the per-unit makespan buffer. Nothing here is shared
+// between workers, and everything is reset in place between units.
 type workerState struct {
 	simulator *core.Simulator
 	renewal   failure.Renewal
@@ -418,9 +417,9 @@ func newWorkerState() *workerState {
 // Every arena is reset in place per unit anyway (reseeded RNGs,
 // simulator Reset), so a recycled state is indistinguishable from a
 // fresh one — but its warmed-up buffers (simulator slabs and its own
-// table's columns, the renewal heap) survive,
-// which matters for drivers that run many short campaigns back to back
-// (adaptive batches, cmd/bench, parameter sweeps).
+// table's columns, the renewal heap) survive, which matters for drivers
+// that run many short campaigns back to back (adaptive batches,
+// cmd/bench, parameter sweeps).
 var workerStatePool = sync.Pool{New: func() any { return newWorkerState() }}
 
 // getWorkerState takes a (possibly recycled) worker arena from the pool.
