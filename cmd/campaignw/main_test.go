@@ -75,8 +75,9 @@ func TestFirstMessageNotInit(t *testing.T) {
 }
 
 // TestRoundTrip drives the worker through init → ready → grant →
-// results + release → shutdown and checks each result's values against
-// the in-process unit runner.
+// results → shutdown and checks each result's values against the
+// in-process unit runner. The worker sends nothing after a grant's last
+// result: the coordinator ends the lease itself.
 func TestRoundTrip(t *testing.T) {
 	sp := tinySpec()
 	in := initLine(t, sp) +
@@ -108,8 +109,8 @@ func TestRoundTrip(t *testing.T) {
 		}
 		got = append(got, m)
 	}
-	if len(got) != 4 {
-		t.Fatalf("got %d messages, want ready, two results and a release: %+v", len(got), got)
+	if len(got) != 3 {
+		t.Fatalf("got %d messages, want ready and two results: %+v", len(got), got)
 	}
 	if got[0].Type != "ready" || got[0].TotalUnits != runner.TotalUnits() {
 		t.Fatalf("first message %+v, want ready with %d units", got[0], runner.TotalUnits())
@@ -123,8 +124,5 @@ func TestRoundTrip(t *testing.T) {
 		if m.Type != "result" || m.Lease != 4 || m.Unit != u || !slices.Equal(m.Vals, want) {
 			t.Fatalf("message %d: %+v, want result of lease 4 unit %d with values %v", 1+u, m, u, want)
 		}
-	}
-	if last := got[3]; last.Type != "release" || last.Lease != 4 {
-		t.Fatalf("last message %+v, want release of lease 4", last)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // unit it hands to fn must be in range and carry ValsPerUnit values, no
 // unit may be handed over twice, and a successful restore must report
 // exactly the units it handed over. The seeds are a complete journal,
-// its truncations, a lease record and corrupt unit records.
+// its truncations, a claim line as earlier versions wrote them, and
+// corrupt unit records.
 func FuzzManifestRestore(f *testing.F) {
 	sp := testSpec()
 	sp.Replicates = 2

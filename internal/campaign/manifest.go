@@ -10,23 +10,22 @@ import (
 	"cosched/internal/scenario"
 )
 
-// Manifest is an append-only JSONL journal of completed campaign units
-// — and, for distributed campaigns, the shared coordination log. The
-// first line binds the journal to one (spec, seed) via the spec's
-// fingerprint; each following line records either one finished unit or
-// one lease event (claim/renew/release/expire/quarantine, written only
-// by the distributed coordinator). Restarting a campaign with the same
-// manifest restores the journaled units instead of recomputing them; a
-// manifest written for a different spec is refused. Unit records are
-// the only authority for exactly-once folding — lease records are
-// advisory coordination state that a restart treats as stale (every
-// lease of a dead coordinator is dead with it), except quarantine
-// records, which persist a unit's poisoned status across restarts.
+// Manifest is an append-only JSONL journal of completed campaign units.
+// The first line binds the journal to one (spec, seed) via the spec's
+// fingerprint; each following line records one finished unit or — for
+// distributed campaigns — one quarantined unit, a unit that killed too
+// many workers. Restarting a campaign with the same manifest restores
+// the journaled units instead of recomputing them, and keeps every
+// quarantined unit quarantined; a manifest written for a different spec
+// is refused. Unit records are the only authority for exactly-once
+// folding.
 //
-// Single-process campaigns never write lease records, so their journals
-// are byte-identical to the pre-distributed format; and because restore
-// skips lease records, a distributed campaign's log resumes cleanly
-// under the single-process runner too.
+// Quarantine marks are tagged by a "lease" key, which unit records never
+// carry. Journals written by earlier versions also hold claim, renew,
+// release and expire lease lines; restore skips them, as it skips
+// quarantine marks when the caller does not ask for them, so any
+// journal resumes under both the single-process and the distributed
+// runner.
 type Manifest struct {
 	path string
 
@@ -56,46 +55,23 @@ type manifestUnit struct {
 	Makespans []float64 `json:"makespans"`
 }
 
-// Lease event kinds recorded in the coordination log.
-const (
-	// LeaseClaim grants a unit range to a worker.
-	LeaseClaim = "claim"
-	// LeaseRenew extends a live lease's expiry (heartbeat received).
-	LeaseRenew = "renew"
-	// LeaseRelease ends a lease whose units all completed.
-	LeaseRelease = "release"
-	// LeaseExpire voids a lease after worker death or heartbeat timeout;
-	// its unfolded units return to the pending set.
-	LeaseExpire = "expire"
-	// LeaseQuarantine marks a unit that exhausted its retry budget
-	// (it killed too many workers); it is reported, never re-leased,
-	// and the mark survives restarts.
-	LeaseQuarantine = "quarantine"
-)
+// leaseQuarantine tags a quarantine mark: the "lease" key's value in
+// {"lease":"quarantine","units":[u]}.
+const leaseQuarantine = "quarantine"
 
-// LeaseRecord is one coordination-log entry: a lease lifecycle event
-// written by the distributed coordinator alongside the unit journal.
-// The Event value doubles as the type tag on the wire (the "lease" JSON
-// key), so unit records — which never carry it — stay parseable by
-// pre-distributed readers.
-type LeaseRecord struct {
-	Event  string `json:"lease"`
-	ID     int    `json:"id"`
-	Worker int    `json:"worker"`
-	// Units lists the unit indices the event covers: the granted range
-	// for claims, the returned remainder for expiries, the single
-	// poisoned unit for quarantines. Renew/release records omit it.
-	Units []int `json:"units,omitempty"`
+// quarantineRecord is the write shape of a quarantine mark.
+type quarantineRecord struct {
+	Event string `json:"lease"`
+	Units []int  `json:"units"`
 }
 
-// manifestLine is the union read shape: a unit record, a lease record,
-// or the header (distinguished by which keys are present).
+// manifestLine is the union read shape: a unit record, a lease line (a
+// quarantine mark, or another lease event an earlier version wrote), or
+// the header (distinguished by which keys are present).
 type manifestLine struct {
 	Unit      int       `json:"unit"`
 	Makespans []float64 `json:"makespans"`
 	Event     string    `json:"lease"`
-	ID        int       `json:"id"`
-	Worker    int       `json:"worker"`
 	Units     []int     `json:"units"`
 }
 
@@ -124,7 +100,7 @@ func (m *Manifest) SetSync(on bool) {
 
 // SetWriteErrHook installs the injectable-fs seam: h is consulted before
 // every journal write with the operation kind ("header", "unit",
-// "lease"); a non-nil return aborts the write with that error, exactly
+// "quarantine"); a non-nil return aborts the write with that error, exactly
 // as a full disk would. Tests use it to prove spool failures surface
 // instead of looping; pass nil to clear.
 func (m *Manifest) SetWriteErrHook(h func(op string) error) {
@@ -147,14 +123,15 @@ func (m *Manifest) Close() error {
 
 // Restore validates the journal against the spec, replays every recorded
 // unit through fn (vals is the unit's flat value vector — policies ×
-// metricsPerPolicy entries) and every lease record through leaseFn (when
-// non-nil), and leaves the file open for appending. It returns the
-// number of restored units. A missing or empty file starts a fresh
-// journal; a truncated trailing line (interrupted write — unit or lease
-// alike) is dropped and repaired, and a file holding nothing but a
+// metricsPerPolicy entries) and every quarantined unit through
+// quarantine (when non-nil), and leaves the file open for appending. It
+// returns the number of restored units. Every other lease line is
+// skipped. A missing or empty file starts a fresh journal; a truncated
+// trailing line (interrupted write — unit or lease line alike) is
+// dropped and repaired, and a file holding nothing but a
 // truncated header (a crash during the very first write) restarts from
 // scratch.
-func (m *Manifest) Restore(sp scenario.Spec, policies int, fn func(unit int, vals []float64), leaseFn func(LeaseRecord)) (int, error) {
+func (m *Manifest) Restore(sp scenario.Spec, policies int, fn func(unit int, vals []float64), quarantine func(unit int)) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -215,7 +192,7 @@ func (m *Manifest) Restore(sp scenario.Spec, policies int, fn func(unit int, val
 				if err := json.Unmarshal([]byte(line), &u); err != nil {
 					if li == len(lines)-2 && blob[len(blob)-1] != '\n' {
 						// An interrupted append leaves a truncated final line
-						// (a torn unit or lease record alike); cut it off and
+						// (a torn unit or lease line alike); cut it off and
 						// let the coordinator re-issue it.
 						tailTruncated = true
 						break
@@ -223,9 +200,11 @@ func (m *Manifest) Restore(sp scenario.Spec, policies int, fn func(unit int, val
 					return 0, fmt.Errorf("campaign: manifest %s line %d: %w", m.path, li+2, err)
 				}
 				if u.Event != "" {
-					// Coordination record: advisory, never counted as a unit.
-					if leaseFn != nil {
-						leaseFn(LeaseRecord{Event: u.Event, ID: u.ID, Worker: u.Worker, Units: u.Units})
+					// A lease line, never counted as a unit.
+					if u.Event == leaseQuarantine && quarantine != nil {
+						for _, q := range u.Units {
+							quarantine(q)
+						}
 					}
 					continue
 				}
@@ -304,37 +283,28 @@ func (m *Manifest) hookErrLocked(op string) error {
 // mode the record is fsync'd before AppendUnit returns, so a unit the
 // campaign counts as done survives even a machine crash.
 func (m *Manifest) AppendUnit(unit int, vals []float64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.enc == nil {
-		return fmt.Errorf("campaign: manifest %s not opened by a campaign run", m.path)
-	}
-	if err := m.hookErrLocked("unit"); err != nil {
-		return err
-	}
-	if err := m.enc.Encode(manifestUnit{Unit: unit, Makespans: vals}); err != nil {
-		return fmt.Errorf("campaign: appending to manifest: %w", err)
-	}
-	return m.syncLocked()
+	return m.appendRecord("unit", manifestUnit{Unit: unit, Makespans: vals})
 }
 
-// AppendLease journals one coordination-log lease event. The
-// distributed coordinator is the only writer; sync mode applies as for
-// units.
-func (m *Manifest) AppendLease(rec LeaseRecord) error {
+// AppendQuarantine journals one quarantined unit, so a restart keeps it
+// quarantined. The distributed coordinator is the only writer; sync mode
+// applies as for units.
+func (m *Manifest) AppendQuarantine(unit int) error {
+	return m.appendRecord("quarantine", quarantineRecord{Event: leaseQuarantine, Units: []int{unit}})
+}
+
+// appendRecord writes one record line; op names it for the write hook.
+func (m *Manifest) appendRecord(op string, rec any) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.enc == nil {
 		return fmt.Errorf("campaign: manifest %s not opened by a campaign run", m.path)
 	}
-	if rec.Event == "" {
-		return fmt.Errorf("campaign: lease record without an event")
-	}
-	if err := m.hookErrLocked("lease"); err != nil {
+	if err := m.hookErrLocked(op); err != nil {
 		return err
 	}
 	if err := m.enc.Encode(rec); err != nil {
-		return fmt.Errorf("campaign: appending lease record: %w", err)
+		return fmt.Errorf("campaign: appending to manifest: %w", err)
 	}
 	return m.syncLocked()
 }

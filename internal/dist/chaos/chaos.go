@@ -4,7 +4,7 @@
 // the campaignw binary runs — wired to the coordinator over io.Pipe
 // pairs, with scripted faults injected at exact protocol phases: abrupt
 // death before/during/after a unit, a hung worker whose heartbeats
-// stall mid-flight, a release held back long after the work finished.
+// stall mid-flight, a worker pausing mid-lease after a result.
 //
 // Faults are scripted against (spawn ordinal, unit index, phase), all
 // logical coordinates, so a schedule means the same thing on every run:
@@ -75,8 +75,7 @@ const Any = -1
 // Kill scripts one abrupt worker death: the Spawn'th worker ever
 // spawned (ordinal 0 = the first, counting respawns; Any = whichever
 // worker gets there) dies at the given phase of the given unit, leaving
-// exactly the wreckage a SIGKILL leaves — severed pipes, no release, no
-// farewell.
+// exactly the wreckage a SIGKILL leaves — severed pipes, no farewell.
 type Kill struct {
 	Spawn int
 	Unit  int
@@ -92,15 +91,15 @@ type Hang struct {
 	Unit  int
 }
 
-// DelayRelease scripts a worker that delivers every granted unit but
-// then sits on the lease release for Delay of fake time. With
-// heartbeats flowing the lease stays renewed and the late release is
-// honored; with StallHeartbeats the (empty) lease expires first and the
-// coordinator kills the lingering worker — either way the output must
-// not change.
-type DelayRelease struct {
+// Pause scripts a worker that stops for Delay of fake time right after
+// sending the given unit's result — mid-lease, unless the unit is the
+// lease's last. With heartbeats flowing the lease stays renewed and the
+// worker resumes it; with StallHeartbeats the lease expires first, and
+// the coordinator kills the paused worker and leases the units it still
+// owed elsewhere — either way the output must not change.
+type Pause struct {
 	Spawn           int
-	Unit            int // the lease's last unit, after whose send the delay starts
+	Unit            int // the unit after whose result the pause starts
 	Delay           time.Duration
 	StallHeartbeats bool
 }
@@ -110,7 +109,7 @@ type DelayRelease struct {
 type Schedule struct {
 	Kills  []Kill
 	Hangs  []Hang
-	Delays []DelayRelease
+	Pauses []Pause
 }
 
 // errScripted is what a chaos hook returns to kill its worker; the
@@ -133,7 +132,7 @@ type Spawner struct {
 	hung        map[int]bool // spawn ordinal → heartbeats stalled
 	firedKills  map[int]bool // rule index → already fired
 	firedHangs  map[int]bool
-	firedDelays map[int]bool
+	firedPauses map[int]bool
 	wg          sync.WaitGroup
 }
 
@@ -188,7 +187,7 @@ func (s *Spawner) Spawn(slot int) (*dist.WorkerProc, error) {
 				kill()
 				return errScripted
 			}
-			if d, stall, ok := s.delayMatches(ord, unit); ok {
+			if d, stall, ok := s.pauseMatches(ord, unit); ok {
 				if stall {
 					s.mu.Lock()
 					s.hung[ord] = true
@@ -279,15 +278,15 @@ func (s *Spawner) hangMatches(ord, unit int) bool {
 	return false
 }
 
-func (s *Spawner) delayMatches(ord, unit int) (d time.Duration, stall, ok bool) {
+func (s *Spawner) pauseMatches(ord, unit int) (d time.Duration, stall, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, r := range s.Schedule.Delays {
-		if spawnMatches(r.Spawn, ord) && r.Unit == unit && !s.firedDelays[i] {
-			if s.firedDelays == nil {
-				s.firedDelays = map[int]bool{}
+	for i, r := range s.Schedule.Pauses {
+		if spawnMatches(r.Spawn, ord) && r.Unit == unit && !s.firedPauses[i] {
+			if s.firedPauses == nil {
+				s.firedPauses = map[int]bool{}
 			}
-			s.firedDelays[i] = true
+			s.firedPauses[i] = true
 			return r.Delay, r.StallHeartbeats, true
 		}
 	}

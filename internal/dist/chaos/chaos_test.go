@@ -94,9 +94,8 @@ type chaosOpts struct {
 	sched       chaos.Schedule
 	manifest    string // coordination-log path; "" = no journal
 	leaseUnits  int
-	maxRetries  int
-	cancelAfter int          // close Cancel once this many units folded (0 = never)
-	spawner     dist.Spawner // override (wrapping the chaos spawner)
+	cancelAfter int                               // close Cancel once this many units folded (0 = never)
+	wrap        func(*chaos.Spawner) dist.Spawner // wraps the chaos spawner (nil = none)
 }
 
 // chaosRun executes the campaign (pinned by default) under the fault schedule on a
@@ -111,15 +110,14 @@ func chaosRun(t *testing.T, o chaosOpts) (*campaign.Result, *obs.Campaign, *chao
 
 	metrics := obs.NewCampaign()
 	opt := dist.Options{
-		Workers:        o.workers,
-		LeaseUnits:     o.leaseUnits,
-		MaxUnitRetries: o.maxRetries,
-		Clock:          clk,
-		Spawner:        spn,
-		Metrics:        metrics,
+		Workers:    o.workers,
+		LeaseUnits: o.leaseUnits,
+		Clock:      clk,
+		Spawner:    spn,
+		Metrics:    metrics,
 	}
-	if o.spawner != nil {
-		opt.Spawner = o.spawner
+	if o.wrap != nil {
+		opt.Spawner = o.wrap(spn)
 	}
 	var man *campaign.Manifest
 	if o.manifest != "" {
@@ -151,34 +149,51 @@ func chaosRun(t *testing.T, o chaosOpts) (*campaign.Result, *obs.Campaign, *chao
 	return res, metrics, spn, err
 }
 
-// journalUnitCounts parses the coordination log and counts unit-record
-// appearances (header and lease records skipped) — the zero lost, zero
-// double-folded check.
-func journalUnitCounts(t *testing.T, path string) map[int]int {
+// journalLines is a parsed journal: how often each unit record appears,
+// the quarantined units in journal order, and the event names of every
+// other lease line (only journals written by earlier versions hold any).
+type journalLines struct {
+	units       map[int]int
+	quarantined []int
+	stale       []string
+}
+
+// readJournal parses a journal line by line; a line that is neither
+// header, unit record nor lease line fails the test.
+func readJournal(t testing.TB, path string) journalLines {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[int]int{}
+	j := journalLines{units: map[int]int{}}
 	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
 		var rec struct {
-			Unit        *int   `json:"unit"`
-			Lease       string `json:"lease"`
-			Fingerprint string `json:"fingerprint"`
+			Unit        *int            `json:"unit"`
+			Lease       string          `json:"lease"`
+			Units       json.RawMessage `json:"units"` // the header's is a count
+			Fingerprint string          `json:"fingerprint"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("journal line %q: %v", line, err)
 		}
-		if rec.Lease != "" || rec.Fingerprint != "" {
-			continue
-		}
-		if rec.Unit == nil {
+		switch {
+		case rec.Fingerprint != "":
+		case rec.Lease == "quarantine":
+			var units []int
+			if err := json.Unmarshal(rec.Units, &units); err != nil {
+				t.Fatalf("quarantine line %q: %v", line, err)
+			}
+			j.quarantined = append(j.quarantined, units...)
+		case rec.Lease != "":
+			j.stale = append(j.stale, rec.Lease)
+		case rec.Unit == nil:
 			t.Fatalf("journal line %q: neither header, lease, nor unit", line)
+		default:
+			j.units[*rec.Unit]++
 		}
-		counts[*rec.Unit]++
 	}
-	return counts
+	return j
 }
 
 func assertExactlyOnce(t *testing.T, path string, total int) {
@@ -191,10 +206,14 @@ func assertExactlyOnce(t *testing.T, path string, total int) {
 }
 
 // assertJournaledOnce checks that the journal holds exactly the given
-// units, each exactly once.
+// units, each exactly once, and no lease line but quarantine marks.
 func assertJournaledOnce(t *testing.T, path string, units []int) {
 	t.Helper()
-	counts := journalUnitCounts(t, path)
+	j := readJournal(t, path)
+	if len(j.stale) > 0 {
+		t.Errorf("journal holds lease lines %v; only quarantine marks belong there", j.stale)
+	}
+	counts := j.units
 	for _, u := range units {
 		if counts[u] != 1 {
 			t.Errorf("unit %d journaled %d times, want exactly once", u, counts[u])
@@ -342,17 +361,18 @@ func TestByteIdentityHeartbeatStall(t *testing.T) {
 	assertExactlyOnce(t, manifest, 12)
 }
 
-// TestByteIdentityDelayedRelease delays a worker mid-lease long past
-// several heartbeat intervals. With heartbeats flowing the lease must
-// survive on renewals until the work resumes; with heartbeats stalled
-// the lease must expire and the remaining units move elsewhere. Either
-// way: golden bytes.
-func TestByteIdentityDelayedRelease(t *testing.T) {
+// TestByteIdentityPausedWorker pauses a worker after unit 1's result —
+// mid-lease at the default four-unit leases — long past several
+// heartbeat intervals. With heartbeats flowing the lease must survive
+// on renewals until the work resumes; with heartbeats stalled the lease
+// must expire and the remaining units move elsewhere. Either way:
+// golden bytes.
+func TestByteIdentityPausedWorker(t *testing.T) {
 	want := golden(t)
 	t.Run("heartbeats-flowing", func(t *testing.T) {
 		res, m, _, err := chaosRun(t, chaosOpts{
 			workers: 2,
-			sched: chaos.Schedule{Delays: []chaos.DelayRelease{
+			sched: chaos.Schedule{Pauses: []chaos.Pause{
 				{Spawn: chaos.Any, Unit: 1, Delay: 30 * time.Second},
 			}},
 		})
@@ -360,10 +380,10 @@ func TestByteIdentityDelayedRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := jsonl(t, res); got != want {
-			t.Fatal("output diverged from golden under delayed release")
+			t.Fatal("output diverged from golden under a paused worker")
 		}
 		if m.Dist.Heartbeats.Value() < 3 {
-			t.Errorf("expected several heartbeats across the 30s delay, saw %d", m.Dist.Heartbeats.Value())
+			t.Errorf("expected several heartbeats across the 30s pause, saw %d", m.Dist.Heartbeats.Value())
 		}
 	})
 	t.Run("heartbeats-stalled", func(t *testing.T) {
@@ -371,7 +391,7 @@ func TestByteIdentityDelayedRelease(t *testing.T) {
 		res, m, _, err := chaosRun(t, chaosOpts{
 			workers:  2,
 			manifest: manifest,
-			sched: chaos.Schedule{Delays: []chaos.DelayRelease{
+			sched: chaos.Schedule{Pauses: []chaos.Pause{
 				{Spawn: chaos.Any, Unit: 1, Delay: 5 * time.Minute, StallHeartbeats: true},
 			}},
 		})
@@ -379,7 +399,7 @@ func TestByteIdentityDelayedRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := jsonl(t, res); got != want {
-			t.Fatal("output diverged from golden under stalled delayed release")
+			t.Fatal("output diverged from golden under a silently paused worker")
 		}
 		if m.Dist.LeasesExpired.Value() < 1 {
 			t.Error("silently stalled lease never expired")
@@ -390,10 +410,12 @@ func TestByteIdentityDelayedRelease(t *testing.T) {
 
 // TestTornLeaseRecordResume simulates a coordinator crash mid-write:
 // the run is cancelled mid-campaign, a torn record (no trailing
-// newline, truncated JSON) is appended to the coordination log, and a
-// fresh coordinator resumes from it. Restore must repair the tail,
-// replay only folded units, and the combined runs must journal every
-// unit exactly once and reproduce the golden bytes.
+// newline, truncated JSON) is appended to the journal, and a fresh
+// coordinator resumes from it. Restore must repair the tail, replay
+// only folded units, and the combined runs must journal every unit
+// exactly once and reproduce the golden bytes. The torn claim and renew
+// are lines only earlier versions wrote; a journal of theirs can end in
+// one.
 func TestTornLeaseRecordResume(t *testing.T) {
 	want := golden(t)
 	for _, tc := range []struct {
@@ -434,39 +456,168 @@ func TestTornLeaseRecordResume(t *testing.T) {
 }
 
 // TestQuarantineAfterRepeatedKills scripts the poison-unit scenario: a
-// unit that kills its worker every time it is attempted. After
-// MaxUnitRetries lease losses the unit must be quarantined — reported
-// in the final error, never allowed to kill another worker — and the
-// quarantine must survive a coordinator restart via the journal.
+// unit that kills its worker every time it is attempted. After three
+// lease losses (dist's retry cap) the unit must be quarantined —
+// reported in the final error, never allowed to kill another worker —
+// and the quarantine must survive a coordinator restart via the
+// journal.
 func TestQuarantineAfterRepeatedKills(t *testing.T) {
 	manifest := filepath.Join(t.TempDir(), "units.jsonl")
 	sched := chaos.Schedule{Kills: []chaos.Kill{
 		{Spawn: chaos.Any, Unit: 5, Phase: chaos.PhaseBeforeSend},
 		{Spawn: chaos.Any, Unit: 5, Phase: chaos.PhaseBeforeSend},
+		{Spawn: chaos.Any, Unit: 5, Phase: chaos.PhaseBeforeSend},
 	}}
-	res, m, _, err := chaosRun(t, chaosOpts{
-		workers: 1, maxRetries: 2, manifest: manifest, sched: sched,
-	})
+	res, m, _, err := chaosRun(t, chaosOpts{workers: 1, manifest: manifest, sched: sched})
 	if err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("got (%v, %v), want quarantine error", res, err)
 	}
 	if m.Dist.UnitsQuarantined.Value() != 1 {
 		t.Errorf("quarantined %d units, want 1", m.Dist.UnitsQuarantined.Value())
 	}
-	if m.Dist.WorkersLost.Value() < 2 {
-		t.Errorf("lost %d workers, want the 2 scripted kills", m.Dist.WorkersLost.Value())
+	if m.Dist.WorkersLost.Value() < 3 {
+		t.Errorf("lost %d workers, want the 3 scripted kills", m.Dist.WorkersLost.Value())
 	}
 
 	// A fresh coordinator with no faults must still refuse: the journal
 	// remembers the poison, and the unit is never re-attempted.
 	spawned := 0
-	res, _, spn, err := chaosRun(t, chaosOpts{workers: 1, maxRetries: 2, manifest: manifest})
+	res, _, spn, err := chaosRun(t, chaosOpts{workers: 1, manifest: manifest})
 	spawned = spn.Spawned()
 	if err == nil || !strings.Contains(err.Error(), "quarantined") {
 		t.Fatalf("restart: got (%v, %v), want quarantine error replayed from journal", res, err)
 	}
 	if spawned != 0 {
 		t.Errorf("restart spawned %d workers for a journal-complete campaign, want 0", spawned)
+	}
+}
+
+// TestJournalHoldsOnlyUnitsAndQuarantines runs a campaign through
+// worker kills, a lease TTL expiry and a quarantine, then reads its
+// journal back: the header, one line per folded unit and the one
+// quarantine mark — the only lines a restart reads. Claims, renewals
+// and expiries leave no trace there.
+func TestJournalHoldsOnlyUnitsAndQuarantines(t *testing.T) {
+	manifest := filepath.Join(t.TempDir(), "units.jsonl")
+	kill := chaos.Kill{Spawn: chaos.Any, Unit: 5, Phase: chaos.PhaseBeforeSend}
+	_, m, spn, err := chaosRun(t, chaosOpts{
+		workers:  2,
+		manifest: manifest,
+		sched: chaos.Schedule{
+			Kills: []chaos.Kill{kill, kill, kill},
+			Hangs: []chaos.Hang{{Spawn: chaos.Any, Unit: 9}},
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("got %v, want quarantine error", err)
+	}
+	if spn.KillsFired() != 3 {
+		t.Errorf("%d scripted kills fired, want 3", spn.KillsFired())
+	}
+	if got := m.Dist.LeasesExpired.Value(); got < 4 {
+		t.Errorf("%d leases expired, want the 3 kills' and the hung worker's", got)
+	}
+	j := readJournal(t, manifest)
+	if fmt.Sprint(j.quarantined) != "[5]" {
+		t.Errorf("journal quarantines %v, want [5]", j.quarantined)
+	}
+	units := []int{0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11}
+	assertJournaledOnce(t, manifest, units)
+}
+
+// TestOldFormatJournalResumes restores a journal as earlier versions
+// wrote it: unit lines interleaved with claim, renew, release and expire
+// lines, and a quarantine mark that carries id and worker. Its units
+// fold and the other lease lines are skipped; a fresh coordinator
+// honours the quarantine — unit 5 is never leased again — and fails the
+// run as quarantined.
+func TestOldFormatJournalResumes(t *testing.T) {
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.jsonl")
+	man, err := campaign.OpenManifest(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := campaign.Run(pinnedSpec(), campaign.Options{Workers: 1, Manifest: man}); err != nil {
+		t.Fatal(err)
+	}
+	man.Close()
+	raw, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	unitLine := map[int]string{}
+	for _, line := range lines[1:] {
+		var rec struct{ Unit int }
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		unitLine[rec.Unit] = line
+	}
+	old := strings.Join([]string{
+		lines[0],
+		`{"lease":"claim","id":0,"worker":0,"units":[0,1,2,3]}`,
+		`{"lease":"claim","id":1,"worker":1,"units":[4,5,6,7]}`,
+		unitLine[0],
+		`{"lease":"renew","id":0,"worker":0}`,
+		unitLine[1],
+		unitLine[4],
+		unitLine[2],
+		unitLine[3],
+		`{"lease":"release","id":0,"worker":0,"units":[]}`,
+		`{"lease":"expire","id":1,"worker":1,"units":[5,6,7]}`,
+		`{"lease":"quarantine","id":1,"worker":1,"units":[5]}`,
+	}, "\n") + "\n"
+	manifest := filepath.Join(dir, "units.jsonl")
+	if err := os.WriteFile(manifest, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	man, err = campaign.OpenManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var folded, quarantined []int
+	n, err := man.Restore(pinnedSpec(), 3, func(unit int, _ []float64) {
+		folded = append(folded, unit)
+	}, func(unit int) {
+		quarantined = append(quarantined, unit)
+	})
+	man.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 || fmt.Sprint(folded) != "[0 1 4 2 3]" || fmt.Sprint(quarantined) != "[5]" {
+		t.Fatalf("restored %d units %v and quarantined %v, want 5 units [0 1 4 2 3] and [5]", n, folded, quarantined)
+	}
+
+	// A tripwire on unit 5: it fires if any worker ever starts the unit.
+	_, _, spn, err := chaosRun(t, chaosOpts{
+		workers:  2,
+		manifest: manifest,
+		sched: chaos.Schedule{Kills: []chaos.Kill{
+			{Spawn: chaos.Any, Unit: 5, Phase: chaos.PhaseBeforeUnit},
+		}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "quarantined") {
+		t.Fatalf("got %v, want the journal's quarantine to fail the run", err)
+	}
+	if spn.KillsFired() != 0 {
+		t.Error("the quarantined unit was leased again")
+	}
+	j := readJournal(t, manifest)
+	if fmt.Sprint(j.stale) != "[claim claim renew release expire]" || fmt.Sprint(j.quarantined) != "[5]" {
+		t.Errorf("journal lease lines %v and quarantines %v changed on resume", j.stale, j.quarantined)
+	}
+	for u := 0; u < 12; u++ {
+		want := 1
+		if u == 5 {
+			want = 0
+		}
+		if j.units[u] != want {
+			t.Errorf("unit %d journaled %d times, want %d", u, j.units[u], want)
+		}
 	}
 }
 
@@ -579,7 +730,7 @@ func TestAdaptiveByteIdentityKillEveryPhase(t *testing.T) {
 
 // TestAdaptiveResumeAfterCoordinatorKill stops an adaptive fleet run
 // halfway (the coordinator dies with leases outstanding) and resumes it
-// from the coordination log: the resumed coordinator replays the folded
+// from its journal: the resumed coordinator replays the folded
 // prefix through the stopping rule, leases only what is still missing,
 // and reproduces the uninterrupted output with every unit journaled
 // exactly once across both lives.
@@ -593,7 +744,7 @@ func TestAdaptiveResumeAfterCoordinatorKill(t *testing.T) {
 	if err != campaign.ErrCanceled {
 		t.Fatalf("first run: got %v, want ErrCanceled", err)
 	}
-	if n := len(journalUnitCounts(t, manifest)); n < len(units)/2 || n >= len(units) {
+	if n := len(readJournal(t, manifest).units); n < len(units)/2 || n >= len(units) {
 		t.Fatalf("first run journaled %d of %d units, want about half", n, len(units))
 	}
 	res, _, _, err := chaosRun(t, chaosOpts{sp: sp, workers: 2, manifest: manifest})

@@ -20,6 +20,11 @@ import (
 // workers instead of respawning forever.
 const maxSpawnAttempts = 3
 
+// maxUnitRetries quarantines a unit blamed for this many lease losses:
+// it is reported in the final error, never allowed to kill another
+// worker.
+const maxUnitRetries = 3
+
 // Options tunes a distributed campaign run.
 type Options struct {
 	// Workers is the worker-process seat count (0 = 3).
@@ -33,10 +38,6 @@ type Options struct {
 	// to heartbeat every LeaseTTL/3, and heartbeats renew the holder's
 	// lease, so the TTL only fires for hung or dead workers.
 	LeaseTTL time.Duration
-	// MaxUnitRetries quarantines a unit blamed for this many lease
-	// losses (0 = 3): it is reported in the final error, never allowed
-	// to kill another worker.
-	MaxUnitRetries int
 	// Clock is the time source (nil = wall clock; the chaos harness
 	// shares one fake across coordinator and workers).
 	Clock clock.Clock
@@ -45,10 +46,9 @@ type Options struct {
 	// Backoff paces per-seat respawns (nil = 100ms base, 5s cap on
 	// Clock).
 	Backoff *retry.Backoff
-	// Manifest, when non-nil, is the coordination log: completed units
-	// and lease events are journaled there, and a restart resumes from
-	// it. Without it the run is correct but a coordinator crash loses
-	// all progress.
+	// Manifest, when non-nil, journals every folded unit and every
+	// quarantined one, and a restart resumes from it. Without it the
+	// run is correct but a coordinator crash loses all progress.
 	Manifest *campaign.Manifest
 	// Metrics, when non-nil, receives coordinator telemetry (including
 	// the Dist instrument bundle).
@@ -79,9 +79,6 @@ func (o *Options) fillDefaults() error {
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 10 * time.Second
-	}
-	if o.MaxUnitRetries <= 0 {
-		o.MaxUnitRetries = 3
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real{}
@@ -165,20 +162,11 @@ func Run(sp scenario.Spec, opt Options) (*campaign.Result, error) {
 		return nil, err
 	}
 
-	tr := NewTracker(asm.TotalUnits(), opt.MaxUnitRetries)
+	tr := NewTracker(asm.TotalUnits(), maxUnitRetries)
 	if opt.Manifest != nil {
 		_, err := opt.Manifest.Restore(sp, asm.Policies(), func(unit int, vals []float64) {
 			asm.Fold(unit, vals)
-		}, func(rec campaign.LeaseRecord) {
-			// Claims, renews and releases of a previous coordinator died
-			// with it (its workers are gone); only quarantine marks carry
-			// over.
-			if rec.Event == campaign.LeaseQuarantine {
-				for _, u := range rec.Units {
-					tr.RestoreQuarantine(u)
-				}
-			}
-		})
+		}, tr.RestoreQuarantine)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +266,7 @@ func (c *coordinator) run() (*campaign.Result, error) {
 		return nil, c.err
 	}
 	if !c.asm.Done() {
-		return nil, fmt.Errorf("dist: campaign incomplete: units %v quarantined after killing %d workers each", c.tr.Quarantined(), c.opt.MaxUnitRetries)
+		return nil, fmt.Errorf("dist: campaign incomplete: units %v quarantined after killing %d workers each", c.tr.Quarantined(), maxUnitRetries)
 	}
 	return c.asm.Result()
 }
@@ -386,21 +374,11 @@ func (c *coordinator) handleEvent(ev event) {
 		if m := c.opt.Metrics; m != nil {
 			m.Dist.Heartbeats.Inc()
 		}
-		if w.lease >= 0 && c.tr.Renew(w.lease, c.opt.Clock.Now(), c.opt.LeaseTTL) {
-			c.journalLease(campaign.LeaseRecord{Event: campaign.LeaseRenew, ID: w.lease, Worker: w.slot})
+		if w.lease >= 0 {
+			c.tr.Renew(w.lease, c.opt.Clock.Now(), c.opt.LeaseTTL)
 		}
 	case "result":
 		c.handleResult(w, ev.msg)
-	case "release":
-		if w.lease < 0 || ev.msg.Lease != w.lease {
-			return // stale release from an expired lease: no resurrection
-		}
-		leftover, ok := c.tr.Release(w.lease)
-		if ok {
-			c.journalLease(campaign.LeaseRecord{Event: campaign.LeaseRelease, ID: w.lease, Worker: w.slot, Units: leftover})
-		}
-		w.lease = -1
-		c.dispatch()
 	case "error":
 		c.opt.Logf("dist: worker %d reported: %s", w.slot, ev.msg.Msg)
 		w.proc.Kill() // the death event does the bookkeeping
@@ -414,14 +392,15 @@ func (c *coordinator) handleEvent(ev event) {
 // owns the unit, and the unit must not have folded before. Everything
 // else (duplicates, results outliving an expired lease, malformed
 // vectors) is dropped; recomputation is always safe because unit values
-// are deterministic.
+// are deterministic. The lease's last owed unit ends the lease and frees
+// the worker for the next grant.
 func (c *coordinator) handleResult(w *workerConn, m workMsg) {
 	if c.opt.KillAtUnit > 0 && m.Unit == c.opt.KillAtUnit && !c.chaosFired {
 		// Chaos hook: the worker dies as if the kill landed mid-send —
 		// nothing it sent after this result arrives. It is buried now,
-		// not at its stdout EOF: a release it had already queued would
-		// otherwise return the discarded unit as a clean release, and
-		// the run could finish before the death was ever booked. The
+		// not at its stdout EOF, so the kill lands at exactly this
+		// result: the results it had already queued behind it are
+		// dropped, and its lease expires before any other event. The
 		// discarded result is recomputed under a new lease.
 		c.chaosFired = true
 		c.opt.Logf("dist: chaos: killing worker %d at unit %d", w.slot, m.Unit)
@@ -437,7 +416,11 @@ func (c *coordinator) handleResult(w *workerConn, m workMsg) {
 		w.proc.Kill()
 		return
 	}
-	if !c.tr.Result(m.Lease, m.Unit) || !c.asm.Fold(m.Unit, m.Vals) {
+	fold, ended := c.tr.Result(m.Lease, m.Unit)
+	if ended {
+		w.lease = -1
+	}
+	if !fold || !c.asm.Fold(m.Unit, m.Vals) {
 		return
 	}
 	if c.opt.Manifest != nil {
@@ -454,9 +437,10 @@ func (c *coordinator) handleResult(w *workerConn, m workMsg) {
 		c.opt.Progress(c.asm.Progress())
 	}
 	// The fold may have released more units (an adaptive point's next
-	// batch): lease them to idle workers.
-	if units := c.asm.Released(); len(units) > 0 {
-		c.tr.Add(units...)
+	// batch) and freed this worker: lease to idle workers.
+	units := c.asm.Released()
+	c.tr.Add(units...)
+	if ended || len(units) > 0 {
 		c.dispatch()
 	}
 }
@@ -478,7 +462,7 @@ func (c *coordinator) handleDeath(w *workerConn) {
 	}
 	c.opt.Logf("dist: worker %d died", w.slot)
 	if w.lease >= 0 {
-		c.expireLease(w.lease, w.slot)
+		c.expireLease(w.lease)
 		w.lease = -1
 	}
 	if c.tr.Done() || c.err != nil {
@@ -487,20 +471,23 @@ func (c *coordinator) handleDeath(w *workerConn) {
 	c.seatFailed(w)
 }
 
-// expireLease voids one lease, journals the outcome, and redistributes
-// the returned units.
-func (c *coordinator) expireLease(id, slot int) {
-	returned, quarantined, ok := c.tr.Expire(id)
+// expireLease voids one lease, journals the units it quarantined, and
+// redistributes the returned ones.
+func (c *coordinator) expireLease(id int) {
+	_, quarantined, ok := c.tr.Expire(id)
 	if !ok {
 		return
 	}
 	if m := c.opt.Metrics; m != nil {
 		m.Dist.LeasesExpired.Inc()
 	}
-	c.journalLease(campaign.LeaseRecord{Event: campaign.LeaseExpire, ID: id, Worker: slot, Units: returned})
 	for _, u := range quarantined {
-		c.opt.Logf("dist: unit %d quarantined after %d lease losses", u, c.opt.MaxUnitRetries)
-		c.journalLease(campaign.LeaseRecord{Event: campaign.LeaseQuarantine, ID: id, Worker: slot, Units: []int{u}})
+		c.opt.Logf("dist: unit %d quarantined after %d lease losses", u, maxUnitRetries)
+		if c.opt.Manifest != nil {
+			if err := c.opt.Manifest.AppendQuarantine(u); err != nil {
+				c.fail(err)
+			}
+		}
 		if m := c.opt.Metrics; m != nil {
 			m.Dist.UnitsQuarantined.Inc()
 		}
@@ -522,7 +509,7 @@ func (c *coordinator) expireDue() {
 				break
 			}
 		}
-		c.expireLease(id, -1)
+		c.expireLease(id)
 	}
 }
 
@@ -539,13 +526,6 @@ func (c *coordinator) dispatch() {
 		if l == nil {
 			return // nothing pending; expiries may feed idle workers later
 		}
-		// Write-ahead: the claim is durable before the worker hears of
-		// it, so a crashed coordinator never finds results it cannot
-		// attribute.
-		c.journalLease(campaign.LeaseRecord{Event: campaign.LeaseClaim, ID: l.ID, Worker: w.slot, Units: l.Units})
-		if c.err != nil {
-			return
-		}
 		w.lease = l.ID
 		if m := c.opt.Metrics; m != nil {
 			m.Dist.LeasesGranted.Inc()
@@ -558,15 +538,6 @@ func (c *coordinator) dispatch() {
 			// The pipe is broken: the reader's death event will expire
 			// the lease and reassign.
 		}
-	}
-}
-
-func (c *coordinator) journalLease(rec campaign.LeaseRecord) {
-	if c.opt.Manifest == nil {
-		return
-	}
-	if err := c.opt.Manifest.AppendLease(rec); err != nil {
-		c.fail(err)
 	}
 }
 

@@ -26,20 +26,21 @@ type ctrlMsg struct {
 	// HeartbeatMS is the worker's heartbeat cadence (init).
 	HeartbeatMS int64 `json:"heartbeat_ms,omitempty"`
 	// Lease and Units name a grant: the worker executes the units in
-	// ascending order, streams one result each, then releases.
+	// ascending order and streams one result each; the coordinator ends
+	// the lease when the last one folds.
 	Lease int   `json:"lease"`
 	Units []int `json:"units,omitempty"`
 }
 
 // workMsg is one worker → coordinator message.
 type workMsg struct {
-	// Type is "ready", "result", "release", "heartbeat" or "error".
+	// Type is "ready", "result", "heartbeat" or "error".
 	Type string `json:"type"`
 	// TotalUnits echoes the worker's expanded unit count in ready — a
 	// second spec-agreement check besides the fingerprint.
 	TotalUnits int `json:"total_units,omitempty"`
-	// Lease and Unit identify a result (Vals carries the unit's flat
-	// value vector) or the lease being released.
+	// Lease and Unit identify a result; Vals carries the unit's flat
+	// value vector.
 	Lease int       `json:"lease"`
 	Unit  int       `json:"unit"`
 	Vals  []float64 `json:"vals,omitempty"`

@@ -1,8 +1,8 @@
 // Package dist executes a campaign across worker processes: a
 // coordinator leases the units the campaign Assembler releases to
 // workers over a JSONL pipe protocol, folds streamed results through
-// that same Assembler, and journals both units and lease events to the
-// shared coordination log (the campaign manifest). Fixed and adaptive
+// that same Assembler, and journals each folded unit — and each
+// quarantined one — to the campaign manifest. Fixed and adaptive
 // campaigns alike: an adaptive campaign's Assembler releases one batch
 // per live point and the next only once that batch has folded, so the
 // coordinator needs no adaptive-specific code. Robustness is the point:
@@ -21,7 +21,8 @@ import (
 
 // Lease is one grant of units to one worker. Units holds the indices
 // the worker still owes (ascending); folding a unit's result removes
-// it, so an expiring lease returns exactly the outstanding remainder.
+// it, so an expiring lease returns exactly the outstanding remainder,
+// and the lease ends when its last owed unit folds.
 type Lease struct {
 	ID     int
 	Worker int
@@ -31,11 +32,11 @@ type Lease struct {
 
 // Tracker is the coordinator's lease state machine, kept pure — no
 // clock, no I/O, every method takes explicit time — so property tests
-// can drive claim/renew/expire/release interleavings directly. It
+// can drive claim/renew/expire/result interleavings directly. It
 // enforces the exactly-once contract: a unit folds at most once, only
-// from a live lease that owns it, and an expired lease's late messages
-// (renew, release, results) are refused — no resurrection. Only units
-// released through Add are ever claimed.
+// from a live lease that owns it, and the late messages of an expired
+// or finished lease (renewals, results) are refused — no resurrection.
+// Only units released through Add are ever claimed.
 type Tracker struct {
 	maxRetries int
 
@@ -60,11 +61,8 @@ type Tracker struct {
 
 // NewTracker builds a tracker over a space of total units, none of them
 // released yet; a unit blamed for maxRetries lease losses is
-// quarantined (maxRetries <= 0 means 3).
+// quarantined.
 func NewTracker(total, maxRetries int) *Tracker {
-	if maxRetries <= 0 {
-		maxRetries = 3
-	}
 	t := &Tracker{
 		maxRetries:  maxRetries,
 		released:    make([]bool, total),
@@ -138,8 +136,8 @@ func (t *Tracker) Claim(worker, max int, now time.Time, ttl time.Duration) (l *L
 	return l, reassigned
 }
 
-// Renew extends a live lease's expiry. It reports false for an unknown
-// or already-expired lease — a zombie worker's heartbeat cannot revive
+// Renew extends a live lease's expiry. It reports false for an unknown,
+// expired or finished lease — a zombie worker's heartbeat cannot revive
 // a lease the coordinator already gave away.
 func (t *Tracker) Renew(id int, now time.Time, ttl time.Duration) bool {
 	l, ok := t.leases[id]
@@ -150,38 +148,27 @@ func (t *Tracker) Renew(id int, now time.Time, ttl time.Duration) bool {
 	return true
 }
 
-// Result records one unit result arriving under lease id. It reports
+// Result records one unit result arriving under lease id. fold reports
 // whether the caller should fold the value: true exactly when the lease
 // is live and still owns the unit. Duplicates, stale results from
 // expired leases, and results for foreign units are refused — this is
-// the exactly-once gate.
-func (t *Tracker) Result(id, unit int) bool {
+// the exactly-once gate. ended reports that the unit was the lease's
+// last owed one: the lease is over and its worker free for a new grant.
+func (t *Tracker) Result(id, unit int) (fold, ended bool) {
 	l, ok := t.leases[id]
 	if !ok || unit < 0 || unit >= len(t.folded) || t.folded[unit] || t.leaseOf[unit] != id {
-		return false
+		return false, false
 	}
 	t.folded[unit] = true
 	t.foldedN++
 	t.open--
 	t.leaseOf[unit] = -1
 	l.Units = removeUnit(l.Units, unit)
-	return true
-}
-
-// Release ends a live lease. leftover returns any units the worker
-// never delivered (normally empty); they go back to the pending set
-// without blame. ok is false for an unknown or expired lease.
-func (t *Tracker) Release(id int) (leftover []int, ok bool) {
-	l, ok := t.leases[id]
-	if !ok {
-		return nil, false
+	if len(l.Units) > 0 {
+		return true, false
 	}
 	delete(t.leases, id)
-	leftover = l.Units
-	for _, u := range leftover {
-		t.leaseOf[u] = -1
-	}
-	return leftover, true
+	return true, true
 }
 
 // Expire voids a live lease after worker death or heartbeat timeout.
@@ -190,8 +177,8 @@ func (t *Tracker) Release(id int) (leftover []int, ok bool) {
 // ascending order, so the first outstanding unit is the one the worker
 // was executing when it died, and it alone takes a retry strike. A unit
 // that reaches the retry cap is quarantined instead of re-leased:
-// reported, never allowed to kill a fourth worker. ok is false for an
-// unknown or already-expired lease (expiry is idempotent).
+// reported, never allowed to kill another worker. ok is false for an
+// unknown, expired or finished lease (expiry is idempotent).
 func (t *Tracker) Expire(id int) (returned, quarantined []int, ok bool) {
 	l, ok := t.leases[id]
 	if !ok {

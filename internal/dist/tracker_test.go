@@ -21,7 +21,7 @@ func releasedTracker(total, maxRetries int) *Tracker {
 }
 
 // op is one step of an interleaving: a claim, or a lease-addressed
-// renew/release/expire/result. Lease fields name the Nth claim's lease
+// renew/expire/result. Lease fields name the Nth claim's lease
 // (IDs are sequential), so sequences can address leases that do not
 // exist yet or died long ago — exactly the stale-message space the
 // tracker must refuse.
@@ -37,7 +37,7 @@ type op struct {
 // interleaving.
 type trackerModel struct {
 	folded  map[int]bool
-	live    map[int][]int // lease id → owned units, ascending
+	live    map[int][]int // lease id → owed units, ascending; never empty
 	expired map[int]bool  // unit → returned by an expired lease
 	nextID  int
 }
@@ -112,16 +112,6 @@ func applyOp(t *testing.T, tr *Tracker, m *trackerModel, o op, total int, seq []
 		if got := tr.Renew(o.lease, t0, ttl); got != wantOK {
 			fail("renew = %v, want %v", got, wantOK)
 		}
-	case "release":
-		wantLeftover, wantOK := m.live[o.lease]
-		leftover, ok := tr.Release(o.lease)
-		if ok != wantOK {
-			fail("release ok = %v, want %v", ok, wantOK)
-		}
-		if ok && fmt.Sprint(leftover) != fmt.Sprint(wantLeftover) {
-			fail("release leftover %v, want %v", leftover, wantLeftover)
-		}
-		delete(m.live, o.lease)
 	case "expire":
 		wantReturned, wantOK := m.live[o.lease]
 		returned, quarantined, ok := tr.Expire(o.lease)
@@ -145,9 +135,7 @@ func applyOp(t *testing.T, tr *Tracker, m *trackerModel, o op, total int, seq []
 				wantOK = !m.folded[o.unit]
 			}
 		}
-		if got := tr.Result(o.lease, o.unit); got != wantOK {
-			fail("result = %v, want %v", got, wantOK)
-		}
+		wantEnded := false
 		if wantOK {
 			m.folded[o.unit] = true
 			units := m.live[o.lease][:0]
@@ -157,6 +145,13 @@ func applyOp(t *testing.T, tr *Tracker, m *trackerModel, o op, total int, seq []
 				}
 			}
 			m.live[o.lease] = units
+			if len(units) == 0 {
+				delete(m.live, o.lease)
+				wantEnded = true
+			}
+		}
+		if fold, ended := tr.Result(o.lease, o.unit); fold != wantOK || ended != wantEnded {
+			fail("result = (%v, %v), want (%v, %v)", fold, ended, wantOK, wantEnded)
 		}
 	}
 	// Global invariants, checked after every step of every sequence.
@@ -172,27 +167,27 @@ func applyOp(t *testing.T, tr *Tracker, m *trackerModel, o op, total int, seq []
 }
 
 // TestTrackerInterleavingsExhaustive enumerates EVERY sequence of
-// claim/renew/release/expire/result operations (over one 2-unit range
-// and the first two lease IDs) up to depth 5 — 161051 interleavings —
-// and checks the tracker against the naive model after every step.
-// This is the exactly-once and no-resurrection proof by exhaustion:
-// whatever order claims, renewals, expiries, releases, and late results
-// arrive in, a unit folds at most once and a dead lease stays dead.
+// claim/renew/expire/result operations (over one 2-unit range and the
+// first two lease IDs) up to depth 6 — 531441 interleavings — and
+// checks the tracker against the naive model after every step. This is
+// the exactly-once and no-resurrection proof by exhaustion: whatever
+// order claims, renewals, expiries, and late results arrive in, a unit
+// folds at most once, a lease ends exactly when its last owed unit
+// folds, and a dead lease stays dead.
 func TestTrackerInterleavingsExhaustive(t *testing.T) {
 	const total = 2
 	alphabet := []op{{kind: "claim"}}
 	for id := 0; id < 2; id++ {
 		alphabet = append(alphabet,
 			op{kind: "renew", lease: id},
-			op{kind: "release", lease: id},
 			op{kind: "expire", lease: id},
 			op{kind: "result", lease: id, unit: 0},
 			op{kind: "result", lease: id, unit: 1},
 		)
 	}
-	depth := 5
+	depth := 6
 	if testing.Short() {
-		depth = 4
+		depth = 5
 	}
 	idx := make([]int, depth)
 	seq := make([]op, depth)
@@ -252,7 +247,7 @@ func TestTrackerBlameAndQuarantine(t *testing.T) {
 	if fmt.Sprint(l3.Units) != "[3]" {
 		t.Fatalf("post-quarantine claim granted %v, want [3] only", l3.Units)
 	}
-	if !tr.Result(l3.ID, 3) {
+	if fold, _ := tr.Result(l3.ID, 3); !fold {
 		t.Fatal("folding unit 3 refused")
 	}
 	if !tr.Done() || tr.Complete() {
@@ -264,9 +259,10 @@ func TestTrackerBlameAndQuarantine(t *testing.T) {
 }
 
 // TestTrackerNoResurrection spells out the stale-message contract the
-// exhaustive test covers implicitly: once a lease expires, its renew,
-// release, and results are refused, and its units fold only under the
-// new lease.
+// exhaustive test covers implicitly: once a lease expires, its renewals
+// and results are refused, and its units fold only under the new
+// lease, which ends with its last unit and then refuses renewal and
+// expiry alike.
 func TestTrackerNoResurrection(t *testing.T) {
 	tr := releasedTracker(2, 3)
 	l, _ := tr.Claim(0, 2, t0, ttl)
@@ -276,15 +272,21 @@ func TestTrackerNoResurrection(t *testing.T) {
 	if tr.Renew(l.ID, t0, ttl) {
 		t.Error("renew resurrected an expired lease")
 	}
-	if _, ok := tr.Release(l.ID); ok {
-		t.Error("release resurrected an expired lease")
-	}
-	if tr.Result(l.ID, 0) {
+	if fold, _ := tr.Result(l.ID, 0); fold {
 		t.Error("an expired lease's late result folded")
 	}
 	l2, _ := tr.Claim(1, 2, t0, ttl)
-	if !tr.Result(l2.ID, 0) || !tr.Result(l2.ID, 1) {
-		t.Fatal("new lease could not fold the returned units")
+	if fold, ended := tr.Result(l2.ID, 0); !fold || ended {
+		t.Fatalf("first result of the new lease = (%v, %v), want (true, false)", fold, ended)
+	}
+	if fold, ended := tr.Result(l2.ID, 1); !fold || !ended {
+		t.Fatalf("last result of the new lease = (%v, %v), want (true, true)", fold, ended)
+	}
+	if tr.Renew(l2.ID, t0, ttl) {
+		t.Error("renew revived a finished lease")
+	}
+	if _, _, ok := tr.Expire(l2.ID); ok {
+		t.Error("expire voided a finished lease")
 	}
 	if !tr.Complete() {
 		t.Fatal("campaign incomplete after folding every unit")

@@ -15,7 +15,7 @@ import (
 
 // errChaosKilled is the in-process stand-in for SIGKILL: a chaos hook
 // returns it to make WorkerMain abandon its connection mid-protocol —
-// no release, no farewell, exactly the wreckage a killed process leaves.
+// no farewell, exactly the wreckage a killed process leaves.
 var errChaosKilled = errors.New("dist: worker killed by chaos hook")
 
 // WorkerHooks are the chaos harness's fault-injection points, called at
@@ -51,10 +51,11 @@ type WorkerConfig struct {
 // code path is what makes in-process chaos results representative). It
 // speaks the pipe protocol on in/out until shutdown or EOF: receive the
 // spec, validate it against the coordinator's fingerprint, then serve
-// grants — execute each granted unit in ascending order, stream its
-// result, release the lease — while a heartbeat goroutine proves
-// liveness between results (a single long unit would otherwise look
-// like a hang).
+// grants, executing each granted unit in ascending order and streaming
+// its result. It sends nothing to end a lease: the coordinator ends it
+// when the last owed result folds. A heartbeat goroutine proves liveness
+// between results (a single long unit would otherwise look like a
+// hang). The worker sends only ready, result, heartbeat and error.
 func WorkerMain(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 	clk := cfg.Clock
 	if clk == nil {
@@ -164,9 +165,6 @@ func WorkerMain(in io.Reader, out io.Writer, cfg WorkerConfig) error {
 						return err
 					}
 				}
-			}
-			if err := w.send(workMsg{Type: "release", Lease: msg.Lease}); err != nil {
-				return fmt.Errorf("dist: worker sending release: %w", err)
 			}
 		default:
 			logf("dist: worker ignoring unknown control %q", msg.Type)

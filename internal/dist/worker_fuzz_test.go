@@ -39,7 +39,7 @@ func fuzzInit(f *testing.F) ([]byte, int) {
 // control bytes, on a fake clock that never fires a heartbeat. The
 // worker must return without panicking and answer exactly as a mirror
 // decode of the same bytes predicts: per grant, one result per unit in
-// grant order carrying the grant's lease, then a release; an
+// grant order carrying the grant's lease, and nothing else; an
 // out-of-range unit instead yields one error message and an error
 // return, with nothing after it. The run ends cleanly only at shutdown
 // or a clean EOF.
@@ -89,7 +89,6 @@ func FuzzWorkerMain(f *testing.F) {
 					}
 					want = append(want, workMsg{Type: "result", Lease: msg.Lease, Unit: u})
 				}
-				want = append(want, workMsg{Type: "release", Lease: msg.Lease})
 			}
 		}
 		if (err != nil) != wantErr {

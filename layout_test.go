@@ -130,11 +130,11 @@ var removedIdentifiers = map[string]bool{
 var docIdentifier = regexp.MustCompile("`((?:[A-Za-z_][A-Za-z0-9_]*[a-z0-9][A-Z][A-Za-z0-9_]*)|(?:[A-Z][A-Z0-9_]*[a-z][A-Za-z0-9_]*\\.[A-Za-z_][A-Za-z0-9_]*))(?:\\(\\))?`")
 
 // docPackageRef matches the start of a backticked qualified identifier,
-// `pkg.Name`, capturing pkg and Name. Only exported names can be
-// qualified, so file names (`service.go`) and metric names
-// (`model.hits`) are no references; whatever follows Name (a member, a
-// call) is not checked here.
-var docPackageRef = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)")
+// `pkg.Name` or `pkg.Type.Member`, capturing pkg, Name and Member (empty
+// when absent). Only exported names can be qualified, so file names
+// (`service.go`) and metric names (`model.hits`) are no references;
+// whatever follows (a call, a deeper selector) is not checked here.
+var docPackageRef = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)(?:\\.([A-Za-z_][A-Za-z0-9_]*))?")
 
 // packageDecls returns the top-level identifiers (functions, types,
 // variables and constants) of every package under internal/, test files
@@ -273,8 +273,9 @@ func receiverType(x ast.Expr) string {
 
 // TestDocIdentifiersExist fails when DESIGN.md or README.md cites, in
 // backticks, a camelCase identifier that no Go file contains, a
-// Type.Member that no Go file declares, or a pkg.Name, pkg a package
-// under internal/, that is no top-level identifier of that package: the
+// Type.Member that no Go file declares, a pkg.Name, pkg a package under
+// internal/, that is no top-level identifier of that package, or a
+// pkg.Type.Member whose Type declares no such Member: the
 // docs must describe the code as it is. Names the docs record as
 // removed are listed in removedIdentifiers, and each must still be
 // cited.
@@ -288,14 +289,17 @@ func TestDocIdentifiersExist(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range docPackageRef.FindAllStringSubmatch(string(raw), -1) {
-			pkg, name := m[1], m[2]
+			pkg, name, member := m[1], m[2], m[3]
 			if decls[pkg] == nil {
 				continue
 			}
-			if removedIdentifiers[pkg+"."+name] {
+			switch {
+			case removedIdentifiers[pkg+"."+name]:
 				cited[pkg+"."+name] = true
-			} else if !decls[pkg][name] {
+			case !decls[pkg][name]:
 				t.Errorf("%s cites `%s.%s`, which is no top-level identifier of package %s", doc, pkg, name, pkg)
+			case member != "" && !members[name+"."+member]:
+				t.Errorf("%s cites `%s.%s.%s`, which no Go file declares", doc, pkg, name, member)
 			}
 		}
 		for _, m := range docIdentifier.FindAllStringSubmatch(string(raw), -1) {
