@@ -51,16 +51,19 @@ import (
 // near-miss build), the row kernels (CandidateRowSweep for the batched
 // min-reduction, DecisionRound for a full heuristic round over it,
 // DecisionRoundPaperScale for a paper-scale round dominated by scans the
-// pruned-scan bound skips, and IteratedGreedyRoundPaperScale for
-// Algorithm 5's regrowth at the same state), and Algorithm 1 alone (InitialSchedule on the
-// direct path, InitialScheduleCompiled cold on compiled tables).
+// pruned-scan bound skips, IteratedGreedyRoundPaperScale for
+// Algorithm 5's regrowth at the same state, and
+// IteratedGreedyRoundFaultFree for a fault-free n = 1000 regrowth whose
+// pool is too small for level rounds), and Algorithm 1 alone
+// (InitialSchedule on the direct path, InitialScheduleCompiled cold on
+// compiled tables).
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +
 	"|BenchmarkCampaignPlatformAxis$|BenchmarkCampaignResilienceSweepCold$" +
 	"|BenchmarkExpectedTimeRaw$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
 	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$" +
-	"|BenchmarkIteratedGreedyRoundPaperScale$" +
+	"|BenchmarkIteratedGreedyRoundPaperScale$|BenchmarkIteratedGreedyRoundFaultFree$" +
 	"|BenchmarkInitialSchedule$|BenchmarkInitialScheduleCompiled$"
 
 // ledger is the JSON document layout. The environment block (Go version,

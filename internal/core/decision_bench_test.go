@@ -46,10 +46,33 @@ func BenchmarkDecisionRoundPaperScale(b *testing.B) {
 // virtually reset to one pair and regrown pair by pair, so the round
 // reads each task's candidate row from 2 up to about its old allocation.
 // It is Algorithm 5's own ledger entry: per-step candidate evaluation,
-// heap sifts and commits of candidate allocations.
+// the level rounds that take the simple grow steps, the heap loop that
+// takes the rest, and commits of candidate allocations.
 func BenchmarkIteratedGreedyRoundPaperScale(b *testing.B) {
 	e, t, elig := paperScaleRound(b)
 	benchRound(b, e, t, elig, iteratedGreedy)
+}
+
+// BenchmarkIteratedGreedyRoundFaultFree is one fault-free (λ = 0)
+// Algorithm 5 round over a Figure-7-sized pack, n = 1000 default tasks
+// on P = 5000 processors, taken at t = 0: the reset to one pair frees
+// 3000 processors, and the regrowth spends them all in grow steps, so
+// the round ends when the free pool runs dry rather than at a task that
+// cannot improve. The pool funds 1.5 steps per task, under the two the
+// level rounds need, so this is the heap loop's side of that choice;
+// BenchmarkIteratedGreedyRoundPaperScale is the rounds' side.
+func BenchmarkIteratedGreedyRoundFaultFree(b *testing.B) {
+	spec := workload.Default()
+	spec.N, spec.P, spec.MTBFYears = 1000, 5000, 0
+	tasks, err := spec.Generate(rng.New(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewSimulator()
+	if err := e.Reset(Instance{Tasks: tasks, P: spec.P, Res: spec.Resilience()}, Policy{OnEnd: EndGreedy}, nil, Options{}); err != nil {
+		b.Fatal(err)
+	}
+	benchRound(b, e, 0, e.eligible(0), iteratedGreedy)
 }
 
 // paperScaleInstance is one Figure-8-like instance: the default

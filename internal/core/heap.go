@@ -6,13 +6,17 @@ package core
 // in the pool — exactly the list discipline of Algorithms 1, 3 and 5.
 // Ties break on the smaller task index so runs are deterministic.
 //
-// The comparator (key descending, index ascending) is a total order, so
-// the maximum is unique no matter how the pool is stored. It is a sifted
-// binary heap: pools hold every live task of a pack (up to n = 1000 in
-// Figure 7), and a grow loop that takes the top, lowers its key and
-// sifts it down (top, fixTop) pays O(log n) per step instead of a
-// linear scan. The pop order is identical to a linear argmax scan
-// (TestTaskHeapMatchesLinearScan) and pinned by the golden tests.
+// The comparator (key descending, index ascending; keyedBefore) is a
+// total order, so the maximum is unique no matter how the pool is
+// stored. It is a sifted binary heap: pools hold every live task of a
+// pack (up to n = 1000 in Figure 7), and a grow loop that takes the top,
+// lowers its key and sifts it down (top, fixTop) pays O(log n) per step
+// instead of a linear scan. The pop order is identical to a linear
+// argmax scan (TestTaskHeapMatchesLinearScan) and pinned by the golden
+// tests. Algorithms 1 and 3 grow through the heap step by step;
+// Algorithm 5 takes its leading simple steps in level rounds, which
+// need only the order (levelround.go), and builds the heap for the
+// rest.
 type taskHeap struct {
 	idx []int     // heap-ordered task indices
 	key []float64 // key per task index (shared with the engine)
@@ -27,7 +31,13 @@ func (h *taskHeap) rebind(key []float64) {
 // before reports whether task a orders before task b: larger key first,
 // ties to the smaller index.
 func (h *taskHeap) before(a, b int) bool {
-	ka, kb := h.key[a], h.key[b]
+	return keyedBefore(h.key[a], a, h.key[b], b)
+}
+
+// keyedBefore is the pool's total order on (key, task index) pairs:
+// task a with key ka orders before task b with key kb when ka is larger,
+// or the keys tie and a is the smaller index.
+func keyedBefore(ka float64, a int, kb float64, b int) bool {
 	return ka > kb || (ka == kb && a < b)
 }
 

@@ -43,6 +43,25 @@ type Decision struct {
 	base      []float64         // t + extra(i), frozen per round (lazy)
 	ckRow     [][]float64       // post-redist ckpt surcharge rows (lazy)
 	avail     int               // free processors under the current candidate assignment
+
+	// Algorithm 5's level rounds (levelround.go): a round's evaluated
+	// steps in one flat arena, queued per task from stepHead[i] through
+	// levelStep.next to stepTail[i]; stepCount counts each task's steps
+	// in the round, open lists the tasks still stepping, and sel is the
+	// budget cut's selection buffer.
+	steps     []levelStep
+	stepHead  []int
+	stepTail  []int
+	stepCount []int
+	open      []int
+	sel       []levelElem
+
+	// Options.Paranoia's replay of Algorithm 5 through the heap loop
+	// (saveReset, replayHeapLoop).
+	rpSigma []int
+	rpKey   []float64
+	rpAvail int
+	rpHeap  taskHeap
 }
 
 // resize grows the decision's arenas to n tasks, retaining capacity.
@@ -56,6 +75,9 @@ func (d *Decision) resize(e *Simulator, n int) {
 	growFloats(&d.alphaT, n)
 	growFloats(&d.oldTU, n)
 	growFloats(&d.tUc, n)
+	growInts(&d.stepHead, n)
+	growInts(&d.stepTail, n)
+	growInts(&d.stepCount, n)
 	if cap(d.mark) < n {
 		d.mark = make([]uint64, n)
 	}
@@ -352,11 +374,26 @@ func endLocal(d *Decision) {
 // the longest task two processors at a time while its expected finish
 // (including redistribution costs) improves. Reaching the initial
 // allocation again means "no redistribution" and restores the task's
-// unperturbed trajectory.
+// unperturbed trajectory. The regrowth's leading simple steps are taken
+// in level rounds (levelRounds); the heap loop takes the rest.
 func iteratedGreedy(d *Decision) {
 	if len(d.elig) == 0 {
 		return
 	}
+	resetToPairs(d)
+	if d.e.opt.Paranoia {
+		d.saveReset()
+	}
+	d.levelRounds()
+	growLongest(d)
+	if d.e.opt.Paranoia {
+		d.replayHeapLoop()
+	}
+}
+
+// resetToPairs virtually resets every eligible task to one pair
+// (Algorithm 5's first loop).
+func resetToPairs(d *Decision) {
 	// Regrowth reads each row from 2 up to about the task's old
 	// allocation, one cell per step. Reading that prefix now fills it in
 	// one rawRange pass; the prefix-min fold runs in ascending order
@@ -370,6 +407,15 @@ func iteratedGreedy(d *Decision) {
 		}
 		d.setSigma(i, 2)
 	}
+}
+
+// growLongest is Algorithm 5's regrowth loop: take the longest task and
+// grow it by one pair while some extension within the free pool improves
+// it.
+func growLongest(d *Decision) {
+	if d.avail < 2 {
+		return
+	}
 	h := &d.e.heap
 	h.build(d.elig)
 	for d.avail >= 2 {
@@ -382,7 +428,7 @@ func iteratedGreedy(d *Decision) {
 		// improves, so the bound only runs once it has failed, over the
 		// rest of the range.
 		first := d.sigmaNew[i] + 2
-		tFirst := d.candidate(i, first)
+		tFirst := d.nextCandidate(i)
 		improvable := tFirst < d.tUc[i]
 		if !improvable && first < pmax && !d.skipDead(i, first+2, pmax) {
 			for cand := first + 2; cand <= pmax; cand += 2 {

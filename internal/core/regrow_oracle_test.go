@@ -51,14 +51,22 @@ func oracleEndLocal(d *Decision) {
 
 // oracleIteratedGreedy is Algorithm 5 (iteratedGreedy).
 func oracleIteratedGreedy(d *Decision) {
+	oracleRegrowth(d)
+}
+
+// oracleRegrowth is Algorithm 5 as the plain pair-by-pair heap loop. It
+// returns how many grow steps came before the first non-simple one (a
+// step whose first candidate does not improve).
+func oracleRegrowth(d *Decision) (simple int) {
 	if len(d.elig) == 0 {
-		return
+		return 0
 	}
 	for _, i := range d.elig {
 		d.setSigma(i, 2)
 	}
 	h := &d.e.heap
 	h.build(d.elig)
+	leading := true
 	for d.avail >= 2 {
 		i, ok := h.top()
 		if !ok {
@@ -67,6 +75,7 @@ func oracleIteratedGreedy(d *Decision) {
 		pmax := d.sigmaNew[i] + d.avail
 		first := d.sigmaNew[i] + 2
 		improvable := d.candidate(i, first) < d.tUc[i]
+		leading = leading && improvable
 		if !improvable && first < pmax && !d.skipDead(i, first+2, pmax) {
 			for cand := first + 2; cand <= pmax; cand += 2 {
 				if d.candidate(i, cand) < d.tUc[i] {
@@ -78,9 +87,13 @@ func oracleIteratedGreedy(d *Decision) {
 		if !improvable {
 			break
 		}
+		if leading {
+			simple++
+		}
 		d.setSigma(i, d.sigmaNew[i]+2)
 		h.fixTop()
 	}
+	return simple
 }
 
 // oracleShortestTasksFirst is Algorithm 4 (shortestTasksFirst).

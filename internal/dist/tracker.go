@@ -51,9 +51,7 @@ type Tracker struct {
 	// retries counts lease losses blamed on the unit (see Expire).
 	retries []int
 
-	open    int // released units neither folded nor quarantined
-	foldedN int
-	quarN   int
+	open int // released units neither folded nor quarantined
 
 	nextID int
 	leases map[int]*Lease
@@ -97,7 +95,6 @@ func (t *Tracker) Add(units ...int) {
 func (t *Tracker) RestoreQuarantine(unit int) {
 	if unit >= 0 && unit < len(t.quarantined) && !t.quarantined[unit] && !t.folded[unit] {
 		t.quarantined[unit] = true
-		t.quarN++
 		if t.released[unit] {
 			t.open--
 		}
@@ -160,7 +157,6 @@ func (t *Tracker) Result(id, unit int) (fold, ended bool) {
 		return false, false
 	}
 	t.folded[unit] = true
-	t.foldedN++
 	t.open--
 	t.leaseOf[unit] = -1
 	l.Units = removeUnit(l.Units, unit)
@@ -191,7 +187,6 @@ func (t *Tracker) Expire(id int) (returned, quarantined []int, ok bool) {
 			t.retries[u]++
 			if t.retries[u] >= t.maxRetries {
 				t.quarantined[u] = true
-				t.quarN++
 				t.open--
 				quarantined = append(quarantined, u)
 				continue
@@ -237,26 +232,10 @@ func (t *Tracker) NextExpiry() (time.Time, bool) {
 	return next, found
 }
 
-// HasPending reports whether any unit is still claimable.
-func (t *Tracker) HasPending() bool {
-	for u := range t.folded {
-		if t.released[u] && !t.folded[u] && !t.quarantined[u] && t.leaseOf[u] < 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Done reports whether every released unit is folded or quarantined —
 // the coordinator's termination condition once nothing more is
 // released.
 func (t *Tracker) Done() bool { return t.open == 0 }
-
-// Complete reports whether Done holds with no quarantine losses.
-func (t *Tracker) Complete() bool { return t.open == 0 && t.quarN == 0 }
-
-// FoldedCount returns the number of folded units.
-func (t *Tracker) FoldedCount() int { return t.foldedN }
 
 // Total returns the campaign's unit count.
 func (t *Tracker) Total() int { return len(t.folded) }

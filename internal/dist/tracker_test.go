@@ -20,6 +20,33 @@ func releasedTracker(total, maxRetries int) *Tracker {
 	return tr
 }
 
+// foldedCount returns the number of units tr has folded.
+func foldedCount(tr *Tracker) int {
+	n := 0
+	for _, f := range tr.folded {
+		if f {
+			n++
+		}
+	}
+	return n
+}
+
+// hasPending reports whether tr holds a claimable unit: released,
+// unfolded, unquarantined and unleased.
+func hasPending(tr *Tracker) bool {
+	for u := range tr.folded {
+		if tr.released[u] && !tr.folded[u] && !tr.quarantined[u] && tr.leaseOf[u] < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// complete reports whether tr is Done with no unit quarantined.
+func complete(tr *Tracker) bool {
+	return tr.Done() && len(tr.Quarantined()) == 0
+}
+
 // op is one step of an interleaving: a claim, or a lease-addressed
 // renew/expire/result. Lease fields name the Nth claim's lease
 // (IDs are sequential), so sequences can address leases that do not
@@ -155,14 +182,14 @@ func applyOp(t *testing.T, tr *Tracker, m *trackerModel, o op, total int, seq []
 		}
 	}
 	// Global invariants, checked after every step of every sequence.
-	if got, want := tr.FoldedCount(), len(m.folded); got != want {
-		fail("FoldedCount = %d, want %d — a unit folded twice or got lost", got, want)
+	if got, want := foldedCount(tr), len(m.folded); got != want {
+		fail("folded count = %d, want %d — a unit folded twice or got lost", got, want)
 	}
 	if got, want := tr.Done(), len(m.folded) == total; got != want {
 		fail("Done = %v, want %v", got, want)
 	}
-	if got, want := tr.HasPending(), len(m.pending(total)) > 0; got != want {
-		fail("HasPending = %v, want %v", got, want)
+	if got, want := hasPending(tr), len(m.pending(total)) > 0; got != want {
+		fail("has pending = %v, want %v", got, want)
 	}
 }
 
@@ -220,7 +247,7 @@ func TestTrackerInterleavingsExhaustive(t *testing.T) {
 // workers execute ascending, so an expiring lease's first outstanding
 // unit takes the strike, and a unit reaching the retry cap is
 // quarantined — excluded from every future claim, counted in Done but
-// never in Complete.
+// never by complete.
 func TestTrackerBlameAndQuarantine(t *testing.T) {
 	tr := releasedTracker(4, 2)
 	l, _ := tr.Claim(0, 4, t0, ttl)
@@ -250,8 +277,8 @@ func TestTrackerBlameAndQuarantine(t *testing.T) {
 	if fold, _ := tr.Result(l3.ID, 3); !fold {
 		t.Fatal("folding unit 3 refused")
 	}
-	if !tr.Done() || tr.Complete() {
-		t.Fatalf("Done=%v Complete=%v, want done-but-incomplete", tr.Done(), tr.Complete())
+	if !tr.Done() || complete(tr) {
+		t.Fatalf("Done=%v complete=%v, want done-but-incomplete", tr.Done(), complete(tr))
 	}
 	if fmt.Sprint(tr.Quarantined()) != "[2]" {
 		t.Fatalf("Quarantined() = %v", tr.Quarantined())
@@ -288,7 +315,7 @@ func TestTrackerNoResurrection(t *testing.T) {
 	if _, _, ok := tr.Expire(l2.ID); ok {
 		t.Error("expire voided a finished lease")
 	}
-	if !tr.Complete() {
+	if !complete(tr) {
 		t.Fatal("campaign incomplete after folding every unit")
 	}
 }
@@ -322,7 +349,7 @@ func TestTrackerDueOrder(t *testing.T) {
 // restored before its unit is released still blocks completion.
 func TestTrackerClaimsOnlyReleased(t *testing.T) {
 	tr := NewTracker(6, 3)
-	if !tr.Done() || tr.HasPending() {
+	if !tr.Done() || hasPending(tr) {
 		t.Fatal("a tracker with nothing released has work")
 	}
 	tr.RestoreQuarantine(5)
@@ -345,7 +372,7 @@ func TestTrackerClaimsOnlyReleased(t *testing.T) {
 		t.Fatalf("claim granted %v, want [4] (5 is quarantined)", l2.Units)
 	}
 	tr.Result(l2.ID, 4)
-	if !tr.Done() || tr.Complete() {
-		t.Fatalf("Done=%v Complete=%v, want done-but-incomplete", tr.Done(), tr.Complete())
+	if !tr.Done() || complete(tr) {
+		t.Fatalf("Done=%v complete=%v, want done-but-incomplete", tr.Done(), complete(tr))
 	}
 }
