@@ -55,8 +55,9 @@ import (
 // Algorithm 5's regrowth at the same state, and
 // IteratedGreedyRoundFaultFree for a fault-free n = 1000 regrowth whose
 // pool is too small for level rounds), and Algorithm 1 alone
-// (InitialSchedule on the direct path, InitialScheduleCompiled cold on
-// compiled tables).
+// (InitialSchedule on the direct path, InitialScheduleCompiled on a
+// compiled table's warm rows, InitialScheduleCold on a fresh table's
+// empty ones).
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +
@@ -64,7 +65,7 @@ const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleR
 	"|BenchmarkExpectedTimeRaw$|BenchmarkCompileCold$|BenchmarkCompileWarm$" +
 	"|BenchmarkRecompileDelta$|BenchmarkCandidateRowSweep$|BenchmarkDecisionRound$|BenchmarkDecisionRoundPaperScale$" +
 	"|BenchmarkIteratedGreedyRoundPaperScale$|BenchmarkIteratedGreedyRoundFaultFree$" +
-	"|BenchmarkInitialSchedule$|BenchmarkInitialScheduleCompiled$"
+	"|BenchmarkInitialSchedule$|BenchmarkInitialScheduleCompiled$|BenchmarkInitialScheduleCold$"
 
 // ledger is the JSON document layout. The environment block (Go version,
 // GOMAXPROCS, CPU, commit) makes a ledger self-describing: a reader of a

@@ -111,8 +111,11 @@ func paperScaleRound(tb testing.TB) (*Simulator, float64, []int) {
 
 // benchRound times one end-of-task round of rule on e at time t over
 // elig without committing it, so every iteration evaluates the same
-// round.
+// round. One untimed round first fills the failure rows and sizes the
+// arenas the round reads, so the timed ones allocate nothing.
 func benchRound(b *testing.B, e *Simulator, t float64, elig []int, rule func(*Decision)) {
+	e.beginDecision(t, elig, -1)
+	rule(&e.d)
 	e.ctr = Counters{}
 	b.ReportAllocs()
 	b.ResetTimer()

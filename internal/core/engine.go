@@ -79,7 +79,6 @@ type Simulator struct {
 	busyAt      float64
 
 	// Arenas reused across runs.
-	sigma0    []int         // Algorithm 1's σ₀ (initialSchedule)
 	elig      []int         // eligibility buffer
 	finish    []float64     // Result.Finish backing
 	sigmaRes  []int         // Result.Sigma backing
@@ -247,7 +246,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	sched := e.cm.Schedule()
 	if sched == nil {
 		e.initialSchedule()
-		e.cm.StoreSchedule(e.sigma0[:n], e.d.tUc[:n])
+		e.cm.StoreSchedule(e.d.sigmaNew[:n], e.d.tUc[:n])
 		sched = e.cm.Schedule()
 	} else if opt.Paranoia {
 		e.checkSchedule(sched)
@@ -295,7 +294,6 @@ func (e *Simulator) resize(n int) {
 		e.st = make([]taskState, n)
 	}
 	e.st = e.st[:n]
-	growInts(&e.sigma0, n)
 	growInts(&e.sigmaRes, n)
 	growFloats(&e.finish, n)
 	if cap(e.elig) < n {
@@ -305,60 +303,132 @@ func (e *Simulator) resize(n int) {
 	e.heap.rebind(e.d.tUc)
 }
 
-// initialSchedule is Algorithm 1 evaluated into the simulator's arenas
+// initialSchedule is Algorithm 1 evaluated into the decision scratch
 // (same algorithm as the exported InitialSchedule, without its per-call
-// allocations). The result lands in e.sigma0, and each task's expected
-// time t^R_{i,σ₀(i)}(1) under it in e.d.tUc (the heap key). Line 9 stops at the first
-// improving cell (canGrow), so on NaN-free rows Algorithm 1 evaluates
-// at most Σσ₀/2 + n + P/2 Eq. (4) cells in all: each task's row up to
-// its final allocation plus one probe, and one row out to pmax for the
-// task that ends the loop. With no compiled model bound (e.cm nil — the
-// one-shot InitialSchedule wrapper) the evaluators take the direct path:
-// building the full n·P/2 table would cost far more than those cells
-// (the packs DP calls the wrapper once per candidate subset).
+// allocations). σ₀ lands in e.d.sigmaNew, and each task's expected time
+// t^R_{i,σ₀(i)}(1) under it in e.d.tUc (the heap key). On compiled rows
+// proven free of NaN, the leading grants whose next cell strictly drops
+// run in level rounds cut at a predicted level (scheduleRounds, DESIGN.md
+// §5.5), each task's cells read in one rawRange call per round; the heap
+// loop takes the rest, and all of them on any other pack. Line 9 stops
+// at the first improving cell (canGrow), so on NaN-free rows Algorithm 1
+// evaluates at most Σσ₀/2 + n + P/2 Eq. (4) cells in all: each task's row
+// up to its final allocation plus one probe, and one row out to pmax for
+// the task that ends the loop (pinned by TestInitialScheduleLaziness).
+// With no compiled model bound (e.cm nil — the one-shot InitialSchedule
+// wrapper) the evaluators take the direct path: building the full n·P/2
+// table would cost far more than those cells (the packs DP calls the
+// wrapper once per candidate subset).
 func (e *Simulator) initialSchedule() {
+	d := &e.d
+	e.scheduleRounds()
+	d.avail = e.scheduleHeapLoop(&e.heap, d.sigmaNew, d.tUc, d.avail)
+	if e.opt.Paranoia {
+		e.replaySchedule()
+	}
+}
+
+// scheduleRounds starts Algorithm 1 — one pair per task, the rest of the
+// platform free in e.d.avail — and takes its leading simple grants in
+// level rounds where it may. ran reports whether any round ran; taken and
+// stop are levelRounds' results.
+func (e *Simulator) scheduleRounds() (taken int, stop levelStop, ran bool) {
+	d := &e.d
 	n := len(e.in.Tasks)
+	avail := e.in.P - 2*n
+	// Rounds run on compiled tables, with a pool that funds them, and
+	// need every row proven through the first grant's pmax, 2 + avail: a
+	// task's σ + avail only falls as the pool is spent. The direct path
+	// keeps the heap loop: its cells cost the same one at a time, and the
+	// fresh simulator of each InitialSchedule call would allocate the
+	// rounds' arenas.
+	rounds := e.cm != nil && avail/2 >= levelMinSteps*n
 	e.elig = e.elig[:0]
 	for i := range e.in.Tasks {
-		e.sigma0[i] = 2
+		ev := &d.evals[i]
 		if e.cm != nil {
-			e.d.evals[i].ResetCompiled(e.cm, i, 1)
+			ev.ResetCompiled(e.cm, i, 1)
 		} else {
-			e.d.evals[i].Reset(e.in.Res, e.in.Tasks[i], 1)
+			ev.Reset(e.in.Res, e.in.Tasks[i], 1)
 		}
-		e.d.tUc[i] = e.d.evals[i].At(2)
+		d.sigmaNew[i] = 2
+		d.tUc[i] = ev.At(2)
+		rounds = rounds && ev.NumericThrough(2+avail)
 		e.elig = append(e.elig, i)
 	}
-	e.heap.build(e.elig)
-	avail := e.in.P - 2*n
+	d.elig, d.avail = e.elig, avail
+	if !rounds {
+		return 0, stopSmallPool, false
+	}
+	taken, stop = d.levelRounds(algorithm1)
+	return taken, stop, true
+}
+
+// scheduleHeapLoop is Algorithm 1's grant loop over e.elig from
+// allocations sigma, keys key (t^R_{i,σ}(1)) and free pool avail, on heap
+// h keyed by key: grant the longest task one pair while line 9 says its
+// expected time can still drop. It updates sigma and key in place and
+// returns the pool left.
+func (e *Simulator) scheduleHeapLoop(h *taskHeap, sigma []int, key []float64, avail int) int {
+	h.key = key
+	h.build(e.elig)
 	for avail >= 2 {
-		i, ok := e.heap.top()
+		i, ok := h.top()
 		if !ok {
 			break
 		}
 		// Line 9: is there any hope of improving the longest task with
 		// everything we have?
-		if e.canGrow(i, e.sigma0[i], e.sigma0[i]+avail) {
-			e.sigma0[i] += 2
-			e.d.tUc[i] = e.d.evals[i].At(e.sigma0[i])
-			e.heap.fixTop()
-			avail -= 2
-		} else {
+		if !e.canGrow(i, sigma[i], sigma[i]+avail) {
 			// The longest task cannot be improved: the overall expected
 			// completion time is settled, keep the processors free.
 			break
+		}
+		sigma[i] += 2
+		key[i] = e.d.evals[i].At(sigma[i])
+		h.fixTop()
+		avail -= 2
+	}
+	return avail
+}
+
+// replaySchedule is Options.Paranoia's check of Algorithm 1's level
+// rounds: it replays the schedule from one pair per task through the
+// plain heap loop alone and records the first bit mismatch in σ₀, tU or
+// the free pool.
+func (e *Simulator) replaySchedule() {
+	if e.paranoidErr != nil {
+		return
+	}
+	d := &e.d
+	growInts(&d.rpSigma, len(d.sigmaNew))
+	growFloats(&d.rpKey, len(d.tUc))
+	for _, i := range e.elig {
+		d.rpSigma[i], d.rpKey[i] = 2, d.evals[i].At(2)
+	}
+	avail := e.scheduleHeapLoop(&d.rpHeap, d.rpSigma, d.rpKey, e.in.P-2*len(e.elig))
+	if avail != d.avail {
+		e.paranoidErr = fmt.Errorf("core: Algorithm 1 leaves %d processors free, the heap loop %d", d.avail, avail)
+		return
+	}
+	for _, i := range e.elig {
+		if d.sigmaNew[i] != d.rpSigma[i] || math.Float64bits(d.tUc[i]) != math.Float64bits(d.rpKey[i]) {
+			e.paranoidErr = fmt.Errorf("core: Algorithm 1 gives task %d σ₀=%d, tU=%v; the heap loop σ₀=%d, tU=%v",
+				i, d.sigmaNew[i], d.tUc[i], d.rpSigma[i], d.rpKey[i])
+			return
 		}
 	}
 }
 
 // checkSchedule is Options.Paranoia's check of a schedule read from the
-// table: it re-runs Algorithm 1 and records the first bit mismatch in
-// σ₀ or tU as the error check (and so Run) returns.
+// table: it re-runs Algorithm 1, whose level rounds replaySchedule checks
+// against the heap loop, and records the first bit mismatch in σ₀ or tU
+// as the error check (and so Run) returns.
 func (e *Simulator) checkSchedule(sched *model.Schedule) {
 	e.initialSchedule()
-	for i, sig := range e.sigma0[:len(e.in.Tasks)] {
-		tU := e.d.evals[i].At(sig)
-		if sig != sched.Sigma[i] || math.Float64bits(tU) != math.Float64bits(sched.TU[i]) {
+	d := &e.d
+	for i := range e.elig {
+		if sig, tU := d.sigmaNew[i], d.tUc[i]; sig != sched.Sigma[i] || math.Float64bits(tU) != math.Float64bits(sched.TU[i]) {
 			e.paranoidErr = fmt.Errorf("core: stored schedule gives task %d σ₀=%d, tU=%v; Algorithm 1 gives σ₀=%d, tU=%v",
 				i, sched.Sigma[i], sched.TU[i], sig, tU)
 			return

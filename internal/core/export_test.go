@@ -20,7 +20,7 @@ func ColdInitialSchedule(in Instance, c *model.Compiled) (sigma []int, tU []floa
 	tU = make([]float64, len(in.Tasks))
 	for i := range in.Tasks {
 		cells += e.d.evals[i].Cached()
-		tU[i] = e.d.evals[i].At(e.sigma0[i])
+		tU[i] = e.d.evals[i].At(e.d.sigmaNew[i])
 	}
-	return append([]int(nil), e.sigma0...), tU, cells, nil
+	return append([]int(nil), e.d.sigmaNew[:len(in.Tasks)]...), tU, cells, nil
 }

@@ -13,7 +13,10 @@ import (
 // keys fixed in advance, and the heap loop pops a merge of those
 // sequences in its total order (keyedBefore). The set of steps whose
 // pre-step element orders before any cut is therefore a prefix of the
-// heap's pop order, and can be taken without the heap.
+// heap's pop order, and can be taken without the heap. Algorithm 1's
+// grants have the same shape: a grant whose next cell strictly drops,
+// t^R_{i,σ+2}(1) < t^R_{i,σ}(1), reads only its own row, and is line 9's
+// answer whatever the pool holds on a row proven free of NaN.
 //
 // levelRounds takes them in rounds. A round's threshold is the last task
 // in heap order. The tasks ordering before it evaluate their candidates
@@ -26,6 +29,30 @@ import (
 // selected from the stored elements. Each task then commits once, with
 // its last key before the cut. Rounds run only while the pool funds two
 // steps per task. DESIGN.md §5.5 and §12 carry the argument.
+//
+// Algorithm 1 starts each round's cut at a predicted level instead of the
+// threshold when it can predict one (planLevel): any cut splits off a
+// prefix of the pop order, and one near the level the pool funds lets
+// each task read its row in one pass to about its final allocation.
+
+// levelAlg is the greedy whose grow steps levelRounds takes. A step's
+// key, its commit and Algorithm 1's predicted cut differ between them.
+type levelAlg int
+
+const (
+	// algorithm5 steps a task to candidate(i, σ+2), its finish time
+	// redistributed there, and commits through setEvaluated.
+	algorithm5 levelAlg = iota
+	// algorithm1 steps a task to its own Eq. (6) time t^R_{i,σ+2}(1) and
+	// commits to the decision's σ, keys and pool directly
+	// (initialSchedule).
+	algorithm1
+)
+
+// levelMinSteps is the number of steps per eligible task the free pool
+// must fund for a level round to run (DESIGN.md §12 has the
+// measurements for both greedies).
+const levelMinSteps = 2
 
 // levelElem is the pre-step element of one grow step: the task's key
 // before the step and its index, ordered as the heap orders tasks.
@@ -71,12 +98,13 @@ func (s *levelStep) live(cut levelElem) bool {
 }
 
 // levelRounds takes, round by round, the leading simple grow steps of
-// Algorithm 5's regrowth: the steps the heap loop would take before its
-// first non-simple step or the end of the free pool, all of them unless
-// it stops early at a pool too small for a round. It returns how many
-// steps it committed and why it stopped. Steps it evaluated past its
-// last cut stay queued on their task for nextCandidate.
-func (d *Decision) levelRounds() (taken int, stop levelStop) {
+// alg's greedy: the steps the heap loop would take before its first
+// non-simple step or the end of the free pool, all of them unless it
+// stops early at a pool too small for a round. It returns how many steps
+// it committed and why it stopped. Algorithm 5's steps evaluated past
+// the last cut stay queued on their task for nextCandidate; Algorithm
+// 1's stay cached in the task's evaluator.
+func (d *Decision) levelRounds(alg levelAlg) (taken int, stop levelStop) {
 	for _, i := range d.elig {
 		d.stepHead[i] = -1
 	}
@@ -89,13 +117,19 @@ func (d *Decision) levelRounds() (taken int, stop levelStop) {
 		k := d.avail / 2
 		// Every round scans every eligible task, and a round the budget
 		// cuts leaves the steps its lower tasks evaluated unused. A pool
-		// funding fewer than two steps per task is mostly such rounds,
-		// and cheaper on the heap: one O(n) build, then O(log n) per
-		// step, with no evaluation past the budget.
-		if k < 2*len(d.elig) {
+		// funding few steps per task is mostly such rounds, and cheaper
+		// on the heap: one O(n) build, then O(log n) per step, with no
+		// evaluation past the budget.
+		if k < levelMinSteps*len(d.elig) {
 			return taken, stopSmallPool
 		}
 		cut, kind := d.lastInOrder(), stopSpent
+		level := math.NaN() // Algorithm 1's predicted level; NaN: none
+		if alg == algorithm1 {
+			if l, ok := d.planLevel(k); ok {
+				cut, level = levelElem{l, -1}, l
+			}
+		}
 		d.steps = d.steps[:0]
 		d.open = d.open[:0]
 		for _, i := range d.elig {
@@ -121,12 +155,28 @@ func (d *Decision) levelRounds() (taken int, stop levelStop) {
 				}
 				n := d.stepCount[i]
 				last, more := min(n+burst, k), false
+				if alg == algorithm1 && (levelElem{key, i}).before(cut) {
+					// The level already shares the budget out: a task may
+					// take its predicted steps in one pass, and reads
+					// their cells in one rawRange call.
+					if m := d.predictSteps(i, level, k); m > n {
+						last = max(last, m)
+						d.evals[i].At(d.sigmaNew[i] + 2*m)
+					}
+				}
 				for {
 					if more = (levelElem{key, i}).before(cut); !more || n == last {
 						break
 					}
 					n++
-					tE := d.candidate(i, d.sigmaNew[i]+2*n)
+					// Algorithm 1's key is the task's own t^R(1);
+					// Algorithm 5's its counted candidate finish time.
+					var tE float64
+					if cand := d.sigmaNew[i] + 2*n; alg == algorithm1 {
+						tE = d.evals[i].At(cand)
+					} else {
+						tE = d.candidate(i, cand)
+					}
 					d.pushStep(i, key, tE)
 					if !(tE < key) {
 						cut, kind, more = levelElem{key, i}, stopNonSimple, false
@@ -164,7 +214,7 @@ func (d *Decision) levelRounds() (taken int, stop levelStop) {
 			}
 			d.stepHead[i] = s
 			if m > 0 {
-				d.setEvaluated(i, d.sigmaNew[i]+2*m, key)
+				d.takeSteps(alg, i, d.sigmaNew[i]+2*m, key)
 				round += m
 			}
 		}
@@ -177,6 +227,105 @@ func (d *Decision) levelRounds() (taken int, stop levelStop) {
 		}
 	}
 	return taken, stopSpent
+}
+
+// takeSteps commits task i's steps of a round: cand processors, with key
+// key. Algorithm 1 commits without setEvaluated's eligibility stamp and
+// candidate check, which belong to a decision round, but keeps its
+// processor conservation.
+func (d *Decision) takeSteps(alg levelAlg, i, cand int, key float64) {
+	if alg == algorithm5 {
+		d.setEvaluated(i, cand, key)
+		return
+	}
+	if over := cand - d.sigmaNew[i] - d.avail; over > 0 {
+		panic(fmt.Sprintf("core: Algorithm 1 grants task %d up to %d, oversubscribing the platform by %d processors", i, cand, over))
+	}
+	d.avail -= cand - d.sigmaNew[i]
+	d.sigmaNew[i], d.tUc[i] = cand, key
+}
+
+// planLevel predicts the level at which Algorithm 1's pool of k pairs
+// runs out, as the key below which no grant of the round falls; ok is
+// false when it finds none below the top key. levelRounds cuts the round
+// there and lets each task take its predicted steps in one pass, reading
+// their cells in one rawRange call.
+//
+// Cut at the threshold, a round of a pool-bound schedule holds many more
+// simple steps than the pool pays for, and the budget cut discards the
+// excess after its cells were paid for; cut at the level, each task
+// reads its row once, to about its final allocation. The prediction fits
+// t_{i,j} = A + B/j through the fault-free times at σ and σ+2 (exact for
+// the synthetic profile of Eq. (10)), scales it by the task's key over
+// its fault-free time at σ, and bisects on a log scale for the lowest
+// level whose predicted steps fit the budget. It only steers the cost:
+// the steps before any cut are a prefix of the heap loop's, and the
+// budget and non-simple cuts still apply to the round.
+func (d *Decision) planLevel(k int) (level float64, ok bool) {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, i := range d.elig {
+		s, key := d.sigmaNew[i], d.tUc[i]
+		t1, t2 := d.e.cm.Time(i, s), d.e.cm.Time(i, s+2)
+		b := (t1 - t2) * float64(s) * float64(s+2) / 2
+		r := key / t1
+		d.fitA[i], d.fitB[i] = r*(t1-b/float64(s)), r*b
+		if !(b > 0 && r > 0) || math.IsInf(d.fitA[i], 0) || math.IsInf(d.fitB[i], 0) {
+			d.fitB[i] = 0 // no prediction past the first step
+		}
+		lo, hi = min(lo, key), max(hi, key)
+	}
+	top := hi
+	if !(lo > 0 && top < math.Inf(1)) {
+		return 0, false // keys that are not positive, finite times
+	}
+	// Bracket the level between hi, whose predicted steps the budget
+	// funds, and lo, whose do not: halve lo below the lowest key until
+	// the budget runs out, then bisect on a log scale.
+	for halvings := 0; d.predictedTotal(lo, k) <= k; halvings++ {
+		if hi, lo = lo, lo/2; halvings == 30 {
+			break
+		}
+	}
+	for range 8 {
+		if mid := math.Sqrt(lo) * math.Sqrt(hi); d.predictedTotal(mid, k) > k {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	// A level at the top key would leave the round empty: the fit is too
+	// steep there for the bisection to find one below it.
+	return hi, hi < top
+}
+
+// predictedTotal is the number of steps planLevel predicts above level,
+// summed over the eligible tasks.
+func (d *Decision) predictedTotal(level float64, k int) int {
+	sum := 0
+	for _, i := range d.elig {
+		sum += d.predictSteps(i, level, k)
+	}
+	return sum
+}
+
+// predictSteps is the number of task i's steps whose pre-step key the
+// fit puts above level, at most k: the even j ≥ σ with A + B/j > level.
+func (d *Decision) predictSteps(i int, level float64, k int) int {
+	if !(d.tUc[i] > level) {
+		return 0
+	}
+	a, b := d.fitA[i], d.fitB[i]
+	switch {
+	case b == 0:
+		return 1
+	case !(level > a):
+		return k
+	}
+	m := (b/(level-a) - float64(d.sigmaNew[i])) / 2
+	if !(m < float64(k)) {
+		return k
+	}
+	return max(1, int(math.Ceil(m)))
 }
 
 // pushStep appends task i's next evaluated step to the arena and its

@@ -59,7 +59,7 @@ func (c *levelCoverage) levelCheck(name string) func(*Decision) {
 			tied = tied || seen[d.tUc[i]]
 			seen[d.tUc[i]] = true
 		}
-		steps, stop := d.levelRounds()
+		steps, stop := d.levelRounds(algorithm5)
 		left := d.avail
 		if stop == stopNonSimple {
 			// The heap loop's next step is the non-simple one.
@@ -269,7 +269,7 @@ func TestParanoiaReplaysLevelRounds(t *testing.T) {
 		d := &e.d
 		resetToPairs(d)
 		d.saveReset()
-		if steps, _ := d.levelRounds(); steps == 0 {
+		if steps, _ := d.levelRounds(algorithm5); steps == 0 {
 			t.Fatal("the level rounds took no step")
 		}
 		growLongest(d)
@@ -280,6 +280,37 @@ func TestParanoiaReplaysLevelRounds(t *testing.T) {
 		switch err := e.paranoidErr; {
 		case !forge && err != nil:
 			t.Fatalf("replay of an untouched decision: %v", err)
+		case forge && (err == nil || !strings.Contains(err.Error(), "heap loop")):
+			t.Fatalf("replay of a forged key: err = %v, want the heap-loop report", err)
+		}
+	}
+}
+
+// TestParanoiaReplaysSchedule checks Options.Paranoia's replay of
+// Algorithm 1: it accepts the schedule the level rounds and the heap
+// loop made, and reports a one-ulp change to a key.
+func TestParanoiaReplaysSchedule(t *testing.T) {
+	for _, forge := range []bool{false, true} {
+		in := Instance{Tasks: synthPack(10, rng.New(5)), P: 100, Res: paperRes(5)}
+		c, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewSimulator()
+		e.in, e.cm, e.opt = in, c, Options{Paranoia: true}
+		e.resize(len(in.Tasks))
+		if steps, _, _ := e.scheduleRounds(); steps == 0 {
+			t.Fatal("the level rounds took no grant")
+		}
+		d := &e.d
+		d.avail = e.scheduleHeapLoop(&e.heap, d.sigmaNew, d.tUc, d.avail)
+		if forge {
+			d.tUc[3] = math.Nextafter(d.tUc[3], math.Inf(1))
+		}
+		e.replaySchedule()
+		switch err := e.paranoidErr; {
+		case !forge && err != nil:
+			t.Fatalf("replay of an untouched schedule: %v", err)
 		case forge && (err == nil || !strings.Contains(err.Error(), "heap loop")):
 			t.Fatalf("replay of a forged key: err = %v, want the heap-loop report", err)
 		}
@@ -300,12 +331,149 @@ func TestLevelRoundsLeaveNaNKeys(t *testing.T) {
 	resetToPairs(d)
 	d.tUc[elig[len(elig)-1]] = math.NaN()
 	avail := d.avail
-	if steps, stop := d.levelRounds(); steps != 0 || stop != stopEmpty || d.avail != avail {
+	if steps, stop := d.levelRounds(algorithm5); steps != 0 || stop != stopEmpty || d.avail != avail {
 		t.Fatalf("level rounds over a NaN key took %d steps (%v), free pool %d → %d", steps, stop, avail, d.avail)
 	}
 	for _, i := range elig {
 		if d.stepHead[i] >= 0 {
 			t.Fatalf("task %d keeps queued steps", i)
+		}
+	}
+}
+
+// TestScheduleRoundsMatchHeapLoop checks Algorithm 1's level rounds
+// against fullRowGrow, a plain copy of its heap loop with line 9 read
+// over the full row: σ₀ and every tU must agree bit for bit, and the
+// rounds must take exactly the heap loop's leading simple grants, unless
+// they stop at a small pool or at a single task that is its own
+// threshold (then no more than those). The corpus is
+// linenine_test.go's (NaN-prone rows included) plus packs of identical
+// tasks, single tasks, pools of two to twelve pairs per task, P = 2n and
+// P = 2n + 2, fault-free variants, and identical tasks whose times are
+// negative, where rounds fall back to the threshold cut as they do for
+// infinite keys. It must reach
+// every way the rounds end.
+func TestScheduleRoundsMatchHeapLoop(t *testing.T) {
+	src := rng.New(3001)
+	stops := map[levelStop]int{}
+	var ties, single, tight, faultFree, faulty, unproven, fallback, naiveWrong, taken int
+	for trial := 0; trial < 1500; trial++ {
+		in, _ := lineNineInstance(src)
+		n := len(in.Tasks)
+		switch trial % 8 {
+		case 1: // tied keys
+			in.Tasks = identicalPack(n, src)
+			in.P = 2 * n * (1 + src.Intn(12))
+		case 2:
+			in.P = 2 * n
+		case 3:
+			in.P = 2*n + 2
+		case 4: // one task
+			in.Tasks, n = in.Tasks[:1], 1
+			in.P = 2 + 2*src.Intn(60)
+		case 5: // a pool of two to twelve pairs per task
+			in.P = 2*n + 2*n*(2+src.Intn(11))
+		case 6: // fault-free
+			in.Res.Lambda, in.Res.SilentLambda = 0, 0
+			in.P = 2*n + 2*n*(1+src.Intn(12))
+		case 7: // negative times: no positive key to predict a level from
+			if trial%16 == 15 {
+				in.Tasks, n = in.Tasks[:1], 1
+			}
+			in.Res = model.Resilience{}
+			times := make([]float64, 2*n*(3+src.Intn(6)))
+			for j := range times {
+				times[j] = -float64(j+1) * src.Uniform(1, 2)
+			}
+			for i := range in.Tasks {
+				in.Tasks[i].Profile = model.Table{Times: times}
+			}
+			in.P = len(times)
+		}
+		c, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantTU, wrong, _, simple := oracleSchedule(in, c)
+		naiveWrong += wrong
+
+		e := NewSimulator()
+		e.in, e.cm = in, c
+		e.resize(n)
+		steps, stop, ran := e.scheduleRounds()
+		d := &e.d
+		d.avail = e.scheduleHeapLoop(&e.heap, d.sigmaNew, d.tUc, d.avail)
+		for i := range want {
+			if d.sigmaNew[i] != want[i] || math.Float64bits(d.tUc[i]) != math.Float64bits(wantTU[i]) {
+				t.Fatalf("trial %d task %d (n=%d, P=%d, res %+v): σ₀ %d, tU %v; heap loop %d, %v",
+					trial, i, n, in.P, in.Res, d.sigmaNew[i], d.tUc[i], want[i], wantTU[i])
+			}
+		}
+		if !ran {
+			switch {
+			case in.P-2*n < 4*n:
+				tight++
+			default:
+				unproven++
+			}
+			continue
+		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		seen := map[float64]bool{}
+		tied := false
+		for i := range in.Tasks {
+			k := e.d.evals[i].At(2)
+			tied = tied || seen[k]
+			seen[k] = true
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		threshold := !(lo > 0 && hi < math.Inf(1)) // no predicted level
+		switch {
+		case stop == stopSmallPool, stop == stopEmpty && n == 1:
+			if steps > simple {
+				t.Fatalf("trial %d (n=%d, P=%d): the rounds took %d grants before stopping (%v), the heap loop %d simple ones first",
+					trial, n, in.P, steps, stop, simple)
+			}
+		case steps != simple:
+			t.Fatalf("trial %d (n=%d, P=%d, res %+v): the rounds took %d grants (%v), the heap loop %d simple ones first",
+				trial, n, in.P, in.Res, steps, stop, simple)
+		}
+		stops[stop]++
+		taken += steps
+		if tied {
+			ties++
+		}
+		if n == 1 {
+			single++
+		}
+		if in.Res.Lambda == 0 {
+			faultFree++
+		} else {
+			faulty++
+		}
+		if threshold {
+			fallback++
+		}
+	}
+	t.Logf("stops: spent %d, empty %d, non-simple %d, budget %d, small pool %d; %d grants in rounds; %d tied, %d single-task, %d fault-free, %d faulty, %d threshold-cut packs; %d without rounds for a small pool, %d for an unproven row; %d NaN-blind line-9 errors",
+		stops[stopSpent], stops[stopEmpty], stops[stopNonSimple], stops[stopBudget], stops[stopSmallPool], taken, ties, single, faultFree, faulty, fallback, tight, unproven, naiveWrong)
+	for what, n := range map[string]int{
+		"pool spent":       stops[stopSpent],
+		"empty round":      stops[stopEmpty],
+		"non-simple cut":   stops[stopNonSimple],
+		"budget cut":       stops[stopBudget],
+		"small pool":       stops[stopSmallPool],
+		"tied keys":        ties,
+		"single task":      single,
+		"fault-free":       faultFree,
+		"faulty":           faulty,
+		"threshold cut":    fallback,
+		"pool under 2n":    tight,
+		"unproven row":     unproven,
+		"NaN-blind line 9": naiveWrong,
+	} {
+		if n == 0 {
+			t.Errorf("no schedule reached the %s case: the property is vacuous for it", what)
 		}
 	}
 }

@@ -18,8 +18,10 @@ import (
 // engine, the heap and its tie-break included. ev[i] must be bound at
 // α = 1; sigma holds the members' start allocations and grows in place.
 // It returns how many line-9 answers a first-improving-cell scan that
-// ignored NaN cells would have got wrong.
-func fullRowGrow(ev []model.MinEval, members []int, sigma []int, avail int) (naiveWrong int) {
+// ignored NaN cells would have got wrong, and how many grants it made
+// before its first that did not lower the task's key (the leading simple
+// grants the level rounds may take).
+func fullRowGrow(ev []model.MinEval, members []int, sigma []int, avail int) (naiveWrong, simple int) {
 	key := make([]float64, len(ev))
 	for _, i := range members {
 		key[i] = ev[i].At(sigma[i])
@@ -27,6 +29,7 @@ func fullRowGrow(ev []model.MinEval, members []int, sigma []int, avail int) (nai
 	var h taskHeap
 	h.rebind(key)
 	h.build(members)
+	grants := 0
 	for avail >= 2 {
 		i, ok := h.top()
 		if !ok {
@@ -45,17 +48,23 @@ func fullRowGrow(ev []model.MinEval, members []int, sigma []int, avail int) (nai
 			break
 		}
 		sigma[i] += 2
+		prev := key[i]
 		key[i] = ev[i].At(sigma[i])
+		if simple == grants && key[i] < prev {
+			simple++
+		}
+		grants++
 		h.fixTop()
 		avail -= 2
 	}
-	return naiveWrong
+	return naiveWrong, simple
 }
 
 // oracleSchedule is Algorithm 1 through fullRowGrow over c, or over the
 // direct path when c is nil: σ₀, each task's t^R_{i,σ₀(i)}(1), the
-// naive-scan disagreements and the cells the oracle evaluated.
-func oracleSchedule(in Instance, c *model.Compiled) (sigma []int, tU []float64, naiveWrong, cells int) {
+// naive-scan disagreements, the cells the oracle evaluated and its
+// leading simple grants.
+func oracleSchedule(in Instance, c *model.Compiled) (sigma []int, tU []float64, naiveWrong, cells, simple int) {
 	n := len(in.Tasks)
 	ev := make([]model.MinEval, n)
 	members := make([]int, n)
@@ -69,13 +78,13 @@ func oracleSchedule(in Instance, c *model.Compiled) (sigma []int, tU []float64, 
 		members[i] = i
 		sigma[i] = 2
 	}
-	naiveWrong = fullRowGrow(ev, members, sigma, in.P-2*n)
+	naiveWrong, simple = fullRowGrow(ev, members, sigma, in.P-2*n)
 	tU = make([]float64, n)
 	for i := range tU {
 		tU[i] = ev[i].At(sigma[i])
 		cells += ev[i].Cached()
 	}
-	return sigma, tU, naiveWrong, cells
+	return sigma, tU, naiveWrong, cells, simple
 }
 
 // lineNineInstance draws from the pruned-scan corpus (Synthetic and
@@ -156,7 +165,7 @@ func TestLineNineMatchesFullRowOracle(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		in, _ := lineNineInstance(src)
 		for name, c := range lineNineTables(t, src, in) {
-			want, wantTU, wrong, _ := oracleSchedule(in, c)
+			want, wantTU, wrong, _, _ := oracleSchedule(in, c)
 			naiveWrong += wrong
 			got, gotTU, _, err := ColdInitialSchedule(in, c)
 			if err != nil {
@@ -213,8 +222,8 @@ func TestAdmissionMatchesFullRowOracle(t *testing.T) {
 		if err := e.Reset(in, NoRedistribution, nil, Options{Paranoia: true}); err != nil {
 			t.Fatal(err)
 		}
-		if e.sigma0[0] != 2 {
-			t.Fatalf("trial %d: the flat base task grew to %d", trial, e.sigma0[0])
+		if e.d.sigmaNew[0] != 2 {
+			t.Fatalf("trial %d: the flat base task grew to %d", trial, e.d.sigmaNew[0])
 		}
 		for range arrivals {
 			e.pendQ = append(e.pendQ, e.addTask(at))
@@ -289,7 +298,7 @@ func TestInitialScheduleLaziness(t *testing.T) {
 				bound += s / 2
 			}
 			if k == 0 {
-				_, _, _, full := oracleSchedule(in, table)
+				_, _, _, full, _ := oracleSchedule(in, table)
 				t.Logf("paper scale, %s: %d cells (bound %d); a full-row line 9 reads %d", name, cells, bound, full)
 			}
 			if cells > bound {
@@ -339,8 +348,8 @@ func TestParanoiaCatchesLineNineMismatch(t *testing.T) {
 		if err := e.Reset(in, NoRedistribution, nil, Options{Paranoia: paranoia}); err != nil {
 			t.Fatal(err)
 		}
-		if e.sigma0[0] != 4 {
-			t.Fatalf("the early exit kept σ₀ = %d, want the forged growth to 4", e.sigma0[0])
+		if e.d.sigmaNew[0] != 4 {
+			t.Fatalf("the early exit kept σ₀ = %d, want the forged growth to 4", e.d.sigmaNew[0])
 		}
 		_, err = e.Run()
 		if !paranoia {

@@ -375,3 +375,44 @@ func TestOnlineRejections(t *testing.T) {
 		t.Fatal("unsorted arrivals must be rejected")
 	}
 }
+
+// TestArrivedSetForArrivalRoundsOnly counts the decision rounds that see
+// a list of just-admitted jobs: exactly the arrival rounds, never an end
+// or failure round that follows an admission.
+func TestArrivedSetForArrivalRoundsOnly(t *testing.T) {
+	in, _ := onlineInstance(t, 8, 64, 2, []float64{1e3, 5e3, 2e4, 6e4, 1.5e5})
+	src, err := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewSimulator()
+	pol := Policy{OnEnd: EndGreedy, OnFailure: FailIteratedGreedy, OnArrival: ArrivalGreedy}
+	if err := e.Reset(in, pol, src, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	withList, arrivals, later := 0, 0, 0
+	count := func(rule func(*Decision), arrival bool) func(*Decision) {
+		return func(d *Decision) {
+			if d.arrived != nil {
+				withList++
+			}
+			if arrival {
+				arrivals++
+			} else if arrivals > 0 {
+				later++
+			}
+			rule(d)
+		}
+	}
+	e.end, e.fail, e.arrive = count(e.end, false), count(e.fail, false), count(e.arrive, true)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d arrival rounds, %d end and failure rounds after the first", arrivals, later)
+	if arrivals == 0 || later == 0 {
+		t.Fatal("the run has no arrival round, or no other round after one")
+	}
+	if withList != arrivals {
+		t.Fatalf("%d rounds saw a just-admitted list, want the %d arrival rounds", withList, arrivals)
+	}
+}

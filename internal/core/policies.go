@@ -44,17 +44,20 @@ type Decision struct {
 	ckRow     [][]float64       // post-redist ckpt surcharge rows (lazy)
 	avail     int               // free processors under the current candidate assignment
 
-	// Algorithm 5's level rounds (levelround.go): a round's evaluated
-	// steps in one flat arena, queued per task from stepHead[i] through
-	// levelStep.next to stepTail[i]; stepCount counts each task's steps
-	// in the round, open lists the tasks still stepping, and sel is the
-	// budget cut's selection buffer.
+	// The level rounds of Algorithms 5 and 1 (levelround.go): a round's
+	// evaluated steps in one flat arena, queued per task from stepHead[i]
+	// through levelStep.next to stepTail[i]; stepCount counts each task's
+	// steps in the round, open lists the tasks still stepping, and sel is
+	// the budget cut's selection buffer. fitA and fitB hold the key fit
+	// A + B/j behind Algorithm 1's predicted level (planLevel).
 	steps     []levelStep
 	stepHead  []int
 	stepTail  []int
 	stepCount []int
 	open      []int
 	sel       []levelElem
+	fitA      []float64
+	fitB      []float64
 
 	// Options.Paranoia's replay of Algorithm 5 through the heap loop
 	// (saveReset, replayHeapLoop).
@@ -78,6 +81,8 @@ func (d *Decision) resize(e *Simulator, n int) {
 	growInts(&d.stepHead, n)
 	growInts(&d.stepTail, n)
 	growInts(&d.stepCount, n)
+	growFloats(&d.fitA, n)
+	growFloats(&d.fitB, n)
 	if cap(d.mark) < n {
 		d.mark = make([]uint64, n)
 	}
@@ -115,6 +120,7 @@ func (e *Simulator) beginDecision(t float64, elig []int, faulty int) {
 	d := &e.d
 	d.t = t
 	d.faulty = faulty
+	d.arrived = nil
 	d.elig = elig
 	d.round++
 	d.avail = e.plat.FreeProcs()
@@ -384,7 +390,7 @@ func iteratedGreedy(d *Decision) {
 	if d.e.opt.Paranoia {
 		d.saveReset()
 	}
-	d.levelRounds()
+	d.levelRounds(algorithm5)
 	growLongest(d)
 	if d.e.opt.Paranoia {
 		d.replayHeapLoop()

@@ -29,7 +29,7 @@ func InitialSchedule(in Instance) ([]int, error) {
 	s.in = in
 	s.resize(len(in.Tasks))
 	s.initialSchedule()
-	return append([]int(nil), s.sigma0...), nil
+	return append([]int(nil), s.d.sigmaNew[:len(in.Tasks)]...), nil
 }
 
 // ScheduleMakespan returns the expected completion time of a schedule σ

@@ -185,9 +185,10 @@ func BenchmarkInitialSchedule(b *testing.B) {
 }
 
 // BenchmarkInitialScheduleCompiled is Algorithm 1 on compiled tables for
-// the hetero-sweep pack shape (n = 50, P = 600): every iteration runs the
-// schedule cold, as the first Reset on a table does, before it stores
-// the result — the per-unit cost of a sweep whose units each bring a fresh table.
+// the hetero-sweep pack shape (n = 50, P = 600), run again and again on
+// one table: the failure rows its first iteration fills stay filled, so
+// it times the schedule's own work on warm rows (the Paranoia re-run of
+// a stored schedule). BenchmarkInitialScheduleCold times a fresh table's.
 func BenchmarkInitialScheduleCompiled(b *testing.B) {
 	in := Instance{Tasks: synthPack(50, rng.New(6)), P: 600, Res: paperRes(10)}
 	c, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
@@ -201,6 +202,37 @@ func BenchmarkInitialScheduleCompiled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		e.initialSchedule()
+	}
+}
+
+// BenchmarkInitialScheduleCold is Algorithm 1 at the same shape on a
+// table whose failure rows are empty, as the first Reset on a fresh table
+// runs it: the per-unit cost of a sweep whose units each bring a fresh
+// table (hetero-sweep builds about two per unit). Each iteration rebuilds
+// the table in place outside the timer, which empties its rows.
+func BenchmarkInitialScheduleCold(b *testing.B) {
+	in := Instance{Tasks: synthPack(50, rng.New(6)), P: 600, Res: paperRes(10)}
+	var c model.Compiled
+	e := NewSimulator()
+	e.in = in
+	e.cm = &c
+	e.resize(len(in.Tasks))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			// Size the table's and the simulator's arenas.
+			e.initialSchedule()
+			if err := c.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+		}
+		b.StartTimer()
 		e.initialSchedule()
 	}
 }

@@ -253,19 +253,23 @@ func fillTimes(t Task, dst []float64) {
 type timeMeta struct {
 	nonInc bool    // t_{i,j} is non-negative and non-increasing over the row
 	min    float64 // the row minimum; −Inf when the row admits no bound
+	times  bool    // timesNumeric of the task's profile (numeric.go)
 }
 
 // timeMetaOf summarizes task t's compiled time row. A row holding a
 // negative or NaN time admits no bound, and neither does a task with a
 // negative checkpoint or verification cost, which would make the Eq. (4)
 // prefactor or a segment at risk smaller than RawFloor assumes. Synthetic
-// rows with 0 ≤ f ≤ 1 are non-increasing.
+// rows with 0 ≤ f ≤ 1 are non-increasing. It also keeps the profile half
+// of the NaN-free row proof (timesNumeric), which depends on the pack
+// alone: delta builds share it, and evaluators read it from the table.
 func timeMetaOf(t Task, tjs []float64) timeMeta {
-	none := timeMeta{min: math.Inf(-1)}
+	times := timesNumeric(t.Profile)
+	none := timeMeta{min: math.Inf(-1), times: times}
 	if t.Ckpt < 0 || t.Verify < 0 {
 		return none
 	}
-	m := timeMeta{nonInc: true, min: math.Inf(1)}
+	m := timeMeta{nonInc: true, min: math.Inf(1), times: times}
 	for k, v := range tjs {
 		if !(v >= 0) {
 			return none

@@ -89,7 +89,7 @@ func (e *MinEval) At(j int) float64 {
 // At(sigma) > At(pmax).
 func (e *MinEval) DropsBelow(sigma, pmax int) bool {
 	cur := e.At(sigma)
-	if !e.numericThrough(pmax) {
+	if !e.NumericThrough(pmax) {
 		return cur > e.At(pmax)
 	}
 	for k := sigma / 2; k < pmax/2; k++ { // j = 2(k+1) = sigma+2, …, pmax
@@ -103,18 +103,27 @@ func (e *MinEval) DropsBelow(sigma, pmax int) bool {
 	return false
 }
 
-// numericThrough reports whether every raw cell through allocation j is
-// proven a number at the evaluator's α. The proof (Resilience.rowNumeric)
-// runs once per binding, for the j of the first call; Algorithm 1's later
-// queries on the task never reach further. Compiled cells are
-// bit-identical to direct ones, so one proof serves both.
-func (e *MinEval) numericThrough(j int) bool {
+// NumericThrough reports whether every raw cell through allocation j is
+// proven a number at the evaluator's α, so that At is non-increasing
+// through j. The proof (Resilience.rowNumeric) runs once per binding, for
+// the j of the first call; Algorithm 1's first query on a task is for the
+// largest allocation any later one reaches, since σ + avail only falls.
+// Compiled cells are bit-identical to direct ones, so one proof serves
+// both; a compiled evaluator reads the proof's profile half from the
+// table.
+func (e *MinEval) NumericThrough(j int) bool {
 	if e.alpha != e.alpha { // NaN α: every cell is NaN
 		return false
 	}
 	if e.numTo < 0 {
 		e.numTo = 0
-		if e.r.rowNumeric(e.t, j) {
+		var times bool
+		if e.c != nil {
+			times = e.c.trow[e.ti].times
+		} else {
+			times = timesNumeric(e.t.Profile)
+		}
+		if times && e.r.failNumeric(e.t, j) {
 			e.numTo = j
 		}
 	}

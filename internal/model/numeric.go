@@ -56,9 +56,12 @@ func inCap(x float64) bool { return x >= 1/numCap && x <= numCap }
 // rowNumeric reports whether every raw cell of task t for even j ≤ maxJ
 // and α in (0, 1] is proven a number.
 func (r Resilience) rowNumeric(t Task, maxJ int) bool {
-	if !timesNumeric(t.Profile) {
-		return false
-	}
+	return timesNumeric(t.Profile) && r.failNumeric(t, maxJ)
+}
+
+// failNumeric is rowNumeric's resilience half: given times that hold no
+// NaN, every raw cell for even j ≤ maxJ and α in (0, 1] is a number.
+func (r Resilience) failNumeric(t Task, maxJ int) bool {
 	if r.Lambda == 0 {
 		return true
 	}
