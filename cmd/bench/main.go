@@ -54,10 +54,10 @@ import (
 // pruned-scan bound skips, IteratedGreedyRoundPaperScale for
 // Algorithm 5's regrowth at the same state, and
 // IteratedGreedyRoundFaultFree for a fault-free n = 1000 regrowth whose
-// pool is too small for level rounds), and Algorithm 1 alone
-// (InitialSchedule on the direct path, InitialScheduleCompiled on a
-// compiled table's warm rows, InitialScheduleCold on a fresh table's
-// empty ones).
+// pool is too small for level rounds), and Algorithm 1 (InitialSchedule
+// through the one-shot wrapper, which compiles its table first;
+// InitialScheduleCompiled alone on a compiled table's warm rows,
+// InitialScheduleCold alone on a fresh table's empty ones).
 const headline = "BenchmarkRunSingle$|BenchmarkRunOnline$|BenchmarkEngineSingleRun$" +
 	"|BenchmarkCampaignThroughput$|BenchmarkCampaignThroughputAdaptive$" +
 	"|BenchmarkCampaignThroughputHeterogeneous$|BenchmarkCampaignThroughputHeterogeneousNoCache$" +

@@ -64,8 +64,9 @@ type Simulator struct {
 	// disagreeing with its full evaluation — a pruned scan hiding an
 	// improving candidate (Decision.skipDead) or a line-9 early exit
 	// (canGrow); check returns it.
-	paranoidErr error
-	checkedAt   float64 // event time of the last check (Options.Paranoia)
+	paranoidErr  error
+	checkedAt    float64   // event time of the last check (Options.Paranoia)
+	checkedAlpha []float64 // each task's α at the last check; fresh slots start at 1
 
 	// Online state (see online.go). The task arena e.st grows past the
 	// base pack as jobs arrive; pendQ/pendHead form the FIFO admission
@@ -234,6 +235,7 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 	e.ctr = Counters{}
 	e.paranoidErr = nil
 	e.checkedAt = 0
+	e.checkedAlpha = e.checkedAlpha[:0]
 	e.hist = e.hist[:0]
 	e.now = 0
 	e.live = n
@@ -255,6 +257,9 @@ func (e *Simulator) Reset(in Instance, pol Policy, src failure.Source, opt Optio
 		e.acct = newAccounting(n, sched.Sigma)
 	}
 	for i := range e.st {
+		if tU := sched.TU[i]; math.IsNaN(tU) || math.IsInf(tU, 0) {
+			return fmt.Errorf("core: task %d's expected time on its initial %d processors is %v", i, sched.Sigma[i], tU)
+		}
 		if err := e.plat.Alloc(i, sched.Sigma[i]); err != nil {
 			return fmt.Errorf("core: initial allocation: %w", err)
 		}
@@ -303,9 +308,9 @@ func (e *Simulator) resize(n int) {
 	e.heap.rebind(e.d.tUc)
 }
 
-// initialSchedule is Algorithm 1 evaluated into the decision scratch
-// (same algorithm as the exported InitialSchedule, without its per-call
-// allocations). σ₀ lands in e.d.sigmaNew, and each task's expected time
+// initialSchedule is Algorithm 1 evaluated into the decision scratch on
+// the bound table (the exported InitialSchedule wraps a Reset that runs
+// it). σ₀ lands in e.d.sigmaNew, and each task's expected time
 // t^R_{i,σ₀(i)}(1) under it in e.d.tUc (the heap key). On compiled rows
 // proven free of NaN, the leading grants whose next cell strictly drops
 // run in level rounds cut at a predicted level (scheduleRounds, DESIGN.md
@@ -315,10 +320,6 @@ func (e *Simulator) resize(n int) {
 // evaluates at most Σσ₀/2 + n + P/2 Eq. (4) cells in all: each task's row
 // up to its final allocation plus one probe, and one row out to pmax for
 // the task that ends the loop (pinned by TestInitialScheduleLaziness).
-// With no compiled model bound (e.cm nil — the one-shot InitialSchedule
-// wrapper) the evaluators take the direct path: building the full n·P/2
-// table would cost far more than those cells (the packs DP calls the
-// wrapper once per candidate subset).
 func (e *Simulator) initialSchedule() {
 	d := &e.d
 	e.scheduleRounds()
@@ -336,21 +337,14 @@ func (e *Simulator) scheduleRounds() (taken int, stop levelStop, ran bool) {
 	d := &e.d
 	n := len(e.in.Tasks)
 	avail := e.in.P - 2*n
-	// Rounds run on compiled tables, with a pool that funds them, and
-	// need every row proven through the first grant's pmax, 2 + avail: a
-	// task's σ + avail only falls as the pool is spent. The direct path
-	// keeps the heap loop: its cells cost the same one at a time, and the
-	// fresh simulator of each InitialSchedule call would allocate the
-	// rounds' arenas.
-	rounds := e.cm != nil && avail/2 >= levelMinSteps*n
+	// Rounds run with a pool that funds them, and need every row proven
+	// through the first grant's pmax, 2 + avail: a task's σ + avail only
+	// falls as the pool is spent.
+	rounds := avail/2 >= levelMinSteps*n
 	e.elig = e.elig[:0]
 	for i := range e.in.Tasks {
 		ev := &d.evals[i]
-		if e.cm != nil {
-			ev.ResetCompiled(e.cm, i, 1)
-		} else {
-			ev.Reset(e.in.Res, e.in.Tasks[i], 1)
-		}
+		ev.ResetCompiled(e.cm, i, 1)
 		d.sigmaNew[i] = 2
 		d.tUc[i] = ev.At(2)
 		rounds = rounds && ev.NumericThrough(2+avail)
@@ -868,9 +862,10 @@ func (e *Simulator) commitRedist(i int, t float64, newSigma int, alphaT float64,
 }
 
 // check validates cross-structure invariants (Options.Paranoia): event
-// time never decreases, the platform agrees with the task states, and
-// the queue holds exactly one end event per running task, at its end
-// time, besides the submit events still to come.
+// time never decreases, no running task's remaining work α rises, the
+// platform agrees with the task states, and the queue holds exactly one
+// end event per running task, at its end time, besides the submit
+// events still to come.
 func (e *Simulator) check() error {
 	if e.paranoidErr != nil {
 		return e.paranoidErr
@@ -881,6 +876,9 @@ func (e *Simulator) check() error {
 	e.checkedAt = e.now
 	if err := e.plat.Validate(); err != nil {
 		return err
+	}
+	for len(e.checkedAlpha) < len(e.st) {
+		e.checkedAlpha = append(e.checkedAlpha, 1)
 	}
 	total, running := 0, 0
 	for i := range e.st {
@@ -915,6 +913,10 @@ func (e *Simulator) check() error {
 		if s.alpha < 0 || s.alpha > 1 {
 			return fmt.Errorf("core: task %d α=%v outside [0,1]", i, s.alpha)
 		}
+		if s.alpha > e.checkedAlpha[i] {
+			return fmt.Errorf("core: task %d's remaining work rose from α=%v to %v", i, e.checkedAlpha[i], s.alpha)
+		}
+		e.checkedAlpha[i] = s.alpha
 		total += s.sigma
 	}
 	if total+e.plat.FreeProcs() != e.in.P {

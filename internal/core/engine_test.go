@@ -322,3 +322,27 @@ func TestCheckCatchesQueueCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckCatchesRisingWork: the Paranoia check accepts a running task's
+// remaining work α falling between two checks and reports it rising, and
+// a faulty run whose redistributions lower α event by event passes it.
+func TestCheckCatchesRisingWork(t *testing.T) {
+	in := Instance{Tasks: synthPack(12, rng.New(40)), P: 48, Res: paperRes(0.5)}
+	e := NewSimulator()
+	if err := e.Reset(in, IGEndLocal, nil, Options{Paranoia: true}); err != nil {
+		t.Fatal(err)
+	}
+	e.st[1].alpha = 0.5
+	if err := e.check(); err != nil {
+		t.Fatalf("check fails on falling work: %v", err)
+	}
+	e.st[1].alpha = 0.75
+	if err := e.check(); err == nil || !strings.Contains(err.Error(), "remaining work rose") {
+		t.Fatalf("check = %v, want an error on rising work", err)
+	}
+
+	fsrc, _ := failure.NewRenewal(in.P, failure.Exponential{Lambda: in.Res.Lambda}, rng.New(3))
+	if r := mustRun(t, in, IGEndLocal, fsrc, Options{}); r.Counters.Redistributions == 0 {
+		t.Fatal("the faulty run made no redistribution")
+	}
+}

@@ -2,10 +2,9 @@ package core
 
 import "cosched/internal/model"
 
-// ColdInitialSchedule runs Algorithm 1 afresh, as the first Reset on a
-// table does before it stores the result, over c, or over the direct
-// path when c is nil (the InitialSchedule wrapper's setting). It never
-// reads a schedule stored on c. It returns σ₀,
+// ColdInitialSchedule runs Algorithm 1 afresh over c, as the first Reset
+// on a table does before it stores the result. It never reads a schedule
+// stored on c. It returns σ₀,
 // each task's expected time t^R_{i,σ₀(i)}(1) under it, and the raw Eq. (4)
 // cells the evaluators paid for (the sum of their cached prefix lengths).
 func ColdInitialSchedule(in Instance, c *model.Compiled) (sigma []int, tU []float64, cells int, err error) {

@@ -60,21 +60,16 @@ func fullRowGrow(ev []model.MinEval, members []int, sigma []int, avail int) (nai
 	return naiveWrong, simple
 }
 
-// oracleSchedule is Algorithm 1 through fullRowGrow over c, or over the
-// direct path when c is nil: σ₀, each task's t^R_{i,σ₀(i)}(1), the
-// naive-scan disagreements, the cells the oracle evaluated and its
-// leading simple grants.
+// oracleSchedule is Algorithm 1 through fullRowGrow over c: σ₀, each
+// task's t^R_{i,σ₀(i)}(1), the naive-scan disagreements, the cells the
+// oracle evaluated and its leading simple grants.
 func oracleSchedule(in Instance, c *model.Compiled) (sigma []int, tU []float64, naiveWrong, cells, simple int) {
 	n := len(in.Tasks)
 	ev := make([]model.MinEval, n)
 	members := make([]int, n)
 	sigma = make([]int, n)
 	for i := range ev {
-		if c != nil {
-			ev[i].ResetCompiled(c, i, 1)
-		} else {
-			ev[i].Reset(in.Res, in.Tasks[i], 1)
-		}
+		ev[i].ResetCompiled(c, i, 1)
 		members[i] = i
 		sigma[i] = 2
 	}
@@ -125,7 +120,7 @@ func lineNineInstance(src *rng.Source) (in Instance, extreme bool) {
 }
 
 // lineNineTables returns the tables Algorithm 1 can run on for in, by
-// name: the direct path (nil), a cold compile, a view of a table compiled
+// name: a cold compile, a view of a table compiled
 // for a larger platform, and a delta build from a table with other
 // failure parameters. Instance.Compiled-style identity holds for each:
 // same task slice, resilience and platform size.
@@ -150,7 +145,7 @@ func lineNineTables(t *testing.T, src *rng.Source, in Instance) map[string]*mode
 	if _, err := delta.RecompileDelta(base, in.Tasks, in.Res, in.RC, in.P); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*model.Compiled{"direct": nil, "cold": cold, "view": entry.View(in.P), "delta": delta}
+	return map[string]*model.Compiled{"cold": cold, "view": entry.View(in.P), "delta": delta}
 }
 
 // TestLineNineMatchesFullRowOracle checks that Algorithm 1 with the
@@ -181,7 +176,7 @@ func TestLineNineMatchesFullRowOracle(t *testing.T) {
 				}
 			}
 			// Reset schedules end events, which must be finite.
-			if c == nil || !allFinite(wantTU) {
+			if !allFinite(wantTU) {
 				continue
 			}
 			pin := in
@@ -273,8 +268,8 @@ func TestAdmissionMatchesFullRowOracle(t *testing.T) {
 // cold Algorithm 1 on rows proven free of NaN, the evaluators hold at most
 // Σσ₀/2 + n + P/2 cells (each task's row to its final allocation plus one
 // probe, and one row out to pmax for the task that ends the loop), not
-// the n·P/2 a full-row line 9 fills. It covers the direct path and
-// compiled tables, on the realistic corpus and at paper scale.
+// the n·P/2 a full-row line 9 fills, on the realistic corpus and at
+// paper scale.
 func TestInitialScheduleLaziness(t *testing.T) {
 	src := rng.New(2114)
 	ins := []Instance{paperScaleInstance(t)}
@@ -288,22 +283,20 @@ func TestInitialScheduleLaziness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, table := range map[string]*model.Compiled{"direct": nil, "compiled": c} {
-			sigma, _, cells, err := ColdInitialSchedule(in, table)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound := len(sigma) + in.P/2
-			for _, s := range sigma {
-				bound += s / 2
-			}
-			if k == 0 {
-				_, _, _, full, _ := oracleSchedule(in, table)
-				t.Logf("paper scale, %s: %d cells (bound %d); a full-row line 9 reads %d", name, cells, bound, full)
-			}
-			if cells > bound {
-				t.Fatalf("instance %d %s (n=%d, P=%d, res %+v): %d cells, bound %d", k, name, len(sigma), in.P, in.Res, cells, bound)
-			}
+		sigma, _, cells, err := ColdInitialSchedule(in, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := len(sigma) + in.P/2
+		for _, s := range sigma {
+			bound += s / 2
+		}
+		if k == 0 {
+			_, _, _, full, _ := oracleSchedule(in, c)
+			t.Logf("paper scale: %d cells (bound %d); a full-row line 9 reads %d", cells, bound, full)
+		}
+		if cells > bound {
+			t.Fatalf("instance %d (n=%d, P=%d, res %+v): %d cells, bound %d", k, len(sigma), in.P, in.Res, cells, bound)
 		}
 	}
 }

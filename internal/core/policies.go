@@ -194,18 +194,15 @@ func (d *Decision) uncountedCandidate(i, cand int) float64 {
 }
 
 // ckpt returns task i's post-redistribution checkpoint surcharge at
-// target cand from its contiguous row: zero when fault-free, and
-// PostRedistCkpt for targets past the stride. C_{i,cand} = C_i/cand, so
-// it is non-increasing in cand. i must be bound.
+// target cand from its contiguous row: zero when fault-free.
+// C_{i,cand} = C_i/cand, so it is non-increasing in cand. i must be
+// bound.
 func (d *Decision) ckpt(i, cand int) float64 {
 	row := d.ckRow[i]
 	if row == nil {
 		return 0
 	}
-	if k := cand/2 - 1; k < len(row) {
-		return row[k]
-	}
-	return d.e.cm.PostRedistCkpt(i, cand)
+	return row[cand/2-1]
 }
 
 // pruneMargin is the relative slack provablyDead leaves between its

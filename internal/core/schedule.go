@@ -9,27 +9,22 @@ package core
 // unusable processors free for later redistributions).
 //
 // The returned slice σ satisfies Σσ(i) ≤ p with every σ(i) even and ≥ 2.
-// Complexity: O(p·log n) heap operations plus O(p) model evaluations in
-// total: line 9 stops at the first improving cell (MinEval.DropsBelow),
-// so each granted pair reads about one new cell.
+// The algorithm takes O(p·log n) heap operations plus O(p) model
+// evaluations: line 9 stops at the first improving cell
+// (MinEval.DropsBelow), so each granted pair reads about one new cell.
 //
-// The single implementation of the algorithm lives in
-// (*Simulator).initialSchedule — this wrapper exists for callers that
-// only want the schedule (packs, examples, tests) and returns a slice
-// they own.
+// The single implementation lives in (*Simulator).initialSchedule. This
+// wrapper, for callers that only want the schedule (packs, examples,
+// tests), resets a fresh simulator with no redistribution and no faults
+// and returns a copy of the σ₀ that Reset stored on the table. Unless
+// Instance.Compiled is set, that compiles the instance's O(n·p) profile
+// columns, which dominates the call.
 func InitialSchedule(in Instance) ([]int, error) {
-	if err := in.Validate(); err != nil {
+	s := NewSimulator()
+	if err := s.Reset(in, NoRedistribution, nil, Options{}); err != nil {
 		return nil, err
 	}
-	// No bindCompiled here, deliberately: a one-shot schedule query (the
-	// packs DP calls this once per candidate subset) touches far fewer
-	// (task, j) pairs than a full table build, so initialSchedule runs
-	// its evaluators on the direct path (e.cm stays nil).
-	s := NewSimulator()
-	s.in = in
-	s.resize(len(in.Tasks))
-	s.initialSchedule()
-	return append([]int(nil), s.d.sigmaNew[:len(in.Tasks)]...), nil
+	return append([]int(nil), s.cm.Schedule().Sigma...), nil
 }
 
 // ScheduleMakespan returns the expected completion time of a schedule σ

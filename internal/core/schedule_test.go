@@ -53,6 +53,9 @@ func TestInitialScheduleValidation(t *testing.T) {
 		{Tasks: good.Tasks, P: 6, Res: good.Res}, // < 2n
 		{Tasks: good.Tasks, P: 16, Res: model.Resilience{Lambda: -1}},
 		{Tasks: []model.Task{{}}, P: 16, Res: good.Res}, // nil profile
+		// Expected times overflow to +Inf: no end event can be queued.
+		{Tasks: []model.Task{{Data: 1e6, Ckpt: 1e12, Profile: model.Synthetic{M: 1e6, SeqFraction: 0.08}}},
+			P: 8, Res: model.Resilience{Lambda: 1, Downtime: 60}},
 	}
 	for i, in := range bad {
 		if _, err := InitialSchedule(in); err == nil {
@@ -172,8 +175,10 @@ func TestAlgorithm1FaultFree(t *testing.T) {
 	}
 }
 
-// BenchmarkInitialSchedule is Algorithm 1 on the direct path, through the
-// one-shot wrapper the packs DP calls per candidate subset.
+// BenchmarkInitialSchedule is the one-shot wrapper the packs DP calls per
+// candidate subset: each call compiles the instance's table on a fresh
+// simulator and then runs Algorithm 1 on it, so it times compile plus
+// schedule (BenchmarkCompileCold in internal/model times the compile).
 func BenchmarkInitialSchedule(b *testing.B) {
 	in := Instance{Tasks: synthPack(100, rng.New(5)), P: 1000, Res: paperRes(100)}
 	b.ResetTimer()

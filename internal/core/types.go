@@ -184,10 +184,11 @@ type Options struct {
 	// MaxEvents aborts pathological runs; 0 means the default of
 	// 5,000,000 events (defaultMaxEvents in engine.go).
 	MaxEvents int
-	// Paranoia re-validates platform invariants after every event and
-	// re-runs every candidate scan a heuristic skipped as provably dead,
-	// failing the run if one hid an improving candidate (slow; used by
-	// tests). It changes no decision and no counter.
+	// Paranoia re-validates platform invariants after every event,
+	// among them that no running task's remaining work α rises between
+	// two events, and re-runs every candidate scan a heuristic skipped as
+	// provably dead, failing the run if one hid an improving candidate
+	// (slow; used by tests). It changes no decision and no counter.
 	Paranoia bool
 	// OnTrace, when non-nil, receives every observable event.
 	OnTrace func(TraceEvent)

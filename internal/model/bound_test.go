@@ -130,8 +130,7 @@ func TestCandidateLowerBoundSound(t *testing.T) {
 	}
 }
 
-// TestRawFloorRejects: tables past the platform and tasks with negative
-// costs get no bound.
+// TestRawFloorRejects: tasks with negative costs get no bound.
 func TestRawFloorRejects(t *testing.T) {
 	res := Resilience{Lambda: 1e-8, Downtime: 60}
 	tasks := []Task{
@@ -146,7 +145,7 @@ func TestRawFloorRejects(t *testing.T) {
 	if got := c.RawFloor(0, 16, 1); !(got > 0) {
 		t.Fatalf("valid task: RawFloor = %v, want a positive bound", got)
 	}
-	for _, q := range []struct{ i, hi int }{{0, 18}, {1, 16}, {2, 16}} {
+	for _, q := range []struct{ i, hi int }{{1, 16}, {2, 16}} {
 		if got := c.RawFloor(q.i, q.hi, 1); !math.IsInf(got, -1) {
 			t.Fatalf("RawFloor(%d, %d) = %v, want -Inf", q.i, q.hi, got)
 		}

@@ -340,15 +340,9 @@ func (c *Compiled) Tasks() []Task { return c.tasks }
 
 // cell returns the column index of (task i, even allocation j); callers
 // guarantee 2 ≤ j ≤ maxJ and j even (the simulator's buddy invariant).
+// Every per-allocation query of a table answers only those j.
 func (c *Compiled) cell(i, j int) int {
 	return i*c.stride + j/2 - 1
-}
-
-// covered reports whether allocation j is served by the tables; queries
-// outside (odd j, or beyond the platform) fall back to the direct path,
-// which computes the same values.
-func (c *Compiled) covered(j int) bool {
-	return j >= 2 && j <= c.maxJ && j%2 == 0
 }
 
 // rawRange fills dst[k−lo] = t^R_{i,2(k+1)}(α) of Eq. (4) — exactly
@@ -360,19 +354,14 @@ func (c *Compiled) covered(j int) bool {
 // branch on τ_last, prefac·(n·expPer + Expm1(λj·τ_last)) — keeps
 // ExpectedTimeRaw's scalar combination order exactly, so each dst
 // element is bit-identical to the direct call (pinned by
-// TestRowKernelsMatchScalar and TestCompiledMatchesDirect). Row indices
-// at or beyond maxJ/2 (allocations past the platform, even when a view's
-// stride reaches further) fall back per element to the direct path.
+// TestRowKernelsMatchScalar and TestCompiledMatchesDirect). It panics
+// when hi passes maxJ/2, the platform's last pair, even where a view's
+// stride reaches further.
 func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
+	if hi > c.maxJ/2 {
+		panic(fmt.Sprintf("model: reading allocation %d past the table's %d", 2*hi, c.maxJ))
+	}
 	d := dst[:hi-lo]
-	kernHi := min(hi, c.maxJ/2)
-	for k := max(lo, kernHi); k < hi; k++ {
-		d[k-lo] = c.res.ExpectedTimeRaw(c.tasks[i], 2*(k+1), alpha)
-	}
-	if lo >= kernHi {
-		return
-	}
-	d = d[:kernHi-lo]
 	if alpha <= 0 {
 		for k := range d {
 			d[k] = 0
@@ -383,7 +372,7 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 		alpha = 1
 	}
 	base := i * c.stride
-	tj := c.tj[base+lo : base+kernHi]
+	tj := c.tj[base+lo : base+hi]
 	if c.res.Lambda == 0 {
 		for k, t := range tj {
 			d[k] = alpha * t
@@ -393,10 +382,10 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 	// failRow's fast path, peeked inline: the kernel runs once per
 	// candidate scan step, and failRow itself is too large to inline.
 	fr := c.fail.rows[i].Load().cells
-	if len(fr) < kernHi {
-		fr = c.failRow(i, kernHi)
+	if len(fr) < hi {
+		fr = c.failRow(i, hi)
 	}
-	fr = fr[lo:kernHi]
+	fr = fr[lo:hi]
 	switch c.seg[i] {
 	case segPlain:
 		for k := range d {
@@ -446,8 +435,8 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 
 // RawFloor returns a lower bound on the Eq. (6) value MinEval.At(j) of
 // task i at work fraction α, valid for every even j in [2, hi], without
-// evaluating Eq. (4). It returns −Inf when it has no bound: hi beyond
-// the tables, or a row timeMetaOf rejects.
+// evaluating Eq. (4); hi is a covered allocation. It returns −Inf when it
+// has no bound: a row timeMetaOf rejects.
 //
 // A raw Eq. (4) cell is prefac·(N·Expm1(λj·(s(τ−C) + C)) +
 // Expm1(λj·s(τ_last))), where s is the silent segment. Expm1(x) ≥ x,
@@ -461,9 +450,6 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 // cell a few ulps below the bound, which callers absorb with a relative
 // margin.
 func (c *Compiled) RawFloor(i, hi int, alpha float64) float64 {
-	if !c.covered(hi) {
-		return math.Inf(-1)
-	}
 	if alpha <= 0 {
 		return 0
 	}
@@ -476,9 +462,6 @@ func (c *Compiled) RawFloor(i, hi int, alpha float64) float64 {
 
 // Time returns t_{i,j} (Task.Time of task i).
 func (c *Compiled) Time(i, j int) float64 {
-	if !c.covered(j) {
-		return c.tasks[i].Time(j)
-	}
 	return c.tj[c.cell(i, j)]
 }
 
@@ -491,17 +474,14 @@ func (c *Compiled) failAt(i, j int) *failCell {
 // Period returns τ_{i,j} (Resilience.Period): +Inf in the fault-free
 // limit.
 func (c *Compiled) Period(i, j int) float64 {
-	if !c.covered(j) || c.res.Lambda == 0 {
-		return c.res.Period(c.tasks[i], j)
+	if c.res.Lambda == 0 {
+		return math.Inf(1)
 	}
 	return c.failAt(i, j).tau
 }
 
 // CkptCost returns C_{i,j} (Resilience.CkptCost).
 func (c *Compiled) CkptCost(i, j int) float64 {
-	if !c.covered(j) {
-		return c.res.CkptCost(c.tasks[i], j)
-	}
 	return c.ck[c.cell(i, j)]
 }
 
@@ -519,10 +499,9 @@ func (c *Compiled) PostRedistCkpt(i, j int) float64 {
 
 // PostRedistCkptRow returns task i's post-redistribution checkpoint
 // surcharges as a contiguous row indexed j/2 − 1, valid for even j in
-// [2, 2·len(row)], or nil when the surcharge is identically zero
-// (fault-free instances). Targets beyond the row must go through
-// PostRedistCkpt. The row aliases the compiled tables: it is invalidated
-// by the next Recompile.
+// [2, maxJ], or nil when the surcharge is identically zero (fault-free
+// instances). The row aliases the compiled tables: it is invalidated by
+// the next Recompile.
 func (c *Compiled) PostRedistCkptRow(i int) []float64 {
 	if c.res.Lambda == 0 {
 		return nil
@@ -533,9 +512,6 @@ func (c *Compiled) PostRedistCkptRow(i int) []float64 {
 
 // FFCheckpoints returns N^ff_{i,j}(α) (Resilience.FFCheckpoints).
 func (c *Compiled) FFCheckpoints(i, j int, alpha float64) int {
-	if !c.covered(j) {
-		return c.res.FFCheckpoints(c.tasks[i], j, alpha)
-	}
 	if alpha <= 0 || c.res.Lambda == 0 {
 		return 0
 	}
@@ -545,9 +521,6 @@ func (c *Compiled) FFCheckpoints(i, j int, alpha float64) int {
 // FFTime returns the deterministic fault-free completion time including
 // checkpoints (Resilience.FFTime).
 func (c *Compiled) FFTime(i, j int, alpha float64) float64 {
-	if !c.covered(j) {
-		return c.res.FFTime(c.tasks[i], j, alpha)
-	}
 	if alpha <= 0 {
 		return 0
 	}

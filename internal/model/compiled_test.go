@@ -4,15 +4,13 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"cosched/internal/rng"
 )
 
 // RawAt returns t^R_{i,j}(α) of Eq. (4) from the tables through the
 // scalar cell path — the reference the row kernel is checked against.
-// Uncovered allocations fall back to the direct path.
 func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
-	if !c.covered(j) {
-		return c.res.ExpectedTimeRaw(c.tasks[i], j, alpha)
-	}
 	if alpha <= 0 {
 		return 0
 	}
@@ -41,8 +39,7 @@ func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
 }
 
 // RawRow evaluates every candidate allocation of task i in one row-kernel
-// pass: dst[k] = RawAt(i, 2(k+1), α) for k < len(dst). len(dst) may
-// exceed the table stride; the excess falls back to the direct path. It
+// pass: dst[k] = RawAt(i, 2(k+1), α) for k < len(dst) ≤ maxJ/2. It
 // returns dst.
 func (c *Compiled) RawRow(i int, alpha float64, dst []float64) []float64 {
 	c.rawRange(i, alpha, 0, len(dst), dst)
@@ -211,49 +208,48 @@ func TestCompiledRedistCostNetworkModel(t *testing.T) {
 	}
 }
 
-// TestCompiledFallback covers queries outside the tables (beyond the
-// platform, odd counts): they must route to the direct path and stay
-// bit-equal.
-func TestCompiledFallback(t *testing.T) {
-	tc := compiledCases()[0]
-	c, err := Compile(tc.tasks, tc.res, CostModel{}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, task := range tc.tasks {
-		for _, j := range []int{3, 7, 18, 64} {
-			got := c.RawAt(i, j, 0.5)
-			want := tc.res.ExpectedTimeRaw(task, j, 0.5)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("task %d j %d: fallback %v != %v", i, j, got, want)
-			}
-		}
-	}
-}
-
-// TestMinEvalCompiledEquivalence pins the compiled-backed evaluator
-// against the direct one: identical Eq. (6) prefix-mins and thresholds
-// for every (task, α, j).
+// TestMinEvalCompiledEquivalence pins the compiled evaluator against the
+// direct reference Resilience.ExpectedTime: identical Eq. (6) prefix-mins
+// for every (task, α, j), over the model configurations of
+// compiledCases and the row-proof corpus, whose NaN rows restart the
+// fold.
 func TestMinEvalCompiledEquivalence(t *testing.T) {
 	const p = 48
+	type instance struct {
+		name  string
+		tasks []Task
+		res   Resilience
+	}
+	var ins []instance
 	for _, tc := range compiledCases() {
-		c, err := Compile(tc.tasks, tc.res, CostModel{}, p)
-		if err != nil {
-			t.Fatal(err)
+		ins = append(ins, instance{tc.name, tc.tasks, tc.res})
+	}
+	src := rng.New(2110)
+	nanRows := 0
+	for trial := 0; trial < 60; trial++ {
+		tasks, res := numericCase(src, p)
+		c := mustCompile(t, tasks, res, p)
+		for i := range tasks {
+			if rowHasNaN(res, c, i, p) {
+				nanRows++
+			}
 		}
-		var direct, compiled MinEval
-		for i, task := range tc.tasks {
+		ins = append(ins, instance{"corpus", tasks, res})
+	}
+	if nanRows == 0 {
+		t.Fatal("the corpus holds no NaN row")
+	}
+	var e MinEval
+	for _, in := range ins {
+		c := mustCompile(t, in.tasks, in.res, p)
+		for i, task := range in.tasks {
 			for _, alpha := range compiledAlphas {
-				direct.Reset(tc.res, task, alpha)
-				compiled.ResetCompiled(c, i, alpha)
+				e.ResetCompiled(c, i, alpha)
 				for j := 2; j <= p; j += 2 {
-					dv, cv := direct.At(j), compiled.At(j)
-					if math.Float64bits(dv) != math.Float64bits(cv) {
-						t.Fatalf("%s task %d α %v j %d: direct %v compiled %v", tc.name, i, alpha, j, dv, cv)
+					want, got := in.res.ExpectedTime(task, j, alpha), e.At(j)
+					if math.Float64bits(want) != math.Float64bits(got) {
+						t.Fatalf("%s task %d α %v j %d: ExpectedTime %v, compiled %v", in.name, i, alpha, j, want, got)
 					}
-				}
-				if dt, ct := direct.Threshold(p), compiled.Threshold(p); dt != ct {
-					t.Fatalf("%s task %d α %v: thresholds %d vs %d", tc.name, i, alpha, dt, ct)
 				}
 			}
 		}

@@ -18,6 +18,19 @@ func defaultRes() Resilience {
 	return Resilience{Lambda: 1 / (100 * yearSeconds), Downtime: 60}
 }
 
+// compiledEval returns an evaluator of task at α on a table compiled for
+// that task alone on p processors.
+func compiledEval(tb testing.TB, r Resilience, task Task, p int, alpha float64) *MinEval {
+	tb.Helper()
+	c, err := Compile([]Task{task}, r, CostModel{}, p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := new(MinEval)
+	e.ResetCompiled(c, 0, alpha)
+	return e
+}
+
 func TestSyntheticSequentialTime(t *testing.T) {
 	m := 1024.0
 	p := Synthetic{M: m, SeqFraction: 0.08}
@@ -320,7 +333,7 @@ func TestMinEvalMatchesBruteForcePrefixMin(t *testing.T) {
 	r := defaultRes()
 	task := synthTask(1.8e6)
 	alpha := 0.7
-	e := NewMinEval(r, task, alpha)
+	e := compiledEval(t, r, task, 300, alpha)
 	best := math.Inf(1)
 	for j := 2; j <= 300; j += 2 {
 		raw := r.ExpectedTimeRaw(task, j, alpha)
@@ -341,7 +354,7 @@ func TestMinEvalNonIncreasing(t *testing.T) {
 		r := Resilience{Lambda: 1 / (mtbfYears * yearSeconds), Downtime: 60}
 		task := Task{Data: m, Ckpt: m * src.Uniform(0.01, 1), Profile: Synthetic{M: m, SeqFraction: src.Uniform(0, 0.5)}}
 		alpha := src.Uniform(0.01, 1)
-		e := NewMinEval(r, task, alpha)
+		e := compiledEval(t, r, task, 256, alpha)
 		prev := e.At(2)
 		for j := 4; j <= 256; j += 2 {
 			cur := e.At(j)
@@ -356,8 +369,8 @@ func TestMinEvalNonIncreasing(t *testing.T) {
 func TestMinEvalRandomAccessOrder(t *testing.T) {
 	r := defaultRes()
 	task := synthTask(2e6)
-	a := NewMinEval(r, task, 1)
-	b := NewMinEval(r, task, 1)
+	a := compiledEval(t, r, task, 64, 1)
+	b := compiledEval(t, r, task, 64, 1)
 	// Query a in descending order and b ascending; results must agree.
 	var down []float64
 	for j := 64; j >= 2; j -= 2 {
@@ -370,13 +383,26 @@ func TestMinEvalRandomAccessOrder(t *testing.T) {
 	}
 }
 
+// TestMinEvalPanicsOnOddJ: a query at an odd j, or past the table's
+// largest allocation, panics instead of answering.
 func TestMinEvalPanicsOnOddJ(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd j did not panic")
-		}
-	}()
-	NewMinEval(defaultRes(), synthTask(2e6), 1).At(3)
+	const p = 16
+	c, err := Compile([]Task{synthTask(2e6)}, defaultRes(), CostModel{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []int{3, p + 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%d) on a table for P=%d did not panic", j, p)
+				}
+			}()
+			var e MinEval
+			e.ResetCompiled(c, 0, 1)
+			e.At(j)
+		}()
+	}
 }
 
 func TestThreshold(t *testing.T) {
@@ -386,7 +412,7 @@ func TestThreshold(t *testing.T) {
 	// so the threshold falls well inside the probed range.
 	r := Resilience{Lambda: 1 / (0.005 * yearSeconds), Downtime: 3600}
 	task := synthTask(2.5e6)
-	e := NewMinEval(r, task, 1)
+	e := compiledEval(t, r, task, 512, 1)
 	th := e.Threshold(512)
 	if th >= 400 {
 		t.Fatalf("threshold %d should be interior under heavy failures", th)
@@ -402,7 +428,7 @@ func TestThreshold(t *testing.T) {
 	}
 	// And under (near) fault-free conditions more processors keep helping.
 	r0 := Resilience{Lambda: 1e-20, Downtime: 60}
-	e0 := NewMinEval(r0, task, 1)
+	e0 := compiledEval(t, r0, task, 512, 1)
 	if th0 := e0.Threshold(512); th0 != 512 {
 		t.Fatalf("fault-free threshold = %d, want 512", th0)
 	}
@@ -447,7 +473,7 @@ func TestPostRedistCkpt(t *testing.T) {
 func TestExpectedTimeConvenience(t *testing.T) {
 	r := defaultRes()
 	task := synthTask(2e6)
-	if r.ExpectedTime(task, 40, 1) != NewMinEval(r, task, 1).At(40) {
+	if r.ExpectedTime(task, 40, 1) != compiledEval(t, r, task, 40, 1).At(40) {
 		t.Fatal("ExpectedTime must equal MinEval result")
 	}
 }
@@ -493,36 +519,44 @@ func BenchmarkExpectedTimeRaw(b *testing.B) {
 	}
 }
 
+// BenchmarkMinEvalScan measures one ascending scan of a compiled row
+// from a freshly bound evaluator: 128 cells through rawRange and the
+// Eq. (6) fold.
 func BenchmarkMinEvalScan(b *testing.B) {
-	r := defaultRes()
-	task := synthTask(2e6)
+	e := compiledEval(b, defaultRes(), synthTask(2e6), 256, 0.9)
 	for i := 0; i < b.N; i++ {
-		e := NewMinEval(r, task, 0.9)
+		e.ResetCompiled(e.c, 0, 0.9)
 		_ = e.At(256)
 	}
 }
 
 // TestMinEvalReset verifies reset-in-place: a reused evaluator must
-// produce exactly the values of a freshly allocated one, including after
+// produce exactly the values of a freshly bound one, including after
 // rebinding to a different task and work fraction.
 func TestMinEvalReset(t *testing.T) {
 	r := Resilience{Lambda: 1e-7, Downtime: 60}
 	a := Task{Profile: Synthetic{M: 2e6, SeqFraction: 0.08}, Data: 2e6, Ckpt: 2e6}
 	b := Task{Profile: Synthetic{M: 1e6, SeqFraction: 0.3}, Data: 1e6, Ckpt: 1e6}
+	c, err := Compile([]Task{a, b}, r, CostModel{}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	reused := NewMinEval(r, a, 1)
+	var reused MinEval
+	reused.ResetCompiled(c, 0, 1)
 	for j := 2; j <= 64; j += 2 {
 		reused.At(j) // warm the cache past the rebind sizes
 	}
 	for _, tc := range []struct {
-		task  Task
+		task  int
 		alpha float64
-	}{{a, 0.5}, {b, 1}, {b, 0.25}, {a, 1}} {
-		reused.Reset(r, tc.task, tc.alpha)
-		fresh := NewMinEval(r, tc.task, tc.alpha)
+	}{{0, 0.5}, {1, 1}, {1, 0.25}, {0, 1}} {
+		reused.ResetCompiled(c, tc.task, tc.alpha)
+		var fresh MinEval
+		fresh.ResetCompiled(c, tc.task, tc.alpha)
 		for j := 2; j <= 40; j += 2 {
 			if got, want := reused.At(j), fresh.At(j); got != want {
-				t.Errorf("Reset(%v) At(%d) = %v, fresh %v", tc.alpha, j, got, want)
+				t.Errorf("ResetCompiled(%d, %v) At(%d) = %v, fresh %v", tc.task, tc.alpha, j, got, want)
 			}
 		}
 	}

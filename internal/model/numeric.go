@@ -9,7 +9,8 @@ import "math"
 // of Algorithm 1 (MinEval.DropsBelow) may stop at the first improving
 // cell only on a row proven to hold no NaN. The proof below is O(1) per
 // row (O(len(Times)) for a Table profile) and serves compiled tables and
-// the direct path alike, whose cells are bit-identical.
+// the direct reference Resilience.ExpectedTimeRaw alike, whose cells are
+// bit-identical.
 //
 // It works on the operands of one raw Eq. (4) cell,
 //
@@ -30,11 +31,12 @@ import "math"
 //
 // In the fault-free limit a cell is α·t, a number whenever t is.
 //
-// rowNumeric establishes those operand ranges for every even j ≤ maxJ from
-// quantities that do not depend on j. Every operand it bounds stays in
-// [1/numCap, numCap], far from overflow and underflow, so each computed
-// product, quotient and square root is within a few ulps of its exact
-// value, and the margins below absorb all rounding. Write x = λ·C: then
+// timesNumeric and failNumeric establish those operand ranges for every
+// even j ≤ maxJ from quantities that do not depend on j. Every operand
+// they bound stays in [1/numCap, numCap], far from overflow and
+// underflow, so each computed product, quotient and square root is
+// within a few ulps of its exact value, and the margins below absorb all
+// rounding. Write x = λ·C: then
 // λj·C_{i,j} = x and, for Young's period, λj·(τ−C) = √(2x). Daly's period
 // gives at most 1.445·√(2x), or 1 when C_{i,j} ≥ 2µ_{i,j}, which needs
 // x ≥ 2. So λj·(τ−C) ≤ w = 1.5·√(2x), λj·V_{i,j} = λ·V, and the silent
@@ -53,14 +55,9 @@ const numCap = 1e100
 // inCap reports whether x lies in [1/numCap, numCap].
 func inCap(x float64) bool { return x >= 1/numCap && x <= numCap }
 
-// rowNumeric reports whether every raw cell of task t for even j ≤ maxJ
-// and α in (0, 1] is proven a number.
-func (r Resilience) rowNumeric(t Task, maxJ int) bool {
-	return timesNumeric(t.Profile) && r.failNumeric(t, maxJ)
-}
-
-// failNumeric is rowNumeric's resilience half: given times that hold no
-// NaN, every raw cell for even j ≤ maxJ and α in (0, 1] is a number.
+// failNumeric is the proof's resilience half: given times that hold no
+// NaN (timesNumeric, its profile half), every raw cell for even j ≤ maxJ
+// and α in (0, 1] is a number.
 func (r Resilience) failNumeric(t Task, maxJ int) bool {
 	if r.Lambda == 0 {
 		return true

@@ -65,6 +65,12 @@ func numericCase(src *rng.Source, p int) ([]Task, Resilience) {
 	return tasks, res
 }
 
+// rowNumeric reports whether every raw cell of task t for even j ≤ maxJ
+// and α in (0, 1] is proven a number: both halves of the proof.
+func (r Resilience) rowNumeric(t Task, maxJ int) bool {
+	return timesNumeric(t.Profile) && r.failNumeric(t, maxJ)
+}
+
 // rowHasNaN reports whether any raw Eq. (4) cell of task i for even
 // j ≤ p at one of compiledAlphas is NaN, on the direct path or in c.
 func rowHasNaN(res Resilience, c *Compiled, i int, p int) bool {
@@ -120,26 +126,26 @@ func mustCompile(t *testing.T, tasks []Task, res Resilience, p int) *Compiled {
 }
 
 // TestDropsBelowMatchesFullRow checks DropsBelow against the comparison it
-// replaces, At(sigma) > At(pmax), for every even sigma ≤ pmax on compiled
-// and direct evaluators over the row-proof corpus, NaN rows included.
+// replaces, At(sigma) > At(pmax) with At read from the direct reference
+// Resilience.ExpectedTime, for every even sigma ≤ pmax over the row-proof
+// corpus, NaN rows included.
 func TestDropsBelowMatchesFullRow(t *testing.T) {
 	src := rng.New(2111)
 	for trial := 0; trial < 150; trial++ {
 		p := 2 * (2 + src.Intn(25))
 		tasks, res := numericCase(src, p)
 		c := mustCompile(t, tasks, res, p)
+		ref := make([]float64, p/2)
 		for i, tk := range tasks {
 			for _, alpha := range []float64{1, 0.5, 1e-9} {
-				var direct, compiled, ref MinEval
-				ref.Reset(res, tk, alpha)
+				for k := range ref {
+					ref[k] = res.ExpectedTime(tk, 2*(k+1), alpha)
+				}
+				var compiled MinEval
 				for sigma := 2; sigma <= p; sigma += 2 {
 					for pmax := sigma; pmax <= p; pmax += 2 {
-						direct.Reset(res, tk, alpha)
 						compiled.ResetCompiled(c, i, alpha)
-						want := ref.At(sigma) > ref.At(pmax)
-						if got := direct.DropsBelow(sigma, pmax); got != want {
-							t.Fatalf("trial %d task %d α=%v: direct DropsBelow(%d, %d) = %v, full row %v", trial, i, alpha, sigma, pmax, got, want)
-						}
+						want := ref[sigma/2-1] > ref[pmax/2-1]
 						if got := compiled.DropsBelow(sigma, pmax); got != want {
 							t.Fatalf("trial %d task %d α=%v: compiled DropsBelow(%d, %d) = %v, full row %v", trial, i, alpha, sigma, pmax, got, want)
 						}

@@ -209,12 +209,22 @@ func (r Resilience) FFTime(t Task, j int, alpha float64) float64 {
 }
 
 // ExpectedTime returns the monotonized expected time of Eq. (6): the
-// prefix-minimum of ExpectedTimeRaw over even processor counts 2..j.
-// It is the convenience form of MinEval for one-shot queries; loops that
-// scan ascending j should use MinEval to avoid quadratic cost.
+// prefix-minimum of ExpectedTimeRaw over even processor counts 2..j, for
+// positive even j. The fold is MinEval's exactly: the previous value
+// stays only when it is strictly smaller, so a NaN cell restarts it. It
+// costs O(j) per query and is the direct reference MinEval is tested
+// against; loops that scan ascending j use a compiled MinEval.
 func (r Resilience) ExpectedTime(t Task, j int, alpha float64) float64 {
-	e := NewMinEval(r, t, alpha)
-	return e.At(j)
+	if j < 2 || j%2 != 0 {
+		panic(fmt.Sprintf("model: ExpectedTime with j=%d (want positive even)", j))
+	}
+	v := r.ExpectedTimeRaw(t, 2, alpha)
+	for jj := 4; jj <= j; jj += 2 {
+		if raw := r.ExpectedTimeRaw(t, jj, alpha); !(v < raw) {
+			v = raw
+		}
+	}
+	return v
 }
 
 // Arrival is one dynamically arriving job of an online instance: a task

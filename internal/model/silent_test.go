@@ -89,7 +89,7 @@ func TestSilentMonotonizationStillHolds(t *testing.T) {
 	m := 2e6
 	task := Task{Data: m, Ckpt: m, Verify: m / 50, Profile: Synthetic{M: m, SeqFraction: 0.08}}
 	r := silentRes(50, 5)
-	e := NewMinEval(r, task, 1)
+	e := compiledEval(t, r, task, 128, 1)
 	prev := e.At(2)
 	for j := 4; j <= 128; j += 2 {
 		cur := e.At(j)
