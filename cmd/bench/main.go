@@ -46,9 +46,10 @@ import (
 // one table per pack, and CampaignResilienceSweepCold for an MTBF ×
 // downtime sweep whose cold and delta tables fill their failure rows on
 // demand), the compiled-model micro set
-// (ExpectedTimeRaw for the direct Eq. (4) cell; CompileCold/CompileWarm
-// for the table build on fresh vs reused arenas; RecompileDelta for the
-// near-miss build), the row kernels (CandidateRowSweep for the batched
+// (ExpectedTimeRaw for the direct Eq. (4) cell; CompileCold for a fresh
+// table's build, CompileWarm for a TableArena's in-place rebuild, the
+// simulator's own table; RecompileDelta for the cache's near-miss build
+// from a resident table), the row kernels (CandidateRowSweep for the batched
 // min-reduction, DecisionRound for a full heuristic round over it,
 // DecisionRoundPaperScale for a paper-scale round dominated by scans the
 // pruned-scan bound skips, IteratedGreedyRoundPaperScale for

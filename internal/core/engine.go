@@ -91,12 +91,13 @@ type Simulator struct {
 
 	// Compiled instance model: every steady-state model query goes
 	// through cm. It points either at the caller's shared tables
-	// (Instance.Compiled) or at the simulator's own arena ownComp, built
-	// over ownTasks — the base pack followed by every arrival's task, so
-	// arrival k is row len(Tasks)+k — and rebuilt only when the instance
-	// differs from ownKey (bindCompiled).
+	// (Instance.Compiled) or at ownComp, the table of the simulator's own
+	// arena, built over ownTasks — the base pack followed by every
+	// arrival's task, so arrival k is row len(Tasks)+k — and rebuilt in
+	// place only when the instance differs from ownKey (bindCompiled).
 	cm       *model.Compiled
-	ownComp  model.Compiled
+	ownArena model.TableArena
+	ownComp  *model.Compiled // ownArena's table; nil before its first build
 	ownTasks []model.Task
 	ownKey   instanceKey // the instance ownComp holds; zero: none
 }
@@ -128,10 +129,10 @@ func sameSlice[T any](a, b []T) bool {
 
 // bindCompiled points e.cm at valid tables for in: the caller's shared
 // model when Instance.Compiled is set (after verifying it was built for
-// exactly this instance), the simulator's own tables when they were
-// built for the same instanceKey — the replicate-loop fast path: Reset
-// with an unchanged instance never recompiles — or a fresh in-place
-// compile of the base pack and every arrival otherwise. Callers that
+// exactly this instance), the simulator's own table when it was built
+// for the same instanceKey — the replicate-loop fast path: Reset with an
+// unchanged instance never rebuilds — or otherwise its own table rebuilt
+// in place over the base pack and every arrival. Callers that
 // mutate task or arrival contents in place must pass a different slice
 // (the same aliasing contract as Result, DESIGN.md §9).
 func (e *Simulator) bindCompiled(in Instance) error {
@@ -149,12 +150,13 @@ func (e *Simulator) bindCompiled(in Instance) error {
 		for _, a := range in.Arrivals {
 			e.ownTasks = append(e.ownTasks, a.Task)
 		}
-		if err := e.ownComp.Recompile(e.ownTasks, in.Res, in.RC, in.P); err != nil {
+		cm, err := e.ownArena.Build(e.ownTasks, in.Res, in.RC, in.P)
+		if err != nil {
 			return err
 		}
-		e.ownKey = key
+		e.ownComp, e.ownKey = cm, key
 	}
-	e.cm = &e.ownComp
+	e.cm = e.ownComp
 	return nil
 }
 

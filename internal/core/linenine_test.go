@@ -120,10 +120,10 @@ func lineNineInstance(src *rng.Source) (in Instance, extreme bool) {
 }
 
 // lineNineTables returns the tables Algorithm 1 can run on for in, by
-// name: a cold compile, a view of a table compiled
-// for a larger platform, and a delta build from a table with other
-// failure parameters. Instance.Compiled-style identity holds for each:
-// same task slice, resilience and platform size.
+// name: a cold compile, a view of a table compiled for a larger
+// platform, and a cache's delta build from a table with other failure
+// parameters. Instance.Compiled-style identity holds for each: same task
+// slice, resilience and platform size.
 func lineNineTables(t *testing.T, src *rng.Source, in Instance) map[string]*model.Compiled {
 	t.Helper()
 	cold, err := model.Compile(in.Tasks, in.Res, in.RC, in.P)
@@ -137,15 +137,20 @@ func lineNineTables(t *testing.T, src *rng.Source, in Instance) map[string]*mode
 	}
 	t.Cleanup(entry.Release)
 	baseRes := prunedCorpusInstance(src).Res
-	base, err := model.Compile(in.Tasks, baseRes, in.RC, in.P)
+	base, err := cache.Acquire(in.Tasks, baseRes, in.RC, in.P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := &model.Compiled{}
-	if _, err := delta.RecompileDelta(base, in.Tasks, in.Res, in.RC, in.P); err != nil {
+	base.Release()
+	delta, err := cache.Acquire(in.Tasks, in.Res, in.RC, in.P)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*model.Compiled{"cold": cold, "view": entry.View(in.P), "delta": delta}
+	t.Cleanup(delta.Release)
+	if baseRes != in.Res && cache.Stats().DeltaBuilds != 1 {
+		t.Fatalf("the second table over the pack was no delta build: %+v", cache.Stats())
+	}
+	return map[string]*model.Compiled{"cold": cold, "view": entry.View(in.P), "delta": delta.Compiled()}
 }
 
 // TestLineNineMatchesFullRowOracle checks that Algorithm 1 with the

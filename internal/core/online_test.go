@@ -228,7 +228,7 @@ func TestOnlineNewArrivalsSameBase(t *testing.T) {
 // while a new Arrivals slice, even with equal contents, rebuilds it,
 // which empties the stored schedule. A rebuild is seen by the slot
 // being empty right after bindCompiled, not by comparing schedule
-// pointers across Resets: an in-place Recompile keeps the old schedule
+// pointers across Resets: an in-place TableArena.Build keeps the old schedule
 // as its spare and the next store republishes that same object.
 func TestOwnTableKeptAcrossResets(t *testing.T) {
 	in, _ := onlineInstance(t, 3, 12, 8, []float64{2000, 40000})
@@ -242,7 +242,7 @@ func TestOwnTableKeptAcrossResets(t *testing.T) {
 		if err := sim.Reset(in, pol, nil, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if sim.cm != &sim.ownComp {
+		if sim.cm != sim.ownComp {
 			t.Fatal("simulator is not on its own table")
 		}
 		if _, err := sim.Run(); err != nil {

@@ -215,24 +215,25 @@ func BenchmarkInitialScheduleCompiled(b *testing.B) {
 // table whose failure rows are empty, as the first Reset on a fresh table
 // runs it: the per-unit cost of a sweep whose units each bring a fresh
 // table (hetero-sweep builds about two per unit). Each iteration rebuilds
-// the table in place outside the timer, which empties its rows.
+// the table in its TableArena outside the timer, which empties its rows.
 func BenchmarkInitialScheduleCold(b *testing.B) {
 	in := Instance{Tasks: synthPack(50, rng.New(6)), P: 600, Res: paperRes(10)}
-	var c model.Compiled
+	var a model.TableArena
 	e := NewSimulator()
 	e.in = in
-	e.cm = &c
 	e.resize(len(in.Tasks))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := c.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
+		c, err := a.Build(in.Tasks, in.Res, in.RC, in.P)
+		if err != nil {
 			b.Fatal(err)
 		}
+		e.cm = c
 		if i == 0 {
 			// Size the table's and the simulator's arenas.
 			e.initialSchedule()
-			if err := c.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
+			if _, err := a.Build(in.Tasks, in.Res, in.RC, in.P); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -249,17 +250,18 @@ func BenchmarkInitialScheduleCold(b *testing.B) {
 // Paranoia re-run of Algorithm 1 on the replicate Resets stays silent.
 func TestStoredScheduleFollowsRebuilds(t *testing.T) {
 	src := rng.New(41)
-	var c model.Compiled
+	var a model.TableArena
 	sim := NewSimulator()
 	var prev []float64
 	changed := 0
 	for trial := 0; trial < 12; trial++ {
 		in := Instance{Tasks: synthPack(4+(trial/3)%2, src), P: 20 + 4*(trial%3), Res: paperRes(src.Uniform(1, 20))}
-		if err := c.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
+		c, err := a.Build(in.Tasks, in.Res, in.RC, in.P)
+		if err != nil {
 			t.Fatal(err)
 		}
-		in.Compiled = &c
-		wantSig, wantTU, _, err := ColdInitialSchedule(in, &c)
+		in.Compiled = c
+		wantSig, wantTU, _, err := ColdInitialSchedule(in, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,24 +24,25 @@ const cacheShardCount = 16
 
 // Cache is a content-addressed, ref-counted cache of compiled instance
 // models, shared by every campaign worker in the process. The key is
-// (task-pack content, Resilience, CostModel, P): a cheap structural hash
-// buckets candidates, and every hit is confirmed by an exact content
-// compare — hash collisions cost a compare, never a wrong table.
+// (task-pack content, Resilience, CostModel, P). A cheap structural hash
+// of the pack, cost model and platform picks a bucket, which holds every
+// resilience variant of that pack; a hit is the bucket entry with this
+// exact Resilience, cost model, platform and pack content, so a hash
+// collision costs a compare, never a wrong table.
 //
-// Entries are frozen at publish: Acquire hands out *Compiled handles
-// whose in-place rebuild methods panic; queries may still fill their
-// failure rows, which is safe from any goroutine. A near-miss — same
-// pack, platform and cost model, different resilience parameters — is
-// built by Compiled.RecompileDelta from the oldest resident entry over
-// the pack: the new table shares its profile columns and starts with
-// empty failure rows of its own, and answers bit-identically to a cold
-// Compile (the cache's whole contract; see DESIGN.md §15). Because
-// columns are shared, tables are never recycled: an evicted entry's
-// arrays stay alive, through the garbage collector, for as long as any
-// live table aliases them. Packs containing profile types this package
-// cannot compare by content are refused (Acquire returns nil); the
-// caller then runs without a shared table, and core.Simulator compiles
-// its own.
+// Every published table is built fresh, by Compile or deltaOf, and never
+// rebuilt: a holder can only query it, and queries fill failure rows,
+// which is safe from any goroutine. A near-miss — same pack, platform
+// and cost model, different resilience parameters — is built by deltaOf
+// from the oldest resident entry over the pack: the new table shares
+// its profile columns and starts with empty failure rows of its own,
+// and answers bit-identically to a cold Compile (the cache's whole
+// contract; see DESIGN.md §15). Because columns are shared, tables are
+// never recycled: an evicted entry's arrays stay alive, through the
+// garbage collector, for as long as any live table aliases them. Packs
+// containing profile types this package cannot compare by content are
+// refused (Acquire returns nil); the caller then runs without a shared
+// table, and core.Simulator builds its own.
 //
 // A nil *Cache is valid and never caches.
 type Cache struct {
@@ -59,14 +60,13 @@ type Cache struct {
 
 type cacheShard struct {
 	mu sync.Mutex
-	// full buckets entries by the full key (pack, rc, p, res); base
-	// buckets the same entries by the base key (pack, rc, p) for
-	// delta-base lookups. Buckets are small slices: collisions are rare
-	// and every candidate is verified by content anyway.
-	full  map[uint64][]*CacheEntry
-	base  map[uint64][]*CacheEntry
-	order []*CacheEntry // insertion order, the FIFO eviction scan
-	bytes int64
+	// buckets holds the entries by base key (pack, rc, p), each bucket
+	// in insertion order: every resilience variant of a pack, scanned
+	// for a hit and for a delta base. Collisions are rare and every
+	// candidate is verified by content anyway.
+	buckets map[uint64][]*CacheEntry
+	order   []*CacheEntry // insertion order, the FIFO eviction scan
+	bytes   int64
 	// building holds one channel per base key with a build in flight,
 	// closed on publish: a concurrent miss over the same pack waits for
 	// it, then finds either its own key (a hit, not a duplicate compile)
@@ -76,14 +76,11 @@ type cacheShard struct {
 	building map[uint64]chan struct{}
 }
 
-// CacheEntry is one published compiled model plus its refcount. The
-// tables behind Compiled() are frozen: Recompile and RecompileDelta on
-// them panic.
+// CacheEntry is one published compiled model plus its refcount.
 type CacheEntry struct {
 	cache   *Cache
 	shard   *cacheShard
 	c       *Compiled
-	fullKey uint64
 	baseKey uint64
 	bytes   int64
 	// refs is guarded by shard.mu: 1 for cache residency plus 1 per
@@ -95,10 +92,10 @@ type CacheEntry struct {
 	views  map[int]*Compiled // View memo by platform size
 }
 
-// Compiled returns the entry's frozen compiled model.
+// Compiled returns the entry's compiled model.
 func (e *CacheEntry) Compiled() *Compiled { return e.c }
 
-// View returns the entry's table narrowed to platform size p: a frozen
+// View returns the entry's table narrowed to platform size p: a
 // Compiled over the same column arrays and failure rows that covers even
 // allocations in [2, p] and answers every query bit-identically to a
 // Compile at p. p equal to the entry's P returns Compiled() itself; p
@@ -133,7 +130,7 @@ func (e *CacheEntry) View(p int) *Compiled {
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
-	DeltaBuilds   uint64 // misses served by RecompileDelta's profile-column reuse
+	DeltaBuilds   uint64 // misses served by a delta build's profile-column reuse
 	FullBuilds    uint64 // misses that paid a cold compile
 	Evictions     uint64
 	ResidentBytes int64
@@ -165,8 +162,7 @@ func NewCache(maxBytes int64) *Cache {
 	}
 	ch := &Cache{shardBudget: maxBytes / cacheShardCount}
 	for i := range ch.shards {
-		ch.shards[i].full = make(map[uint64][]*CacheEntry)
-		ch.shards[i].base = make(map[uint64][]*CacheEntry)
+		ch.shards[i].buckets = make(map[uint64][]*CacheEntry)
 		ch.shards[i].building = make(map[uint64]chan struct{})
 	}
 	return ch
@@ -203,12 +199,11 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	if !ok {
 		return nil, nil
 	}
-	fk := resFullKey(bk, res)
 	sh := &ch.shards[bk%cacheShardCount]
 
 	sh.mu.Lock()
 	for {
-		if e := sh.lookupLocked(fk, tasks, res, rc, p); e != nil {
+		if e := sh.lookupLocked(bk, tasks, res, rc, p); e != nil {
 			e.refs++
 			sh.mu.Unlock()
 			ch.hits.Add(1)
@@ -234,42 +229,39 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	sh.mu.Unlock()
 	ch.misses.Add(1)
 
-	build := &Compiled{}
-	var baseC *Compiled
+	var build *Compiled
+	var err error
 	if baseE != nil {
-		baseC = baseE.c
+		build, err = deltaOf(baseE.c, tasks, res)
+		baseE.Release()
+	} else {
+		build, err = Compile(tasks, res, rc, p)
 	}
-	delta, err := build.RecompileDelta(baseC, tasks, res, rc, p)
-	baseE.Release()
 	if err != nil {
 		sh.mu.Lock()
 		delete(sh.building, bk)
 		sh.mu.Unlock()
 		return nil, err
 	}
-	if delta {
+	if baseE != nil {
 		ch.deltaBuilds.Add(1)
 	} else {
 		ch.fullBuilds.Add(1)
 	}
 
 	// No other build of this key can have published meanwhile: builds
-	// over one base key serialize through sh.building. The freeze happens
-	// before the entry is visible to any other goroutine.
-	build.frozen = true
+	// over one base key serialize through sh.building.
 	sh.mu.Lock()
 	delete(sh.building, bk)
 	e := &CacheEntry{
 		cache:   ch,
 		shard:   sh,
 		c:       build,
-		fullKey: fk,
 		baseKey: bk,
 		bytes:   compiledBytes(build),
 		refs:    2, // residency + the caller
 	}
-	sh.full[fk] = append(sh.full[fk], e)
-	sh.base[bk] = append(sh.base[bk], e)
+	sh.buckets[bk] = append(sh.buckets[bk], e)
 	sh.order = append(sh.order, e)
 	sh.bytes += e.bytes
 	ch.bytes.Add(e.bytes)
@@ -291,11 +283,11 @@ func (e *CacheEntry) Release() {
 }
 
 // lookupLocked finds a published entry with exactly this content.
-// Candidates from the hash bucket are verified field-by-field — the
+// Candidates from the base key's bucket are verified field by field: the
 // pack compare takes the pointer fast path when the caller passes the
 // entry's own slice, and falls back to a full content compare.
-func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc CostModel, p int) *CacheEntry {
-	for _, e := range sh.full[fk] {
+func (sh *cacheShard) lookupLocked(bk uint64, tasks []Task, res Resilience, rc CostModel, p int) *CacheEntry {
+	for _, e := range sh.buckets[bk] {
 		c := e.c
 		if c.res == res && c.rc == rc && c.p == p && samePack(tasks, c.tasks) {
 			return e
@@ -309,24 +301,12 @@ func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc C
 // columns, which every such entry holds. nil means there is none and the
 // miss pays a cold compile.
 func (sh *cacheShard) deltaBaseLocked(bk uint64, tasks []Task, rc CostModel, p int) *CacheEntry {
-	for _, e := range sh.base[bk] {
+	for _, e := range sh.buckets[bk] {
 		if c := e.c; c.rc == rc && c.p == p && samePack(tasks, c.tasks) {
 			return e
 		}
 	}
 	return nil
-}
-
-// samePack is PacksEqual with the same-slice fast path.
-func samePack(a, b []Task) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) > 0 && &a[0] == &b[0] {
-		return true
-	}
-	eq, ok := PacksEqual(a, b)
-	return ok && eq
 }
 
 // evictLocked evicts oldest-first among entries no caller holds
@@ -350,13 +330,9 @@ func (sh *cacheShard) evictLocked(ch *Cache) {
 		}
 		e := sh.order[victim]
 		sh.order = append(sh.order[:victim], sh.order[victim+1:]...)
-		sh.full[e.fullKey] = removeEntry(sh.full[e.fullKey], e)
-		if len(sh.full[e.fullKey]) == 0 {
-			delete(sh.full, e.fullKey)
-		}
-		sh.base[e.baseKey] = removeEntry(sh.base[e.baseKey], e)
-		if len(sh.base[e.baseKey]) == 0 {
-			delete(sh.base, e.baseKey)
+		sh.buckets[e.baseKey] = removeEntry(sh.buckets[e.baseKey], e)
+		if len(sh.buckets[e.baseKey]) == 0 {
+			delete(sh.buckets, e.baseKey)
 		}
 		sh.bytes -= e.bytes
 		ch.bytes.Add(-e.bytes)
@@ -392,9 +368,10 @@ func compiledBytes(c *Compiled) int64 {
 	return cells*11*8 + n*(8+1+16+64)
 }
 
-// packBaseKey hashes the resilience-independent half of the cache key:
-// pack content, cost model and platform size. ok is false when the pack
-// holds a profile type the cache cannot compare by content.
+// packBaseKey hashes the resilience-independent part of the cache key,
+// the bucket index: pack content, cost model and platform size. ok is
+// false when the pack holds a profile type the cache cannot compare by
+// content.
 func packBaseKey(tasks []Task, rc CostModel, p int) (key uint64, ok bool) {
 	h := fnvOffset
 	h = mix64(h, uint64(len(tasks)))
@@ -427,16 +404,6 @@ func packBaseKey(tasks []Task, rc CostModel, p int) (key uint64, ok bool) {
 	h = mix64(h, math.Float64bits(rc.InvBandwidth))
 	h = mix64(h, uint64(int64(p)))
 	return h, true
-}
-
-// resFullKey extends a base key with the resilience parameters.
-func resFullKey(bk uint64, res Resilience) uint64 {
-	h := bk
-	h = mix64(h, math.Float64bits(res.Lambda))
-	h = mix64(h, math.Float64bits(res.Downtime))
-	h = mix64(h, uint64(int64(res.Rule)))
-	h = mix64(h, math.Float64bits(res.SilentLambda))
-	return h
 }
 
 const (

@@ -126,8 +126,8 @@ func TestCacheHitByteEqualCompile(t *testing.T) {
 
 // TestRecompileDeltaByteEqualFull drives every delta class the cache can
 // request — downtime-only, rule-only, λ, silent-λ, the fault-free target
-// and the fault-free base — and pins the rewritten table against a full
-// Recompile of the target parameters, bit for bit.
+// and the fault-free base — and pins the delta-built table against a
+// Compile of the target parameters, bit for bit.
 func TestRecompileDeltaByteEqualFull(t *testing.T) {
 	const year = 365.25 * 24 * 3600
 	for _, tc := range compiledCases() {
@@ -156,16 +156,12 @@ func TestRecompileDeltaByteEqualFull(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					var got Compiled
-					delta, err := got.RecompileDelta(base, tc.tasks, v.res, CostModel{}, p)
+					got, err := deltaOf(base, tc.tasks, v.res)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !delta {
-						t.Fatal("compatible base not used for a delta build")
-					}
-					if d := columnsEqual(want, &got); d != "" {
-						t.Fatalf("delta rebuild differs from full Recompile: %s", d)
+					if d := columnsEqual(want, got); d != "" {
+						t.Fatalf("delta build differs from Compile: %s", d)
 					}
 				})
 			}
@@ -179,53 +175,13 @@ func TestRecompileDeltaByteEqualFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got Compiled
-			delta, err := got.RecompileDelta(ffBase, tc.tasks, tc.res, CostModel{}, p)
+			got, err := deltaOf(ffBase, tc.tasks, tc.res)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !delta {
-				t.Fatal("fault-free base not used for a delta build")
+			if d := columnsEqual(want, got); d != "" {
+				t.Fatalf("%s p=%d: fault-free-base delta differs from Compile: %s", tc.name, p, d)
 			}
-			if d := columnsEqual(want, &got); d != "" {
-				t.Fatalf("%s p=%d: fault-free-base delta differs from full Recompile: %s", tc.name, p, d)
-			}
-		}
-	}
-}
-
-// TestRecompileDeltaFallsBack pins the fallback contract: an
-// incompatible base (different pack, platform or cost model, or the
-// arena itself) must degrade to a plain full Recompile, never a wrong
-// table.
-func TestRecompileDeltaFallsBack(t *testing.T) {
-	tc := compiledCases()[0]
-	base, err := Compile(tc.tasks, tc.res, CostModel{}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Compile(tc.tasks, tc.res, CostModel{}, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Compiled
-	for _, bc := range []struct {
-		name string
-		base *Compiled
-	}{
-		{"nil", nil},
-		{"different-p", base},
-		{"self", &got},
-	} {
-		delta, err := got.RecompileDelta(bc.base, tc.tasks, tc.res, CostModel{}, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if delta {
-			t.Fatalf("%s: incompatible base accepted for a delta", bc.name)
-		}
-		if d := columnsEqual(want, &got); d != "" {
-			t.Fatalf("%s: fallback differs from full Recompile: %s", bc.name, d)
 		}
 	}
 }
@@ -366,9 +322,8 @@ func TestRecompileDeltaLeavesBaseUntouched(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := allColumns(base)
-				var got Compiled
-				if delta, err := got.RecompileDelta(base, tc.tasks, b.target, CostModel{}, p); err != nil || !delta {
-					t.Fatalf("%s p=%d %s: delta=%v err=%v", tc.name, p, b.name, delta, err)
+				if _, err := deltaOf(base, tc.tasks, b.target); err != nil {
+					t.Fatalf("%s p=%d %s: %v", tc.name, p, b.name, err)
 				}
 				after := allColumns(base)
 				for col, want := range before {
@@ -379,48 +334,6 @@ func TestRecompileDeltaLeavesBaseUntouched(t *testing.T) {
 						}
 					}
 				}
-				if !base.frozen || !got.frozen {
-					t.Fatalf("%s p=%d %s: a delta build must freeze both tables", tc.name, p, b.name)
-				}
-			}
-		}
-	}
-}
-
-// TestFrozenRebuildPanics: every in-place rebuild method refuses a
-// frozen table, so nothing can write through a shared column.
-func TestFrozenRebuildPanics(t *testing.T) {
-	tc := compiledCases()[0]
-	ch := NewCache(0)
-	e, err := ch.Acquire(tc.tasks, tc.res, CostModel{}, 16)
-	if err != nil || e == nil {
-		t.Fatalf("acquire: %v", err)
-	}
-	defer e.Release()
-	c := e.Compiled()
-	other, err := Compile(tc.tasks, Resilience{}, CostModel{}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := allColumns(c)
-	for name, rebuild := range map[string]func(){
-		"Recompile":      func() { _ = c.Recompile(tc.tasks, tc.res, CostModel{}, 16) },
-		"RecompileDelta": func() { _, _ = c.RecompileDelta(other, tc.tasks, Resilience{Lambda: 1e-9}, CostModel{}, 16) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a frozen table did not panic", name)
-				}
-			}()
-			rebuild()
-		}()
-	}
-	for col, want := range before {
-		got := allColumns(c)[col]
-		for k := range want {
-			if math.Float64bits(want[k]) != math.Float64bits(got[k]) {
-				t.Fatalf("column %s[%d] changed by a refused rebuild", col, k)
 			}
 		}
 	}
@@ -479,9 +392,9 @@ func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Compiled
-	if delta, err := got.RecompileDelta(base, tc.tasks, Resilience{}, CostModel{}, 64); err != nil || !delta {
-		t.Fatalf("delta=%v err=%v", delta, err)
+	got, err := deltaOf(base, tc.tasks, Resilience{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, col := range [][2][]float64{{got.tj, base.tj}, {got.ck, base.ck}, {got.data, base.data}} {
 		if !sameArray(col[0], col[1]) {
@@ -495,7 +408,7 @@ func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameAnswers(t, "fault-free delta", want, &got, 64)
+	sameAnswers(t, "fault-free delta", want, got, 64)
 }
 
 // TestCacheConcurrentSharing hammers one cache from many goroutines over
@@ -573,6 +486,96 @@ func TestCacheConcurrentMissesSerialize(t *testing.T) {
 	s := ch.Stats()
 	want := CacheStats{Hits: uint64(len(keys) * (perKey - 1)), Misses: uint64(len(keys)), DeltaBuilds: uint64(len(keys) - 1), FullBuilds: 1}
 	if s.Hits != want.Hits || s.Misses != want.Misses || s.DeltaBuilds != want.DeltaBuilds || s.FullBuilds != want.FullBuilds {
+		t.Fatalf("stats %+v, want %+v", s, want)
+	}
+}
+
+// TestCacheStatsUnderEvictionPressure pins Stats() over a fixed request
+// sequence: several packs, each with resilience variants that differ
+// only in Rule, only in SilentLambda or only in Downtime (fault-free
+// variants that differ only in D included), acquired in rounds under a
+// budget of about two entries per shard, so several shards evict while
+// some entries are held. The counters are a function of the requested
+// keys alone, and every Acquire serves the requested resilience with the
+// bytes of a cold Compile.
+func TestCacheStatsUnderEvictionPressure(t *testing.T) {
+	const p = 16
+	const year = 365.25 * 24 * 3600
+	packs := make([][]Task, 4)
+	for k := range packs {
+		for i := 0; i < 3; i++ {
+			packs[k] = append(packs[k], Task{ID: i, Data: 1e6 + float64(k*10+i)*1e4, Ckpt: 3e5, Verify: 5e3,
+				Profile: Synthetic{M: 1e6 + float64(k*10+i)*1e4, SeqFraction: 0.08}})
+		}
+	}
+	base := Resilience{Lambda: 1 / (20 * year), Downtime: 60}
+	variants := []Resilience{
+		base,
+		{Lambda: base.Lambda, Downtime: 60, Rule: PeriodDaly},       // Rule only
+		{Lambda: base.Lambda, Downtime: 60, SilentLambda: 1 / year}, // SilentLambda only
+		{Lambda: base.Lambda, Downtime: 600},                        // Downtime only
+		{},                                                          // fault-free
+		{Downtime: 60},                                              // fault-free, D only
+		{Downtime: 600},                                             // fault-free, D only
+		{Lambda: 1 / (5 * year), Downtime: 60},
+	}
+	one, err := Compile(packs[0], base, CostModel{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := NewCache(compiledBytes(one) * cacheShardCount * 4)
+	wants := map[[2]int]*Compiled{}
+	var seen []*CacheEntry
+	for round := 0; round < 3; round++ {
+		var held []*CacheEntry
+		for v, res := range variants {
+			if round == 1 && v%2 == 1 {
+				continue // a partial round: the later variants' misses evict other keys
+			}
+			for k, pack := range packs {
+				e, err := ch.Acquire(pack, res, CostModel{}, p)
+				if err != nil || e == nil {
+					t.Fatalf("round %d pack %d variant %d: acquire: %v", round, k, v, err)
+				}
+				c := e.Compiled()
+				if c.res != res {
+					t.Fatalf("round %d pack %d: asked for %+v, served %+v", round, k, res, c.res)
+				}
+				want := wants[[2]int{k, v}]
+				if want == nil {
+					if want, err = Compile(pack, res, CostModel{}, p); err != nil {
+						t.Fatal(err)
+					}
+					wants[[2]int{k, v}] = want
+				}
+				if d := columnsEqual(want, c); d != "" {
+					t.Fatalf("round %d pack %d variant %d: %s", round, k, v, d)
+				}
+				seen = append(seen, e)
+				if (k+v)%5 == 0 {
+					held = append(held, e)
+				} else {
+					e.Release()
+				}
+			}
+		}
+		for _, e := range held {
+			e.Release()
+		}
+	}
+	evictedIn := map[*cacheShard]bool{}
+	for _, e := range seen {
+		if e.Compiled() == nil {
+			evictedIn[e.shard] = true
+		}
+	}
+	if len(evictedIn) < 2 {
+		t.Fatalf("evictions in %d shards, want several", len(evictedIn))
+	}
+	s := ch.Stats()
+	want := CacheStats{Hits: 9, Misses: 71, DeltaBuilds: 67, FullBuilds: 4, Evictions: 59,
+		ResidentBytes: 12 * compiledBytes(one), Entries: 12}
+	if s != want {
 		t.Fatalf("stats %+v, want %+v", s, want)
 	}
 }

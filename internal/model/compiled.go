@@ -31,13 +31,12 @@ func segOf(res Resilience, t Task) segKind {
 // Compiled is the compiled instance model: per-(task, allocation) tables
 // of every α-independent quantity the simulator queries in its steady
 // state. One Compiled serves one (Tasks, Resilience, CostModel, P)
-// instance and is safe to query from many goroutines at once (the
-// campaign runner builds one per grid point and hands it to every
-// worker).
+// instance and is safe to query from many goroutines at once (a Cache
+// hands one table to every worker that asks for its instance).
 //
 // A table has two halves. The profile columns — t_{i,j}, C_{i,j}, m_i,
 // the t-row metadata and the seg kinds — are built eagerly, in one pass
-// over the instance, by Compile/Recompile. The failure terms of
+// over the instance, by Compile or TableArena.Build. The failure terms of
 // Eq. (1)–(4) — τ, τ−C, the prefactor and the period term — are filled
 // per task row on demand, only as far as a query reads (failrow.go); a
 // fault-free table has none. Filling is the one thing a query writes,
@@ -46,14 +45,16 @@ func segOf(res Resilience, t Task) segKind {
 // used. Besides its two halves a table keeps the initial schedule of its
 // instance once one is stored (Schedule), until the next rebuild.
 //
-// A frozen Compiled — every table a Cache publishes, and both sides of a
-// RecompileDelta — may share its profile columns with other tables, so
-// its in-place rebuild methods (Recompile, RecompileDelta) panic instead
-// of writing through an alias. Freezing is permanent.
+// A table is built in one of three ways: Compile builds a fresh one; a
+// Cache builds a near-miss from a resident table over the same pack
+// (deltaOf), sharing its profile columns; and a TableArena rebuilds its
+// one table in place. Only an arena's table is ever rewritten, and an
+// arena's table is never shared, so a column two tables reference is
+// never written again.
 //
-// A view (CacheEntry.View) is a frozen Compiled for a smaller platform
-// that reads a larger table's columns and failure rows: its rows keep
-// the larger stride, and maxJ ≤ 2·stride bounds what it covers.
+// A view (CacheEntry.View) is a table for a smaller platform that reads
+// a larger table's columns and failure rows: its rows keep the larger
+// stride, and maxJ ≤ 2·stride bounds what it covers.
 //
 // Layout: struct-of-arrays. Each profile column is its own slice of
 // length NumTasks·stride, indexed i·stride + j/2 − 1, and each failure
@@ -87,8 +88,7 @@ type Compiled struct {
 	fail *failTable
 	// sched holds the table's initial schedule once one is stored. Each
 	// table has its own, views included: it is emptied by every rebuild.
-	sched  *schedSlot
-	frozen bool // columns may be shared: in-place rebuilds panic
+	sched *schedSlot
 }
 
 // Schedule is the initial schedule of a table's instance (Algorithm 1,
@@ -104,16 +104,6 @@ type Schedule struct {
 // in-place rebuild emptied the slot of, whose arrays the next store
 // reuses.
 type schedSlot struct{ cur, spare atomic.Pointer[Schedule] }
-
-// clearSchedule empties c's schedule slot, creating it on first use.
-// Only a rebuild may call it: no reader can hold the schedule across it.
-func (c *Compiled) clearSchedule() {
-	if c.sched == nil {
-		c.sched = new(schedSlot)
-	} else if s := c.sched.cur.Swap(nil); s != nil {
-		c.sched.spare.Store(s)
-	}
-}
 
 // Schedule returns the initial schedule stored on the table, or nil.
 func (c *Compiled) Schedule() *Schedule { return c.sched.cur.Load() }
@@ -131,20 +121,55 @@ func (c *Compiled) StoreSchedule(sigma []int, tU []float64) {
 	c.sched.cur.CompareAndSwap(nil, s)
 }
 
-// mustMutate panics when c is frozen: its columns may be aliased by other
-// tables, so rebuilding it in place would rewrite them too.
-func (c *Compiled) mustMutate() {
-	if c.frozen {
-		panic("model: in-place rebuild of a frozen Compiled (its columns may be shared)")
-	}
+// TableArena owns one table and rebuilds it in place, reusing its
+// column arrays, failure-row arenas and schedule arrays when capacities
+// allow: a holder that rebuilds for instance after instance of one shape
+// stops allocating. Each Build invalidates the table the previous one
+// returned, its rows and its stored schedule, so an arena's table must
+// never be shared: core.Simulator keeps one for its own table, and the
+// cache publishes fresh tables only. The zero value is ready to use.
+type TableArena struct{ c Compiled }
+
+// Compile builds a fresh table for one instance; see TableArena.Build.
+func Compile(tasks []Task, res Resilience, rc CostModel, p int) (*Compiled, error) {
+	return new(TableArena).Build(tasks, res, rc, p)
 }
 
-// Compile builds the tables for one instance. p is the platform size: the
-// tables cover every even allocation in [2, p].
-func Compile(tasks []Task, res Resilience, rc CostModel, p int) (*Compiled, error) {
-	c := &Compiled{}
-	if err := c.Recompile(tasks, res, rc, p); err != nil {
+// Build rebuilds the arena's table for one instance and returns it, the
+// same *Compiled on every call. p is the platform size: the table covers
+// every even allocation in [2, p]. It builds the profile columns only:
+// failure rows fill as queries read them. On error the table is
+// unchanged.
+func (a *TableArena) Build(tasks []Task, res Resilience, rc CostModel, p int) (*Compiled, error) {
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("model: compiling an empty pack")
+	}
+	if p < 2 {
+		return nil, fmt.Errorf("model: compiling for platform size %d (want ≥ 2)", p)
+	}
+	if err := res.Validate(); err != nil {
 		return nil, err
+	}
+	for i, t := range tasks {
+		if t.Profile == nil {
+			return nil, fmt.Errorf("model: task %d has no speedup profile", i)
+		}
+	}
+	c := &a.c
+	if c.sched == nil {
+		c.sched = new(schedSlot)
+	} else if s := c.sched.cur.Swap(nil); s != nil {
+		c.sched.spare.Store(s)
+	}
+	c.tasks = tasks
+	c.res = res
+	c.rc = rc
+	c.p = p
+	c.maxJ = p - p%2
+	c.stride = c.maxJ / 2
+	a.sizeColumns(len(tasks))
+	for i, t := range tasks {
+		a.compileTask(i, t)
 	}
 	return c, nil
 }
@@ -157,10 +182,11 @@ func sizeF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// sizeColumns resizes every profile column and the per-task metadata to
-// n tasks of the current stride, reusing capacity, and empties the
-// failure rows.
-func (c *Compiled) sizeColumns(n int) {
+// sizeColumns resizes every profile column and the per-task metadata of
+// the arena's table to n tasks of the current stride, reusing capacity,
+// and empties the failure rows.
+func (a *TableArena) sizeColumns(n int) {
+	c := &a.c
 	cells := n * c.stride
 	c.tj = sizeF(c.tj, cells)
 	c.ck = sizeF(c.ck, cells)
@@ -177,43 +203,6 @@ func (c *Compiled) sizeColumns(n int) {
 		c.fail = new(failTable)
 	}
 	c.fail.reset(n)
-}
-
-// Recompile rebuilds the tables in place for a new instance, reusing the
-// backing arrays and the failure-row arenas when capacities allow. A
-// campaign worker that compiles per unit therefore stops allocating once
-// its arenas match the grid's largest (n, p). It builds the profile
-// columns only: failure rows fill as queries read them. It panics on a
-// frozen Compiled.
-func (c *Compiled) Recompile(tasks []Task, res Resilience, rc CostModel, p int) error {
-	c.mustMutate()
-	if len(tasks) == 0 {
-		return fmt.Errorf("model: compiling an empty pack")
-	}
-	if p < 2 {
-		return fmt.Errorf("model: compiling for platform size %d (want ≥ 2)", p)
-	}
-	if err := res.Validate(); err != nil {
-		return err
-	}
-	for i, t := range tasks {
-		if t.Profile == nil {
-			return fmt.Errorf("model: task %d has no speedup profile", i)
-		}
-	}
-	n := len(tasks)
-	c.clearSchedule()
-	c.tasks = tasks
-	c.res = res
-	c.rc = rc
-	c.p = p
-	c.maxJ = p - p%2
-	c.stride = c.maxJ / 2
-	c.sizeColumns(n)
-	for i, t := range tasks {
-		c.compileTask(i, t)
-	}
-	return nil
 }
 
 // fillTimes computes t_{i,j} for every covered allocation into dst
@@ -283,14 +272,15 @@ func timeMetaOf(t Task, tjs []float64) timeMeta {
 }
 
 // compileTask fills task slot i's seg/data/trow metadata and profile row
-// from t.
+// of the arena's table from t.
 //
 // The Resilience primitives are inlined over the row (Time via
 // fillTimes; C_{i,j} = C_i/j) — each inline performs the same float64
 // operations in the same order as the method it replaces, so the tables
 // stay bit-identical to per-j primitive calls (pinned by
 // TestCompiledMatchesDirect).
-func (c *Compiled) compileTask(i int, t Task) {
+func (a *TableArena) compileTask(i int, t Task) {
+	c := &a.c
 	c.data[i] = t.Data
 	c.seg[i] = segOf(c.res, t)
 	lo, hi := i*c.stride, (i+1)*c.stride
@@ -303,7 +293,7 @@ func (c *Compiled) compileTask(i int, t Task) {
 	}
 }
 
-// view returns a frozen table over platform size p ≤ c.p that reads c's
+// view returns a table over platform size p ≤ c.p that reads c's
 // columns and failure rows: same arrays and stride, a narrower covered
 // range. Every (task i, allocation j) cell depends on the task and the
 // resilience parameters, never on the platform, so a cold compile at p
@@ -315,7 +305,6 @@ func (c *Compiled) view(p int) *Compiled {
 	v.p = p
 	v.maxJ = p - p%2
 	v.sched = new(schedSlot)
-	v.frozen = true
 	v.trow = make([]timeMeta, len(c.tasks))
 	for i, t := range c.tasks {
 		lo := i * c.stride
@@ -326,7 +315,7 @@ func (c *Compiled) view(p int) *Compiled {
 
 // Matches reports whether the compiled tables were built for exactly this
 // instance. Task identity is the slice header (same backing array), not
-// deep content: callers that mutate task contents in place must recompile
+// deep content: callers that mutate task contents in place must rebuild
 // explicitly. Parameters compare by value.
 func (c *Compiled) Matches(tasks []Task, res Resilience, rc CostModel, p int) bool {
 	return len(c.tj) > 0 &&
@@ -500,8 +489,8 @@ func (c *Compiled) PostRedistCkpt(i, j int) float64 {
 // PostRedistCkptRow returns task i's post-redistribution checkpoint
 // surcharges as a contiguous row indexed j/2 − 1, valid for even j in
 // [2, maxJ], or nil when the surcharge is identically zero (fault-free
-// instances). The row aliases the compiled tables: it is invalidated by
-// the next Recompile.
+// instances). The row aliases the compiled tables: an arena's table
+// invalidates it at its next TableArena.Build.
 func (c *Compiled) PostRedistCkptRow(i int) []float64 {
 	if c.res.Lambda == 0 {
 		return nil

@@ -285,24 +285,26 @@ func TestCompiledMatches(t *testing.T) {
 	}
 }
 
-// TestRecompileReusesArenas pins the in-place rebuild: recompiling for a
-// same-shape instance must not grow the profile columns or the failure
-// row arenas, and the rebuilt model must serve the new instance's values.
+// TestRecompileReusesArenas pins the in-place rebuild: rebuilding a
+// TableArena for a same-shape instance must return the same table and
+// must not grow the profile columns or the failure row arenas, and the
+// rebuilt model must serve the new instance's values.
 func TestRecompileReusesArenas(t *testing.T) {
 	cases := compiledCases()
-	var c Compiled
-	if err := c.Recompile(cases[0].tasks, cases[0].res, CostModel{}, 32); err != nil {
+	var a TableArena
+	c, err := a.Build(cases[0].tasks, cases[0].res, CostModel{}, 32)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fillAll(&c)
+	fillAll(c)
 	before, chunks, hdrs := cap(c.tj), len(c.fail.cells.chunks), len(c.fail.hdrs.chunks)
-	if err := c.Recompile(cases[2].tasks, cases[2].res, CostModel{}, 32); err != nil {
-		t.Fatal(err)
+	if again, err := a.Build(cases[2].tasks, cases[2].res, CostModel{}, 32); err != nil || again != c {
+		t.Fatalf("rebuild returned %p, %v; want the arena's table %p", again, err, c)
 	}
-	if filledCells(&c) != 0 {
+	if filledCells(c) != 0 {
 		t.Fatal("recompile kept the previous instance's failure cells")
 	}
-	fillAll(&c)
+	fillAll(c)
 	if cap(c.tj) != before {
 		t.Fatalf("recompile grew the table arena: %d → %d", before, cap(c.tj))
 	}
@@ -318,13 +320,14 @@ func TestRecompileReusesArenas(t *testing.T) {
 }
 
 // TestScheduleSlotEmptiedByRebuilds pins the stored-schedule slot: a
-// build starts with none, the first store wins, an in-place Recompile
-// empties the slot and the next store reuses its arrays, and a delta
-// build starts empty while its base keeps its own schedule.
+// build starts with none, the first store wins, an arena's in-place
+// rebuild empties the slot and the next store reuses its arrays, and a
+// delta build starts empty while its base keeps its own schedule.
 func TestScheduleSlotEmptiedByRebuilds(t *testing.T) {
 	cases := compiledCases()
-	var c Compiled
-	if err := c.Recompile(cases[0].tasks, cases[0].res, CostModel{}, 32); err != nil {
+	var a TableArena
+	c, err := a.Build(cases[0].tasks, cases[0].res, CostModel{}, 32)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Schedule() != nil {
@@ -336,11 +339,11 @@ func TestScheduleSlotEmptiedByRebuilds(t *testing.T) {
 	if first == nil || first.Sigma[0] != 2 || first.TU[1] != 2 {
 		t.Fatalf("stored schedule %+v, want the first store's", first)
 	}
-	if err := c.Recompile(cases[2].tasks, cases[2].res, CostModel{}, 32); err != nil {
+	if _, err := a.Build(cases[2].tasks, cases[2].res, CostModel{}, 32); err != nil {
 		t.Fatal(err)
 	}
 	if c.Schedule() != nil {
-		t.Fatal("Recompile kept the previous instance's schedule")
+		t.Fatal("a rebuild kept the previous instance's schedule")
 	}
 	sigma, tU := &first.Sigma[0], &first.TU[0]
 	c.StoreSchedule([]int{10, 12}, []float64{5, 6})
@@ -353,17 +356,13 @@ func TestScheduleSlotEmptiedByRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.StoreSchedule([]int{2}, []float64{1})
-	var d Compiled
-	if err := d.Recompile(cases[1].tasks, cases[1].res, CostModel{}, 32); err != nil {
+	target := Resilience{Lambda: cases[1].res.Lambda, Downtime: cases[1].res.Downtime * 2}
+	d, err := deltaOf(base, cases[1].tasks, target)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d.StoreSchedule([]int{4}, []float64{2})
-	target := Resilience{Lambda: cases[1].res.Lambda, Downtime: cases[1].res.Downtime * 2}
-	if delta, err := d.RecompileDelta(base, cases[1].tasks, target, CostModel{}, 32); err != nil || !delta {
-		t.Fatalf("delta=%v err=%v", delta, err)
-	}
 	if d.Schedule() != nil {
-		t.Fatal("RecompileDelta kept the previous instance's schedule")
+		t.Fatal("a delta build starts with its base's schedule")
 	}
 	if s := base.Schedule(); s == nil || s.Sigma[0] != 2 {
 		t.Fatalf("the delta base lost its schedule: %+v", s)
@@ -449,18 +448,18 @@ func BenchmarkCompileCold(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileWarm measures Recompile over a reused arena — the
-// steady state of a campaign worker's private tables.
+// BenchmarkCompileWarm measures TableArena.Build over a reused arena —
+// the steady state of a simulator's own table when its instance changes.
 func BenchmarkCompileWarm(b *testing.B) {
 	tasks, res := benchPack()
-	var c Compiled
-	if err := c.Recompile(tasks, res, CostModel{}, 1000); err != nil {
+	var a TableArena
+	if _, err := a.Build(tasks, res, CostModel{}, 1000); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.Recompile(tasks, res, CostModel{}, 1000); err != nil {
+		if _, err := a.Build(tasks, res, CostModel{}, 1000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -470,10 +469,10 @@ func BenchmarkCompileWarm(b *testing.B) {
 // classes a resilience sweep produces: downtime-only, λ and the
 // fault-free limit. Each shares the base's profile columns and starts
 // with empty failure rows (none at all when fault-free), so the three
-// cost the same few small allocations. A delta build freezes its result,
-// so every iteration builds into a fresh Compiled, as the cache does. The
-// speedup over BenchmarkCompileWarm is the cache's near-miss payoff; B/op
-// is the memory a near-miss adds to the cache before any query.
+// cost the same few small allocations. Every iteration builds a fresh
+// table with deltaOf, as the cache does. The speedup over
+// BenchmarkCompileWarm is the cache's near-miss payoff; B/op is the
+// memory a near-miss adds to the cache before any query.
 func BenchmarkRecompileDelta(b *testing.B) {
 	tasks, res := benchPack()
 	base, err := Compile(tasks, res, CostModel{}, 1000)
@@ -491,9 +490,8 @@ func BenchmarkRecompileDelta(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := new(Compiled)
-				if delta, err := c.RecompileDelta(base, tasks, bc.res, CostModel{}, 1000); err != nil || !delta {
-					b.Fatalf("delta=%v err=%v", delta, err)
+				if _, err := deltaOf(base, tasks, bc.res); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

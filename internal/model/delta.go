@@ -1,34 +1,75 @@
 package model
 
-// ProfilesEqual reports whether two speedup profiles are the same known
-// profile with identical parameters. Only the concrete profile types this
-// package defines compare — a custom Profile implementation returns
-// (false, false) in the second result's sense: ok is false and the
-// profiles must be treated as incomparable (a delta recompile or cache
-// hit would have to prove value equality it cannot see).
-func ProfilesEqual(a, b Profile) (equal, ok bool) {
-	av, aok := profileValue(a)
-	bv, bok := profileValue(b)
-	if !aok || !bok {
-		return false, false
+import "slices"
+
+// deltaOf builds the table for (tasks, res) at base's platform and cost
+// model: the cache's near-miss build, for a pack the cache has matched
+// to base's by content (samePack). The new table shares base's profile
+// columns — t_{i,j}, C_{i,j}, m_i and the t-row metadata, which derive
+// from the pack alone — and starts with empty failure rows of its own,
+// filled on demand like a cold table's. No column of base is written,
+// and neither table is ever rebuilt in place. The result answers every
+// query bit-identically to a Compile for res (pinned by
+// TestRecompileDeltaByteEqualFull), whatever parameters base was built
+// for, fault-free included.
+func deltaOf(base *Compiled, tasks []Task, res Resilience) (*Compiled, error) {
+	if err := res.Validate(); err != nil {
+		return nil, err
 	}
-	switch pa := av.(type) {
-	case Synthetic:
-		pb, is := bv.(Synthetic)
-		return is && pa == pb, true
-	case Table:
-		pb, is := bv.(Table)
-		if !is || len(pa.Times) != len(pb.Times) {
-			return false, true
+	c := &Compiled{
+		tasks: tasks, res: res, rc: base.rc, p: base.p,
+		maxJ: base.maxJ, stride: base.stride,
+		tj: base.tj, ck: base.ck, data: base.data, trow: base.trow, seg: base.seg,
+		sched: new(schedSlot),
+	}
+	if res.SilentActive() != base.res.SilentActive() {
+		// seg depends on (λ_s, V) and the pack is the base's.
+		c.seg = make([]segKind, len(tasks))
+		for i, t := range tasks {
+			c.seg[i] = segOf(res, t)
 		}
-		for i := range pa.Times {
-			if pa.Times[i] != pb.Times[i] {
-				return false, true
+	}
+	if !res.FaultFree() {
+		c.fail = new(failTable)
+		c.fail.reset(len(tasks))
+	}
+	return c, nil
+}
+
+// samePack reports whether two packs are content-identical, the
+// precondition for sharing compiled tables: the same slice, or tasks
+// with equal fields and profiles of a known type with equal parameters.
+// A profile of a type this package does not define compares unequal, as
+// the cache cannot see its value.
+func samePack(a, b []Task) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) > 0 && &a[0] == &b[0] {
+		return true
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.ID != y.ID || x.Data != y.Data || x.Ckpt != y.Ckpt || x.Verify != y.Verify {
+			return false
+		}
+		px, okx := profileValue(x.Profile)
+		py, oky := profileValue(y.Profile)
+		if !okx || !oky {
+			return false
+		}
+		switch px := px.(type) {
+		case Synthetic:
+			if py, is := py.(Synthetic); !is || px != py {
+				return false
+			}
+		case Table:
+			if py, is := py.(Table); !is || !slices.Equal(px.Times, py.Times) {
+				return false
 			}
 		}
-		return true, true
 	}
-	return false, false
+	return true
 }
 
 // profileValue normalizes the known profile types (value or pointer
@@ -45,90 +86,4 @@ func profileValue(p Profile) (any, bool) {
 		return *v, true
 	}
 	return nil, false
-}
-
-// TasksEqual reports whether two tasks have identical compile-relevant
-// content; ok is false when a profile is of an unknown type and content
-// equality cannot be decided.
-func TasksEqual(a, b Task) (equal, ok bool) {
-	if a.ID != b.ID || a.Data != b.Data || a.Ckpt != b.Ckpt || a.Verify != b.Verify {
-		return false, true
-	}
-	return ProfilesEqual(a.Profile, b.Profile)
-}
-
-// PacksEqual reports whether two task packs are content-identical —
-// the precondition for sharing compiled tables across packs that are not
-// the same slice. ok is false when any profile is incomparable.
-func PacksEqual(a, b []Task) (equal, ok bool) {
-	if len(a) != len(b) {
-		return false, true
-	}
-	for i := range a {
-		eq, cmp := TasksEqual(a[i], b[i])
-		if !cmp {
-			return false, false
-		}
-		if !eq {
-			return false, true
-		}
-	}
-	return true, true
-}
-
-// deltaCompatible reports whether base's profile columns can seed
-// a compile of (tasks, rc, p): same platform and cost model and a
-// content-identical pack.
-func deltaCompatible(base *Compiled, tasks []Task, rc CostModel, p int) bool {
-	if base == nil || len(base.tj) == 0 ||
-		base.p != p || base.rc != rc || len(tasks) == 0 {
-		return false
-	}
-	eq, ok := PacksEqual(tasks, base.tasks)
-	return ok && eq
-}
-
-// RecompileDelta rebuilds c for (tasks, res, rc, p) from base, a table
-// over the same pack, platform and cost model: c shares base's profile
-// columns — t_{i,j}, C_{i,j}, m_i and the t-row metadata, which
-// derive from the pack alone — and starts with empty failure rows of its
-// own, filled on demand like any cold table's. It reports whether the
-// delta path was taken (false means it fell back to a full Recompile,
-// which writes c in place). base must not be c itself. base's columns
-// are never written; because the two tables now share backing arrays, a
-// delta build freezes both c and base. The result answers every query
-// bit-identically to a full Recompile for the new parameters (pinned by
-// TestRecompileDeltaByteEqualFull), whatever parameters base was built
-// for, fault-free included.
-func (c *Compiled) RecompileDelta(base *Compiled, tasks []Task, res Resilience, rc CostModel, p int) (bool, error) {
-	c.mustMutate()
-	if base == c || !deltaCompatible(base, tasks, rc, p) {
-		return false, c.Recompile(tasks, res, rc, p)
-	}
-	if err := res.Validate(); err != nil {
-		return false, err
-	}
-	if !base.frozen { // a published base is frozen already: no write, no race with its readers
-		base.frozen = true
-	}
-	*c = Compiled{
-		tasks: tasks, res: res, rc: rc, p: p,
-		maxJ: base.maxJ, stride: base.stride,
-		tj: base.tj, ck: base.ck, data: base.data, trow: base.trow, seg: base.seg,
-		sched:  c.sched,
-		frozen: true,
-	}
-	c.clearSchedule()
-	if res.SilentActive() != base.res.SilentActive() {
-		// seg depends on (λ_s, V) and the pack is the base's.
-		c.seg = make([]segKind, len(tasks))
-		for i, t := range tasks {
-			c.seg[i] = segOf(res, t)
-		}
-	}
-	if !res.FaultFree() {
-		c.fail = new(failTable)
-		c.fail.reset(len(tasks))
-	}
-	return true, nil
 }

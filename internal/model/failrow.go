@@ -54,8 +54,9 @@ type failTable struct {
 var fillGrowth = 2
 
 // reset empties every row for n tasks and rewinds the arenas, keeping
-// their storage for the fills that follow. Only an unfrozen table's
-// rebuild may call it: no reader can hold a snapshot across it.
+// their storage for the fills that follow. Only a new table or a
+// TableArena's rebuild may call it: no reader can hold a snapshot
+// across it.
 func (ft *failTable) reset(n int) {
 	if cap(ft.rows) < n {
 		ft.rows = make([]atomic.Pointer[failRow], n)

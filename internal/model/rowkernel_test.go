@@ -102,10 +102,10 @@ func TestPostRedistCkptRowMatchesScalar(t *testing.T) {
 }
 
 // TestRecompileFaultFreeMatchesCompile pins the fault-free rebuild on a
-// reused arena: recompiling the fault-free variant over tables that held
-// a fault-enabled instance — failure rows filled, and once over a pack
+// reused TableArena: rebuilding the fault-free variant over a table that
+// held a fault-enabled instance — failure rows filled, and once over a pack
 // one task longer — must serve exactly the values of a from-scratch
-// Compile, and recompiling the fault-enabled instance again must refill
+// Compile, and rebuilding the fault-enabled instance again must refill
 // its rows from scratch.
 func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
 	const p = 32
@@ -126,22 +126,23 @@ func TestRecompileFaultFreeMatchesCompile(t *testing.T) {
 		}
 		longer := append(tc.tasks[:len(tc.tasks):len(tc.tasks)], tc.tasks[0])
 		for _, pack := range [][]Task{tc.tasks, longer} {
-			arena, err := Compile(pack, tc.res, CostModel{}, p)
+			var a TableArena
+			c, err := a.Build(pack, tc.res, CostModel{}, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fillAll(arena)
-			if err := arena.Recompile(tc.tasks, ffRes, CostModel{}, p); err != nil {
+			fillAll(c)
+			if _, err := a.Build(tc.tasks, ffRes, CostModel{}, p); err != nil {
 				t.Fatal(err)
 			}
-			if filledCells(arena) != 0 {
+			if filledCells(c) != 0 {
 				t.Fatalf("%s: fault-free rebuild kept failure cells", tc.name)
 			}
-			sameAnswers(t, tc.name+"/fault-free", want, arena, p)
-			if err := arena.Recompile(tc.tasks, tc.res, CostModel{}, p); err != nil {
+			sameAnswers(t, tc.name+"/fault-free", want, c, p)
+			if _, err := a.Build(tc.tasks, tc.res, CostModel{}, p); err != nil {
 				t.Fatal(err)
 			}
-			sameAnswers(t, tc.name+"/refault", wantFault, arena, p)
+			sameAnswers(t, tc.name+"/refault", wantFault, c, p)
 		}
 	}
 }
