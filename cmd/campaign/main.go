@@ -283,7 +283,7 @@ func realMain(args []string, stdout, stderr io.Writer) error {
 	// the shared cache: online units and incomparable profiles run on the
 	// simulator's own table), so uncached output carries no such line.
 	if cacheDelta.Hits+cacheDelta.Misses > 0 {
-		fmt.Fprintf(stdout, "model cache: %d hits / %d misses (%d delta, %d full builds), %d evictions, %s resident in %d entries\n",
+		fmt.Fprintf(stdout, "model cache: %d hits / %d misses (%d delta, %d full builds), %d evictions, %s charged to %d resident entries\n",
 			cacheDelta.Hits, cacheDelta.Misses, cacheDelta.DeltaBuilds, cacheDelta.FullBuilds,
 			cacheDelta.Evictions, fmtBytes(cacheDelta.ResidentBytes), cacheDelta.Entries)
 	}

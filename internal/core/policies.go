@@ -41,7 +41,6 @@ type Decision struct {
 	evals     []model.MinEval
 	rcRow     []model.RedistRow // frozen-source Eq. (9) cost rows (lazy)
 	base      []float64         // t + extra(i), frozen per round (lazy)
-	ckRow     [][]float64       // post-redist ckpt surcharge rows (lazy)
 	avail     int               // free processors under the current candidate assignment
 
 	// The level rounds of Algorithms 5 and 1 (levelround.go): a round's
@@ -100,10 +99,6 @@ func (d *Decision) resize(e *Simulator, n int) {
 	}
 	d.rcRow = d.rcRow[:n]
 	growFloats(&d.base, n)
-	if cap(d.ckRow) < n {
-		d.ckRow = make([][]float64, n)
-	}
-	d.ckRow = d.ckRow[:n]
 }
 
 // beginDecision primes the scratch for one heuristic invocation over the
@@ -148,7 +143,6 @@ func (d *Decision) bind(i int) {
 	d.evals[i].ResetCompiled(d.e.cm, i, d.alphaT[i])
 	d.rcRow[i] = d.e.cm.RedistRowFrom(i, d.sigmaInit[i])
 	d.base[i] = d.t + d.extra(i)
-	d.ckRow[i] = d.e.cm.PostRedistCkptRow(i)
 }
 
 // isEligible reports whether task i participates in this decision.
@@ -194,15 +188,10 @@ func (d *Decision) uncountedCandidate(i, cand int) float64 {
 }
 
 // ckpt returns task i's post-redistribution checkpoint surcharge at
-// target cand from its contiguous row: zero when fault-free.
-// C_{i,cand} = C_i/cand, so it is non-increasing in cand. i must be
-// bound.
+// target cand: zero when fault-free, else C_{i,cand} = C_i/cand, which
+// is non-increasing in cand.
 func (d *Decision) ckpt(i, cand int) float64 {
-	row := d.ckRow[i]
-	if row == nil {
-		return 0
-	}
-	return row[cand/2-1]
+	return d.e.cm.PostRedistCkpt(i, cand)
 }
 
 // pruneMargin is the relative slack provablyDead leaves between its

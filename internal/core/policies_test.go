@@ -273,3 +273,41 @@ func TestParanoiaCatchesStaleCommit(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultFreeCandidateNegativeZeroCkpt pins the fault-free candidate
+// of a task whose checkpoint cost is −0: the post-redistribution
+// surcharge is exactly +0, as Resilience.PostRedistCkpt returns, not
+// C_i/j = −0, and every candidate has the bits of the direct formula
+// t + RC + C + t^R(α).
+func TestFaultFreeCandidateNegativeZeroCkpt(t *testing.T) {
+	tasks := synthPack(4, rng.New(3))
+	for i := range tasks {
+		tasks[i].Ckpt = math.Copysign(0, -1)
+	}
+	in := Instance{Tasks: tasks, P: 40, Res: paperRes(0)}
+	e := NewSimulator()
+	if err := e.Reset(in, IGEndLocal, nil, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	elig := e.eligible(0)
+	e.beginDecision(0, elig, -1)
+	d := &e.d
+	for _, i := range elig {
+		for cand := 2; cand <= in.P; cand += 2 {
+			if cand == d.sigmaInit[i] {
+				continue
+			}
+			got := d.candidate(i, cand)
+			if c := d.ckpt(i, cand); math.Float64bits(c) != 0 {
+				t.Fatalf("task %d cand %d: fault-free surcharge %v has bits %x, want +0", i, cand, c, math.Float64bits(c))
+			}
+			task := tasks[i]
+			want := d.t + in.RC.Cost(task.Data, d.sigmaInit[i], cand) +
+				in.Res.PostRedistCkpt(task, cand) +
+				in.Res.ExpectedTime(task, cand, d.alphaT[i])
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("task %d cand %d: candidate %v, direct formula %v", i, cand, got, want)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cosched/internal/failure"
+	"cosched/internal/model"
 	"cosched/internal/rng"
 )
 
@@ -51,13 +52,14 @@ func TestPrunedScanCountsPinned(t *testing.T) {
 }
 
 // TestParanoiaCatchesUnsoundPrune hand-builds a decision whose pruned
-// range holds an improving candidate: the longest task's post-
-// redistribution checkpoint row is forged to jump at the top of the
-// range, breaking the bound's premise that C_{i,j} does not increase in
-// j, so the bound proves dead a range whose first candidate improves.
-// skipDead prunes it either way; with Paranoia the re-check reports it
-// and Run fails, without Paranoia nothing notices. The re-check counts
-// no candidate evaluations.
+// range holds an improving candidate: for the skipDead call the
+// simulator's table is swapped for one compiled from a copy of the pack
+// whose longest task runs a thousand times longer. Only RawFloor reads
+// the swapped table's times, so the bound proves dead a range whose
+// first candidate improves, while the bound evaluator, the cost row and
+// C_i stay the true ones. skipDead prunes it either way; with Paranoia
+// the re-check reports it and Run fails, without Paranoia nothing
+// notices. The re-check counts no candidate evaluations.
 func TestParanoiaCatchesUnsoundPrune(t *testing.T) {
 	for _, paranoia := range []bool{false, true} {
 		in := Instance{Tasks: synthPack(10, rng.New(5)), P: 100, Res: paperRes(5)}
@@ -79,18 +81,27 @@ func TestParanoiaCatchesUnsoundPrune(t *testing.T) {
 			t.Fatalf("task %d does not improve with one more pair: no counterexample", longest)
 		}
 		d.bind(longest)
-		forged := make([]float64, hi/2)
-		forged[hi/2-1] = 1e30
-		d.ckRow[longest] = forged
+		slow := append([]model.Task(nil), in.Tasks...)
+		prof := slow[longest].Profile.(model.Synthetic)
+		prof.M *= 1e3
+		slow[longest].Profile = prof
+		forged, err := model.Compile(slow, in.Res, in.RC, in.P)
+		if err != nil {
+			t.Fatal(err)
+		}
 		evals := e.ctr.CandidateEvals
-		if !d.skipDead(longest, lo, hi) {
+		own := e.cm
+		e.cm = forged
+		pruned := d.skipDead(longest, lo, hi)
+		e.cm = own
+		if !pruned {
 			t.Fatal("the forged bound did not prune the range")
 		}
 		if e.ctr.PrunedScans != 1 || e.ctr.CandidateEvals != evals {
 			t.Fatalf("Paranoia %v: pruned %d scans and counted %d evaluations, want 1 and 0",
 				paranoia, e.ctr.PrunedScans, e.ctr.CandidateEvals-evals)
 		}
-		_, err := e.Run()
+		_, err = e.Run()
 		if !paranoia {
 			if err != nil {
 				t.Fatalf("without Paranoia: %v", err)

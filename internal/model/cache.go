@@ -7,13 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// DefaultCacheBytes is the default byte budget of a Cache. compiledBytes
-// charges a paper-scale table (n = 100, p = 1000) about 4.4 MB, its
-// fully-filled size, so the budget holds about 60 of them, and each
-// 16 MiB shard three. Failure rows fill on demand, so a table is usually
-// far smaller than its charge and the budget over-counts residency. The
-// budget is checked at insert only (see evictLocked): it bounds what a
-// shard keeps after an insert, not what stays resident between inserts.
+// DefaultCacheBytes is the default byte budget of a Cache, in the fixed
+// units compiledBytes charges: a paper-scale table (n = 100, p = 1000)
+// is charged about 4.4 MB, so the budget holds about 60 of them, and each
+// 16 MiB shard three. A table's memory is usually a small fraction of
+// its charge, so the budget is not a memory bound. It is checked at
+// insert only (see evictLocked): it bounds what a shard keeps after an
+// insert, not what stays resident between inserts.
 const DefaultCacheBytes = 1 << 28 // 256 MiB
 
 // cacheShardCount spreads the cache over independently locked shards.
@@ -35,14 +35,17 @@ const cacheShardCount = 16
 // which is safe from any goroutine. A near-miss — same pack, platform
 // and cost model, different resilience parameters — is built by deltaOf
 // from the oldest resident entry over the pack: the new table shares
-// its profile columns and starts with empty failure rows of its own,
-// and answers bit-identically to a cold Compile (the cache's whole
-// contract; see DESIGN.md §15). Because columns are shared, tables are
-// never recycled: an evicted entry's arrays stay alive, through the
-// garbage collector, for as long as any live table aliases them. Packs
-// containing profile types this package cannot compare by content are
-// refused (Acquire returns nil); the caller then runs without a shared
-// table, and core.Simulator builds its own.
+// its profile half (the t_{i,j} column and its row metadata), starts
+// with empty failure rows of its own, and answers bit-identically to a
+// cold Compile (the cache's whole contract; see DESIGN.md §15). Because
+// columns are shared, tables are never recycled: an evicted entry's
+// arrays stay alive, through the garbage collector, for as long as any
+// live table aliases them. Each entry is charged a fixed number of bytes
+// (compiledBytes), not its memory, and eviction skips entries a caller
+// holds, so with several workers the eviction count depends on timing.
+// Packs containing profile types this package cannot compare by content
+// are refused (Acquire returns nil); the caller then runs without a
+// shared table, and core.Simulator builds its own.
 //
 // A nil *Cache is valid and never caches.
 type Cache struct {
@@ -70,9 +73,10 @@ type cacheShard struct {
 	// building holds one channel per base key with a build in flight,
 	// closed on publish: a concurrent miss over the same pack waits for
 	// it, then finds either its own key (a hit, not a duplicate compile)
-	// or a delta base (shared profile columns, not a cold compile). Builds
-	// over one pack therefore serialize, and the hit/miss/delta counts
-	// are a function of the keys requested, not of thread timing.
+	// or a delta base (a shared profile half, not a cold compile). Builds
+	// over one pack therefore serialize, and until an eviction the
+	// hit/miss/delta counts are a function of the keys requested, not of
+	// thread timing.
 	building map[uint64]chan struct{}
 }
 
@@ -125,8 +129,8 @@ func (e *CacheEntry) View(p int) *Compiled {
 }
 
 // CacheStats is a point-in-time counter snapshot. The counters are
-// cumulative over the cache's lifetime; ResidentBytes and Entries are
-// levels.
+// cumulative over the cache's lifetime; ResidentBytes, the resident
+// entries' compiledBytes charge, and Entries are levels.
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
@@ -352,20 +356,29 @@ func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
 	return s
 }
 
-// compiledBytes is an entry's charge against the byte budget: a fixed
-// fully-filled size of 11 float64 per cell plus seg/data/trow and the
-// task headers, the charge of the eleven-column layout that computed
-// every cell at build time. A table now holds two profile floats per
-// cell plus the five-float failure cells its queries filled, which
-// usually covers a few percent of its rows. Every column the entry
-// references is charged to it, shared or not, and the charge does not
-// depend on how far rows were filled, so the hit/miss/delta/eviction
-// counts stay a pure function of the requested keys, whatever the
-// queries and whichever bases the delta builds happened to pick.
+// chargePerCell and chargePerTask are the fixed budget units
+// compiledBytes charges per (task, allocation) cell and per task: 11
+// float64 per cell and 89 bytes per task, the size of a fully-filled
+// table in the eleven-column layout that computed every term at build
+// time. They are not a table's size: a table holds one profile float per
+// cell plus the five-float failure cells its queries filled, usually a
+// few percent of its rows. Keeping the units fixed keeps every budget
+// and count of earlier versions.
+const (
+	chargePerCell = 11 * 8
+	chargePerTask = 89
+)
+
+// compiledBytes is an entry's charge against the byte budget, in the
+// fixed units above. Every column the entry references is charged to
+// it, shared or not, and the charge does not depend on how far rows were
+// filled, so it is a function of the pack size and platform alone.
+// Single-worker hit/miss/delta/eviction counts are then a function of
+// the requested keys; with several workers eviction also depends on
+// which entries are held at each insert (evictLocked), so its count can
+// vary from run to run.
 func compiledBytes(c *Compiled) int64 {
-	cells := int64(len(c.tj))
-	n := int64(len(c.tasks))
-	return cells*11*8 + n*(8+1+16+64)
+	return int64(len(c.tj))*chargePerCell + int64(len(c.tasks))*chargePerTask
 }
 
 // packBaseKey hashes the resilience-independent part of the cache key,

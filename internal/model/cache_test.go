@@ -36,23 +36,15 @@ func columnsEqual(a, b *Compiled) string {
 }
 
 // columnNames lists allColumns' keys in comparison order.
-var columnNames = []string{"tj", "ck", "data", "seg", "trow", "tau", "work", "lj", "prefac", "expPer"}
+var columnNames = []string{"tj", "trow", "tau", "work", "lj", "prefac", "expPer"}
 
 // allColumns fills every failure row of c and snapshots every column —
-// the profile columns, the per-task metadata and each failure term over
-// all rows, each row through its covered range — so a later compare
-// catches any write through an alias.
+// the t_{i,j} column, its row metadata and each failure term over all
+// rows, each row through its covered range — so a later compare catches
+// any write through an alias.
 func allColumns(c *Compiled) map[string][]float64 {
 	fillAll(c)
-	cols := map[string][]float64{}
-	for name, col := range map[string][]float64{"tj": c.tj, "ck": c.ck, "data": c.data} {
-		cols[name] = append([]float64(nil), col...)
-	}
-	seg := make([]float64, len(c.seg))
-	for i, k := range c.seg {
-		seg[i] = float64(k)
-	}
-	cols["seg"] = seg
+	cols := map[string][]float64{"tj": append([]float64(nil), c.tj...)}
 	trow := make([]float64, 0, 2*len(c.trow))
 	for _, m := range c.trow {
 		nonInc := 0.0
@@ -289,7 +281,7 @@ func TestCacheEviction(t *testing.T) {
 
 // sameArray reports whether two non-empty columns start at the same
 // backing array element, i.e. one table shares the other's column.
-func sameArray(a, b []float64) bool {
+func sameArray[T any](a, b []T) bool {
 	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
@@ -367,10 +359,8 @@ func TestCacheDeltaBaseChoice(t *testing.T) {
 		t.Fatalf("stats %+v: want one cold build and two delta builds", s)
 	}
 	c1, c2, c3 := e1.Compiled(), e2.Compiled(), e3.Compiled()
-	for _, col := range [][2][]float64{{c3.tj, c1.tj}, {c3.ck, c1.ck}, {c3.data, c1.data}, {c2.tj, c1.tj}} {
-		if !sameArray(col[0], col[1]) {
-			t.Error("a delta build copied a profile column it could share with the oldest base")
-		}
+	if !sameArray(c3.tj, c1.tj) || !sameArray(c3.trow, c1.trow) || !sameArray(c2.tj, c1.tj) {
+		t.Error("a delta build copied a profile column it could share with the oldest base")
 	}
 	if c3.fail == c1.fail || c3.fail == c2.fail || c2.fail == c1.fail {
 		t.Error("delta builds share failure rows across resilience settings")
@@ -396,10 +386,8 @@ func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range [][2][]float64{{got.tj, base.tj}, {got.ck, base.ck}, {got.data, base.data}} {
-		if !sameArray(col[0], col[1]) {
-			t.Fatal("fault-free target copied a column it could share")
-		}
+	if !sameArray(got.tj, base.tj) || !sameArray(got.trow, base.trow) {
+		t.Fatal("fault-free target copied a column it could share")
 	}
 	if got.fail != nil {
 		t.Fatal("fault-free target allocated failure rows")

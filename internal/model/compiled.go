@@ -29,37 +29,39 @@ func segOf(res Resilience, t Task) segKind {
 }
 
 // Compiled is the compiled instance model: per-(task, allocation) tables
-// of every α-independent quantity the simulator queries in its steady
-// state. One Compiled serves one (Tasks, Resilience, CostModel, P)
-// instance and is safe to query from many goroutines at once (a Cache
-// hands one table to every worker that asks for its instance).
+// of the α-independent quantities the simulator queries in its steady
+// state that cost more than a division to derive. One Compiled serves
+// one (Tasks, Resilience, CostModel, P) instance and is safe to query
+// from many goroutines at once (a Cache hands one table to every worker
+// that asks for its instance).
 //
-// A table has two halves. The profile columns — t_{i,j}, C_{i,j}, m_i,
-// the t-row metadata and the seg kinds — are built eagerly, in one pass
-// over the instance, by Compile or TableArena.Build. The failure terms of
+// A table has two halves. The profile half — the t_{i,j} column and its
+// per-task row metadata — is built eagerly, in one pass over the
+// instance, by Compile or TableArena.Build. The failure terms of
 // Eq. (1)–(4) — τ, τ−C, the prefactor and the period term — are filled
 // per task row on demand, only as far as a query reads (failrow.go); a
 // fault-free table has none. Filling is the one thing a query writes,
 // and it publishes immutable row snapshots, so reads never see a cell
-// change. V_{i,j} = V_i/j is one division and is recomputed where it is
-// used. Besides its two halves a table keeps the initial schedule of its
-// instance once one is stored (Schedule), until the next rebuild.
+// change. C_{i,j} = C_i/j and V_{i,j} = V_i/j are one division each, m_i
+// and the silent-segment kind are read from the task, and all four are
+// computed where they are used. Besides its two halves a table keeps the
+// initial schedule of its instance once one is stored (Schedule), until
+// the next rebuild.
 //
 // A table is built in one of three ways: Compile builds a fresh one; a
 // Cache builds a near-miss from a resident table over the same pack
-// (deltaOf), sharing its profile columns; and a TableArena rebuilds its
+// (deltaOf), sharing its profile half; and a TableArena rebuilds its
 // one table in place. Only an arena's table is ever rewritten, and an
 // arena's table is never shared, so a column two tables reference is
 // never written again.
 //
 // A view (CacheEntry.View) is a table for a smaller platform that reads
-// a larger table's columns and failure rows: its rows keep the larger
-// stride, and maxJ ≤ 2·stride bounds what it covers.
+// a larger table's t_{i,j} column and failure rows: its rows keep the
+// larger stride, and maxJ ≤ 2·stride bounds what it covers.
 //
-// Layout: struct-of-arrays. Each profile column is its own slice of
-// length NumTasks·stride, indexed i·stride + j/2 − 1, and each failure
-// row is contiguous, so the row kernel (rawRange) streams a task's
-// candidate row per cache line.
+// Layout: the t_{i,j} column has length NumTasks·stride, indexed
+// i·stride + j/2 − 1, and each failure row is contiguous, so the row
+// kernel (rawRange) streams a task's candidate row per cache line.
 //
 // Every query combines exactly the float64 values Resilience's direct
 // primitives compute, in the same order, so results are bit-identical
@@ -73,15 +75,10 @@ type Compiled struct {
 	maxJ   int // largest even allocation covered by the tables
 	stride int // entries per task row: maxJ/2, or more in a view (CacheEntry.View)
 
-	// Profile columns, each len NumTasks·stride (see DESIGN.md §9, §12).
-	// R_{i,j} = C_{i,j} (the paper), so recovery reads ck; λ·j, λ_s·j and
-	// V_{i,j} = V_i/j are one operation each and are recomputed where they
-	// are used.
-	tj []float64 // t_{i,j}, fault-free execution time
-	ck []float64 // C_{i,j}, checkpoint cost
-
-	seg  []segKind  // per-task silent-segment mode
-	data []float64  // per-task data volume m_i (redistribution cost)
+	// The profile half (see DESIGN.md §9, §12). C_{i,j} = C_i/j (and
+	// R_{i,j} = C_{i,j}, the paper), λ·j, λ_s·j and V_{i,j} = V_i/j are
+	// one operation each and are recomputed where they are used.
+	tj   []float64  // t_{i,j}, fault-free execution time, len NumTasks·stride
 	trow []timeMeta // per-task shape of the t_{i,j} row (RawFloor)
 	// fail holds the on-demand failure rows, shared with every view of
 	// the table; nil until the first fault-enabled build.
@@ -137,7 +134,7 @@ func Compile(tasks []Task, res Resilience, rc CostModel, p int) (*Compiled, erro
 
 // Build rebuilds the arena's table for one instance and returns it, the
 // same *Compiled on every call. p is the platform size: the table covers
-// every even allocation in [2, p]. It builds the profile columns only:
+// every even allocation in [2, p]. It builds the profile half only:
 // failure rows fill as queries read them. On error the table is
 // unchanged.
 func (a *TableArena) Build(tasks []Task, res Resilience, rc CostModel, p int) (*Compiled, error) {
@@ -182,19 +179,12 @@ func sizeF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// sizeColumns resizes every profile column and the per-task metadata of
-// the arena's table to n tasks of the current stride, reusing capacity,
-// and empties the failure rows.
+// sizeColumns resizes the t_{i,j} column and the row metadata of the
+// arena's table to n tasks of the current stride, reusing capacity, and
+// empties the failure rows.
 func (a *TableArena) sizeColumns(n int) {
 	c := &a.c
-	cells := n * c.stride
-	c.tj = sizeF(c.tj, cells)
-	c.ck = sizeF(c.ck, cells)
-	if cap(c.seg) < n {
-		c.seg = make([]segKind, n)
-	}
-	c.seg = c.seg[:n]
-	c.data = sizeF(c.data, n)
+	c.tj = sizeF(c.tj, n*c.stride)
 	if cap(c.trow) < n {
 		c.trow = make([]timeMeta, n)
 	}
@@ -271,31 +261,21 @@ func timeMetaOf(t Task, tjs []float64) timeMeta {
 	return m
 }
 
-// compileTask fills task slot i's seg/data/trow metadata and profile row
-// of the arena's table from t.
-//
-// The Resilience primitives are inlined over the row (Time via
-// fillTimes; C_{i,j} = C_i/j) — each inline performs the same float64
-// operations in the same order as the method it replaces, so the tables
-// stay bit-identical to per-j primitive calls (pinned by
-// TestCompiledMatchesDirect).
+// compileTask fills task slot i's t_{i,j} row and its row metadata in
+// the arena's table from t. fillTimes performs Task.Time's float64
+// operations in the same order, so the row stays bit-identical to per-j
+// calls (pinned by TestCompiledMatchesDirect).
 func (a *TableArena) compileTask(i int, t Task) {
 	c := &a.c
-	c.data[i] = t.Data
-	c.seg[i] = segOf(c.res, t)
 	lo, hi := i*c.stride, (i+1)*c.stride
 	tjs := c.tj[lo:hi]
 	fillTimes(t, tjs)
 	c.trow[i] = timeMetaOf(t, tjs)
-	cks := c.ck[lo:hi]
-	for k := range cks {
-		cks[k] = t.Ckpt / float64(2*(k+1))
-	}
 }
 
 // view returns a table over platform size p ≤ c.p that reads c's
-// columns and failure rows: same arrays and stride, a narrower covered
-// range. Every (task i, allocation j) cell depends on the task and the
+// t_{i,j} column and failure rows: same arrays and stride, a narrower
+// covered range. Every (task i, allocation j) cell depends on the task and the
 // resilience parameters, never on the platform, so a cold compile at p
 // holds exactly the first maxJ/2 cells of each of c's rows. Only the
 // t-row metadata summarizes a whole row; the view recomputes it over its
@@ -336,9 +316,9 @@ func (c *Compiled) cell(i, j int) int {
 
 // rawRange fills dst[k−lo] = t^R_{i,2(k+1)}(α) of Eq. (4) — exactly
 // Resilience.ExpectedTimeRaw — for row indices k ∈ [lo, hi) in one pass
-// over task i's contiguous profile columns and failure row. The α
-// clamps, the λ = 0 test and the task's segment kind are hoisted out of
-// the loop (they are element-independent); every per-element operation
+// over task i's contiguous t_{i,j} row and failure row. The α clamps,
+// the λ = 0 test and the task's segment kind are hoisted out of the
+// loop (they are element-independent); every per-element operation
 // — ffCount's float→int floor, α·t_{i,j} − n·(τ−C), the silentSegment
 // branch on τ_last, prefac·(n·expPer + Expm1(λj·τ_last)) — keeps
 // ExpectedTimeRaw's scalar combination order exactly, so each dst
@@ -375,7 +355,7 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 		fr = c.failRow(i, hi)
 	}
 	fr = fr[lo:hi]
-	switch c.seg[i] {
+	switch segOf(c.res, c.tasks[i]) {
 	case segPlain:
 		for k := range d {
 			f := &fr[k]
@@ -469,9 +449,9 @@ func (c *Compiled) Period(i, j int) float64 {
 	return c.failAt(i, j).tau
 }
 
-// CkptCost returns C_{i,j} (Resilience.CkptCost).
+// CkptCost returns C_{i,j} = C_i/j (Resilience.CkptCost).
 func (c *Compiled) CkptCost(i, j int) float64 {
-	return c.ck[c.cell(i, j)]
+	return c.tasks[i].Ckpt / float64(j)
 }
 
 // Recovery returns R_{i,j} (Resilience.Recovery): the paper's R = C.
@@ -484,19 +464,6 @@ func (c *Compiled) PostRedistCkpt(i, j int) float64 {
 		return 0
 	}
 	return c.CkptCost(i, j)
-}
-
-// PostRedistCkptRow returns task i's post-redistribution checkpoint
-// surcharges as a contiguous row indexed j/2 − 1, valid for even j in
-// [2, maxJ], or nil when the surcharge is identically zero (fault-free
-// instances). The row aliases the compiled tables: an arena's table
-// invalidates it at its next TableArena.Build.
-func (c *Compiled) PostRedistCkptRow(i int) []float64 {
-	if c.res.Lambda == 0 {
-		return nil
-	}
-	lo, hi := i*c.stride, i*c.stride+c.maxJ/2
-	return c.ck[lo:hi:hi]
 }
 
 // FFCheckpoints returns N^ff_{i,j}(α) (Resilience.FFCheckpoints).
@@ -521,7 +488,7 @@ func (c *Compiled) FFTime(i, j int, alpha float64) float64 {
 		return alpha * c.tj[k]
 	}
 	n := ffCount(alpha, c.tj[k], c.failAt(i, j).work)
-	return alpha*c.tj[k] + float64(n)*c.ck[k]
+	return alpha*c.tj[k] + float64(n)*c.CkptCost(i, j)
 }
 
 // RedistRow evaluates RC_i^{j→k} for one task out of a frozen source
@@ -544,7 +511,7 @@ func (c *Compiled) RedistRowFrom(i, j int) RedistRow {
 	if j <= 0 {
 		panic("model: redistribution cost row with non-positive source")
 	}
-	return RedistRow{rc: c.rc, mj: c.data[i] / float64(j), j: j}
+	return RedistRow{rc: c.rc, mj: c.tasks[i].Data / float64(j), j: j}
 }
 
 // Cost returns the redistribution time to target allocation k; see

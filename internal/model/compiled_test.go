@@ -25,12 +25,12 @@ func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
 	n := float64(ffCount(alpha, c.tj[k], f.work))
 	tauLast := alpha*c.tj[k] - n*f.work
 	var last float64
-	switch {
+	switch sk := segOf(c.res, c.tasks[i]); {
 	case tauLast <= 0:
 		last = 0
-	case c.seg[i] == segPlain:
+	case sk == segPlain:
 		last = tauLast
-	case c.seg[i] == segVerify:
+	case sk == segVerify:
 		last = tauLast + c.tasks[i].Verify/float64(j)
 	default:
 		last = math.Exp(c.res.SilentLambda*float64(j)*tauLast) * (tauLast + c.tasks[i].Verify/float64(j))
@@ -90,8 +90,9 @@ func filledCells(c *Compiled) int {
 
 // compiledCases spans the model configurations the compiled tables must
 // reproduce bit-for-bit: both profile families, both period rules, the
-// silent-error extension on and off (with and without verification), and
-// the fault-free limit.
+// silent-error extension on and off (with and without verification), the
+// fault-free limit, and checkpoint costs of 0, −0 and below zero, whose
+// C_{i,j} = C_i/j keeps its sign and whose negative periods are NaN.
 func compiledCases() []struct {
 	name  string
 	tasks []Task
@@ -128,37 +129,72 @@ func compiledCases() []struct {
 		synth(2e6, 2e4), synth(1.8e6, 0), table)
 	add("verify-only", Resilience{Lambda: 1 / (10 * year), Downtime: 60},
 		synth(2e6, 2e4), table)
+	ckpt := func(c, verify float64) Task {
+		t := synth(1.5e6, verify)
+		t.Ckpt = c
+		return t
+	}
+	edges := []Task{ckpt(0, 0), ckpt(math.Copysign(0, -1), 0), ckpt(-1e5, 0),
+		ckpt(0, 2e4), ckpt(math.Copysign(0, -1), 2e4), ckpt(-1e5, 2e4)}
+	add("ckpt-edges", Resilience{Lambda: 1 / (20 * year), Downtime: 60}, edges...)
+	add("ckpt-edges-daly", Resilience{Lambda: 1 / (20 * year), Downtime: 60, Rule: PeriodDaly}, edges...)
+	add("ckpt-edges-silent", Resilience{Lambda: 1 / (10 * year), Downtime: 60, SilentLambda: 1 / (5 * year)}, edges...)
+	add("ckpt-edges-fault-free", Resilience{}, edges...)
 	return cases
 }
 
 var compiledAlphas = []float64{-0.5, 0, 1e-12, 0.1, 0.25, 0.5, 0.875, 0.999999, 1, 1.5}
 
 // TestCompiledMatchesDirect is the table-vs-direct equivalence property:
-// every compiled accessor must be bit-equal (not approximately equal) to
-// its Resilience/Task counterpart across profiles, period rules, the
-// silent-error extension and the fault-free limit — the compiled model's
-// core contract.
+// every compiled accessor and failure cell must be bit-equal (not
+// approximately equal, and keeping the sign of a zero) to its
+// Resilience/Task counterpart across profiles, period rules, the
+// silent-error extension, the fault-free limit and the checkpoint-cost
+// edges — the compiled model's core contract.
 func TestCompiledMatchesDirect(t *testing.T) {
 	const p = 64
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, tc := range compiledCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := Compile(tc.tasks, tc.res, CostModel{}, p)
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := tc.res
 			for i, task := range tc.tasks {
 				for j := 2; j <= p; j += 2 {
-					if got, want := c.Time(i, j), task.Time(j); got != want {
-						t.Fatalf("task %d j %d: Time %v != %v", i, j, want, got)
+					for _, q := range []struct {
+						name      string
+						got, want float64
+					}{
+						{"Time", c.Time(i, j), task.Time(j)},
+						{"Period", c.Period(i, j), res.Period(task, j)},
+						{"CkptCost", c.CkptCost(i, j), res.CkptCost(task, j)},
+						{"Recovery", c.Recovery(i, j), res.Recovery(task, j)},
+						{"PostRedistCkpt", c.PostRedistCkpt(i, j), res.PostRedistCkpt(task, j)},
+					} {
+						if !same(q.got, q.want) {
+							t.Fatalf("task %d j %d: %s %v != %v", i, j, q.name, q.got, q.want)
+						}
 					}
-					if got, want := c.Period(i, j), tc.res.Period(task, j); got != want {
-						t.Fatalf("task %d j %d: Period %v != %v", i, j, want, got)
-					}
-					if got, want := c.CkptCost(i, j), tc.res.CkptCost(task, j); got != want {
-						t.Fatalf("task %d j %d: CkptCost %v != %v", i, j, want, got)
-					}
-					if got, want := c.PostRedistCkpt(i, j), tc.res.PostRedistCkpt(task, j); got != want {
-						t.Fatalf("task %d j %d: PostRedistCkpt %v != %v", i, j, want, got)
+					if !res.FaultFree() {
+						f := c.failAt(i, j)
+						lj, ck, tau := res.Rate(j), res.CkptCost(task, j), res.Period(task, j)
+						work := tau - ck
+						for _, q := range []struct {
+							name      string
+							got, want float64
+						}{
+							{"tau", f.tau, tau},
+							{"work", f.work, work},
+							{"lj", f.lj, lj},
+							{"prefac", f.prefac, math.Exp(lj*res.Recovery(task, j)) * (1/lj + res.Downtime)},
+							{"expPer", f.expPer, math.Expm1(lj * (res.silentSegment(task, j, work) + ck))},
+						} {
+							if !same(q.got, q.want) {
+								t.Fatalf("task %d j %d: failure cell %s %v != %v", i, j, q.name, q.got, q.want)
+							}
+						}
 					}
 					for _, alpha := range compiledAlphas {
 						got := c.RawAt(i, j, alpha)

@@ -5,9 +5,9 @@ import "slices"
 // deltaOf builds the table for (tasks, res) at base's platform and cost
 // model: the cache's near-miss build, for a pack the cache has matched
 // to base's by content (samePack). The new table shares base's profile
-// columns — t_{i,j}, C_{i,j}, m_i and the t-row metadata, which derive
-// from the pack alone — and starts with empty failure rows of its own,
-// filled on demand like a cold table's. No column of base is written,
+// half — the t_{i,j} column and its row metadata, which derive from the
+// pack alone — and starts with empty failure rows of its own, filled on
+// demand like a cold table's. No column of base is written,
 // and neither table is ever rebuilt in place. The result answers every
 // query bit-identically to a Compile for res (pinned by
 // TestRecompileDeltaByteEqualFull), whatever parameters base was built
@@ -19,15 +19,7 @@ func deltaOf(base *Compiled, tasks []Task, res Resilience) (*Compiled, error) {
 	c := &Compiled{
 		tasks: tasks, res: res, rc: base.rc, p: base.p,
 		maxJ: base.maxJ, stride: base.stride,
-		tj: base.tj, ck: base.ck, data: base.data, trow: base.trow, seg: base.seg,
-		sched: new(schedSlot),
-	}
-	if res.SilentActive() != base.res.SilentActive() {
-		// seg depends on (λ_s, V) and the pack is the base's.
-		c.seg = make([]segKind, len(tasks))
-		for i, t := range tasks {
-			c.seg[i] = segOf(res, t)
-		}
+		tj: base.tj, trow: base.trow, sched: new(schedSlot),
 	}
 	if !res.FaultFree() {
 		c.fail = new(failTable)

@@ -99,23 +99,21 @@ func (c *Compiled) fillRow(i, need int) []failCell {
 }
 
 // fillCells computes row i's failure cells k0, k0+1, … into dst from the
-// profile columns, the seg kind and the resilience parameters. The
-// Resilience primitives are inlined per cell (λj = Rate, R = C,
-// V_{i,j} = V_i/j, Young or Daly period over µ = 1/λj, silentSegment by
-// seg kind) with the same float64 operations in the same order, so every
-// cell is bit-identical to the direct path (pinned by
-// TestCompiledMatchesDirect).
+// task and the resilience parameters. The Resilience primitives are
+// inlined per cell (λj = Rate, C_{i,j} = C_i/j, R = C, V_{i,j} = V_i/j,
+// Young or Daly period over µ = 1/λj, silentSegment by segment kind)
+// with the same float64 operations in the same order, so every cell is
+// bit-identical to the direct path (pinned by TestCompiledMatchesDirect).
 func (c *Compiled) fillCells(i, k0 int, dst []failCell) {
 	res := c.res
-	sk := c.seg[i]
-	verify := c.tasks[i].Verify
-	base := i*c.stride + k0
-	ck := c.ck[base : base+len(dst)]
+	t := &c.tasks[i]
+	sk := segOf(res, *t)
 	for d := range dst {
 		jf := float64(2 * (k0 + d + 1))
 		lj := res.Lambda * jf // Resilience.Rate
-		tau := cellPeriod(res.Rule, lj, ck[d])
-		work := tau - ck[d]
+		ck := t.Ckpt / jf     // Resilience.CkptCost
+		tau := cellPeriod(res.Rule, lj, ck)
+		work := tau - ck
 		dst[d] = failCell{
 			tau:  tau,
 			work: work,
@@ -123,8 +121,8 @@ func (c *Compiled) fillCells(i, k0 int, dst []failCell) {
 			// Same combination order as ExpectedTimeRaw: the prefactor is
 			// Exp(λjR)·(1/λj + D), and the period term is Expm1 of λj
 			// times the (possibly silent-inflated) period.
-			prefac: math.Exp(lj*ck[d]) * (1/lj + res.Downtime),
-			expPer: cellPeriodTerm(sk, lj, work, ck[d], verify/jf, res.SilentLambda*jf),
+			prefac: math.Exp(lj*ck) * (1/lj + res.Downtime),
+			expPer: cellPeriodTerm(sk, lj, work, ck, t.Verify/jf, res.SilentLambda*jf),
 		}
 	}
 }

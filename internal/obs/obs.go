@@ -227,7 +227,8 @@ type ModelCacheStats struct {
 	DeltaBuilds uint64 `json:"delta_builds"`
 	Evictions   uint64 `json:"evictions"`
 	// ResidentBytes and Entries are process-level occupancy, not per-run
-	// deltas: the cache outlives individual campaigns.
+	// deltas: the cache outlives individual campaigns. ResidentBytes is
+	// the bytes charged to the resident tables, not their memory.
 	ResidentBytes int64 `json:"resident_bytes"`
 	Entries       int64 `json:"entries"`
 }

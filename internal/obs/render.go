@@ -67,7 +67,7 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 	counter("cosched_model_cache_misses_total", "Compiled-model cache misses this campaign (compiles paid).", float64(s.ModelCache.Misses))
 	counter("cosched_model_cache_delta_builds_total", "Cache misses served by incremental delta recompiles.", float64(s.ModelCache.DeltaBuilds))
 	counter("cosched_model_cache_evictions_total", "Compiled-model cache entries evicted this campaign.", float64(s.ModelCache.Evictions))
-	gauge("cosched_model_cache_resident_bytes", "Bytes of compiled tables resident in the process cache.", float64(s.ModelCache.ResidentBytes))
+	gauge("cosched_model_cache_resident_bytes", "Bytes charged to compiled tables resident in the process cache, in fixed per-cell budget units rather than their memory.", float64(s.ModelCache.ResidentBytes))
 	gauge("cosched_model_cache_entries", "Compiled tables resident in the process cache.", float64(s.ModelCache.Entries))
 
 	counter("cosched_dist_workers_spawned_total", "Distributed worker processes started, including respawns.", float64(s.Dist.WorkersSpawned))
