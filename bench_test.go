@@ -348,7 +348,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // never applied), a large instance (n=40, P=400 — table compiles
 // dominate the short, mild-failure simulations), and a downtime axis,
 // which leaves the pack untouched across the grid so every point past
-// the first is a delta build over the first point's profile columns.
+// the first is a delta build over the first point's per-task records.
 func heterogeneousSweepSpec() scenario.Spec {
 	w := workload.Default() // MInf ≠ MSup: heterogeneous
 	w.N = 50

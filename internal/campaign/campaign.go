@@ -417,7 +417,7 @@ func newWorkerState() *workerState {
 // Every arena is reset in place per unit anyway (reseeded RNGs,
 // simulator Reset), so a recycled state is indistinguishable from a
 // fresh one — but its warmed-up buffers (simulator slabs and its own
-// table's columns, the renewal heap) survive, which matters for drivers
+// table's records and row arenas, the renewal heap) survive, which matters for drivers
 // that run many short campaigns back to back (adaptive batches,
 // cmd/bench, parameter sweeps).
 var workerStatePool = sync.Pool{New: func() any { return newWorkerState() }}

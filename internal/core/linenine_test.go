@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"cosched/internal/model"
 	"cosched/internal/rng"
@@ -315,32 +314,25 @@ func allFinite(xs []float64) bool {
 	return true
 }
 
-// poisonTime writes v into task 0's compiled t_{0,j} cell behind the row
-// proof's back. Sound tables never hold a cell their proof excludes; this
-// is the only way to build one, so that Paranoia has something to catch.
-func poisonTime(t *testing.T, c *model.Compiled, j int, v float64) {
-	t.Helper()
-	f := reflect.ValueOf(c).Elem().FieldByName("tj")
-	if !f.IsValid() {
-		t.Fatal("model.Compiled has no tj column")
-	}
-	col := *(*[]float64)(unsafe.Pointer(f.UnsafeAddr()))
-	col[j/2-1] = v
-}
-
 // TestParanoiaCatchesLineNineMismatch forges a fault-free row whose proof
 // says NaN-free but whose t_{0,6} is NaN: At = 100, 50, NaN, 200 over
 // j = 2…8, so the full row says At(2) = 100 is not above At(8) = 200 and
 // Algorithm 1 keeps σ₀ = 2, while the early exit sees 50 < 100 and grows.
 // With Paranoia the disagreement fails Run; without it nothing notices.
+//
+// The row is forged behind the proof's back: the table is compiled over
+// a NaN-free profile, whose t_{0,6} is then overwritten in place. Sound
+// tables never hold a cell their proof excludes; this is the only way to
+// build one, so that Paranoia has something to catch.
 func TestParanoiaCatchesLineNineMismatch(t *testing.T) {
-	tasks := []model.Task{{Data: 1, Profile: model.Table{Times: []float64{100, 100, 100, 50, 60, 70, 80, 200}}}}
 	for _, paranoia := range []bool{false, true} {
+		times := []float64{100, 100, 100, 50, 60, 70, 80, 200}
+		tasks := []model.Task{{Data: 1, Profile: model.Table{Times: times}}}
 		c, err := model.Compile(tasks, model.Resilience{}, model.CostModel{}, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		poisonTime(t, c, 6, math.NaN())
+		times[6-1] = math.NaN()
 		in := Instance{Tasks: tasks, P: 8, Compiled: c}
 		e := NewSimulator()
 		if err := e.Reset(in, NoRedistribution, nil, Options{Paranoia: paranoia}); err != nil {

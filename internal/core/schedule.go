@@ -17,8 +17,8 @@ package core
 // wrapper, for callers that only want the schedule (packs, examples,
 // tests), resets a fresh simulator with no redistribution and no faults
 // and returns a copy of the σ₀ that Reset stored on the table. Unless
-// Instance.Compiled is set, that compiles the instance's O(n·p) profile
-// columns, which dominates the call.
+// Instance.Compiled is set, that compiles the instance's table: O(n)
+// per-task records, with failure cells filled as Algorithm 1 reads them.
 func InitialSchedule(in Instance) ([]int, error) {
 	s := NewSimulator()
 	if err := s.Reset(in, NoRedistribution, nil, Options{}); err != nil {

@@ -5,16 +5,21 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// DefaultCacheBytes is the default byte budget of a Cache, in the fixed
-// units compiledBytes charges: a paper-scale table (n = 100, p = 1000)
-// is charged about 4.4 MB, so the budget holds about 60 of them, and each
-// 16 MiB shard three. A table's memory is usually a small fraction of
-// its charge, so the budget is not a memory bound. It is checked at
-// insert only (see evictLocked): it bounds what a shard keeps after an
-// insert, not what stays resident between inserts.
-const DefaultCacheBytes = 1 << 28 // 256 MiB
+// DefaultCacheBytes is the default byte budget of a Cache, in the units
+// compiledBytes charges: a fault-enabled paper-scale table (n = 100,
+// p = 1000) is charged about 2.4 MB, so the budget holds about 55 of
+// them, and each 8 MiB shard three; a fault-free one is charged 4.8 KB.
+// A table's memory is usually a small fraction of its charge, so the
+// budget is not a memory bound, but it sets how many tables stay
+// resident, each with the failure rows its queries filled; this value
+// keeps as many as 256 MiB did under the earlier 88-bytes-per-cell
+// charge (DESIGN.md §15.1). It is checked at insert only (see
+// evictLocked): it bounds what a shard keeps after an insert, not what
+// stays resident between inserts.
+const DefaultCacheBytes = 1 << 27 // 128 MiB
 
 // cacheShardCount spreads the cache over independently locked shards.
 // Sharding is by base key (pack, cost model, platform), so every
@@ -35,14 +40,14 @@ const cacheShardCount = 16
 // which is safe from any goroutine. A near-miss — same pack, platform
 // and cost model, different resilience parameters — is built by deltaOf
 // from the oldest resident entry over the pack: the new table shares
-// its profile half (the t_{i,j} column and its row metadata), starts
-// with empty failure rows of its own, and answers bit-identically to a
-// cold Compile (the cache's whole contract; see DESIGN.md §15). Because
-// columns are shared, tables are never recycled: an evicted entry's
-// arrays stay alive, through the garbage collector, for as long as any
-// live table aliases them. Each entry is charged a fixed number of bytes
-// (compiledBytes), not its memory, and eviction skips entries a caller
-// holds, so with several workers the eviction count depends on timing.
+// its per-task records, starts with empty failure rows of its own, and
+// answers bit-identically to a cold Compile (the cache's whole
+// contract; see DESIGN.md §15). Because records are shared, tables are
+// never recycled: an evicted entry's arrays stay alive, through the
+// garbage collector, for as long as any live table aliases them. Each
+// entry is charged what its table can hold (compiledBytes), not its
+// memory, and eviction skips entries a caller holds, so with several
+// workers the eviction count depends on timing.
 // Packs containing profile types this package cannot compare by content
 // are refused (Acquire returns nil); the caller then runs without a
 // shared table, and core.Simulator builds its own.
@@ -73,7 +78,7 @@ type cacheShard struct {
 	// building holds one channel per base key with a build in flight,
 	// closed on publish: a concurrent miss over the same pack waits for
 	// it, then finds either its own key (a hit, not a duplicate compile)
-	// or a delta base (a shared profile half, not a cold compile). Builds
+	// or a delta base (shared per-task records, not a cold compile). Builds
 	// over one pack therefore serialize, and until an eviction the
 	// hit/miss/delta counts are a function of the keys requested, not of
 	// thread timing.
@@ -100,13 +105,13 @@ type CacheEntry struct {
 func (e *CacheEntry) Compiled() *Compiled { return e.c }
 
 // View returns the entry's table narrowed to platform size p: a
-// Compiled over the same column arrays and failure rows that covers even
-// allocations in [2, p] and answers every query bit-identically to a
-// Compile at p. p equal to the entry's P returns Compiled() itself; p
-// above it, or below 2, panics. Views are memoized per entry, so every
+// Compiled over the same failure rows that covers even allocations in
+// [2, p] and answers every query bit-identically to a Compile at p. p
+// equal to the entry's P returns Compiled() itself; p above it, or below
+// 2, panics. Views are memoized per entry, so every
 // caller at one size shares one view and the initial schedule stored on
 // it. A view is not charged to the byte budget: it owns only its
-// per-task row metadata and its schedule slot.
+// per-task records and its schedule slot.
 func (e *CacheEntry) View(p int) *Compiled {
 	c := e.c
 	if p == c.p {
@@ -134,7 +139,7 @@ func (e *CacheEntry) View(p int) *Compiled {
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
-	DeltaBuilds   uint64 // misses served by a delta build's profile-column reuse
+	DeltaBuilds   uint64 // misses served by a delta build that shares a resident table's records
 	FullBuilds    uint64 // misses that paid a cold compile
 	Evictions     uint64
 	ResidentBytes int64
@@ -301,8 +306,8 @@ func (sh *cacheShard) lookupLocked(bk uint64, tasks []Task, res Resilience, rc C
 }
 
 // deltaBaseLocked picks the oldest resident entry over the same pack,
-// cost model and platform: a delta build shares only its profile
-// columns, which every such entry holds. nil means there is none and the
+// cost model and platform: a delta build shares only its per-task
+// records, which every such entry holds. nil means there is none and the
 // miss pays a cold compile.
 func (sh *cacheShard) deltaBaseLocked(bk uint64, tasks []Task, rc CostModel, p int) *CacheEntry {
 	for _, e := range sh.buckets[bk] {
@@ -356,29 +361,24 @@ func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
 	return s
 }
 
-// chargePerCell and chargePerTask are the fixed budget units
-// compiledBytes charges per (task, allocation) cell and per task: 11
-// float64 per cell and 89 bytes per task, the size of a fully-filled
-// table in the eleven-column layout that computed every term at build
-// time. They are not a table's size: a table holds one profile float per
-// cell plus the five-float failure cells its queries filled, usually a
-// few percent of its rows. Keeping the units fixed keeps every budget
-// and count of earlier versions.
-const (
-	chargePerCell = 11 * 8
-	chargePerTask = 89
-)
-
-// compiledBytes is an entry's charge against the byte budget, in the
-// fixed units above. Every column the entry references is charged to
-// it, shared or not, and the charge does not depend on how far rows were
-// filled, so it is a function of the pack size and platform alone.
-// Single-worker hit/miss/delta/eviction counts are then a function of
-// the requested keys; with several workers eviction also depends on
-// which entries are held at each insert (evictLocked), so its count can
-// vary from run to run.
+// compiledBytes is an entry's charge against the byte budget: what its
+// table can hold. That is one record per task, plus, for a fault-enabled
+// table, a failure cell for every covered (task, allocation) pair. Rows
+// fill on demand, usually a few percent of them, so the charge bounds a
+// table's memory from above rather than measuring it. It is fixed at
+// publish and depends on the key alone (pack size, platform and whether
+// λ is zero), not on how far rows were filled, and a delta build is
+// charged its shared records too. Single-worker hit/miss/delta/eviction
+// counts are then a function of the requested keys; with several
+// workers eviction also depends on which entries are held at each insert
+// (evictLocked), so its count can vary from run to run.
 func compiledBytes(c *Compiled) int64 {
-	return int64(len(c.tj))*chargePerCell + int64(len(c.tasks))*chargePerTask
+	n := int64(len(c.tasks))
+	b := n * int64(unsafe.Sizeof(timeMeta{}))
+	if !c.res.FaultFree() {
+		b += n * int64(c.maxJ/2) * int64(unsafe.Sizeof(failCell{}))
+	}
+	return b
 }
 
 // packBaseKey hashes the resilience-independent part of the cache key,

@@ -8,13 +8,13 @@ import (
 )
 
 // columnsEqual fills every failure row of a and b, then compares every
-// profile column and every failure cell bit-for-bit and returns a
+// per-task record field and every failure cell bit-for-bit and returns a
 // description of the first difference, or "" when the tables are
-// byte-identical. Fault-free tables hold no failure rows.
+// byte-identical. Fault-free tables hold no failure rows; their t_{i,j}
+// values are compared instead.
 func columnsEqual(a, b *Compiled) string {
-	if a.p != b.p || a.maxJ != b.maxJ || a.stride != b.stride {
-		return fmt.Sprintf("shape: (p=%d maxJ=%d stride=%d) vs (p=%d maxJ=%d stride=%d)",
-			a.p, a.maxJ, a.stride, b.p, b.maxJ, b.stride)
+	if a.p != b.p || a.maxJ != b.maxJ {
+		return fmt.Sprintf("shape: (p=%d maxJ=%d) vs (p=%d maxJ=%d)", a.p, a.maxJ, b.p, b.maxJ)
 	}
 	if a.res != b.res || a.rc != b.rc {
 		return fmt.Sprintf("params: (%+v %+v) vs (%+v %+v)", a.res, a.rc, b.res, b.rc)
@@ -36,29 +36,36 @@ func columnsEqual(a, b *Compiled) string {
 }
 
 // columnNames lists allColumns' keys in comparison order.
-var columnNames = []string{"tj", "trow", "tau", "work", "lj", "prefac", "expPer"}
+var columnNames = []string{"trow", "t", "tau", "work", "lj", "prefac", "expPer"}
 
 // allColumns fills every failure row of c and snapshots every column —
-// the t_{i,j} column, its row metadata and each failure term over all
-// rows, each row through its covered range — so a later compare catches
-// any write through an alias.
+// every field of the per-task records, and each failure term (t_{i,j}
+// included) over all rows, each row through its covered range; t_{i,j}
+// from Time on a fault-free table — so a later compare catches any write
+// through an alias.
 func allColumns(c *Compiled) map[string][]float64 {
 	fillAll(c)
-	cols := map[string][]float64{"tj": append([]float64(nil), c.tj...)}
-	trow := make([]float64, 0, 2*len(c.trow))
-	for _, m := range c.trow {
-		nonInc := 0.0
-		if m.nonInc {
-			nonInc = 1
+	flag := func(b bool) float64 {
+		if b {
+			return 1
 		}
-		trow = append(trow, nonInc, m.min)
+		return 0
 	}
-	cols["trow"] = trow
+	cols := map[string][]float64{}
+	for _, m := range c.trow {
+		cols["trow"] = append(cols["trow"], m.c1, m.c2, m.m, m.lg, m.min, flag(m.synth), flag(m.nonInc), flag(m.times))
+	}
 	if c.res.FaultFree() {
+		for i := range c.tasks {
+			for j := 2; j <= c.maxJ; j += 2 {
+				cols["t"] = append(cols["t"], c.Time(i, j))
+			}
+		}
 		return cols
 	}
 	for i := 0; i < len(c.tasks); i++ {
 		for _, f := range c.failRow(i, c.maxJ/2)[:c.maxJ/2] {
+			cols["t"] = append(cols["t"], f.t)
 			cols["tau"] = append(cols["tau"], f.tau)
 			cols["work"] = append(cols["work"], f.work)
 			cols["lj"] = append(cols["lj"], f.lj)
@@ -69,10 +76,18 @@ func allColumns(c *Compiled) map[string][]float64 {
 	return cols
 }
 
+// cacheable reports whether the cache can key a pack: every profile is
+// of a type this package compares by content.
+func cacheable(tasks []Task) bool {
+	_, ok := packBaseKey(tasks, CostModel{}, 2)
+	return ok
+}
+
 // TestCacheHitByteEqualCompile is the cache's core contract: for every
 // model configuration and several platform sizes, the table an Acquire
 // hands out — first as a cold miss, then as a hit — is bit-identical to
-// a fresh private Compile of the same arguments.
+// a fresh private Compile of the same arguments. A pack the cache cannot
+// key is refused.
 func TestCacheHitByteEqualCompile(t *testing.T) {
 	for _, p := range []int{8, 64} {
 		ch := NewCache(0)
@@ -85,6 +100,12 @@ func TestCacheHitByteEqualCompile(t *testing.T) {
 				miss, err := ch.Acquire(tc.tasks, tc.res, CostModel{}, p)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !cacheable(tc.tasks) {
+					if miss != nil {
+						t.Fatal("uncacheable pack cached")
+					}
+					return
 				}
 				if miss == nil {
 					t.Fatal("cacheable pack refused")
@@ -158,7 +179,7 @@ func TestRecompileDeltaByteEqualFull(t *testing.T) {
 				})
 			}
 			// Fault-free base seeding a fault-enabled target: the λ-dependent
-			// columns are rebuilt from scratch, the profile columns copied.
+			// cells are filled from scratch, the per-task records shared.
 			ffBase, err := Compile(tc.tasks, Resilience{}, CostModel{}, p)
 			if err != nil {
 				t.Fatal(err)
@@ -212,12 +233,12 @@ func TestCacheEviction(t *testing.T) {
 	budget := compiledBytes(one) * cacheShardCount * 2 // ~2 entries per shard
 	ch := NewCache(budget)
 	// The one cold build: every later build is a delta that shares its
-	// profile columns, directly or through an intermediate base.
+	// per-task records, directly or through an intermediate base.
 	first, err := ch.Acquire(tc.tasks, tc.res, CostModel{}, 16)
 	if err != nil || first == nil {
 		t.Fatalf("acquire: %v", err)
 	}
-	firstTj := first.Compiled().tj
+	firstRecords := first.Compiled().trow
 	first.Release()
 	type heldEntry struct {
 		e   *CacheEntry
@@ -265,8 +286,8 @@ func TestCacheEviction(t *testing.T) {
 		if c == nil {
 			t.Fatal("held entry was evicted")
 		}
-		if !sameArray(c.tj, firstTj) {
-			t.Fatal("held delta entry does not share the evicted cold entry's profile columns")
+		if !sameArray(c.trow, firstRecords) {
+			t.Fatal("held delta entry does not share the evicted cold entry's per-task records")
 		}
 		want, err := Compile(tc.tasks, h.res, CostModel{}, 16)
 		if err != nil {
@@ -286,8 +307,8 @@ func sameArray[T any](a, b []T) bool {
 }
 
 // TestRecompileDeltaLeavesBaseUntouched: a delta build shares the base's
-// profile columns and fills only its own failure rows, so every base
-// column and failure cell keeps its exact bytes, for every delta class of
+// per-task records and fills only its own failure rows, so every base
+// record and failure cell keeps its exact bytes, for every delta class of
 // TestRecompileDeltaByteEqualFull and for a fault-free base.
 func TestRecompileDeltaLeavesBaseUntouched(t *testing.T) {
 	const year = 365.25 * 24 * 3600
@@ -333,7 +354,7 @@ func TestRecompileDeltaLeavesBaseUntouched(t *testing.T) {
 
 // TestCacheDeltaBaseChoice: a near-miss is built from the oldest
 // resident entry over the same pack. With (λ1, D1) and (λ2, D1)
-// resident, (λ2, D2) shares the profile columns of (λ1, D1), owns its
+// resident, (λ2, D2) shares the per-task records of (λ1, D1), owns its
 // failure rows, and still answers like a cold Compile.
 func TestCacheDeltaBaseChoice(t *testing.T) {
 	const year = 365.25 * 24 * 3600
@@ -359,8 +380,8 @@ func TestCacheDeltaBaseChoice(t *testing.T) {
 		t.Fatalf("stats %+v: want one cold build and two delta builds", s)
 	}
 	c1, c2, c3 := e1.Compiled(), e2.Compiled(), e3.Compiled()
-	if !sameArray(c3.tj, c1.tj) || !sameArray(c3.trow, c1.trow) || !sameArray(c2.tj, c1.tj) {
-		t.Error("a delta build copied a profile column it could share with the oldest base")
+	if !sameArray(c3.trow, c1.trow) || !sameArray(c2.trow, c1.trow) {
+		t.Error("a delta build copied per-task records it could share with the oldest base")
 	}
 	if c3.fail == c1.fail || c3.fail == c2.fail || c2.fail == c1.fail {
 		t.Error("delta builds share failure rows across resilience settings")
@@ -375,7 +396,7 @@ func TestCacheDeltaBaseChoice(t *testing.T) {
 }
 
 // TestRecompileDeltaFaultFreeShares: a fault-free target shares every
-// profile column with its base and holds no failure rows at all.
+// per-task record with its base and holds no failure rows at all.
 func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	tc := compiledCases()[0]
 	base, err := Compile(tc.tasks, tc.res, CostModel{}, 64)
@@ -386,8 +407,8 @@ func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameArray(got.tj, base.tj) || !sameArray(got.trow, base.trow) {
-		t.Fatal("fault-free target copied a column it could share")
+	if !sameArray(got.trow, base.trow) {
+		t.Fatal("fault-free target copied per-task records it could share")
 	}
 	if got.fail != nil {
 		t.Fatal("fault-free target allocated failure rows")
@@ -404,7 +425,13 @@ func TestRecompileDeltaFaultFreeShares(t *testing.T) {
 // bytes of its key's fresh compile, through hits, races to publish, and
 // eviction churn.
 func TestCacheConcurrentSharing(t *testing.T) {
-	cases := compiledCases()
+	all := compiledCases()
+	cases := all[:0]
+	for _, tc := range all {
+		if cacheable(tc.tasks) {
+			cases = append(cases, tc)
+		}
+	}
 	one, err := Compile(cases[0].tasks, cases[0].res, CostModel{}, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -482,7 +509,8 @@ func TestCacheConcurrentMissesSerialize(t *testing.T) {
 // sequence: several packs, each with resilience variants that differ
 // only in Rule, only in SilentLambda or only in Downtime (fault-free
 // variants that differ only in D included), acquired in rounds under a
-// budget of about two entries per shard, so several shards evict while
+// budget of four fault-enabled entries per shard (a fault-free entry is
+// charged its per-task records only), so several shards evict while
 // some entries are held. The counters are a function of the requested
 // keys alone, and every Acquire serves the requested resilience with the
 // bytes of a cold Compile.
@@ -508,6 +536,10 @@ func TestCacheStatsUnderEvictionPressure(t *testing.T) {
 		{Lambda: 1 / (5 * year), Downtime: 60},
 	}
 	one, err := Compile(packs[0], base, CostModel{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffOne, err := Compile(packs[0], Resilience{}, CostModel{}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,8 +593,8 @@ func TestCacheStatsUnderEvictionPressure(t *testing.T) {
 		t.Fatalf("evictions in %d shards, want several", len(evictedIn))
 	}
 	s := ch.Stats()
-	want := CacheStats{Hits: 9, Misses: 71, DeltaBuilds: 67, FullBuilds: 4, Evictions: 59,
-		ResidentBytes: 12 * compiledBytes(one), Entries: 12}
+	want := CacheStats{Hits: 10, Misses: 70, DeltaBuilds: 66, FullBuilds: 4, Evictions: 54,
+		ResidentBytes: 9*compiledBytes(one) + 7*compiledBytes(ffOne), Entries: 16}
 	if s != want {
 		t.Fatalf("stats %+v, want %+v", s, want)
 	}

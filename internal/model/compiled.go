@@ -28,58 +28,51 @@ func segOf(res Resilience, t Task) segKind {
 	}
 }
 
-// Compiled is the compiled instance model: per-(task, allocation) tables
-// of the α-independent quantities the simulator queries in its steady
-// state that cost more than a division to derive. One Compiled serves
-// one (Tasks, Resilience, CostModel, P) instance and is safe to query
-// from many goroutines at once (a Cache hands one table to every worker
-// that asks for its instance).
+// Compiled is the compiled instance model: what the simulator queries
+// of one (Tasks, Resilience, CostModel, P) instance in its steady state,
+// for every even allocation in [2, maxJ]. It is safe to query from many
+// goroutines at once (a Cache hands one table to every worker that asks
+// for its instance).
 //
-// A table has two halves. The profile half — the t_{i,j} column and its
-// per-task row metadata — is built eagerly, in one pass over the
-// instance, by Compile or TableArena.Build. The failure terms of
-// Eq. (1)–(4) — τ, τ−C, the prefactor and the period term — are filled
-// per task row on demand, only as far as a query reads (failrow.go); a
-// fault-free table has none. Filling is the one thing a query writes,
-// and it publishes immutable row snapshots, so reads never see a cell
-// change. C_{i,j} = C_i/j and V_{i,j} = V_i/j are one division each, m_i
-// and the silent-segment kind are read from the task, and all four are
-// computed where they are used. Besides its two halves a table keeps the
+// A table keeps one record per task (timeMeta): the constants of its
+// t_{i,j} profile, hoisted out of the per-j expression, and the shape of
+// its row, which RawFloor bounds with. Compile and TableArena.Build
+// compute those records in O(n) work for Synthetic packs; no per-cell
+// array is built eagerly. The failure terms of Eq. (1)–(4) — τ, τ−C,
+// the prefactor and the period term, with t_{i,j} itself beside them —
+// are filled per task row on demand, only as far as a query reads
+// (failrow.go); a fault-free table has none and computes t_{i,j} where
+// it is read. Filling is the one thing a query writes, and it publishes
+// immutable row snapshots, so reads never see a cell change.
+// C_{i,j} = C_i/j and V_{i,j} = V_i/j are one division each, m_i and the
+// silent-segment kind are read from the task, and all four are computed
+// where they are used. Besides its records and rows a table keeps the
 // initial schedule of its instance once one is stored (Schedule), until
 // the next rebuild.
 //
 // A table is built in one of three ways: Compile builds a fresh one; a
 // Cache builds a near-miss from a resident table over the same pack
-// (deltaOf), sharing its profile half; and a TableArena rebuilds its
+// (deltaOf), sharing its per-task records; and a TableArena rebuilds its
 // one table in place. Only an arena's table is ever rewritten, and an
-// arena's table is never shared, so a column two tables reference is
+// arena's table is never shared, so records two tables reference are
 // never written again.
 //
 // A view (CacheEntry.View) is a table for a smaller platform that reads
-// a larger table's t_{i,j} column and failure rows: its rows keep the
-// larger stride, and maxJ ≤ 2·stride bounds what it covers.
-//
-// Layout: the t_{i,j} column has length NumTasks·stride, indexed
-// i·stride + j/2 − 1, and each failure row is contiguous, so the row
-// kernel (rawRange) streams a task's candidate row per cache line.
+// a larger table's failure rows: a row's cell k is allocation 2(k+1)
+// whatever the platform, and a view's maxJ bounds what it reads.
 //
 // Every query combines exactly the float64 values Resilience's direct
 // primitives compute, in the same order, so results are bit-identical
 // (pinned by TestCompiledMatchesDirect and the core golden-equivalence
 // tests).
 type Compiled struct {
-	tasks  []Task
-	res    Resilience
-	rc     CostModel
-	p      int
-	maxJ   int // largest even allocation covered by the tables
-	stride int // entries per task row: maxJ/2, or more in a view (CacheEntry.View)
+	tasks []Task
+	res   Resilience
+	rc    CostModel
+	p     int
+	maxJ  int // largest even allocation covered by the table
 
-	// The profile half (see DESIGN.md §9, §12). C_{i,j} = C_i/j (and
-	// R_{i,j} = C_{i,j}, the paper), λ·j, λ_s·j and V_{i,j} = V_i/j are
-	// one operation each and are recomputed where they are used.
-	tj   []float64  // t_{i,j}, fault-free execution time, len NumTasks·stride
-	trow []timeMeta // per-task shape of the t_{i,j} row (RawFloor)
+	trow []timeMeta // per-task profile constants and row shape (DESIGN.md §9, §12)
 	// fail holds the on-demand failure rows, shared with every view of
 	// the table; nil until the first fault-enabled build.
 	fail *failTable
@@ -119,9 +112,9 @@ func (c *Compiled) StoreSchedule(sigma []int, tU []float64) {
 }
 
 // TableArena owns one table and rebuilds it in place, reusing its
-// column arrays, failure-row arenas and schedule arrays when capacities
-// allow: a holder that rebuilds for instance after instance of one shape
-// stops allocating. Each Build invalidates the table the previous one
+// per-task records, failure-row arenas and schedule arrays when
+// capacities allow: a holder that rebuilds for instance after instance
+// of one shape stops allocating. Each Build invalidates the table the previous one
 // returned, its rows and its stored schedule, so an arena's table must
 // never be shared: core.Simulator keeps one for its own table, and the
 // cache publishes fresh tables only. The zero value is ready to use.
@@ -134,8 +127,8 @@ func Compile(tasks []Task, res Resilience, rc CostModel, p int) (*Compiled, erro
 
 // Build rebuilds the arena's table for one instance and returns it, the
 // same *Compiled on every call. p is the platform size: the table covers
-// every even allocation in [2, p]. It builds the profile half only:
-// failure rows fill as queries read them. On error the table is
+// every even allocation in [2, p]. It computes the per-task records
+// only: failure rows fill as queries read them. On error the table is
 // unchanged.
 func (a *TableArena) Build(tasks []Task, res Resilience, rc CostModel, p int) (*Compiled, error) {
 	if len(tasks) == 0 {
@@ -163,123 +156,103 @@ func (a *TableArena) Build(tasks []Task, res Resilience, rc CostModel, p int) (*
 	c.rc = rc
 	c.p = p
 	c.maxJ = p - p%2
-	c.stride = c.maxJ / 2
-	a.sizeColumns(len(tasks))
+	if cap(c.trow) < len(tasks) {
+		c.trow = make([]timeMeta, len(tasks))
+	}
+	c.trow = c.trow[:len(tasks)]
 	for i, t := range tasks {
-		a.compileTask(i, t)
+		c.trow[i] = timeMetaOf(t, c.maxJ)
 	}
-	return c, nil
-}
-
-// sizeF resizes a float64 column to n entries, reusing capacity.
-func sizeF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// sizeColumns resizes the t_{i,j} column and the row metadata of the
-// arena's table to n tasks of the current stride, reusing capacity, and
-// empties the failure rows.
-func (a *TableArena) sizeColumns(n int) {
-	c := &a.c
-	c.tj = sizeF(c.tj, n*c.stride)
-	if cap(c.trow) < n {
-		c.trow = make([]timeMeta, n)
-	}
-	c.trow = c.trow[:n]
 	if c.fail == nil {
 		c.fail = new(failTable)
 	}
-	c.fail.reset(n)
+	c.fail.reset(len(tasks))
+	return c, nil
 }
 
-// fillTimes computes t_{i,j} for every covered allocation into dst
-// (dst[k] is j = 2(k+1)). The Synthetic profile's per-task constants —
-// t(m,1) and log2 m are j-independent — are hoisted out of the row loop;
-// the per-j expression keeps Synthetic.Time's operation grouping
-// exactly ((f·t1 + ((1−f)·t1)/q) + (m/q)·log2 m), so the hoisted values
-// are bit-identical to per-j Time calls. The (m/q)·log2 m term must NOT
-// be reassociated to (m·log2 m)/q: exactness forces the scalar order
-// here. Other profiles take the generic per-j path.
-func fillTimes(t Task, dst []float64) {
-	s, ok := t.Profile.(Synthetic)
-	if !ok {
-		if sp, okp := t.Profile.(*Synthetic); okp {
-			s, ok = *sp, true
-		}
-	}
-	if !ok {
-		for k := range dst {
-			dst[k] = t.Time(2 * (k + 1))
-		}
-		return
-	}
-	lg := math.Log2(s.M)
-	t1 := 2 * s.M * lg
-	c1 := s.SeqFraction * t1
-	c2 := (1 - s.SeqFraction) * t1
-	for k := range dst {
-		q := float64(2 * (k + 1))
-		dst[k] = c1 + c2/q + s.M/q*lg
-	}
-}
-
-// timeMeta is the per-task shape of a compiled t_{i,j} row that RawFloor
-// bounds Eq. (6) values with. It derives from the profile alone, like
-// the tj column it summarizes.
+// timeMeta is a task's record in a table: the constants of its t_{i,j}
+// profile and the shape of its row over the covered allocations, which
+// RawFloor bounds Eq. (6) values with. It derives from the profile, the
+// task's costs and maxJ alone.
 type timeMeta struct {
-	nonInc bool    // t_{i,j} is non-negative and non-increasing over the row
-	min    float64 // the row minimum; −Inf when the row admits no bound
-	times  bool    // timesNumeric of the task's profile (numeric.go)
+	// A Synthetic profile's t(m,1) and log₂m are j-independent and
+	// hoisted: c1 = f·t(m,1), c2 = (1−f)·t(m,1), m and lg = log₂m.
+	c1, c2, m, lg float64
+	min           float64 // the row minimum; −Inf when the row admits no bound
+	synth         bool    // the profile is Synthetic, and c1…lg hold its constants
+	nonInc        bool    // t_{i,j} is non-negative and non-increasing over the row
+	times         bool    // timesNumeric of the task's profile (numeric.go)
 }
 
-// timeMetaOf summarizes task t's compiled time row. A row holding a
-// negative or NaN time admits no bound, and neither does a task with a
-// negative checkpoint or verification cost, which would make the Eq. (4)
-// prefactor or a segment at risk smaller than RawFloor assumes. Synthetic
-// rows with 0 ≤ f ≤ 1 are non-increasing. It also keeps the profile half
-// of the NaN-free row proof (timesNumeric), which depends on the pack
-// alone: delta builds share it, and evaluators read it from the table.
-func timeMetaOf(t Task, tjs []float64) timeMeta {
-	times := timesNumeric(t.Profile)
-	none := timeMeta{min: math.Inf(-1), times: times}
+// time returns t_{i,j} of task t, whose record m is. A Synthetic row
+// keeps Synthetic.Time's operation grouping exactly
+// ((f·t1 + ((1−f)·t1)/q) + (m/q)·log2 m), so the hoisted constants give
+// bit-identical values; the (m/q)·log2 m term must NOT be reassociated to
+// (m·log2 m)/q. Other profiles call Task.Time.
+func (m *timeMeta) time(t *Task, j int) float64 {
+	if !m.synth {
+		return t.Time(j)
+	}
+	q := float64(j)
+	return m.c1 + m.c2/q + m.m/q*m.lg
+}
+
+// timeMetaOf builds task t's record for a table covering [2, maxJ]. A
+// row holding a negative or NaN time admits no bound, and neither does a
+// task with a negative checkpoint or verification cost, which would make
+// the Eq. (4) prefactor or a segment at risk smaller than RawFloor
+// assumes. A Synthetic row that timesNumeric accepts (m ≥ 1, finite
+// t(m,1), 0 ≤ f ≤ 1) has non-negative terms, each non-increasing in j,
+// and float64 division, multiplication by a non-negative constant and
+// addition all round monotonically: the row is non-increasing in float64
+// too, so its minimum is its last cell, bit for bit what scan finds.
+// Every other row is scanned. The record also keeps the profile half of
+// the NaN-free row proof, which depends on the pack alone: delta builds
+// share it, and evaluators read it from the table.
+func timeMetaOf(t Task, maxJ int) timeMeta {
+	m := timeMeta{times: timesNumeric(t.Profile)}
+	pv, _ := profileValue(t.Profile)
+	if s, ok := pv.(Synthetic); ok {
+		lg := math.Log2(s.M)
+		t1 := 2 * s.M * lg
+		m.synth, m.c1, m.c2, m.m, m.lg = true, s.SeqFraction*t1, (1-s.SeqFraction)*t1, s.M, lg
+	}
+	if m.synth && m.times && t.Ckpt >= 0 && t.Verify >= 0 {
+		m.nonInc, m.min = true, m.time(&t, maxJ)
+		return m
+	}
+	return m.scan(t, maxJ)
+}
+
+// scan returns m with the row shape set by evaluating every covered cell.
+func (m timeMeta) scan(t Task, maxJ int) timeMeta {
+	none := m
+	none.nonInc, none.min = false, math.Inf(-1)
 	if t.Ckpt < 0 || t.Verify < 0 {
 		return none
 	}
-	m := timeMeta{nonInc: true, min: math.Inf(1), times: times}
-	for k, v := range tjs {
+	m.nonInc, m.min = true, math.Inf(1)
+	prev := math.Inf(1)
+	for j := 2; j <= maxJ; j += 2 {
+		v := m.time(&t, j)
 		if !(v >= 0) {
 			return none
 		}
-		if k > 0 && v > tjs[k-1] {
+		if v > prev {
 			m.nonInc = false
 		}
-		m.min = min(m.min, v)
+		m.min, prev = min(m.min, v), v
 	}
 	return m
 }
 
-// compileTask fills task slot i's t_{i,j} row and its row metadata in
-// the arena's table from t. fillTimes performs Task.Time's float64
-// operations in the same order, so the row stays bit-identical to per-j
-// calls (pinned by TestCompiledMatchesDirect).
-func (a *TableArena) compileTask(i int, t Task) {
-	c := &a.c
-	lo, hi := i*c.stride, (i+1)*c.stride
-	tjs := c.tj[lo:hi]
-	fillTimes(t, tjs)
-	c.trow[i] = timeMetaOf(t, tjs)
-}
-
 // view returns a table over platform size p ≤ c.p that reads c's
-// t_{i,j} column and failure rows: same arrays and stride, a narrower
-// covered range. Every (task i, allocation j) cell depends on the task and the
-// resilience parameters, never on the platform, so a cold compile at p
-// holds exactly the first maxJ/2 cells of each of c's rows. Only the
-// t-row metadata summarizes a whole row; the view recomputes it over its
-// own prefix so RawFloor bounds match the cold compile's.
+// failure rows, with a narrower covered range. Every (task i, allocation
+// j) cell depends on the task and the resilience parameters, never on the
+// platform, so a cold compile at p holds exactly the first maxJ/2 cells
+// of each of c's rows. Only a record's row shape depends on maxJ; the
+// view builds its own records, so RawFloor bounds match the cold
+// compile's.
 func (c *Compiled) view(p int) *Compiled {
 	v := *c
 	v.p = p
@@ -287,8 +260,7 @@ func (c *Compiled) view(p int) *Compiled {
 	v.sched = new(schedSlot)
 	v.trow = make([]timeMeta, len(c.tasks))
 	for i, t := range c.tasks {
-		lo := i * c.stride
-		v.trow[i] = timeMetaOf(t, c.tj[lo:lo+v.maxJ/2])
+		v.trow[i] = timeMetaOf(t, v.maxJ)
 	}
 	return &v
 }
@@ -298,8 +270,7 @@ func (c *Compiled) view(p int) *Compiled {
 // deep content: callers that mutate task contents in place must rebuild
 // explicitly. Parameters compare by value.
 func (c *Compiled) Matches(tasks []Task, res Resilience, rc CostModel, p int) bool {
-	return len(c.tj) > 0 &&
-		len(tasks) == len(c.tasks) &&
+	return len(tasks) == len(c.tasks) &&
 		len(tasks) > 0 && &tasks[0] == &c.tasks[0] &&
 		res == c.res && rc == c.rc && p == c.p
 }
@@ -307,25 +278,20 @@ func (c *Compiled) Matches(tasks []Task, res Resilience, rc CostModel, p int) bo
 // Tasks returns the task slice the tables were built for (read-only).
 func (c *Compiled) Tasks() []Task { return c.tasks }
 
-// cell returns the column index of (task i, even allocation j); callers
-// guarantee 2 ≤ j ≤ maxJ and j even (the simulator's buddy invariant).
-// Every per-allocation query of a table answers only those j.
-func (c *Compiled) cell(i, j int) int {
-	return i*c.stride + j/2 - 1
-}
-
 // rawRange fills dst[k−lo] = t^R_{i,2(k+1)}(α) of Eq. (4) — exactly
 // Resilience.ExpectedTimeRaw — for row indices k ∈ [lo, hi) in one pass
-// over task i's contiguous t_{i,j} row and failure row. The α clamps,
-// the λ = 0 test and the task's segment kind are hoisted out of the
-// loop (they are element-independent); every per-element operation
-// — ffCount's float→int floor, α·t_{i,j} − n·(τ−C), the silentSegment
-// branch on τ_last, prefac·(n·expPer + Expm1(λj·τ_last)) — keeps
-// ExpectedTimeRaw's scalar combination order exactly, so each dst
-// element is bit-identical to the direct call (pinned by
+// over task i's contiguous failure row, whose cells carry t_{i,j} beside
+// the failure terms. The α clamps, the λ = 0 test and the task's segment
+// kind are hoisted out of the loop (they are element-independent); in
+// the fault-free limit the pass computes α·t_{i,j} from the task's
+// record, branching on the profile kind once. Every per-element
+// operation — ffCount's float→int floor, α·t_{i,j} − n·(τ−C), the
+// silentSegment branch on τ_last, prefac·(n·expPer + Expm1(λj·τ_last))
+// — keeps ExpectedTimeRaw's scalar combination order exactly, so each
+// dst element is bit-identical to the direct call (pinned by
 // TestRowKernelsMatchScalar and TestCompiledMatchesDirect). It panics
 // when hi passes maxJ/2, the platform's last pair, even where a view's
-// stride reaches further.
+// rows were filled further.
 func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 	if hi > c.maxJ/2 {
 		panic(fmt.Sprintf("model: reading allocation %d past the table's %d", 2*hi, c.maxJ))
@@ -340,11 +306,17 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 	if alpha > 1 {
 		alpha = 1
 	}
-	base := i * c.stride
-	tj := c.tj[base+lo : base+hi]
 	if c.res.Lambda == 0 {
-		for k, t := range tj {
-			d[k] = alpha * t
+		m, t := &c.trow[i], &c.tasks[i]
+		if m.synth {
+			for k := range d {
+				q := float64(2 * (lo + k + 1))
+				d[k] = alpha * (m.c1 + m.c2/q + m.m/q*m.lg)
+			}
+		} else {
+			for k := range d {
+				d[k] = alpha * t.Time(2*(lo+k+1))
+			}
 		}
 		return
 	}
@@ -359,8 +331,8 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 	case segPlain:
 		for k := range d {
 			f := &fr[k]
-			n := float64(ffCount(alpha, tj[k], f.work))
-			tauLast := alpha*tj[k] - n*f.work
+			n := float64(ffCount(alpha, f.t, f.work))
+			tauLast := alpha*f.t - n*f.work
 			var last float64
 			if tauLast <= 0 {
 				last = 0
@@ -373,8 +345,8 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 		verify := c.tasks[i].Verify
 		for k := range d {
 			f := &fr[k]
-			n := float64(ffCount(alpha, tj[k], f.work))
-			tauLast := alpha*tj[k] - n*f.work
+			n := float64(ffCount(alpha, f.t, f.work))
+			tauLast := alpha*f.t - n*f.work
 			var last float64
 			if tauLast <= 0 {
 				last = 0
@@ -388,8 +360,8 @@ func (c *Compiled) rawRange(i int, alpha float64, lo, hi int, dst []float64) {
 		slam := c.res.SilentLambda
 		for k := range d {
 			f := &fr[k]
-			n := float64(ffCount(alpha, tj[k], f.work))
-			tauLast := alpha*tj[k] - n*f.work
+			n := float64(ffCount(alpha, f.t, f.work))
+			tauLast := alpha*f.t - n*f.work
 			jf := float64(2 * (lo + k + 1))
 			var last float64
 			if tauLast <= 0 {
@@ -423,15 +395,15 @@ func (c *Compiled) RawFloor(i, hi int, alpha float64) float64 {
 		return 0
 	}
 	alpha = min(alpha, 1)
-	if m := c.trow[i]; !m.nonInc {
+	if m := &c.trow[i]; !m.nonInc {
 		return alpha * m.min
 	}
-	return alpha * c.tj[c.cell(i, hi)]
+	return alpha * c.Time(i, hi)
 }
 
 // Time returns t_{i,j} (Task.Time of task i).
 func (c *Compiled) Time(i, j int) float64 {
-	return c.tj[c.cell(i, j)]
+	return c.trow[i].time(&c.tasks[i], j)
 }
 
 // failAt returns the failure cell of (task i, covered even allocation
@@ -471,7 +443,8 @@ func (c *Compiled) FFCheckpoints(i, j int, alpha float64) int {
 	if alpha <= 0 || c.res.Lambda == 0 {
 		return 0
 	}
-	return ffCount(alpha, c.tj[c.cell(i, j)], c.failAt(i, j).work)
+	f := c.failAt(i, j)
+	return ffCount(alpha, f.t, f.work)
 }
 
 // FFTime returns the deterministic fault-free completion time including
@@ -483,12 +456,12 @@ func (c *Compiled) FFTime(i, j int, alpha float64) float64 {
 	if alpha > 1 {
 		alpha = 1
 	}
-	k := c.cell(i, j)
 	if c.res.Lambda == 0 {
-		return alpha * c.tj[k]
+		return alpha * c.Time(i, j)
 	}
-	n := ffCount(alpha, c.tj[k], c.failAt(i, j).work)
-	return alpha*c.tj[k] + float64(n)*c.CkptCost(i, j)
+	f := c.failAt(i, j)
+	n := ffCount(alpha, f.t, f.work)
+	return alpha*f.t + float64(n)*c.CkptCost(i, j)
 }
 
 // RedistRow evaluates RC_i^{j→k} for one task out of a frozen source

@@ -17,13 +17,12 @@ func (c *Compiled) RawAt(i, j int, alpha float64) float64 {
 	if alpha > 1 {
 		alpha = 1
 	}
-	k := c.cell(i, j)
 	if c.res.Lambda == 0 {
-		return alpha * c.tj[k]
+		return alpha * c.Time(i, j)
 	}
 	f := c.failAt(i, j)
-	n := float64(ffCount(alpha, c.tj[k], f.work))
-	tauLast := alpha*c.tj[k] - n*f.work
+	n := float64(ffCount(alpha, f.t, f.work))
+	tauLast := alpha*f.t - n*f.work
 	var last float64
 	switch sk := segOf(c.res, c.tasks[i]); {
 	case tauLast <= 0:
@@ -140,6 +139,17 @@ func compiledCases() []struct {
 	add("ckpt-edges-daly", Resilience{Lambda: 1 / (20 * year), Downtime: 60, Rule: PeriodDaly}, edges...)
 	add("ckpt-edges-silent", Resilience{Lambda: 1 / (10 * year), Downtime: 60, SilentLambda: 1 / (5 * year)}, edges...)
 	add("ckpt-edges-fault-free", Resilience{}, edges...)
+	shortTable := Task{Data: 3e5, Ckpt: 2e5, Profile: Table{Times: []float64{9e5, 5e5, 4e5, 6e5, 3e5, 2e5}}}
+	scanned := []Task{
+		{Data: 1.5e6, Ckpt: 1.5e6, Profile: Synthetic{M: 1.5e6, SeqFraction: 2}},
+		{Data: 0.5, Ckpt: 0.5, Profile: Synthetic{M: 0.5, SeqFraction: 0.08}},
+		shortTable,
+	}
+	add("scanned-rows", Resilience{Lambda: 1 / (20 * year), Downtime: 60}, scanned...)
+	add("scanned-rows-fault-free", Resilience{}, scanned...)
+	opaque := Task{Data: 1e6, Ckpt: 1e5, Profile: opaqueProfile{}}
+	add("opaque", Resilience{Lambda: 1 / (20 * year), Downtime: 60}, opaque, synth(1.5e6, 0))
+	add("opaque-fault-free", Resilience{}, opaque, synth(1.5e6, 0))
 	return cases
 }
 
@@ -185,6 +195,7 @@ func TestCompiledMatchesDirect(t *testing.T) {
 							name      string
 							got, want float64
 						}{
+							{"t", f.t, task.Time(j)},
 							{"tau", f.tau, tau},
 							{"work", f.work, work},
 							{"lj", f.lj, lj},
@@ -222,6 +233,48 @@ func TestCompiledMatchesDirect(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTimeMetaClosedFormMatchesScan: for a Synthetic row timesNumeric
+// accepts, timeMetaOf derives the row shape without reading the row; at
+// every platform size that record must equal a scan of the covered
+// cells bit for bit, over random parameters and the edges of the
+// accepted range (m = 1, f = 0, −0 and 1, and a t(m,1) so large that the
+// first cells overflow to +Inf).
+func TestTimeMetaClosedFormMatchesScan(t *testing.T) {
+	const maxP = 256
+	src := rng.New(34)
+	profiles := []Synthetic{
+		{M: 1, SeqFraction: 0}, {M: 1, SeqFraction: 1}, {M: 2, SeqFraction: math.Copysign(0, -1)},
+		{M: 7.1e304, SeqFraction: 1}, {M: 7.1e304, SeqFraction: 0.5}, {M: 3, SeqFraction: 1},
+	}
+	for k := 0; k < 200; k++ {
+		f := src.Uniform(0, 1)
+		switch src.Intn(4) {
+		case 0:
+			f = 0
+		case 1:
+			f = 1
+		}
+		profiles = append(profiles, Synthetic{M: math.Exp(src.Uniform(0, 40)), SeqFraction: f})
+	}
+	for _, s := range profiles {
+		task := Task{Data: s.M, Ckpt: src.Uniform(0, 1e6), Verify: src.Uniform(0, 1e3), Profile: s}
+		if src.Intn(2) == 0 {
+			task.Profile = &s
+		}
+		for maxJ := 2; maxJ <= maxP; maxJ += 2 {
+			got := timeMetaOf(task, maxJ)
+			if !got.synth || !got.times {
+				t.Fatalf("%+v: the closed form does not apply (synth %v, times %v)", s, got.synth, got.times)
+			}
+			want := got.scan(task, maxJ)
+			if got.nonInc != want.nonInc || math.Float64bits(got.min) != math.Float64bits(want.min) {
+				t.Fatalf("%+v maxJ %d: closed form (nonInc %v, min %v), scan (nonInc %v, min %v)",
+					s, maxJ, got.nonInc, got.min, want.nonInc, want.min)
+			}
+		}
 	}
 }
 
@@ -323,7 +376,7 @@ func TestCompiledMatches(t *testing.T) {
 
 // TestRecompileReusesArenas pins the in-place rebuild: rebuilding a
 // TableArena for a same-shape instance must return the same table and
-// must not grow the profile columns or the failure row arenas, and the
+// must not grow the per-task records or the failure row arenas, and the
 // rebuilt model must serve the new instance's values.
 func TestRecompileReusesArenas(t *testing.T) {
 	cases := compiledCases()
@@ -333,7 +386,7 @@ func TestRecompileReusesArenas(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillAll(c)
-	before, chunks, hdrs := cap(c.tj), len(c.fail.cells.chunks), len(c.fail.hdrs.chunks)
+	before, chunks, hdrs := cap(c.trow), len(c.fail.cells.chunks), len(c.fail.hdrs.chunks)
 	if again, err := a.Build(cases[2].tasks, cases[2].res, CostModel{}, 32); err != nil || again != c {
 		t.Fatalf("rebuild returned %p, %v; want the arena's table %p", again, err, c)
 	}
@@ -341,8 +394,8 @@ func TestRecompileReusesArenas(t *testing.T) {
 		t.Fatal("recompile kept the previous instance's failure cells")
 	}
 	fillAll(c)
-	if cap(c.tj) != before {
-		t.Fatalf("recompile grew the table arena: %d → %d", before, cap(c.tj))
+	if cap(c.trow) != before {
+		t.Fatalf("recompile grew the table arena: %d → %d", before, cap(c.trow))
 	}
 	if len(c.fail.cells.chunks) != chunks || len(c.fail.hdrs.chunks) != hdrs {
 		t.Fatalf("refilling the rows grew the failure arenas: %d/%d chunks → %d/%d",
@@ -472,8 +525,8 @@ func benchPack() ([]Task, Resilience) {
 }
 
 // BenchmarkCompileCold measures the one-time table build on a fresh
-// arena every iteration — the price of a true cache miss: the profile
-// columns allocated and filled, the failure rows left to the queries.
+// arena every iteration — the price of a true cache miss: the per-task
+// records allocated and computed, the failure rows left to the queries.
 func BenchmarkCompileCold(b *testing.B) {
 	tasks, res := benchPack()
 	b.ReportAllocs()
@@ -503,7 +556,7 @@ func BenchmarkCompileWarm(b *testing.B) {
 
 // BenchmarkRecompileDelta measures the near-miss build for the delta
 // classes a resilience sweep produces: downtime-only, λ and the
-// fault-free limit. Each shares the base's profile columns and starts
+// fault-free limit. Each shares the base's per-task records and starts
 // with empty failure rows (none at all when fault-free), so the three
 // cost the same few small allocations. Every iteration builds a fresh
 // table with deltaOf, as the cache does. The speedup over

@@ -4,22 +4,20 @@ import "slices"
 
 // deltaOf builds the table for (tasks, res) at base's platform and cost
 // model: the cache's near-miss build, for a pack the cache has matched
-// to base's by content (samePack). The new table shares base's profile
-// half — the t_{i,j} column and its row metadata, which derive from the
-// pack alone — and starts with empty failure rows of its own, filled on
-// demand like a cold table's. No column of base is written,
-// and neither table is ever rebuilt in place. The result answers every
-// query bit-identically to a Compile for res (pinned by
-// TestRecompileDeltaByteEqualFull), whatever parameters base was built
-// for, fault-free included.
+// to base's by content (samePack). The new table shares base's per-task
+// records, which derive from the pack and platform alone, and starts
+// with empty failure rows of its own, filled on demand like a cold
+// table's. Nothing of base is written, and neither table is ever
+// rebuilt in place. The result answers every query bit-identically to a
+// Compile for res (pinned by TestRecompileDeltaByteEqualFull), whatever
+// parameters base was built for, fault-free included.
 func deltaOf(base *Compiled, tasks []Task, res Resilience) (*Compiled, error) {
 	if err := res.Validate(); err != nil {
 		return nil, err
 	}
 	c := &Compiled{
 		tasks: tasks, res: res, rc: base.rc, p: base.p,
-		maxJ: base.maxJ, stride: base.stride,
-		tj: base.tj, trow: base.trow, sched: new(schedSlot),
+		maxJ: base.maxJ, trow: base.trow, sched: new(schedSlot),
 	}
 	if !res.FaultFree() {
 		c.fail = new(failTable)

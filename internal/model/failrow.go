@@ -19,10 +19,13 @@ import (
 // snapshot never changes after it is published, so a reader holding one
 // sees the same bits whatever fills follow.
 
-// failCell holds the failure terms of one (task, allocation) cell. λ·j
-// is one multiply, but recomputing it in the row kernel measured about
-// 6% slower than loading it, so the cell keeps it.
+// failCell holds the terms of one (task, allocation) cell that the row
+// kernel reads. λ·j is one multiply and a Synthetic t_{i,j} two
+// divisions, but recomputing λ·j in the kernel measured about 6% slower
+// than loading it, and recomputing t_{i,j} cut paper-figs' throughput by
+// about 9%, so the cell keeps both.
 type failCell struct {
+	t      float64 // t_{i,j}, the fault-free execution time
 	tau    float64 // τ_{i,j}, checkpointing period
 	work   float64 // τ_{i,j} − C_{i,j}, work per period
 	lj     float64 // λ·j, the task's failure rate
@@ -99,22 +102,25 @@ func (c *Compiled) fillRow(i, need int) []failCell {
 }
 
 // fillCells computes row i's failure cells k0, k0+1, … into dst from the
-// task and the resilience parameters. The Resilience primitives are
-// inlined per cell (λj = Rate, C_{i,j} = C_i/j, R = C, V_{i,j} = V_i/j,
-// Young or Daly period over µ = 1/λj, silentSegment by segment kind)
-// with the same float64 operations in the same order, so every cell is
-// bit-identical to the direct path (pinned by TestCompiledMatchesDirect).
+// task, its record and the resilience parameters. t_{i,j} comes from the
+// record (timeMeta.time), and the Resilience primitives are inlined per
+// cell (λj = Rate, C_{i,j} = C_i/j, R = C, V_{i,j} = V_i/j, Young or Daly
+// period over µ = 1/λj, silentSegment by segment kind) with the same
+// float64 operations in the same order, so every cell is bit-identical
+// to the direct path (pinned by TestCompiledMatchesDirect).
 func (c *Compiled) fillCells(i, k0 int, dst []failCell) {
 	res := c.res
-	t := &c.tasks[i]
+	t, m := &c.tasks[i], &c.trow[i]
 	sk := segOf(res, *t)
 	for d := range dst {
-		jf := float64(2 * (k0 + d + 1))
+		j := 2 * (k0 + d + 1)
+		jf := float64(j)
 		lj := res.Lambda * jf // Resilience.Rate
 		ck := t.Ckpt / jf     // Resilience.CkptCost
 		tau := cellPeriod(res.Rule, lj, ck)
 		work := tau - ck
 		dst[d] = failCell{
+			t:    m.time(t, j),
 			tau:  tau,
 			work: work,
 			lj:   lj,
